@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -122,14 +123,28 @@ func BuildManifest(doc catalog.DocID, data []byte, chunkSize int) *Manifest {
 	if chunkSize <= 0 {
 		chunkSize = DefaultChunkSize
 	}
-	m := &Manifest{Doc: doc, Size: int64(len(data)), ChunkSize: chunkSize}
-	m.Hashes = make([]byte, 0, m.NumChunks()*HashSize)
-	for off := 0; off < len(data); off += chunkSize {
-		end := off + chunkSize
-		if end > len(data) {
-			end = len(data)
+	return buildManifest(doc, data, int64(len(data)), chunkSize)
+}
+
+// buildManifest hashes every chunk of a size-byte document. Explicit
+// chunks are hashed where they lie in data; synthetic ones (data nil)
+// are generated into one reused chunk buffer.
+func buildManifest(doc catalog.DocID, data []byte, size int64, chunkSize int) *Manifest {
+	m := &Manifest{Doc: doc, Size: size, ChunkSize: chunkSize}
+	n := m.NumChunks()
+	m.Hashes = make([]byte, 0, n*HashSize)
+	var buf []byte
+	for i := 0; i < n; i++ {
+		off := int64(i) * int64(chunkSize)
+		end := off + int64(m.ChunkLen(i))
+		var c []byte
+		if data != nil {
+			c = data[off:end]
+		} else {
+			buf = appendSpan(buf[:0], doc, nil, off, end)
+			c = buf
 		}
-		h := sha256.Sum256(data[off:end])
+		h := sha256.Sum256(c)
 		m.Hashes = append(m.Hashes, h[:]...)
 	}
 	return m
@@ -145,19 +160,57 @@ func splitmix64(x uint64) uint64 {
 
 // syntheticFill writes doc's bytes for [off, off+len(dst)) into dst.
 // Byte content is a pure function of (doc, absolute offset), so chunk
-// boundaries — and therefore chunk size — never change the stream.
+// boundaries — and therefore chunk size — never change the stream: the
+// byte at offset o is byte o&7 (little-endian) of the generator word
+// o>>3. Whole words are stored with one 8-byte write each; only a span's
+// unaligned head and tail go byte by byte.
 func syntheticFill(doc catalog.DocID, off int64, dst []byte) {
+	const stride = 0xd1342543de82ef95
 	seed := splitmix64(uint64(doc)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d)
-	i := 0
-	for i < len(dst) {
-		word := uint64(off+int64(i)) >> 3
-		v := splitmix64(seed ^ word*0xd1342543de82ef95)
-		// Position within the 8-byte word this offset falls in.
-		for b := int((off + int64(i)) & 7); b < 8 && i < len(dst); b++ {
-			dst[i] = byte(v >> (8 * b))
-			i++
+	pos := (uint64(off) >> 3) * stride // word index times stride, advanced by addition
+	if b := uint(off & 7); b != 0 {
+		v := splitmix64(seed^pos) >> (8 * b)
+		n := min(8-int(b), len(dst))
+		for i := 0; i < n; i++ {
+			dst[i] = byte(v >> (8 * uint(i)))
+		}
+		dst = dst[n:]
+		pos += stride
+	}
+	for ; len(dst) >= 8; dst = dst[8:] {
+		binary.LittleEndian.PutUint64(dst, splitmix64(seed^pos))
+		pos += stride
+	}
+	if len(dst) > 0 {
+		v := splitmix64(seed ^ pos)
+		for i := range dst {
+			dst[i] = byte(v >> (8 * uint(i)))
 		}
 	}
+}
+
+// appendSpan appends bytes [off, end) of a document to dst — copied
+// from data if explicit, generated if synthetic (data nil). Every chunk,
+// whole-document and manifest read goes through it; callers guarantee
+// 0 <= off <= end <= document size.
+func appendSpan(dst []byte, doc catalog.DocID, data []byte, off, end int64) []byte {
+	if data != nil {
+		return append(dst, data[off:end]...)
+	}
+	n := len(dst)
+	dst = slices.Grow(dst, int(end-off))[:n+int(end-off)]
+	syntheticFill(doc, off, dst[n:])
+	return dst
+}
+
+// chunkSpan is the byte range of chunk idx in a size-byte document, or
+// false when idx lies outside it.
+func chunkSpan(size int64, chunkSize, idx int) (off, end int64, ok bool) {
+	off = int64(idx) * int64(chunkSize)
+	if idx < 0 || off >= size {
+		return 0, 0, false
+	}
+	return off, min(off+int64(chunkSize), size), true
 }
 
 // SyntheticChunk materializes chunk idx of a synthetic document.
@@ -165,25 +218,17 @@ func SyntheticChunk(doc catalog.DocID, size int64, chunkSize, idx int) []byte {
 	if chunkSize <= 0 {
 		chunkSize = DefaultChunkSize
 	}
-	off := int64(idx) * int64(chunkSize)
-	if idx < 0 || off >= size {
+	off, end, ok := chunkSpan(size, chunkSize, idx)
+	if !ok {
 		return nil
 	}
-	n := int64(chunkSize)
-	if off+n > size {
-		n = size - off
-	}
-	dst := make([]byte, n)
-	syntheticFill(doc, off, dst)
-	return dst
+	return appendSpan(nil, doc, nil, off, end)
 }
 
 // SyntheticDoc materializes a whole synthetic document — the oracle
 // tests compare fetched bytes against.
 func SyntheticDoc(doc catalog.DocID, size int64) []byte {
-	dst := make([]byte, size)
-	syntheticFill(doc, 0, dst)
-	return dst
+	return appendSpan(make([]byte, 0, size), doc, nil, 0, size)
 }
 
 // docEntry is one held document: explicit bytes, or synthetic (data
@@ -315,20 +360,31 @@ func (s *Store) CachedLen() int {
 // disabled, the document alone exceeds the budget, or the store
 // already holds the document (a base copy always wins).
 func (s *Store) PutCached(doc catalog.DocID, data []byte) bool {
+	return s.PutCachedVerified(BuildManifest(doc, data, s.chunkSize), data)
+}
+
+// PutCachedVerified is PutCached for a caller that holds the manifest
+// data was verified against (a completed transfer): nothing is hashed,
+// and no serve ever waits on the write lock behind a SHA-256 pass. A
+// manifest cut for another chunk size is rebuilt, still outside the lock.
+func (s *Store) PutCachedVerified(m *Manifest, data []byte) bool {
 	size := int64(len(data))
+	if m.ChunkSize != s.chunkSize || m.Size != size {
+		m = BuildManifest(m.Doc, data, s.chunkSize)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.cacheBudget <= 0 || size > s.cacheBudget {
 		return false
 	}
-	if _, ok := s.docs[doc]; ok {
+	if _, ok := s.docs[m.Doc]; ok {
 		return false
 	}
 	s.evictLocked(size)
 	last := new(atomic.Int64)
 	last.Store(s.clock.Add(1))
-	s.docs[doc] = docEntry{data: data, size: size, cached: true, last: last}
-	s.manifests[doc] = BuildManifest(doc, data, s.chunkSize)
+	s.docs[m.Doc] = docEntry{data: data, size: size, cached: true, last: last}
+	s.manifests[m.Doc] = m
 	s.cacheBytes += size
 	return true
 }
@@ -436,11 +492,7 @@ func (s *Store) Manifest(doc catalog.DocID) (*Manifest, bool) {
 	if !held {
 		return nil, false
 	}
-	if e.data != nil {
-		m = BuildManifest(doc, e.data, s.chunkSize)
-	} else {
-		m = syntheticManifest(doc, e.size, s.chunkSize)
-	}
+	m = buildManifest(doc, e.data, e.size, s.chunkSize)
 	s.mu.Lock()
 	// Another goroutine may have raced us here; either result is
 	// identical, so last-write-wins is fine.
@@ -449,67 +501,59 @@ func (s *Store) Manifest(doc catalog.DocID) (*Manifest, bool) {
 	return m, true
 }
 
-func syntheticManifest(doc catalog.DocID, size int64, chunkSize int) *Manifest {
-	m := &Manifest{Doc: doc, Size: size, ChunkSize: chunkSize}
-	n := m.NumChunks()
-	m.Hashes = make([]byte, 0, n*HashSize)
-	buf := make([]byte, chunkSize)
-	for i := 0; i < n; i++ {
-		c := buf[:m.ChunkLen(i)]
-		syntheticFill(doc, int64(i)*int64(chunkSize), c)
-		h := sha256.Sum256(c)
-		m.Hashes = append(m.Hashes, h[:]...)
-	}
-	return m
-}
-
-// Chunk returns the bytes of chunk idx, or false if the doc is not
-// held or the index is out of range. Synthetic chunks are generated on
-// the fly; explicit chunks alias the stored blob (callers must not
-// mutate the returned slice).
-func (s *Store) Chunk(doc catalog.DocID, idx int) ([]byte, bool) {
+// lookup returns doc's entry, stamping a cached entry's last-hit clock.
+func (s *Store) lookup(doc catalog.DocID) (docEntry, bool) {
 	s.mu.RLock()
 	e, ok := s.docs[doc]
 	if ok {
 		s.touch(e)
 	}
 	s.mu.RUnlock()
-	if !ok || idx < 0 {
-		return nil, false
+	return e, ok
+}
+
+// span is lookup plus the byte range of chunk idx; false if the doc is
+// not held or the index is out of range.
+func (s *Store) span(doc catalog.DocID, idx int) (e docEntry, off, end int64, ok bool) {
+	if e, ok = s.lookup(doc); ok {
+		off, end, ok = chunkSpan(e.size, s.chunkSize, idx)
 	}
-	off := int64(idx) * int64(s.chunkSize)
-	if off >= e.size {
-		return nil, false
+	return e, off, end, ok
+}
+
+// ChunkLen returns the byte length of chunk idx, or false if the doc is
+// not held or the index is out of range.
+func (s *Store) ChunkLen(doc catalog.DocID, idx int) (int, bool) {
+	_, off, end, ok := s.span(doc, idx)
+	return int(end - off), ok
+}
+
+// AppendChunk appends chunk idx to dst, or returns (dst, false) if the
+// doc is not held or the index is out of range. With spare capacity in
+// dst it allocates nothing — synthetic chunks are generated in place,
+// explicit ones copied once — which is how the transport writer
+// materializes a chunk straight into the frame it is sending.
+func (s *Store) AppendChunk(dst []byte, doc catalog.DocID, idx int) ([]byte, bool) {
+	e, off, end, ok := s.span(doc, idx)
+	if !ok {
+		return dst, false
 	}
-	end := off + int64(s.chunkSize)
-	if end > e.size {
-		end = e.size
-	}
-	if e.data != nil {
-		return e.data[off:end], true
-	}
-	dst := make([]byte, end-off)
-	syntheticFill(doc, off, dst)
-	return dst, true
+	return appendSpan(dst, doc, e.data, off, end), true
+}
+
+// Chunk returns a fresh copy of chunk idx, or false if the doc is not
+// held or the index is out of range.
+func (s *Store) Chunk(doc catalog.DocID, idx int) ([]byte, bool) {
+	return s.AppendChunk(nil, doc, idx)
 }
 
 // Bytes materializes the full document (for local hits in Fetch).
 func (s *Store) Bytes(doc catalog.DocID) ([]byte, bool) {
-	s.mu.RLock()
-	e, ok := s.docs[doc]
-	if ok {
-		s.touch(e)
-	}
-	s.mu.RUnlock()
+	e, ok := s.lookup(doc)
 	if !ok {
 		return nil, false
 	}
-	if e.data != nil {
-		out := make([]byte, len(e.data))
-		copy(out, e.data)
-		return out, true
-	}
-	return SyntheticDoc(doc, e.size), true
+	return appendSpan(make([]byte, 0, e.size), doc, e.data, 0, e.size), true
 }
 
 // Assembly reassembles a document from chunks, verifying each against
@@ -521,6 +565,9 @@ type Assembly struct {
 	buf  []byte
 	have []bool
 	got  int
+	// low is the first chunk not yet verified: everything below it has
+	// landed, so Missing starts there instead of rescanning the prefix.
+	low int
 }
 
 // NewAssembly allocates the reassembly buffer for m.
@@ -552,6 +599,9 @@ func (a *Assembly) Add(idx int, data []byte) (bool, error) {
 	copy(a.buf[int64(idx)*int64(a.man.ChunkSize):], data)
 	a.have[idx] = true
 	a.got++
+	for a.low < len(a.have) && a.have[a.low] {
+		a.low++
+	}
 	return true, nil
 }
 
@@ -562,18 +612,17 @@ func (a *Assembly) Complete() bool { return a.got == len(a.have) }
 func (a *Assembly) Got() int { return a.got }
 
 // Missing returns up to limit indexes of chunks not yet verified
-// (limit <= 0 means all), in ascending order.
+// (limit <= 0 means all), in ascending order. The scan starts at the
+// end of the verified prefix, so a windowed caller pays for its limit
+// plus the out-of-order arrivals inside it, never for the document.
 func (a *Assembly) Missing(limit int) []int {
-	if limit <= 0 {
-		limit = len(a.have)
+	if rest := len(a.have) - a.got; limit <= 0 || limit > rest {
+		limit = rest
 	}
-	var out []int
-	for i, ok := range a.have {
-		if !ok {
+	out := make([]int, 0, limit)
+	for i := a.low; len(out) < limit; i++ {
+		if !a.have[i] {
 			out = append(out, i)
-			if len(out) == limit {
-				break
-			}
 		}
 	}
 	return out

@@ -33,7 +33,7 @@ func memnetHooks(nw *memnet.Network, cn *chaos.Net) NetHooks {
 
 // launchOverMemnet builds and boots a cluster of the given geometry on a
 // fresh fabric.
-func launchOverMemnet(t *testing.T, sh Shape, cn *chaos.Net, nw *memnet.Network, opts Options) *Cluster {
+func launchOverMemnet(t testing.TB, sh Shape, cn *chaos.Net, nw *memnet.Network, opts Options) *Cluster {
 	t.Helper()
 	inst, assign, place, err := sh.Build()
 	if err != nil {

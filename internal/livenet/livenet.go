@@ -74,8 +74,12 @@ const (
 	// readIdleTimeout reaps inbound connections that go silent — a peer
 	// that died without closing its socket.
 	readIdleTimeout = 2 * time.Minute
-	// readBufBytes sizes each inbound stream's read buffer.
-	readBufBytes = 64 << 10
+	// readBufBytes sizes each inbound stream's read buffer. It batches
+	// small frames only: a read at least as large bypasses it, so a chunk
+	// goes from the connection straight into the pooled buffer it is
+	// decoded from. A chunk-sized buffer would prefetch every chunk —
+	// one more copy of each transfer, and 64 KB per inbound link.
+	readBufBytes = 4 << 10
 )
 
 // envelope frames every wire message with its sender. One connection

@@ -231,15 +231,78 @@ func (n *Node) deliverXfer(id uint64, env envelope) {
 	n.xferMu.Lock()
 	ch := n.xfers[id]
 	n.xferMu.Unlock()
-	if ch == nil {
-		n.stats.Add("transfer_stray_frames", 1)
+	dropped := "transfer_stray_frames"
+	if ch != nil {
+		select {
+		case ch <- env:
+			return
+		default:
+			dropped = "transfer_overruns"
+		}
+	}
+	n.stats.Add(dropped, 1)
+	if c, ok := env.Msg.(wire.Chunk); ok {
+		c.Release()
+	}
+}
+
+// creditWindow is the receiver-driven flow control of one chunk stream:
+// the chunks granted to src and not yet verified. Shared by Fetch and
+// pullReplica, which differ only in what they do around it.
+type creditWindow struct {
+	n           *Node
+	src         model.NodeID
+	doc         catalog.DocID
+	xfer        uint64
+	asm         *content.Assembly
+	outstanding map[int]struct{}
+}
+
+// grant sends coalesced ChunkReqs for the given ascending indexes and
+// records them as outstanding.
+func (w *creditWindow) grant(idxs []int) {
+	for i := 0; i < len(idxs); {
+		j := i + 1
+		for j < len(idxs) && idxs[j] == idxs[j-1]+1 {
+			j++
+		}
+		w.n.sendDirect(w.src, wire.ChunkReq{
+			Doc: w.doc, Xfer: w.xfer,
+			First: int64(idxs[i]), Count: int64(j - i),
+		}, false)
+		i = j
+	}
+	for _, idx := range idxs {
+		w.outstanding[idx] = struct{}{}
+	}
+}
+
+// reset forgets all credit and grants a full window of the lowest
+// missing chunks — at stream open, and again after a silent stall (the
+// grant or the chunks may have been dropped under overrun).
+func (w *creditWindow) reset() {
+	w.outstanding = make(map[int]struct{}, fetchWindow)
+	w.grant(w.asm.Missing(fetchWindow))
+}
+
+// landed retires verified chunk idx and, at the low-water mark, tops
+// the window back up. Outstanding chunks are all missing, so the first
+// fetchWindow missing chunks always hold enough fresh ones to fill it:
+// a refill costs the window, not a scan of the document.
+func (w *creditWindow) landed(idx int) {
+	delete(w.outstanding, idx)
+	if len(w.outstanding) > fetchRefillAt {
 		return
 	}
-	select {
-	case ch <- env:
-	default:
-		n.stats.Add("transfer_overruns", 1)
+	fresh := w.asm.Missing(fetchWindow)
+	k := 0
+	for _, m := range fresh {
+		if _, inflight := w.outstanding[m]; !inflight && len(w.outstanding)+k < fetchWindow {
+			fresh[k] = m
+			k++
+		}
 	}
+	w.grant(fresh[:k])
 }
 
 // sendDirect queues one envelope to a peer from OUTSIDE the control
@@ -327,10 +390,13 @@ func (n *Node) serveManifestReq(from model.NodeID, m wire.ManifestReq) {
 	}
 }
 
-// serveChunkReq streams the granted chunk range inline on the reader
-// goroutine, on the bulk lane. The grant is the flow control: nothing
-// beyond [First, First+Count) is sent, and Count is clamped so a bad
-// frame cannot demand an unbounded burst.
+// serveChunkReq queues the granted chunk range on the bulk lane as
+// descriptors: this reader goroutine generates no bytes, the peer's
+// writer materializes each chunk inside the frame it sends (again on a
+// retry after reconnect; a document dropped meanwhile goes out as a
+// Missing chunk). The grant is the flow control: nothing beyond
+// [First, First+Count) is sent, and Count is clamped so a bad frame
+// cannot demand an unbounded burst.
 func (n *Node) serveChunkReq(from model.NodeID, m wire.ChunkReq) {
 	count := m.Count
 	if count > serverMaxGrant {
@@ -343,14 +409,14 @@ func (n *Node) serveChunkReq(from model.NodeID, m wire.ChunkReq) {
 	}
 	for i := int64(0); i < count; i++ {
 		idx := m.First + i
-		data, ok := n.store.Chunk(m.Doc, int(idx))
+		size, ok := n.store.ChunkLen(m.Doc, int(idx))
 		if !ok {
 			n.sendDirect(from, wire.Chunk{Doc: m.Doc, Xfer: m.Xfer, Index: idx, Missing: true}, false)
 			return
 		}
-		n.stats.Add("transfer_bytes_out", int64(len(data)))
+		n.stats.Add("transfer_bytes_out", int64(size))
 		n.noteServe(m.Doc, 1)
-		n.sendDirect(from, wire.Chunk{Doc: m.Doc, Xfer: m.Xfer, Index: idx, Data: data}, true)
+		n.sendDirect(from, wire.ChunkRef{Doc: m.Doc, Xfer: m.Xfer, Index: idx, Len: size, Src: n.store}, true)
 	}
 }
 
@@ -547,28 +613,12 @@ func (n *Node) Fetch(ctx context.Context, d catalog.DocID) ([]byte, error) {
 		// this node starts answering the crowd's ManifestReq floods
 		// instead of joining it.
 		if n.cacheAdmit > 0 && demandHits >= n.cacheAdmit {
-			cp := make([]byte, len(data))
-			copy(cp, data)
-			if n.store.PutCached(d, cp) {
+			if n.store.PutCachedVerified(man, append([]byte(nil), data...)) {
 				n.stats.Add("content_cache_installs", 1)
 			}
 		}
 		n.stats.Add("fetches_ok", 1)
 		return data, nil
-	}
-	// grant sends coalesced ChunkReqs for the given ascending indexes.
-	grant := func(src model.NodeID, idxs []int) {
-		for i := 0; i < len(idxs); {
-			j := i + 1
-			for j < len(idxs) && idxs[j] == idxs[j-1]+1 {
-				j++
-			}
-			n.sendDirect(src, wire.ChunkReq{
-				Doc: d, Xfer: id,
-				First: int64(idxs[i]), Count: int64(j - i),
-			}, false)
-			i = j
-		}
 	}
 	// noteManifest folds one Manifest frame into fetch state: the first
 	// valid one pins the transfer's geometry, and every distinct sender
@@ -655,16 +705,11 @@ func (n *Node) Fetch(ctx context.Context, d catalog.DocID) ([]byte, error) {
 
 		// Chunk phase against src: grant a window, top it back up at the
 		// low-water mark, verify every arrival. One silent stall re-grants
-		// the outstanding credit (the grant or the chunks may have been
-		// dropped under overrun); a second consecutive stall fails over.
-		// Manifests from holders the flood reached late keep arriving here
-		// and extend the failover queue.
-		outstanding := make(map[int]struct{}, fetchWindow)
-		initial := asm.Missing(fetchWindow)
-		for _, idx := range initial {
-			outstanding[idx] = struct{}{}
-		}
-		grant(src, initial)
+		// the window; a second consecutive stall fails over. Manifests from
+		// holders the flood reached late keep arriving here and extend the
+		// failover queue.
+		win := creditWindow{n: n, src: src, doc: d, xfer: id, asm: asm}
+		win.reset()
 		resetTimer(chunkStallWait)
 		stalled := false
 		hashFails := 0
@@ -684,12 +729,7 @@ func (n *Node) Fetch(ctx context.Context, d catalog.DocID) ([]byte, error) {
 					break chunkLoop
 				}
 				stalled = true
-				regrant := asm.Missing(fetchWindow)
-				outstanding = make(map[int]struct{}, len(regrant))
-				for _, idx := range regrant {
-					outstanding[idx] = struct{}{}
-				}
-				grant(src, regrant)
+				win.reset()
 				resetTimer(chunkStallWait)
 			case env := <-ch:
 				c, ok := env.Msg.(wire.Chunk)
@@ -705,6 +745,10 @@ func (n *Node) Fetch(ctx context.Context, d catalog.DocID) ([]byte, error) {
 					break chunkLoop
 				}
 				added, err := asm.Add(int(c.Index), c.Data)
+				// Data may alias a pooled frame buffer; Add copied what it
+				// verified, so the buffer goes back now, whatever the verdict.
+				size := int64(len(c.Data))
+				c.Release()
 				if err != nil {
 					if errors.Is(err, content.ErrHashMismatch) {
 						n.stats.Add("chunk_hash_fail", 1)
@@ -716,7 +760,7 @@ func (n *Node) Fetch(ctx context.Context, d catalog.DocID) ([]byte, error) {
 						break chunkLoop
 					}
 					if c.Index >= 0 && int(c.Index) < man.NumChunks() {
-						grant(src, []int{int(c.Index)})
+						win.grant([]int{int(c.Index)})
 					}
 					resetTimer(chunkStallWait)
 					continue
@@ -725,27 +769,12 @@ func (n *Node) Fetch(ctx context.Context, d catalog.DocID) ([]byte, error) {
 					continue
 				}
 				stalled = false
-				bytesIn += int64(len(c.Data))
-				n.stats.Add("transfer_bytes_in", int64(len(c.Data)))
-				delete(outstanding, int(c.Index))
+				bytesIn += size
+				n.stats.Add("transfer_bytes_in", size)
 				if asm.Complete() {
 					return finish()
 				}
-				if len(outstanding) <= fetchRefillAt {
-					var fresh []int
-					for _, idx := range asm.Missing(0) {
-						if len(outstanding)+len(fresh) >= fetchWindow {
-							break
-						}
-						if _, inflight := outstanding[idx]; !inflight {
-							fresh = append(fresh, idx)
-						}
-					}
-					for _, idx := range fresh {
-						outstanding[idx] = struct{}{}
-					}
-					grant(src, fresh)
-				}
+				win.landed(int(c.Index))
 				resetTimer(chunkStallWait)
 			}
 		}
@@ -919,25 +948,8 @@ func (n *Node) pullReplica(src model.NodeID, man *content.Manifest) {
 	defer n.unregisterXfer(id)
 	asm := content.NewAssembly(man)
 	d := man.Doc
-	grant := func(idxs []int) {
-		for i := 0; i < len(idxs); {
-			j := i + 1
-			for j < len(idxs) && idxs[j] == idxs[j-1]+1 {
-				j++
-			}
-			n.sendDirect(src, wire.ChunkReq{
-				Doc: d, Xfer: id,
-				First: int64(idxs[i]), Count: int64(j - i),
-			}, false)
-			i = j
-		}
-	}
-	outstanding := make(map[int]struct{}, fetchWindow)
-	initial := asm.Missing(fetchWindow)
-	for _, idx := range initial {
-		outstanding[idx] = struct{}{}
-	}
-	grant(initial)
+	win := creditWindow{n: n, src: src, doc: d, xfer: id, asm: asm}
+	win.reset()
 	timer := time.NewTimer(chunkStallWait)
 	defer timer.Stop()
 	stalled := false
@@ -951,12 +963,7 @@ func (n *Node) pullReplica(src model.NodeID, man *content.Manifest) {
 				return
 			}
 			stalled = true
-			regrant := asm.Missing(fetchWindow)
-			outstanding = make(map[int]struct{}, len(regrant))
-			for _, idx := range regrant {
-				outstanding[idx] = struct{}{}
-			}
-			grant(regrant)
+			win.reset()
 			timer.Reset(chunkStallWait)
 		case env := <-ch:
 			c, ok := env.Msg.(wire.Chunk)
@@ -968,6 +975,8 @@ func (n *Node) pullReplica(src model.NodeID, man *content.Manifest) {
 				return
 			}
 			added, err := asm.Add(int(c.Index), c.Data)
+			size := int64(len(c.Data))
+			c.Release()
 			if err != nil {
 				n.stats.Add("chunk_hash_fail", 1)
 				n.stats.Add("replicate_pull_failures", 1)
@@ -977,22 +986,9 @@ func (n *Node) pullReplica(src model.NodeID, man *content.Manifest) {
 				continue
 			}
 			stalled = false
-			n.stats.Add("transfer_bytes_in", int64(len(c.Data)))
-			delete(outstanding, int(c.Index))
-			if len(outstanding) <= fetchRefillAt && !asm.Complete() {
-				var fresh []int
-				for _, idx := range asm.Missing(0) {
-					if len(outstanding)+len(fresh) >= fetchWindow {
-						break
-					}
-					if _, inflight := outstanding[idx]; !inflight {
-						fresh = append(fresh, idx)
-					}
-				}
-				for _, idx := range fresh {
-					outstanding[idx] = struct{}{}
-				}
-				grant(fresh)
+			n.stats.Add("transfer_bytes_in", size)
+			if !asm.Complete() {
+				win.landed(int(c.Index))
 			}
 			if !timer.Stop() {
 				select {
@@ -1008,7 +1004,7 @@ func (n *Node) pullReplica(src model.NodeID, man *content.Manifest) {
 		n.stats.Add("replicate_pull_failures", 1)
 		return
 	}
-	if n.store.PutCached(d, data) {
+	if n.store.PutCachedVerified(man, data) {
 		n.stats.Add("replicate_installs", 1)
 	}
 }

@@ -91,7 +91,8 @@ const (
 	maxBatchMsgs = 64
 	// bulkQueueCap bounds each peer's bulk (chunk) queue. Separate from
 	// sendQueueCap so a transfer's worth of queued chunks can never
-	// crowd protocol frames out of their queue.
+	// crowd protocol frames out of their queue. It holds descriptors, not
+	// payloads (the writer materializes them), so it pins no chunk memory.
 	bulkQueueCap = 256
 	// maxBulkPerBatch caps bulk envelopes per flush. Chunks run ~64 KB,
 	// so this bounds one batch's bulk payload (~512 KB) and therefore
@@ -668,9 +669,14 @@ func classifyNegotiateErr(err error) negotiationResult {
 }
 
 // writeEnvelope frames one envelope onto the buffered stream with the
-// codec negotiated at connect time.
+// codec negotiated at connect time. Chunk descriptors become bytes only
+// here: wire generates them inside the outgoing frame; gob cannot, so a
+// legacy stream gets the expanded Chunk (correct, one allocation slower).
 func (w *peerWriter) writeEnvelope(env envelope) error {
 	if w.gobEnc != nil {
+		if ref, ok := env.Msg.(wire.ChunkRef); ok {
+			env.Msg = ref.Chunk()
+		}
 		return w.gobEnc.Encode(env)
 	}
 	return wire.WriteEnvelope(w.bw, env)

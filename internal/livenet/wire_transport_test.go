@@ -139,6 +139,11 @@ func TestTransportBatchingCoalesces(t *testing.T) {
 			t.Fatalf("only %d of %d envelopes arrived: %v", i, burst, stats.Snapshot())
 		}
 	}
+	// The writer records a batch after its flush returns, which can be
+	// after the sink has already read it: wait for the books to close.
+	for end := time.Now().Add(2 * time.Second); tr.batches.Sum() < burst && time.Now().Before(end); {
+		time.Sleep(time.Millisecond)
+	}
 	if max := tr.batches.Max(); max < 2 {
 		t.Errorf("largest batch = %.0f envelopes, want coalescing (>1); batches: %s", max, tr.batches.Summary())
 	}

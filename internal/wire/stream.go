@@ -49,11 +49,34 @@ func IsPreamble(b []byte) bool {
 	return true
 }
 
-// encPool recycles per-envelope encode buffers across all writers; a
+const (
+	// smallFrameBytes caps the scratch the small-frame paths keep between
+	// frames: encode scratch grown past it is dropped, not pooled, and
+	// Reader's reused payload buffer serves only frames below it — so no
+	// link pins a chunk-sized buffer because it once carried a chunk.
+	smallFrameBytes = 4 << 10
+	// bulkBufBytes sizes the pooled buffers large frames are staged in:
+	// one default 64 KB chunk plus its headers.
+	bulkBufBytes = 64<<10 + 64
+	// hdrMax is the room reserved ahead of a payload for its length prefix.
+	hdrMax = binary.MaxVarintLen64
+)
+
+// encPool recycles small encode buffers across all writers; a
 // steady-state send allocates nothing.
 var encPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 1024)
+		return &b
+	},
+}
+
+// bulkPool recycles chunk-sized buffers: outgoing chunk frames are
+// staged in them, large incoming frames read into them (a decoded Chunk
+// keeps its buffer until released).
+var bulkPool = sync.Pool{
+	New: func() any {
+		b := make([]byte, 0, bulkBufBytes)
 		return &b
 	},
 }
@@ -65,34 +88,47 @@ var encPool = sync.Pool{
 // (the analyzer cannot see that bufio does not retain it) and cost one
 // heap allocation per frame, so the length prefix is instead encoded
 // right-aligned into space reserved at the front of the scratch buffer.
+// A chunk descriptor's bytes are generated inside a chunk-sized pooled
+// frame, which — larger than w's buffer — reaches the connection
+// without another copy.
 func WriteEnvelope(w *bufio.Writer, env Envelope) error {
-	const hdrMax = binary.MaxVarintLen64
-	bp := encPool.Get().(*[]byte)
-	defer encPool.Put(bp)
-	scratch := *bp
-	if cap(scratch) < hdrMax {
-		scratch = make([]byte, hdrMax, 1024)
-	}
-	b, err := AppendEnvelope(scratch[:hdrMax], env)
-	*bp = b[:0] // keep grown capacity for the next borrower
-	if err != nil {
+	if ref, ok := env.Msg.(ChunkRef); ok {
+		bp := bulkPool.Get().(*[]byte)
+		err := writeFrame(w, ref.appendFrame((*bp)[:hdrMax], env.From))
+		bulkPool.Put(bp)
 		return err
 	}
+	bp := encPool.Get().(*[]byte)
+	b, err := AppendEnvelope((*bp)[:hdrMax], env)
+	if cap(b) <= smallFrameBytes {
+		*bp = b[:0] // keep modest growth for the next borrower
+	}
+	if err == nil {
+		err = writeFrame(w, b)
+	}
+	encPool.Put(bp)
+	return err
+}
+
+// writeFrame writes the frame whose payload follows hdrMax reserved
+// bytes in b, right-aligning the uvarint length against the payload.
+func writeFrame(w *bufio.Writer, b []byte) error {
 	payload := len(b) - hdrMax
 	if payload > MaxFrameBytes {
 		return fmt.Errorf("wire: frame of %d bytes exceeds limit %d", payload, MaxFrameBytes)
 	}
-	// Right-align the uvarint length against the payload.
 	n := binary.PutUvarint(b[:hdrMax], uint64(payload))
 	start := hdrMax - n
 	copy(b[start:hdrMax], b[:n])
-	_, err = w.Write(b[start:])
+	_, err := w.Write(b[start:])
 	return err
 }
 
-// Reader decodes a stream of length-prefixed frames, reusing one payload
-// buffer across messages — the accept path's only per-message
-// allocations are the slices the decoded message itself must own.
+// Reader decodes a stream of length-prefixed frames. Small frames reuse
+// one payload buffer across messages — the accept path's only
+// per-message allocations are the slices the decoded message itself
+// must own. Frames of smallFrameBytes and up go through a pooled buffer
+// that a decoded Chunk keeps (see Chunk.Release).
 type Reader struct {
 	br  *bufio.Reader
 	buf []byte
@@ -111,12 +147,39 @@ func (r *Reader) Next() (Envelope, error) {
 	if n == 0 || n > MaxFrameBytes {
 		return Envelope{}, fmt.Errorf("wire: frame length %d out of range", n)
 	}
-	if uint64(cap(r.buf)) < n {
-		r.buf = make([]byte, n)
+	var b []byte
+	switch {
+	case n < smallFrameBytes:
+		if uint64(cap(r.buf)) < n {
+			r.buf = make([]byte, n)
+		}
+		b = r.buf[:n]
+	case n <= bulkBufBytes:
+		return r.nextPooled(int(n))
+	default:
+		// Beyond the pooled size (a huge address book, a chunk size above
+		// the default): a one-off buffer, decoded by copy like a small frame.
+		b = make([]byte, n)
 	}
-	b := r.buf[:n]
 	if _, err := io.ReadFull(r.br, b); err != nil {
 		return Envelope{}, err
 	}
 	return DecodeEnvelope(b)
+}
+
+// nextPooled reads an n-byte frame into a pooled buffer. The buffer goes
+// back to the pool here unless the frame decodes to a Chunk, which
+// takes it over.
+func (r *Reader) nextPooled(n int) (Envelope, error) {
+	bp := bulkPool.Get().(*[]byte)
+	b := (*bp)[:n]
+	_, err := io.ReadFull(r.br, b)
+	var env Envelope
+	if err == nil {
+		env, err = decodeEnvelope(b, bp)
+	}
+	if c, ok := env.Msg.(Chunk); !ok || c.buf == nil {
+		bulkPool.Put(bp)
+	}
+	return env, err
 }

@@ -187,12 +187,84 @@ type ChunkReq struct {
 // Chunk carries one verified transfer unit. Missing true means the
 // server could not produce the granted chunk (it no longer holds the
 // document); Data is the chunk bytes otherwise.
+//
+// A Chunk that Reader decodes from a large frame owns no copy: Data
+// aliases the pooled buffer the frame was read into. The receiver calls
+// Release once when done with Data; an unreleased chunk is just garbage.
 type Chunk struct {
 	Doc     catalog.DocID
 	Xfer    uint64
 	Index   int64
 	Data    []byte
 	Missing bool
+
+	buf *[]byte // pooled frame buffer Data aliases; nil when Data is owned
+}
+
+// Release returns the frame buffer behind Data to the pool. Data must
+// not be touched afterwards. A no-op for chunks that own their bytes.
+func (c Chunk) Release() {
+	if c.buf != nil {
+		bulkPool.Put(c.buf)
+	}
+}
+
+// ChunkSource produces chunk bytes at frame-write time
+// (*content.Store implements it).
+type ChunkSource interface {
+	// AppendChunk appends chunk idx of doc to dst, or reports false if
+	// the source no longer holds it.
+	AppendChunk(dst []byte, doc catalog.DocID, idx int) ([]byte, bool)
+}
+
+// ChunkRef is the send-side form of a Chunk: a descriptor whose bytes
+// are materialized only when the frame is written, straight into the
+// frame buffer — by WriteEnvelope only, to exactly the bytes of the
+// Chunk it stands for; decoding never produces one. Len is the length
+// promised when it was queued; a source that can no longer supply Len
+// bytes (document dropped or replaced since) makes the frame a Missing
+// chunk.
+type ChunkRef struct {
+	Doc   catalog.DocID
+	Xfer  uint64
+	Index int64
+	Len   int
+	Src   ChunkSource
+}
+
+// fill appends the referenced chunk's bytes to b; on failure b comes
+// back unextended.
+func (r ChunkRef) fill(b []byte) ([]byte, bool) {
+	start := len(b)
+	b, ok := r.Src.AppendChunk(b, r.Doc, int(r.Index))
+	if !ok || len(b)-start != r.Len {
+		return b[:start], false
+	}
+	return b, true
+}
+
+// appendFrame appends the chunk frame payload the descriptor stands for,
+// its data generated in place. It lives outside AppendEnvelope so that
+// function's buffer never flows into an interface call (which would
+// force every caller's scratch onto the heap).
+func (r ChunkRef) appendFrame(b []byte, from model.NodeID) []byte {
+	b = appendChunkHeader(b, from, r.Doc, r.Xfer, r.Index)
+	mark := len(b)
+	b = appendBool(b, false)
+	b = appendUint(b, uint64(r.Len))
+	b, ok := r.fill(b)
+	if !ok {
+		b = appendBool(b[:mark], true)
+		b = appendUint(b, 0)
+	}
+	return b
+}
+
+// Chunk materializes the descriptor into a plain Chunk that owns its
+// bytes — for codecs that cannot fill in place (the gob fallback).
+func (r ChunkRef) Chunk() Chunk {
+	data, ok := r.fill(make([]byte, 0, r.Len))
+	return Chunk{Doc: r.Doc, Xfer: r.Xfer, Index: r.Index, Data: data, Missing: !ok}
 }
 
 // Replicate is a holder-side push trigger: an overloaded replica holder
@@ -242,6 +314,15 @@ func appendFloat(b []byte, v float64) []byte {
 func appendBytes(b []byte, p []byte) []byte {
 	b = binary.AppendUvarint(b, uint64(len(p)))
 	return append(b, p...)
+}
+
+// appendChunkHeader writes a chunk frame up to its missing flag.
+func appendChunkHeader(b []byte, from model.NodeID, doc catalog.DocID, xfer uint64, index int64) []byte {
+	b = append(b, tagChunk)
+	b = appendInt(b, int64(from))
+	b = appendInt(b, int64(doc))
+	b = appendUint(b, xfer)
+	return appendInt(b, index)
 }
 
 // appendUpdates writes a piggybacked membership rumor list:
@@ -454,11 +535,7 @@ func AppendEnvelope(b []byte, env Envelope) ([]byte, error) {
 		b = appendInt(b, m.Count)
 	case Chunk:
 		// chunk := doc xfer index missing data
-		b = append(b, tagChunk)
-		b = appendInt(b, int64(env.From))
-		b = appendInt(b, int64(m.Doc))
-		b = appendUint(b, m.Xfer)
-		b = appendInt(b, m.Index)
+		b = appendChunkHeader(b, env.From, m.Doc, m.Xfer, m.Index)
 		b = appendBool(b, m.Missing)
 		b = appendBytes(b, m.Data)
 	case overlay.MetadataUpdateMsg:
@@ -639,21 +716,12 @@ func (d *dec) catFloats(what string) map[catalog.CategoryID]float64 {
 // reused across frames by Reader, so the blob is copied out — the one
 // allocation the message must own.
 func (d *dec) bytes(what string) []byte {
-	n := d.uint(what)
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.b)-d.off) {
-		d.fail(what)
-		return nil
-	}
+	n := d.count(what)
 	if n == 0 {
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, d.b[d.off:d.off+int(n)])
-	d.off += int(n)
-	return out
+	d.off += n
+	return append([]byte(nil), d.b[d.off-n:d.off]...)
 }
 
 // count reads a list length and rejects values that cannot fit in the
@@ -673,8 +741,16 @@ func (d *dec) count(what string) int {
 
 // DecodeEnvelope decodes one frame payload. It never panics on corrupt
 // input: a malformed frame returns an error and allocates at most the
-// bounded intermediate slices validated by count.
+// bounded intermediate slices validated by count. The result owns all
+// its memory; b may be reused.
 func DecodeEnvelope(b []byte) (Envelope, error) {
+	return decodeEnvelope(b, nil)
+}
+
+// decodeEnvelope is DecodeEnvelope, except that with a non-nil frame —
+// the pooled buffer b is the front of — a decoded Chunk aliases it
+// instead of copying and carries it for Release.
+func decodeEnvelope(b []byte, frame *[]byte) (Envelope, error) {
 	if len(b) == 0 {
 		return Envelope{}, fmt.Errorf("wire: empty frame")
 	}
@@ -842,7 +918,14 @@ func DecodeEnvelope(b []byte) (Envelope, error) {
 		m.Xfer = d.uint("chunk xfer")
 		m.Index = d.int("chunk index")
 		m.Missing = d.bool("chunk missing flag")
-		m.Data = d.bytes("chunk data")
+		if frame == nil {
+			m.Data = d.bytes("chunk data")
+		} else if n := d.count("chunk data"); n > 0 {
+			// Sliced from *frame, not from b: b then never flows into the
+			// result, so DecodeEnvelope callers' stack buffers stay there.
+			m.Data, m.buf = (*frame)[d.off:d.off+n:d.off+n], frame
+			d.off += n
+		}
 		if d.err == nil && m.Index < 0 {
 			d.fail("chunk index sign")
 		}
