@@ -1,6 +1,6 @@
 // Livewire: the same architecture over real TCP sockets. Every peer is a
 // goroutine-driven process with its own listener; queries and publishes
-// travel as gob-encoded messages on the loopback network — no simulator
+// travel as internal/wire frames on the loopback network — no simulator
 // involved. This is the bridge from the reproducible simulation to an
 // actual deployment.
 package main

@@ -352,7 +352,7 @@ func mix64(x uint64) uint64 {
 }
 
 // conn is the per-connection middleware. Writes travel the link
-// From→To and carry its faults; reads (the negotiation ack on a dialed
+// From→To and carry its faults; reads (the handshake ack on a dialed
 // stream) only honor the reverse link's Cut.
 type conn struct {
 	net.Conn

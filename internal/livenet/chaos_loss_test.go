@@ -18,7 +18,7 @@ import (
 // Seeded chaos coverage for the resend path: the scenarios the ISSUE's
 // harness reproduced before the engine fixes landed. These run against
 // a real loopback cluster with the chaos fault layer injected through
-// LaunchWithHooks.
+// Options.Hooks.
 
 // launchChaos boots a compact live cluster with every node's dial path
 // wrapped by a shared chaos controller.
@@ -57,7 +57,7 @@ func launchChaos(t *testing.T, seed int64) (*Cluster, *chaos.Net, *model.Instanc
 		},
 		Dial: cn.DialFrom,
 	}
-	c, err := LaunchWithHooks(inst, res.Assignment, place, seed, hooks)
+	c, err := Launch(inst, res.Assignment, place, Options{Seed: seed, Hooks: hooks})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,17 +91,17 @@ func TestResendRecoversEntryLoss(t *testing.T) {
 	if err := origin.SetCacheCapacity(cache.LRU, 0); err != nil {
 		t.Fatal(err)
 	}
-	// Warm the path fault-free so streams are negotiated; the loss below
-	// then hits a data frame, not the codec handshake.
+	// Warm the path fault-free so streams are open; the loss below then
+	// hits a data frame, not the stream handshake.
 	if out, err := origin.Query(cat, 1, 5*time.Second); err != nil || !out.Done {
 		t.Fatalf("warmup query failed: %+v, %v", out, err)
 	}
 
 	// Lose everything origin sends; the entry message dies on the wire.
-	// Heal at 2.2s: any entry send — immediate on a warmed stream, or
-	// delayed ~1s by a negotiation stall on a cold one — has been
-	// consumed and dropped by then, and the resend budget (two sends,
-	// >= 1.2s apart) cannot be exhausted before the heal.
+	// Heal at 2.2s: the entry send on the warmed stream has been consumed
+	// and dropped by then (on a cold one it burns its connect attempts
+	// against dropped handshakes and fails), and the resend budget (two
+	// sends, >= 1.2s apart) cannot be exhausted before the heal.
 	dropAllFrom(cn, origin.ID(), len(c.Nodes))
 	go func() {
 		time.Sleep(2200 * time.Millisecond)
@@ -150,8 +150,8 @@ func TestEvictedTargetsRefilled(t *testing.T) {
 	}()
 
 	// Wait until the query is registered, then let the entry message be
-	// consumed and dropped (a cold stream stalls ~1s in negotiation
-	// before the frame is written into the fault layer and lost).
+	// consumed and dropped (on a cold stream the handshake is what the
+	// fault layer drops, and the send fails after its connect attempts).
 	waitFor(t, 2*time.Second, "query pending", func() bool { return origin.InFlight() == 1 })
 	time.Sleep(1300 * time.Millisecond)
 

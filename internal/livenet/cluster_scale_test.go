@@ -87,9 +87,8 @@ func waitParked(t *testing.T, c *Cluster, deadline time.Duration) {
 // MOVES to a new listen address (what a membership refresh delivers as
 // an updated address book), and resumed traffic must still deliver —
 // the respawned writers have to pick up the refreshed address, re-dial,
-// and re-run stream negotiation from scratch. Chaos middleware with
-// seeded delay/jitter rides every link to keep the fault layer in the
-// loop.
+// and open a fresh stream. Chaos middleware with seeded delay/jitter
+// rides every link to keep the fault layer in the loop.
 func TestParkedWriterSurvivesAddressChange(t *testing.T) {
 	nw := memnet.New()
 	cn := chaos.New(7)

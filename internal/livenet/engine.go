@@ -223,10 +223,8 @@ func (n *Node) QueryContext(ctx context.Context, cat catalog.CategoryID, m int) 
 }
 
 // Query blocks until m distinct documents arrive or the timeout expires
-// (in which case the partial outcome and ErrTimeout are returned).
-//
-// Deprecated: Query is a thin wrapper kept for existing callers; new
-// code should use QueryContext.
+// (in which case the partial outcome and ErrTimeout are returned): it
+// is QueryContext under a timeout context.
 func (n *Node) Query(cat catalog.CategoryID, m int, timeout time.Duration) (QueryOutcome, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()

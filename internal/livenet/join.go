@@ -1,7 +1,7 @@
 package livenet
 
 import (
-	"encoding/gob"
+	"bufio"
 	"fmt"
 	"math/rand"
 	"net"
@@ -24,39 +24,8 @@ import (
 // handshake only exchanges the one thing that differs per deployment: the
 // address book.
 
-func init() {
-	// RegisterName, not Register: before wire v2, helloMsg and bookMsg
-	// were structs local to this package, so their gob wire names are
-	// "p2pshare/internal/livenet.helloMsg"/".bookMsg". Gob matches
-	// interface values by registered name, so aliasing the types to the
-	// wire package must not change the names — a pre-v2 peer has to keep
-	// decoding our hellos/books (and we theirs) for the join handshake to
-	// work across versions (pinned by the tests in gob_interop_test.go).
-	gob.RegisterName("p2pshare/internal/livenet.helloMsg", helloMsg{})
-	gob.RegisterName("p2pshare/internal/livenet.bookMsg", bookMsg{})
-	// Generation-3 messages (membership + adaptation). Names are pinned
-	// for the same reason: two generation-3 binaries that negotiated down
-	// to gob (e.g. across a future version bump) must keep agreeing on
-	// these, independent of any package reshuffling.
-	gob.RegisterName("p2pshare/internal/membership.Ping", membership.Ping{})
-	gob.RegisterName("p2pshare/internal/membership.Ack", membership.Ack{})
-	gob.RegisterName("p2pshare/internal/membership.PingReq", membership.PingReq{})
-	gob.RegisterName("p2pshare/internal/membership.Leave", membership.Leave{})
-	gob.RegisterName("p2pshare/internal/wire.LeaderLoad", wire.LeaderLoad{})
-	gob.RegisterName("p2pshare/internal/wire.Move", wire.Move{})
-	gob.RegisterName("p2pshare/internal/overlay.MetadataUpdateMsg", overlay.MetadataUpdateMsg{})
-	// Generation-4 messages (content data plane), pinned the same way.
-	gob.RegisterName("p2pshare/internal/wire.ManifestReq", wire.ManifestReq{})
-	gob.RegisterName("p2pshare/internal/wire.Manifest", wire.Manifest{})
-	gob.RegisterName("p2pshare/internal/wire.ChunkReq", wire.ChunkReq{})
-	gob.RegisterName("p2pshare/internal/wire.Chunk", wire.Chunk{})
-}
-
 // helloMsg announces a (re)joining node and its listen address; bookMsg
-// shares the sender's address book. Both are the wire package's types so
-// either codec can carry them — announce() itself always speaks gob (it
-// is a one-shot dial that must work against any peer version), which
-// doubles as standing coverage of the inbound fallback path.
+// shares the sender's address book.
 type (
 	helloMsg = wire.Hello
 	bookMsg  = wire.Book
@@ -196,14 +165,6 @@ func StartNode(sh Shape, id model.NodeID, listenAddr, bootstrapAddr string, opts
 	return n, nil
 }
 
-// StartNodeWithOptions is StartNode with the options last.
-//
-// Deprecated: it is now identical to StartNode, which takes the same
-// Options struct; call StartNode directly.
-func StartNodeWithOptions(sh Shape, id model.NodeID, listenAddr, bootstrapAddr string, opts Options) (*Node, error) {
-	return StartNode(sh, id, listenAddr, bootstrapAddr, opts)
-}
-
 // Close shuts down a standalone node and waits for all of its goroutines
 // (event loop, accept loop, transport writers, inbound read loops).
 func (n *Node) Close() {
@@ -219,7 +180,8 @@ func (n *Node) Close() {
 // a few times while waiting for the book: the bootstrap's reply can be
 // lost into a stale stream it still holds toward our pre-restart
 // incarnation, and only its next send (after the reconnect) gets
-// through.
+// through. A re-send that fails is one more retry, not the end of a
+// join that already reached the bootstrap.
 func (n *Node) announce(bootstrapAddr string) error {
 	hello := func() error {
 		conn, err := net.DialTimeout("tcp", bootstrapAddr, 3*time.Second)
@@ -227,9 +189,16 @@ func (n *Node) announce(bootstrapAddr string) error {
 			return fmt.Errorf("livenet: bootstrap %s: %w", bootstrapAddr, err)
 		}
 		defer conn.Close()
-		conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
-		env := envelope{From: n.id, Msg: helloMsg{ID: n.id, Addr: n.Addr()}}
-		if err := gob.NewEncoder(conn).Encode(env); err != nil {
+		if err := wire.OpenStream(conn, handshakeTimeout); err != nil {
+			return fmt.Errorf("livenet: announce: %w", err)
+		}
+		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+		bw := bufio.NewWriter(conn)
+		err = wire.WriteEnvelope(bw, envelope{From: n.id, Msg: helloMsg{ID: n.id, Addr: n.Addr()}})
+		if err == nil {
+			err = bw.Flush()
+		}
+		if err != nil {
 			return fmt.Errorf("livenet: announce: %w", err)
 		}
 		return nil
@@ -261,10 +230,8 @@ func (n *Node) announce(bootstrapAddr string) error {
 			}
 			time.Sleep(20 * time.Millisecond)
 		}
-		if attempt < 4 {
-			if err := hello(); err != nil {
-				return err
-			}
+		if attempt < 4 && hello() != nil {
+			n.stats.Add("announce_retries", 1)
 		}
 	}
 	return fmt.Errorf("livenet: no address book received from %s", bootstrapAddr)

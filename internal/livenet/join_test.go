@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"p2pshare/internal/metrics"
 	"p2pshare/internal/model"
 )
 
@@ -103,5 +104,68 @@ func TestStartNodeValidation(t *testing.T) {
 	}
 	if _, err := StartNode(sh, 0, "127.0.0.1:0", "127.0.0.1:1", Options{}); err == nil {
 		t.Error("unreachable bootstrap should fail")
+	}
+}
+
+// TestJoinSurvivesBootstrapBlip: the bootstrap takes the first hello,
+// then is down when the joiner re-announces one poll window later, then
+// comes back on the same address. The failed re-announce is a retry, not
+// the end of a join that had already reached the bootstrap.
+func TestJoinSurvivesBootstrapBlip(t *testing.T) {
+	hellos := make(chan helloMsg, 8)
+	onEnv := func(env envelope) {
+		if h, ok := env.Msg.(helloMsg); ok {
+			hellos <- h
+		}
+	}
+	boot := startSink(t, "127.0.0.1:0", nil, onEnv)
+	addr := boot.addr()
+
+	type started struct {
+		n   *Node
+		err error
+	}
+	joined := make(chan started, 1)
+	go func() {
+		n, err := StartNode(testShape(), 1, "127.0.0.1:0", addr, Options{})
+		joined <- started{n, err}
+	}()
+
+	select {
+	case <-hellos:
+	case <-time.After(10 * time.Second):
+		t.Fatal("first hello never reached the bootstrap")
+	}
+	// Down across the joiner's next re-announce (600 ms after the first),
+	// back before the one after (1200 ms).
+	boot.close()
+	time.Sleep(900 * time.Millisecond)
+	startSink(t, addr, nil, onEnv)
+
+	// The restarted bootstrap answers the next hello with its book.
+	tr := newTransport(0, 1, metrics.NewSyncCounter())
+	defer tr.close()
+	select {
+	case h := <-hellos:
+		tr.enqueue(h.ID, h.Addr, envelope{From: 0, Msg: bookMsg{Book: map[model.NodeID]string{0: addr, h.ID: h.Addr}}})
+	case j := <-joined:
+		t.Fatalf("join ended while the bootstrap was down: %v", j.err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("joiner never re-announced to the restarted bootstrap")
+	}
+	select {
+	case j := <-joined:
+		if j.err != nil {
+			t.Fatalf("join aborted by a transient re-announce failure: %v", j.err)
+		}
+		defer j.n.Close()
+		if got := j.n.KnownPeers(); got <= 1 {
+			t.Errorf("joined node knows %d peers, want > 1", got)
+		}
+		if j.n.Stats()["announce_retries"] == 0 {
+			t.Error("the failed re-announce was not counted as a retry")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("StartNode never returned")
 	}
 }

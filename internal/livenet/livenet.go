@@ -22,15 +22,13 @@
 // hundreds of in-flight queries at once (engine.go).
 // Outbound messages go through a per-peer persistent-connection pool
 // (transport.go): one framed stream per destination, reused across
-// messages, with reconnect-on-failure and capped backoff. Streams speak
-// the internal/wire v2 binary codec (negotiated at open; see DESIGN.md
-// §10), batched many envelopes per syscall, with gob as the
-// compatibility fallback for old peers.
+// messages, with reconnect-on-failure and capped backoff. Every stream
+// speaks the internal/wire binary codec, opened by that package's
+// handshake (DESIGN.md §10) and batched many envelopes per syscall.
 package livenet
 
 import (
 	"bufio"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"math/rand"
@@ -54,14 +52,6 @@ import (
 	"p2pshare/internal/wire"
 )
 
-func init() {
-	// Wire messages reused from the overlay package.
-	gob.Register(overlay.QueryMsg{})
-	gob.Register(overlay.ResultMsg{})
-	gob.Register(overlay.PublishMsg{})
-	gob.Register(overlay.PublishAckMsg{})
-}
-
 const (
 	// sweepInterval paces the event loop's housekeeping tick: the seen
 	// set rotates one generation (so loop-detection state lives between
@@ -83,8 +73,7 @@ const (
 )
 
 // envelope frames every wire message with its sender. One connection
-// carries a stream of envelopes; internal/wire defines the layout for
-// the v2 codec and gob frames the same type on fallback streams.
+// carries a stream of envelopes; internal/wire defines the layout.
 type envelope = wire.Envelope
 
 // QueryOutcome is the result of a live query — an alias of the unified
@@ -237,11 +226,6 @@ type Node struct {
 	// prevClusterTTLOverride shortens the shedding-cluster fallback TTL
 	// in tests; 0 means the package default (prevClusterTTL).
 	prevClusterTTLOverride time.Duration
-
-	// legacyGob makes the node behave like a pre-v2 peer on inbound
-	// streams: the preamble is never acked, so v2 senders fall back to
-	// gob. Mixed-version testing only.
-	legacyGob atomic.Bool
 
 	// querySalt mints query ids: each shard's sequence is mixed with
 	// this full-width node discriminant (see queryID in engine.go).
@@ -464,13 +448,10 @@ type NetHooks struct {
 // Options configures a node — or every node of a launched cluster — at
 // construction. It is the single knob surface for both launch paths
 // (Launch for in-process clusters, StartNode for one peer of a
-// multi-process deployment), folding in what used to be spread across
-// LaunchWithHooks/LaunchWithOptions/StartNodeWithOptions and the
-// post-construction setters (SetMaxInFlight, SetCacheCapacity,
-// StartMembership, EnableAdaptation), so a harness plan can spawn a
-// fully-configured node in one call. The setters remain for runtime
-// tuning. The zero value reproduces the historical defaults of each
-// path exactly.
+// multi-process deployment), so a harness plan can spawn a
+// fully-configured node in one call; the setters (SetMaxInFlight,
+// SetCacheCapacity, StartMembership, EnableAdaptation) remain for
+// runtime tuning. The zero value is each path's default.
 type Options struct {
 	// Seed drives deterministic randomness: node rngs, transport backoff
 	// jitter, and (under Launch) the NRT chord wiring. StartNode derives
@@ -659,23 +640,6 @@ func Launch(inst *model.Instance, assign []model.ClusterID, place *replica.Place
 	return c, nil
 }
 
-// LaunchWithHooks is Launch with an injectable network layer.
-//
-// Deprecated: use Launch with Options{Seed: seed, Hooks: hooks}.
-func LaunchWithHooks(inst *model.Instance, assign []model.ClusterID, place *replica.Placement, seed int64, hooks NetHooks) (*Cluster, error) {
-	return Launch(inst, assign, place, Options{Seed: seed, Hooks: hooks})
-}
-
-// LaunchWithOptions is Launch with the seed and hooks passed alongside
-// the remaining options.
-//
-// Deprecated: use Launch and set Options.Seed / Options.Hooks directly.
-func LaunchWithOptions(inst *model.Instance, assign []model.ClusterID, place *replica.Placement, seed int64, hooks NetHooks, opts Options) (*Cluster, error) {
-	opts.Seed = seed
-	opts.Hooks = hooks
-	return Launch(inst, assign, place, opts)
-}
-
 // newNodeRng derives a node-local random source.
 func newNodeRng(seed int64, id model.NodeID) *rand.Rand {
 	return rand.New(rand.NewSource(seed + int64(id) + 1))
@@ -794,12 +758,10 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// readLoop decodes a stream of envelopes off one inbound connection —
-// the receive half of the persistent-connection transport. The first
-// bytes decide the codec: a wire v2 preamble is consumed and acked and
-// the stream decoded with the allocation-free frame reader; anything
-// else is a legacy sender and falls through to gob (the peeked bytes
-// stay buffered, so no data is lost).
+// readLoop is the receive half of the persistent-connection transport:
+// it accepts the stream's opening handshake, then decodes envelopes off
+// the connection until it closes. A connection that opens with anything
+// else is counted and closed.
 func (n *Node) readLoop(conn net.Conn) {
 	defer n.wg.Done()
 	defer func() {
@@ -811,48 +773,18 @@ func (n *Node) readLoop(conn net.Conn) {
 	br := bufio.NewReaderSize(&countingReader{r: conn, stats: n.stats}, readBufBytes)
 
 	conn.SetReadDeadline(time.Now().Add(readIdleTimeout))
-	head, err := br.Peek(wire.PreambleLen)
-	if err == nil && wire.IsPreamble(head) && !n.legacyGob.Load() {
-		br.Discard(wire.PreambleLen)
-		if _, err := conn.Write([]byte{wire.Version}); err != nil {
-			return
+	r, err := wire.AcceptStream(br, conn)
+	if err != nil {
+		if err != io.EOF {
+			n.stats.Add("wire_handshake_rejects", 1)
 		}
-		n.wireReadLoop(conn, wire.NewReader(br))
 		return
 	}
-	if err != nil && len(head) == 0 {
-		return // closed before any payload
-	}
-	// Legacy (or legacy-simulating) path: gob stream, possibly after a
-	// preamble this node pretends not to understand — a real old node's
-	// decoder would error out and close, which is what makes the sender
-	// fall back; mimic that.
-	if n.legacyGob.Load() && wire.IsPreamble(head) {
-		return
-	}
-	n.gobReadLoop(conn, br)
-}
-
-func (n *Node) wireReadLoop(conn net.Conn, r *wire.Reader) {
 	for {
 		conn.SetReadDeadline(time.Now().Add(readIdleTimeout))
 		env, err := r.Next()
 		if err != nil {
 			return // stream closed, peer died, corrupt frame, or idle timeout
-		}
-		if !n.routeInbound(env) {
-			return
-		}
-	}
-}
-
-func (n *Node) gobReadLoop(conn net.Conn, br *bufio.Reader) {
-	dec := gob.NewDecoder(br)
-	for {
-		conn.SetReadDeadline(time.Now().Add(readIdleTimeout))
-		var env envelope
-		if err := dec.Decode(&env); err != nil {
-			return // stream closed, peer died, or idle timeout
 		}
 		if !n.routeInbound(env) {
 			return

@@ -1,11 +1,8 @@
 package livenet
 
-// Equivalence tests for the unified construction API: every deprecated
-// wrapper (LaunchWithHooks, LaunchWithOptions, StartNodeWithOptions)
-// must produce a node behaviorally identical to the canonical
-// Options-driven path, and birth-time configuration through Options
-// must match the equivalent post-construction setter calls. The
-// zero-value Options must reproduce each path's historical defaults.
+// Equivalence tests for the construction API: birth-time configuration
+// through Options must match the equivalent post-construction setter
+// calls, and the zero-value Options must reproduce each path's defaults.
 
 import (
 	"net"
@@ -49,7 +46,7 @@ func fingerprint(n *Node) nodeFingerprint {
 func checkFingerprintsEqual(t *testing.T, name string, a, b nodeFingerprint) {
 	t.Helper()
 	if a != b {
-		t.Fatalf("%s: fingerprints differ:\n  wrapper path: %+v\n  options path: %+v", name, a, b)
+		t.Fatalf("%s: fingerprints differ:\n  setter path: %+v\n  options path: %+v", name, a, b)
 	}
 }
 
@@ -81,11 +78,11 @@ func TestZeroValueOptionsMatchesLaunchDefaults(t *testing.T) {
 	}
 }
 
-// TestLaunchWrapperEquivalence builds one cluster through the deprecated
-// wrapper + post-construction setters and one through birth Options, and
-// requires identical configuration observables plus working query
-// service and dial-hook injection on both.
-func TestLaunchWrapperEquivalence(t *testing.T) {
+// TestLaunchOptionsMatchSetters builds one cluster through
+// post-construction setters and one through birth Options, and requires
+// identical configuration observables plus working query service and
+// dial-hook injection on both.
+func TestLaunchOptionsMatchSetters(t *testing.T) {
 	sh := optionsShape()
 	inst, assign, place, err := sh.Build()
 	if err != nil {
@@ -103,8 +100,8 @@ func TestLaunchWrapperEquivalence(t *testing.T) {
 		}}
 	}
 
-	// Old world: wrapper, then four setter calls per node.
-	a, err := LaunchWithOptions(inst, assign, place, sh.Seed, hook(&dialsA), Options{Shards: 3})
+	// Four setter calls per node.
+	a, err := Launch(inst, assign, place, Options{Seed: sh.Seed, Hooks: hook(&dialsA), Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +115,7 @@ func TestLaunchWrapperEquivalence(t *testing.T) {
 	a.StartMembership(mcfg)
 	a.EnableAdaptation(acfg)
 
-	// New world: one call.
+	// One call.
 	b, err := Launch(inst, assign, place, Options{
 		Seed:        sh.Seed,
 		Shards:      3,
@@ -138,25 +135,25 @@ func TestLaunchWrapperEquivalence(t *testing.T) {
 		fa, fb := fingerprint(a.Nodes[i]), fingerprint(b.Nodes[i])
 		checkFingerprintsEqual(t, "launch", fa, fb)
 		if !fa.memberOn || !fa.adaptOn {
-			t.Fatalf("node %d: membership/adaptation not enabled on wrapper path: %+v", i, fa)
+			t.Fatalf("node %d: membership/adaptation not enabled on setter path: %+v", i, fa)
 		}
 	}
 
 	// Both clusters serve queries through their injected dialers.
 	cat := bigCategory(inst)
-	for name, c := range map[string]*Cluster{"wrapper": a, "options": b} {
+	for name, c := range map[string]*Cluster{"setters": a, "options": b} {
 		out, err := c.Nodes[0].Query(cat, 2, 5*time.Second)
 		if err != nil || !out.Done {
 			t.Fatalf("%s cluster query: %v (done=%v)", name, err, out.Done)
 		}
 	}
 	if dialsA.Load() == 0 || dialsB.Load() == 0 {
-		t.Fatalf("dial hooks not exercised: wrapper=%d options=%d", dialsA.Load(), dialsB.Load())
+		t.Fatalf("dial hooks not exercised: setters=%d options=%d", dialsA.Load(), dialsB.Load())
 	}
 }
 
 // TestLaunchCacheDisabledEquivalence: CacheBytes < 0 at birth must equal
-// the historical SetCacheCapacity(_, 0) disable — no cache generation at
+// the SetCacheCapacity(_, 0) disable — no cache generation at
 // all, and repeat queries never count cache lookups.
 func TestLaunchCacheDisabledEquivalence(t *testing.T) {
 	sh := optionsShape()
@@ -164,7 +161,7 @@ func TestLaunchCacheDisabledEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := LaunchWithHooks(inst, assign, place, sh.Seed, NetHooks{})
+	a, err := Launch(inst, assign, place, Options{Seed: sh.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +178,7 @@ func TestLaunchCacheDisabledEquivalence(t *testing.T) {
 	defer b.Close()
 
 	cat := bigCategory(inst)
-	for name, c := range map[string]*Cluster{"wrapper": a, "options": b} {
+	for name, c := range map[string]*Cluster{"setters": a, "options": b} {
 		for i := 0; i < 2; i++ {
 			if _, err := c.Nodes[0].Query(cat, 1, 5*time.Second); err != nil {
 				t.Fatalf("%s query %d: %v", name, i, err)
@@ -198,15 +195,15 @@ func TestLaunchCacheDisabledEquivalence(t *testing.T) {
 	}
 }
 
-// TestStartNodeWrapperEquivalence: the deprecated StartNodeWithOptions
-// and birth Options vs post-construction setters must agree, and the
-// StartNode zero value must keep membership ON (its historical default).
-func TestStartNodeWrapperEquivalence(t *testing.T) {
+// TestStartNodeOptionsMatchSetters: birth Options and post-construction
+// setters must agree, and the StartNode zero value must keep membership
+// ON (its default).
+func TestStartNodeOptionsMatchSetters(t *testing.T) {
 	sh := optionsShape()
 	acfg := AdaptConfig{Interval: time.Hour}
 	const maxFlight, cacheBytes = 19, int64(1 << 20)
 
-	a, err := StartNodeWithOptions(sh, 0, "127.0.0.1:0", "", Options{Shards: 2})
+	a, err := StartNode(sh, 0, "127.0.0.1:0", "", Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +232,7 @@ func TestStartNodeWrapperEquivalence(t *testing.T) {
 		t.Fatalf("StartNode must keep membership on by default: %+v", fa)
 	}
 	if !fa.adaptOn || !fb.adaptOn {
-		t.Fatalf("adaptation not enabled: wrapper=%v options=%v", fa.adaptOn, fb.adaptOn)
+		t.Fatalf("adaptation not enabled: setters=%v options=%v", fa.adaptOn, fb.adaptOn)
 	}
 
 	// Zero-value Options on the StartNode path: defaults, membership on.

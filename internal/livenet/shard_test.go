@@ -41,7 +41,7 @@ func launchShards(t *testing.T, seed int64, shards int) (*Cluster, *model.Instan
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := LaunchWithOptions(inst, res.Assignment, place, seed, NetHooks{}, Options{Shards: shards})
+	c, err := Launch(inst, res.Assignment, place, Options{Seed: seed, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func BenchmarkEngineParallel(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			c, err := LaunchWithOptions(inst, assignAll(inst), nil, 51, NetHooks{}, Options{Shards: shards})
+			c, err := Launch(inst, assignAll(inst), nil, Options{Seed: 51, Shards: shards})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -2,14 +2,11 @@ package livenet
 
 import (
 	"bufio"
-	"encoding/gob"
-	"errors"
 	"io"
 	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"p2pshare/internal/metrics"
@@ -24,17 +21,13 @@ import (
 // established stream, and reconnects on failure with capped exponential
 // backoff plus jitter.
 //
-// Two things make the wire path fast (the v2 work):
+// Two things make the wire path fast:
 //
-//   - Codec. At stream open the writer negotiates the internal/wire v2
-//     binary codec (compact varint frames, no reflection, pooled encode
-//     buffers). A peer that CLOSES the stream on the preamble is a
-//     legacy gob node: the writer falls back to gob for that peer
-//     (counted as codec_fallback, sticky), so mixed-version deployments
-//     keep working. An ack TIMEOUT is ambiguous (genuine legacy decoders
-//     block rather than close; v2 peers can stall transiently), so it
-//     downgrades only the one stream and goes sticky only after a
-//     streak — see connect().
+//   - Codec. Every stream speaks internal/wire (compact varint frames,
+//     no reflection, pooled encode buffers), opened by that package's
+//     handshake. A handshake that fails — refused, mismatched, timed
+//     out — is a failed connect like a failed dial: the stream is
+//     closed and the attempt retried under the same backoff.
 //   - Write coalescing. The writer drains its queue in batches of up to
 //     maxBatchMsgs envelopes through one bufio.Writer and flushes when
 //     the queue is empty or the batch is full — many envelopes per
@@ -45,7 +38,7 @@ import (
 //
 // Messages carry a small retry budget; a batch that exhausts it is
 // dropped (the protocols are best-effort, exactly as in the simulator)
-// and counted. After enough consecutive dial failures the transport
+// and counted. After enough consecutive connect failures the transport
 // reports the peer as down so the node can evict it from its NRT —
 // graceful degradation instead of silently routing into a black hole.
 const (
@@ -53,28 +46,20 @@ const (
 	dialTimeout = 2 * time.Second
 	// writeTimeout bounds one batch write+flush on an established stream.
 	writeTimeout = 2 * time.Second
-	// negotiateTimeout bounds the codec handshake at stream open (the
-	// preamble write plus the one-byte ack read). A legacy gob receiver
-	// never acks: it either closes the stream outright (an immediate
-	// EOF) or — the real pre-v2 decoder — blocks mid-message, in which
-	// case this deadline is what surfaces the fallback.
-	negotiateTimeout = 1 * time.Second
-	// legacyNegotiateStreak is how many CONSECUTIVE ack timeouts prove a
-	// peer legacy (sticky gob). Below the streak each timeout downgrades
-	// only the one stream, so a transient stall — a v2 peer restarting
-	// between accept and ack — cannot permanently pin a v2-capable peer
-	// to the slower codec.
-	legacyNegotiateStreak = 3
-	// maxSendAttempts is the per-batch retry budget (dial failures and
+	// handshakeTimeout bounds the stream-open handshake (the preamble
+	// write plus the one-byte ack read).
+	handshakeTimeout = 1 * time.Second
+	// maxSendAttempts is the per-batch retry budget (failed connects and
 	// broken-stream rewrites both consume attempts).
 	maxSendAttempts = 3
 	// backoffBase/backoffCap shape the reconnect backoff: base<<fails,
 	// capped, plus up to 50% jitter.
 	backoffBase = 25 * time.Millisecond
 	backoffCap  = 1 * time.Second
-	// evictAfterFails is how many consecutive dial failures mark a peer
-	// down (the writer keeps retrying afterwards — a restarted peer is
-	// picked up again — but the node stops routing queries through it).
+	// evictAfterFails is how many consecutive connect failures (dial or
+	// handshake) mark a peer down (the writer keeps retrying afterwards —
+	// a restarted peer is picked up again — but the node stops routing
+	// queries through it).
 	evictAfterFails = 5
 	// sendQueueCap bounds each peer's outbound queue; enqueue never
 	// blocks the event loop — overflow is dropped and counted.
@@ -127,20 +112,12 @@ type transport struct {
 	// (spawned minus parked/exited) — exported as transport_writers_active.
 	writersActive atomic.Int64
 
-	// forceGob skips v2 negotiation on every stream (legacy-node
-	// simulation in tests, codec baseline in benchmarks).
-	forceGob atomic.Bool
-	// flushEach flushes after every envelope, reproducing the
-	// syscall-per-message behavior of the pre-batching transport
-	// (benchmark baseline only).
-	flushEach atomic.Bool
-
 	// dial is swappable so tests can inject dial failures.
 	dialMu sync.Mutex
 	dial   func(addr string) (net.Conn, error)
 
 	// onPeerDown fires (outside the transport locks) after
-	// evictAfterFails consecutive dial failures to one peer.
+	// evictAfterFails consecutive connect failures to one peer.
 	onPeerDown func(model.NodeID)
 }
 
@@ -165,13 +142,6 @@ type peerConn struct {
 	// writer re-checks len(queue) under the same lock the producers push
 	// under, so a message either finds a live writer or spawns one.
 	running bool
-
-	// gobOnly is set when negotiation proves the peer is a legacy gob
-	// node — it closed the stream on the preamble, or timed out the ack
-	// legacyNegotiateStreak times in a row; every future stream to it
-	// skips the preamble. A lone transient timeout never sets it, so one
-	// slow handshake cannot permanently downgrade a v2-capable peer.
-	gobOnly atomic.Bool
 
 	mu   sync.Mutex
 	addr string
@@ -283,23 +253,6 @@ func newPeerConn(to model.NodeID, addr string) *peerConn {
 	}
 }
 
-// peer returns (creating if needed) the peerConn for a destination
-// WITHOUT starting its writer — enqueue owns spawning. Returns nil after
-// close. Exists for tests that inspect per-peer state (gobOnly).
-func (t *transport) peer(to model.NodeID, addr string) *peerConn {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return nil
-	}
-	p, ok := t.peers[to]
-	if !ok {
-		p = newPeerConn(to, addr)
-		t.peers[to] = p
-	}
-	return p
-}
-
 // park retires an idle writer: under t.mu — the same lock every enqueue
 // pushes under — it re-checks the queue and, if still empty, clears
 // running so the next enqueue respawns. Returns false when an envelope
@@ -358,31 +311,27 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// peerWriter is one writer goroutine's connection state: the socket, the
-// batching buffer, and the codec negotiated for the current stream.
+// peerWriter is one writer goroutine's connection state: the socket and
+// the batching buffer of the current stream.
 type peerWriter struct {
 	t   *transport
 	p   *peerConn
 	rng *rand.Rand
 
-	conn   net.Conn
-	bw     *bufio.Writer // coalesces frames; flushed once per batch
-	gobEnc *gob.Encoder  // non-nil ⇒ this stream speaks the gob fallback
+	conn net.Conn
+	bw   *bufio.Writer // coalesces frames; flushed once per batch
 
-	dialFails int  // consecutive dial failures (drives backoff + eviction)
-	notified  bool // onPeerDown fired for the current outage
-	// negotiateTimeouts counts consecutive ack timeouts; a streak of
-	// legacyNegotiateStreak makes the gob downgrade sticky (see connect).
-	negotiateTimeouts int
+	connectFails int  // consecutive failed connects (drives backoff + eviction)
+	notified     bool // onPeerDown fired for the current outage
 }
 
 // run is the writer goroutine for one peer: it drains the queue in
 // batches, dialing lazily and reusing the stream across messages. A
 // writer whose queue stays empty for writerIdle parks — closes its
 // stream and exits — and the next enqueue respawns it; the respawned
-// writer re-dials, re-negotiates the codec (the sticky gobOnly verdict
-// survives on the peerConn), and re-resolves the peer's current address,
-// so a peer that moved while the link was parked is picked up cleanly.
+// writer re-resolves the peer's current address and opens a fresh
+// stream, so a peer that moved while the link was parked is picked up
+// cleanly.
 func (t *transport) run(p *peerConn) {
 	defer t.wg.Done()
 	defer t.writersActive.Add(-1)
@@ -513,7 +462,7 @@ func (w *peerWriter) deliver(batch []envelope) bool {
 				return false
 			}
 			if !ok {
-				continue // dial failed; backoff already served
+				continue // connect failed; backoff already served
 			}
 		} else if attempt == 0 {
 			t.stats.Add("transport_reuses", 1)
@@ -521,16 +470,10 @@ func (w *peerWriter) deliver(batch []envelope) bool {
 		w.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		var err error
 		for sent < len(batch) {
-			if err = w.writeEnvelope(batch[sent]); err != nil {
+			if err = wire.WriteEnvelope(w.bw, batch[sent]); err != nil {
 				break
 			}
 			sent++
-			if t.flushEach.Load() {
-				if err = w.bw.Flush(); err != nil {
-					break
-				}
-				acked = sent - lost
-			}
 		}
 		if err == nil {
 			if err = w.bw.Flush(); err == nil {
@@ -558,128 +501,38 @@ func (w *peerWriter) deliver(batch []envelope) bool {
 	return true
 }
 
-// connect dials the peer and, unless it is known to be gob-only,
-// negotiates the v2 codec. On dial failure it serves the backoff and
-// returns ok=false; alive reports whether the transport is still open.
+// connect dials the peer and opens the stream. A failed dial and a
+// failed handshake are one failure: it is counted, feeds eviction, and
+// the backoff is served before returning ok=false; alive reports whether
+// the transport is still open.
 func (w *peerWriter) connect() (ok, alive bool) {
 	t, p := w.t, w.p
+	failure := "transport_dial_failures"
 	c, err := t.dialPeer(p.currentAddr())
-	gobStream := p.gobOnly.Load() || t.forceGob.Load()
-	if err == nil && !gobStream {
-		switch negotiate(c) {
-		case negotiated:
-			w.negotiateTimeouts = 0
-		case legacyPeer:
-			// It closed the stream on the preamble — proof it will never
-			// ack. Redial and speak gob to this peer from now on.
+	if err == nil {
+		if err = wire.OpenStream(c, handshakeTimeout); err != nil {
 			c.Close()
-			t.stats.Add("codec_fallback", 1)
-			p.gobOnly.Store(true)
-			gobStream = true
-			c, err = t.dialPeer(p.currentAddr())
-		case negotiateFailed:
-			// Ambiguous. A REAL pre-v2 receiver does not close on the
-			// preamble — its gob decoder reads 'P' as an 80-byte message
-			// length and blocks (up to readIdleTimeout) waiting for the
-			// rest — so an ack timeout is the normal legacy signal in a
-			// genuine mixed deployment. But it is also what a v2 peer
-			// restarting between accept and ack (or stalled under load)
-			// produces. Fall back to gob for THIS stream only — v2
-			// receivers sniff and accept gob, so traffic flows either
-			// way — and make the downgrade sticky only after a streak of
-			// consecutive timeouts, so one slow handshake cannot
-			// permanently pin a v2-capable peer to the slower codec.
-			c.Close()
-			t.stats.Add("codec_fallback", 1)
-			t.stats.Add("transport_negotiate_timeouts", 1)
-			gobStream = true
-			w.negotiateTimeouts++
-			if w.negotiateTimeouts >= legacyNegotiateStreak {
-				p.gobOnly.Store(true)
-			}
-			c, err = t.dialPeer(p.currentAddr())
+			failure = "transport_handshake_failures"
 		}
 	}
 	if err != nil {
-		w.dialFails++
-		t.stats.Add("transport_dial_failures", 1)
-		if w.dialFails >= evictAfterFails && !w.notified {
+		w.connectFails++
+		t.stats.Add(failure, 1)
+		if w.connectFails >= evictAfterFails && !w.notified {
 			w.notified = true
 			t.stats.Add("transport_peer_evictions", 1)
 			if t.onPeerDown != nil {
 				t.onPeerDown(p.to)
 			}
 		}
-		return false, t.backoff(w.rng, w.dialFails)
+		return false, t.backoff(w.rng, w.connectFails)
 	}
 	t.stats.Add("transport_dials", 1)
-	w.dialFails = 0
+	w.connectFails = 0
 	w.notified = false
 	w.conn = c
 	w.bw = bufio.NewWriterSize(&countingWriter{w: c, stats: t.stats, label: "wire_bytes_out"}, writeBufBytes)
-	if gobStream {
-		w.gobEnc = gob.NewEncoder(w.bw)
-	} else {
-		w.gobEnc = nil
-	}
 	return true, true
-}
-
-// negotiationResult classifies one codec handshake attempt.
-type negotiationResult int
-
-const (
-	negotiated      negotiationResult = iota // peer acked v2
-	legacyPeer                               // peer closed the stream on the preamble: gob node
-	negotiateFailed                          // transient failure: retry v2 on the next connect
-)
-
-// negotiate writes the v2 preamble and waits for the receiver's
-// one-byte ack.
-func negotiate(c net.Conn) negotiationResult {
-	c.SetDeadline(time.Now().Add(negotiateTimeout))
-	defer c.SetDeadline(time.Time{})
-	if _, err := c.Write(wire.Preamble()); err != nil {
-		return classifyNegotiateErr(err)
-	}
-	var ack [1]byte
-	if _, err := io.ReadFull(c, ack[:]); err != nil {
-		return classifyNegotiateErr(err)
-	}
-	if ack[0] != wire.Version {
-		// It answered the framing handshake with a version this sender
-		// does not speak; gob is the lingua franca.
-		return legacyPeer
-	}
-	return negotiated
-}
-
-// classifyNegotiateErr separates the legacy-decoder signature from
-// transient breakage. A legacy gob receiver never acks: its decoder
-// chokes on the preamble and CLOSES the stream, which the sender sees as
-// EOF or a reset. A deadline expiry (v2 peer restarting between accept
-// and ack, or slow under load) proves nothing and must not stick the
-// peer on the slow codec.
-func classifyNegotiateErr(err error) negotiationResult {
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
-		errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE) {
-		return legacyPeer
-	}
-	return negotiateFailed
-}
-
-// writeEnvelope frames one envelope onto the buffered stream with the
-// codec negotiated at connect time. Chunk descriptors become bytes only
-// here: wire generates them inside the outgoing frame; gob cannot, so a
-// legacy stream gets the expanded Chunk (correct, one allocation slower).
-func (w *peerWriter) writeEnvelope(env envelope) error {
-	if w.gobEnc != nil {
-		if ref, ok := env.Msg.(wire.ChunkRef); ok {
-			env.Msg = ref.Chunk()
-		}
-		return w.gobEnc.Encode(env)
-	}
-	return wire.WriteEnvelope(w.bw, env)
 }
 
 // drop closes and forgets the current stream.
@@ -687,7 +540,7 @@ func (w *peerWriter) drop() {
 	if w.conn != nil {
 		w.conn.Close()
 	}
-	w.conn, w.bw, w.gobEnc = nil, nil, nil
+	w.conn, w.bw = nil, nil
 }
 
 // backoff sleeps min(base<<(fails-1), cap) plus up to 50% jitter,

@@ -1,7 +1,6 @@
 package livenet
 
 import (
-	"encoding/gob"
 	"errors"
 	"net"
 	"sync"
@@ -162,38 +161,13 @@ func TestPartialOutcomesUnderDialFailures(t *testing.T) {
 // on the same peerConn.
 func TestTransportReconnectAfterPeerRestart(t *testing.T) {
 	received := make(chan uint64, 256)
-	var connMu sync.Mutex
-	var accepted []net.Conn
-	serve := func(ln net.Listener) {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			connMu.Lock()
-			accepted = append(accepted, conn)
-			connMu.Unlock()
-			go func(conn net.Conn) {
-				defer conn.Close()
-				dec := gob.NewDecoder(conn)
-				for {
-					var env envelope
-					if err := dec.Decode(&env); err != nil {
-						return
-					}
-					if q, ok := env.Msg.(overlay.QueryMsg); ok {
-						received <- q.ID
-					}
-				}
-			}(conn)
+	onEnv := func(env envelope) {
+		if q, ok := env.Msg.(overlay.QueryMsg); ok {
+			received <- q.ID
 		}
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	go serve(ln)
+	peer := startSink(t, "127.0.0.1:0", nil, onEnv)
+	addr := peer.addr()
 
 	stats := metrics.NewSyncCounter()
 	tr := newTransport(1, 99, stats)
@@ -208,19 +182,9 @@ func TestTransportReconnectAfterPeerRestart(t *testing.T) {
 
 	// Kill the peer (listener AND its accepted connections), then bring
 	// it back on the same address.
-	ln.Close()
-	connMu.Lock()
-	for _, conn := range accepted {
-		conn.Close()
-	}
-	connMu.Unlock()
+	peer.close()
 	time.Sleep(50 * time.Millisecond)
-	ln2, err := net.Listen("tcp", addr)
-	if err != nil {
-		t.Fatalf("relisten on %s: %v", addr, err)
-	}
-	defer ln2.Close()
-	go serve(ln2)
+	startSink(t, addr, nil, onEnv)
 
 	// The first write after the peer died may vanish into the old socket
 	// buffer (best-effort transport); keep sending fresh ids until one

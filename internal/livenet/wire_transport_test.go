@@ -2,24 +2,26 @@ package livenet
 
 import (
 	"bufio"
-	"encoding/gob"
+	"encoding/hex"
 	"io"
 	"net"
+	"os"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"p2pshare/internal/cache"
 	"p2pshare/internal/catalog"
 	"p2pshare/internal/metrics"
+	"p2pshare/internal/model"
 	"p2pshare/internal/overlay"
 	"p2pshare/internal/wire"
 )
 
-// TestWireCodecEndToEnd checks that two v2 nodes talk the binary codec:
-// traffic flows, bytes are counted on both ends, and the gob fallback is
-// never taken.
+// TestWireCodecEndToEnd checks a cluster's streams open cleanly: traffic
+// flows, bytes are counted on both ends, and no handshake fails or is
+// rejected.
 func TestWireCodecEndToEnd(t *testing.T) {
 	c, inst := launchSmall(t, 31)
 	cat := bigCategory(inst)
@@ -29,8 +31,9 @@ func TestWireCodecEndToEnd(t *testing.T) {
 		}
 	}
 	s := c.Stats()
-	if s["codec_fallback"] != 0 {
-		t.Errorf("v2-only cluster took the gob fallback %d times", s["codec_fallback"])
+	if s["transport_handshake_failures"] != 0 || s["wire_handshake_rejects"] != 0 {
+		t.Errorf("healthy cluster failed handshakes: %d failures, %d rejects",
+			s["transport_handshake_failures"], s["wire_handshake_rejects"])
 	}
 	if s["wire_bytes_out"] == 0 || s["wire_bytes_in"] == 0 {
 		t.Errorf("wire byte counters not moving: out=%d in=%d", s["wire_bytes_out"], s["wire_bytes_in"])
@@ -38,82 +41,11 @@ func TestWireCodecEndToEnd(t *testing.T) {
 	t.Logf("wire_bytes_out=%d wire_bytes_in=%d sends=%d", s["wire_bytes_out"], s["wire_bytes_in"], s["transport_sends"])
 }
 
-// TestMixedVersionInterop downgrades one serving-cluster member to a
-// legacy gob-only node (it never acks the v2 preamble and sends without
-// one) and checks that query and publish traffic still completes across
-// the version boundary, with the fallback counted.
-func TestMixedVersionInterop(t *testing.T) {
-	c, inst := launchSmall(t, 32)
-	cat := bigCategory(inst)
-
-	// Find a member of the category's serving cluster — guaranteed to
-	// receive query floods from v2 peers.
-	var legacy *Node
-	runCmd(t, c.Nodes[0], func(n *Node) {
-		cl := n.dcrt[cat].Cluster
-		if members := n.nrt[cl]; len(members) > 0 {
-			legacy = c.Nodes[members[0]]
-		}
-	})
-	if legacy == nil {
-		t.Fatal("no serving-cluster member found")
-	}
-	legacy.legacyGob.Store(true)
-	legacy.tr.forceGob.Store(true)
-
-	// Disable the requester cache so queries keep hitting the network;
-	// entry targets are picked at random, so run until one of them lands
-	// on the legacy node (12 queries minimum keeps the traffic volume of
-	// the original scenario).
-	for _, n := range c.Nodes {
-		if err := n.SetCacheCapacity(cache.LRU, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 60; i++ {
-		origin := c.Nodes[i%len(c.Nodes)]
-		out, err := origin.Query(cat, 3, 5*time.Second)
-		if err != nil {
-			t.Fatalf("query %d from node %d: %v", i, origin.ID(), err)
-		}
-		if !out.Done {
-			t.Fatalf("query %d incomplete: %+v", i, out)
-		}
-		if i >= 11 && legacy.Served() > 0 {
-			break
-		}
-	}
-	// The legacy node itself queries (outbound gob) and publishes.
-	if _, err := legacy.Query(cat, 2, 5*time.Second); err != nil {
-		t.Fatalf("legacy node query: %v", err)
-	}
-	var doc catalog.DocID = -1
-	for _, cd := range inst.Catalog.Cats[cat].Docs {
-		doc = cd
-		break
-	}
-	if doc >= 0 {
-		if err := legacy.Publish(doc); err != nil {
-			t.Fatalf("legacy node publish: %v", err)
-		}
-	}
-
-	s := c.Stats()
-	if s["codec_fallback"] == 0 {
-		t.Errorf("no codec fallback counted with a legacy peer in the serving cluster: %v", s)
-	}
-	if legacy.Served() == 0 {
-		t.Error("legacy node served no queries — fallback traffic never reached it")
-	}
-	t.Logf("mixed-version: codec_fallback=%d legacy_served=%d sends=%d",
-		s["codec_fallback"], legacy.Served(), s["transport_sends"])
-}
-
 // TestTransportBatchingCoalesces backs the queue up behind a slow dial
 // and checks that the writer drains it in multi-envelope batches.
 func TestTransportBatchingCoalesces(t *testing.T) {
 	received := make(chan struct{}, 1024)
-	ln := startSink(t, received, nil)
+	s := startSink(t, "127.0.0.1:0", nil, func(envelope) { received <- struct{}{} })
 
 	stats := metrics.NewSyncCounter()
 	tr := newTransport(1, 5, stats)
@@ -130,7 +62,7 @@ func TestTransportBatchingCoalesces(t *testing.T) {
 
 	const burst = 50
 	for i := 0; i < burst; i++ {
-		tr.enqueue(2, ln.Addr().String(), envelope{From: 1, Msg: overlay.QueryMsg{ID: uint64(i)}})
+		tr.enqueue(2, s.addr(), envelope{From: 1, Msg: overlay.QueryMsg{ID: uint64(i)}})
 	}
 	for i := 0; i < burst; i++ {
 		select {
@@ -150,239 +82,249 @@ func TestTransportBatchingCoalesces(t *testing.T) {
 	t.Logf("batch sizes over %d envelopes: %s", burst, tr.batches.Summary())
 }
 
-// TestNegotiateTimeoutNotSticky stalls the FIRST handshake past the ack
-// deadline — a v2 peer hiccuping between accept and ack — then serves
-// the resulting gob-fallback stream and kills it. The sender must
-// re-probe v2 on the reconnect: a lone transient timeout may downgrade
-// one stream, but never pin the peer to gob for the process lifetime.
-func TestNegotiateTimeoutNotSticky(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+// sink is a test receiver on a loopback listener: every connection goes
+// through wire.AcceptStream and every decoded envelope is handed to
+// onEnv. Closing it kills the listener and every accepted connection —
+// a peer dying.
+type sink struct {
+	ln net.Listener
+	wg sync.WaitGroup
+
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+// startSink listens on addr ("127.0.0.1:0", or a dead sink's address to
+// play its restart). takeOver, when non-nil, sees each accepted
+// connection (numbered from 1) before the handshake; returning true
+// means it dealt with the connection itself — stalled it, or nothing at
+// all — and the sink closes it unacked.
+func startSink(t testing.TB, addr string, takeOver func(connNo int, conn net.Conn) bool, onEnv func(envelope)) *sink {
+	t.Helper()
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("listen on %s: %v", addr, err)
 	}
-	codec := make(chan string, 256)
-	var wg sync.WaitGroup
+	s := &sink{ln: ln}
+	serve := func(connNo int, conn net.Conn) {
+		defer s.wg.Done()
+		defer conn.Close()
+		if takeOver != nil && takeOver(connNo, conn) {
+			return
+		}
+		r, err := wire.AcceptStream(bufio.NewReaderSize(conn, readBufBytes), conn)
+		for err == nil {
+			var env envelope
+			if env, err = r.Next(); err == nil {
+				onEnv(env)
+			}
+		}
+	}
 	go func() {
 		for connNo := 1; ; connNo++ {
 			conn, err := ln.Accept()
 			if err != nil {
 				return
 			}
-			wg.Add(1)
-			go func(conn net.Conn, connNo int) {
-				defer wg.Done()
-				defer conn.Close()
-				br := bufio.NewReaderSize(conn, readBufBytes)
-				head, err := br.Peek(wire.PreambleLen)
-				if connNo == 1 {
-					// Swallow the preamble, never ack, and hold the
-					// stream open until the sender gives up — the
-					// blocking (not closing) non-acker.
-					io.Copy(io.Discard, br)
-					return
-				}
-				if err == nil && wire.IsPreamble(head) {
-					br.Discard(wire.PreambleLen)
-					if _, err := conn.Write([]byte{wire.Version}); err != nil {
-						return
-					}
-					r := wire.NewReader(br)
-					for {
-						if _, err := r.Next(); err != nil {
-							return
-						}
-						codec <- "wire"
-					}
-				}
-				// Gob fallback stream: take one envelope, then let the
-				// deferred close kill it so the sender reconnects.
-				var env envelope
-				if err := gob.NewDecoder(br).Decode(&env); err != nil {
-					return
-				}
-				codec <- "gob"
-			}(conn, connNo)
+			s.mu.Lock()
+			s.conns = append(s.conns, conn)
+			s.mu.Unlock()
+			s.wg.Add(1)
+			go serve(connNo, conn)
 		}
 	}()
-	t.Cleanup(func() { ln.Close(); wg.Wait() })
+	t.Cleanup(s.close)
+	return s
+}
+
+func (s *sink) addr() string { return s.ln.Addr().String() }
+
+func (s *sink) close() {
+	s.ln.Close()
+	s.mu.Lock()
+	for _, conn := range s.conns {
+		conn.Close()
+	}
+	s.mu.Unlock()
+	s.wg.Wait()
+}
+
+// gobHelloFrame is what a pre-wire joiner's announce() wrote: the
+// encoding/gob bytes of envelope{From: 7, Msg: helloMsg{ID: 7, Addr:
+// "127.0.0.1:6117"}}, captured when the transport still had a gob path.
+// Nothing decodes it any more; it is kept as hostile input.
+const gobHelloFrame = "267f03010108656e76656c6f706501ff80000102010446726f6d01040001034d736701100000004eff80010e012270327073686172652f696e7465726e616c2f6c6976656e65742e68656c6c6f4d7367ff810301010868656c6c6f4d736701ff8200010201024944010400010441646472010c00000017ff8213010e010e3132372e302e302e313a363131370000"
+
+// TestForeignStreamRejected writes that frame to a live node: the node
+// must close the connection, count one reject, and admit nobody.
+func TestForeignStreamRejected(t *testing.T) {
+	n, err := StartNode(testShape(), 0, "127.0.0.1:0", "", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	frame, err := hex.DecodeString(gobHelloFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", n.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	// The node answers with nothing but the close (a reset when the rest
+	// of the frame was still unread).
+	conn.SetReadDeadline(time.Now().Add(3 * time.Second))
+	if nr, err := conn.Read(make([]byte, 1)); nr != 0 || err == nil || os.IsTimeout(err) {
+		t.Fatalf("read after a foreign stream = %d bytes, %v; want the connection closed", nr, err)
+	}
+	// The reject is counted before the close, so it is visible by now.
+	if got := n.Stats()["wire_handshake_rejects"]; got != 1 {
+		t.Errorf("wire_handshake_rejects = %d, want 1", got)
+	}
+	if got := n.KnownPeers(); got != 1 {
+		t.Errorf("node knows %d peers after a foreign hello, want 1", got)
+	}
+}
+
+// TestHandshakeStallIsAFailedConnect stalls the first handshake past
+// the ack deadline. The sender must treat it as a failed connect —
+// counted, nothing but the preamble ever written to that stream — and
+// deliver on the retry.
+func TestHandshakeStallIsAFailedConnect(t *testing.T) {
+	stalledBytes := make(chan int64, 1)
+	received := make(chan envelope, 16)
+	s := startSink(t, "127.0.0.1:0", func(connNo int, conn net.Conn) bool {
+		if connNo > 1 {
+			return false
+		}
+		// Swallow whatever arrives, never ack, hold the stream open
+		// until the sender gives up.
+		nb, _ := io.Copy(io.Discard, conn)
+		stalledBytes <- nb
+		return true
+	}, func(env envelope) { received <- env })
 
 	stats := metrics.NewSyncCounter()
 	tr := newTransport(1, 11, stats)
 	defer tr.close()
-
-	env := envelope{From: 1, Msg: overlay.QueryMsg{ID: 1}}
-	tr.enqueue(2, ln.Addr().String(), env)
+	want := envelope{From: 1, Msg: overlay.QueryMsg{ID: 1}}
+	tr.enqueue(2, s.addr(), want)
 	select {
-	case c := <-codec:
-		if c != "gob" {
-			t.Fatalf("first envelope arrived via %q, want the per-stream gob fallback", c)
+	case got := <-received:
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("delivered %+v, want %+v", got, want)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatalf("first envelope never arrived: %v", stats.Snapshot())
+		t.Fatalf("envelope never arrived after a stalled handshake: %v", stats.Snapshot())
 	}
-
-	// The fallback stream is dead; keep sending until traffic flows
-	// again. The reconnect must have re-probed (and won) v2.
-	deadline := time.Now().Add(10 * time.Second)
-	gotWire := false
-	for !gotWire && time.Now().Before(deadline) {
-		tr.enqueue(2, ln.Addr().String(), env)
-		select {
-		case c := <-codec:
-			gotWire = c == "wire"
-		case <-time.After(200 * time.Millisecond):
+	st := stats.Snapshot()
+	if st["transport_handshake_failures"] != 1 || st["transport_dials"] != 1 || st["transport_dial_failures"] != 0 {
+		t.Errorf("want one handshake failure, then one opened stream: %v", st)
+	}
+	// The sender closed the stalled stream before retrying.
+	select {
+	case got := <-stalledBytes:
+		if got != 5 {
+			t.Errorf("stalled stream carried %d bytes, want the 5-byte preamble and nothing else", got)
 		}
+	case <-time.After(5 * time.Second):
+		t.Error("stalled stream was never closed by the sender")
 	}
-	if !gotWire {
-		t.Fatalf("traffic never returned to the v2 codec after a transient stall: %v", stats.Snapshot())
-	}
-	if p := tr.peer(2, ln.Addr().String()); p.gobOnly.Load() {
-		t.Error("one ack timeout marked the peer gob-only (sticky downgrade)")
-	}
-	s := stats.Snapshot()
-	if s["transport_negotiate_timeouts"] == 0 {
-		t.Errorf("negotiate timeout not counted: %v", s)
-	}
-	if s["codec_fallback"] == 0 {
-		t.Errorf("per-stream fallback not counted: %v", s)
+	select {
+	case env := <-received:
+		t.Errorf("envelope delivered twice: %+v", env)
+	case <-time.After(100 * time.Millisecond):
 	}
 }
 
-// startSink runs a v2-capable receiver: it acks the wire preamble and
-// decodes frames, or falls through to gob for legacy senders. Every
-// decoded envelope signals received; inbound bytes accumulate in nbytes
-// when non-nil.
-func startSink(t testing.TB, received chan struct{}, nbytes *atomic.Int64) net.Listener {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			wg.Add(1)
-			go func(conn net.Conn) {
-				defer wg.Done()
-				defer conn.Close()
-				var r io.Reader = conn
-				if nbytes != nil {
-					r = &tallyReader{r: conn, n: nbytes}
-				}
-				br := bufio.NewReaderSize(r, readBufBytes)
-				head, err := br.Peek(wire.PreambleLen)
-				if err == nil && wire.IsPreamble(head) {
-					br.Discard(wire.PreambleLen)
-					if _, err := conn.Write([]byte{wire.Version}); err != nil {
-						return
-					}
-					wr := wire.NewReader(br)
-					for {
-						if _, err := wr.Next(); err != nil {
-							return
-						}
-						received <- struct{}{}
-					}
-				}
-				dec := gob.NewDecoder(br)
-				for {
-					var env envelope
-					if err := dec.Decode(&env); err != nil {
-						return
-					}
-					received <- struct{}{}
-				}
-			}(conn)
+// TestHandshakeFailuresEvictPeer: a peer that accepts connections but
+// refuses every handshake is down — evictAfterFails consecutive
+// failures fire onPeerDown, once.
+func TestHandshakeFailuresEvictPeer(t *testing.T) {
+	s := startSink(t, "127.0.0.1:0", func(int, net.Conn) bool { return true }, nil)
+	stats := metrics.NewSyncCounter()
+	tr := newTransport(1, 7, stats)
+	defer tr.close()
+	var downs atomic.Int64
+	tr.onPeerDown = func(id model.NodeID) {
+		if id != 9 {
+			t.Errorf("evicted peer %d, want 9", id)
 		}
-	}()
-	t.Cleanup(func() { ln.Close(); wg.Wait() })
-	return ln
-}
-
-type tallyReader struct {
-	r io.Reader
-	n *atomic.Int64
-}
-
-func (tr *tallyReader) Read(p []byte) (int, error) {
-	n, err := tr.r.Read(p)
-	tr.n.Add(int64(n))
-	return n, err
+		downs.Add(1)
+	}
+	// Steady traffic: each batch burns maxSendAttempts connects. Run one
+	// failure past the eviction to see that it does not fire again.
+	deadline := time.Now().Add(20 * time.Second)
+	for i := uint64(0); stats.Get("transport_handshake_failures") <= evictAfterFails; i++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("handshake failures never reached eviction: %v", stats.Snapshot())
+		}
+		tr.enqueue(9, s.addr(), envelope{From: 1, Msg: overlay.QueryMsg{ID: i}})
+		time.Sleep(50 * time.Millisecond)
+	}
+	st := stats.Snapshot()
+	if downs.Load() != 1 || st["transport_peer_evictions"] != 1 {
+		t.Errorf("onPeerDown fired %d times (%d counted), want once: %v", downs.Load(), st["transport_peer_evictions"], st)
+	}
+	if st["transport_dials"] != 0 || st["transport_dial_failures"] != 0 {
+		t.Errorf("refused handshakes miscounted: %v", st)
+	}
 }
 
 // BenchmarkTransportThroughput measures sustained one-way envelope
 // throughput (msgs/sec, MB/s) through the full transport stack against a
-// live TCP sink, under three configurations:
-//
-//   - gob-per-msg: gob codec, one flush per envelope — the transport's
-//     behavior before the v2 wire work (the seed baseline).
-//   - gob-batched: gob codec with write coalescing.
-//   - wire-batched: the v2 default (binary codec + coalescing).
+// live TCP sink.
 func BenchmarkTransportThroughput(b *testing.B) {
 	env := envelope{From: 1, Msg: overlay.ResultMsg{
 		ID: 7, Docs: []catalog.DocID{3, 17, 256, 4095, 70000, 9, 12, 31}, Hops: 3, From: 2,
 	}}
-	run := func(b *testing.B, forceGob, flushEach bool) {
-		received := make(chan struct{}, 4096)
-		var nbytes atomic.Int64
-		ln := startSink(b, received, &nbytes)
+	received := make(chan struct{}, 4096)
+	s := startSink(b, "127.0.0.1:0", nil, func(envelope) { received <- struct{}{} })
 
-		stats := metrics.NewSyncCounter()
-		tr := newTransport(1, 42, stats)
-		defer tr.close()
-		tr.forceGob.Store(forceGob)
-		tr.flushEach.Store(flushEach)
+	stats := metrics.NewSyncCounter()
+	tr := newTransport(1, 42, stats)
+	defer tr.close()
 
-		// Credit-based flow control keeps the producer inside the bounded
-		// send queue (overflow would silently drop): each enqueue spends a
-		// credit, each envelope decoded by the sink returns one.
-		var got atomic.Int64
-		credits := make(chan struct{}, sendQueueCap-64)
-		for i := 0; i < cap(credits); i++ {
+	// Credit-based flow control keeps the producer inside the bounded
+	// send queue (overflow would silently drop): each enqueue spends a
+	// credit, each envelope decoded by the sink returns one.
+	var got atomic.Int64
+	credits := make(chan struct{}, sendQueueCap-64)
+	for i := 0; i < cap(credits); i++ {
+		credits <- struct{}{}
+	}
+	drained := make(chan struct{})
+	go func() {
+		for range received {
+			if got.Add(1) == int64(b.N) {
+				close(drained)
+				return
+			}
 			credits <- struct{}{}
 		}
-		drained := make(chan struct{})
-		go func() {
-			for range received {
-				if got.Add(1) == int64(b.N) {
-					close(drained)
-					return
-				}
-				credits <- struct{}{}
-			}
-		}()
+	}()
 
-		b.ReportAllocs()
-		b.ResetTimer()
-		start := time.Now()
-		for i := 0; i < b.N; i++ {
-			<-credits
-			tr.enqueue(2, ln.Addr().String(), env)
-		}
-		select {
-		case <-drained:
-		case <-time.After(30 * time.Second):
-			b.Fatalf("sink received %d of %d envelopes: %v", got.Load(), b.N, stats.Snapshot())
-		}
-		elapsed := time.Since(start)
-		b.StopTimer()
-		b.ReportMetric(float64(b.N)/elapsed.Seconds(), "msgs/sec")
-		b.ReportMetric(float64(nbytes.Load())/(1<<20)/elapsed.Seconds(), "MB/s")
-		if mean := tr.batches.Mean(); mean > 0 {
-			b.ReportMetric(mean, "msgs/batch")
-		}
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := time.Now()
+	for i := 0; i < b.N; i++ {
+		<-credits
+		tr.enqueue(2, s.addr(), env)
 	}
-	for _, cfg := range []struct {
-		name                string
-		forceGob, flushEach bool
-	}{
-		{"gob-per-msg", true, true},
-		{"gob-batched", true, false},
-		{"wire-batched", false, false},
-	} {
-		b.Run(cfg.name, func(b *testing.B) { run(b, cfg.forceGob, cfg.flushEach) })
+	select {
+	case <-drained:
+	case <-time.After(30 * time.Second):
+		b.Fatalf("sink received %d of %d envelopes: %v", got.Load(), b.N, stats.Snapshot())
+	}
+	elapsed := time.Since(start)
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)/elapsed.Seconds(), "msgs/sec")
+	b.ReportMetric(float64(stats.Get("wire_bytes_out"))/(1<<20)/elapsed.Seconds(), "MB/s")
+	if mean := tr.batches.Mean(); mean > 0 {
+		b.ReportMetric(mean, "msgs/batch")
 	}
 }

@@ -9,12 +9,15 @@
 // Design constraints, in order:
 //
 //   - Zero goroutines and zero file descriptors per connection. A
-//     memnet conn is two ring buffers and some channels; a listener is
-//     a registry entry plus an accept queue. Ten thousand idle nodes
+//     memnet conn is two ring buffers, each with a lock and a condition
+//     variable per side; a listener is a registry entry plus an accept
+//     queue. Ten thousand idle nodes
 //     cost ten thousand registry entries, not ten thousand OS objects.
-//   - Deadline-capable. livenet sets read deadlines (idle reaping) and
-//     write deadlines (batch timeouts) on every stream; net.Pipe's
-//     deadline discipline is reproduced here over buffered pipes.
+//   - Deadline-capable, and cheaply. livenet moves the read deadline
+//     (idle reaping) on every frame and the write deadline (batch
+//     timeout) on every batch; net.Pipe's deadline discipline is
+//     reproduced here over buffered pipes, and moving a deadline or
+//     blocking on a ring allocates nothing and touches no runtime timer.
 //   - Buffered with backpressure. Unlike net.Pipe, writes complete
 //     without a reader in rendezvous — they fill a bounded ring (which
 //     grows on demand up to ringMaxBytes) and block only when it is
@@ -36,6 +39,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -126,8 +130,8 @@ func (nw *Network) Dial(addr string) (net.Conn, error) {
 	}
 	c2s := newRing(nw.ringMax) // client writes, server reads
 	s2c := newRing(nw.ringMax) // server writes, client reads
-	client := &conn{rd: s2c, wr: c2s, local: "mem:dial", remote: l.addr}
-	server := &conn{rd: c2s, wr: s2c, local: l.addr, remote: "mem:dial"}
+	client := newConn(s2c, c2s, "mem:dial", l.addr)
+	server := newConn(c2s, s2c, l.addr, "mem:dial")
 	select {
 	case l.pend <- server:
 		return client, nil
@@ -186,7 +190,8 @@ func (l *listener) Addr() net.Addr { return l.addr }
 // ring is one direction's byte buffer: a growable circular buffer with
 // close flags for each side and broadcast wakeups for blocked readers
 // and writers. No goroutines; waiting is done by the calling goroutine
-// selecting on a wakeup channel and a deadline.
+// on a condition variable that data, room, a close and an expiring
+// deadline all broadcast on, so a wait allocates nothing.
 type ring struct {
 	mu   sync.Mutex
 	buf  []byte
@@ -195,10 +200,9 @@ type ring struct {
 	max  int  // growth cap for this ring
 	werr bool // write side closed: readers drain then EOF
 	rerr bool // read side closed: writes fail immediately
-	// dataWake is non-nil while readers wait for bytes; spaceWake while
-	// writers wait for room. Closing the channel is the broadcast.
-	dataWake  chan struct{}
-	spaceWake chan struct{}
+	// Readers wait on data for bytes, writers on space for room; both
+	// share mu.
+	data, space sync.Cond
 }
 
 func newRing(max int) *ring {
@@ -209,23 +213,9 @@ func newRing(max int) *ring {
 	if start > max {
 		start = max
 	}
-	return &ring{buf: make([]byte, start), max: max}
-}
-
-// wakeReaders/wakeWriters broadcast to the corresponding waiters.
-// Caller holds mu.
-func (rg *ring) wakeReaders() {
-	if rg.dataWake != nil {
-		close(rg.dataWake)
-		rg.dataWake = nil
-	}
-}
-
-func (rg *ring) wakeWriters() {
-	if rg.spaceWake != nil {
-		close(rg.spaceWake)
-		rg.spaceWake = nil
-	}
+	rg := &ring{buf: make([]byte, start), max: max}
+	rg.data.L, rg.space.L = &rg.mu, &rg.mu
+	return rg
 }
 
 // grow doubles the ring up to its cap, linearizing content.
@@ -275,7 +265,7 @@ func (rg *ring) write(p []byte) int {
 	copy(rg.buf[:take-first], p[first:take])
 	rg.n += take
 	if take > 0 {
-		rg.wakeReaders()
+		rg.data.Broadcast()
 	}
 	return take
 }
@@ -292,7 +282,7 @@ func (rg *ring) read(p []byte) int {
 	rg.copyOut(p[:take])
 	rg.r = (rg.r + take) % len(rg.buf)
 	rg.n -= take
-	rg.wakeWriters()
+	rg.space.Broadcast()
 	return take
 }
 
@@ -302,8 +292,8 @@ func (rg *ring) read(p []byte) int {
 func (rg *ring) closeWrite() {
 	rg.mu.Lock()
 	rg.werr = true
-	rg.wakeReaders()
-	rg.wakeWriters()
+	rg.data.Broadcast()
+	rg.space.Broadcast()
 	rg.mu.Unlock()
 }
 
@@ -311,82 +301,80 @@ func (rg *ring) closeRead() {
 	rg.mu.Lock()
 	rg.rerr = true
 	rg.n = 0
-	rg.wakeReaders()
-	rg.wakeWriters()
+	rg.data.Broadcast()
+	rg.space.Broadcast()
 	rg.mu.Unlock()
 }
 
-// deadline manages one direction's deadline as net.Pipe does: a timer
-// that closes a channel when the deadline passes, recreated on reset.
+// deadline manages one direction's deadline. livenet moves it forward on
+// every frame it reads and every batch it writes, so moving it must cost
+// no allocation and no runtime timer operation: set records the new
+// time, and the one timer a deadline owns is touched only when it has to
+// run EARLIER than it is already due to. A timer that runs before the
+// recorded time re-arms itself for the remainder; one that runs after it
+// marks the deadline expired and wakes the waiters it bounds.
 type deadline struct {
-	mu     sync.Mutex
-	timer  *time.Timer
-	cancel chan struct{} // closed when the deadline fires; nil = none set
+	rg   *ring      // the ring whose waiters this deadline bounds ...
+	cond *sync.Cond // ... and the side of it they wait on
+
+	expired atomic.Bool // the deadline has passed; a later set clears it
+
+	mu    sync.Mutex
+	at    time.Time   // the deadline; zero = none
+	timer *time.Timer // runs fire; created on first use, then reused
+	due   time.Time   // when timer next runs; zero = not armed
 }
 
 // set arms (or clears, for the zero time) the deadline.
 func (d *deadline) set(t time.Time) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.timer != nil {
-		d.timer.Stop()
-		d.timer = nil
-	}
-	fired := false
-	if d.cancel != nil {
-		select {
-		case <-d.cancel:
-			fired = true
-		default:
-		}
-	}
+	d.at = t
 	if t.IsZero() {
-		// Cleared. Waiters holding an un-fired channel keep blocking on
-		// it (it will never fire now); future waits see no deadline.
-		d.cancel = nil
-		return
-	}
-	if d.cancel == nil || fired {
-		d.cancel = make(chan struct{})
+		d.expired.Store(false)
+		return // a timer still armed finds nothing to do
 	}
 	dur := time.Until(t)
 	if dur <= 0 {
-		close(d.cancel)
+		d.expire()
 		return
 	}
-	cancel := d.cancel
-	d.timer = time.AfterFunc(dur, func() {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		select {
-		case <-cancel:
-		default:
-			close(cancel)
-		}
-	})
+	d.expired.Store(false)
+	if !d.due.IsZero() && !d.due.After(t) {
+		return // the armed timer runs first and re-arms for the rest
+	}
+	d.due = t
+	if d.timer == nil {
+		d.timer = time.AfterFunc(dur, d.fire)
+	} else {
+		d.timer.Reset(dur)
+	}
 }
 
-// wait returns the channel closed when the deadline fires (nil when no
-// deadline is set — a nil channel blocks forever in select, which is
-// exactly right).
-func (d *deadline) wait() chan struct{} {
+// fire runs on the timer.
+func (d *deadline) fire() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.cancel
+	d.due = time.Time{}
+	if d.at.IsZero() {
+		return
+	}
+	if dur := time.Until(d.at); dur > 0 {
+		d.due = d.at
+		d.timer.Reset(dur)
+		return
+	}
+	d.expire()
 }
 
-// expired reports whether a set deadline has already fired.
-func (d *deadline) expired() bool {
-	ch := d.wait()
-	if ch == nil {
-		return false
-	}
-	select {
-	case <-ch:
-		return true
-	default:
-		return false
-	}
+// expire marks the deadline passed and wakes the waiters. Caller holds
+// d.mu; taking the ring's lock as well means a waiter between its check
+// and its wait is not missed.
+func (d *deadline) expire() {
+	d.rg.mu.Lock()
+	d.expired.Store(true)
+	d.cond.Broadcast()
+	d.rg.mu.Unlock()
 }
 
 // conn is one endpoint of a memnet connection.
@@ -397,73 +385,58 @@ type conn struct {
 	closed        sync.Once
 }
 
+func newConn(rd, wr *ring, local, remote Addr) *conn {
+	c := &conn{rd: rd, wr: wr, local: local, remote: remote}
+	c.rdead.rg, c.rdead.cond = rd, &rd.data
+	c.wdead.rg, c.wdead.cond = wr, &wr.space
+	return c
+}
+
 func (c *conn) Read(p []byte) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
 	}
+	rg := c.rd
+	rg.mu.Lock()
+	defer rg.mu.Unlock()
 	for {
-		if c.rdead.expired() {
+		if c.rdead.expired.Load() {
 			return 0, timeoutError("read", c.remote)
 		}
-		rg := c.rd
-		rg.mu.Lock()
 		if rg.rerr {
-			rg.mu.Unlock()
 			return 0, &net.OpError{Op: "read", Net: "mem", Addr: c.local,
 				Err: fmt.Errorf("use of closed network connection")}
 		}
 		if n := rg.read(p); n > 0 {
-			rg.mu.Unlock()
 			return n, nil
 		}
 		if rg.werr {
-			rg.mu.Unlock()
-			// The real io.EOF, not a lookalike: bufio.Peek, io.ReadFull,
-			// and the transport's legacy-peer classification all match on
-			// identity.
+			// The real io.EOF, not a lookalike: io.ReadFull and the
+			// accept path's closed-before-any-byte check match on identity.
 			return 0, io.EOF
 		}
-		if rg.dataWake == nil {
-			rg.dataWake = make(chan struct{})
-		}
-		wake := rg.dataWake
-		rg.mu.Unlock()
-		select {
-		case <-wake:
-		case <-c.rdead.wait():
-			return 0, timeoutError("read", c.remote)
-		}
+		rg.data.Wait()
 	}
 }
 
 func (c *conn) Write(p []byte) (int, error) {
+	rg := c.wr
+	rg.mu.Lock()
+	defer rg.mu.Unlock()
 	written := 0
 	for written < len(p) {
-		if c.wdead.expired() {
+		if c.wdead.expired.Load() {
 			return written, timeoutError("write", c.remote)
 		}
-		rg := c.wr
-		rg.mu.Lock()
 		if rg.rerr || rg.werr {
-			rg.mu.Unlock()
 			return written, &net.OpError{Op: "write", Net: "mem", Addr: c.remote,
 				Err: fmt.Errorf("connection reset by peer")}
 		}
 		if n := rg.write(p[written:]); n > 0 {
 			written += n
-			rg.mu.Unlock()
 			continue
 		}
-		if rg.spaceWake == nil {
-			rg.spaceWake = make(chan struct{})
-		}
-		wake := rg.spaceWake
-		rg.mu.Unlock()
-		select {
-		case <-wake:
-		case <-c.wdead.wait():
-			return written, timeoutError("write", c.remote)
-		}
+		rg.space.Wait()
 	}
 	return written, nil
 }
@@ -493,8 +466,7 @@ func (c *conn) SetReadDeadline(t time.Time) error  { c.rdead.set(t); return nil 
 func (c *conn) SetWriteDeadline(t time.Time) error { c.wdead.set(t); return nil }
 
 // timeoutError matches net package behavior: a deadline expiry is a
-// net.Error with Timeout() true, which is what the transport's
-// negotiate/classify logic keys on.
+// net.Error with Timeout() true.
 func timeoutError(op string, addr Addr) error {
 	return &net.OpError{Op: op, Net: "mem", Addr: addr, Err: timeoutErr{}}
 }

@@ -124,6 +124,63 @@ func TestReadDeadline(t *testing.T) {
 	}
 }
 
+// TestDeadlineMoves pins what livenet relies on per frame: a deadline
+// moved forward fires at its new time and not its old, one moved back
+// fires early, one that passed can be re-armed, moving it allocates
+// nothing (so no timer is made per move), and it may be moved while
+// another goroutine uses the stream.
+func TestDeadlineMoves(t *testing.T) {
+	c, s := pair(t, New())
+	defer c.Close()
+	defer s.Close()
+	buf := make([]byte, 8)
+	for _, tc := range []struct{ first, then, min, max time.Duration }{
+		{30 * time.Millisecond, 150 * time.Millisecond, 150 * time.Millisecond, time.Minute},
+		{time.Hour, 30 * time.Millisecond, 30 * time.Millisecond, time.Minute},
+	} {
+		start := time.Now()
+		s.SetReadDeadline(start.Add(tc.first)) // arms the timer for first ...
+		s.SetReadDeadline(start.Add(tc.then))  // ... which then is not when the deadline is
+		_, err := s.Read(buf)
+		var nerr net.Error
+		if d := time.Since(start); !errors.As(err, &nerr) || !nerr.Timeout() || d < tc.min || d > tc.max {
+			t.Fatalf("deadline %v moved to %v: read returned %v after %v", tc.first, tc.then, err, d)
+		}
+	}
+
+	far := time.Now().Add(time.Hour)
+	if a := testing.AllocsPerRun(100, func() {
+		far = far.Add(time.Millisecond)
+		s.SetReadDeadline(far) // also re-arms the passed deadline
+		c.SetWriteDeadline(far)
+	}); a != 0 {
+		t.Fatalf("moving a deadline forward allocates %v times", a)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				s.SetDeadline(time.Now().Add(time.Hour))
+			}
+		}
+	}()
+	for i := 0; i < 1000; i++ {
+		c.Write([]byte("ping"))
+		if n, err := s.Read(buf); err != nil || n != 4 {
+			t.Fatalf("round trip %d under a moving deadline = %d, %v", i, n, err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
 // TestWriteDeadlineUnderBackpressure fills the peer's ring until the
 // writer blocks, then expects the write deadline to fire.
 func TestWriteDeadlineUnderBackpressure(t *testing.T) {

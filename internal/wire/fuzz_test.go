@@ -1,6 +1,9 @@
 package wire
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/hex"
 	"testing"
 )
 
@@ -24,7 +27,7 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{tagResult, 0, 1, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
-	f.Add(Preamble())
+	f.Add(preamble[:])
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		env, err := DecodeEnvelope(b)
@@ -41,6 +44,69 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		}
 		if env.From != env2.From || !equivalentMsg(env.Msg, env2.Msg) {
 			t.Fatalf("round trip unstable:\n first = %+v\nsecond = %+v", env, env2)
+		}
+	})
+}
+
+// Frames captured from the pre-wire encoding/gob transport (an announce
+// hello and its address-book reply): what a stale binary would send,
+// kept as hostile input now that nothing decodes gob.
+const (
+	gobHelloFrame = "267f03010108656e76656c6f706501ff80000102010446726f6d01040001034d736701100000004eff80010e012270327073686172652f696e7465726e616c2f6c6976656e65742e68656c6c6f4d7367ff810301010868656c6c6f4d736701ff8200010201024944010400010441646472010c00000017ff8213010e010e3132372e302e302e313a363131370000"
+	gobBookFrame  = "267f03010108656e76656c6f706501ff80000102010446726f6d01040001034d7367011000000046ff80010e012170327073686172652f696e7465726e616c2f6c6976656e65742e626f6f6b4d7367ff8303010107626f6f6b4d736701ff840001010104426f6f6b01ff8600000027ff85040101176d61705b6d6f64656c2e4e6f646549445d737472696e6701ff86000104010c000017ff841301010e0e3132372e302e302e313a363131370000"
+)
+
+// FuzzAcceptStream feeds arbitrary bytes to the accept path — what any
+// TCP client can send a listening node: a stream's opening bytes, then
+// frames. It never panics or allocates unboundedly (a frame claims at
+// most MaxFrameBytes), and it yields a Reader, and so an envelope, only
+// when the first five bytes are the exact preamble.
+func FuzzAcceptStream(f *testing.F) {
+	var stream bytes.Buffer
+	stream.Write(preamble[:])
+	w := bufio.NewWriter(&stream)
+	for _, env := range sampleEnvelopes() {
+		if err := WriteEnvelope(w, env); err != nil {
+			f.Fatal(err)
+		}
+	}
+	w.Flush()
+	f.Add(stream.Bytes())
+	f.Add(preamble[:])
+	f.Add(preamble[:3])
+	f.Add([]byte{'P', '2', 'P', 'W', Version + 1, 1, tagQuery})
+	for _, frame := range []string{gobHelloFrame, gobBookFrame} {
+		raw, err := hex.DecodeString(frame)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+		f.Add(append(preamble[:len(preamble):len(preamble)], raw...))
+	}
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var acked bytes.Buffer
+		r, err := AcceptStream(bufio.NewReader(bytes.NewReader(b)), &acked)
+		if opened := bytes.HasPrefix(b, preamble[:]); (err == nil) != opened {
+			t.Fatalf("AcceptStream error %v on opening bytes %q", err, b[:min(len(b), len(preamble))])
+		}
+		if err != nil {
+			if acked.Len() != 0 {
+				t.Fatalf("rejected stream was acked with %v", acked.Bytes())
+			}
+			return
+		}
+		if !bytes.Equal(acked.Bytes(), []byte{Version}) {
+			t.Fatalf("accepted stream acked %v, want [%d]", acked.Bytes(), Version)
+		}
+		for {
+			env, err := r.Next()
+			if err != nil {
+				return
+			}
+			if c, ok := env.Msg.(Chunk); ok {
+				c.Release()
+			}
 		}
 	})
 }

@@ -3,50 +3,71 @@ package wire
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"sync"
+	"time"
 )
 
-// Stream negotiation. A v2 sender opens every stream with a 5-byte
-// preamble ("P2PW" + version); a v2 receiver peeks at the first bytes of
-// an inbound stream, and on a preamble match consumes it, writes the
-// accepted version back as a one-byte ack, and decodes v2 frames from
-// then on. Absent the preamble the receiver falls straight through to
-// gob, so old senders keep working unchanged. An old RECEIVER never
-// acks: it either closes the stream on the preamble — which the sender
-// reads as proof, redialing and speaking gob to that peer from then
-// on — or blocks mid-message (the genuine pre-v2 decoder treats 'P' as
-// a gob length prefix and waits), which surfaces as an ack timeout.
-// The timeout is ambiguous with a transiently stalled v2 peer, so it
-// downgrades only the one stream and the sender re-probes v2 on its
-// next connect, going sticky after a streak of timeouts. Every
-// downgrade is counted as codec_fallback.
+// Stream open. Every stream starts with one handshake, and this file is
+// the only place that knows its bytes: the dialing side writes the
+// 5-byte preamble ("P2PW" + Version) and waits for a one-byte ack
+// carrying the same Version (OpenStream); the accepting side reads
+// exactly that preamble, acks it, and decodes frames from then on
+// (AcceptStream). Anything else — other opening bytes, another version,
+// a wrong or missing ack — is an error on which both sides close: there
+// is no second codec to settle on, so processes built with different
+// Versions refuse each other's streams and an upgrade restarts the
+// deployment, exactly as a Shape change does (DESIGN.md §10).
 
-// preamble opens every v2 stream.
+// preamble opens every stream.
 var preamble = [5]byte{'P', '2', 'P', 'W', Version}
 
-// PreambleLen is the number of bytes IsPreamble needs to inspect.
-const PreambleLen = len(preamble)
+var (
+	errBadOpening = errors.New("opening bytes are not this version's preamble")
+	errBadAck     = errors.New("peer acked another version")
+)
 
-// Preamble returns the stream-open header a v2 sender writes.
-func Preamble() []byte {
-	p := preamble
-	return p[:]
+// OpenStream runs the dialing side of the handshake on a fresh
+// connection, bounded by timeout. On any error the stream is unusable
+// and the caller closes c.
+func OpenStream(c net.Conn, timeout time.Duration) error {
+	c.SetDeadline(time.Now().Add(timeout))
+	defer c.SetDeadline(time.Time{})
+	if _, err := c.Write(preamble[:]); err != nil {
+		return fmt.Errorf("wire: open stream: %w", err)
+	}
+	var ack [1]byte
+	if _, err := io.ReadFull(c, ack[:]); err != nil {
+		return fmt.Errorf("wire: open stream: no ack: %w", err)
+	}
+	if ack[0] != Version {
+		return fmt.Errorf("wire: open stream: %w: %d, want %d", errBadAck, ack[0], Version)
+	}
+	return nil
 }
 
-// IsPreamble reports whether b (at least PreambleLen bytes) opens a
-// v2 stream this package can decode.
-func IsPreamble(b []byte) bool {
-	if len(b) < PreambleLen {
-		return false
+// AcceptStream runs the accepting side: it reads the stream's opening
+// bytes from br, and if they are the exact preamble writes the ack to
+// the connection and returns the frame reader. On any error the caller
+// closes the connection; a bare io.EOF means the peer closed before
+// sending a byte, any other error that the opening bytes could not be
+// read, were short, or were not this Version's preamble. The caller
+// owns deadlines.
+func AcceptStream(br *bufio.Reader, ack io.Writer) (*Reader, error) {
+	var head [len(preamble)]byte
+	if _, err := io.ReadFull(br, head[:]); err != nil {
+		return nil, err
 	}
-	for i := range preamble {
-		if b[i] != preamble[i] {
-			return false
-		}
+	if head != preamble {
+		return nil, fmt.Errorf("wire: accept stream: %w: %q", errBadOpening, head[:])
 	}
-	return true
+	if _, err := ack.Write([]byte{Version}); err != nil {
+		return nil, fmt.Errorf("wire: accept stream: ack: %w", err)
+	}
+	return NewReader(br), nil
 }
 
 const (

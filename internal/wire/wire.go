@@ -9,8 +9,7 @@
 //   - No reflection on the hot path. Every message has an explicit,
 //     hand-rolled field layout — integers are varints (zigzag for signed
 //     values, so NoCluster's -1 stays one byte), strings and lists are
-//     length-prefixed. encoding/gob pays per-message reflection plus
-//     stream type dictionaries; this codec pays neither.
+//     length-prefixed.
 //   - No steady-state allocations on encode. Frames are built in
 //     sync.Pool-backed scratch buffers; Reader reuses one payload buffer
 //     across frames, so the decode side allocates only what the message
@@ -20,7 +19,7 @@
 //     allocation, so a hostile or truncated frame costs at most one
 //     bounded error.
 //
-// Frame layout (after the one-time stream preamble, see stream.go):
+// Frame layout (after the one-time stream-open handshake, see stream.go):
 //
 //	frame   := uvarint(len(payload)) payload
 //	payload := tag(1 byte) varint(sender) body
@@ -42,28 +41,17 @@ import (
 )
 
 // Version is the codec generation this package speaks. It is carried in
-// the stream preamble and echoed in the receiver's ack; a mismatch (or a
-// receiver that never acks) makes the sender fall back to gob — which is
-// exactly how a generation-3 node interoperates with a generation-2
-// binary: the old receiver rejects the new preamble, both sides settle
-// on gob, and gob's tolerance for unknown struct fields carries the
-// extended Book (tombstones) across the version gap.
+// the stream preamble and echoed in the receiver's ack (stream.go); a
+// peer that presents or acks any other value is refused. Frames of
+// every generation so far:
 //
-// Generation 3 adds the membership frames (ping, ack, ping-req, leave),
-// the adaptation frames (leader-load, move, meta-update), and the Dead
-// tombstone section of Book.
-//
-// Generation 4 adds the content data plane frames: manifest-req,
-// manifest, chunk-req (which doubles as the flow-control credit grant),
-// and chunk.
-//
-// Generation 5 adds demand-driven replication: the replicate frame (a
-// holder pushing a hot document's manifest at an under-loaded peer) and
-// the Served/Lite extensions of LeaderLoad that route serve-load
-// measurements up to the leader and under-loaded-member hints back
-// down. As with every bump, mixed-version pairs settle on gob, whose
-// tolerance for unknown struct fields carries the extended LeaderLoad
-// across the gap.
+//   - 2: query, result, publish, publish-ack, hello, book.
+//   - 3: membership (ping, ack, ping-req, leave), adaptation
+//     (leader-load, move, meta-update), the Dead tombstones of Book.
+//   - 4: the content data plane — manifest-req, manifest, chunk-req
+//     (which doubles as the flow-control credit grant), chunk.
+//   - 5: demand-driven replication — the replicate frame, and the
+//     Served/Lite extensions of LeaderLoad.
 const Version = 5
 
 // MaxFrameBytes bounds one frame's payload. The largest legitimate
@@ -99,9 +87,7 @@ const (
 // hash blob is whole hashes.
 const hashSize = 32
 
-// Envelope frames every wire message with its sender. Both codecs — v2
-// binary and the gob fallback — encode this same type, so the transport
-// can switch per stream without translating.
+// Envelope frames every wire message with its sender.
 type Envelope struct {
 	From model.NodeID
 	Msg  any
@@ -258,13 +244,6 @@ func (r ChunkRef) appendFrame(b []byte, from model.NodeID) []byte {
 		b = appendUint(b, 0)
 	}
 	return b
-}
-
-// Chunk materializes the descriptor into a plain Chunk that owns its
-// bytes — for codecs that cannot fill in place (the gob fallback).
-func (r ChunkRef) Chunk() Chunk {
-	data, ok := r.fill(make([]byte, 0, r.Len))
-	return Chunk{Doc: r.Doc, Xfer: r.Xfer, Index: r.Index, Data: data, Missing: !ok}
 }
 
 // Replicate is a holder-side push trigger: an overloaded replica holder

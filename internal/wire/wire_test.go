@@ -3,7 +3,6 @@ package wire
 import (
 	"bufio"
 	"bytes"
-	"encoding/gob"
 	"net"
 	"reflect"
 	"strings"
@@ -14,29 +13,6 @@ import (
 	"p2pshare/internal/model"
 	"p2pshare/internal/overlay"
 )
-
-func init() {
-	// The gob registrations the livenet transport performs, repeated here
-	// so the codec comparison benchmark can encode the same envelopes.
-	gob.Register(overlay.QueryMsg{})
-	gob.Register(overlay.ResultMsg{})
-	gob.Register(overlay.PublishMsg{})
-	gob.Register(overlay.PublishAckMsg{})
-	gob.Register(Hello{})
-	gob.Register(Book{})
-	gob.Register(membership.Ping{})
-	gob.Register(membership.Ack{})
-	gob.Register(membership.PingReq{})
-	gob.Register(membership.Leave{})
-	gob.Register(LeaderLoad{})
-	gob.Register(Move{})
-	gob.Register(overlay.MetadataUpdateMsg{})
-	gob.Register(ManifestReq{})
-	gob.Register(Manifest{})
-	gob.Register(ChunkReq{})
-	gob.Register(Chunk{})
-	gob.Register(Replicate{})
-}
 
 // sampleEnvelopes covers every message type, including negative ids
 // (NoCluster) and empty/absent collections.
@@ -353,31 +329,8 @@ func putUvarint(b []byte, v uint64) int {
 	return i + 1
 }
 
-func TestPreamble(t *testing.T) {
-	p := Preamble()
-	if len(p) != PreambleLen || !IsPreamble(p) {
-		t.Fatalf("preamble %v does not recognize itself", p)
-	}
-	if IsPreamble([]byte("P2PW")) {
-		t.Error("short prefix accepted")
-	}
-	if IsPreamble([]byte{'P', '2', 'P', 'W', Version + 1}) {
-		t.Error("future version accepted by a v2 receiver")
-	}
-	// A gob stream's opening bytes must not look like a preamble.
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(Envelope{From: 1, Msg: Hello{ID: 1, Addr: "x"}}); err != nil {
-		t.Fatal(err)
-	}
-	if IsPreamble(buf.Bytes()[:PreambleLen]) {
-		t.Error("gob stream misidentified as v2")
-	}
-}
-
-// BenchmarkWireCodec compares the v2 codec against the gob baseline on
-// the same envelope mix: encode-only, full round trip, and gob round
-// trip (persistent encoder/decoder pair, so gob's one-time type
-// dictionary is amortized exactly as it is on a live stream).
+// BenchmarkWireCodec times the codec on the sample envelope mix:
+// encode-only and full round trip.
 func BenchmarkWireCodec(b *testing.B) {
 	envs := sampleEnvelopes()
 
@@ -403,22 +356,6 @@ func BenchmarkWireCodec(b *testing.B) {
 				b.Fatal(err)
 			}
 			if _, err := DecodeEnvelope(buf); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	b.Run("gob-roundtrip", func(b *testing.B) {
-		b.ReportAllocs()
-		var buf bytes.Buffer
-		enc := gob.NewEncoder(&buf)
-		dec := gob.NewDecoder(&buf)
-		for i := 0; i < b.N; i++ {
-			if err := enc.Encode(envs[i%len(envs)]); err != nil {
-				b.Fatal(err)
-			}
-			var env Envelope
-			if err := dec.Decode(&env); err != nil {
 				b.Fatal(err)
 			}
 		}
