@@ -37,14 +37,13 @@ package livenet
 // coordinator.
 
 import (
+	"maps"
 	"sort"
 	"time"
 
 	"p2pshare/internal/catalog"
-	"p2pshare/internal/core"
-	"p2pshare/internal/fairness"
 	"p2pshare/internal/model"
-	"p2pshare/internal/overlay"
+	"p2pshare/internal/protocol"
 	"p2pshare/internal/replica"
 	"p2pshare/internal/timerwheel"
 	"p2pshare/internal/wire"
@@ -95,48 +94,20 @@ type adaptState struct {
 	step  int
 	// agg accumulates member reports at a leader; loads holds the
 	// finalized per-cluster aggregates this leader has heard.
-	agg   map[model.ClusterID]*clusterLoad
-	loads map[model.ClusterID]*clusterLoad
+	agg   map[model.ClusterID]*protocol.ClusterLoad
+	loads map[model.ClusterID]*protocol.ClusterLoad
 	// serves accumulates per-member content-serve loads at a leader
 	// (LeaderLoad.Served), feeding the demand-driven replication hints.
 	serves map[model.ClusterID]*serveLoad
 }
 
 // serveLoad is one cluster's per-member serve-load measurements for one
-// epoch — the content-plane analogue of clusterLoad, kept per member
+// epoch — the content-plane analogue of protocol.ClusterLoad, kept per member
 // because the leader's job is to pair overloaded holders with
 // under-loaded push targets, not to aggregate.
 type serveLoad struct {
 	epoch  uint64
 	byNode map[model.NodeID]int64
-}
-
-// clusterLoad is one cluster's measured load for one epoch.
-type clusterLoad struct {
-	epoch uint64
-	hits  map[catalog.CategoryID]int64
-	units map[catalog.CategoryID]float64
-}
-
-// normPop is the cluster's measured normalized popularity (hits per
-// unit of serving capacity). A cluster with hits but no measured units
-// reports the largest load, mirroring the overlay's convention.
-func (cl *clusterLoad) normPop() float64 {
-	var hits int64
-	var units float64
-	for _, h := range cl.hits {
-		hits += h
-	}
-	for _, u := range cl.units {
-		units += u
-	}
-	if units == 0 {
-		if hits == 0 {
-			return 0
-		}
-		return 1e18 // effectively infinite, but finite for Jain
-	}
-	return float64(hits) / units
 }
 
 // EnableAdaptation turns on the adaptation loop. Idempotent; safe any
@@ -206,8 +177,8 @@ func (n *Node) enableAdaptation(cfg AdaptConfig) {
 		cfg:     cfg,
 		members: members,
 		mine:    mine,
-		agg:     make(map[model.ClusterID]*clusterLoad),
-		loads:   make(map[model.ClusterID]*clusterLoad),
+		agg:     make(map[model.ClusterID]*protocol.ClusterLoad),
+		loads:   make(map[model.ClusterID]*protocol.ClusterLoad),
 		serves:  make(map[model.ClusterID]*serveLoad),
 	}
 	n.gauges.Set("adapt_enabled", 1)
@@ -257,7 +228,7 @@ func (n *Node) adaptTick(now time.Time) {
 }
 
 // leaderOf returns the cluster's leader under the current liveness
-// view: the most capable live member, ties to the lowest id. With no
+// view: the first live member in protocol.MoreCapable order. With no
 // detector every static member is electable; with one, only members the
 // detector considers usable (self included).
 func (n *Node) leaderOf(cl model.ClusterID) (model.NodeID, bool) {
@@ -268,7 +239,7 @@ func (n *Node) leaderOf(cl model.ClusterID) (model.NodeID, bool) {
 			continue
 		}
 		u := n.inst.Nodes[id].Units
-		if best == -1 || u > bestU || (u == bestU && id < best) {
+		if best == -1 || protocol.MoreCapable(id, u, best, bestU) {
 			best, bestU = id, u
 		}
 	}
@@ -294,13 +265,19 @@ func (n *Node) adaptReport(e uint64) {
 		n.lastServed = servedDocs
 	}
 	for _, cl := range ad.mine {
-		hits, units := n.ownLoad(cl, measured)
+		hits := make(map[catalog.CategoryID]int64)
+		for c, h := range measured {
+			if h > 0 && n.dcrt[c].Cluster == cl {
+				hits[c] = h
+			}
+		}
+		units := protocol.UnitMass(n.inst.Catalog, n.inst.Nodes[n.id].Units, n.byCat, n.dcrt, cl)
 		leader, ok := n.leaderOf(cl)
 		if !ok {
 			continue
 		}
 		if leader == n.id {
-			ad.mergeReport(cl, e, hits, units)
+			ad.aggregate(cl, e).Add(hits, units)
 			ad.mergeServe(cl, e, n.id, servedTotal)
 			continue
 		}
@@ -325,56 +302,15 @@ func (n *Node) contentDecay() {
 	n.resetDemand()
 }
 
-// ownLoad snapshots this node's measurement for one of its clusters:
-// hit counts (drained from the shards by the caller) of the categories
-// currently routed there, and its per-category unit mass
-// u_k·p(D_s(k))/p(D(k)) (§4.3.3) over its stored documents.
-func (n *Node) ownLoad(cl model.ClusterID, measured map[catalog.CategoryID]int64) (map[catalog.CategoryID]int64, map[catalog.CategoryID]float64) {
-	hits := make(map[catalog.CategoryID]int64)
-	for c, h := range measured {
-		if h > 0 && n.dcrt[c].Cluster == cl {
-			hits[c] = h
-		}
-	}
-	units := make(map[catalog.CategoryID]float64)
-	var pDk float64
-	for d := range n.dt {
-		pDk += n.inst.Catalog.Doc(d).Popularity
-	}
-	if pDk > 0 {
-		u := n.inst.Nodes[n.id].Units
-		for cat, docs := range n.byCat {
-			if n.dcrt[cat].Cluster != cl || len(docs) == 0 {
-				continue
-			}
-			var sum float64
-			for _, d := range docs {
-				sum += n.inst.Catalog.Doc(d).Popularity
-			}
-			units[cat] = u * sum / pDk
-		}
-	}
-	return hits, units
-}
-
-// mergeReport folds one member report into a leader's aggregation
-// state; a report from a newer epoch resets the accumulator.
-func (ad *adaptState) mergeReport(cl model.ClusterID, e uint64, hits map[catalog.CategoryID]int64, units map[catalog.CategoryID]float64) {
+// aggregate returns the leader's accumulator for a cluster's member
+// reports of epoch e; a report from another epoch starts a fresh one.
+func (ad *adaptState) aggregate(cl model.ClusterID, e uint64) *protocol.ClusterLoad {
 	st := ad.agg[cl]
-	if st == nil || st.epoch != e {
-		st = &clusterLoad{
-			epoch: e,
-			hits:  make(map[catalog.CategoryID]int64),
-			units: make(map[catalog.CategoryID]float64),
-		}
+	if st == nil || st.Epoch != e {
+		st = &protocol.ClusterLoad{Epoch: e}
 		ad.agg[cl] = st
 	}
-	for c, h := range hits {
-		st.hits[c] += h
-	}
-	for c, u := range units {
-		st.units[c] += u
-	}
+	return st
 }
 
 // mergeServe records one member's serve-load report at a leader; a
@@ -466,23 +402,16 @@ func (n *Node) adaptAggregate(e uint64) {
 			continue
 		}
 		n.pushHints(cl, e)
-		st := ad.agg[cl]
-		if st == nil || st.epoch != e {
-			st = &clusterLoad{
-				epoch: e,
-				hits:  make(map[catalog.CategoryID]int64),
-				units: make(map[catalog.CategoryID]float64),
-			}
-		}
 		// Finalize: the accumulator is retired (a late member report for
 		// this epoch starts a fresh one that is never read) and the wire
 		// message carries deep copies — the transport writers encode the
 		// maps off the event loop, so they must never be the live ones
-		// mergeReport mutates.
+		// ClusterLoad.Add mutates.
+		st := ad.aggregate(cl, e)
 		delete(ad.agg, cl)
 		ad.loads[cl] = st
 		msg := wire.LeaderLoad{Epoch: e, Cluster: cl, Aggregated: true,
-			Hits: copyHitMap(st.hits), Units: copyUnitMap(st.units)}
+			Hits: maps.Clone(st.Hits), Units: maps.Clone(st.Units)}
 		for c := 0; c < n.inst.NumClusters; c++ {
 			target := model.ClusterID(c)
 			if target == cl {
@@ -495,29 +424,10 @@ func (n *Node) adaptAggregate(e uint64) {
 	}
 }
 
-// copyHitMap deep-copies a per-category hit map for handoff to the
-// transport writers, which encode off the event loop.
-func copyHitMap(src map[catalog.CategoryID]int64) map[catalog.CategoryID]int64 {
-	out := make(map[catalog.CategoryID]int64, len(src))
-	for c, h := range src {
-		out[c] = h
-	}
-	return out
-}
-
-// copyUnitMap deep-copies a per-category unit-mass map (see copyHitMap).
-func copyUnitMap(src map[catalog.CategoryID]float64) map[catalog.CategoryID]float64 {
-	out := make(map[catalog.CategoryID]float64, len(src))
-	for c, u := range src {
-		out[c] = u
-	}
-	return out
-}
-
 // sanitizeLoad strips category ids outside the local catalog from a
-// remote load message: adaptEvaluate indexes catalog-sized slices with
-// these ids, so a corrupt frame or a peer with a different catalog
-// shape must fail safe here rather than panic the event loop.
+// remote load message, so a corrupt frame or a peer with a different
+// catalog shape costs the bad categories (counted) rather than the whole
+// epoch's plan.
 func (n *Node) sanitizeLoad(m *wire.LeaderLoad) {
 	nCats := catalog.CategoryID(len(n.inst.Catalog.Cats))
 	for c := range m.Hits {
@@ -549,8 +459,8 @@ func (n *Node) handleLeaderLoad(from model.NodeID, m wire.LeaderLoad) {
 	}
 	n.sanitizeLoad(&m)
 	if m.Aggregated {
-		if have, ok := ad.loads[m.Cluster]; !ok || m.Epoch > have.epoch {
-			ad.loads[m.Cluster] = &clusterLoad{epoch: m.Epoch, hits: m.Hits, units: m.Units}
+		if have, ok := ad.loads[m.Cluster]; !ok || m.Epoch > have.Epoch {
+			ad.loads[m.Cluster] = &protocol.ClusterLoad{Epoch: m.Epoch, Hits: m.Hits, Units: m.Units}
 		}
 		return
 	}
@@ -572,108 +482,39 @@ func (n *Node) handleLeaderLoad(from model.NodeID, m wire.LeaderLoad) {
 		n.stats.Add("adapt_dropped_loads", 1)
 		return
 	}
-	ad.mergeReport(m.Cluster, m.Epoch, m.Hits, m.Units)
+	ad.aggregate(m.Cluster, m.Epoch).Add(m.Hits, m.Units)
 	ad.mergeServe(m.Cluster, m.Epoch, from, m.Served)
 }
 
-// adaptEvaluate is steps 2–4 at the chosen leader: fairness over the
-// heard loads, then — below the low threshold — MaxFair_Reassign on the
-// measured state and move announcements.
+// adaptEvaluate is steps 2–4: every leader surveys the loads it heard;
+// the chosen one — the leader of the hottest measured cluster — runs
+// protocol.Plan and announces the moves it decides.
 func (n *Node) adaptEvaluate(e uint64) {
 	ad := n.adapt
-	loadClusters := make([]model.ClusterID, 0, len(ad.loads))
-	for cl, load := range ad.loads {
-		if load.epoch == e {
-			loadClusters = append(loadClusters, cl)
-		}
-	}
-	if len(loadClusters) == 0 {
+	sv := protocol.Measure(ad.loads, e)
+	if len(sv.Heard) == 0 {
 		return
 	}
-	sort.Slice(loadClusters, func(i, j int) bool { return loadClusters[i] < loadClusters[j] })
-	xs := make([]float64, len(loadClusters))
-	for i, cl := range loadClusters {
-		xs[i] = ad.loads[cl].normPop()
-	}
-	measured := fairness.Jain(xs)
-	n.gauges.Set("fairness_x1000", int64(measured*1000))
+	n.gauges.Set("fairness_x1000", int64(sv.Fairness*1000))
 	n.stats.Add("adapt_evaluations", 1)
-
-	// The chosen leader is the leader of the hottest measured cluster
-	// (ties to the lowest cluster id) — a deterministic choice every
-	// leader that heard the same loads agrees on.
-	hottest := loadClusters[0]
-	for _, cl := range loadClusters[1:] {
-		if ad.loads[cl].normPop() > ad.loads[hottest].normPop() {
-			hottest = cl
-		}
-	}
-	if l, ok := n.leaderOf(hottest); !ok || l != n.id {
+	if l, ok := n.leaderOf(sv.Hottest); !ok || l != n.id {
 		return
 	}
-	if measured >= ad.cfg.LowThreshold {
-		return // above the low threshold, nothing to do
-	}
-	if len(loadClusters) < (n.inst.NumClusters+1)/2 {
-		return // heard from under half the clusters; not enough signal
-	}
-	var totalHits int64
-	for _, cl := range loadClusters {
-		for _, h := range ad.loads[cl].hits {
-			totalHits += h
-		}
-	}
-	if totalHits == 0 {
-		return
-	}
-
-	// Rebuild the ICLB state from measurements, over the heard clusters
-	// remapped to compact ids.
-	toCompact := make(map[model.ClusterID]model.ClusterID, len(loadClusters))
-	for i, cl := range loadClusters {
-		toCompact[cl] = model.ClusterID(i)
-	}
-	nCats := len(n.inst.Catalog.Cats)
-	catPop := make([]float64, nCats)
-	catUnits := make([]float64, nCats)
-	assign := make([]model.ClusterID, nCats)
-	for c := range assign {
-		assign[c] = model.NoCluster
-	}
-	for _, cl := range loadClusters {
-		load := ad.loads[cl]
-		for c, h := range load.hits {
-			catPop[c] += float64(h) / float64(totalHits)
-			assign[c] = toCompact[cl]
-		}
-		for c, u := range load.units {
-			catUnits[c] += u
-			assign[c] = toCompact[cl]
-		}
-	}
-	st, err := core.NewStateFromMeasurements(len(loadClusters), catPop, catUnits, assign)
+	d, err := protocol.Plan(ad.loads, e, n.inst.NumClusters, len(n.inst.Catalog.Cats),
+		protocol.Thresholds{LowThreshold: ad.cfg.LowThreshold, TargetFairness: ad.cfg.TargetFairness, MaxMoves: ad.cfg.MaxMoves})
 	if err != nil {
 		n.stats.Add("adapt_state_errors", 1)
 		return
 	}
-	moves, err := core.MaxFairReassign(st, core.ReassignOptions{
-		TargetFairness: ad.cfg.TargetFairness,
-		MaxMoves:       ad.cfg.MaxMoves,
-	})
-	if err != nil {
-		n.stats.Add("adapt_state_errors", 1)
-		return
-	}
-	for _, mv := range moves {
-		from, to := loadClusters[mv.From], loadClusters[mv.To]
-		entry := overlay.DCRTEntry{Cluster: to, MoveCounter: n.dcrt[mv.Category].MoveCounter + 1}
+	for _, mv := range d.Moves {
+		entry := protocol.DCRTEntry{Cluster: mv.To, MoveCounter: n.dcrt[mv.Category].MoveCounter + 1}
 		n.stats.Add("adapt_moves", 1)
 		n.applyMoveEntry(mv.Category, entry)
 		// Direct announcement to both affected clusters (steps 1–2 of
 		// the lazy rebalancing protocol); gossip covers everyone else.
-		announce := wire.Move{Category: mv.Category, From: from, Entry: entry}
+		announce := wire.Move{Category: mv.Category, From: mv.From, Entry: entry}
 		seen := map[model.NodeID]bool{n.id: true}
-		for _, cl := range []model.ClusterID{from, to} {
+		for _, cl := range []model.ClusterID{mv.From, mv.To} {
 			for _, id := range ad.members[cl] {
 				if seen[id] {
 					continue
@@ -694,23 +535,11 @@ func (n *Node) handleMove(m wire.Move) {
 
 // handleMetaUpdate merges epidemically propagated DCRT entries, keeping
 // the highest move counter per category (§6.1.2 conflict resolution).
-func (n *Node) handleMetaUpdate(m overlay.MetadataUpdateMsg) {
-	cats := make([]catalog.CategoryID, 0, len(m.Entries))
-	for cat := range m.Entries {
-		cats = append(cats, cat)
-	}
-	sort.Slice(cats, func(i, j int) bool { return cats[i] < cats[j] })
-	for _, cat := range cats {
+func (n *Node) handleMetaUpdate(m protocol.MetadataUpdateMsg) {
+	for _, cat := range m.Categories() {
 		n.applyMoveEntry(cat, m.Entries[cat])
 	}
 }
-
-// maxMoveCounterJump bounds how far ahead of the local view a gossiped
-// move counter may be. Counters advance by one per executed move, so a
-// legitimate gap is at most the moves this node missed; a counter near
-// max-uint64 from a corrupt or hostile frame would otherwise wedge the
-// category forever (no legitimate move could ever exceed it again).
-const maxMoveCounterJump = 1 << 20
 
 // applyMoveEntry folds one DCRT entry in under the move-counter rule.
 // On change: members of the receiving cluster re-run the intra-cluster
@@ -718,25 +547,16 @@ const maxMoveCounterJump = 1 << 20
 // (every member computes the same map, so no coordinator is needed),
 // and the entry is re-gossiped — forwarding only on change keeps the
 // epidemic bounded.
-func (n *Node) applyMoveEntry(cat catalog.CategoryID, e overlay.DCRTEntry) bool {
-	if cat < 0 || int(cat) >= len(n.inst.Catalog.Cats) ||
-		e.Cluster < 0 || int(e.Cluster) >= n.inst.NumClusters {
+func (n *Node) applyMoveEntry(cat catalog.CategoryID, e protocol.DCRTEntry) bool {
+	m := protocol.MergeEntry(n.dcrt, cat, e, len(n.inst.Catalog.Cats), n.inst.NumClusters)
+	if m.Rejected {
 		n.stats.Add("adapt_bad_moves", 1)
+	}
+	if !m.Changed {
 		return false
 	}
-	old, known := n.dcrt[cat]
-	if known && e.MoveCounter <= old.MoveCounter {
-		return false
-	}
-	if e.MoveCounter > old.MoveCounter+maxMoveCounterJump {
-		// old is the zero value for an unknown category, bounding a
-		// first-contact entry to the same window.
-		n.stats.Add("adapt_bad_moves", 1)
-		return false
-	}
-	n.dcrt[cat] = e
 	n.stats.Add("dcrt_moves", 1)
-	if known && old.Cluster != e.Cluster && n.store != nil {
+	if m.Known && m.Prev.Cluster != e.Cluster && n.store != nil {
 		// Remember the shedding cluster: until the gaining holders
 		// finish pulling bytes, it holds the only copies, and
 		// fetchSources keeps routing transfers there as a fallback
@@ -750,7 +570,7 @@ func (n *Node) applyMoveEntry(cat catalog.CategoryID, e overlay.DCRTEntry) bool 
 		if ttl <= 0 {
 			ttl = prevClusterTTL
 		}
-		n.prevCluster[cat] = prevClusterRecord{cluster: old.Cluster, expires: now.Add(ttl)}
+		n.prevCluster[cat] = prevClusterRecord{cluster: m.Prev.Cluster, expires: now.Add(ttl)}
 		n.prunePrevClusters(now)
 	}
 	if ad := n.adapt; ad != nil {
@@ -776,7 +596,7 @@ func (n *Node) applyMoveEntry(cat catalog.CategoryID, e overlay.DCRTEntry) bool 
 
 // gossipEntry pushes one changed DCRT entry to a few random addressable
 // peers (lazy rebalancing step 5).
-func (n *Node) gossipEntry(cat catalog.CategoryID, e overlay.DCRTEntry) {
+func (n *Node) gossipEntry(cat catalog.CategoryID, e protocol.DCRTEntry) {
 	peers := make([]model.NodeID, 0, n.book.len())
 	n.book.forEach(func(id model.NodeID, _ string) bool {
 		if id != n.id {
@@ -788,7 +608,7 @@ func (n *Node) gossipEntry(cat catalog.CategoryID, e overlay.DCRTEntry) {
 		return
 	}
 	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
-	update := overlay.MetadataUpdateMsg{Entries: map[catalog.CategoryID]overlay.DCRTEntry{cat: e}}
+	update := protocol.MetadataUpdateMsg{Entries: map[catalog.CategoryID]protocol.DCRTEntry{cat: e}}
 	for i := 0; i < 3; i++ {
 		n.send(peers[n.rng.Intn(len(peers))], update)
 	}

@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"p2pshare/internal/catalog"
-	"p2pshare/internal/overlay"
+	"p2pshare/internal/protocol"
 	"p2pshare/internal/wire"
 )
 
@@ -60,10 +60,10 @@ func TestCorruptAdaptationFramesFailSafe(t *testing.T) {
 		Units: map[catalog.CategoryID]float64{-1: 2},
 	})
 	inject(wire.LeaderLoad{Epoch: 1, Cluster: 99})
-	inject(wire.Move{Category: -3, Entry: overlay.DCRTEntry{Cluster: 1, MoveCounter: 1}})
-	inject(wire.Move{Category: victim, Entry: overlay.DCRTEntry{Cluster: 99, MoveCounter: 1}})
-	inject(wire.Move{Category: victim, Entry: overlay.DCRTEntry{Cluster: 1, MoveCounter: ^uint64(0)}})
-	inject(overlay.MetadataUpdateMsg{Entries: map[catalog.CategoryID]overlay.DCRTEntry{
+	inject(wire.Move{Category: -3, Entry: protocol.DCRTEntry{Cluster: 1, MoveCounter: 1}})
+	inject(wire.Move{Category: victim, Entry: protocol.DCRTEntry{Cluster: 99, MoveCounter: 1}})
+	inject(wire.Move{Category: victim, Entry: protocol.DCRTEntry{Cluster: 1, MoveCounter: ^uint64(0)}})
+	inject(protocol.MetadataUpdateMsg{Entries: map[catalog.CategoryID]protocol.DCRTEntry{
 		7777: {Cluster: 1, MoveCounter: 2},
 	}})
 
@@ -75,8 +75,8 @@ func TestCorruptAdaptationFramesFailSafe(t *testing.T) {
 	})
 
 	// The event loop survived and the DCRT is untouched.
-	readEntry := func() overlay.DCRTEntry {
-		ch := make(chan overlay.DCRTEntry, 1)
+	readEntry := func() protocol.DCRTEntry {
+		ch := make(chan protocol.DCRTEntry, 1)
 		n.cmds <- func(n *Node) { ch <- n.dcrt[victim] }
 		return <-ch
 	}
@@ -85,7 +85,7 @@ func TestCorruptAdaptationFramesFailSafe(t *testing.T) {
 	}
 
 	// A legitimate move still applies afterwards.
-	inject(wire.Move{Category: victim, Entry: overlay.DCRTEntry{Cluster: 1, MoveCounter: 1}})
+	inject(wire.Move{Category: victim, Entry: protocol.DCRTEntry{Cluster: 1, MoveCounter: 1}})
 	waitFor(t, 5*time.Second, "legitimate move applied", func() bool {
 		e := readEntry()
 		return e.Cluster == 1 && e.MoveCounter == 1

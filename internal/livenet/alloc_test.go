@@ -6,7 +6,7 @@ import (
 	"p2pshare/internal/catalog"
 	"p2pshare/internal/metrics"
 	"p2pshare/internal/model"
-	"p2pshare/internal/overlay"
+	"p2pshare/internal/protocol"
 )
 
 // allocTestNode builds a minimal node whose query hot path can run
@@ -20,7 +20,7 @@ func allocTestNode() (*Node, *engineShard) {
 		stats: stats,
 		tr:    newTransport(1, 1, stats),
 		book:  newAddrBook(),
-		dcrt:  map[catalog.CategoryID]overlay.DCRTEntry{3: {Cluster: 1}},
+		dcrt:  map[catalog.CategoryID]protocol.DCRTEntry{3: {Cluster: 1}},
 		byCat: map[catalog.CategoryID][]catalog.DocID{3: {10, 11, 12, 13}},
 		nrt:   map[model.ClusterID][]model.NodeID{1: {2, 3, 4}},
 	}
@@ -49,7 +49,7 @@ func TestHandleQueryAllocs(t *testing.T) {
 	var id uint64
 	avg := testing.AllocsPerRun(runs, func() {
 		id++
-		sh.handleQuery(overlay.QueryMsg{
+		sh.handleQuery(protocol.QueryMsg{
 			ID: id, Category: 3, Want: 8, Origin: 9, Hops: 1, Entry: true,
 		})
 	})
@@ -73,7 +73,7 @@ func TestHandleQueryForwardOnlyAllocs(t *testing.T) {
 	var id uint64
 	avg := testing.AllocsPerRun(runs, func() {
 		id++
-		sh.handleQuery(overlay.QueryMsg{
+		sh.handleQuery(protocol.QueryMsg{
 			ID: id, Category: 3, Want: 8, Origin: 9, Hops: 1,
 		})
 	})
@@ -93,7 +93,7 @@ func TestHandleResultAllocs(t *testing.T) {
 	sh.pending[42] = pq
 	docs := []catalog.DocID{10, 11, 12}
 	avg := testing.AllocsPerRun(2000, func() {
-		sh.handleResult(overlay.ResultMsg{ID: 42, Docs: docs, Hops: 2, From: 2})
+		sh.handleResult(protocol.ResultMsg{ID: 42, Docs: docs, Hops: 2, From: 2})
 	})
 	if avg > 0 {
 		t.Fatalf("handleResult allocates %.1f per run, budget 0", avg)

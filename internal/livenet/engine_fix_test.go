@@ -6,7 +6,7 @@ import (
 	"p2pshare/internal/cache"
 	"p2pshare/internal/catalog"
 	"p2pshare/internal/model"
-	"p2pshare/internal/overlay"
+	"p2pshare/internal/protocol"
 )
 
 // Regression tests for the bug crop the chaos harness surfaced: query-id
@@ -58,7 +58,7 @@ func TestQueryIDNoCollisionAcrossNodes(t *testing.T) {
 // refills must not grow the list.
 func TestRefillEntryDeduplicates(t *testing.T) {
 	n := &Node{
-		dcrt: map[catalog.CategoryID]overlay.DCRTEntry{
+		dcrt: map[catalog.CategoryID]protocol.DCRTEntry{
 			3: {Cluster: 1},
 		},
 		nrt: map[model.ClusterID][]model.NodeID{

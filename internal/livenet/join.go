@@ -11,7 +11,7 @@ import (
 	"p2pshare/internal/core"
 	"p2pshare/internal/membership"
 	"p2pshare/internal/model"
-	"p2pshare/internal/overlay"
+	"p2pshare/internal/protocol"
 	"p2pshare/internal/replica"
 	"p2pshare/internal/wire"
 )
@@ -121,7 +121,7 @@ func StartNode(sh Shape, id model.NodeID, listenAddr, bootstrapAddr string, opts
 	}
 	for cat, cl := range assign {
 		if cl != model.NoCluster {
-			n.dcrt[catalog.CategoryID(cat)] = overlay.DCRTEntry{Cluster: cl}
+			n.dcrt[catalog.CategoryID(cat)] = protocol.DCRTEntry{Cluster: cl}
 		}
 	}
 	// NRT: this process cannot know which peers are up; it relies on the

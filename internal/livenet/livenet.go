@@ -45,7 +45,7 @@ import (
 	"p2pshare/internal/membership"
 	"p2pshare/internal/metrics"
 	"p2pshare/internal/model"
-	"p2pshare/internal/overlay"
+	"p2pshare/internal/protocol"
 	"p2pshare/internal/query"
 	"p2pshare/internal/replica"
 	"p2pshare/internal/timerwheel"
@@ -151,7 +151,7 @@ type Node struct {
 	book    *addrBook
 	dt      map[catalog.DocID]catalog.CategoryID
 	byCat   map[catalog.CategoryID][]catalog.DocID
-	dcrt    map[catalog.CategoryID]overlay.DCRTEntry
+	dcrt    map[catalog.CategoryID]protocol.DCRTEntry
 	nrt     map[model.ClusterID][]model.NodeID
 
 	// served counts requests this node answered (shards increment).
@@ -286,7 +286,7 @@ func newNode(inst *model.Instance, id model.NodeID, ln net.Listener, seed int64,
 		conns:   make(map[net.Conn]struct{}),
 		dt:      make(map[catalog.DocID]catalog.CategoryID),
 		byCat:   make(map[catalog.CategoryID][]catalog.DocID),
-		dcrt:    make(map[catalog.CategoryID]overlay.DCRTEntry),
+		dcrt:    make(map[catalog.CategoryID]protocol.DCRTEntry),
 		nrt:     make(map[model.ClusterID][]model.NodeID),
 
 		gauges:    metrics.NewSyncGauge(),
@@ -580,7 +580,7 @@ func Launch(inst *model.Instance, assign []model.ClusterID, place *replica.Place
 			continue
 		}
 		for _, n := range c.Nodes {
-			n.dcrt[catalog.CategoryID(cat)] = overlay.DCRTEntry{Cluster: cl}
+			n.dcrt[catalog.CategoryID(cat)] = protocol.DCRTEntry{Cluster: cl}
 		}
 	}
 	// Prime NRTs: ring + chords within clusters, remote contacts across.
@@ -800,9 +800,9 @@ func (n *Node) readLoop(conn net.Conn) {
 func (n *Node) routeInbound(env envelope) bool {
 	target := n.inbox
 	switch m := env.Msg.(type) {
-	case overlay.QueryMsg:
+	case protocol.QueryMsg:
 		target = n.shardFor(m.ID).inbox
-	case overlay.ResultMsg:
+	case protocol.ResultMsg:
 		target = n.shardFor(m.ID).inbox
 	case wire.ManifestReq:
 		// Content frames are served and demultiplexed inline on the
@@ -858,16 +858,16 @@ func (n *Node) controlLoop() {
 
 func (n *Node) dispatchControl(env envelope) {
 	switch m := env.Msg.(type) {
-	case overlay.QueryMsg:
+	case protocol.QueryMsg:
 		// Query traffic is dispatched to shards by the readers; a stray
 		// frame here (injected through the control inbox) is forwarded
 		// non-blockingly — control must not wait on a shard channel.
 		n.shardFor(m.ID).offer(env)
-	case overlay.ResultMsg:
+	case protocol.ResultMsg:
 		n.shardFor(m.ID).offer(env)
-	case overlay.PublishMsg:
+	case protocol.PublishMsg:
 		n.handlePublish(env.From, m)
-	case overlay.PublishAckMsg:
+	case protocol.PublishAckMsg:
 		n.handlePublishAck(m)
 	case helloMsg:
 		n.handleHello(m)
@@ -897,7 +897,7 @@ func (n *Node) dispatchControl(env envelope) {
 		n.handleLeaderLoad(env.From, m)
 	case wire.Move:
 		n.handleMove(m)
-	case overlay.MetadataUpdateMsg:
+	case protocol.MetadataUpdateMsg:
 		n.handleMetaUpdate(m)
 	}
 }
@@ -956,7 +956,7 @@ func (n *Node) Publish(d catalog.DocID) error {
 			if i == 3 {
 				break
 			}
-			n.send(nb, overlay.PublishMsg{Doc: d, Category: cat, Publisher: n.id})
+			n.send(nb, protocol.PublishMsg{Doc: d, Category: cat, Publisher: n.id})
 		}
 		errc <- nil
 	}:
@@ -981,7 +981,7 @@ func (n *Node) Publish(d catalog.DocID) error {
 // handlePublish acknowledges a publish into a cluster this node can
 // route; an unroutable category is dropped (and counted) rather than
 // fabricating a cluster-0 entry.
-func (n *Node) handlePublish(from model.NodeID, m overlay.PublishMsg) {
+func (n *Node) handlePublish(from model.NodeID, m protocol.PublishMsg) {
 	entry, known := n.dcrt[m.Category]
 	if !known {
 		n.stats.Add("drop_no_route", 1)
@@ -993,7 +993,7 @@ func (n *Node) handlePublish(from model.NodeID, m overlay.PublishMsg) {
 	if len(sample) > 8 {
 		sample = sample[:8]
 	}
-	n.send(from, overlay.PublishAckMsg{
+	n.send(from, protocol.PublishAckMsg{
 		Doc:      m.Doc,
 		Category: m.Category,
 		Entry:    entry,
@@ -1002,18 +1002,13 @@ func (n *Node) handlePublish(from model.NodeID, m overlay.PublishMsg) {
 	})
 }
 
-func (n *Node) handlePublishAck(m overlay.PublishAckMsg) {
-	// Same validation as applyMoveEntry: a corrupt or hostile ack must
+func (n *Node) handlePublishAck(m protocol.PublishAckMsg) {
+	// The same merge rule as applyMoveEntry: a corrupt or hostile ack must
 	// not plant an out-of-range category/cluster or an unbeatable move
 	// counter in the routing tables.
-	if m.Category < 0 || int(m.Category) >= len(n.inst.Catalog.Cats) ||
-		m.Entry.Cluster < 0 || int(m.Entry.Cluster) >= n.inst.NumClusters ||
-		m.Entry.MoveCounter > n.dcrt[m.Category].MoveCounter+maxMoveCounterJump {
+	if protocol.MergeEntry(n.dcrt, m.Category, m.Entry, len(n.inst.Catalog.Cats), n.inst.NumClusters).Rejected {
 		n.stats.Add("adapt_bad_moves", 1)
 		return
-	}
-	if old, ok := n.dcrt[m.Category]; !ok || m.Entry.MoveCounter > old.MoveCounter {
-		n.dcrt[m.Category] = m.Entry
 	}
 	for _, nb := range m.Members {
 		n.addNeighbor(m.Entry.Cluster, nb)

@@ -11,7 +11,7 @@ import (
 	"p2pshare/internal/content"
 	"p2pshare/internal/memnet"
 	"p2pshare/internal/model"
-	"p2pshare/internal/overlay"
+	"p2pshare/internal/protocol"
 	"p2pshare/internal/wire"
 )
 
@@ -67,7 +67,7 @@ func TestPrevClusterBounded(t *testing.T) {
 		if to == cl {
 			continue
 		}
-		mv := wire.Move{Category: cc.ID, From: cl, Entry: overlay.DCRTEntry{
+		mv := wire.Move{Category: cc.ID, From: cl, Entry: protocol.DCRTEntry{
 			Cluster:     to,
 			MoveCounter: n.dcrtEntryForTest(cc.ID).MoveCounter + 1,
 		}}
@@ -90,7 +90,7 @@ func TestPrevClusterBounded(t *testing.T) {
 	// rides on it must drop all the stale entries, leaving only the
 	// fresh one. The pre-fix map kept every record forever.
 	time.Sleep(120 * time.Millisecond)
-	back := wire.Move{Category: moved[0], From: assign[moved[0]], Entry: overlay.DCRTEntry{
+	back := wire.Move{Category: moved[0], From: assign[moved[0]], Entry: protocol.DCRTEntry{
 		Cluster:     assign[moved[0]],
 		MoveCounter: n.dcrtEntryForTest(moved[0]).MoveCounter + 1,
 	}}

@@ -45,7 +45,7 @@ import (
 
 	"p2pshare/internal/catalog"
 	"p2pshare/internal/model"
-	"p2pshare/internal/overlay"
+	"p2pshare/internal/protocol"
 )
 
 const (
@@ -159,9 +159,9 @@ func (s *engineShard) offer(env envelope) {
 
 func (s *engineShard) dispatch(env envelope) {
 	switch m := env.Msg.(type) {
-	case overlay.QueryMsg:
+	case protocol.QueryMsg:
 		s.handleQuery(m)
-	case overlay.ResultMsg:
+	case protocol.ResultMsg:
 		s.handleResult(m)
 	}
 }
@@ -256,7 +256,7 @@ func (s *engineShard) sendQuery(pq *pendingQuery) {
 	target := pq.entry[s.rng.Intn(len(pq.entry))]
 	n := s.n
 	n.routeMu.RLock()
-	n.send(target, overlay.QueryMsg{
+	n.send(target, protocol.QueryMsg{
 		ID: pq.id, Category: pq.cat, Want: pq.want, Origin: n.id, Hops: 1, Entry: true,
 	})
 	n.routeMu.RUnlock()
@@ -296,7 +296,7 @@ func (s *engineShard) sweep(now time.Time) {
 // query for a category this node has no DCRT entry for is dropped (and
 // counted) instead of being misrouted into cluster 0. Runs in the shard
 // loop; routing state is read under routeMu.RLock.
-func (s *engineShard) handleQuery(m overlay.QueryMsg) {
+func (s *engineShard) handleQuery(m protocol.QueryMsg) {
 	if s.seenBefore(m.ID) {
 		return
 	}
@@ -328,7 +328,7 @@ func (s *engineShard) handleQuery(m overlay.QueryMsg) {
 	}
 	if len(matches) > 0 {
 		n.served.Add(1)
-		n.send(m.Origin, overlay.ResultMsg{
+		n.send(m.Origin, protocol.ResultMsg{
 			ID: m.ID, Docs: matches, Hops: m.Hops, From: n.id,
 		})
 	}
@@ -337,7 +337,7 @@ func (s *engineShard) handleQuery(m overlay.QueryMsg) {
 			// Box the forwarded message ONCE: send takes `any`, so a
 			// struct literal at each call site would re-box per neighbor —
 			// one interface allocation per flood edge on the hottest path.
-			var fwd any = overlay.QueryMsg{
+			var fwd any = protocol.QueryMsg{
 				ID: m.ID, Category: m.Category, Want: remaining,
 				Origin: m.Origin, Hops: m.Hops + 1,
 			}
@@ -350,7 +350,7 @@ func (s *engineShard) handleQuery(m overlay.QueryMsg) {
 
 // handleResult folds an inbound result into the owning pending query.
 // Runs in the shard loop.
-func (s *engineShard) handleResult(m overlay.ResultMsg) {
+func (s *engineShard) handleResult(m protocol.ResultMsg) {
 	pq, ok := s.pending[m.ID]
 	if !ok {
 		return

@@ -13,7 +13,7 @@ import (
 	"p2pshare/internal/content"
 	"p2pshare/internal/memnet"
 	"p2pshare/internal/model"
-	"p2pshare/internal/overlay"
+	"p2pshare/internal/protocol"
 	"p2pshare/internal/wire"
 )
 
@@ -372,7 +372,7 @@ func TestMoveShipsBytes(t *testing.T) {
 		}
 	}
 
-	move := wire.Move{Category: cat, From: from, Entry: overlay.DCRTEntry{
+	move := wire.Move{Category: cat, From: from, Entry: protocol.DCRTEntry{
 		Cluster:     to,
 		MoveCounter: c.Nodes[gaining[0]].dcrtEntryForTest(cat).MoveCounter + 1,
 	}}
@@ -568,7 +568,7 @@ func TestBulkFetchUnderQueryLoad(t *testing.T) {
 }
 
 // dcrtEntryForTest reads a node's DCRT entry under the routing lock.
-func (n *Node) dcrtEntryForTest(cat catalog.CategoryID) overlay.DCRTEntry {
+func (n *Node) dcrtEntryForTest(cat catalog.CategoryID) protocol.DCRTEntry {
 	n.routeMu.RLock()
 	defer n.routeMu.RUnlock()
 	return n.dcrt[cat]

@@ -11,7 +11,7 @@ import (
 	"p2pshare/internal/catalog"
 	"p2pshare/internal/metrics"
 	"p2pshare/internal/model"
-	"p2pshare/internal/overlay"
+	"p2pshare/internal/protocol"
 )
 
 // runCmd executes f inside the node's control loop and waits for it.
@@ -162,7 +162,7 @@ func TestPartialOutcomesUnderDialFailures(t *testing.T) {
 func TestTransportReconnectAfterPeerRestart(t *testing.T) {
 	received := make(chan uint64, 256)
 	onEnv := func(env envelope) {
-		if q, ok := env.Msg.(overlay.QueryMsg); ok {
+		if q, ok := env.Msg.(protocol.QueryMsg); ok {
 			received <- q.ID
 		}
 	}
@@ -173,7 +173,7 @@ func TestTransportReconnectAfterPeerRestart(t *testing.T) {
 	tr := newTransport(1, 99, stats)
 	defer tr.close()
 
-	tr.enqueue(2, addr, envelope{From: 1, Msg: overlay.QueryMsg{ID: 1}})
+	tr.enqueue(2, addr, envelope{From: 1, Msg: protocol.QueryMsg{ID: 1}})
 	select {
 	case <-received:
 	case <-time.After(5 * time.Second):
@@ -192,7 +192,7 @@ func TestTransportReconnectAfterPeerRestart(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	next := uint64(100)
 	for {
-		tr.enqueue(2, addr, envelope{From: 1, Msg: overlay.QueryMsg{ID: next}})
+		tr.enqueue(2, addr, envelope{From: 1, Msg: protocol.QueryMsg{ID: next}})
 		select {
 		case id := <-received:
 			if id >= 100 {
@@ -230,7 +230,7 @@ func TestTransportEvictsDeadPeer(t *testing.T) {
 	// while traffic keeps flowing.)
 	deadline := time.After(15 * time.Second)
 	for i := uint64(0); ; i++ {
-		tr.enqueue(9, "127.0.0.1:1", envelope{From: 1, Msg: overlay.QueryMsg{ID: i}})
+		tr.enqueue(9, "127.0.0.1:1", envelope{From: 1, Msg: protocol.QueryMsg{ID: i}})
 		select {
 		case id := <-downs:
 			if id != 9 {
@@ -354,7 +354,7 @@ func TestQueryNoRouteExplicit(t *testing.T) {
 	// Handler path: an inbound query for the unroutable category is
 	// dropped and counted, not forwarded to cluster 0.
 	runShard(t, n.shardFor(1<<40), func(s *engineShard) {
-		s.handleQuery(overlay.QueryMsg{ID: 1 << 40, Category: cat, Want: 1, Origin: 5, Hops: 1})
+		s.handleQuery(protocol.QueryMsg{ID: 1 << 40, Category: cat, Want: 1, Origin: 5, Hops: 1})
 	})
 	if n.stats.Get("drop_no_route") == 0 {
 		t.Error("drop_no_route not counted on handler path")
@@ -394,8 +394,8 @@ func TestHandleResultMaxHops(t *testing.T) {
 			ch:       ch,
 			deadline: time.Now().Add(time.Minute),
 		}
-		s.handleResult(overlay.ResultMsg{ID: 77, Docs: []catalog.DocID{1}, Hops: 5, From: 2})
-		s.handleResult(overlay.ResultMsg{ID: 77, Docs: []catalog.DocID{2}, Hops: 2, From: 3})
+		s.handleResult(protocol.ResultMsg{ID: 77, Docs: []catalog.DocID{1}, Hops: 5, From: 2})
+		s.handleResult(protocol.ResultMsg{ID: 77, Docs: []catalog.DocID{2}, Hops: 2, From: 3})
 	})
 	select {
 	case out := <-ch:

@@ -15,7 +15,7 @@ import (
 	"p2pshare/internal/catalog"
 	"p2pshare/internal/metrics"
 	"p2pshare/internal/model"
-	"p2pshare/internal/overlay"
+	"p2pshare/internal/protocol"
 	"p2pshare/internal/wire"
 )
 
@@ -62,7 +62,7 @@ func TestTransportBatchingCoalesces(t *testing.T) {
 
 	const burst = 50
 	for i := 0; i < burst; i++ {
-		tr.enqueue(2, s.addr(), envelope{From: 1, Msg: overlay.QueryMsg{ID: uint64(i)}})
+		tr.enqueue(2, s.addr(), envelope{From: 1, Msg: protocol.QueryMsg{ID: uint64(i)}})
 	}
 	for i := 0; i < burst; i++ {
 		select {
@@ -211,7 +211,7 @@ func TestHandshakeStallIsAFailedConnect(t *testing.T) {
 	stats := metrics.NewSyncCounter()
 	tr := newTransport(1, 11, stats)
 	defer tr.close()
-	want := envelope{From: 1, Msg: overlay.QueryMsg{ID: 1}}
+	want := envelope{From: 1, Msg: protocol.QueryMsg{ID: 1}}
 	tr.enqueue(2, s.addr(), want)
 	select {
 	case got := <-received:
@@ -263,7 +263,7 @@ func TestHandshakeFailuresEvictPeer(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("handshake failures never reached eviction: %v", stats.Snapshot())
 		}
-		tr.enqueue(9, s.addr(), envelope{From: 1, Msg: overlay.QueryMsg{ID: i}})
+		tr.enqueue(9, s.addr(), envelope{From: 1, Msg: protocol.QueryMsg{ID: i}})
 		time.Sleep(50 * time.Millisecond)
 	}
 	st := stats.Snapshot()
@@ -279,7 +279,7 @@ func TestHandshakeFailuresEvictPeer(t *testing.T) {
 // throughput (msgs/sec, MB/s) through the full transport stack against a
 // live TCP sink.
 func BenchmarkTransportThroughput(b *testing.B) {
-	env := envelope{From: 1, Msg: overlay.ResultMsg{
+	env := envelope{From: 1, Msg: protocol.ResultMsg{
 		ID: 7, Docs: []catalog.DocID{3, 17, 256, 4095, 70000, 9, 12, 31}, Hops: 3, From: 2,
 	}}
 	received := make(chan struct{}, 4096)

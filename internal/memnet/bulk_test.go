@@ -21,13 +21,15 @@ func TestSizedRingCap(t *testing.T) {
 	} {
 		client, server := pair(t, tc.nw)
 		// Fill without a reader: writes must accept exactly the ring cap
-		// before blocking.
+		// before blocking. The deadline is armed per Write, so only the
+		// write that blocks on the full ring can time out — one deadline
+		// for the whole fill would race it against a slow or -race box.
 		done := make(chan int, 1)
 		go func() {
-			client.SetWriteDeadline(time.Now().Add(200 * time.Millisecond))
 			total := 0
 			buf := make([]byte, 8<<10)
 			for {
+				client.SetWriteDeadline(time.Now().Add(200 * time.Millisecond))
 				n, err := client.Write(buf)
 				total += n
 				if err != nil {

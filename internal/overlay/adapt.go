@@ -3,13 +3,12 @@ package overlay
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"p2pshare/internal/catalog"
 	"p2pshare/internal/core"
-	"p2pshare/internal/fairness"
 	"p2pshare/internal/model"
+	"p2pshare/internal/protocol"
 )
 
 // AdaptationReport summarizes one §6.1 adaptation round.
@@ -106,31 +105,31 @@ func (s *System) RunAdaptation(gossipRounds int) (*AdaptationReport, error) {
 		return nil, fmt.Errorf("overlay: monitoring phase: %w", err)
 	}
 
-	// Phase 3 + 4: the chosen leader (highest normalized cluster
-	// popularity among the loads it collected) evaluates fairness and
-	// rebalances if needed. Handlers recorded results into rep. Partial
-	// load exchange can leave every leader believing some other cluster
-	// is hotter; in that case the leader with the hottest *own* cluster
-	// proceeds (the paper only requires "a chosen leader, e.g., the
+	// Phase 3 + 4 run at the chosen leader: the leader of the hottest
+	// cluster among the loads it collected (protocol.Survey.Hottest).
+	// Partial load exchange can leave every leader believing some other
+	// cluster is hotter; in that case the leader with the hottest *own*
+	// cluster proceeds (the paper only requires "a chosen leader, e.g., the
 	// leader of the cluster with the highest normalized popularity").
-	var fallback *Peer
+	var chosen *Peer
 	fallbackX := math.Inf(-1)
-	chosenRan := false
 	for _, p := range s.peers {
 		if !s.net.Alive(p.addr) || len(p.leaderLoads) == 0 {
 			continue
 		}
-		if p.isChosenLeader() {
-			p.evaluateAndRebalance()
-			chosenRan = true
+		sv := protocol.Measure(p.leaderLoads, s.epoch)
+		if len(sv.Heard) > 0 && p.inCluster(sv.Hottest) && p.leaders[sv.Hottest] == p.id {
+			chosen = p
 			break
 		}
 		if x := p.ownLedNormPop(); x > fallbackX {
-			fallback, fallbackX = p, x
+			chosen, fallbackX = p, x
 		}
 	}
-	if !chosenRan && fallback != nil {
-		fallback.evaluateAndRebalance()
+	if chosen != nil {
+		if err := chosen.evaluateAndRebalance(); err != nil {
+			return nil, fmt.Errorf("overlay: evaluation phase: %w", err)
+		}
 	}
 	if _, err := s.net.Run(0); err != nil {
 		return nil, fmt.Errorf("overlay: rebalancing phase: %w", err)
@@ -228,7 +227,7 @@ func trimCapView(view map[model.NodeID]float64, k int) {
 				worst = n
 				continue
 			}
-			if u < view[worst] || (u == view[worst] && n > worst) {
+			if protocol.MoreCapable(worst, view[worst], n, u) {
 				worst = n
 			}
 		}
@@ -247,7 +246,7 @@ func (p *Peer) electLeaders() {
 			if !p.sys.net.Alive(int(n)) {
 				continue
 			}
-			if u > bestU || (u == bestU && n < best) {
+			if protocol.MoreCapable(n, u, best, bestU) {
 				best, bestU = n, u
 			}
 		}
@@ -259,11 +258,9 @@ func (p *Peer) electLeaders() {
 // request through the cluster, forming a spanning tree on the fly.
 func (p *Peer) startAggregation(cl model.ClusterID) {
 	st := &aggState{
-		epoch:   p.sys.epoch,
+		load:    protocol.ClusterLoad{Epoch: p.sys.epoch, Hits: p.ownHits(cl), Units: p.ownUnits(cl)},
 		isRoot:  true,
 		waiting: len(p.neighbors(cl)),
-		hits:    p.ownHits(cl),
-		units:   p.ownUnits(cl),
 	}
 	p.agg[cl] = st
 	for _, nb := range p.neighbors(cl) {
@@ -288,42 +285,24 @@ func (p *Peer) ownHits(cl model.ClusterID) map[catalog.CategoryID]int64 {
 	return out
 }
 
-// ownUnits computes this node's per-category unit mass over its stored
-// documents — u_k·p(D_s(k))/p(D(k)) (§4.3.3) — restricted to the
-// aggregating cluster's categories.
+// ownUnits is this node's per-category unit mass (§4.3.3) restricted to
+// the aggregating cluster's categories.
 func (p *Peer) ownUnits(cl model.ClusterID) map[catalog.CategoryID]float64 {
-	out := make(map[catalog.CategoryID]float64)
-	pDk := p.storedPopularity()
-	if pDk <= 0 {
-		return out
-	}
-	for _, cat := range p.storedCategories() {
-		if p.routeCategory(cat).Cluster != cl {
-			continue
-		}
-		var sum float64
-		for _, di := range p.storedIn(cat) {
-			sum += p.sys.inst.Catalog.Doc(di).Popularity
-		}
-		out[cat] = p.units * sum / pDk
-	}
-	return out
+	return protocol.UnitMass(p.sys.inst.Catalog, p.units, p.byCat, p.dcrt, cl)
 }
 
 // handleHitRequest joins the aggregation tree (phase 1): the first request
 // seen this epoch makes the sender our parent; later ones get a Dup reply
 // so the other parent stops waiting.
 func (p *Peer) handleHitRequest(from int, m HitRequestMsg) {
-	if st, ok := p.agg[m.Cluster]; ok && st.epoch == m.Epoch {
+	if st, ok := p.agg[m.Cluster]; ok && st.load.Epoch == m.Epoch {
 		p.sys.net.Send(p.addr, from, HitReplyMsg{Epoch: m.Epoch, Cluster: m.Cluster, Dup: true})
 		return
 	}
 	nbs := p.neighbors(m.Cluster)
 	st := &aggState{
-		epoch:  m.Epoch,
+		load:   protocol.ClusterLoad{Epoch: m.Epoch, Hits: p.ownHits(m.Cluster), Units: p.ownUnits(m.Cluster)},
 		parent: model.NodeID(from),
-		hits:   p.ownHits(m.Cluster),
-		units:  p.ownUnits(m.Cluster),
 	}
 	p.agg[m.Cluster] = st
 	for _, nb := range nbs {
@@ -342,16 +321,11 @@ func (p *Peer) handleHitRequest(from int, m HitRequestMsg) {
 // reports, the aggregate flows up (or completes phase 1 at the root).
 func (p *Peer) handleHitReply(_ int, m HitReplyMsg) {
 	st, ok := p.agg[m.Cluster]
-	if !ok || st.epoch != m.Epoch || st.reported {
+	if !ok || st.load.Epoch != m.Epoch || st.reported {
 		return
 	}
 	if !m.Dup {
-		for c, n := range m.Hits {
-			st.hits[c] += n
-		}
-		for c, u := range m.Units {
-			st.units[c] += u
-		}
+		st.load.Add(m.Hits, m.Units)
 	}
 	st.waiting--
 	if st.waiting <= 0 {
@@ -368,10 +342,10 @@ func (p *Peer) finishAggregation(cl model.ClusterID, st *aggState) {
 	st.reported = true
 	if !st.isRoot {
 		p.sys.net.Send(p.addr, int(st.parent), HitReplyMsg{
-			Epoch:   st.epoch,
+			Epoch:   st.load.Epoch,
 			Cluster: cl,
-			Hits:    st.hits,
-			Units:   st.units,
+			Hits:    st.load.Hits,
+			Units:   st.load.Units,
 		})
 		return
 	}
@@ -379,9 +353,9 @@ func (p *Peer) finishAggregation(cl model.ClusterID, st *aggState) {
 	// leaders (phase 2). The leader contacts one random known node per
 	// cluster; that node forwards to its believed leader.
 	if p.leaderLoads == nil {
-		p.leaderLoads = make(map[model.ClusterID]*clusterLoad)
+		p.leaderLoads = make(map[model.ClusterID]*protocol.ClusterLoad)
 	}
-	p.leaderLoads[cl] = &clusterLoad{epoch: st.epoch, hits: st.hits, units: st.units}
+	p.leaderLoads[cl] = &st.load
 	for c := 0; c < p.sys.inst.NumClusters; c++ {
 		target := model.ClusterID(c)
 		if target == cl {
@@ -389,42 +363,15 @@ func (p *Peer) finishAggregation(cl model.ClusterID, st *aggState) {
 		}
 		if n, ok := p.sys.randomLiveNode(p, target); ok {
 			p.sys.net.Send(p.addr, int(n), LeaderLoadMsg{
-				Epoch:   st.epoch,
+				Epoch:   st.load.Epoch,
 				Cluster: cl,
 				Target:  target,
 				Leader:  p.id,
-				Hits:    st.hits,
-				Units:   st.units,
+				Hits:    st.load.Hits,
+				Units:   st.load.Units,
 			})
 		}
 	}
-}
-
-// clusterLoad is a leader's record of one cluster's measured load for one
-// adaptation epoch.
-type clusterLoad struct {
-	epoch uint64
-	hits  map[catalog.CategoryID]int64
-	units map[catalog.CategoryID]float64
-}
-
-// normPop returns the cluster's measured normalized popularity.
-func (cl *clusterLoad) normPop() float64 {
-	var hits int64
-	var units float64
-	for _, n := range cl.hits {
-		hits += n
-	}
-	for _, u := range cl.units {
-		units += u
-	}
-	if units == 0 {
-		if hits == 0 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return float64(hits) / units
 }
 
 // handleLeaderLoad relays a phase-2 load report to this node's believed
@@ -448,12 +395,12 @@ func (p *Peer) handleLeaderLoad(m LeaderLoadMsg) {
 	}
 	if leader == p.id {
 		if p.leaderLoads == nil {
-			p.leaderLoads = make(map[model.ClusterID]*clusterLoad)
+			p.leaderLoads = make(map[model.ClusterID]*protocol.ClusterLoad)
 		}
 		// Newer epochs replace stale loads; duplicates within an epoch
 		// keep the first report.
-		if have, ok := p.leaderLoads[m.Cluster]; !ok || m.Epoch > have.epoch {
-			p.leaderLoads[m.Cluster] = &clusterLoad{epoch: m.Epoch, hits: m.Hits, units: m.Units}
+		if have, ok := p.leaderLoads[m.Cluster]; !ok || m.Epoch > have.Epoch {
+			p.leaderLoads[m.Cluster] = &protocol.ClusterLoad{Epoch: m.Epoch, Hits: m.Hits, Units: m.Units}
 		}
 		return
 	}
@@ -472,138 +419,32 @@ func (p *Peer) ownLedNormPop() float64 {
 		if p.leaders[cl] != p.id {
 			continue
 		}
-		if load, ok := p.leaderLoads[cl]; ok && load.epoch == p.sys.epoch {
-			if x := load.normPop(); x > best {
-				best = x
-			}
+		if load, ok := p.leaderLoads[cl]; ok && load.Epoch == p.sys.epoch {
+			best = math.Max(best, load.NormPop())
 		}
 	}
 	return best
 }
 
-// isChosenLeader reports whether this leader's own cluster has the highest
-// measured normalized popularity among the loads it has collected (§6.1.2
-// phase 3: "a chosen leader, e.g., the leader of the cluster with the
-// highest normalized popularity").
-func (p *Peer) isChosenLeader() bool {
-	ownBest := math.Inf(-1)
-	own := false
-	for _, cl := range p.clusters {
-		if p.leaders[cl] != p.id {
-			continue
-		}
-		if load, ok := p.leaderLoads[cl]; ok && load.epoch == p.sys.epoch {
-			own = true
-			if x := load.normPop(); x > ownBest {
-				ownBest = x
-			}
-		}
+// evaluateAndRebalance is phases 3 and 4 at the chosen leader: record
+// protocol.Plan's decision over the collected loads and drive the lazy
+// rebalancing protocol for each move.
+func (p *Peer) evaluateAndRebalance() error {
+	cfg := p.sys.cfg
+	d, err := protocol.Plan(p.leaderLoads, p.sys.epoch, p.sys.inst.NumClusters, len(p.sys.inst.Catalog.Cats),
+		protocol.Thresholds{LowThreshold: cfg.AdaptLowThreshold, TargetFairness: cfg.AdaptTarget, MaxMoves: cfg.AdaptMaxMoves})
+	if err != nil {
+		return err
 	}
-	if !own {
-		return false
-	}
-	for _, load := range p.leaderLoads {
-		if load.epoch == p.sys.epoch && load.normPop() > ownBest+1e-15 {
-			return false
-		}
-	}
-	return true
-}
-
-// evaluateAndRebalance is phases 3 and 4 at the chosen leader: compute the
-// fairness index over measured normalized popularities; if it is below
-// the low threshold, run MaxFair_Reassign on the measured state and drive
-// the lazy rebalancing protocol for each move.
-func (p *Peer) evaluateAndRebalance() {
 	rep := p.sys.adaptReport
-
-	// Work over the clusters this leader actually heard from: unheard
-	// clusters are unknown, not empty — counting them as zero load would
-	// both misstate fairness and attract every category in phase 4.
-	loadClusters := make([]model.ClusterID, 0, len(p.leaderLoads))
-	for cl, load := range p.leaderLoads {
-		if load.epoch == p.sys.epoch {
-			loadClusters = append(loadClusters, cl)
-		}
+	rep.MeasuredFairness = d.Fairness
+	rep.FairnessAfter = d.FairnessAfter
+	rep.Rebalanced = len(d.Moves) > 0
+	rep.Moves = d.Moves
+	for _, mv := range d.Moves {
+		p.announceMove(mv.Category, mv.From, mv.To)
 	}
-	sort.Slice(loadClusters, func(i, j int) bool { return loadClusters[i] < loadClusters[j] })
-
-	xs := make([]float64, len(loadClusters))
-	for i, cl := range loadClusters {
-		xs[i] = p.leaderLoads[cl].normPop()
-	}
-	measured := fairness.Jain(xs)
-	if rep != nil {
-		rep.MeasuredFairness = measured
-		rep.FairnessAfter = measured
-	}
-	if measured >= p.sys.cfg.AdaptLowThreshold {
-		return // phase 3: above the low threshold, nothing to do
-	}
-	if len(loadClusters) < (p.sys.inst.NumClusters+1)/2 {
-		return // heard from under half the clusters; not enough signal
-	}
-
-	// Phase 4: rebuild the ICLB state from measurements — over the heard
-	// clusters, remapped to compact ids — and rebalance.
-	toCompact := make(map[model.ClusterID]model.ClusterID, len(loadClusters))
-	for i, cl := range loadClusters {
-		toCompact[cl] = model.ClusterID(i)
-	}
-	nCats := len(p.sys.inst.Catalog.Cats)
-	catPop := make([]float64, nCats)
-	catUnits := make([]float64, nCats)
-	assign := make([]model.ClusterID, nCats)
-	for c := range assign {
-		assign[c] = model.NoCluster
-	}
-	var totalHits int64
-	for _, cl := range loadClusters {
-		for _, n := range p.leaderLoads[cl].hits {
-			totalHits += n
-		}
-	}
-	if totalHits == 0 {
-		return
-	}
-	for _, cl := range loadClusters {
-		load := p.leaderLoads[cl]
-		for c, n := range load.hits {
-			catPop[c] += float64(n) / float64(totalHits)
-			assign[c] = toCompact[cl]
-		}
-		for c, u := range load.units {
-			catUnits[c] += u
-			assign[c] = toCompact[cl]
-		}
-	}
-	st, err := core.NewStateFromMeasurements(len(loadClusters), catPop, catUnits, assign)
-	if err != nil {
-		panic(fmt.Sprintf("overlay: measured state: %v", err))
-	}
-	moves, err := core.MaxFairReassign(st, core.ReassignOptions{
-		TargetFairness: p.sys.cfg.AdaptTarget,
-		MaxMoves:       p.sys.cfg.AdaptMaxMoves,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("overlay: reassign: %v", err))
-	}
-	if rep != nil {
-		rep.Rebalanced = len(moves) > 0
-		rep.FairnessAfter = st.Fairness()
-	}
-	for _, mv := range moves {
-		from, to := loadClusters[mv.From], loadClusters[mv.To]
-		if rep != nil {
-			rep.Moves = append(rep.Moves, core.Move{
-				Category:      mv.Category,
-				From:          from,
-				To:            to,
-				FairnessAfter: mv.FairnessAfter,
-			})
-		}
-		p.announceMove(mv.Category, from, to)
-	}
+	return nil
 }
 
 // announceMove drives steps 1–2 of the lazy rebalancing protocol for one
@@ -664,21 +505,20 @@ func (p *Peer) gossipMetadata() {
 // to moves that affect this node: source-cluster members pair up and
 // transfer their document groups; contributors follow their category.
 func (p *Peer) handleMetadataUpdate(m MetadataUpdateMsg) {
-	cats := make([]catalog.CategoryID, 0, len(m.Entries))
-	for cat := range m.Entries {
-		cats = append(cats, cat)
-	}
-	sort.Slice(cats, func(i, j int) bool { return cats[i] < cats[j] })
-	for _, cat := range cats {
+	for _, cat := range m.Categories() {
 		e := m.Entries[cat]
-		old, known := p.dcrt[cat]
-		if known && !e.newer(old) {
+		if !p.mergeEntry(cat, e).Changed {
 			continue
 		}
-		p.dcrt[cat] = e
 		p.markMetaDirty(cat, e)
 		p.reactToMove(cat, e)
 	}
+}
+
+// mergeEntry folds a received DCRT entry into this peer's table under the
+// shared move-counter rule.
+func (p *Peer) mergeEntry(cat catalog.CategoryID, e DCRTEntry) protocol.Merge {
+	return protocol.MergeEntry(p.dcrt, cat, e, len(p.sys.inst.Catalog.Cats), p.sys.inst.NumClusters)
 }
 
 // reactToMove handles the storage side of a category move at this node.

@@ -3,99 +3,28 @@ package overlay
 import (
 	"p2pshare/internal/catalog"
 	"p2pshare/internal/model"
+	"p2pshare/internal/protocol"
 )
 
-// Wire-size model: every message pays a fixed header; payloads are
-// estimated per field. The simulator only uses sizes for traffic
-// accounting (e.g. the rebalancing-transfer experiment), so rough byte
-// costs suffice.
+// The wire-size model (see protocol.HeaderBytes) of the simulator-only
+// messages below.
 const (
-	headerBytes   = 64
-	perIDBytes    = 8
-	perEntryBytes = 16
+	headerBytes   = protocol.HeaderBytes
+	perIDBytes    = protocol.PerIDBytes
+	perEntryBytes = protocol.PerEntryBytes
 )
 
-// QueryMsg implements the paper's §3.3 query: the requesting node resolved
-// keywords to a category, looked up the cluster in its DCRT, and sent the
-// query to a random cluster node from its NRT. Nodes forward it within the
-// cluster while Want results are missing.
-type QueryMsg struct {
-	ID       uint64
-	Category catalog.CategoryID
-	// Want is m: how many results this branch still seeks.
-	Want int
-	// Origin is the requesting node, which results flow back to.
-	Origin model.NodeID
-	// Hops counts forwarding steps so far.
-	Hops int
-	// Entry marks the first delivery into the serving cluster (set by
-	// the origin and by cross-cluster forwarding, cleared on in-cluster
-	// neighbor forwarding). The receiving node counts the request in its
-	// per-category hit counter exactly once per cluster entry, so the
-	// §6.1.2 monitoring counters estimate category demand rather than
-	// flood width.
-	Entry bool
-}
-
-// Kind implements simnet.Message.
-func (QueryMsg) Kind() string { return "query" }
-
-// Size implements simnet.Message.
-func (QueryMsg) Size() int64 { return headerBytes + 4*perIDBytes }
-
-// ResultMsg returns matching document ids straight to the query origin.
-type ResultMsg struct {
-	ID   uint64
-	Docs []catalog.DocID
-	// Hops is the forwarding distance of the answering node.
-	Hops int
-	// From is the answering node (for load accounting at the origin).
-	From model.NodeID
-}
-
-// Kind implements simnet.Message.
-func (ResultMsg) Kind() string { return "result" }
-
-// Size implements simnet.Message.
-func (m ResultMsg) Size() int64 { return headerBytes + int64(len(m.Docs))*perIDBytes }
-
-// PublishMsg announces a new document to the cluster believed to host its
-// category (§6.2 publish protocol).
-type PublishMsg struct {
-	Doc       catalog.DocID
-	Category  catalog.CategoryID
-	Publisher model.NodeID
-	// Dummy marks a free rider's no-content publish (§6.3 join protocol),
-	// which only subscribes the node to metadata updates.
-	Dummy bool
-}
-
-// Kind implements simnet.Message.
-func (PublishMsg) Kind() string { return "publish" }
-
-// Size implements simnet.Message.
-func (PublishMsg) Size() int64 { return headerBytes + 3*perIDBytes }
-
-// PublishAckMsg is the receiver's reply: its DCRT entry for the category
-// (so a stale publisher learns about moves) and an NRT sample.
-type PublishAckMsg struct {
-	Doc      catalog.DocID
-	Category catalog.CategoryID
-	// Entry is the receiver's current DCRT entry for Category.
-	Entry DCRTEntry
-	// Accepted is true when the receiver serves the category's cluster.
-	Accepted bool
-	// Members samples the receiver's NRT for the category's cluster.
-	Members []model.NodeID
-}
-
-// Kind implements simnet.Message.
-func (PublishAckMsg) Kind() string { return "publish-ack" }
-
-// Size implements simnet.Message.
-func (m PublishAckMsg) Size() int64 {
-	return headerBytes + 3*perIDBytes + int64(len(m.Members))*perIDBytes
-}
+// The vocabulary shared with the live node lives in package protocol;
+// the aliases keep this package's own code (and its importers) spelling
+// the types as before.
+type (
+	DCRTEntry         = protocol.DCRTEntry
+	QueryMsg          = protocol.QueryMsg
+	ResultMsg         = protocol.ResultMsg
+	PublishMsg        = protocol.PublishMsg
+	PublishAckMsg     = protocol.PublishAckMsg
+	MetadataUpdateMsg = protocol.MetadataUpdateMsg
+)
 
 // JoinRequestMsg asks a bootstrap node for its metadata (§6.3 join).
 type JoinRequestMsg struct {
@@ -215,19 +144,6 @@ func (LeaderLoadMsg) Kind() string { return "leader-load" }
 func (m LeaderLoadMsg) Size() int64 {
 	return headerBytes + int64(len(m.Hits)+len(m.Units))*perEntryBytes
 }
-
-// MetadataUpdateMsg propagates DCRT changes epidemically (§6.1.2 lazy
-// rebalancing, step 5). Receivers keep the entry with the highest
-// move counter per category.
-type MetadataUpdateMsg struct {
-	Entries map[catalog.CategoryID]DCRTEntry
-}
-
-// Kind implements simnet.Message.
-func (MetadataUpdateMsg) Kind() string { return "metadata-update" }
-
-// Size implements simnet.Message.
-func (m MetadataUpdateMsg) Size() int64 { return headerBytes + int64(len(m.Entries))*perEntryBytes }
 
 // TransferMsg is one paired source→destination document-group transfer of
 // the lazy rebalancing protocol (step 2). Its Size reflects the actual

@@ -13,22 +13,9 @@ import (
 	"p2pshare/internal/cache"
 	"p2pshare/internal/catalog"
 	"p2pshare/internal/model"
+	"p2pshare/internal/protocol"
 	"p2pshare/internal/simnet"
 )
-
-// DCRTEntry is one Document Category Routing Table row: the cluster
-// currently serving a category, versioned by a move counter so concurrent
-// metadata updates resolve to the newest move (§6.1.2 conflict
-// resolution).
-type DCRTEntry struct {
-	Cluster model.ClusterID
-	// MoveCounter increments every time the category is reassigned; the
-	// entry with the highest counter wins a merge.
-	MoveCounter uint64
-}
-
-// newer reports whether e should replace old in a metadata merge.
-func (e DCRTEntry) newer(old DCRTEntry) bool { return e.MoveCounter > old.MoveCounter }
 
 // queryState tracks a query this peer originated.
 type queryState struct {
@@ -92,7 +79,7 @@ type Peer struct {
 	pendingPublish map[catalog.DocID]*publishState
 
 	// leaderLoads collects phase-2 load reports (leaders only).
-	leaderLoads map[model.ClusterID]*clusterLoad
+	leaderLoads map[model.ClusterID]*protocol.ClusterLoad
 	// recentMeta queues DCRT changes for epidemic propagation.
 	recentMeta map[catalog.CategoryID]DCRTEntry
 	// seenLeaves dedupes re-flooded leave announcements.
@@ -154,12 +141,11 @@ func (p *Peer) cacheDocs(docs []catalog.DocID) {
 
 // aggState is a node's view of one cluster's phase-1 aggregation tree.
 type aggState struct {
-	epoch    uint64
+	// load is the subtree's aggregate so far (the cluster's, at the root).
+	load     protocol.ClusterLoad
 	parent   model.NodeID
 	isRoot   bool
 	waiting  int
-	hits     map[catalog.CategoryID]int64
-	units    map[catalog.CategoryID]float64
 	reported bool
 }
 
@@ -248,18 +234,6 @@ func (p *Peer) storedCategories() []catalog.CategoryID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// storedPopularity recomputes p(D(k)) — the summed popularity of the
-// peer's stored documents — from the catalog at call time. It is computed
-// on demand (not cached) because catalog perturbations re-scale document
-// popularities underneath every peer.
-func (p *Peer) storedPopularity() float64 {
-	var sum float64
-	for di := range p.dt {
-		sum += p.sys.inst.Catalog.Doc(di).Popularity
-	}
-	return sum
 }
 
 // inCluster reports whether the peer currently belongs to cluster cl.

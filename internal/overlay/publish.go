@@ -145,15 +145,14 @@ func (p *Peer) handlePublish(from int, m PublishMsg) {
 // handlePublishAck closes the publish loop at the publisher: merge the
 // receiver's metadata and retry toward the right cluster if redirected.
 func (p *Peer) handlePublishAck(m PublishAckMsg) {
-	// Merge the DCRT entry. On a rejection the receiver's entry is
-	// adopted even at an equal move counter: the publisher just learned
-	// its own view routed the publish to the wrong cluster, and §6.2
-	// step 5 says the publisher follows the receivers' metadata.
-	if old, ok := p.dcrt[m.Category]; !ok || m.Entry.newer(old) ||
-		(!m.Accepted && m.Entry.MoveCounter >= old.MoveCounter) {
-		if m.Category != dummyCategory {
-			p.dcrt[m.Category] = m.Entry
-		}
+	// Merge the DCRT entry (a dummy publish's category is out of range
+	// and merges nothing). On a rejection the receiver's entry is adopted
+	// even at an equal move counter: the publisher just learned its own
+	// view routed the publish to the wrong cluster, and §6.2 step 5 says
+	// the publisher follows the receivers' metadata.
+	merged := p.mergeEntry(m.Category, m.Entry)
+	if !m.Accepted && merged.Known && m.Entry.MoveCounter == merged.Prev.MoveCounter {
+		p.dcrt[m.Category] = m.Entry
 	}
 	for _, n := range m.Members {
 		p.rememberNode(m.Entry.Cluster, n)
@@ -236,9 +235,7 @@ func (p *Peer) handleJoinRequest(from int, m JoinRequestMsg) {
 // joiner's contributions (step 2 of §6.3).
 func (p *Peer) handleJoinReply(m JoinReplyMsg) {
 	for c, e := range m.DCRT {
-		if old, ok := p.dcrt[c]; !ok || e.newer(old) {
-			p.dcrt[c] = e
-		}
+		p.mergeEntry(c, e)
 	}
 	for cl, nodes := range m.NRT {
 		for _, n := range nodes {

@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"p2pshare/internal/catalog"
-	"p2pshare/internal/overlay"
+	"p2pshare/internal/protocol"
 )
 
 // TestWriteEnvelopeAllocs pins the encode path at ZERO steady-state
@@ -19,7 +19,7 @@ func TestWriteEnvelopeAllocs(t *testing.T) {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	w := bufio.NewWriterSize(io.Discard, 1<<16)
-	env := Envelope{From: 7, Msg: overlay.QueryMsg{
+	env := Envelope{From: 7, Msg: protocol.QueryMsg{
 		ID: 99, Category: 3, Want: 8, Origin: 7, Hops: 2, Entry: true,
 	}}
 	avg := testing.AllocsPerRun(5000, func() {
@@ -41,7 +41,7 @@ func TestReaderNextQueryAllocs(t *testing.T) {
 	}
 	var frame bytes.Buffer
 	bw := bufio.NewWriter(&frame)
-	if err := WriteEnvelope(bw, Envelope{From: 7, Msg: overlay.QueryMsg{
+	if err := WriteEnvelope(bw, Envelope{From: 7, Msg: protocol.QueryMsg{
 		ID: 99, Category: 3, Want: 8, Origin: 7, Hops: 2, Entry: true,
 	}}); err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestReaderNextQueryAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := env.Msg.(overlay.QueryMsg); !ok {
+		if _, ok := env.Msg.(protocol.QueryMsg); !ok {
 			t.Fatalf("decoded %T", env.Msg)
 		}
 	})
@@ -78,7 +78,7 @@ func TestReaderNextResultAllocs(t *testing.T) {
 	}
 	var frame bytes.Buffer
 	bw := bufio.NewWriter(&frame)
-	if err := WriteEnvelope(bw, Envelope{From: 7, Msg: overlay.ResultMsg{
+	if err := WriteEnvelope(bw, Envelope{From: 7, Msg: protocol.ResultMsg{
 		ID: 99, Docs: []catalog.DocID{1, 2, 3, 4}, Hops: 2, From: 7,
 	}}); err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestReaderNextResultAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, ok := env.Msg.(overlay.ResultMsg)
+		m, ok := env.Msg.(protocol.ResultMsg)
 		if !ok || len(m.Docs) != 4 {
 			t.Fatalf("decoded %T", env.Msg)
 		}

@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"p2pshare/internal/catalog"
-	"p2pshare/internal/overlay"
+	"p2pshare/internal/protocol"
 )
 
 // patternSource is a ChunkSource serving size-byte chunks of a fixed
@@ -145,7 +145,7 @@ func TestChunksLeaveNoLargeScratchBehind(t *testing.T) {
 		}
 		encPool.Put(bp)
 	}
-	query := Envelope{From: 2, Msg: overlay.QueryMsg{ID: 1, Category: 2, Want: 1, Origin: 2}}
+	query := Envelope{From: 2, Msg: protocol.QueryMsg{ID: 1, Category: 2, Want: 1, Origin: 2}}
 	for i := 0; i < 8; i++ {
 		if err := WriteEnvelope(w, query); err != nil {
 			t.Fatal(err)

@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"p2pshare/internal/overlay"
+	"p2pshare/internal/protocol"
 )
 
 // TestStreamHandshake drives each side of the stream-open handshake
@@ -123,7 +123,7 @@ func TestStreamHandshake(t *testing.T) {
 	t.Run("both sides", func(t *testing.T) {
 		server, client := net.Pipe()
 		defer server.Close()
-		want := Envelope{From: 3, Msg: overlay.QueryMsg{ID: 9, Category: 2, Want: 1, Origin: 3}}
+		want := Envelope{From: 3, Msg: protocol.QueryMsg{ID: 9, Category: 2, Want: 1, Origin: 3}}
 		go func() {
 			defer client.Close()
 			if err := OpenStream(client, time.Second); err != nil {

@@ -37,7 +37,7 @@ import (
 	"p2pshare/internal/catalog"
 	"p2pshare/internal/membership"
 	"p2pshare/internal/model"
-	"p2pshare/internal/overlay"
+	"p2pshare/internal/protocol"
 )
 
 // Version is the codec generation this package speaks. It is carried in
@@ -265,7 +265,7 @@ type Replicate struct {
 type Move struct {
 	Category catalog.CategoryID
 	From     model.ClusterID
-	Entry    overlay.DCRTEntry
+	Entry    protocol.DCRTEntry
 }
 
 func appendUint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
@@ -354,7 +354,7 @@ func appendCatFloats(b []byte, m map[catalog.CategoryID]float64) []byte {
 // fallback.
 func AppendEnvelope(b []byte, env Envelope) ([]byte, error) {
 	switch m := env.Msg.(type) {
-	case overlay.QueryMsg:
+	case protocol.QueryMsg:
 		// query := ID want category origin hops entry
 		b = append(b, tagQuery)
 		b = appendInt(b, int64(env.From))
@@ -364,7 +364,7 @@ func AppendEnvelope(b []byte, env Envelope) ([]byte, error) {
 		b = appendInt(b, int64(m.Origin))
 		b = appendInt(b, int64(m.Hops))
 		b = appendBool(b, m.Entry)
-	case overlay.ResultMsg:
+	case protocol.ResultMsg:
 		// result := ID hops from count doc*
 		b = append(b, tagResult)
 		b = appendInt(b, int64(env.From))
@@ -375,7 +375,7 @@ func AppendEnvelope(b []byte, env Envelope) ([]byte, error) {
 		for _, d := range m.Docs {
 			b = appendInt(b, int64(d))
 		}
-	case overlay.PublishMsg:
+	case protocol.PublishMsg:
 		// publish := doc category publisher dummy
 		b = append(b, tagPublish)
 		b = appendInt(b, int64(env.From))
@@ -383,7 +383,7 @@ func AppendEnvelope(b []byte, env Envelope) ([]byte, error) {
 		b = appendInt(b, int64(m.Category))
 		b = appendInt(b, int64(m.Publisher))
 		b = appendBool(b, m.Dummy)
-	case overlay.PublishAckMsg:
+	case protocol.PublishAckMsg:
 		// publish-ack := doc category cluster moveCounter accepted count member*
 		b = append(b, tagPublishAck)
 		b = appendInt(b, int64(env.From))
@@ -517,7 +517,7 @@ func AppendEnvelope(b []byte, env Envelope) ([]byte, error) {
 		b = appendChunkHeader(b, env.From, m.Doc, m.Xfer, m.Index)
 		b = appendBool(b, m.Missing)
 		b = appendBytes(b, m.Data)
-	case overlay.MetadataUpdateMsg:
+	case protocol.MetadataUpdateMsg:
 		// meta-update := count (category cluster moveCounter)*   — sorted
 		// by category.
 		b = append(b, tagMetaUpdate)
@@ -737,7 +737,7 @@ func decodeEnvelope(b []byte, frame *[]byte) (Envelope, error) {
 	env := Envelope{From: model.NodeID(d.int("sender"))}
 	switch b[0] {
 	case tagQuery:
-		var m overlay.QueryMsg
+		var m protocol.QueryMsg
 		m.ID = d.uint("query id")
 		m.Category = catalog.CategoryID(d.int("category"))
 		m.Want = int(d.int("want"))
@@ -746,7 +746,7 @@ func decodeEnvelope(b []byte, frame *[]byte) (Envelope, error) {
 		m.Entry = d.bool("entry flag")
 		env.Msg = m
 	case tagResult:
-		var m overlay.ResultMsg
+		var m protocol.ResultMsg
 		m.ID = d.uint("result id")
 		m.Hops = int(d.int("hops"))
 		m.From = model.NodeID(d.int("answering node"))
@@ -758,14 +758,14 @@ func decodeEnvelope(b []byte, frame *[]byte) (Envelope, error) {
 		}
 		env.Msg = m
 	case tagPublish:
-		var m overlay.PublishMsg
+		var m protocol.PublishMsg
 		m.Doc = catalog.DocID(d.int("doc id"))
 		m.Category = catalog.CategoryID(d.int("category"))
 		m.Publisher = model.NodeID(d.int("publisher"))
 		m.Dummy = d.bool("dummy flag")
 		env.Msg = m
 	case tagPublishAck:
-		var m overlay.PublishAckMsg
+		var m protocol.PublishAckMsg
 		m.Doc = catalog.DocID(d.int("doc id"))
 		m.Category = catalog.CategoryID(d.int("category"))
 		m.Entry.Cluster = model.ClusterID(d.int("cluster"))
@@ -911,10 +911,10 @@ func decodeEnvelope(b []byte, frame *[]byte) (Envelope, error) {
 		env.Msg = m
 	case tagMetaUpdate:
 		n := d.count("entry count")
-		m := overlay.MetadataUpdateMsg{Entries: make(map[catalog.CategoryID]overlay.DCRTEntry, n)}
+		m := protocol.MetadataUpdateMsg{Entries: make(map[catalog.CategoryID]protocol.DCRTEntry, n)}
 		for i := 0; i < n && d.err == nil; i++ {
 			c := catalog.CategoryID(d.int("entry category"))
-			var e overlay.DCRTEntry
+			var e protocol.DCRTEntry
 			e.Cluster = model.ClusterID(d.int("entry cluster"))
 			e.MoveCounter = d.uint("entry move counter")
 			m.Entries[c] = e

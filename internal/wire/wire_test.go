@@ -11,25 +11,25 @@ import (
 	"p2pshare/internal/catalog"
 	"p2pshare/internal/membership"
 	"p2pshare/internal/model"
-	"p2pshare/internal/overlay"
+	"p2pshare/internal/protocol"
 )
 
 // sampleEnvelopes covers every message type, including negative ids
 // (NoCluster) and empty/absent collections.
 func sampleEnvelopes() []Envelope {
 	return []Envelope{
-		{From: 3, Msg: overlay.QueryMsg{ID: 1<<40 + 17, Category: 12, Want: 5, Origin: 3, Hops: 2, Entry: true}},
-		{From: 0, Msg: overlay.QueryMsg{}},
-		{From: 9, Msg: overlay.ResultMsg{ID: 42, Docs: []catalog.DocID{1, 5, 999999}, Hops: 4, From: 9}},
-		{From: 9, Msg: overlay.ResultMsg{ID: 43, Hops: 1, From: 9}},
-		{From: 2, Msg: overlay.PublishMsg{Doc: 77, Category: 3, Publisher: 2, Dummy: true}},
-		{From: 5, Msg: overlay.PublishAckMsg{
+		{From: 3, Msg: protocol.QueryMsg{ID: 1<<40 + 17, Category: 12, Want: 5, Origin: 3, Hops: 2, Entry: true}},
+		{From: 0, Msg: protocol.QueryMsg{}},
+		{From: 9, Msg: protocol.ResultMsg{ID: 42, Docs: []catalog.DocID{1, 5, 999999}, Hops: 4, From: 9}},
+		{From: 9, Msg: protocol.ResultMsg{ID: 43, Hops: 1, From: 9}},
+		{From: 2, Msg: protocol.PublishMsg{Doc: 77, Category: 3, Publisher: 2, Dummy: true}},
+		{From: 5, Msg: protocol.PublishAckMsg{
 			Doc: 77, Category: 3,
-			Entry:    overlay.DCRTEntry{Cluster: model.NoCluster, MoveCounter: 12},
+			Entry:    protocol.DCRTEntry{Cluster: model.NoCluster, MoveCounter: 12},
 			Accepted: true,
 			Members:  []model.NodeID{1, 2, 3, 4, 5, 6, 7, 8},
 		}},
-		{From: 5, Msg: overlay.PublishAckMsg{Doc: 1, Category: 0, Entry: overlay.DCRTEntry{Cluster: 4}}},
+		{From: 5, Msg: protocol.PublishAckMsg{Doc: 1, Category: 0, Entry: protocol.DCRTEntry{Cluster: 4}}},
 		{From: 11, Msg: Hello{ID: 11, Addr: "127.0.0.1:49321"}},
 		{From: 11, Msg: Hello{}},
 		{From: 1, Msg: Book{Book: map[model.NodeID]string{
@@ -63,13 +63,13 @@ func sampleEnvelopes() []Envelope {
 		}},
 		{From: 3, Msg: Move{
 			Category: 5, From: 2,
-			Entry: overlay.DCRTEntry{Cluster: 0, MoveCounter: 3},
+			Entry: protocol.DCRTEntry{Cluster: 0, MoveCounter: 3},
 		}},
-		{From: 3, Msg: overlay.MetadataUpdateMsg{Entries: map[catalog.CategoryID]overlay.DCRTEntry{
+		{From: 3, Msg: protocol.MetadataUpdateMsg{Entries: map[catalog.CategoryID]protocol.DCRTEntry{
 			5: {Cluster: 0, MoveCounter: 3},
 			9: {Cluster: 1, MoveCounter: 1},
 		}}},
-		{From: 3, Msg: overlay.MetadataUpdateMsg{}},
+		{From: 3, Msg: protocol.MetadataUpdateMsg{}},
 		{From: 7, Msg: ManifestReq{Doc: 42, Xfer: 1<<33 + 5, Origin: 7, TTL: 2}},
 		{From: 7, Msg: ManifestReq{}},
 		{From: 8, Msg: Manifest{
@@ -111,19 +111,19 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 // equivalentMsg compares messages treating nil and empty collections as
 // equal (the codec does not preserve that distinction).
 func equivalentMsg(a, b any) bool {
-	if r, ok := a.(overlay.ResultMsg); ok && len(r.Docs) == 0 {
+	if r, ok := a.(protocol.ResultMsg); ok && len(r.Docs) == 0 {
 		r.Docs = nil
 		a = r
 	}
-	if r, ok := b.(overlay.ResultMsg); ok && len(r.Docs) == 0 {
+	if r, ok := b.(protocol.ResultMsg); ok && len(r.Docs) == 0 {
 		r.Docs = nil
 		b = r
 	}
-	if p, ok := a.(overlay.PublishAckMsg); ok && len(p.Members) == 0 {
+	if p, ok := a.(protocol.PublishAckMsg); ok && len(p.Members) == 0 {
 		p.Members = nil
 		a = p
 	}
-	if p, ok := b.(overlay.PublishAckMsg); ok && len(p.Members) == 0 {
+	if p, ok := b.(protocol.PublishAckMsg); ok && len(p.Members) == 0 {
 		p.Members = nil
 		b = p
 	}
@@ -173,7 +173,7 @@ func normalizeMsg(m any) any {
 			v.Hashes = nil
 		}
 		return v
-	case overlay.MetadataUpdateMsg:
+	case protocol.MetadataUpdateMsg:
 		if len(v.Entries) == 0 {
 			v.Entries = nil
 		}
@@ -393,7 +393,7 @@ func BenchmarkWireStream(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	env := Envelope{From: 1, Msg: overlay.ResultMsg{ID: 9, Docs: []catalog.DocID{1, 2, 3, 4, 5, 6, 7, 8}, Hops: 3, From: 2}}
+	env := Envelope{From: 1, Msg: protocol.ResultMsg{ID: 9, Docs: []catalog.DocID{1, 2, 3, 4, 5, 6, 7, 8}, Hops: 3, From: 2}}
 	frame, err := AppendEnvelope(nil, env)
 	if err != nil {
 		b.Fatal(err)
