@@ -138,15 +138,15 @@ type ActResult struct {
 // Result is one plan run: the per-act trajectory plus the run-level
 // totals the objectives gate on.
 type Result struct {
-	Plan     string             `json:"plan"`
-	Overview string             `json:"overview,omitempty"`
-	Seed     int64              `json:"seed"`
-	Nodes    int                `json:"nodes"`
-	Started  string             `json:"started,omitempty"`
-	Seconds  float64            `json:"seconds"`
-	Optimized []Objective       `json:"optimized,omitempty"`
-	Acts     []ActResult        `json:"acts,omitempty"`
-	Totals   map[string]float64 `json:"totals"`
+	Plan      string             `json:"plan"`
+	Overview  string             `json:"overview,omitempty"`
+	Seed      int64              `json:"seed"`
+	Nodes     int                `json:"nodes"`
+	Started   string             `json:"started,omitempty"`
+	Seconds   float64            `json:"seconds"`
+	Optimized []Objective        `json:"optimized,omitempty"`
+	Acts      []ActResult        `json:"acts,omitempty"`
+	Totals    map[string]float64 `json:"totals"`
 }
 
 // WriteFile writes the result as indented JSON (the BENCH artifact).

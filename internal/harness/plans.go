@@ -295,7 +295,7 @@ func soakPlans() []Plan {
 				{Metric: "success_rate", Goal: "max"},
 			},
 			Nodes: 12, Clusters: 3, Docs: 360, Cats: 9, Seed: 21,
-			Soak:  sc.Name,
+			Soak: sc.Name,
 		})
 	}
 	return out

@@ -159,14 +159,11 @@ func TestEvictedTargetsRefilled(t *testing.T) {
 	// pending entry, on every shard. Then heal — the refilled resend
 	// must get through.
 	for _, s := range origin.shards {
-		cleared := make(chan struct{})
-		s.cmds <- func(s *engineShard) {
+		runShard(s, func(s *engineShard) {
 			for _, pq := range s.pending {
 				pq.entry = nil
 			}
-			close(cleared)
-		}
-		<-cleared
+		})
 	}
 	cn.Clear()
 
@@ -237,9 +234,7 @@ func TestSweepReapsAbandonedPending(t *testing.T) {
 	c, _, _ := launchChaos(t, 4001)
 	n := c.Nodes[1]
 
-	planted := make(chan struct{})
-	sh := n.shards[0]
-	sh.cmds <- func(s *engineShard) {
+	runShard(n.shards[0], func(s *engineShard) {
 		pq := &pendingQuery{
 			id:       s.mintID(), // an id this shard owns
 			cat:      0,
@@ -250,9 +245,7 @@ func TestSweepReapsAbandonedPending(t *testing.T) {
 		}
 		s.pending[pq.id] = pq
 		s.n.inflight.Add(1)
-		close(planted)
-	}
-	<-planted
+	})
 
 	waitFor(t, 2*sweepInterval+time.Second, "abandoned entry reaped", func() bool {
 		return n.TableSizes()["pending"] == 0

@@ -278,9 +278,11 @@ func TestAdaptationRebalancesSkewedLoad(t *testing.T) {
 	if c.Stats()["adapt_moves"] == 0 {
 		t.Fatal("no category moves despite sustained skew")
 	}
-	if c.Stats()["dcrt_moves"] == 0 {
-		t.Fatal("moves announced but no DCRT entries applied")
-	}
+	// The leader counts the announcement a few instructions before it
+	// applies the entry to its own DCRT; a snapshot can land in between.
+	waitFor(t, 2*time.Second, "announced moves applied to a DCRT", func() bool {
+		return c.Stats()["dcrt_moves"] > 0
+	})
 
 	// Phase 3: same workload after rebalancing — measured fairness must
 	// rise, and every hot category (including moved ones, now served by

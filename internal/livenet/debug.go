@@ -19,46 +19,29 @@ func (n *Node) SetDialer(dial func(addr string) (net.Conn, error)) {
 }
 
 // shardTables is one engine shard's contribution to TableSizes /
-// OverduePending, collected inside the shard's loop.
+// OverduePending.
 type shardTables struct {
 	pending int
 	seen    int
 	overdue int
 }
 
-// askShard runs a snapshot command inside one shard's loop. The zero
-// value comes back when the node shuts down first (with the usual
-// run-before-shutdown preference).
-func (s *engineShard) askShard(slack time.Duration) (shardTables, bool) {
-	ch := make(chan shardTables, 1)
-	select {
-	case s.cmds <- func(s *engineShard) {
-		t := shardTables{
-			pending: len(s.pending),
-			seen:    len(s.seenCur) + len(s.seenPrev),
-		}
-		now := time.Now()
-		for _, pq := range s.pending {
-			if now.After(pq.deadline.Add(slack)) {
-				t.overdue++
-			}
-		}
-		ch <- t
-	}:
-	case <-s.n.done:
-		return shardTables{}, false
+// tables snapshots the shard's table sizes and counts pending queries
+// more than slack past their deadline.
+func (s *engineShard) tables(slack time.Duration) shardTables {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t := shardTables{
+		pending: len(s.pending),
+		seen:    len(s.seenCur) + len(s.seenPrev),
 	}
-	select {
-	case t := <-ch:
-		return t, true
-	case <-s.n.done:
-		select {
-		case t := <-ch:
-			return t, true
-		default:
-			return shardTables{}, false
+	now := time.Now()
+	for _, pq := range s.pending {
+		if now.After(pq.deadline.Add(slack)) {
+			t.overdue++
 		}
 	}
+	return t
 }
 
 // TableSizes snapshots the sizes of every state table that must stay
@@ -66,17 +49,13 @@ func (s *engineShard) askShard(slack time.Duration) (shardTables, bool) {
 // generations (summed across every engine shard), address book, NRT
 // entries (across clusters), membership tombstones, and the
 // requester-cache category index. The soak runner asserts bounds on
-// these under churn and partitions; a blocked call (a wedged loop) is
-// itself an invariant violation the caller detects by timeout. The
-// sweep visits each shard's loop in turn, so the snapshot probes every
-// loop's liveness, not just the control loop's.
+// these under churn and partitions; a blocked call (a wedged control
+// loop, a shard lock never released) is itself an invariant violation
+// the caller detects by timeout. Returns nil once the node has shut down.
 func (n *Node) TableSizes() map[string]int {
 	sizes := map[string]int{"pending": 0, "seen": 0}
 	for _, s := range n.shards {
-		t, ok := s.askShard(0)
-		if !ok {
-			return nil
-		}
+		t := s.tables(0)
 		sizes["pending"] += t.pending
 		sizes["seen"] += t.seen
 	}
@@ -126,11 +105,7 @@ func (n *Node) TableSizes() map[string]int {
 func (n *Node) OverduePending(slack time.Duration) int {
 	overdue := 0
 	for _, s := range n.shards {
-		t, ok := s.askShard(slack)
-		if !ok {
-			return 0
-		}
-		overdue += t.overdue
+		overdue += s.tables(slack).overdue
 	}
 	return overdue
 }

@@ -13,11 +13,13 @@ import (
 
 // The concurrent query engine, caller side. A node carries many in-flight
 // queries at once: each is an independent state machine (a pendingQuery)
-// owned by one engine shard (shard.go), while the issuing goroutine only
-// waits on its private result channel. The caller goroutine does all the
-// work that needs no loop at all — the requester-cache lookup, admission
-// (an atomic CAS reservation against inflightMax), and the routing-table
-// snapshot — and only then registers the query on a shard. Admission
+// in one engine shard's table (shard.go), advanced under that shard's
+// lock by the readers that receive its results, while the issuing
+// goroutine only waits on its private result channel. The caller
+// goroutine does the requester-cache lookup, admission (an atomic CAS
+// reservation against inflightMax) and the routing-table snapshot with no
+// shard lock held, then locks a shard to register the query — and, if it
+// gives up, to take the query back out (abandonQuery). Admission
 // control bounds the pending table across all shards: a node under
 // overload rejects new queries with ErrOverloaded instead of piling up
 // goroutines, and the requester-side document cache (internal/cache, the
@@ -56,6 +58,10 @@ const (
 	// maxPendingAge backstops a pending query whose context carries no
 	// deadline, so an abandoned slot is always reclaimed by the sweep.
 	maxPendingAge = time.Minute
+	// maxDocsHint caps the pre-sized capacity of a query's result set. Go
+	// allocates a map hint eagerly, and m is whatever the caller asked
+	// for: the answer is bounded by what arrives, not by m.
+	maxDocsHint = 64
 )
 
 // QueryContext runs the §3.3 protocol for a category over the live
@@ -83,8 +89,8 @@ func (n *Node) QueryContext(ctx context.Context, cat catalog.CategoryID, m int) 
 	}
 
 	// Requester-cache lookup, entirely in this goroutine: a full cache
-	// hit never touches a loop, a channel, or the network.
-	docs := make(map[catalog.DocID]bool, m)
+	// hit never touches a lock, a channel, or the network.
+	docs := make(map[catalog.DocID]bool, min(m, maxDocsHint))
 	if cs := n.cacheSt.Load(); cs != nil {
 		for _, d := range cs.lookup(cat, m) {
 			cs.docs.Contains(d) // refresh recency/frequency and hit stats
@@ -150,42 +156,14 @@ func (n *Node) QueryContext(ctx context.Context, cat catalog.CategoryID, m int) 
 		return query.Result{}, ErrNoRoute
 	}
 
-	// Register on a shard (round-robin). From here on the shard owns the
-	// pending entry and the in-flight slot.
+	// Register on a shard (round-robin). From here on the pending entry
+	// owns the in-flight slot; whoever removes the entry releases it.
 	sh := n.pickShard()
-	ich := make(chan uint64, 1)
 	ch := make(chan query.Result, 1)
 	deadline, hasDeadline := ctx.Deadline()
-	select {
-	case sh.cmds <- func(s *engineShard) {
-		ich <- s.register(cat, m, docs, ch, deadline, hasDeadline, members)
-	}:
-	case <-ctx.Done():
-		n.inflight.Add(-1)
-		reason, qerr := ctxReason(ctx.Err())
-		n.stats.Add(reason, 1)
-		n.latency.ObserveDuration(time.Since(start))
-		return query.Result{}, qerr
-	case <-n.done:
-		n.inflight.Add(-1)
-		n.stats.Add("query_closed", 1)
-		return query.Result{}, ErrClosed
-	}
-	var id uint64
-	select {
-	case id = <-ich:
-	case <-n.done:
-		// The shard may have run the command just before shutting down;
-		// prefer its answer when present. If it never ran, the slot is
-		// still ours to release.
-		select {
-		case id = <-ich:
-		default:
-			n.inflight.Add(-1)
-			n.stats.Add("query_closed", 1)
-			return query.Result{}, ErrClosed
-		}
-	}
+	sh.mu.Lock()
+	id := sh.register(cat, m, docs, ch, deadline, hasDeadline, members)
+	sh.mu.Unlock()
 
 	select {
 	case out := <-ch:
@@ -273,9 +251,9 @@ func mixQ(x uint64) uint64 {
 // refillEntry reconciles a pending query's resend-target list with the
 // current routing tables: members the failure detector has evicted since
 // the query was issued are pruned, and current serving-cluster members
-// are added. The owning shard calls this from its sweep under
-// routeMu.RLock — membership changes are not broadcast into shards;
-// shards catch up lazily here, just before they would resend. Targets
+// are added. The owning shard's sweep calls this under routeMu.RLock —
+// membership changes are not broadcast into shards; shards catch up
+// lazily here, just before they would resend. Targets
 // already in the list are not re-added: a blind append would insert
 // duplicates on every sweep pass, growing the slice without bound and
 // biasing the uniform resend pick toward whichever members were appended
@@ -309,49 +287,20 @@ func (n *Node) refillEntry(pq *pendingQuery) {
 	}
 }
 
-// abandonQuery releases a cancelled or deadline-expired query's slot via
-// its owning shard and returns whatever partial outcome accumulated
-// (caching the partial docs — they were fetched either way). If the
-// shard completed the query in the race window the completed outcome is
-// recovered from ch instead; the second return reports that case. The
-// caller owns the stats accounting for whichever outcome this returns.
+// abandonQuery takes a cancelled or deadline-expired query out of its
+// shard's table: it finishes the query as not done, which releases the
+// slot, caches the partial docs (they were fetched either way) and
+// buffers the partial outcome in ch. If the query completed in the race
+// window, finishPending already ran and ch holds the completed outcome
+// instead; the second return reports that case. The caller owns the
+// stats accounting for whichever outcome this returns.
 func (n *Node) abandonQuery(id uint64, ch chan query.Result) (query.Result, bool) {
 	sh := n.shardFor(id)
-	type taken struct {
-		out     query.Result
-		dropped bool
+	sh.mu.Lock()
+	if pq, ok := sh.pending[id]; ok {
+		sh.finishPending(pq, false)
 	}
-	res := make(chan taken, 1)
-	select {
-	case sh.cmds <- func(s *engineShard) {
-		pq, ok := s.pending[id]
-		if !ok {
-			res <- taken{}
-			return
-		}
-		s.n.cacheDocs(pq.docs)
-		out := pq.result(false)
-		delete(s.pending, id)
-		s.n.inflight.Add(-1)
-		res <- taken{out: out, dropped: true}
-	}:
-	case <-n.done:
-		return query.Result{}, false
-	}
-	var tk taken
-	select {
-	case tk = <-res:
-	case <-n.done:
-		select {
-		case tk = <-res:
-		default:
-			return query.Result{}, false
-		}
-	}
-	if tk.dropped {
-		return tk.out, false
-	}
-	// Already completed (or swept): its outcome is buffered in ch.
+	sh.mu.Unlock()
 	select {
 	case out := <-ch:
 		return out, out.Done

@@ -1,10 +1,15 @@
 package livenet
 
 import (
+	"context"
+	"errors"
+	"runtime"
 	"testing"
+	"time"
 
 	"p2pshare/internal/cache"
 	"p2pshare/internal/catalog"
+	"p2pshare/internal/memnet"
 	"p2pshare/internal/model"
 	"p2pshare/internal/protocol"
 )
@@ -194,5 +199,41 @@ func TestCachedInDropsDuplicateIndexEntries(t *testing.T) {
 	}
 	if idx := cs.catIndex(cat); len(idx) != 1 {
 		t.Fatalf("index not collapsed after read: %v", idx)
+	}
+}
+
+// twoNodeShape is the smallest deployment a query can cross: one
+// cluster, two peers that are each other's only neighbor.
+func twoNodeShape() Shape {
+	return Shape{Documents: 16, Categories: 2, Nodes: 2, Clusters: 1, Seed: 9}
+}
+
+// TestHugeWantDoesNotPresizeResultSet pins the "give me everything"
+// fix: QueryContext used to size its result map from the caller's m, and
+// Go allocates a map hint eagerly — m = 1<<30 asked the runtime for tens
+// of gigabytes before a byte was sent. The answer is bounded by what
+// arrives: the call returns its partial result having allocated next to
+// nothing.
+func TestHugeWantDoesNotPresizeResultSet(t *testing.T) {
+	c := launchOverMemnet(t, twoNodeShape(), nil, memnet.New(), Options{CacheBytes: -1})
+	n := c.Nodes[0]
+	cat := bigCategory(c.inst)
+	if _, err := n.Query(cat, 1, 5*time.Second); err != nil { // warm the links
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
+	defer cancel()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	out, err := n.QueryContext(ctx, cat, 1<<30)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTimeout) {
+		t.Fatalf("err = %v, want ErrTimeout with the partial result", err)
+	}
+	if out.Done || out.Results == 0 || out.Results != len(out.Docs) {
+		t.Fatalf("partial outcome = %+v, want some documents, not done", out)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("a query with m = 1<<30 allocated %d bytes, want < 1 MB", grew)
 	}
 }

@@ -8,18 +8,20 @@
 //
 // Concurrency model: each peer's query engine is SHARDED — the pending
 // query table, flood-dedup seen set, and query-id minting are
-// partitioned across P shard loops keyed by query id (shard.go), and
-// the per-connection reader goroutines dispatch decoded QueryMsg/
-// ResultMsg frames straight to the owning shard, so a node's protocol
-// work scales across cores instead of serializing on one loop. A
-// dedicated control loop owns everything low-rate and topological:
-// membership, adaptation, the address book, and the DT/DCRT/NRT routing
-// tables, which shards read under an RWMutex (routeMu) the control loop
-// alone writes. Queries are fully concurrent: each QueryContext call
-// passes admission (an atomic reservation) and the requester cache in
-// its own goroutine, registers an independent state machine on one
-// shard, and only the issuing goroutine blocks, so one node sustains
-// hundreds of in-flight queries at once (engine.go).
+// partitioned across P mutex-guarded shards keyed by query id
+// (shard.go), and the per-connection reader goroutines run decoded
+// QueryMsg/ResultMsg frames themselves under the owning shard's lock, so
+// a node's protocol work scales across cores and a message crosses two
+// goroutines per hop (the sender's writer, the receiver's reader), not
+// three. A dedicated control loop owns everything low-rate and
+// topological: membership, adaptation, the address book, and the
+// DT/DCRT/NRT routing tables, which shard code reads under an RWMutex
+// (routeMu) the control loop alone writes. An idle node therefore runs
+// two goroutines, accept and control. Queries are fully concurrent: each
+// QueryContext call passes admission (an atomic reservation) and the
+// requester cache in its own goroutine, registers an independent state
+// machine on one shard, and only the issuing goroutine blocks, so one
+// node sustains hundreds of in-flight queries at once (engine.go).
 // Outbound messages go through a per-peer persistent-connection pool
 // (transport.go): one framed stream per destination, reused across
 // messages, with reconnect-on-failure and capped backoff. Every stream
@@ -53,7 +55,7 @@ import (
 )
 
 const (
-	// sweepInterval paces the event loop's housekeeping tick: the seen
+	// sweepInterval paces each shard's housekeeping tick: the seen
 	// set rotates one generation (so loop-detection state lives between
 	// one and two intervals instead of forever) and pending queries past
 	// their deadline are expired.
@@ -62,7 +64,9 @@ const (
 	// timeout, so the sweep only reaps entries whose caller is gone.
 	pendingGrace = 5 * time.Second
 	// readIdleTimeout reaps inbound connections that go silent — a peer
-	// that died without closing its socket.
+	// that died without closing its socket. The deadline is armed lazily
+	// (lazyDeadline), so a silent stream is reaped after between ¾ of
+	// this and all of it.
 	readIdleTimeout = 2 * time.Minute
 	// readBufBytes sizes each inbound stream's read buffer. It batches
 	// small frames only: a read at least as large bypasses it, so a chunk
@@ -81,9 +85,9 @@ type envelope = wire.Envelope
 // as p2pshare.QueryResult).
 type QueryOutcome = query.Result
 
-// pendingQuery is one in-flight query's state machine, owned by the
-// engine shard its id routes to. The issuing goroutine holds only the
-// buffered result channel; everything else advances on received
+// pendingQuery is one in-flight query's state machine, guarded by the
+// lock of the engine shard its id routes to. The issuing goroutine holds
+// only the buffered result channel; everything else advances on received
 // ResultMsgs and sweep ticks (deadline expiry, resend-on-silence).
 type pendingQuery struct {
 	id       uint64
@@ -142,9 +146,14 @@ type Node struct {
 	connsMu sync.Mutex
 	conns   map[net.Conn]struct{}
 
+	// readIdle is readIdleTimeout, except in tests that shorten it
+	// (before dialing the connection under test).
+	readIdle time.Duration
+
 	// Routing and topology state. The control loop is the sole writer
-	// and holds routeMu.Lock for every event it processes; engine shards
-	// and API callers read under routeMu.RLock. book maps node ids to
+	// and holds routeMu.Lock for every event it processes; shard code
+	// and API callers read under routeMu.RLock (lock order: shard.mu →
+	// routeMu, see shard.go). book maps node ids to
 	// listen addresses (handleHello and handleBook mutate it) —
 	// copy-on-write over a cluster-shared base, see book.go.
 	routeMu sync.RWMutex
@@ -154,13 +163,14 @@ type Node struct {
 	dcrt    map[catalog.CategoryID]protocol.DCRTEntry
 	nrt     map[model.ClusterID][]model.NodeID
 
-	// served counts requests this node answered (shards increment).
+	// served counts requests this node answered (readers increment).
 	served atomic.Int64
 
 	// inflightMax is the admission-control bound on pending queries
 	// across all shards; inflight is the live reservation count (slots
-	// are CAS-reserved by callers and released by the owning shard), so
-	// the bound is exact even with every shard admitting at once.
+	// are CAS-reserved by callers and released by whoever takes the
+	// entry out of its shard's table), so the bound is exact even with
+	// every caller admitting at once.
 	inflightMax atomic.Int64
 	inflight    atomic.Int64
 
@@ -291,6 +301,7 @@ func newNode(inst *model.Instance, id model.NodeID, ln net.Listener, seed int64,
 
 		gauges:    metrics.NewSyncGauge(),
 		querySalt: querySaltFor(id),
+		readIdle:  readIdleTimeout,
 
 		xfers:       make(map[uint64]chan envelope),
 		xferTput:    &metrics.SyncHistogram{},
@@ -340,21 +351,17 @@ func newNode(inst *model.Instance, id model.NodeID, ln net.Listener, seed int64,
 	return n
 }
 
-// startLoops launches the node's goroutines: the TCP accept loop, the
-// control loop, and one loop per engine shard. The housekeeping sweep
-// rides the shared timerwheel — one registration per node fanning
-// non-blocking sweep commands to every shard — instead of one ticker
-// goroutine per shard.
+// startLoops launches the node's two goroutines, the TCP accept loop and
+// the control loop. The housekeeping sweep rides the shared timerwheel:
+// one registration per node sweeps every shard that is free (TryLock) on
+// the wheel's goroutine.
 func (n *Node) startLoops() {
-	n.wg.Add(2 + len(n.shards))
+	n.wg.Add(2)
 	go n.acceptLoop()
 	go n.controlLoop()
-	for _, s := range n.shards {
-		go s.loop()
-	}
 	n.addTimer(timerwheel.Default().Every(sweepInterval, func(now time.Time) {
 		for _, s := range n.shards {
-			s.offerSweep(now)
+			s.trySweep(now)
 		}
 	}))
 }
@@ -747,13 +754,13 @@ func (n *Node) acceptLoop() {
 // buffer (one Add per fill, not per message).
 type countingReader struct {
 	r     io.Reader
-	stats *metrics.SyncCounter
+	bytes *atomic.Int64
 }
 
 func (cr *countingReader) Read(p []byte) (int, error) {
 	n, err := cr.r.Read(p)
 	if n > 0 {
-		cr.stats.Add("wire_bytes_in", int64(n))
+		cr.bytes.Add(int64(n))
 	}
 	return n, err
 }
@@ -770,9 +777,10 @@ func (n *Node) readLoop(conn net.Conn) {
 		n.connsMu.Unlock()
 		conn.Close()
 	}()
-	br := bufio.NewReaderSize(&countingReader{r: conn, stats: n.stats}, readBufBytes)
+	br := bufio.NewReaderSize(&countingReader{r: conn, bytes: n.stats.Handle("wire_bytes_in")}, readBufBytes)
 
-	conn.SetReadDeadline(time.Now().Add(readIdleTimeout))
+	idle := lazyDeadline{window: n.readIdle, set: conn.SetReadDeadline}
+	idle.touch()
 	r, err := wire.AcceptStream(br, conn)
 	if err != nil {
 		if err != io.EOF {
@@ -781,7 +789,7 @@ func (n *Node) readLoop(conn net.Conn) {
 		return
 	}
 	for {
-		conn.SetReadDeadline(time.Now().Add(readIdleTimeout))
+		idle.touch()
 		env, err := r.Next()
 		if err != nil {
 			return // stream closed, peer died, corrupt frame, or idle timeout
@@ -792,18 +800,17 @@ func (n *Node) readLoop(conn net.Conn) {
 	}
 }
 
-// routeInbound dispatches one decoded envelope from a connection reader
-// to its owner: query and result frames go straight to the shard that
-// owns their query id (no global funnel in the hot path); everything
-// else — publish, join, membership, adaptation — rides the control
-// inbox. Returns false when the node shut down.
+// routeInbound handles one decoded envelope on its connection reader:
+// query and result frames run right here under the lock of the shard
+// that owns their query id (no queue, no second goroutine in the hot
+// path), content frames likewise; everything else — publish, join,
+// membership, adaptation — rides the control inbox. Returns false when
+// the node shut down.
 func (n *Node) routeInbound(env envelope) bool {
-	target := n.inbox
+	if n.runOnShard(env) {
+		return true
+	}
 	switch m := env.Msg.(type) {
-	case protocol.QueryMsg:
-		target = n.shardFor(m.ID).inbox
-	case protocol.ResultMsg:
-		target = n.shardFor(m.ID).inbox
 	case wire.ManifestReq:
 		// Content frames are served and demultiplexed inline on the
 		// reader goroutine: serving is read-only against the store
@@ -825,24 +832,43 @@ func (n *Node) routeInbound(env envelope) bool {
 		return true
 	}
 	select {
-	case target <- env:
+	case n.inbox <- env:
 		return true
 	case <-n.done:
 		return false
 	}
 }
 
+// runOnShard runs a query or result frame on the shard that owns its
+// query id and reports whether env was one. The caller must not hold
+// routeMu.
+func (n *Node) runOnShard(env envelope) bool {
+	switch m := env.Msg.(type) {
+	case protocol.QueryMsg:
+		n.shardFor(m.ID).handleQuery(m)
+	case protocol.ResultMsg:
+		n.shardFor(m.ID).handleResult(m)
+	default:
+		return false
+	}
+	return true
+}
+
 // controlLoop owns the node's low-rate state: membership, adaptation,
 // the address book, and the routing tables. It holds routeMu.Lock for
 // each event it processes — it is the sole writer of that state, and
-// the engine shards read it under RLock. It must never block on a shard
-// channel while holding the lock (a shard may be waiting for RLock);
-// the only control→shard handoff, stray frames, is non-blocking.
+// shard code reads it under RLock, often while holding a shard lock. So
+// nothing under the write lock may take a shard lock: a query or result
+// frame that strays onto the control inbox (readers never put one
+// there) runs before the lock is taken.
 func (n *Node) controlLoop() {
 	defer n.wg.Done()
 	for {
 		select {
 		case env := <-n.inbox:
+			if n.runOnShard(env) {
+				continue
+			}
 			n.routeMu.Lock()
 			n.dispatchControl(env)
 			n.routeMu.Unlock()
@@ -858,13 +884,6 @@ func (n *Node) controlLoop() {
 
 func (n *Node) dispatchControl(env envelope) {
 	switch m := env.Msg.(type) {
-	case protocol.QueryMsg:
-		// Query traffic is dispatched to shards by the readers; a stray
-		// frame here (injected through the control inbox) is forwarded
-		// non-blockingly — control must not wait on a shard channel.
-		n.shardFor(m.ID).offer(env)
-	case protocol.ResultMsg:
-		n.shardFor(m.ID).offer(env)
 	case protocol.PublishMsg:
 		n.handlePublish(env.From, m)
 	case protocol.PublishAckMsg:
@@ -906,7 +925,7 @@ func (n *Node) dispatchControl(env envelope) {
 // P2P messages are best-effort, exactly as in the simulator; the
 // transport retries and reconnects under the hood). The caller must
 // hold routeMu in either mode: it reads the address book. The control
-// loop holds the write lock for every event; shards take RLock.
+// loop holds the write lock for every event; shard code takes RLock.
 func (n *Node) send(to model.NodeID, msg any) {
 	addr, ok := n.book.get(to)
 	if !ok {

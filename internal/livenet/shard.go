@@ -1,42 +1,45 @@
 package livenet
 
 // The sharded query engine. Node protocol state is partitioned across P
-// engine shards (ROADMAP item 2: one event loop per node serializes on
-// one core; paper-scale live clusters need a node to use the whole
-// machine). Each shard owns a slice of the pending-query table and of
-// the flood-dedup seen set, runs its own loop and housekeeping sweep,
-// and is fed directly by the per-connection reader goroutines — no
-// global funnel in the query hot path.
+// engine shards so a node's query work uses the whole machine instead of
+// serializing on one core. A shard is a lock partition, not a goroutine:
+// it owns a slice of the pending-query table and of the flood-dedup seen
+// set behind one mutex, and whichever goroutine holds the work — the
+// connection reader that decoded a frame, the caller issuing a query,
+// the timerwheel running a sweep — locks the partition and runs it.
 //
 // Ownership map:
 //
-//	shard s (of P)    pending queries and seen entries whose query id
-//	                  satisfies int(id&shardIDMask)%P == s; the shard's
-//	                  rng, query-id sequence, and per-category hit
-//	                  counters (drained by adaptation).
+//	shard s (of P)    under s.mu: pending queries and seen entries whose
+//	                  query id satisfies int(id&shardIDMask)%P == s, the
+//	                  shard's rng and query-id sequence. Under s.hitsMu
+//	                  (a leaf): per-category hit counters, drained by
+//	                  adaptation from the control loop.
 //	control loop      membership, adaptation, address book, DT/byCat,
 //	                  DCRT, NRT — everything low-rate; see livenet.go.
-//	caller goroutine  admission (atomic CAS), requester-cache lookup,
-//	                  and the route snapshot for a new query.
+//	caller goroutine  admission (atomic CAS), requester-cache lookup, the
+//	                  route snapshot, and registering its own query.
 //
-// Frame dispatch: a decoded QueryMsg/ResultMsg goes straight to the
-// shard owning its query id; every other message type goes to the
-// control loop. A query id is minted with its owning shard's index in
-// the low shardIDBits bits, so any node — even one running a different
-// shard count — routes the id to one deterministic shard, and results
-// for a query come home to the shard that registered it.
+// Frame dispatch: a connection reader runs a decoded QueryMsg/ResultMsg
+// itself, on the shard owning its query id; every other message type
+// goes to the control loop. A query id is minted with its owning shard's
+// index in the low shardIDBits bits, so any node — even one running a
+// different shard count — routes the id to one deterministic shard, and
+// results for a query come home to the shard that registered it.
 //
-// Locking: shards read the control-owned routing state (book, DCRT,
-// NRT, byCat) under routeMu.RLock; the control loop holds routeMu.Lock
-// for every event it processes and is the sole writer. send() assumes
-// routeMu is held in either mode. The control loop must never block on
-// a shard channel while holding the lock (shards may be waiting for an
-// RLock); control→shard nudges are non-blocking.
+// Locking: the order is s.mu → routeMu. Shard code reads the
+// control-owned routing state (book, DCRT, NRT, byCat) under
+// routeMu.RLock, possibly while holding s.mu; the control loop holds
+// routeMu.Lock for every event it processes, is the sole writer, and
+// must never take a shard lock while it does (a reader holding that
+// shard may be waiting for RLock). send() assumes routeMu is held in
+// either mode. Nothing under either lock blocks: sends enqueue or drop,
+// results go to a buffered channel, the sweep only TryLocks.
 //
-// Shutdown: close(done) fans out to every loop; no channel is closed
-// besides done, and every blocking channel operation in the API layer
-// carries a done arm plus a final non-blocking read so work the loops
-// completed just before exiting is still preferred over ErrClosed.
+// Shutdown: there is nothing to stop. close(done) ends the control and
+// accept loops and the readers; shard state simply stops being visited,
+// and a caller waiting on its result channel leaves through its done
+// arm, preferring a result delivered just before.
 
 import (
 	"math/rand"
@@ -57,23 +60,15 @@ const (
 	shardIDMask = (1 << shardIDBits) - 1
 	// maxShards bounds a node's shard count to the id-encoding space.
 	maxShards = 1 << shardIDBits
-	// shardInboxDepth buffers decoded frames per shard between the
-	// connection readers and the shard loop.
-	shardInboxDepth = 128
 )
-
-// shardCmd is a request executed inside one shard's loop.
-type shardCmd func(*engineShard)
 
 // engineShard owns one partition of a node's query state.
 type engineShard struct {
 	n   *Node
 	idx int
 
-	inbox chan envelope
-	cmds  chan shardCmd
-
-	// Loop-owned state.
+	// mu guards the fields below, down to rng.
+	mu        sync.Mutex
 	pending   map[uint64]*pendingQuery
 	seenCur   map[uint64]struct{}
 	seenPrev  map[uint64]struct{}
@@ -81,8 +76,9 @@ type engineShard struct {
 	rng       *rand.Rand
 
 	// hits counts per-category entry requests into this shard (the
-	// §6.1.2 monitoring counter). The shard loop increments it, the
-	// control loop's adaptation report drains it; hence the mutex.
+	// §6.1.2 monitoring counter). Readers increment it, the control
+	// loop's adaptation report drains it — under routeMu.Lock, where it
+	// may not take mu; hence a mutex of its own.
 	hits   map[catalog.CategoryID]int64
 	hitsMu sync.Mutex
 }
@@ -94,8 +90,6 @@ func newShards(n *Node, count int, seed int64) []*engineShard {
 		shards[i] = &engineShard{
 			n:        n,
 			idx:      i,
-			inbox:    make(chan envelope, shardInboxDepth),
-			cmds:     make(chan shardCmd, 16),
 			pending:  make(map[uint64]*pendingQuery),
 			seenCur:  make(map[uint64]struct{}),
 			seenPrev: make(map[uint64]struct{}),
@@ -118,66 +112,31 @@ func (n *Node) pickShard() *engineShard {
 	return n.shards[n.nextShard.Add(1)%uint64(len(n.shards))]
 }
 
-// loop is one shard's event loop: decoded frames and API commands. The
-// housekeeping sweep arrives as a command from the node's timerwheel
-// registration (offerSweep) — shards no longer own ticker goroutines.
-func (s *engineShard) loop() {
-	defer s.n.wg.Done()
-	for {
-		select {
-		case env := <-s.inbox:
-			s.dispatch(env)
-		case cmd := <-s.cmds:
-			cmd(s)
-		case <-s.n.done:
-			return
-		}
-	}
-}
-
-// offerSweep hands the shard a sweep tick without blocking (timerwheel
-// callbacks must never block; a shard too busy to take the tick gets the
-// next one ≤ sweepInterval later, which the sweep's semantics tolerate).
-func (s *engineShard) offerSweep(now time.Time) {
-	select {
-	case s.cmds <- func(s *engineShard) { s.sweep(now) }:
-	default:
+// trySweep runs the housekeeping sweep if the shard is free. It is
+// called on the timerwheel goroutine, which must never wait: a shard busy
+// with a frame gets the next tick ≤ sweepInterval later, which the
+// sweep's semantics tolerate.
+func (s *engineShard) trySweep(now time.Time) {
+	if !s.mu.TryLock() {
 		s.n.stats.Add("shard_sweep_skips", 1)
+		return
 	}
+	s.sweep(now)
+	s.mu.Unlock()
 }
 
-// offer is the non-blocking control→shard handoff (stray frames that
-// arrived on the control inbox). Dropping is safe — both message kinds
-// are best-effort — and counted.
-func (s *engineShard) offer(env envelope) {
-	select {
-	case s.inbox <- env:
-	default:
-		s.n.stats.Add("shard_inbox_drops", 1)
-	}
-}
-
-func (s *engineShard) dispatch(env envelope) {
-	switch m := env.Msg.(type) {
-	case protocol.QueryMsg:
-		s.handleQuery(m)
-	case protocol.ResultMsg:
-		s.handleResult(m)
-	}
-}
-
-// seenBefore/markSeen dedup flooded query ids within the owning shard —
-// an id always routes to the same shard of a node, so per-shard dedup
-// is exact, not probabilistic.
-func (s *engineShard) seenBefore(id uint64) bool {
-	if _, ok := s.seenCur[id]; ok {
+// markSeen records a flooded query id and reports whether the shard had
+// seen it already. An id always routes to the same shard of a node, so
+// per-shard dedup is exact, not probabilistic. Caller holds mu.
+func (s *engineShard) markSeen(id uint64) (dup bool) {
+	before := len(s.seenCur)
+	s.seenCur[id] = struct{}{}
+	if len(s.seenCur) == before {
 		return true
 	}
-	_, ok := s.seenPrev[id]
-	return ok
+	_, dup = s.seenPrev[id]
+	return dup
 }
-
-func (s *engineShard) markSeen(id uint64) { s.seenCur[id] = struct{}{} }
 
 // addHit bumps the §6.1.2 per-category request counter.
 func (s *engineShard) addHit(cat catalog.CategoryID) {
@@ -220,8 +179,8 @@ func (s *engineShard) mintID() uint64 {
 }
 
 // register installs a new pending query on this shard and issues its
-// entry message. Runs in the shard loop; the caller already passed
-// admission and holds the in-flight slot.
+// entry message. Caller holds mu, has passed admission and holds the
+// in-flight slot.
 func (s *engineShard) register(cat catalog.CategoryID, want int, docs map[catalog.DocID]bool,
 	ch chan QueryOutcome, deadline time.Time, hasDeadline bool, members []model.NodeID) uint64 {
 	id := s.mintID()
@@ -248,7 +207,7 @@ func (s *engineShard) register(cat catalog.CategoryID, want int, docs map[catalo
 // serving cluster. The full demand goes out even when the cache primed a
 // partial answer: intermediate nodes subtract their own matches from Want
 // before forwarding, so a reduced demand would degenerate the flood and
-// could strand the query one hop in.
+// could strand the query one hop in. Caller holds mu.
 func (s *engineShard) sendQuery(pq *pendingQuery) {
 	if len(pq.entry) == 0 {
 		return // all targets evicted; the sweep refills or expires
@@ -268,6 +227,7 @@ func (s *engineShard) sendQuery(pq *pendingQuery) {
 // resend-target list is pruned against the current membership (peers
 // evicted by the failure detector leave the address book; the shard
 // catches up here instead of being chased by a cross-shard broadcast).
+// Caller holds mu.
 func (s *engineShard) sweep(now time.Time) {
 	s.seenPrev = s.seenCur
 	s.seenCur = make(map[uint64]struct{})
@@ -294,13 +254,16 @@ func (s *engineShard) sweep(now time.Time) {
 
 // handleQuery mirrors the simulated overlay's §3.3 target-node logic. A
 // query for a category this node has no DCRT entry for is dropped (and
-// counted) instead of being misrouted into cluster 0. Runs in the shard
-// loop; routing state is read under routeMu.RLock.
+// counted) instead of being misrouted into cluster 0. The only shard
+// state a query touches is the seen set, so mu is held for the dedup
+// alone; matching and forwarding run under routeMu.RLock.
 func (s *engineShard) handleQuery(m protocol.QueryMsg) {
-	if s.seenBefore(m.ID) {
+	s.mu.Lock()
+	dup := s.markSeen(m.ID)
+	s.mu.Unlock()
+	if dup {
 		return
 	}
-	s.markSeen(m.ID)
 	n := s.n
 	n.routeMu.RLock()
 	defer n.routeMu.RUnlock()
@@ -349,8 +312,9 @@ func (s *engineShard) handleQuery(m protocol.QueryMsg) {
 }
 
 // handleResult folds an inbound result into the owning pending query.
-// Runs in the shard loop.
 func (s *engineShard) handleResult(m protocol.ResultMsg) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	pq, ok := s.pending[m.ID]
 	if !ok {
 		return
@@ -370,7 +334,7 @@ func (s *engineShard) handleResult(m protocol.ResultMsg) {
 }
 
 // finishPending delivers a query's outcome exactly once and releases its
-// slot. Runs in the shard loop.
+// slot. Caller holds mu.
 func (s *engineShard) finishPending(pq *pendingQuery, done bool) {
 	s.n.cacheDocs(pq.docs)
 	out := pq.result(done)

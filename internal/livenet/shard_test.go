@@ -10,7 +10,9 @@ import (
 	"p2pshare/internal/cache"
 	"p2pshare/internal/core"
 	"p2pshare/internal/model"
+	"p2pshare/internal/protocol"
 	"p2pshare/internal/replica"
+	"p2pshare/internal/wire"
 )
 
 // Tests for the sharded engine: id→shard routing stability, cross-shard
@@ -143,7 +145,7 @@ func TestCrossShardConcurrentQueries(t *testing.T) {
 	// in flight over 8 shards, several shards must own entries.
 	busy := 0
 	for _, s := range n.shards {
-		if tbl, ok := s.askShard(0); ok && tbl.pending > 0 {
+		if s.tables(0).pending > 0 {
 			busy++
 		}
 	}
@@ -168,6 +170,109 @@ func TestCrossShardConcurrentQueries(t *testing.T) {
 	if total := s["queries_ok"] + s["query_timeouts"] + s["query_cancelled"]; total != concurrent {
 		t.Errorf("queries_ok+query_timeouts+query_cancelled = %d, want %d", total, concurrent)
 	}
+}
+
+// TestShardLockOrder is the regression guard for the lock order
+// shard.mu → routeMu (run it under -race). Reader goroutines push query
+// frames at both shards the way connection readers do, a sweeper plays
+// the timerwheel, and real callers register and abandon queries — all
+// of which take a shard lock and then routeMu.RLock — while the control
+// loop, which holds routeMu.Lock per event, applies publishes and moves
+// and is fed stray query and result frames through its inbox. If the
+// control loop ever took a shard lock under its write lock, this wedges;
+// it must finish, and every query must still be accounted for.
+func TestShardLockOrder(t *testing.T) {
+	c, inst := launchShards(t, 91, 2)
+	n := c.Nodes[0]
+	cat := bigCategory(inst)
+	doc := inst.Catalog.Cats[cat].Docs[0]
+	entry := n.dcrtEntryForTest(cat)
+	impossible := impossibleWant(len(inst.Catalog.Docs))
+
+	stop := make(chan struct{})
+	var background, callers sync.WaitGroup
+	spin := func(fn func(i int)) {
+		background.Add(1)
+		go func() {
+			defer background.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+					fn(i)
+				}
+			}
+		}()
+	}
+	// Readers: the low id bit picks the shard, so each hits both.
+	for r := 0; r < 4; r++ {
+		r := r
+		spin(func(i int) {
+			id := uint64(r+1)<<40 | uint64(i)<<shardIDBits | uint64(i&1)
+			n.routeInbound(envelope{From: 1, Msg: protocol.QueryMsg{
+				ID: id, Category: cat, Want: 2, Origin: 1, Hops: 1, Entry: true}})
+			n.routeInbound(envelope{From: 1, Msg: protocol.ResultMsg{ID: id, From: 1}})
+		})
+	}
+	spin(func(int) {
+		for _, s := range n.shards {
+			s.trySweep(time.Now())
+		}
+		n.TableSizes()
+	})
+	// The routeMu writer: publishes ride the command channel, moves and
+	// the stray frames ride the control inbox.
+	spin(func(int) {
+		if err := n.Publish(doc); err != nil {
+			t.Errorf("publish: %v", err)
+		}
+	})
+	spin(func(i int) {
+		for _, msg := range []any{
+			wire.Move{Category: cat, Entry: entry},
+			protocol.QueryMsg{ID: 1<<50 | uint64(i)<<shardIDBits | uint64(i&1), Category: cat, Want: 1, Origin: 1, Hops: 1},
+			protocol.ResultMsg{ID: uint64(i), From: 1},
+		} {
+			select {
+			case n.inbox <- envelope{From: 1, Msg: msg}:
+			case <-stop:
+				return
+			}
+		}
+	})
+
+	watchdog(t, 60*time.Second, func() {
+		for q := 0; q < 4; q++ {
+			callers.Add(1)
+			go func() {
+				defer callers.Done()
+				for i := 0; i < 40; i++ {
+					want, timeout := 1, 5*time.Second
+					if i%4 == 3 {
+						want, timeout = impossible, 5*time.Millisecond // registers, then abandons
+					}
+					if _, err := n.Query(cat, want, timeout); err != nil && !errors.Is(err, ErrTimeout) {
+						t.Errorf("query: %v", err)
+					}
+				}
+			}()
+		}
+		callers.Wait()
+		close(stop)
+		background.Wait()
+	})
+
+	s := n.Stats()
+	exits := s["queries_ok"] + s["query_rejected"] + s["query_no_route"] +
+		s["query_timeouts"] + s["query_cancelled"] + s["query_closed"]
+	if s["queries_total"] != 160 || exits != 160 {
+		t.Errorf("conservation broken: queries_total=%d, exits sum to %d, want 160 each", s["queries_total"], exits)
+	}
+	if s["queries_ok"] == 0 || s["query_timeouts"] == 0 {
+		t.Errorf("queries_ok=%d query_timeouts=%d, want both paths exercised", s["queries_ok"], s["query_timeouts"])
+	}
+	waitFor(t, 2*time.Second, "slots released", func() bool { return n.InFlight() == 0 })
 }
 
 // BenchmarkEngineParallel measures one node's query throughput under

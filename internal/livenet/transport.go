@@ -11,6 +11,7 @@ import (
 
 	"p2pshare/internal/metrics"
 	"p2pshare/internal/model"
+	"p2pshare/internal/timerwheel"
 	"p2pshare/internal/wire"
 )
 
@@ -35,6 +36,13 @@ import (
 //     (an envelope arriving alone flushes immediately). Batch sizes are
 //     observed in a histogram; bytes that reach the socket are counted
 //     as wire_bytes_out.
+//   - No fixed tax per frame. The per-message counters are atomic cells
+//     held by the goroutine that bumps them, the writer looks at queue
+//     lengths before it pays for a select, and stream deadlines are
+//     re-armed only when a quarter of their window has gone by
+//     (lazyDeadline) — so a timeout T takes effect after between ¾·T
+//     and T of trouble, and a busy stream touches its timer every T/4
+//     instead of every frame.
 //
 // Messages carry a small retry budget; a batch that exhausts it is
 // dropped (the protocols are best-effort, exactly as in the simulator)
@@ -44,7 +52,8 @@ import (
 const (
 	// dialTimeout bounds one connection attempt.
 	dialTimeout = 2 * time.Second
-	// writeTimeout bounds one batch write+flush on an established stream.
+	// writeTimeout bounds one batch write+flush on an established stream
+	// (armed lazily: a blocked write fails after ¾ of this to all of it).
 	writeTimeout = 2 * time.Second
 	// handshakeTimeout bounds the stream-open handshake (the preamble
 	// write plus the one-byte ack read).
@@ -62,7 +71,7 @@ const (
 	// queries through it).
 	evictAfterFails = 5
 	// sendQueueCap bounds each peer's outbound queue; enqueue never
-	// blocks the event loop — overflow is dropped and counted.
+	// blocks its caller — overflow is dropped and counted.
 	sendQueueCap = 256
 	// defaultWriterIdle is how long a peer's writer goroutine sits with an
 	// empty queue before parking: it closes its stream, exits, and is
@@ -90,13 +99,15 @@ const (
 )
 
 // transport is one node's connection pool. All methods are safe for
-// concurrent use; in practice enqueue is called from the owning node's
-// event loop and the writers run concurrently.
+// concurrent use: enqueue is called from the node's connection readers,
+// query callers and control loop while the writers run.
 type transport struct {
 	from    model.NodeID
 	seed    int64
 	stats   *metrics.SyncCounter
 	batches *metrics.SyncHistogram // envelopes coalesced per flush
+	// The per-message counters, held as cells (see SyncCounter.Handle).
+	sends, reuses, bytesOut *atomic.Int64
 
 	mu     sync.Mutex
 	peers  map[model.NodeID]*peerConn
@@ -142,21 +153,33 @@ type peerConn struct {
 	// writer re-checks len(queue) under the same lock the producers push
 	// under, so a message either finds a live writer or spawns one.
 	running bool
-
-	mu   sync.Mutex
+	// addr is the peer's latest known address, stored by every enqueue
+	// and read by the writer when it dials. Guarded by transport.mu.
 	addr string
 }
 
-func (p *peerConn) setAddr(addr string) {
-	p.mu.Lock()
-	p.addr = addr
-	p.mu.Unlock()
+// lazyDeadline keeps a connection deadline of window ahead without
+// paying a timer reset and a clock read per frame: touch re-arms it only
+// once a quarter of the window has gone by on the timerwheel's coarse
+// clock, which costs one atomic load. Between re-arms the deadline
+// stands where it was put, so what it bounds — a silent stream, a
+// blocked write — times out after between ¾·window and window. Owned by
+// one goroutine.
+type lazyDeadline struct {
+	window time.Duration
+	set    func(time.Time) error
+	armed  time.Duration // coarse clock when last armed; 0 = never
 }
 
-func (p *peerConn) currentAddr() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.addr
+func (d *lazyDeadline) touch() {
+	// The coarse clock may trail by a tick; re-arming that much early
+	// keeps ¾·window a floor.
+	now := timerwheel.Default().Coarse()
+	if d.armed != 0 && now-d.armed < d.window/4-timerwheel.CoarseTick {
+		return
+	}
+	d.armed = now
+	d.set(time.Now().Add(d.window))
 }
 
 func newTransport(from model.NodeID, seed int64, stats *metrics.SyncCounter) *transport {
@@ -165,6 +188,9 @@ func newTransport(from model.NodeID, seed int64, stats *metrics.SyncCounter) *tr
 		seed:       seed,
 		stats:      stats,
 		batches:    &metrics.SyncHistogram{},
+		sends:      stats.Handle("transport_sends"),
+		reuses:     stats.Handle("transport_reuses"),
+		bytesOut:   stats.Handle("wire_bytes_out"),
 		peers:      make(map[model.NodeID]*peerConn),
 		done:       make(chan struct{}),
 		writerIdle: defaultWriterIdle,
@@ -190,8 +216,8 @@ func (t *transport) dialPeer(addr string) (net.Conn, error) {
 
 // enqueue hands a protocol envelope to the peer's writer, spawning one
 // if the peer's writer is parked (or never started). It never blocks: a
-// full queue drops the message (counted) rather than stalling the event
-// loop.
+// full queue drops the message (counted) rather than stalling a reader
+// or the control loop, which call it with locks held.
 func (t *transport) enqueue(to model.NodeID, addr string, env envelope) {
 	t.enqueueOn(to, addr, env, false)
 }
@@ -211,10 +237,10 @@ func (t *transport) enqueueOn(to model.NodeID, addr string, env envelope, bulk b
 	}
 	p, ok := t.peers[to]
 	if !ok {
-		p = newPeerConn(to, addr)
+		p = newPeerConn(to)
 		t.peers[to] = p
 	}
-	p.setAddr(addr)
+	p.addr = addr
 	q := p.queue
 	if bulk {
 		q = p.bulk
@@ -244,10 +270,9 @@ func (t *transport) enqueueOn(to model.NodeID, addr string, env envelope, bulk b
 	}
 }
 
-func newPeerConn(to model.NodeID, addr string) *peerConn {
+func newPeerConn(to model.NodeID) *peerConn {
 	return &peerConn{
 		to:    to,
-		addr:  addr,
 		queue: make(chan envelope, sendQueueCap),
 		bulk:  make(chan envelope, bulkQueueCap),
 	}
@@ -299,14 +324,13 @@ func (t *transport) close() {
 // one Add per flush, not per envelope).
 type countingWriter struct {
 	w     io.Writer
-	stats *metrics.SyncCounter
-	label string
+	bytes *atomic.Int64
 }
 
 func (cw *countingWriter) Write(p []byte) (int, error) {
 	n, err := cw.w.Write(p)
 	if n > 0 {
-		cw.stats.Add(cw.label, int64(n))
+		cw.bytes.Add(int64(n))
 	}
 	return n, err
 }
@@ -318,8 +342,9 @@ type peerWriter struct {
 	p   *peerConn
 	rng *rand.Rand
 
-	conn net.Conn
-	bw   *bufio.Writer // coalesces frames; flushed once per batch
+	conn     net.Conn
+	bw       *bufio.Writer // coalesces frames; flushed once per batch
+	deadline lazyDeadline  // conn's write deadline, writeTimeout ahead
 
 	connectFails int  // consecutive failed connects (drives backoff + eviction)
 	notified     bool // onPeerDown fired for the current outage
@@ -359,82 +384,56 @@ func (t *transport) run(p *peerConn) {
 		}
 		idle.Reset(t.writerIdle)
 	}
-	// fillBatch coalesces whatever is already queued behind the batch's
-	// first envelope: every waiting protocol frame first, then at most
-	// maxBulkPerBatch chunks into the slots protocol traffic left free.
-	// No waiting anywhere, so a lone envelope still flushes immediately.
+	// This goroutine is the queues' only consumer, so a non-zero len
+	// means a receive cannot block — no select needed to poll.
+	//
+	// fillBatch coalesces whatever is queued right now behind what the
+	// batch already holds: every waiting protocol frame first, then at
+	// most maxBulkPerBatch chunks into the slots protocol traffic left
+	// free. No waiting anywhere, so a lone envelope flushes immediately.
 	fillBatch := func(batch []envelope) []envelope {
-	drainProto:
-		for len(batch) < maxBatchMsgs {
-			select {
-			case e := <-p.queue:
-				batch = append(batch, e)
-			default:
-				break drainProto
-			}
+		for len(batch) < maxBatchMsgs && len(p.queue) > 0 {
+			batch = append(batch, <-p.queue)
 		}
-		bulkTaken := 0
-	drainBulk:
-		for len(batch) < maxBatchMsgs && bulkTaken < maxBulkPerBatch {
-			select {
-			case e := <-p.bulk:
-				batch = append(batch, e)
-				bulkTaken++
-			default:
-				break drainBulk
-			}
+		for bulk := 0; bulk < maxBulkPerBatch && len(batch) < maxBatchMsgs && len(p.bulk) > 0; bulk++ {
+			batch = append(batch, <-p.bulk)
 		}
 		return batch
 	}
 	batch := make([]envelope, 0, maxBatchMsgs)
 	for {
-		// Biased receive: when both queues are ready the unbiased select
-		// below would pick at random, letting a saturating transfer win
-		// half the flushes. Protocol frames go first, always.
-		select {
-		case env := <-p.queue:
-			if !w.deliver(fillBatch(append(batch[:0], env))) {
+		// Protocol frames go first, always: with both queues ready the
+		// select would pick at random, letting a saturating transfer win
+		// half the flushes. So it is only entered to wait.
+		batch = batch[:0]
+		if len(p.queue) == 0 {
+			select {
+			case <-t.done:
 				return
-			}
-			resetIdle()
-			continue
-		default:
-		}
-		select {
-		case <-t.done:
-			return
-		case <-idleC:
-			if t.park(p) {
-				t.stats.Add("transport_writer_parks", 1)
-				return
-			}
-			// An envelope raced the timer: keep running, drain it on the
-			// next loop iteration with a fresh idle window.
-			idle.Reset(t.writerIdle)
-		case env := <-p.queue:
-			if !w.deliver(fillBatch(append(batch[:0], env))) {
-				return // transport closed mid-backoff
-			}
-			resetIdle()
-		case env := <-p.bulk:
-			// Protocol frames that arrived since the last flush still
-			// jump ahead of this chunk inside the batch.
-			batch = batch[:0]
-		proto:
-			for len(batch) < maxBatchMsgs-1 {
-				select {
-				case e := <-p.queue:
-					batch = append(batch, e)
-				default:
-					break proto
+			case <-idleC:
+				if t.park(p) {
+					t.stats.Add("transport_writer_parks", 1)
+					return
 				}
+				// An envelope raced the timer: keep running, drain it on
+				// the next loop iteration with a fresh idle window.
+				idle.Reset(t.writerIdle)
+				continue
+			case env := <-p.queue:
+				batch = append(batch, env)
+			case env := <-p.bulk:
+				// Protocol frames that arrived since the last flush still
+				// jump ahead of this chunk inside the batch.
+				for len(batch) < maxBatchMsgs-1 && len(p.queue) > 0 {
+					batch = append(batch, <-p.queue)
+				}
+				batch = append(batch, env)
 			}
-			batch = append(batch, env)
-			if !w.deliver(fillBatch(batch)) {
-				return
-			}
-			resetIdle()
 		}
+		if !w.deliver(fillBatch(batch)) {
+			return // transport closed mid-backoff
+		}
+		resetIdle()
 	}
 }
 
@@ -465,9 +464,9 @@ func (w *peerWriter) deliver(batch []envelope) bool {
 				continue // connect failed; backoff already served
 			}
 		} else if attempt == 0 {
-			t.stats.Add("transport_reuses", 1)
+			t.reuses.Add(1)
 		}
-		w.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+		w.deadline.touch()
 		var err error
 		for sent < len(batch) {
 			if err = wire.WriteEnvelope(w.bw, batch[sent]); err != nil {
@@ -492,7 +491,7 @@ func (w *peerWriter) deliver(batch []envelope) bool {
 		break
 	}
 	if acked > 0 {
-		t.stats.Add("transport_sends", int64(acked))
+		t.sends.Add(int64(acked))
 		t.batches.Observe(float64(acked))
 	}
 	if failed := len(batch) - acked; failed > 0 {
@@ -508,7 +507,10 @@ func (w *peerWriter) deliver(batch []envelope) bool {
 func (w *peerWriter) connect() (ok, alive bool) {
 	t, p := w.t, w.p
 	failure := "transport_dial_failures"
-	c, err := t.dialPeer(p.currentAddr())
+	t.mu.Lock()
+	addr := p.addr
+	t.mu.Unlock()
+	c, err := t.dialPeer(addr)
 	if err == nil {
 		if err = wire.OpenStream(c, handshakeTimeout); err != nil {
 			c.Close()
@@ -531,7 +533,8 @@ func (w *peerWriter) connect() (ok, alive bool) {
 	w.connectFails = 0
 	w.notified = false
 	w.conn = c
-	w.bw = bufio.NewWriterSize(&countingWriter{w: c, stats: t.stats, label: "wire_bytes_out"}, writeBufBytes)
+	w.bw = bufio.NewWriterSize(&countingWriter{w: c, bytes: t.bytesOut}, writeBufBytes)
+	w.deadline = lazyDeadline{window: writeTimeout, set: c.SetWriteDeadline}
 	return true, true
 }
 

@@ -26,16 +26,11 @@ func runCmd(t *testing.T, n *Node, f func(*Node)) {
 	}
 }
 
-// runShard executes f inside one engine shard's loop and waits for it.
-func runShard(t *testing.T, s *engineShard, f func(*engineShard)) {
-	t.Helper()
-	done := make(chan struct{})
-	select {
-	case s.cmds <- func(s *engineShard) { f(s); close(done) }:
-		<-done
-	case <-s.n.done:
-		t.Fatal("node closed before shard command ran")
-	}
+// runShard executes f under one engine shard's lock.
+func runShard(s *engineShard, f func(*engineShard)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f(s)
 }
 
 // TestTransportReusesConnections is the acceptance check: under a
@@ -280,23 +275,25 @@ func TestSeenMapBounded(t *testing.T) {
 	n := c.Nodes[0]
 	const ids = 5000
 	sh := n.shards[0]
-	runShard(t, sh, func(s *engineShard) {
+	runShard(sh, func(s *engineShard) {
 		for i := 0; i < ids; i++ {
 			s.markSeen(uint64(1_000_000 + i))
 		}
 	})
-	runShard(t, sh, func(s *engineShard) {
+	runShard(sh, func(s *engineShard) {
 		if len(s.seenCur)+len(s.seenPrev) < ids {
 			t.Errorf("seen set lost fresh entries: %d", len(s.seenCur)+len(s.seenPrev))
 		}
 		s.sweep(time.Now())
-		// One generation old: still deduplicating.
-		if !s.seenBefore(1_000_000) {
+		// One generation old: still deduplicating (and the probe itself
+		// re-marks the id, so it takes two more sweeps to age out).
+		if !s.markSeen(1_000_000) {
 			t.Error("entry forgotten after one sweep")
 		}
 		s.sweep(time.Now())
+		s.sweep(time.Now())
 		if got := len(s.seenCur) + len(s.seenPrev); got != 0 {
-			t.Errorf("seen set holds %d entries after two sweeps, want 0", got)
+			t.Errorf("seen set holds %d entries two sweeps after the last mark, want 0", got)
 		}
 	})
 }
@@ -307,7 +304,7 @@ func TestPendingExpirySweep(t *testing.T) {
 	c, _ := launchSmall(t, 16)
 	n := c.Nodes[0]
 	ch := make(chan QueryOutcome, 1)
-	runShard(t, n.shardFor(42), func(s *engineShard) {
+	runShard(n.shardFor(42), func(s *engineShard) {
 		s.n.inflight.Add(1)
 		s.pending[42] = &pendingQuery{
 			id:       42,
@@ -353,9 +350,7 @@ func TestQueryNoRouteExplicit(t *testing.T) {
 
 	// Handler path: an inbound query for the unroutable category is
 	// dropped and counted, not forwarded to cluster 0.
-	runShard(t, n.shardFor(1<<40), func(s *engineShard) {
-		s.handleQuery(protocol.QueryMsg{ID: 1 << 40, Category: cat, Want: 1, Origin: 5, Hops: 1})
-	})
+	n.shardFor(1 << 40).handleQuery(protocol.QueryMsg{ID: 1 << 40, Category: cat, Want: 1, Origin: 5, Hops: 1})
 	if n.stats.Get("drop_no_route") == 0 {
 		t.Error("drop_no_route not counted on handler path")
 	}
@@ -385,7 +380,7 @@ func TestHandleResultMaxHops(t *testing.T) {
 	c, _ := launchSmall(t, 18)
 	n := c.Nodes[0]
 	ch := make(chan QueryOutcome, 1)
-	runShard(t, n.shardFor(77), func(s *engineShard) {
+	runShard(n.shardFor(77), func(s *engineShard) {
 		s.n.inflight.Add(1)
 		s.pending[77] = &pendingQuery{
 			id:       77,
@@ -394,9 +389,9 @@ func TestHandleResultMaxHops(t *testing.T) {
 			ch:       ch,
 			deadline: time.Now().Add(time.Minute),
 		}
-		s.handleResult(protocol.ResultMsg{ID: 77, Docs: []catalog.DocID{1}, Hops: 5, From: 2})
-		s.handleResult(protocol.ResultMsg{ID: 77, Docs: []catalog.DocID{2}, Hops: 2, From: 3})
 	})
+	n.shardFor(77).handleResult(protocol.ResultMsg{ID: 77, Docs: []catalog.DocID{1}, Hops: 5, From: 2})
+	n.shardFor(77).handleResult(protocol.ResultMsg{ID: 77, Docs: []catalog.DocID{2}, Hops: 2, From: 3})
 	select {
 	case out := <-ch:
 		if !out.Done {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"p2pshare/internal/catalog"
+	"p2pshare/internal/memnet"
 	"p2pshare/internal/metrics"
 	"p2pshare/internal/model"
 	"p2pshare/internal/protocol"
@@ -326,5 +327,117 @@ func BenchmarkTransportThroughput(b *testing.B) {
 	b.ReportMetric(float64(stats.Get("wire_bytes_out"))/(1<<20)/elapsed.Seconds(), "MB/s")
 	if mean := tr.batches.Mean(); mean > 0 {
 		b.ReportMetric(mean, "msgs/batch")
+	}
+}
+
+// TestSilentStreamReapedWithinWindow pins the lazily armed read deadline
+// on a live node over memnet, with the idle timeout shortened from two
+// minutes: a stream that keeps talking outlives the timeout (the deadline
+// does get re-armed), and once it goes silent the node closes it after
+// no less than ¾ of the timeout and no more than all of it.
+func TestSilentStreamReapedWithinWindow(t *testing.T) {
+	const idle = 800 * time.Millisecond
+	nw := memnet.New()
+	c := launchOverMemnet(t, twoNodeShape(), nil, nw, Options{CacheBytes: -1})
+	n := c.Nodes[1]
+	n.readIdle = idle // before the dial below, which is what starts the reader
+
+	conn, err := nw.Dial(n.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := wire.OpenStream(conn, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	bw := bufio.NewWriter(conn)
+	var lastFrame time.Time
+	for start := time.Now(); time.Since(start) < idle+idle/2; time.Sleep(5 * time.Millisecond) {
+		// A result for a query nobody asked: decoded, routed, ignored.
+		err := wire.WriteEnvelope(bw, envelope{From: 0, Msg: protocol.ResultMsg{ID: 1 << 20}})
+		if err == nil {
+			err = bw.Flush()
+		}
+		if err != nil {
+			t.Fatalf("busy stream was closed %v in, idle timeout %v: %v", time.Since(start), idle, err)
+		}
+		lastFrame = time.Now()
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * idle))
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read on the silent stream: %v, want EOF from the node closing it", err)
+	}
+	// Slack: the frame spacing below, a loaded box's scheduling above.
+	silent := time.Since(lastFrame)
+	if silent < idle*3/4-30*time.Millisecond || silent > idle+250*time.Millisecond {
+		t.Fatalf("silent stream reaped after %v, want between %v and %v", silent, idle*3/4, idle)
+	}
+}
+
+// TestBlockedWriteFailsWithinTimeout pins the lazily armed write
+// deadline: a peer that stops reading while the stream's deadline is
+// already part-used (armed less than a quarter of writeTimeout ago, so
+// not re-armed) blocks the writer for at least ¾ of writeTimeout and at
+// most all of it before the stream is dropped and redialed.
+func TestBlockedWriteFailsWithinTimeout(t *testing.T) {
+	nw := memnet.NewSized(4 << 10) // a "socket buffer" one burst overfills
+	ln, err := nw.Listen("mem:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var accepted []net.Conn
+	var mu sync.Mutex
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			accepted = append(accepted, conn)
+			mu.Unlock()
+			// Ack the handshake, then never read again.
+			go wire.AcceptStream(bufio.NewReader(conn), conn)
+		}
+	}()
+	stats := metrics.NewSyncCounter()
+	tr := newTransport(1, 3, stats)
+	tr.setDial(nw.Dial)
+	defer tr.close()
+	defer func() { // unblock the writer's retries before tr.close waits for it
+		ln.Close()
+		mu.Lock()
+		for _, conn := range accepted {
+			conn.Close()
+		}
+		mu.Unlock()
+	}()
+
+	addr := ln.Addr().String()
+	for i := 0; i < 4; i++ { // small frames the ring absorbs; the first arms the deadline
+		tr.enqueue(2, addr, envelope{From: 1, Msg: protocol.QueryMsg{ID: uint64(i)}})
+		time.Sleep(writeTimeout / 20)
+	}
+	if got := stats.Get("transport_sends"); got != 4 {
+		t.Fatalf("transport_sends = %d before the burst, want 4", got)
+	}
+	docs := make([]catalog.DocID, 2000)
+	blocked := time.Now()
+	for i := 0; i < 8; i++ {
+		tr.enqueue(2, addr, envelope{From: 1, Msg: protocol.ResultMsg{ID: uint64(i), Docs: docs}})
+	}
+	for stats.Get("transport_reconnects") == 0 {
+		if time.Since(blocked) > 3*writeTimeout {
+			t.Fatalf("blocked write never failed: %v", stats.Snapshot())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	took := time.Since(blocked)
+	if took < writeTimeout*3/4-50*time.Millisecond || took > writeTimeout+250*time.Millisecond {
+		t.Fatalf("blocked write failed after %v, want between %v and %v", took, writeTimeout*3/4, writeTimeout)
+	}
+	if took > writeTimeout-writeTimeout/8 {
+		t.Errorf("blocked write failed after %v: the deadline was re-armed although only %v of its %v window had been used",
+			took, writeTimeout/5, writeTimeout)
 	}
 }

@@ -240,6 +240,44 @@ func TestSyncCounterConcurrent(t *testing.T) {
 	}
 }
 
+// TestSyncCounterHandle pins the cell contract: adds through a handle
+// and through Add land in one count, an unused handle shows nowhere, and
+// concurrent Handle().Add calls are race-free.
+func TestSyncCounterHandle(t *testing.T) {
+	c := NewSyncCounter()
+	idle := c.Handle("never_counted")
+	h := c.Handle("wire_bytes_in")
+	if c.Handle("wire_bytes_in") != h {
+		t.Fatal("Handle returned two cells for one label")
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				c.Handle("wire_bytes_in").Add(3)
+				c.Add("wire_bytes_in", 1)
+				h.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := c.Get("wire_bytes_in"); got != 40000 {
+		t.Errorf("Get = %d, want 40000", got)
+	}
+	snap := c.Snapshot()
+	if len(snap) != 1 || snap["wire_bytes_in"] != 40000 {
+		t.Errorf("Snapshot = %v, want only wire_bytes_in=40000", snap)
+	}
+	if labels := c.Labels(); len(labels) != 1 || labels[0] != "wire_bytes_in" {
+		t.Errorf("Labels = %v", labels)
+	}
+	if idle.Load() != 0 || c.Get("never_counted") != 0 {
+		t.Error("an unused handle counted something")
+	}
+}
+
 func TestSyncGaugeConcurrent(t *testing.T) {
 	g := NewSyncGauge()
 	var wg sync.WaitGroup

@@ -12,18 +12,36 @@
 // itself is lazy — it starts with the first registration and exits when
 // the last timer stops, so an idle process pays nothing.
 //
+// The wheel also keeps the process's coarse clock (Coarse): while the
+// goroutine runs it wakes at least every CoarseTick and publishes a
+// monotonic reading, so per-message code that only needs to know
+// "roughly how long ago" pays one atomic load instead of a clock read.
+//
 // Callbacks run on the wheel goroutine and MUST NOT block: livenet's
-// registrations only do non-blocking channel offers into the loops that
-// own the real work. A slow callback delays every other timer — that is
-// the deal one shared goroutine implies, and the callers here accept it
-// because dropped or delayed periodic ticks are harmless by design.
+// registrations make non-blocking channel offers into the loops that own
+// the real work, or do a short sweep under a TryLock. A slow callback
+// delays every other timer and the coarse clock — that is the deal one
+// shared goroutine implies, and the callers here accept it because
+// dropped or delayed periodic ticks are harmless by design.
 package timerwheel
 
 import (
 	"container/heap"
 	"sync"
+	"sync/atomic"
 	"time"
 )
+
+// CoarseTick bounds how stale a Coarse reading is while the wheel
+// goroutine is scheduled on time: the loop never sleeps longer.
+const CoarseTick = 10 * time.Millisecond
+
+// epoch anchors Coarse readings on the monotonic clock.
+var epoch = time.Now()
+
+// sinceEpoch places t on the coarse clock's scale; never zero, which
+// Wheel.coarse keeps for "the loop is not running".
+func sinceEpoch(t time.Time) int64 { return int64(t.Sub(epoch)) + 1 }
 
 // Wheel multiplexes periodic callbacks onto one goroutine.
 type Wheel struct {
@@ -34,6 +52,9 @@ type Wheel struct {
 	// wake nudges the loop after the heap changed under it (earlier
 	// deadline registered, or an entry stopped).
 	wake chan struct{}
+	// coarse is the loop's last clock reading (sinceEpoch); zero while
+	// the loop is not running. Written under mu, read without it.
+	coarse atomic.Int64
 }
 
 // entry is one registered periodic timer.
@@ -67,11 +88,13 @@ func (w *Wheel) Every(period time.Duration, fn func(now time.Time)) (stop func()
 	}
 	w.mu.Lock()
 	w.seq++
-	e := &entry{id: w.seq, next: time.Now().Add(period), period: period, fn: fn}
+	now := time.Now()
+	e := &entry{id: w.seq, next: now.Add(period), period: period, fn: fn}
 	heap.Push(&w.entries, e)
 	starting := !w.running
 	if starting {
 		w.running = true
+		w.coarse.Store(sinceEpoch(now))
 	}
 	w.mu.Unlock()
 	if starting {
@@ -101,6 +124,18 @@ func (w *Wheel) Timers() int {
 	return w.entries.Len()
 }
 
+// Coarse returns monotonic time since process start, at most CoarseTick
+// behind the real clock (plus whatever the wheel goroutine waited for a
+// processor or a slow callback). While any timer is registered it costs
+// one atomic load; otherwise it reads the clock. Subtract two readings
+// to judge an elapsed time; do not compare them with time.Time values.
+func (w *Wheel) Coarse() time.Duration {
+	if ns := w.coarse.Load(); ns != 0 {
+		return time.Duration(ns)
+	}
+	return time.Duration(sinceEpoch(time.Now()))
+}
+
 func (w *Wheel) nudge() {
 	select {
 	case w.wake <- struct{}{}:
@@ -108,14 +143,16 @@ func (w *Wheel) nudge() {
 	}
 }
 
-// loop is the wheel goroutine: sleep until the earliest deadline, fire
-// everything due, reschedule, exit when the heap drains.
+// loop is the wheel goroutine: sleep until the earliest deadline (at
+// most CoarseTick), publish the coarse clock, fire everything due,
+// reschedule, exit when the heap drains.
 func (w *Wheel) loop() {
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
 	for {
 		w.mu.Lock()
 		now := time.Now()
+		w.coarse.Store(sinceEpoch(now))
 		// Fire everything due. Callbacks run outside the lock so they
 		// can (non-blockingly) interact with code that registers timers.
 		var due []*entry
@@ -130,12 +167,15 @@ func (w *Wheel) loop() {
 		}
 		if w.entries.Len() == 0 && len(due) == 0 {
 			w.running = false
+			w.coarse.Store(0)
 			w.mu.Unlock()
 			return
 		}
-		var wait time.Duration
+		wait := CoarseTick
 		if w.entries.Len() > 0 {
-			wait = time.Until(w.entries[0].next)
+			if d := time.Until(w.entries[0].next); d < wait {
+				wait = d
+			}
 		}
 		w.mu.Unlock()
 

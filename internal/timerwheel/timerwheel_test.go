@@ -130,3 +130,41 @@ func TestStopFromCallback(t *testing.T) {
 		t.Fatalf("self-stopped timer fired %d times, want exactly 1", got)
 	}
 }
+
+// TestCoarseClock pins the coarse clock's contract: with a timer
+// registered it trails the real clock by little more than CoarseTick and
+// never runs backwards; with none (the goroutine gone) it reads the
+// clock itself.
+func TestCoarseClock(t *testing.T) {
+	w := New()
+	// lag reads Coarse first, so a direct clock read lags by >= 0.
+	lag := func() time.Duration { c := w.Coarse(); return time.Since(epoch) - c }
+	if l := lag(); l < 0 || l > time.Millisecond {
+		t.Fatalf("idle wheel: Coarse lags the clock by %v, want a direct read", l)
+	}
+	stop := w.Every(time.Hour, func(time.Time) {})
+	var last, worst time.Duration
+	for end := time.Now().Add(300 * time.Millisecond); time.Now().Before(end); {
+		c := w.Coarse()
+		if c < last {
+			t.Fatalf("Coarse ran backwards: %v after %v", c, last)
+		}
+		last = c
+		if l := time.Since(epoch) - c; l > worst {
+			worst = l
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Slack for a loaded box: the bound is CoarseTick plus scheduling.
+	if worst > CoarseTick+40*time.Millisecond {
+		t.Fatalf("Coarse lagged the clock by %v with the wheel running, tick is %v", worst, CoarseTick)
+	}
+	stop()
+	deadline := time.Now().Add(time.Second)
+	for w.coarse.Load() != 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if l := lag(); l < 0 || l > time.Millisecond {
+		t.Fatalf("stopped wheel: Coarse lags the clock by %v, want a direct read", l)
+	}
+}

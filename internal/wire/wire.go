@@ -62,16 +62,16 @@ const MaxFrameBytes = 4 << 20
 
 // Message type tags.
 const (
-	tagQuery      = 1
-	tagResult     = 2
-	tagPublish    = 3
-	tagPublishAck = 4
-	tagHello      = 5
-	tagBook       = 6
-	tagPing       = 7
-	tagAck        = 8
-	tagPingReq    = 9
-	tagLeave      = 10
+	tagQuery       = 1
+	tagResult      = 2
+	tagPublish     = 3
+	tagPublishAck  = 4
+	tagHello       = 5
+	tagBook        = 6
+	tagPing        = 7
+	tagAck         = 8
+	tagPingReq     = 9
+	tagLeave       = 10
 	tagLeaderLoad  = 11
 	tagMove        = 12
 	tagMetaUpdate  = 13
