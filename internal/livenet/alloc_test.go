@@ -51,7 +51,7 @@ func TestHandleQueryAllocs(t *testing.T) {
 	var id uint64
 	avg := testing.AllocsPerRun(runs, func() {
 		id++
-		sh.handleQuery(protocol.QueryMsg{
+		sh.handleQuery(9, protocol.QueryMsg{
 			ID: id, Category: 3, Want: 8, Origin: 9, Hops: 1, Entry: true,
 		})
 	})
@@ -75,7 +75,7 @@ func TestHandleQueryForwardOnlyAllocs(t *testing.T) {
 	var id uint64
 	avg := testing.AllocsPerRun(runs, func() {
 		id++
-		sh.handleQuery(protocol.QueryMsg{
+		sh.handleQuery(2, protocol.QueryMsg{
 			ID: id, Category: 3, Want: 8, Origin: 9, Hops: 1,
 		})
 	})

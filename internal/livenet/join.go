@@ -257,13 +257,30 @@ func (n *Node) Peers() map[model.NodeID]string {
 	return n.book.snapshot()
 }
 
+// deploymentID reports whether id names a node of this deployment. A
+// corrupted frame can still decode to any id, and one planted in the
+// address book or the failure detector would stay there, so hello, book
+// and membership-event ids outside the shape are dropped here and
+// counted (book_bad_ids). Runs in the control loop.
+func (n *Node) deploymentID(id model.NodeID) bool {
+	if id >= 0 && int(id) < len(n.inst.Nodes) {
+		return true
+	}
+	n.stats.Add("book_bad_ids", 1)
+	return false
+}
+
 // handleHello merges the newcomer into the book, replies with the full
 // book, and forwards the hello once to every peer this node knew before
 // (so the whole deployment learns the address without a broadcast storm).
 // A duplicate announcement — a peer restarting on its old address —
 // still gets the book reply (the restarted process lost its copy); only
-// the forwarding is suppressed.
+// the forwarding is suppressed. A hello from an id outside the deployment
+// gets neither.
 func (n *Node) handleHello(m helloMsg) {
+	if !n.deploymentID(m.ID) {
+		return
+	}
 	known, _ := n.book.get(m.ID)
 	duplicate := known == m.Addr
 	prior := make([]model.NodeID, 0, n.book.len())
@@ -305,11 +322,13 @@ func (n *Node) handleBook(m bookMsg) {
 		for id, inc := range m.Dead {
 			// A tombstone about this node itself is refuted inside the
 			// detector (incarnation bump + alive rumor).
-			n.det.ApplyTombstone(id, inc, now)
+			if n.deploymentID(id) {
+				n.det.ApplyTombstone(id, inc, now)
+			}
 		}
 	}
 	for id, addr := range m.Book {
-		if id == n.id {
+		if id == n.id || !n.deploymentID(id) {
 			continue
 		}
 		if n.det != nil {

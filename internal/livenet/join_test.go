@@ -4,6 +4,8 @@ import (
 	"testing"
 	"time"
 
+	"p2pshare/internal/membership"
+	"p2pshare/internal/memnet"
 	"p2pshare/internal/metrics"
 	"p2pshare/internal/model"
 )
@@ -104,6 +106,42 @@ func TestStartNodeValidation(t *testing.T) {
 	}
 	if _, err := StartNode(sh, 0, "127.0.0.1:0", "127.0.0.1:1", Options{}); err == nil {
 		t.Error("unreachable bootstrap should fail")
+	}
+}
+
+// TestCorruptNodeIDsStayOutOfBook: a hello and a book naming ids outside
+// the deployment — what a corrupted frame can still decode to — arrive
+// over the fabric. Neither id reaches the address book or the failure
+// detector, the hello is neither answered nor forwarded (a forwarded copy
+// would be counted again by its receiver), and each id is counted once.
+func TestCorruptNodeIDsStayOutOfBook(t *testing.T) {
+	sh := Shape{Documents: 200, Categories: 6, Nodes: 16, Clusters: 2, Seed: 9}
+	c := launchOverMemnet(t, sh, nil, memnet.New(), Options{
+		Membership: &membership.Config{ProbeInterval: time.Hour},
+	})
+	n, from := c.Nodes[0], c.Nodes[1]
+	outside := model.NodeID(len(c.Nodes))
+	peers := n.KnownPeers()
+	alive, _ := n.MembershipCounts()
+
+	runCmd(t, from, func(f *Node) {
+		f.send(n.id, helloMsg{ID: outside + 7, Addr: "127.0.0.1:1"})
+		f.send(n.id, bookMsg{Book: map[model.NodeID]string{outside + 3: "127.0.0.1:1", 2: c.Nodes[2].Addr()}})
+	})
+	waitFor(t, 5*time.Second, "both ids counted", func() bool { return n.Stats()["book_bad_ids"] == 2 })
+	time.Sleep(100 * time.Millisecond)
+
+	if got := n.KnownPeers(); got != peers {
+		t.Errorf("address book %d → %d entries", peers, got)
+	}
+	if got, _ := n.MembershipCounts(); got != alive {
+		t.Errorf("failure detector %d → %d alive", alive, got)
+	}
+	if got := n.Stats()["send_no_addr"]; got != 0 {
+		t.Errorf("%d sends without an address: the bad hello was answered", got)
+	}
+	if got := c.Stats()["book_bad_ids"]; got != 2 {
+		t.Errorf("cluster counted %d bad ids, want 2: the hello was forwarded", got)
 	}
 }
 

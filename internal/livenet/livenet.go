@@ -845,7 +845,7 @@ func (n *Node) routeInbound(env envelope) bool {
 func (n *Node) runOnShard(env envelope) bool {
 	switch m := env.Msg.(type) {
 	case protocol.QueryMsg:
-		n.shardFor(m.ID).handleQuery(m)
+		n.shardFor(m.ID).handleQuery(env.From, m)
 	case protocol.ResultMsg:
 		n.shardFor(m.ID).handleResult(m)
 	default:
@@ -952,9 +952,15 @@ var (
 	ErrOverloaded = query.ErrOverloaded
 )
 
+// publishFanout is how many serving-cluster members a publish goes to.
+const publishFanout = 3
+
 // Publish announces a (locally stored) document to the cluster serving
-// its category — the §6.2 protocol over TCP. Publishing a category with
-// no DCRT entry fails with ErrNoRoute.
+// its category — the §6.2 protocol over TCP — through the first
+// publishFanout members of its NRT entry that are in the address book,
+// the preference QueryContext's route snapshot applies. Publishing a
+// category with no DCRT entry, or into a cluster with no addressable
+// member, fails with ErrNoRoute.
 func (n *Node) Publish(d catalog.DocID) error {
 	doc := n.inst.Catalog.Doc(d)
 	if doc == nil {
@@ -965,17 +971,22 @@ func (n *Node) Publish(d catalog.DocID) error {
 	case n.cmds <- func(n *Node) {
 		n.holdDoc(d)
 		cat := doc.Categories[0]
-		entry, ok := n.dcrt[cat]
-		if !ok {
+		sent := 0
+		if entry, ok := n.dcrt[cat]; ok {
+			for _, nb := range n.nrt[entry.Cluster] {
+				if sent == publishFanout {
+					break
+				}
+				if n.book.has(nb) {
+					n.send(nb, protocol.PublishMsg{Doc: d, Category: cat, Publisher: n.id})
+					sent++
+				}
+			}
+		}
+		if sent == 0 {
 			n.stats.Add("publish_no_route", 1)
 			errc <- ErrNoRoute
 			return
-		}
-		for i, nb := range n.nrt[entry.Cluster] {
-			if i == 3 {
-				break
-			}
-			n.send(nb, protocol.PublishMsg{Doc: d, Category: cat, Publisher: n.id})
 		}
 		errc <- nil
 	}:

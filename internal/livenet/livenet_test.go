@@ -1,11 +1,14 @@
 package livenet
 
 import (
+	"errors"
+	"slices"
 	"testing"
 	"time"
 
 	"p2pshare/internal/catalog"
 	"p2pshare/internal/core"
+	"p2pshare/internal/memnet"
 	"p2pshare/internal/model"
 	"p2pshare/internal/replica"
 )
@@ -147,6 +150,70 @@ func TestLivePublishBecomesQueryable(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("published document never appeared in query results")
 		}
+	}
+}
+
+// TestPublishSkipsUnaddressableMembers: the first three NRT peers the
+// publisher has for the serving cluster are missing from its address book
+// (down, or never joined). The publish goes to the next member that is
+// addressable, whose PublishAck comes back — its member sample lands in
+// the publisher's NRT. With no addressable member left, Publish fails with
+// ErrNoRoute instead of returning nil having sent nothing.
+func TestPublishSkipsUnaddressableMembers(t *testing.T) {
+	sh := Shape{Documents: 200, Categories: 6, Nodes: 16, Clusters: 2, Seed: 9}
+	inst, assign, _, err := sh.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem, err := model.NewMembership(inst, assign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := launchOverMemnet(t, sh, nil, memnet.New(), Options{})
+	p := c.Nodes[0]
+	cg := inst.Catalog.Cats[bigCategory(inst)]
+	cl, doc := assign[cg.ID], cg.Docs[0]
+	var targets []model.NodeID
+	for _, id := range mem.NodesOf(cl) {
+		if id != p.id && len(targets) < 4 {
+			targets = append(targets, id)
+		}
+	}
+	if len(targets) < 4 {
+		t.Fatal("serving cluster has fewer than four other members")
+	}
+	runCmd(t, p, func(n *Node) {
+		n.nrt[cl] = slices.Clone(targets)
+		for _, id := range targets[:3] {
+			n.book.del(id)
+		}
+	})
+	var visible bool
+	runCmd(t, c.Nodes[targets[3]], func(n *Node) {
+		visible = slices.ContainsFunc(n.nrt[cl], func(id model.NodeID) bool { return id != p.id && !slices.Contains(targets, id) })
+	})
+	if !visible {
+		t.Fatal("the addressable member's NRT names no new member: its ack would be invisible")
+	}
+
+	if err := p.Publish(doc); err != nil {
+		t.Fatalf("Publish: %v", err)
+	}
+	waitFor(t, 5*time.Second, "PublishAck from the addressable member", func() bool {
+		var l int
+		runCmd(t, p, func(n *Node) { l = len(n.nrt[cl]) })
+		return l > len(targets)
+	})
+	if got := p.Stats()["send_no_addr"]; got != 0 {
+		t.Errorf("publish sent %d envelopes to members without an address", got)
+	}
+
+	runCmd(t, p, func(n *Node) { n.nrt[cl] = slices.Clone(targets[:3]) })
+	if err := p.Publish(doc); !errors.Is(err, ErrNoRoute) {
+		t.Fatalf("Publish with no addressable member: %v, want ErrNoRoute", err)
+	}
+	if got := p.Stats()["publish_no_route"]; got != 1 {
+		t.Errorf("publish_no_route = %d, want 1", got)
 	}
 }
 

@@ -130,7 +130,7 @@ func (n *Node) drainMembership() {
 		switch ev.State {
 		case membership.Alive:
 			// New or resurrected member: (re)learn its address.
-			if ev.Addr != "" {
+			if ev.Addr != "" && n.deploymentID(ev.ID) {
 				n.book.set(ev.ID, ev.Addr)
 			}
 		case membership.Suspect:

@@ -21,11 +21,13 @@ package livenet
 //	                  route snapshot, and registering its own query.
 //
 // Frame dispatch: a connection reader runs a decoded QueryMsg/ResultMsg
-// itself, on the shard owning its query id; every other message type
-// goes to the control loop. A query id is minted with its owning shard's
-// index in the low shardIDBits bits, so any node — even one running a
-// different shard count — routes the id to one deterministic shard, and
-// results for a query come home to the shard that registered it.
+// itself, on the shard owning its query id, and hands handleQuery the
+// envelope's sender so the flood is not echoed back to it; every other
+// message type goes to the control loop. A query id is minted with its
+// owning shard's index in the low shardIDBits bits, so any node — even
+// one running a different shard count — routes the id to one
+// deterministic shard, and results for a query come home to the shard
+// that registered it.
 //
 // Locking: the order is s.mu → routeMu. Shard code reads the
 // control-owned routing state (book, DCRT, NRT, byCat) under
@@ -252,12 +254,18 @@ func (s *engineShard) sweep(now time.Time) {
 	}
 }
 
-// handleQuery mirrors the simulated overlay's §3.3 target-node logic. A
-// query for a category this node has no DCRT entry for is dropped (and
-// counted) instead of being misrouted into cluster 0. The only shard
-// state a query touches is the seen set, so mu is held for the dedup
-// alone; matching and forwarding run under routeMu.RLock.
-func (s *engineShard) handleQuery(m protocol.QueryMsg) {
+// handleQuery mirrors the simulated overlay's §3.3 target-node logic:
+// answer from the local store, then forward the residual demand to every
+// NRT neighbour in the serving cluster except from, the node the frame
+// came from. That node ran the query before forwarding it here, so its
+// seen set would drop the copy; the entry hop is exempt, because its
+// sender is the origin, which never ran the query as a cluster member and
+// may be one (its own store then answers through the flood). A query for
+// a category this node has no DCRT entry for is dropped (and counted)
+// instead of being misrouted into cluster 0. The only shard state a query
+// touches is the seen set, so mu is held for the dedup alone; matching
+// and forwarding run under routeMu.RLock.
+func (s *engineShard) handleQuery(from model.NodeID, m protocol.QueryMsg) {
 	s.mu.Lock()
 	dup := s.markSeen(m.ID)
 	s.mu.Unlock()
@@ -305,6 +313,9 @@ func (s *engineShard) handleQuery(m protocol.QueryMsg) {
 				Origin: m.Origin, Hops: m.Hops + 1,
 			}
 			for _, nb := range nbs {
+				if nb == from && !m.Entry {
+					continue
+				}
 				n.send(nb, fwd)
 			}
 		}

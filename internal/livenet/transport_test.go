@@ -350,7 +350,7 @@ func TestQueryNoRouteExplicit(t *testing.T) {
 
 	// Handler path: an inbound query for the unroutable category is
 	// dropped and counted, not forwarded to cluster 0.
-	n.shardFor(1 << 40).handleQuery(protocol.QueryMsg{ID: 1 << 40, Category: cat, Want: 1, Origin: 5, Hops: 1})
+	n.shardFor(1<<40).handleQuery(5, protocol.QueryMsg{ID: 1 << 40, Category: cat, Want: 1, Origin: 5, Hops: 1})
 	if n.stats.Get("drop_no_route") == 0 {
 		t.Error("drop_no_route not counted on handler path")
 	}
