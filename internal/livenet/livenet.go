@@ -312,6 +312,7 @@ func newNode(inst *model.Instance, id model.NodeID, ln net.Listener, seed int64,
 	}
 	if opts.Content != nil {
 		n.store = content.NewStore(opts.Content.ChunkSize)
+		n.tr.bulkLane = true
 		if opts.Content.CacheBytes > 0 {
 			n.store.SetCacheBudget(opts.Content.CacheBytes)
 			n.cacheAdmit = opts.Content.CacheAdmitHits
@@ -417,7 +418,7 @@ func (n *Node) QueryLatency() *metrics.SyncHistogram { return n.latency }
 
 // BatchSizes exposes the transport's write-coalescing histogram: how
 // many envelopes each flush carried to the socket.
-func (n *Node) BatchSizes() *metrics.SyncHistogram { return n.tr.batches }
+func (n *Node) BatchSizes() *metrics.IntHistogram { return n.tr.batches }
 
 // Cluster is a set of live peers sharing one deployment.
 type Cluster struct {

@@ -22,7 +22,7 @@ import (
 // established stream, and reconnects on failure with capped exponential
 // backoff plus jitter.
 //
-// Two things make the wire path fast:
+// Four things make the wire path fast and cheap:
 //
 //   - Codec. Every stream speaks internal/wire (compact varint frames,
 //     no reflection, pooled encode buffers), opened by that package's
@@ -30,12 +30,19 @@ import (
 //     out — is a failed connect like a failed dial: the stream is
 //     closed and the attempt retried under the same backoff.
 //   - Write coalescing. The writer drains its queue in batches of up to
-//     maxBatchMsgs envelopes through one bufio.Writer and flushes when
-//     the queue is empty or the batch is full — many envelopes per
+//     maxBatchMsgs envelopes through a 64 KB bufio.Writer and flushes
+//     when the queue is empty or the batch is full — many envelopes per
 //     syscall under load, zero added latency when traffic is sparse
 //     (an envelope arriving alone flushes immediately). Batch sizes are
 //     observed in a histogram; bytes that reach the socket are counted
 //     as wire_bytes_out.
+//   - A link costs what it carries. The write buffer is borrowed from a
+//     process-wide pool to frame and flush one batch and handed back
+//     after the flush, so between batches a stream holds no buffer: live
+//     write buffers track the writers flushing right now, not the
+//     streams open (a 1000-node cluster keeps ~12 000). The bulk queue
+//     exists only on a node with a content store, and the backoff
+//     jitter source only after a first failed connect.
 //   - No fixed tax per frame. The per-message counters are atomic cells
 //     held by the goroutine that bumps them, the writer looks at queue
 //     lengths before it pays for a select, and stream deadlines are
@@ -93,10 +100,17 @@ const (
 	// how long a protocol frame arriving just after a flush started can
 	// wait behind bulk bytes already committed to the socket.
 	maxBulkPerBatch = 8
-	// writeBufBytes sizes each peer stream's write buffer; a batch that
-	// outgrows it flushes early inside bufio.
+	// writeBufBytes sizes the write buffer a batch is framed into; a
+	// batch that outgrows it flushes early inside bufio.
 	writeBufBytes = 64 << 10
 )
+
+// writeBufs holds the batch write buffers: a writer borrows one to frame
+// and flush one batch (peerWriter.write) and returns it empty and
+// detached from the stream.
+var writeBufs = sync.Pool{
+	New: func() any { return bufio.NewWriterSize(nil, writeBufBytes) },
+}
 
 // transport is one node's connection pool. All methods are safe for
 // concurrent use: enqueue is called from the node's connection readers,
@@ -105,7 +119,7 @@ type transport struct {
 	from    model.NodeID
 	seed    int64
 	stats   *metrics.SyncCounter
-	batches *metrics.SyncHistogram // envelopes coalesced per flush
+	batches *metrics.IntHistogram // envelopes coalesced per flush
 	// The per-message counters, held as cells (see SyncCounter.Handle).
 	sends, reuses, bytesOut *atomic.Int64
 
@@ -122,6 +136,10 @@ type transport struct {
 	// writersActive gauges how many writer goroutines exist right now
 	// (spawned minus parked/exited) — exported as transport_writers_active.
 	writersActive atomic.Int64
+	// bulkLane gives each peer a bulk queue. Only a node with a content
+	// store sends chunks, so only such a node pays for the queues. Set
+	// before the node's loops start, read-only after.
+	bulkLane bool
 
 	// dial is swappable so tests can inject dial failures.
 	dialMu sync.Mutex
@@ -141,7 +159,8 @@ type transport struct {
 // protocol strictly first and admits at most maxBulkPerBatch bulk
 // envelopes per flush, so a saturating transfer cannot starve the
 // protocol path — it only uses the bandwidth protocol traffic leaves
-// idle.
+// idle. bulk is nil on a transport without a bulk lane: a nil channel
+// is empty, never ready in a select, and full to enqueueBulk.
 type peerConn struct {
 	to    model.NodeID
 	queue chan envelope
@@ -187,7 +206,7 @@ func newTransport(from model.NodeID, seed int64, stats *metrics.SyncCounter) *tr
 		from:       from,
 		seed:       seed,
 		stats:      stats,
-		batches:    &metrics.SyncHistogram{},
+		batches:    metrics.NewIntHistogram(maxBatchMsgs),
 		sends:      stats.Handle("transport_sends"),
 		reuses:     stats.Handle("transport_reuses"),
 		bytesOut:   stats.Handle("wire_bytes_out"),
@@ -237,7 +256,7 @@ func (t *transport) enqueueOn(to model.NodeID, addr string, env envelope, bulk b
 	}
 	p, ok := t.peers[to]
 	if !ok {
-		p = newPeerConn(to)
+		p = t.newPeerConn(to)
 		t.peers[to] = p
 	}
 	p.addr = addr
@@ -270,12 +289,12 @@ func (t *transport) enqueueOn(to model.NodeID, addr string, env envelope, bulk b
 	}
 }
 
-func newPeerConn(to model.NodeID) *peerConn {
-	return &peerConn{
-		to:    to,
-		queue: make(chan envelope, sendQueueCap),
-		bulk:  make(chan envelope, bulkQueueCap),
+func (t *transport) newPeerConn(to model.NodeID) *peerConn {
+	p := &peerConn{to: to, queue: make(chan envelope, sendQueueCap)}
+	if t.bulkLane {
+		p.bulk = make(chan envelope, bulkQueueCap)
 	}
+	return p
 }
 
 // park retires an idle writer: under t.mu — the same lock every enqueue
@@ -335,16 +354,17 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// peerWriter is one writer goroutine's connection state: the socket and
-// the batching buffer of the current stream.
+// peerWriter is one writer goroutine's connection state: the socket,
+// its byte counter and its write deadline. The buffer a batch is framed
+// into is borrowed per batch (writeBufs), not held here.
 type peerWriter struct {
 	t   *transport
 	p   *peerConn
-	rng *rand.Rand
+	rng *rand.Rand // backoff jitter; made on the first failed connect
 
 	conn     net.Conn
-	bw       *bufio.Writer // coalesces frames; flushed once per batch
-	deadline lazyDeadline  // conn's write deadline, writeTimeout ahead
+	out      countingWriter // conn, counted as wire_bytes_out
+	deadline lazyDeadline   // conn's write deadline, writeTimeout ahead
 
 	connectFails int  // consecutive failed connects (drives backoff + eviction)
 	notified     bool // onPeerDown fired for the current outage
@@ -360,10 +380,7 @@ type peerWriter struct {
 func (t *transport) run(p *peerConn) {
 	defer t.wg.Done()
 	defer t.writersActive.Add(-1)
-	w := &peerWriter{
-		t: t, p: p,
-		rng: rand.New(rand.NewSource(t.seed + int64(t.from)*7919 + int64(p.to)*104729)),
-	}
+	w := &peerWriter{t: t, p: p}
 	defer w.drop()
 	var idle *time.Timer
 	var idleC <-chan time.Time
@@ -467,37 +484,49 @@ func (w *peerWriter) deliver(batch []envelope) bool {
 			t.reuses.Add(1)
 		}
 		w.deadline.touch()
-		var err error
-		for sent < len(batch) {
-			if err = wire.WriteEnvelope(w.bw, batch[sent]); err != nil {
-				break
-			}
-			sent++
-		}
+		framed, err := w.write(batch[sent:])
+		sent += framed
 		if err == nil {
-			if err = w.bw.Flush(); err == nil {
-				acked = sent - lost
-			}
+			acked = sent - lost
+			break
 		}
-		if err != nil {
-			// Stream broke (peer restarted or died): everything framed
-			// but not yet flushed died with the buffer. Reconnect on the
-			// next attempt and resume from the failed envelope.
-			lost = sent - acked
-			w.drop()
-			t.stats.Add("transport_reconnects", 1)
-			continue
-		}
-		break
+		// Stream broke (peer restarted or died): everything framed but
+		// not yet flushed died with the buffer. Reconnect on the next
+		// attempt and resume from the failed envelope.
+		lost = sent - acked
+		w.drop()
+		t.stats.Add("transport_reconnects", 1)
 	}
 	if acked > 0 {
 		t.sends.Add(int64(acked))
-		t.batches.Observe(float64(acked))
+		t.batches.Observe(acked)
 	}
 	if failed := len(batch) - acked; failed > 0 {
 		t.stats.Add("transport_send_failures", int64(failed))
 	}
 	return true
+}
+
+// write frames envs onto the current stream and flushes them, through a
+// write buffer borrowed for this call alone: it is returned empty and
+// detached from the stream, so a stream between batches holds no buffer
+// and bytes a failed flush left behind die here, with their stream.
+// framed counts the envelopes framed before the first error.
+func (w *peerWriter) write(envs []envelope) (framed int, err error) {
+	bw := writeBufs.Get().(*bufio.Writer)
+	bw.Reset(&w.out)
+	for _, env := range envs {
+		if err = wire.WriteEnvelope(bw, env); err != nil {
+			break
+		}
+		framed++
+	}
+	if err == nil {
+		err = bw.Flush()
+	}
+	bw.Reset(nil)
+	writeBufs.Put(bw)
+	return framed, err
 }
 
 // connect dials the peer and opens the stream. A failed dial and a
@@ -527,13 +556,16 @@ func (w *peerWriter) connect() (ok, alive bool) {
 				t.onPeerDown(p.to)
 			}
 		}
+		if w.rng == nil {
+			w.rng = rand.New(rand.NewSource(t.seed + int64(t.from)*7919 + int64(p.to)*104729))
+		}
 		return false, t.backoff(w.rng, w.connectFails)
 	}
 	t.stats.Add("transport_dials", 1)
 	w.connectFails = 0
 	w.notified = false
 	w.conn = c
-	w.bw = bufio.NewWriterSize(&countingWriter{w: c, bytes: t.bytesOut}, writeBufBytes)
+	w.out = countingWriter{w: c, bytes: t.bytesOut}
 	w.deadline = lazyDeadline{window: writeTimeout, set: c.SetWriteDeadline}
 	return true, true
 }
@@ -543,7 +575,7 @@ func (w *peerWriter) drop() {
 	if w.conn != nil {
 		w.conn.Close()
 	}
-	w.conn, w.bw = nil, nil
+	w.conn, w.out.w = nil, nil
 }
 
 // backoff sleeps min(base<<(fails-1), cap) plus up to 50% jitter,

@@ -99,13 +99,19 @@ type sink struct {
 // play its restart). takeOver, when non-nil, sees each accepted
 // connection (numbered from 1) before the handshake; returning true
 // means it dealt with the connection itself — stalled it, or nothing at
-// all — and the sink closes it unacked.
+// all — and the sink closes it.
 func startSink(t testing.TB, addr string, takeOver func(connNo int, conn net.Conn) bool, onEnv func(envelope)) *sink {
 	t.Helper()
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		t.Fatalf("listen on %s: %v", addr, err)
 	}
+	return serveSink(t, ln, takeOver, onEnv)
+}
+
+// serveSink is startSink on a listener the caller opened (a memnet one,
+// say).
+func serveSink(t testing.TB, ln net.Listener, takeOver func(connNo int, conn net.Conn) bool, onEnv func(envelope)) *sink {
 	s := &sink{ln: ln}
 	serve := func(connNo int, conn net.Conn) {
 		defer s.wg.Done()

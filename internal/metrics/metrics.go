@@ -380,6 +380,85 @@ func (h *SyncHistogram) Distribution(buckets, width int) string {
 	return h.h.Distribution(buckets, width)
 }
 
+// IntHistogram is an exact histogram of the integers 0…top, safe for
+// concurrent observers: one atomic count per value, so observing costs
+// one atomic add and no lock, and the histogram stays top+1 cells however
+// many samples it sees (a SyncHistogram keeps every sample). Its answers
+// equal those of a Histogram fed the same samples; read while observers
+// count, each cell is read as it stands. Reading allocates nothing. A
+// sample outside 0…top is counted as the nearer end.
+type IntHistogram struct {
+	counts []atomic.Int64
+}
+
+// NewIntHistogram returns an empty histogram of the values 0…top.
+func NewIntHistogram(top int) *IntHistogram {
+	return &IntHistogram{counts: make([]atomic.Int64, top+1)}
+}
+
+// Observe records one sample.
+func (h *IntHistogram) Observe(v int) {
+	h.counts[min(max(v, 0), len(h.counts)-1)].Add(1)
+}
+
+// Count returns the number of samples.
+func (h *IntHistogram) Count() int {
+	n := int64(0)
+	for v := range h.counts {
+		n += h.counts[v].Load()
+	}
+	return int(n)
+}
+
+// Sum returns the total of all samples (0 when empty).
+func (h *IntHistogram) Sum() float64 {
+	s := int64(0)
+	for v := range h.counts {
+		s += int64(v) * h.counts[v].Load()
+	}
+	return float64(s)
+}
+
+// Mean returns the sample mean (0 when empty). Histogram sums integer
+// samples as floats, exactly while the sum stays below 2⁵³, so the two
+// agree.
+func (h *IntHistogram) Mean() float64 {
+	if n := h.Count(); n > 0 {
+		return h.Sum() / float64(n)
+	}
+	return 0
+}
+
+// Max returns the largest sample (0 when empty).
+func (h *IntHistogram) Max() float64 { return h.Quantile(1) }
+
+// Quantile returns the q-quantile (0 <= q <= 1) by nearest-rank; it
+// returns 0 when empty.
+func (h *IntHistogram) Quantile(q float64) float64 {
+	n := int64(h.Count())
+	if n == 0 {
+		return 0
+	}
+	rank := int64(0) // 0-based position in sorted order
+	if q >= 1 {
+		rank = n - 1
+	} else if q > 0 {
+		rank = max(int64(math.Ceil(q*float64(n)))-1, 0)
+	}
+	for v := range h.counts {
+		if rank -= h.counts[v].Load(); rank < 0 {
+			return float64(v)
+		}
+	}
+	return float64(len(h.counts) - 1)
+}
+
+// Summary renders count/mean/p50/p95/max on one line.
+func (h *IntHistogram) Summary() string {
+	return fmt.Sprintf("n=%d mean=%.2f p50=%.2f p95=%.2f max=%.2f",
+		h.Count(), h.Mean(), h.Quantile(0.5), h.Quantile(0.95), h.Max())
+}
+
 // Timeline is a time-stamped series of float64 values (e.g. the fairness
 // index over a dynamic run).
 type Timeline struct {

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -361,5 +362,84 @@ func TestHistogramSum(t *testing.T) {
 	sh.Observe(6)
 	if got := sh.Sum(); got != 10 {
 		t.Errorf("SyncHistogram Sum = %g, want 10", got)
+	}
+}
+
+// TestIntHistogramMatchesSyncHistogram feeds one stream of batch-sized
+// integers to both representations — empty, one sample, skewed streams
+// of several lengths, and concurrent observers — and requires every
+// answer to be equal, so readers of a transport's batch sizes see the
+// same numbers from constant memory.
+func TestIntHistogramMatchesSyncHistogram(t *testing.T) {
+	const top = 64
+	qs := []float64{-1, 0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1, 2}
+	check := func(name string, ih *IntHistogram, sh *SyncHistogram) {
+		t.Helper()
+		if ih.Count() != sh.Count() || ih.Sum() != sh.Sum() || ih.Mean() != sh.Mean() || ih.Max() != sh.Max() {
+			t.Fatalf("%s: count/sum/mean/max %d/%g/%g/%g, want %d/%g/%g/%g", name,
+				ih.Count(), ih.Sum(), ih.Mean(), ih.Max(), sh.Count(), sh.Sum(), sh.Mean(), sh.Max())
+		}
+		for _, q := range qs {
+			if got, want := ih.Quantile(q), sh.Quantile(q); got != want {
+				t.Fatalf("%s: Quantile(%g) = %g, want %g", name, q, got, want)
+			}
+		}
+		if got, want := ih.Summary(), sh.Summary(); got != want {
+			t.Fatalf("%s: Summary = %q, want %q", name, got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, 2, 3, 17, 1000, 100000} {
+		ih, sh := NewIntHistogram(top), &SyncHistogram{}
+		for i := 0; i < n; i++ {
+			// Mostly ones, like a lightly loaded writer, with a long tail.
+			v := 1
+			if rng.Intn(4) == 0 {
+				v = 1 + rng.Intn(top)
+			}
+			ih.Observe(v)
+			sh.Observe(float64(v))
+		}
+		check(fmt.Sprintf("n=%d", n), ih, sh)
+	}
+
+	ih, sh := NewIntHistogram(top), &SyncHistogram{}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				v := 1 + (g*i)%top
+				ih.Observe(v)
+				sh.Observe(float64(v))
+			}
+		}(g)
+	}
+	wg.Wait()
+	check("concurrent", ih, sh)
+
+	// Out-of-range samples land on the nearer end.
+	clamped := NewIntHistogram(top)
+	clamped.Observe(-3)
+	clamped.Observe(top + 10)
+	if clamped.Count() != 2 || clamped.Quantile(0) != 0 || clamped.Max() != top {
+		t.Fatalf("clamped histogram: %s", clamped.Summary())
+	}
+}
+
+// TestIntHistogramConstantMemory: observing allocates nothing, so the
+// histogram's footprint does not grow with the number of samples, and
+// neither does reading it (a benchmark reads Count and Sum between its
+// memory statistics and the phase they bracket).
+func TestIntHistogramConstantMemory(t *testing.T) {
+	h := NewIntHistogram(64)
+	if avg := testing.AllocsPerRun(1000, func() {
+		h.Observe(7)
+		if h.Count() == 0 || h.Sum() == 0 || h.Mean() == 0 || h.Quantile(0.5) == 0 {
+			t.Fatal("empty after an observation")
+		}
+	}); avg != 0 {
+		t.Fatalf("Observe and the reads allocate %.1f per run, want 0", avg)
 	}
 }

@@ -171,7 +171,8 @@ func TestChunksLeaveNoLargeScratchBehind(t *testing.T) {
 
 // TestChunkFrameAllocs extends the codec's allocation pins to the bulk
 // path: writing a 64 KB chunk frame from a descriptor allocates
-// nothing, and reading one costs the boxed message only — the payload
+// nothing and bypasses the write buffer, and reading one costs the boxed
+// message only — the payload
 // lands in a pooled buffer the released chunk hands back.
 func TestChunkFrameAllocs(t *testing.T) {
 	if raceEnabled {
@@ -187,6 +188,20 @@ func TestChunkFrameAllocs(t *testing.T) {
 	}); avg > 0 {
 		t.Fatalf("WriteEnvelope(64 KB chunk descriptor) allocates %.1f per run, budget 0", avg)
 	}
+	// Nor is the frame copied into the writer's 64 KB buffer: it reaches
+	// the connection in one Write. The writer is set up the way the live
+	// transport borrows its write buffers — made without a destination,
+	// then Reset onto the stream for one batch.
+	var conn writeSizes
+	bw := bufio.NewWriterSize(nil, 64<<10)
+	bw.Reset(&conn)
+	if err := WriteEnvelope(bw, env); err != nil {
+		t.Fatal(err)
+	}
+	if bw.Buffered() != 0 || len(conn) != 1 || conn[0] <= size {
+		t.Fatalf("a 64 KB chunk frame reached the connection as writes of %v bytes with %d left buffered, want one write of the whole frame",
+			conn, bw.Buffered())
+	}
 
 	r := NewReader(bufio.NewReaderSize(&replayReader{b: chunkStream(t, 1, size)}, 64<<10))
 	if avg := testing.AllocsPerRun(200, func() {
@@ -198,6 +213,14 @@ func TestChunkFrameAllocs(t *testing.T) {
 	}); avg > 1 {
 		t.Fatalf("Reader.Next(64 KB chunk) allocates %.1f per run, budget 1", avg)
 	}
+}
+
+// writeSizes records the length of every Write it is handed.
+type writeSizes []int
+
+func (w *writeSizes) Write(p []byte) (int, error) {
+	*w = append(*w, len(p))
+	return len(p), nil
 }
 
 // BenchmarkChunkFrameRoundTrip moves 64 KB chunk frames through the
