@@ -44,6 +44,15 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// A new document for node 7 to publish below (launch fixes the catalog).
+	ids, err := inst.Catalog.AddDocuments(1, 0.03, 0.8, rand.New(rand.NewSource(99)))
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := inst.AttachDocument(ids[0], 7); err != nil {
+		log.Fatal(err)
+	}
+
 	cluster, err := livenet.Launch(inst, res.Assignment, place, livenet.Options{Seed: 1})
 	if err != nil {
 		log.Fatal(err)
@@ -69,14 +78,7 @@ func main() {
 			q.origin, q.cat, q.m, len(out.Docs), out.Hops, time.Since(start).Round(time.Millisecond))
 	}
 
-	// Publish a new document from node 7 and find it from node 22.
-	ids, err := inst.Catalog.AddDocuments(1, 0.03, 0.8, rand.New(rand.NewSource(99)))
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := inst.AttachDocument(ids[0], 7); err != nil {
-		log.Fatal(err)
-	}
+	// Publish the new document from node 7 and find it from node 22.
 	if err := cluster.Nodes[7].Publish(ids[0]); err != nil {
 		log.Fatal(err)
 	}

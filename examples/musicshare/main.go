@@ -95,6 +95,15 @@ func liveBytes() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// A new recording for peer 7 to share below (launch fixes the catalog).
+	ids, err := inst.Catalog.AddDocuments(1, 0.03, 0.8, rand.New(rand.NewSource(99)))
+	if err != nil {
+		log.Fatal(err)
+	}
+	song := ids[0]
+	if err := inst.AttachDocument(song, 7); err != nil {
+		log.Fatal(err)
+	}
 	cluster, err := livenet.Launch(inst, assign, place, livenet.Options{
 		Seed:    1,
 		Content: &livenet.ContentConfig{},
@@ -136,14 +145,6 @@ search:
 	// Put installs the bytes and builds the manifest; Publish announces
 	// the song to its genre's serving cluster; any peer can then Fetch
 	// it and verify it is bit-for-bit the original.
-	ids, err := inst.Catalog.AddDocuments(1, 0.03, 0.8, rand.New(rand.NewSource(99)))
-	if err != nil {
-		log.Fatal(err)
-	}
-	song := ids[0]
-	if err := inst.AttachDocument(song, 7); err != nil {
-		log.Fatal(err)
-	}
 	recording := make([]byte, 192<<10)
 	rand.New(rand.NewSource(77)).Read(recording)
 	publisher := cluster.Nodes[7]

@@ -153,9 +153,7 @@ func (n *Node) enableAdaptation(cfg AdaptConfig) {
 		assign[i] = model.NoCluster
 	}
 	for cat, e := range n.dcrt {
-		if int(cat) < len(assign) {
-			assign[cat] = e.Cluster
-		}
+		assign[cat] = e.Cluster
 	}
 	mem, err := model.NewMembership(n.inst, assign)
 	if err != nil {
@@ -424,26 +422,6 @@ func (n *Node) adaptAggregate(e uint64) {
 	}
 }
 
-// sanitizeLoad strips category ids outside the local catalog from a
-// remote load message, so a corrupt frame or a peer with a different
-// catalog shape costs the bad categories (counted) rather than the whole
-// epoch's plan.
-func (n *Node) sanitizeLoad(m *wire.LeaderLoad) {
-	nCats := catalog.CategoryID(len(n.inst.Catalog.Cats))
-	for c := range m.Hits {
-		if c < 0 || c >= nCats {
-			delete(m.Hits, c)
-			n.stats.Add("adapt_bad_categories", 1)
-		}
-	}
-	for c := range m.Units {
-		if c < 0 || c >= nCats {
-			delete(m.Units, c)
-			n.stats.Add("adapt_bad_categories", 1)
-		}
-	}
-}
-
 // handleLeaderLoad processes both kinds of load message: a member
 // report (accepted only by the believed leader of the reporting
 // cluster) and a leader-to-leader aggregate.
@@ -453,11 +431,6 @@ func (n *Node) handleLeaderLoad(from model.NodeID, m wire.LeaderLoad) {
 		n.stats.Add("adapt_dropped_loads", 1)
 		return
 	}
-	if m.Cluster < 0 || int(m.Cluster) >= n.inst.NumClusters {
-		n.stats.Add("adapt_dropped_loads", 1)
-		return
-	}
-	n.sanitizeLoad(&m)
 	if m.Aggregated {
 		if have, ok := ad.loads[m.Cluster]; !ok || m.Epoch > have.Epoch {
 			ad.loads[m.Cluster] = &protocol.ClusterLoad{Epoch: m.Epoch, Hits: m.Hits, Units: m.Units}
@@ -548,7 +521,7 @@ func (n *Node) handleMetaUpdate(m protocol.MetadataUpdateMsg) {
 // and the entry is re-gossiped — forwarding only on change keeps the
 // epidemic bounded.
 func (n *Node) applyMoveEntry(cat catalog.CategoryID, e protocol.DCRTEntry) bool {
-	m := protocol.MergeEntry(n.dcrt, cat, e, len(n.inst.Catalog.Cats), n.inst.NumClusters)
+	m := protocol.MergeEntry(n.dcrt, cat, e)
 	if m.Rejected {
 		n.stats.Add("adapt_bad_moves", 1)
 	}

@@ -99,7 +99,7 @@ func (cs *cacheState) lookup(cat catalog.CategoryID, max int) []catalog.DocID {
 func (cs *cacheState) add(inst *model.Instance, docs map[catalog.DocID]bool) {
 	for d := range docs {
 		doc := inst.Catalog.Doc(d)
-		if doc == nil || cs.docs.Peek(d) {
+		if cs.docs.Peek(d) {
 			continue
 		}
 		cs.docs.Insert(d, doc.Size)

@@ -111,25 +111,31 @@ func TestStartNodeValidation(t *testing.T) {
 
 // TestCorruptNodeIDsStayOutOfBook: a hello and a book naming ids outside
 // the deployment — what a corrupted frame can still decode to — arrive
-// over the fabric. Neither id reaches the address book or the failure
-// detector, the hello is neither answered nor forwarded (a forwarded copy
-// would be counted again by its receiver), and each id is counted once.
+// over the fabric, each on a stream of its own. Each frame is rejected at
+// decode and counted once; neither id reaches the address book or the
+// failure detector, and the hello is neither answered nor forwarded (a
+// forwarded copy would be counted again by its receiver).
 func TestCorruptNodeIDsStayOutOfBook(t *testing.T) {
 	sh := Shape{Documents: 200, Categories: 6, Nodes: 16, Clusters: 2, Seed: 9}
-	c := launchOverMemnet(t, sh, nil, memnet.New(), Options{
+	nw := memnet.New()
+	c := launchOverMemnet(t, sh, nil, nw, Options{
 		Membership: &membership.Config{ProbeInterval: time.Hour},
 	})
-	n, from := c.Nodes[0], c.Nodes[1]
+	n, from := c.Nodes[0], c.Nodes[1].id
 	outside := model.NodeID(len(c.Nodes))
 	peers := n.KnownPeers()
 	alive, _ := n.MembershipCounts()
 
-	runCmd(t, from, func(f *Node) {
-		f.send(n.id, helloMsg{ID: outside + 7, Addr: "127.0.0.1:1"})
-		f.send(n.id, bookMsg{Book: map[model.NodeID]string{outside + 3: "127.0.0.1:1", 2: c.Nodes[2].Addr()}})
-	})
-	waitFor(t, 5*time.Second, "both ids counted", func() bool { return n.Stats()["book_bad_ids"] == 2 })
-	time.Sleep(100 * time.Millisecond)
+	rejectFrame(t, nw.Dial, n.Addr(), envelope{From: from, Msg: helloMsg{ID: outside + 7, Addr: "127.0.0.1:1"}})
+	if got := n.Stats()["wire_bad_frames"]; got != 1 {
+		t.Fatalf("wire_bad_frames = %d after the hello, want 1", got)
+	}
+	rejectFrame(t, nw.Dial, n.Addr(), envelope{From: from, Msg: bookMsg{
+		Book: map[model.NodeID]string{outside + 3: "127.0.0.1:1", 2: c.Nodes[2].Addr()},
+	}})
+	if got := n.Stats()["wire_bad_frames"]; got != 2 {
+		t.Fatalf("wire_bad_frames = %d after the book, want 2", got)
+	}
 
 	if got := n.KnownPeers(); got != peers {
 		t.Errorf("address book %d → %d entries", peers, got)
@@ -140,8 +146,8 @@ func TestCorruptNodeIDsStayOutOfBook(t *testing.T) {
 	if got := n.Stats()["send_no_addr"]; got != 0 {
 		t.Errorf("%d sends without an address: the bad hello was answered", got)
 	}
-	if got := c.Stats()["book_bad_ids"]; got != 2 {
-		t.Errorf("cluster counted %d bad ids, want 2: the hello was forwarded", got)
+	if got := c.Stats()["wire_bad_frames"]; got != 2 {
+		t.Errorf("cluster counted %d bad frames, want 2: the hello was forwarded", got)
 	}
 }
 

@@ -209,7 +209,7 @@ func TestWriteBufPoolConcurrentReconnects(t *testing.T) {
 		addrs[k] = ln.Addr().String()
 		mine := uint64(2 + k)
 		serveSink(t, ln, func(_ int, conn net.Conn) bool {
-			r, err := wire.AcceptStream(bufio.NewReaderSize(conn, readBufBytes), conn)
+			r, err := wire.AcceptStream(bufio.NewReaderSize(conn, readBufBytes), conn, wire.Unbounded)
 			for n := 0; err == nil && n < cutEvery; n++ {
 				var env envelope
 				if env, err = r.Next(); err == nil {

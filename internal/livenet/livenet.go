@@ -31,6 +31,7 @@ package livenet
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -149,6 +150,9 @@ type Node struct {
 	// readIdle is readIdleTimeout, except in tests that shorten it
 	// (before dialing the connection under test).
 	readIdle time.Duration
+
+	// bounds is the deployment's shape inbound frames are decoded against.
+	bounds wire.Bounds
 
 	// Routing and topology state. The control loop is the sole writer
 	// and holds routeMu.Lock for every event it processes; shard code
@@ -302,6 +306,8 @@ func newNode(inst *model.Instance, id model.NodeID, ln net.Listener, seed int64,
 		gauges:    metrics.NewSyncGauge(),
 		querySalt: querySaltFor(id),
 		readIdle:  readIdleTimeout,
+		bounds: wire.Bounds{Nodes: len(inst.Nodes), Clusters: inst.NumClusters,
+			Categories: len(inst.Catalog.Cats), Docs: len(inst.Catalog.Docs)},
 
 		xfers:       make(map[uint64]chan envelope),
 		xferTput:    &metrics.SyncHistogram{},
@@ -769,7 +775,8 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 // readLoop is the receive half of the persistent-connection transport:
 // it accepts the stream's opening handshake, then decodes envelopes off
 // the connection until it closes. A connection that opens with anything
-// else is counted and closed.
+// else, or carries a malformed frame (an id outside n.bounds included),
+// is counted and closed.
 func (n *Node) readLoop(conn net.Conn) {
 	defer n.wg.Done()
 	defer func() {
@@ -782,7 +789,7 @@ func (n *Node) readLoop(conn net.Conn) {
 
 	idle := lazyDeadline{window: n.readIdle, set: conn.SetReadDeadline}
 	idle.touch()
-	r, err := wire.AcceptStream(br, conn)
+	r, err := wire.AcceptStream(br, conn, n.bounds)
 	if err != nil {
 		if err != io.EOF {
 			n.stats.Add("wire_handshake_rejects", 1)
@@ -793,7 +800,10 @@ func (n *Node) readLoop(conn net.Conn) {
 		idle.touch()
 		env, err := r.Next()
 		if err != nil {
-			return // stream closed, peer died, corrupt frame, or idle timeout
+			if errors.Is(err, wire.ErrMalformed) {
+				n.stats.Add("wire_bad_frames", 1)
+			}
+			return // stream closed, peer died, malformed frame, or idle timeout
 		}
 		if !n.routeInbound(env) {
 			return
@@ -961,12 +971,13 @@ const publishFanout = 3
 // publishFanout members of its NRT entry that are in the address book,
 // the preference QueryContext's route snapshot applies. Publishing a
 // category with no DCRT entry, or into a cluster with no addressable
-// member, fails with ErrNoRoute.
+// member, fails with ErrNoRoute. The document must be in the catalog
+// the deployment launched with: peers refuse frames naming any other.
 func (n *Node) Publish(d catalog.DocID) error {
-	doc := n.inst.Catalog.Doc(d)
-	if doc == nil {
-		return fmt.Errorf("livenet: unknown document %d", d)
+	if !n.bounds.HasDoc(d) {
+		return fmt.Errorf("livenet: document %d is outside the %d-document catalog the deployment launched with", d, n.bounds.Docs)
 	}
+	doc := n.inst.Catalog.Doc(d)
 	errc := make(chan error, 1)
 	select {
 	case n.cmds <- func(n *Node) {
@@ -1035,9 +1046,8 @@ func (n *Node) handlePublish(from model.NodeID, m protocol.PublishMsg) {
 
 func (n *Node) handlePublishAck(m protocol.PublishAckMsg) {
 	// The same merge rule as applyMoveEntry: a corrupt or hostile ack must
-	// not plant an out-of-range category/cluster or an unbeatable move
-	// counter in the routing tables.
-	if protocol.MergeEntry(n.dcrt, m.Category, m.Entry, len(n.inst.Catalog.Cats), n.inst.NumClusters).Rejected {
+	// not plant an unbeatable move counter in the routing tables.
+	if protocol.MergeEntry(n.dcrt, m.Category, m.Entry).Rejected {
 		n.stats.Add("adapt_bad_moves", 1)
 		return
 	}

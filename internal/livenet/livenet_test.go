@@ -1,7 +1,9 @@
 package livenet
 
 import (
+	"context"
 	"errors"
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
@@ -15,6 +17,14 @@ import (
 
 // launchSmall starts a compact live cluster on loopback.
 func launchSmall(t *testing.T, seed int64) (*Cluster, *model.Instance) {
+	t.Helper()
+	return launchPlaced(t, seed, func(*model.Instance) {})
+}
+
+// launchPlaced is launchSmall with grow run on the instance after
+// placement and before launch: documents it adds are part of the
+// deployment, held by no node.
+func launchPlaced(t *testing.T, seed int64, grow func(*model.Instance)) (*Cluster, *model.Instance) {
 	t.Helper()
 	cfg := model.DefaultConfig()
 	cfg.Catalog.NumDocs = 400
@@ -38,6 +48,7 @@ func launchSmall(t *testing.T, seed int64) (*Cluster, *model.Instance) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	grow(inst)
 	c, err := Launch(inst, res.Assignment, place, Options{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
@@ -121,16 +132,21 @@ func TestLiveServingLoadRecorded(t *testing.T) {
 }
 
 func TestLivePublishBecomesQueryable(t *testing.T) {
-	c, inst := launchSmall(t, 4)
-	// A brand-new document published by node 5.
+	// A brand-new document published by node 5. A live deployment's
+	// catalog is fixed at launch (frames naming any other document are
+	// malformed), so the document joins it first; placement has already
+	// run, so no node holds it until the publish.
+	var ids []catalog.DocID
+	c, inst := launchPlaced(t, 4, func(inst *model.Instance) {
+		var err error
+		if ids, err = inst.Catalog.AddDocuments(1, 0.05, 0.8, rand.New(rand.NewSource(4))); err != nil {
+			t.Fatal(err)
+		}
+		if err := inst.AttachDocument(ids[0], 5); err != nil {
+			t.Fatal(err)
+		}
+	})
 	publisher := c.Nodes[5]
-	ids, err := inst.Catalog.AddDocuments(1, 0.05, 0.8, publisher.rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := inst.AttachDocument(ids[0], publisher.id); err != nil {
-		t.Fatal(err)
-	}
 	if err := publisher.Publish(ids[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -150,6 +166,30 @@ func TestLivePublishBecomesQueryable(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("published document never appeared in query results")
 		}
+	}
+}
+
+// TestDocumentAddedAfterLaunchIsRefused: every peer decodes frames
+// against the catalog the deployment launched with, so a document added
+// later could only be announced in frames they all reject. Publish and
+// Fetch refuse it up front instead of reporting success.
+func TestDocumentAddedAfterLaunchIsRefused(t *testing.T) {
+	c, inst := launchSmall(t, 4)
+	ids, err := inst.Catalog.AddDocuments(1, 0.05, 0.8, rand.New(rand.NewSource(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := inst.AttachDocument(ids[0], 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Nodes[5].Publish(ids[0]); err == nil {
+		t.Error("Publish of a document added after launch succeeded")
+	}
+	if _, err := c.Nodes[1].Fetch(context.Background(), ids[0]); err == nil {
+		t.Error("Fetch of a document added after launch succeeded")
+	}
+	if got := c.Nodes[1].Stats()["fetch_bad_doc"]; got != 1 {
+		t.Errorf("fetch_bad_doc = %d, want 1", got)
 	}
 }
 

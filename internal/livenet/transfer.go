@@ -201,9 +201,7 @@ func (n *Node) drainServed() (map[catalog.DocID]int64, int64) {
 func (n *Node) holdDoc(d catalog.DocID) {
 	n.storeDoc(d)
 	if n.store != nil {
-		if doc := n.inst.Catalog.Doc(d); doc != nil {
-			n.store.Register(d, doc.Size)
-		}
+		n.store.Register(d, n.inst.Catalog.Doc(d).Size)
 	}
 }
 
@@ -353,8 +351,7 @@ func (n *Node) serveManifestReq(from model.NodeID, m wire.ManifestReq) {
 			return
 		}
 	}
-	doc := n.inst.Catalog.Doc(m.Doc)
-	if m.TTL <= 0 || doc == nil || n.store == nil {
+	if m.TTL <= 0 || n.store == nil {
 		n.stats.Add("transfer_req_dropped", 1)
 		return
 	}
@@ -365,7 +362,7 @@ func (n *Node) serveManifestReq(from model.NodeID, m wire.ManifestReq) {
 	// simply not contain a holder.
 	var next []model.NodeID
 	n.routeMu.RLock()
-	if e, ok := n.dcrt[doc.Categories[0]]; ok {
+	if e, ok := n.dcrt[n.inst.Catalog.Doc(m.Doc).Categories[0]]; ok {
 		members := n.nrt[e.Cluster]
 		if len(members) > 0 {
 			start := int((n.fwdSeq.Add(1) + uint64(n.id)) % uint64(len(members)))
@@ -537,11 +534,11 @@ func fetchCtxReason(err error) (string, error) {
 func (n *Node) Fetch(ctx context.Context, d catalog.DocID) ([]byte, error) {
 	start := time.Now()
 	n.stats.Add("fetches_total", 1)
-	doc := n.inst.Catalog.Doc(d)
-	if doc == nil {
+	if !n.bounds.HasDoc(d) {
 		n.stats.Add("fetch_bad_doc", 1)
-		return nil, fmt.Errorf("livenet: unknown document %d", d)
+		return nil, fmt.Errorf("livenet: document %d is outside the %d-document catalog the deployment launched with", d, n.bounds.Docs)
 	}
+	doc := n.inst.Catalog.Doc(d)
 	if err := ctx.Err(); err != nil {
 		reason, ferr := fetchCtxReason(err)
 		n.stats.Add(reason, 1)

@@ -119,7 +119,7 @@ func serveSink(t testing.TB, ln net.Listener, takeOver func(connNo int, conn net
 		if takeOver != nil && takeOver(connNo, conn) {
 			return
 		}
-		r, err := wire.AcceptStream(bufio.NewReaderSize(conn, readBufBytes), conn)
+		r, err := wire.AcceptStream(bufio.NewReaderSize(conn, readBufBytes), conn, wire.Unbounded)
 		for err == nil {
 			var env envelope
 			if env, err = r.Next(); err == nil {
@@ -403,7 +403,7 @@ func TestBlockedWriteFailsWithinTimeout(t *testing.T) {
 			accepted = append(accepted, conn)
 			mu.Unlock()
 			// Ack the handshake, then never read again.
-			go wire.AcceptStream(bufio.NewReader(conn), conn)
+			go wire.AcceptStream(bufio.NewReader(conn), conn, wire.Unbounded)
 		}
 	}()
 	stats := metrics.NewSyncCounter()

@@ -507,18 +507,12 @@ func (p *Peer) gossipMetadata() {
 func (p *Peer) handleMetadataUpdate(m MetadataUpdateMsg) {
 	for _, cat := range m.Categories() {
 		e := m.Entries[cat]
-		if !p.mergeEntry(cat, e).Changed {
+		if !protocol.MergeEntry(p.dcrt, cat, e).Changed {
 			continue
 		}
 		p.markMetaDirty(cat, e)
 		p.reactToMove(cat, e)
 	}
-}
-
-// mergeEntry folds a received DCRT entry into this peer's table under the
-// shared move-counter rule.
-func (p *Peer) mergeEntry(cat catalog.CategoryID, e DCRTEntry) protocol.Merge {
-	return protocol.MergeEntry(p.dcrt, cat, e, len(p.sys.inst.Catalog.Cats), p.sys.inst.NumClusters)
 }
 
 // reactToMove handles the storage side of a category move at this node.

@@ -8,6 +8,7 @@ import (
 
 	"p2pshare/internal/catalog"
 	"p2pshare/internal/model"
+	"p2pshare/internal/protocol"
 )
 
 // publishState tracks one in-flight publish at the publishing node.
@@ -145,12 +146,15 @@ func (p *Peer) handlePublish(from int, m PublishMsg) {
 // handlePublishAck closes the publish loop at the publisher: merge the
 // receiver's metadata and retry toward the right cluster if redirected.
 func (p *Peer) handlePublishAck(m PublishAckMsg) {
-	// Merge the DCRT entry (a dummy publish's category is out of range
-	// and merges nothing). On a rejection the receiver's entry is adopted
+	// Merge the DCRT entry (a dummy publish's category is no category and
+	// merges nothing). On a rejection the receiver's entry is adopted
 	// even at an equal move counter: the publisher just learned its own
 	// view routed the publish to the wrong cluster, and §6.2 step 5 says
 	// the publisher follows the receivers' metadata.
-	merged := p.mergeEntry(m.Category, m.Entry)
+	var merged protocol.Merge
+	if m.Category != dummyCategory {
+		merged = protocol.MergeEntry(p.dcrt, m.Category, m.Entry)
+	}
 	if !m.Accepted && merged.Known && m.Entry.MoveCounter == merged.Prev.MoveCounter {
 		p.dcrt[m.Category] = m.Entry
 	}
@@ -235,7 +239,7 @@ func (p *Peer) handleJoinRequest(from int, m JoinRequestMsg) {
 // joiner's contributions (step 2 of §6.3).
 func (p *Peer) handleJoinReply(m JoinReplyMsg) {
 	for c, e := range m.DCRT {
-		p.mergeEntry(c, e)
+		protocol.MergeEntry(p.dcrt, c, e)
 	}
 	for cl, nodes := range m.NRT {
 		for _, n := range nodes {

@@ -15,9 +15,9 @@ const maxMoveCounterJump = 1 << 20
 type Merge struct {
 	// Changed is true when the entry replaced the table's row.
 	Changed bool
-	// Rejected is true when the entry was malformed rather than merely
-	// stale: category or cluster out of range, or a move counter beyond
-	// the jump window. The table is untouched.
+	// Rejected is true when the entry was implausible rather than merely
+	// stale: a move counter beyond the jump window. The table is
+	// untouched.
 	Rejected bool
 	// Prev is the row the table held before the merge; Known is false
 	// when it held none (Prev is then the zero entry).
@@ -27,15 +27,12 @@ type Merge struct {
 
 // MergeEntry folds one received DCRT entry into a routing table under the
 // §6.1.2 conflict-resolution rule: the higher move counter wins, an equal
-// or lower one leaves the table alone. Entries naming a category or
-// cluster outside the shared shape, or a counter more than
+// or lower one leaves the table alone. A counter more than
 // maxMoveCounterJump ahead of the local row (the zero row for a category
-// never seen, so first contact is bounded by the same window), are
-// rejected.
-func MergeEntry(dcrt map[catalog.CategoryID]DCRTEntry, cat catalog.CategoryID, e DCRTEntry, numCats, numClusters int) Merge {
-	if cat < 0 || int(cat) >= numCats || e.Cluster < 0 || int(e.Cluster) >= numClusters {
-		return Merge{Rejected: true}
-	}
+// never seen, so first contact is bounded by the same window) is
+// rejected. The category and cluster are the caller's to trust: the live
+// decoder admits only ids of the deployment (package wire's Bounds).
+func MergeEntry(dcrt map[catalog.CategoryID]DCRTEntry, cat catalog.CategoryID, e DCRTEntry) Merge {
 	old, known := dcrt[cat]
 	m := Merge{Prev: old, Known: known}
 	switch {

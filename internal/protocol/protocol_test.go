@@ -211,7 +211,6 @@ func TestNormPop(t *testing.T) {
 }
 
 func TestMergeEntry(t *testing.T) {
-	const numCats, numClusters = 10, 4
 	cases := []struct {
 		name          string
 		have          *DCRTEntry // nil: category unknown
@@ -225,10 +224,6 @@ func TestMergeEntry(t *testing.T) {
 		{"equal counter loses", &DCRTEntry{1, 5}, 3, DCRTEntry{2, 5}, false, false, true},
 		{"lower counter loses", &DCRTEntry{1, 5}, 3, DCRTEntry{2, 4}, false, false, true},
 		{"first contact at zero", nil, 3, DCRTEntry{2, 0}, true, false, false},
-		{"negative category", &DCRTEntry{1, 5}, -1, DCRTEntry{2, 6}, false, true, false},
-		{"category past the catalog", nil, numCats, DCRTEntry{2, 1}, false, true, false},
-		{"negative cluster", &DCRTEntry{1, 5}, 3, DCRTEntry{model.NoCluster, 6}, false, true, false},
-		{"cluster past the shape", &DCRTEntry{1, 5}, 3, DCRTEntry{numClusters, 6}, false, true, false},
 		{"jump at the window", &DCRTEntry{1, 5}, 3, DCRTEntry{2, 5 + maxMoveCounterJump}, true, false, true},
 		{"jump past the window", &DCRTEntry{1, 5}, 3, DCRTEntry{2, 5 + maxMoveCounterJump + 1}, false, true, true},
 		{"first contact at the window", nil, 3, DCRTEntry{2, maxMoveCounterJump}, true, false, false},
@@ -242,7 +237,7 @@ func TestMergeEntry(t *testing.T) {
 				dcrt[3] = *tc.have
 			}
 			before := dcrt[tc.cat]
-			m := MergeEntry(dcrt, tc.cat, tc.e, numCats, numClusters)
+			m := MergeEntry(dcrt, tc.cat, tc.e)
 			if m.Changed != tc.wantChanged || m.Rejected != tc.wantRejected || m.Known != tc.wantPrevKnown {
 				t.Fatalf("got %+v, want changed=%v rejected=%v known=%v", m, tc.wantChanged, tc.wantRejected, tc.wantPrevKnown)
 			}

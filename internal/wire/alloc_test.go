@@ -51,7 +51,7 @@ func TestReaderNextQueryAllocs(t *testing.T) {
 
 	stream := &replayReader{b: raw}
 	br := bufio.NewReader(stream)
-	r := NewReader(br)
+	r := NewReader(br, Unbounded)
 	if _, err := r.Next(); err != nil { // grow the reusable payload buffer
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestReaderNextResultAllocs(t *testing.T) {
 
 	stream := &replayReader{b: raw}
 	br := bufio.NewReader(stream)
-	r := NewReader(br)
+	r := NewReader(br, Unbounded)
 	if _, err := r.Next(); err != nil {
 		t.Fatal(err)
 	}

@@ -89,7 +89,7 @@ func chunkStream(t testing.TB, n, size int) []byte {
 // reuse the memory; and a small chunk still owns a private copy.
 func TestLargeFramesAliasPooledBuffers(t *testing.T) {
 	const size = 64 << 10
-	r := NewReader(bufio.NewReaderSize(bytes.NewReader(chunkStream(t, 6, size)), 64<<10))
+	r := NewReader(bufio.NewReaderSize(bytes.NewReader(chunkStream(t, 6, size)), 64<<10), Unbounded)
 	var held []Chunk
 	for i := 0; i < 6; i++ {
 		env, err := r.Next()
@@ -109,7 +109,7 @@ func TestLargeFramesAliasPooledBuffers(t *testing.T) {
 		}
 		c.Release()
 	}
-	small := NewReader(bufio.NewReader(bytes.NewReader(chunkStream(t, 1, 100))))
+	small := NewReader(bufio.NewReader(bytes.NewReader(chunkStream(t, 1, 100))), Unbounded)
 	env, err := small.Next()
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +154,7 @@ func TestChunksLeaveNoLargeScratchBehind(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	r := NewReader(bufio.NewReaderSize(&raw, 64<<10))
+	r := NewReader(bufio.NewReaderSize(&raw, 64<<10), Unbounded)
 	for i := 0; i < 12; i++ {
 		env, err := r.Next()
 		if err != nil {
@@ -203,7 +203,7 @@ func TestChunkFrameAllocs(t *testing.T) {
 			conn, bw.Buffered())
 	}
 
-	r := NewReader(bufio.NewReaderSize(&replayReader{b: chunkStream(t, 1, size)}, 64<<10))
+	r := NewReader(bufio.NewReaderSize(&replayReader{b: chunkStream(t, 1, size)}, 64<<10), Unbounded)
 	if avg := testing.AllocsPerRun(200, func() {
 		got, err := r.Next()
 		if err != nil {
@@ -231,7 +231,7 @@ func BenchmarkChunkFrameRoundTrip(b *testing.B) {
 	const size = 64 << 10
 	var link bytes.Buffer
 	w := bufio.NewWriterSize(&link, 64<<10)
-	r := NewReader(bufio.NewReaderSize(&link, 64<<10))
+	r := NewReader(bufio.NewReaderSize(&link, 64<<10), Unbounded)
 	env := Envelope{From: 2, Msg: ChunkRef{Doc: 3, Xfer: 9, Index: 1, Len: size, Src: zeroSource(size)}}
 	b.SetBytes(size)
 	b.ReportAllocs()

@@ -4,16 +4,24 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"testing"
+
+	"p2pshare/internal/catalog"
+	"p2pshare/internal/model"
+	"p2pshare/internal/protocol"
 )
 
-// FuzzEnvelopeRoundTrip feeds arbitrary bytes to the frame decoder. Two
+// FuzzEnvelopeRoundTrip feeds arbitrary bytes to the frame decoder. Three
 // properties must hold for every input:
 //
 //  1. Decoding never panics and never allocates unboundedly — corrupt
-//     frames fail with an error (the test harness itself catches panics
-//     and out-of-memory aborts).
-//  2. Any input that DOES decode re-encodes to an envelope that decodes
+//     frames fail with an ErrMalformed error (the test harness itself
+//     catches panics and out-of-memory aborts).
+//  2. Decoded under smallBounds, an input either fails with ErrMalformed
+//     or decodes to exactly its unbounded decoding, with every id in
+//     range.
+//  3. Any input that DOES decode re-encodes to an envelope that decodes
 //     to the same value: decode(encode(decode(b))) == decode(b). The
 //     byte strings may differ (varints accept non-minimal forms) but the
 //     value must be stable.
@@ -28,10 +36,39 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{tagResult, 0, 1, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
 	f.Add(preamble[:])
+	// One id of each kind just outside smallBounds.
+	for _, env := range []Envelope{
+		{Msg: protocol.QueryMsg{Origin: model.NodeID(smallBounds.Nodes)}},
+		{Msg: Move{From: model.ClusterID(smallBounds.Clusters)}},
+		{Msg: protocol.PublishMsg{Category: catalog.CategoryID(smallBounds.Categories)}},
+		{Msg: protocol.ResultMsg{Docs: []catalog.DocID{catalog.DocID(smallBounds.Docs)}}},
+	} {
+		b, err := AppendEnvelope(nil, env)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		env, err := DecodeEnvelope(b)
+		benv, berr := decodeEnvelope(b, nil, smallBounds)
+		if berr == nil {
+			if err != nil || env.From != benv.From || !equivalentMsg(env.Msg, benv.Msg) {
+				t.Fatalf("bounded decode %+v differs from unbounded %+v, %v", benv, env, err)
+			}
+			for _, id := range idFields(benv, smallBounds) {
+				if id.v < 0 || id.v >= id.bound {
+					t.Fatalf("bounded decode let %s %d through (bound %d)", id.what, id.v, id.bound)
+				}
+			}
+		} else if !errors.Is(berr, ErrMalformed) {
+			t.Fatalf("bounded decode error %v does not wrap ErrMalformed", berr)
+		}
 		if err != nil {
+			if !errors.Is(err, ErrMalformed) {
+				t.Fatalf("decode error %v does not wrap ErrMalformed", err)
+			}
 			return // corrupt input rejected cleanly — property 1 holds
 		}
 		reenc, err := AppendEnvelope(nil, env)
@@ -86,7 +123,7 @@ func FuzzAcceptStream(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var acked bytes.Buffer
-		r, err := AcceptStream(bufio.NewReader(bytes.NewReader(b)), &acked)
+		r, err := AcceptStream(bufio.NewReader(bytes.NewReader(b)), &acked, Unbounded)
 		if opened := bytes.HasPrefix(b, preamble[:]); (err == nil) != opened {
 			t.Fatalf("AcceptStream error %v on opening bytes %q", err, b[:min(len(b), len(preamble))])
 		}

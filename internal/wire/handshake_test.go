@@ -71,7 +71,7 @@ func TestStreamHandshake(t *testing.T) {
 						client.Write(tc.opening)
 					}
 				}()
-				r, err := AcceptStream(bufio.NewReader(server), server)
+				r, err := AcceptStream(bufio.NewReader(server), server, Unbounded)
 				server.Close() // what every caller does on error
 				if tc.wantErr == nil {
 					if err != nil || r == nil {
@@ -133,7 +133,7 @@ func TestStreamHandshake(t *testing.T) {
 			WriteEnvelope(w, want)
 			w.Flush()
 		}()
-		r, err := AcceptStream(bufio.NewReader(server), server)
+		r, err := AcceptStream(bufio.NewReader(server), server, Unbounded)
 		if err != nil {
 			t.Fatal(err)
 		}

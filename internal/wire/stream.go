@@ -51,12 +51,12 @@ func OpenStream(c net.Conn, timeout time.Duration) error {
 
 // AcceptStream runs the accepting side: it reads the stream's opening
 // bytes from br, and if they are the exact preamble writes the ack to
-// the connection and returns the frame reader. On any error the caller
-// closes the connection; a bare io.EOF means the peer closed before
-// sending a byte, any other error that the opening bytes could not be
-// read, were short, or were not this Version's preamble. The caller
-// owns deadlines.
-func AcceptStream(br *bufio.Reader, ack io.Writer) (*Reader, error) {
+// the connection and returns the frame reader, which decodes under
+// bounds. On any error the caller closes the connection; a bare io.EOF
+// means the peer closed before sending a byte, any other error that the
+// opening bytes could not be read, were short, or were not this
+// Version's preamble. The caller owns deadlines.
+func AcceptStream(br *bufio.Reader, ack io.Writer, bounds Bounds) (*Reader, error) {
 	var head [len(preamble)]byte
 	if _, err := io.ReadFull(br, head[:]); err != nil {
 		return nil, err
@@ -67,7 +67,7 @@ func AcceptStream(br *bufio.Reader, ack io.Writer) (*Reader, error) {
 	if _, err := ack.Write([]byte{Version}); err != nil {
 		return nil, fmt.Errorf("wire: accept stream: ack: %w", err)
 	}
-	return NewReader(br), nil
+	return NewReader(br, bounds), nil
 }
 
 const (
@@ -151,22 +151,25 @@ func writeFrame(w *bufio.Writer, b []byte) error {
 // must own. Frames of smallFrameBytes and up go through a pooled buffer
 // that a decoded Chunk keeps (see Chunk.Release).
 type Reader struct {
-	br  *bufio.Reader
-	buf []byte
+	br     *bufio.Reader
+	buf    []byte
+	bounds Bounds
 }
 
-// NewReader wraps a buffered reader positioned just past the preamble.
-func NewReader(br *bufio.Reader) *Reader { return &Reader{br: br} }
+// NewReader wraps a buffered reader positioned just past the preamble,
+// decoding under bounds.
+func NewReader(br *bufio.Reader, bounds Bounds) *Reader { return &Reader{br: br, bounds: bounds} }
 
-// Next reads and decodes one envelope. Errors are terminal for the
-// stream (a broken length prefix leaves no way to resynchronize).
+// Next reads and decodes one envelope. Errors are terminal (a broken
+// length prefix leaves no way to resynchronize); a malformed frame's
+// error wraps ErrMalformed.
 func (r *Reader) Next() (Envelope, error) {
 	n, err := binary.ReadUvarint(r.br)
 	if err != nil {
 		return Envelope{}, err
 	}
 	if n == 0 || n > MaxFrameBytes {
-		return Envelope{}, fmt.Errorf("wire: frame length %d out of range", n)
+		return Envelope{}, fmt.Errorf("%w: frame length %d out of range", ErrMalformed, n)
 	}
 	var b []byte
 	switch {
@@ -185,7 +188,7 @@ func (r *Reader) Next() (Envelope, error) {
 	if _, err := io.ReadFull(r.br, b); err != nil {
 		return Envelope{}, err
 	}
-	return DecodeEnvelope(b)
+	return decodeEnvelope(b, nil, r.bounds)
 }
 
 // nextPooled reads an n-byte frame into a pooled buffer. The buffer goes
@@ -197,7 +200,7 @@ func (r *Reader) nextPooled(n int) (Envelope, error) {
 	_, err := io.ReadFull(r.br, b)
 	var env Envelope
 	if err == nil {
-		env, err = decodeEnvelope(b, bp)
+		env, err = decodeEnvelope(b, bp, r.bounds)
 	}
 	if c, ok := env.Msg.(Chunk); !ok || c.buf == nil {
 		bulkPool.Put(bp)

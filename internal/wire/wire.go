@@ -8,8 +8,7 @@
 //
 //   - No reflection on the hot path. Every message has an explicit,
 //     hand-rolled field layout — integers are varints (zigzag for signed
-//     values, so NoCluster's -1 stays one byte), strings and lists are
-//     length-prefixed.
+//     values), strings and lists are length-prefixed.
 //   - No steady-state allocations on encode. Frames are built in
 //     sync.Pool-backed scratch buffers; Reader reuses one payload buffer
 //     across frames, so the decode side allocates only what the message
@@ -18,6 +17,8 @@
 //     lengths are validated against the remaining payload before any
 //     allocation, so a hostile or truncated frame costs at most one
 //     bounded error.
+//   - One trust boundary. Every node, cluster, category and document id
+//     is checked against the deployment's Bounds as it is decoded.
 //
 // Frame layout (after the one-time stream-open handshake, see stream.go):
 //
@@ -30,6 +31,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -81,6 +83,24 @@ const (
 	tagChunk       = 17
 	tagReplicate   = 18
 )
+
+// ErrMalformed is wrapped by every error that reports a frame's own
+// bytes as bad, an id outside the Bounds included.
+var ErrMalformed = errors.New("wire: malformed frame")
+
+// Bounds is one deployment's shape as the decoder sees it: a frame is
+// accepted only if each id it carries lies in [0, bound) for its kind.
+type Bounds struct{ Nodes, Clusters, Categories, Docs int }
+
+// HasDoc applies the decoder's document-id test to local input.
+func (b Bounds) HasDoc(d catalog.DocID) bool { return inRange(int64(d), b.Docs) }
+
+// inRange reports whether v lies in [0, bound): a negative v wraps past it.
+func inRange(v int64, bound int) bool { return uint64(v) < uint64(bound) }
+
+// Unbounded admits every id an int32 field can hold except the largest:
+// the Bounds DecodeEnvelope decodes under.
+var Unbounded = Bounds{Nodes: math.MaxInt32, Clusters: math.MaxInt32, Categories: math.MaxInt32, Docs: math.MaxInt32}
 
 // hashSize mirrors content.HashSize (sha256) without importing the
 // store package: the codec only needs it to validate that a manifest's
@@ -540,19 +560,36 @@ func AppendEnvelope(b []byte, env Envelope) ([]byte, error) {
 	return b, nil
 }
 
-// dec is a bounds-checked cursor over one frame's payload. Errors are
-// sticky: after the first failure every read returns zero and the single
-// error surfaces at the end.
+// dec is a bounds-checked cursor over one frame's payload, its ids held
+// to Bounds. Errors are sticky: after the first failure every read
+// returns zero and the single error surfaces at the end.
 type dec struct {
 	b   []byte
 	off int
 	err error
+	Bounds
 }
 
 func (d *dec) fail(what string) {
 	if d.err == nil {
-		d.err = fmt.Errorf("wire: truncated or corrupt %s at offset %d", what, d.off)
+		d.err = fmt.Errorf("%w: truncated or corrupt %s at offset %d", ErrMalformed, what, d.off)
 	}
+}
+
+// id reads one node, cluster, category or document id and fails the
+// frame unless it lies in [0, bound). It reads the varint itself, so a
+// checked id costs one call, like any other field.
+func (d *dec) id(what string, bound int) int32 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Varint(d.b[d.off:])
+	if n <= 0 || !inRange(v, bound) {
+		d.err = fmt.Errorf("%w: %s at offset %d is not an id in [0,%d)", ErrMalformed, what, d.off, bound)
+		return 0
+	}
+	d.off += n
+	return int32(v)
 }
 
 func (d *dec) uint(what string) uint64 {
@@ -655,7 +692,7 @@ func (d *dec) updates(what string) []membership.Update {
 	}
 	us := make([]membership.Update, n)
 	for i := range us {
-		us[i].ID = model.NodeID(d.int("update id"))
+		us[i].ID = model.NodeID(d.id("update id", d.Nodes))
 		us[i].Addr = d.str("update addr")
 		us[i].State = d.state("update state")
 		us[i].Inc = d.uint("update incarnation")
@@ -671,7 +708,7 @@ func (d *dec) catInts(what string) map[catalog.CategoryID]int64 {
 	}
 	m := make(map[catalog.CategoryID]int64, n)
 	for i := 0; i < n && d.err == nil; i++ {
-		c := catalog.CategoryID(d.int("category"))
+		c := catalog.CategoryID(d.id("category", d.Categories))
 		m[c] = d.int("hit count")
 	}
 	return m
@@ -685,7 +722,7 @@ func (d *dec) catFloats(what string) map[catalog.CategoryID]float64 {
 	}
 	m := make(map[catalog.CategoryID]float64, n)
 	for i := 0; i < n && d.err == nil; i++ {
-		c := catalog.CategoryID(d.int("category"))
+		c := catalog.CategoryID(d.id("category", d.Categories))
 		m[c] = d.float("unit mass")
 	}
 	return m
@@ -718,30 +755,30 @@ func (d *dec) count(what string) int {
 	return int(n)
 }
 
-// DecodeEnvelope decodes one frame payload. It never panics on corrupt
-// input: a malformed frame returns an error and allocates at most the
-// bounded intermediate slices validated by count. The result owns all
-// its memory; b may be reused.
+// DecodeEnvelope decodes one frame payload under Unbounded. It never
+// panics on corrupt input: a malformed frame returns an ErrMalformed
+// error and allocates at most the bounded intermediate slices validated
+// by count. The result owns all its memory; b may be reused.
 func DecodeEnvelope(b []byte) (Envelope, error) {
-	return decodeEnvelope(b, nil)
+	return decodeEnvelope(b, nil, Unbounded)
 }
 
-// decodeEnvelope is DecodeEnvelope, except that with a non-nil frame —
-// the pooled buffer b is the front of — a decoded Chunk aliases it
-// instead of copying and carries it for Release.
-func decodeEnvelope(b []byte, frame *[]byte) (Envelope, error) {
+// decodeEnvelope is DecodeEnvelope under the given Bounds, except that
+// with a non-nil frame — the pooled buffer b is the front of — a decoded
+// Chunk aliases it instead of copying and carries it for Release.
+func decodeEnvelope(b []byte, frame *[]byte, bounds Bounds) (Envelope, error) {
 	if len(b) == 0 {
-		return Envelope{}, fmt.Errorf("wire: empty frame")
+		return Envelope{}, fmt.Errorf("%w: empty frame", ErrMalformed)
 	}
-	d := &dec{b: b, off: 1}
-	env := Envelope{From: model.NodeID(d.int("sender"))}
+	d := &dec{b: b, off: 1, Bounds: bounds}
+	env := Envelope{From: model.NodeID(d.id("sender", d.Nodes))}
 	switch b[0] {
 	case tagQuery:
 		var m protocol.QueryMsg
 		m.ID = d.uint("query id")
-		m.Category = catalog.CategoryID(d.int("category"))
+		m.Category = catalog.CategoryID(d.id("category", d.Categories))
 		m.Want = int(d.int("want"))
-		m.Origin = model.NodeID(d.int("origin"))
+		m.Origin = model.NodeID(d.id("origin", d.Nodes))
 		m.Hops = int(d.int("hops"))
 		m.Entry = d.bool("entry flag")
 		env.Msg = m
@@ -749,52 +786,52 @@ func decodeEnvelope(b []byte, frame *[]byte) (Envelope, error) {
 		var m protocol.ResultMsg
 		m.ID = d.uint("result id")
 		m.Hops = int(d.int("hops"))
-		m.From = model.NodeID(d.int("answering node"))
+		m.From = model.NodeID(d.id("answering node", d.Nodes))
 		if n := d.count("doc count"); n > 0 {
 			m.Docs = make([]catalog.DocID, n)
 			for i := range m.Docs {
-				m.Docs[i] = catalog.DocID(d.int("doc id"))
+				m.Docs[i] = catalog.DocID(d.id("doc id", d.Docs))
 			}
 		}
 		env.Msg = m
 	case tagPublish:
 		var m protocol.PublishMsg
-		m.Doc = catalog.DocID(d.int("doc id"))
-		m.Category = catalog.CategoryID(d.int("category"))
-		m.Publisher = model.NodeID(d.int("publisher"))
+		m.Doc = catalog.DocID(d.id("doc id", d.Docs))
+		m.Category = catalog.CategoryID(d.id("category", d.Categories))
+		m.Publisher = model.NodeID(d.id("publisher", d.Nodes))
 		m.Dummy = d.bool("dummy flag")
 		env.Msg = m
 	case tagPublishAck:
 		var m protocol.PublishAckMsg
-		m.Doc = catalog.DocID(d.int("doc id"))
-		m.Category = catalog.CategoryID(d.int("category"))
-		m.Entry.Cluster = model.ClusterID(d.int("cluster"))
+		m.Doc = catalog.DocID(d.id("doc id", d.Docs))
+		m.Category = catalog.CategoryID(d.id("category", d.Categories))
+		m.Entry.Cluster = model.ClusterID(d.id("cluster", d.Clusters))
 		m.Entry.MoveCounter = d.uint("move counter")
 		m.Accepted = d.bool("accepted flag")
 		if n := d.count("member count"); n > 0 {
 			m.Members = make([]model.NodeID, n)
 			for i := range m.Members {
-				m.Members[i] = model.NodeID(d.int("member id"))
+				m.Members[i] = model.NodeID(d.id("member id", d.Nodes))
 			}
 		}
 		env.Msg = m
 	case tagHello:
 		var m Hello
-		m.ID = model.NodeID(d.int("hello id"))
+		m.ID = model.NodeID(d.id("hello id", d.Nodes))
 		m.Addr = d.str("hello addr")
 		env.Msg = m
 	case tagBook:
 		n := d.count("book size")
 		m := Book{Book: make(map[model.NodeID]string, n)}
 		for i := 0; i < n && d.err == nil; i++ {
-			id := model.NodeID(d.int("book id"))
+			id := model.NodeID(d.id("book id", d.Nodes))
 			m.Book[id] = d.str("book addr")
 		}
 		nd := d.count("tombstone count")
 		if nd > 0 {
 			m.Dead = make(map[model.NodeID]uint64, nd)
 			for i := 0; i < nd && d.err == nil; i++ {
-				id := model.NodeID(d.int("tombstone id"))
+				id := model.NodeID(d.id("tombstone id", d.Nodes))
 				m.Dead[id] = d.uint("tombstone incarnation")
 			}
 		}
@@ -808,25 +845,25 @@ func decodeEnvelope(b []byte, frame *[]byte) (Envelope, error) {
 	case tagAck:
 		var m membership.Ack
 		m.Seq = d.uint("ack seq")
-		m.Target = model.NodeID(d.int("ack target"))
+		m.Target = model.NodeID(d.id("ack target", d.Nodes))
 		m.Updates = d.updates("ack updates")
 		env.Msg = m
 	case tagPingReq:
 		var m membership.PingReq
 		m.Seq = d.uint("ping-req seq")
-		m.Target = model.NodeID(d.int("ping-req target"))
+		m.Target = model.NodeID(d.id("ping-req target", d.Nodes))
 		m.Addr = d.str("ping-req addr")
 		m.Updates = d.updates("ping-req updates")
 		env.Msg = m
 	case tagLeave:
 		var m membership.Leave
-		m.ID = model.NodeID(d.int("leave id"))
+		m.ID = model.NodeID(d.id("leave id", d.Nodes))
 		m.Inc = d.uint("leave incarnation")
 		env.Msg = m
 	case tagLeaderLoad:
 		var m LeaderLoad
 		m.Epoch = d.uint("load epoch")
-		m.Cluster = model.ClusterID(d.int("load cluster"))
+		m.Cluster = model.ClusterID(d.id("load cluster", d.Clusters))
 		m.Aggregated = d.bool("aggregated flag")
 		m.Hits = d.catInts("hit map size")
 		m.Units = d.catFloats("unit map size")
@@ -834,30 +871,30 @@ func decodeEnvelope(b []byte, frame *[]byte) (Envelope, error) {
 		if n := d.count("lite count"); n > 0 {
 			m.Lite = make([]model.NodeID, n)
 			for i := range m.Lite {
-				m.Lite[i] = model.NodeID(d.int("lite member"))
+				m.Lite[i] = model.NodeID(d.id("lite member", d.Nodes))
 			}
 		}
 		env.Msg = m
 	case tagMove:
 		var m Move
-		m.Category = catalog.CategoryID(d.int("move category"))
-		m.From = model.ClusterID(d.int("move source"))
-		m.Entry.Cluster = model.ClusterID(d.int("move destination"))
+		m.Category = catalog.CategoryID(d.id("move category", d.Categories))
+		m.From = model.ClusterID(d.id("move source", d.Clusters))
+		m.Entry.Cluster = model.ClusterID(d.id("move destination", d.Clusters))
 		m.Entry.MoveCounter = d.uint("move counter")
 		env.Msg = m
 	case tagManifestReq:
 		var m ManifestReq
-		m.Doc = catalog.DocID(d.int("manifest-req doc"))
+		m.Doc = catalog.DocID(d.id("manifest-req doc", d.Docs))
 		m.Xfer = d.uint("manifest-req xfer")
-		m.Origin = model.NodeID(d.int("manifest-req origin"))
+		m.Origin = model.NodeID(d.id("manifest-req origin", d.Nodes))
 		m.TTL = d.int("manifest-req ttl")
-		if d.err == nil && (m.Origin < 0 || m.TTL < 0) {
-			d.fail("manifest-req routing")
+		if d.err == nil && m.TTL < 0 {
+			d.fail("manifest-req ttl")
 		}
 		env.Msg = m
 	case tagManifest:
 		var m Manifest
-		m.Doc = catalog.DocID(d.int("manifest doc"))
+		m.Doc = catalog.DocID(d.id("manifest doc", d.Docs))
 		m.Xfer = d.uint("manifest xfer")
 		m.Missing = d.bool("manifest missing flag")
 		m.Size = d.int("manifest size")
@@ -871,7 +908,7 @@ func decodeEnvelope(b []byte, frame *[]byte) (Envelope, error) {
 		env.Msg = m
 	case tagReplicate:
 		var m Replicate
-		m.Doc = catalog.DocID(d.int("replicate doc"))
+		m.Doc = catalog.DocID(d.id("replicate doc", d.Docs))
 		m.Size = d.int("replicate size")
 		m.ChunkSize = d.int("replicate chunk size")
 		m.Hashes = d.bytes("replicate hashes")
@@ -883,7 +920,7 @@ func decodeEnvelope(b []byte, frame *[]byte) (Envelope, error) {
 		env.Msg = m
 	case tagChunkReq:
 		var m ChunkReq
-		m.Doc = catalog.DocID(d.int("chunk-req doc"))
+		m.Doc = catalog.DocID(d.id("chunk-req doc", d.Docs))
 		m.Xfer = d.uint("chunk-req xfer")
 		m.First = d.int("chunk-req first")
 		m.Count = d.int("chunk-req count")
@@ -893,7 +930,7 @@ func decodeEnvelope(b []byte, frame *[]byte) (Envelope, error) {
 		env.Msg = m
 	case tagChunk:
 		var m Chunk
-		m.Doc = catalog.DocID(d.int("chunk doc"))
+		m.Doc = catalog.DocID(d.id("chunk doc", d.Docs))
 		m.Xfer = d.uint("chunk xfer")
 		m.Index = d.int("chunk index")
 		m.Missing = d.bool("chunk missing flag")
@@ -913,21 +950,21 @@ func decodeEnvelope(b []byte, frame *[]byte) (Envelope, error) {
 		n := d.count("entry count")
 		m := protocol.MetadataUpdateMsg{Entries: make(map[catalog.CategoryID]protocol.DCRTEntry, n)}
 		for i := 0; i < n && d.err == nil; i++ {
-			c := catalog.CategoryID(d.int("entry category"))
+			c := catalog.CategoryID(d.id("entry category", d.Categories))
 			var e protocol.DCRTEntry
-			e.Cluster = model.ClusterID(d.int("entry cluster"))
+			e.Cluster = model.ClusterID(d.id("entry cluster", d.Clusters))
 			e.MoveCounter = d.uint("entry move counter")
 			m.Entries[c] = e
 		}
 		env.Msg = m
 	default:
-		return Envelope{}, fmt.Errorf("wire: unknown message tag %d", b[0])
+		return Envelope{}, fmt.Errorf("%w: unknown message tag %d", ErrMalformed, b[0])
 	}
 	if d.err != nil {
 		return Envelope{}, d.err
 	}
 	if d.off != len(b) {
-		return Envelope{}, fmt.Errorf("wire: %d trailing bytes after message", len(b)-d.off)
+		return Envelope{}, fmt.Errorf("%w: %d trailing bytes after message", ErrMalformed, len(b)-d.off)
 	}
 	return env, nil
 }

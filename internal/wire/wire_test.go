@@ -3,6 +3,8 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"errors"
+	"fmt"
 	"net"
 	"reflect"
 	"strings"
@@ -14,8 +16,8 @@ import (
 	"p2pshare/internal/protocol"
 )
 
-// sampleEnvelopes covers every message type, including negative ids
-// (NoCluster) and empty/absent collections.
+// sampleEnvelopes covers every message type, including empty/absent
+// collections.
 func sampleEnvelopes() []Envelope {
 	return []Envelope{
 		{From: 3, Msg: protocol.QueryMsg{ID: 1<<40 + 17, Category: 12, Want: 5, Origin: 3, Hops: 2, Entry: true}},
@@ -25,7 +27,7 @@ func sampleEnvelopes() []Envelope {
 		{From: 2, Msg: protocol.PublishMsg{Doc: 77, Category: 3, Publisher: 2, Dummy: true}},
 		{From: 5, Msg: protocol.PublishAckMsg{
 			Doc: 77, Category: 3,
-			Entry:    protocol.DCRTEntry{Cluster: model.NoCluster, MoveCounter: 12},
+			Entry:    protocol.DCRTEntry{Cluster: 2, MoveCounter: 12},
 			Accepted: true,
 			Members:  []model.NodeID{1, 2, 3, 4, 5, 6, 7, 8},
 		}},
@@ -56,7 +58,7 @@ func sampleEnvelopes() []Envelope {
 			Hits:  map[catalog.CategoryID]int64{0: 14, 3: 2},
 			Units: map[catalog.CategoryID]float64{0: 1.5, 3: 0.25},
 		}},
-		{From: 3, Msg: LeaderLoad{Epoch: 1, Cluster: model.NoCluster}},
+		{From: 3, Msg: LeaderLoad{Epoch: 1}},
 		{From: 4, Msg: LeaderLoad{
 			Epoch: 13, Cluster: 1, Served: 512,
 			Lite: []model.NodeID{4, 9, 17},
@@ -193,14 +195,15 @@ func normalizeMsg(m any) any {
 }
 
 func TestDecodeRejectsCorruptFrames(t *testing.T) {
-	// Every strict prefix of a valid frame must error, never panic.
+	// Every strict prefix of a valid frame must error, never panic, and
+	// every error here is about the frame's bytes: ErrMalformed.
 	for _, env := range sampleEnvelopes() {
 		b, err := AppendEnvelope(nil, env)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for cut := 0; cut < len(b); cut++ {
-			if _, err := DecodeEnvelope(b[:cut]); err == nil {
+			if _, err := DecodeEnvelope(b[:cut]); !errors.Is(err, ErrMalformed) {
 				// A prefix that still parses completely is a corrupt
 				// frame the length prefix would normally exclude; the
 				// decoder must at least not invent trailing data.
@@ -208,20 +211,20 @@ func TestDecodeRejectsCorruptFrames(t *testing.T) {
 			}
 		}
 		// Trailing garbage is rejected too.
-		if _, err := DecodeEnvelope(append(append([]byte{}, b...), 0xAA)); err == nil {
+		if _, err := DecodeEnvelope(append(append([]byte{}, b...), 0xAA)); !errors.Is(err, ErrMalformed) {
 			t.Errorf("%T with trailing byte decoded without error", env.Msg)
 		}
 	}
 	// Unknown tag.
-	if _, err := DecodeEnvelope([]byte{99, 0}); err == nil || !strings.Contains(err.Error(), "unknown message tag") {
+	if _, err := DecodeEnvelope([]byte{99, 0}); !errors.Is(err, ErrMalformed) || !strings.Contains(err.Error(), "unknown message tag") {
 		t.Errorf("unknown tag: err = %v", err)
 	}
 	// A list count far beyond the payload must fail before allocating.
 	huge := []byte{tagResult, 0 /*from*/, 1 /*id*/, 0 /*hops*/, 0 /*from*/, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}
-	if _, err := DecodeEnvelope(huge); err == nil {
+	if _, err := DecodeEnvelope(huge); !errors.Is(err, ErrMalformed) {
 		t.Error("oversized doc count decoded without error")
 	}
-	if _, err := DecodeEnvelope(nil); err == nil {
+	if _, err := DecodeEnvelope(nil); !errors.Is(err, ErrMalformed) {
 		t.Error("empty frame decoded without error")
 	}
 	// Content-frame specific corruption: a manifest whose hash blob is
@@ -243,28 +246,28 @@ func TestDecodeRejectsCorruptFrames(t *testing.T) {
 			break
 		}
 	}
-	if _, err := DecodeEnvelope(trunc); err == nil {
+	if _, err := DecodeEnvelope(trunc); !errors.Is(err, ErrMalformed) {
 		t.Error("ragged manifest hash blob decoded without error")
 	}
 	negReq, err := AppendEnvelope(nil, Envelope{From: 1, Msg: ChunkReq{Doc: 7, Xfer: 1, First: -1, Count: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeEnvelope(negReq); err == nil {
+	if _, err := DecodeEnvelope(negReq); !errors.Is(err, ErrMalformed) {
 		t.Error("negative chunk-req window decoded without error")
 	}
 	negChunk, err := AppendEnvelope(nil, Envelope{From: 1, Msg: Chunk{Doc: 7, Xfer: 1, Index: -2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeEnvelope(negChunk); err == nil {
+	if _, err := DecodeEnvelope(negChunk); !errors.Is(err, ErrMalformed) {
 		t.Error("negative chunk index decoded without error")
 	}
 	negTTL, err := AppendEnvelope(nil, Envelope{From: 1, Msg: ManifestReq{Doc: 7, Xfer: 1, Origin: 1, TTL: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeEnvelope(negTTL); err == nil {
+	if _, err := DecodeEnvelope(negTTL); !errors.Is(err, ErrMalformed) {
 		t.Error("negative manifest-req ttl decoded without error")
 	}
 	// A replicate push with a zero chunk size could never be pulled
@@ -273,8 +276,236 @@ func TestDecodeRejectsCorruptFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeEnvelope(badRep); err == nil {
+	if _, err := DecodeEnvelope(badRep); !errors.Is(err, ErrMalformed) {
 		t.Error("zero-chunk-size replicate decoded without error")
+	}
+}
+
+// smallBounds is a deployment shape small enough that arbitrary bytes
+// often decode to ids outside it.
+var smallBounds = Bounds{Nodes: 5, Clusters: 3, Categories: 7, Docs: 11}
+
+// idField is one id a decoded envelope carries, with the bound its kind
+// must respect.
+type idField struct {
+	what     string
+	v, bound int
+}
+
+// idFields lists every id env carries — the test-side mirror of the
+// decoder's id reads, one case per tag.
+func idFields(env Envelope, b Bounds) []idField {
+	fs := []idField{{"sender", int(env.From), b.Nodes}}
+	node := func(what string, id model.NodeID) { fs = append(fs, idField{what, int(id), b.Nodes}) }
+	cluster := func(what string, cl model.ClusterID) { fs = append(fs, idField{what, int(cl), b.Clusters}) }
+	cat := func(what string, c catalog.CategoryID) { fs = append(fs, idField{what, int(c), b.Categories}) }
+	doc := func(what string, d catalog.DocID) { fs = append(fs, idField{what, int(d), b.Docs}) }
+	updates := func(us []membership.Update) {
+		for _, u := range us {
+			node("update id", u.ID)
+		}
+	}
+	switch m := env.Msg.(type) {
+	case protocol.QueryMsg:
+		cat("category", m.Category)
+		node("origin", m.Origin)
+	case protocol.ResultMsg:
+		node("answering node", m.From)
+		for _, d := range m.Docs {
+			doc("doc", d)
+		}
+	case protocol.PublishMsg:
+		doc("doc", m.Doc)
+		cat("category", m.Category)
+		node("publisher", m.Publisher)
+	case protocol.PublishAckMsg:
+		doc("doc", m.Doc)
+		cat("category", m.Category)
+		cluster("cluster", m.Entry.Cluster)
+		for _, id := range m.Members {
+			node("member", id)
+		}
+	case Hello:
+		node("hello id", m.ID)
+	case Book:
+		for id := range m.Book {
+			node("book id", id)
+		}
+		for id := range m.Dead {
+			node("tombstone id", id)
+		}
+	case membership.Ping:
+		updates(m.Updates)
+	case membership.Ack:
+		node("target", m.Target)
+		updates(m.Updates)
+	case membership.PingReq:
+		node("target", m.Target)
+		updates(m.Updates)
+	case membership.Leave:
+		node("leave id", m.ID)
+	case LeaderLoad:
+		cluster("cluster", m.Cluster)
+		for c := range m.Hits {
+			cat("hit category", c)
+		}
+		for c := range m.Units {
+			cat("unit category", c)
+		}
+		for _, id := range m.Lite {
+			node("lite member", id)
+		}
+	case Move:
+		cat("category", m.Category)
+		cluster("source", m.From)
+		cluster("destination", m.Entry.Cluster)
+	case protocol.MetadataUpdateMsg:
+		for c, e := range m.Entries {
+			cat("entry category", c)
+			cluster("entry cluster", e.Cluster)
+		}
+	case ManifestReq:
+		doc("doc", m.Doc)
+		node("origin", m.Origin)
+	case Manifest:
+		doc("doc", m.Doc)
+	case Replicate:
+		doc("doc", m.Doc)
+	case ChunkReq:
+		doc("doc", m.Doc)
+	case Chunk:
+		doc("doc", m.Doc)
+	default:
+		panic(fmt.Sprintf("idFields: no case for %T", env.Msg))
+	}
+	return fs
+}
+
+// TestDecodeRejectsOutOfRangeIDs places each id field of each tag at the
+// edges of smallBounds: bound−1 decodes, bound and −1 are malformed.
+func TestDecodeRejectsOutOfRangeIDs(t *testing.T) {
+	b := smallBounds
+	nodes := func(v int32) []model.NodeID { return []model.NodeID{0, model.NodeID(v)} }
+	type idCase struct {
+		name  string
+		bound int
+		env   func(v int32) Envelope // v in the named field, every other id 0
+	}
+	cases := []idCase{
+		{"query/category", b.Categories, func(v int32) Envelope {
+			return Envelope{Msg: protocol.QueryMsg{Category: catalog.CategoryID(v)}}
+		}},
+		{"query/origin", b.Nodes, func(v int32) Envelope { return Envelope{Msg: protocol.QueryMsg{Origin: model.NodeID(v)}} }},
+		{"result/from", b.Nodes, func(v int32) Envelope { return Envelope{Msg: protocol.ResultMsg{From: model.NodeID(v)}} }},
+		{"result/doc", b.Docs, func(v int32) Envelope {
+			return Envelope{Msg: protocol.ResultMsg{Docs: []catalog.DocID{1, catalog.DocID(v)}}}
+		}},
+		{"publish/doc", b.Docs, func(v int32) Envelope { return Envelope{Msg: protocol.PublishMsg{Doc: catalog.DocID(v)}} }},
+		{"publish/category", b.Categories, func(v int32) Envelope {
+			return Envelope{Msg: protocol.PublishMsg{Category: catalog.CategoryID(v)}}
+		}},
+		{"publish/publisher", b.Nodes, func(v int32) Envelope {
+			return Envelope{Msg: protocol.PublishMsg{Publisher: model.NodeID(v)}}
+		}},
+		{"publish-ack/doc", b.Docs, func(v int32) Envelope {
+			return Envelope{Msg: protocol.PublishAckMsg{Doc: catalog.DocID(v)}}
+		}},
+		{"publish-ack/category", b.Categories, func(v int32) Envelope {
+			return Envelope{Msg: protocol.PublishAckMsg{Category: catalog.CategoryID(v)}}
+		}},
+		{"publish-ack/cluster", b.Clusters, func(v int32) Envelope {
+			return Envelope{Msg: protocol.PublishAckMsg{Entry: protocol.DCRTEntry{Cluster: model.ClusterID(v)}}}
+		}},
+		{"publish-ack/member", b.Nodes, func(v int32) Envelope {
+			return Envelope{Msg: protocol.PublishAckMsg{Members: nodes(v)}}
+		}},
+		{"hello/id", b.Nodes, func(v int32) Envelope { return Envelope{Msg: Hello{ID: model.NodeID(v)}} }},
+		{"book/id", b.Nodes, func(v int32) Envelope {
+			return Envelope{Msg: Book{Book: map[model.NodeID]string{model.NodeID(v): "a"}}}
+		}},
+		{"book/tombstone", b.Nodes, func(v int32) Envelope {
+			return Envelope{Msg: Book{Dead: map[model.NodeID]uint64{model.NodeID(v): 1}}}
+		}},
+		{"ping/update", b.Nodes, func(v int32) Envelope {
+			return Envelope{Msg: membership.Ping{Updates: []membership.Update{{ID: model.NodeID(v)}}}}
+		}},
+		{"ack/target", b.Nodes, func(v int32) Envelope { return Envelope{Msg: membership.Ack{Target: model.NodeID(v)}} }},
+		{"ack/update", b.Nodes, func(v int32) Envelope {
+			return Envelope{Msg: membership.Ack{Updates: []membership.Update{{ID: model.NodeID(v)}}}}
+		}},
+		{"ping-req/target", b.Nodes, func(v int32) Envelope {
+			return Envelope{Msg: membership.PingReq{Target: model.NodeID(v)}}
+		}},
+		{"ping-req/update", b.Nodes, func(v int32) Envelope {
+			return Envelope{Msg: membership.PingReq{Updates: []membership.Update{{ID: model.NodeID(v)}}}}
+		}},
+		{"leave/id", b.Nodes, func(v int32) Envelope { return Envelope{Msg: membership.Leave{ID: model.NodeID(v)}} }},
+		{"leader-load/cluster", b.Clusters, func(v int32) Envelope {
+			return Envelope{Msg: LeaderLoad{Cluster: model.ClusterID(v)}}
+		}},
+		{"leader-load/hit-category", b.Categories, func(v int32) Envelope {
+			return Envelope{Msg: LeaderLoad{Hits: map[catalog.CategoryID]int64{catalog.CategoryID(v): 1}}}
+		}},
+		{"leader-load/unit-category", b.Categories, func(v int32) Envelope {
+			return Envelope{Msg: LeaderLoad{Units: map[catalog.CategoryID]float64{catalog.CategoryID(v): 1}}}
+		}},
+		{"leader-load/lite", b.Nodes, func(v int32) Envelope { return Envelope{Msg: LeaderLoad{Lite: nodes(v)}} }},
+		{"move/category", b.Categories, func(v int32) Envelope { return Envelope{Msg: Move{Category: catalog.CategoryID(v)}} }},
+		{"move/source", b.Clusters, func(v int32) Envelope { return Envelope{Msg: Move{From: model.ClusterID(v)}} }},
+		{"move/destination", b.Clusters, func(v int32) Envelope {
+			return Envelope{Msg: Move{Entry: protocol.DCRTEntry{Cluster: model.ClusterID(v)}}}
+		}},
+		{"meta-update/category", b.Categories, func(v int32) Envelope {
+			return Envelope{Msg: protocol.MetadataUpdateMsg{Entries: map[catalog.CategoryID]protocol.DCRTEntry{catalog.CategoryID(v): {}}}}
+		}},
+		{"meta-update/cluster", b.Clusters, func(v int32) Envelope {
+			return Envelope{Msg: protocol.MetadataUpdateMsg{Entries: map[catalog.CategoryID]protocol.DCRTEntry{0: {Cluster: model.ClusterID(v)}}}}
+		}},
+		{"manifest-req/doc", b.Docs, func(v int32) Envelope { return Envelope{Msg: ManifestReq{Doc: catalog.DocID(v)}} }},
+		{"manifest-req/origin", b.Nodes, func(v int32) Envelope {
+			return Envelope{Msg: ManifestReq{Origin: model.NodeID(v)}}
+		}},
+		{"manifest/doc", b.Docs, func(v int32) Envelope { return Envelope{Msg: Manifest{Doc: catalog.DocID(v)}} }},
+		{"replicate/doc", b.Docs, func(v int32) Envelope {
+			return Envelope{Msg: Replicate{Doc: catalog.DocID(v), ChunkSize: 1}}
+		}},
+		{"chunk-req/doc", b.Docs, func(v int32) Envelope { return Envelope{Msg: ChunkReq{Doc: catalog.DocID(v)}} }},
+		{"chunk/doc", b.Docs, func(v int32) Envelope { return Envelope{Msg: Chunk{Doc: catalog.DocID(v)}} }},
+	}
+	// Every tag carries its sender: one more case per tag, on the first
+	// case's message.
+	tags := map[string]bool{}
+	for _, tc := range cases {
+		tag, _, _ := strings.Cut(tc.name, "/")
+		if tags[tag] {
+			continue
+		}
+		tags[tag] = true
+		env := tc.env
+		cases = append(cases, idCase{tag + "/sender", b.Nodes, func(v int32) Envelope {
+			e := env(0)
+			e.From = model.NodeID(v)
+			return e
+		}})
+	}
+	if len(tags) != 18 {
+		t.Fatalf("cases cover %d tags, want 18", len(tags))
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, v := range []int32{int32(tc.bound) - 1, int32(tc.bound), -1} {
+				frame, err := AppendEnvelope(nil, tc.env(v))
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, err = decodeEnvelope(frame, nil, b)
+				if inRange := v == int32(tc.bound)-1; inRange && err != nil {
+					t.Errorf("id %d (bound %d) rejected: %v", v, tc.bound, err)
+				} else if !inRange && !errors.Is(err, ErrMalformed) {
+					t.Errorf("id %d (bound %d): err = %v, want ErrMalformed", v, tc.bound, err)
+				}
+			}
+		})
 	}
 }
 
@@ -290,7 +521,7 @@ func TestStreamWriteRead(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	r := NewReader(bufio.NewReader(&buf))
+	r := NewReader(bufio.NewReader(&buf), Unbounded)
 	for i, want := range envs {
 		got, err := r.Next()
 		if err != nil {
@@ -313,7 +544,7 @@ func TestReaderRejectsOversizedFrame(t *testing.T) {
 	n := putUvarint(hdr[:], MaxFrameBytes+1)
 	w.Write(hdr[:n])
 	w.Flush()
-	if _, err := NewReader(bufio.NewReader(&buf)).Next(); err == nil {
+	if _, err := NewReader(bufio.NewReader(&buf), Unbounded).Next(); !errors.Is(err, ErrMalformed) {
 		t.Error("oversized frame length accepted")
 	}
 }
@@ -379,7 +610,7 @@ func BenchmarkWireStream(b *testing.B) {
 			return
 		}
 		defer conn.Close()
-		r := NewReader(bufio.NewReaderSize(conn, 64<<10))
+		r := NewReader(bufio.NewReaderSize(conn, 64<<10), Unbounded)
 		n := 0
 		for {
 			if _, err := r.Next(); err != nil {
