@@ -19,12 +19,17 @@ import (
 )
 
 // linkBudget bounds the live heap one open, idle stream costs its
-// process, both ends counted. What it should hold is the peer's 256-slot
-// protocol queue (6 KB), the fabric's two 4 KB rings and the reader's
-// 4 KB buffer: ≈ 20 KB measured. A write buffer held per stream (64 KB),
-// a bulk queue on a node that sends no chunks (6 KB) and a jitter source
-// per writer (5 KB) came to ≈ 95 KB.
-const linkBudget = 40 << 10
+// process, both ends counted: ≈ 2× the ≈ 4–5 KB measured. What an idle
+// link holds: the reader's 1 KB buffer; a 512-byte fabric ring each way
+// (the server→client one only ever carried the handshake ack); the
+// peerConn with its wake channel and two queue slices sized by the
+// bursts seen (one envelope each here); and the conn, ring, deadline and
+// reader structs. What it no longer holds: a 64 KB write buffer per
+// stream, a bulk queue on a node that sends no chunks and a jitter
+// source per writer (≈ 95 KB together, before the write buffers were
+// pooled), then a 256-slot protocol queue allocated at its cap (6 KB),
+// 4 KB rings from the first byte and a 4 KB read buffer (≈ 21 KB).
+const linkBudget = 8 << 10
 
 // TestLinkMemoryPerIdleStream opens 256 streams from one transport over
 // memnet — one per peer, all read by one sink the way a node reads them —
@@ -66,7 +71,10 @@ func TestLinkMemoryPerIdleStream(t *testing.T) {
 }
 
 // TestLinkMemoryBulkQueueOnlyWithContent: only a node with a content
-// store sends chunks, so only such a node gives its peers a bulk queue.
+// store sends chunks, so only such a node has a bulk lane; a bulk
+// envelope on a node without one is dropped and counted. And a bulk
+// queue costs nothing until chunks wait in it: after a round of queries
+// no link, on either kind of node, holds bulk queue storage.
 func TestLinkMemoryBulkQueueOnlyWithContent(t *testing.T) {
 	for _, cc := range []*ContentConfig{nil, {}} {
 		c := launchOverMemnet(t, contentShape(23), nil, memnet.New(), Options{CacheBytes: -1, Content: cc})
@@ -75,10 +83,13 @@ func TestLinkMemoryBulkQueueOnlyWithContent(t *testing.T) {
 		}
 		peers, withBulk := 0, 0
 		for _, n := range c.Nodes {
+			if n.tr.bulkLane != (cc != nil) {
+				t.Fatalf("content store %v: node %d has bulk lane %v", cc != nil, n.id, n.tr.bulkLane)
+			}
 			n.tr.mu.Lock()
 			for _, p := range n.tr.peers {
 				peers++
-				if p.bulk != nil {
+				if cap(p.bulk) > 0 {
 					withBulk++
 				}
 			}
@@ -87,8 +98,29 @@ func TestLinkMemoryBulkQueueOnlyWithContent(t *testing.T) {
 		if peers == 0 {
 			t.Fatal("no links opened")
 		}
-		if want := map[bool]int{false: 0, true: peers}[cc != nil]; withBulk != want {
-			t.Errorf("content store %v: %d of %d peer links have a bulk queue, want %d", cc != nil, withBulk, peers, want)
+		if withBulk != 0 {
+			t.Errorf("content store %v: %d of %d peer links hold bulk queue storage after queries alone", cc != nil, withBulk, peers)
+		}
+	}
+
+	for _, lane := range []bool{false, true} {
+		nw := memnet.New()
+		ln, err := nw.Listen("mem:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var read atomic.Int64
+		serveSink(t, ln, nil, func(envelope) { read.Add(1) })
+		stats := metrics.NewSyncCounter()
+		tr := newTransport(1, 1, stats)
+		tr.bulkLane = lane
+		tr.setDial(nw.Dial)
+		t.Cleanup(tr.close)
+		tr.enqueueBulk(2, ln.Addr().String(), envelope{From: 1, Msg: protocol.QueryMsg{ID: 1, Category: 3, Want: 1, Origin: 1}})
+		if lane {
+			waitFor(t, 5*time.Second, "the bulk envelope read", func() bool { return read.Load() == 1 })
+		} else if got := stats.Get("transport_drops_bulk_full"); got != 1 || tr.queueDepth() != 0 {
+			t.Errorf("no bulk lane: %d bulk drops and %d queued, want the envelope dropped", got, tr.queueDepth())
 		}
 	}
 }

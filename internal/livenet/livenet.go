@@ -69,12 +69,16 @@ const (
 	// (lazyDeadline), so a silent stream is reaped after between ¾ of
 	// this and all of it.
 	readIdleTimeout = 2 * time.Minute
-	// readBufBytes sizes each inbound stream's read buffer. It batches
-	// small frames only: a read at least as large bypasses it, so a chunk
-	// goes from the connection straight into the pooled buffer it is
-	// decoded from. A chunk-sized buffer would prefetch every chunk —
-	// one more copy of each transfer, and 64 KB per inbound link.
-	readBufBytes = 4 << 10
+	// readBufBytes sizes each inbound stream's read buffer, which every
+	// open inbound link holds. It batches small frames only: a read at
+	// least as large bypasses it, so a chunk goes from the connection
+	// straight into the pooled buffer it is decoded from (a chunk-sized
+	// buffer would prefetch every chunk — one more copy of each transfer,
+	// and 64 KB per link). 1 KB holds a whole typical flush: protocol
+	// frames run 19–60 bytes and batches ~1.5 frames, at most 64. The
+	// trade-off over TCP: a flush of small frames larger than the buffer
+	// takes more than one read syscall.
+	readBufBytes = 1 << 10
 )
 
 // envelope frames every wire message with its sender. One connection

@@ -40,16 +40,19 @@ import (
 //     process-wide pool to frame and flush one batch and handed back
 //     after the flush, so between batches a stream holds no buffer: live
 //     write buffers track the writers flushing right now, not the
-//     streams open (a 1000-node cluster keeps ~12 000). The bulk queue
-//     exists only on a node with a content store, and the backoff
-//     jitter source only after a first failed connect.
+//     streams open (a 1000-node cluster keeps ~12 000). The queues are
+//     slices grown by demand up to their caps, not channels allocated
+//     at their caps, so a link that carries one query at a time holds
+//     room for about one; only a node with a content store ever fills a
+//     bulk queue, and the backoff jitter source is made on a first
+//     failed connect.
 //   - No fixed tax per frame. The per-message counters are atomic cells
-//     held by the goroutine that bumps them, the writer looks at queue
-//     lengths before it pays for a select, and stream deadlines are
-//     re-armed only when a quarter of their window has gone by
-//     (lazyDeadline) — so a timeout T takes effect after between ¾·T
-//     and T of trouble, and a busy stream touches its timer every T/4
-//     instead of every frame.
+//     held by the goroutine that bumps them, the writer takes a whole
+//     batch under one lock acquisition and enters a select only to wait,
+//     and stream deadlines are re-armed only when a quarter of their
+//     window has gone by (lazyDeadline) — so a timeout T takes effect
+//     after between ¾·T and T of trouble, and a busy stream touches its
+//     timer every T/4 instead of every frame.
 //
 // Messages carry a small retry budget; a batch that exhausts it is
 // dropped (the protocols are best-effort, exactly as in the simulator)
@@ -77,7 +80,8 @@ const (
 	// a restarted peer is picked up again — but the node stops routing
 	// queries through it).
 	evictAfterFails = 5
-	// sendQueueCap bounds each peer's outbound queue; enqueue never
+	// sendQueueCap bounds each peer's outbound queue (a bound, not an
+	// allocation: the queue grows to what is waiting); enqueue never
 	// blocks its caller — overflow is dropped and counted.
 	sendQueueCap = 256
 	// defaultWriterIdle is how long a peer's writer goroutine sits with an
@@ -136,9 +140,10 @@ type transport struct {
 	// writersActive gauges how many writer goroutines exist right now
 	// (spawned minus parked/exited) — exported as transport_writers_active.
 	writersActive atomic.Int64
-	// bulkLane gives each peer a bulk queue. Only a node with a content
-	// store sends chunks, so only such a node pays for the queues. Set
-	// before the node's loops start, read-only after.
+	// bulkLane lets enqueueBulk fill a peer's bulk queue. Only a node
+	// with a content store sends chunks; without the lane a bulk envelope
+	// is dropped as if the queue were full. Set before the node's loops
+	// start, read-only after.
 	bulkLane bool
 
 	// dial is swappable so tests can inject dial failures.
@@ -159,19 +164,25 @@ type transport struct {
 // protocol strictly first and admits at most maxBulkPerBatch bulk
 // envelopes per flush, so a saturating transfer cannot starve the
 // protocol path — it only uses the bandwidth protocol traffic leaves
-// idle. bulk is nil on a transport without a bulk lane: a nil channel
-// is empty, never ready in a select, and full to enqueueBulk.
+// idle. Both queues are slices grown by demand and capped at
+// sendQueueCap/bulkQueueCap, so a link holds room for the burst it has
+// seen, not for the worst one it might; bulk is only ever filled on a
+// transport with a bulk lane.
 type peerConn struct {
-	to    model.NodeID
-	queue chan envelope
-	bulk  chan envelope
-
-	// running reports whether a writer goroutine currently owns the
-	// queue. Guarded by transport.mu — and so is every send into queue —
-	// which is what makes the park/enqueue handoff airtight: a parking
-	// writer re-checks len(queue) under the same lock the producers push
-	// under, so a message either finds a live writer or spawns one.
-	running bool
+	to model.NodeID
+	// queue and bulk are guarded by transport.mu, and so is running,
+	// which reports whether a writer goroutine currently owns the queues.
+	// One lock for all three is what makes the park/enqueue handoff
+	// airtight: a parking writer re-checks the queues under the same lock
+	// the producers append under, so a message either finds a live
+	// writer or spawns one.
+	queue, bulk []envelope
+	running     bool
+	// wake tells a waiting writer its queues went from empty to
+	// non-empty. Capacity 1, never closed: a token sent while the writer
+	// is busy stays until it next waits, so a wake-up is never lost, and
+	// at worst it costs one look at empty queues.
+	wake chan struct{}
 	// addr is the peer's latest known address, stored by every enqueue
 	// and read by the writer when it dials. Guarded by transport.mu.
 	addr string
@@ -260,13 +271,13 @@ func (t *transport) enqueueOn(to model.NodeID, addr string, env envelope, bulk b
 		t.peers[to] = p
 	}
 	p.addr = addr
-	q := p.queue
-	if bulk {
-		q = p.bulk
-	}
+	wasEmpty := len(p.queue)+len(p.bulk) == 0
 	dropped := false
-	select {
-	case q <- env:
+	switch {
+	case !bulk && len(p.queue) < sendQueueCap:
+		p.queue = append(p.queue, env)
+	case bulk && t.bulkLane && len(p.bulk) < bulkQueueCap:
+		p.bulk = append(p.bulk, env)
 	default:
 		dropped = true
 	}
@@ -275,6 +286,11 @@ func (t *transport) enqueueOn(to model.NodeID, addr string, env envelope, bulk b
 		p.running = true
 		t.wg.Add(1)
 		t.writersActive.Add(1)
+	} else if !dropped && wasEmpty {
+		select {
+		case p.wake <- struct{}{}:
+		default: // a token is already waiting
+		}
 	}
 	t.mu.Unlock()
 	if spawn {
@@ -290,23 +306,52 @@ func (t *transport) enqueueOn(to model.NodeID, addr string, env envelope, bulk b
 }
 
 func (t *transport) newPeerConn(to model.NodeID) *peerConn {
-	p := &peerConn{to: to, queue: make(chan envelope, sendQueueCap)}
-	if t.bulkLane {
-		p.bulk = make(chan envelope, bulkQueueCap)
+	return &peerConn{to: to, wake: make(chan struct{}, 1)}
+}
+
+// take moves the next flush's envelopes out of p's queues into batch,
+// under one lock acquisition: every waiting protocol frame first (up to
+// maxBatchMsgs), then at most maxBulkPerBatch chunks into the slots
+// protocol traffic left free. When the whole protocol queue fits, the
+// slices are swapped instead of copied — batch, which the writer hands
+// in empty, becomes the queue. Returns an empty batch when both queues
+// are.
+func (t *transport) take(p *peerConn, batch []envelope) []envelope {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if len(p.queue) <= maxBatchMsgs {
+		batch, p.queue = p.queue, batch[:0]
+	} else {
+		batch = append(batch, p.queue[:maxBatchMsgs]...)
+		p.queue = shift(p.queue, maxBatchMsgs)
 	}
-	return p
+	if n := min(len(p.bulk), maxBulkPerBatch, maxBatchMsgs-len(batch)); n > 0 {
+		batch = append(batch, p.bulk[:n]...)
+		p.bulk = shift(p.bulk, n)
+	}
+	return batch
+}
+
+// shift drops q's first n envelopes in place, clearing the vacated tail
+// so the queue pins no message it no longer holds.
+func shift(q []envelope, n int) []envelope {
+	k := copy(q, q[n:])
+	clear(q[k:])
+	return q[:k]
 }
 
 // park retires an idle writer: under t.mu — the same lock every enqueue
-// pushes under — it re-checks the queue and, if still empty, clears
-// running so the next enqueue respawns. Returns false when an envelope
-// raced in, in which case the caller keeps draining.
+// appends under — it re-checks the queues and, if still empty, clears
+// running so the next enqueue respawns and lets go of their storage.
+// Returns false when an envelope raced in, in which case the caller
+// keeps draining.
 func (t *transport) park(p *peerConn) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(p.queue) > 0 || len(p.bulk) > 0 {
 		return false
 	}
+	p.queue, p.bulk = nil, nil
 	p.running = false
 	return true
 }
@@ -401,29 +446,16 @@ func (t *transport) run(p *peerConn) {
 		}
 		idle.Reset(t.writerIdle)
 	}
-	// This goroutine is the queues' only consumer, so a non-zero len
-	// means a receive cannot block — no select needed to poll.
-	//
-	// fillBatch coalesces whatever is queued right now behind what the
-	// batch already holds: every waiting protocol frame first, then at
-	// most maxBulkPerBatch chunks into the slots protocol traffic left
-	// free. No waiting anywhere, so a lone envelope flushes immediately.
-	fillBatch := func(batch []envelope) []envelope {
-		for len(batch) < maxBatchMsgs && len(p.queue) > 0 {
-			batch = append(batch, <-p.queue)
-		}
-		for bulk := 0; bulk < maxBulkPerBatch && len(batch) < maxBatchMsgs && len(p.bulk) > 0; bulk++ {
-			batch = append(batch, <-p.bulk)
-		}
-		return batch
-	}
-	batch := make([]envelope, 0, maxBatchMsgs)
+	// batch and the protocol queue trade slices (take), so a running
+	// writer and its queue hold two slices sized by the bursts seen; one
+	// larger than a flush is let go rather than kept circulating.
+	var batch []envelope
 	for {
-		// Protocol frames go first, always: with both queues ready the
-		// select would pick at random, letting a saturating transfer win
-		// half the flushes. So it is only entered to wait.
-		batch = batch[:0]
-		if len(p.queue) == 0 {
+		// Whatever is queued goes out now — a lone envelope flushes
+		// immediately. The select is entered only to wait, and only after
+		// a take found both queues empty: any enqueue since then left a
+		// token in wake.
+		if batch = t.take(p, batch[:0]); len(batch) == 0 {
 			select {
 			case <-t.done:
 				return
@@ -435,20 +467,16 @@ func (t *transport) run(p *peerConn) {
 				// An envelope raced the timer: keep running, drain it on
 				// the next loop iteration with a fresh idle window.
 				idle.Reset(t.writerIdle)
-				continue
-			case env := <-p.queue:
-				batch = append(batch, env)
-			case env := <-p.bulk:
-				// Protocol frames that arrived since the last flush still
-				// jump ahead of this chunk inside the batch.
-				for len(batch) < maxBatchMsgs-1 && len(p.queue) > 0 {
-					batch = append(batch, <-p.queue)
-				}
-				batch = append(batch, env)
+			case <-p.wake:
 			}
+			continue
 		}
-		if !w.deliver(fillBatch(batch)) {
+		if !w.deliver(batch) {
 			return // transport closed mid-backoff
+		}
+		clear(batch) // the slice is the queue's next: it pins no message
+		if cap(batch) > maxBatchMsgs {
+			batch = nil
 		}
 		resetIdle()
 	}

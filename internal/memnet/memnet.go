@@ -19,11 +19,17 @@
 //     reproduced here over buffered pipes, and moving a deadline or
 //     blocking on a ring allocates nothing and touches no runtime timer.
 //   - Buffered with backpressure. Unlike net.Pipe, writes complete
-//     without a reader in rendezvous — they fill a bounded ring (which
-//     grows on demand up to ringMaxBytes) and block only when it is
-//     full, mirroring a kernel socket buffer. That is what lets the
-//     transport's batch writer coalesce frames exactly as it does over
-//     TCP.
+//     without a reader in rendezvous — they fill a bounded ring and
+//     block only when it is full, mirroring a kernel socket buffer.
+//     That is what lets the transport's batch writer coalesce frames
+//     exactly as it does over TCP.
+//   - Memory by traffic, not by connection. Like TCP receive-buffer
+//     autotuning, a ring allocates nothing until its first write, then
+//     starts small and doubles as writes demand up to the fabric's cap;
+//     an accept queue holds only the connections waiting in it. A
+//     direction that never carries a byte and a listener with nothing
+//     pending hold no buffer, and a direction that carries only a
+//     stream's 1-byte handshake ack holds 512 bytes.
 //   - Composable with fault injection. Conns are plain net.Conn values,
 //     so chaos.Net wraps them unchanged (chaos.Net.SetDial(nw.Dial));
 //     seeded replays stay byte-identical off-kernel.
@@ -44,10 +50,10 @@ import (
 )
 
 const (
-	// ringStartBytes is a ring's initial capacity; rings grow by
-	// doubling as writes demand, so short-lived control streams stay
-	// tiny.
-	ringStartBytes = 4 << 10
+	// ringStartBytes is a ring's capacity after its first write; a
+	// direction that only ever carries the handshake ack or sparse query
+	// frames stays at this size.
+	ringStartBytes = 512
 	// ringMaxBytes caps one direction's buffering — the "kernel socket
 	// buffer" a writer can fill before blocking. Sized to hold one
 	// maximal transport batch (64KB buffered writer flush) plus slack.
@@ -106,12 +112,8 @@ func (nw *Network) Listen(addr string) (net.Listener, error) {
 	} else if _, taken := nw.listeners[addr]; taken {
 		return nil, fmt.Errorf("memnet: address %s already bound", addr)
 	}
-	l := &listener{
-		nw:   nw,
-		addr: Addr(addr),
-		pend: make(chan net.Conn, backlog),
-		done: make(chan struct{}),
-	}
+	l := &listener{nw: nw, addr: Addr(addr)}
+	l.ready.L = &l.mu
 	nw.listeners[addr] = l
 	return l, nil
 }
@@ -132,56 +134,69 @@ func (nw *Network) Dial(addr string) (net.Conn, error) {
 	s2c := newRing(nw.ringMax) // server writes, client reads
 	client := newConn(s2c, c2s, "mem:dial", l.addr)
 	server := newConn(c2s, s2c, l.addr, "mem:dial")
-	select {
-	case l.pend <- server:
-		return client, nil
-	case <-l.done:
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	switch {
+	case l.closed:
 		return nil, &net.OpError{Op: "dial", Net: "mem", Addr: Addr(addr),
 			Err: fmt.Errorf("connection refused")}
-	default:
+	case len(l.pend) >= backlog:
 		return nil, &net.OpError{Op: "dial", Net: "mem", Addr: Addr(addr),
 			Err: fmt.Errorf("connection refused: backlog full")}
 	}
+	l.pend = append(l.pend, server)
+	l.ready.Signal()
+	return client, nil
 }
 
 // listener implements net.Listener over the fabric registry.
 type listener struct {
 	nw   *Network
 	addr Addr
-	pend chan net.Conn
-	done chan struct{}
-	once sync.Once
+
+	mu sync.Mutex
+	// pend holds the dialed connections Accept has not taken yet, oldest
+	// first, at most backlog; it is nil whenever it is empty.
+	pend   []net.Conn
+	closed bool
+	// ready wakes Accept callers: a dial signals one, Close all.
+	ready sync.Cond
 }
 
 func (l *listener) Accept() (net.Conn, error) {
-	select {
-	case c := <-l.pend:
-		return c, nil
-	case <-l.done:
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for len(l.pend) == 0 && !l.closed {
+		l.ready.Wait()
+	}
+	if l.closed {
 		return nil, &net.OpError{Op: "accept", Net: "mem", Addr: l.addr,
 			Err: fmt.Errorf("use of closed network connection")}
 	}
+	c := l.pend[0]
+	l.pend[0] = nil
+	if l.pend = l.pend[1:]; len(l.pend) == 0 {
+		l.pend = nil
+	}
+	return c, nil
 }
 
 func (l *listener) Close() error {
-	l.once.Do(func() {
-		l.nw.mu.Lock()
-		if l.nw.listeners[string(l.addr)] == l {
-			delete(l.nw.listeners, string(l.addr))
-		}
-		l.nw.mu.Unlock()
-		close(l.done)
-		// Connections already queued but never accepted are dead: close
-		// them so their dialers see EOF/reset instead of hanging.
-		for {
-			select {
-			case c := <-l.pend:
-				c.Close()
-			default:
-				return
-			}
-		}
-	})
+	l.nw.mu.Lock()
+	if l.nw.listeners[string(l.addr)] == l {
+		delete(l.nw.listeners, string(l.addr))
+	}
+	l.nw.mu.Unlock()
+	l.mu.Lock()
+	pend := l.pend
+	l.pend, l.closed = nil, true
+	l.ready.Broadcast()
+	l.mu.Unlock()
+	// Connections already queued but never accepted are dead: close
+	// them so their dialers see EOF/reset instead of hanging.
+	for _, c := range pend {
+		c.Close()
+	}
 	return nil
 }
 
@@ -205,28 +220,30 @@ type ring struct {
 	data, space sync.Cond
 }
 
+// newRing makes a ring with no buffer: the first write allocates it.
 func newRing(max int) *ring {
 	if max <= 0 {
 		max = ringMaxBytes
 	}
-	start := ringStartBytes
-	if start > max {
-		start = max
-	}
-	rg := &ring{buf: make([]byte, start), max: max}
+	rg := &ring{max: max}
 	rg.data.L, rg.space.L = &rg.mu, &rg.mu
 	return rg
 }
 
-// grow doubles the ring up to its cap, linearizing content.
-// Caller holds mu; returns free space after growing.
-func (rg *ring) grow() int {
-	if len(rg.buf) >= rg.max {
-		return len(rg.buf) - rg.n
+// grow makes room for want more bytes: the first call allocates
+// ringStartBytes, later ones double, as often as want needs, up to the
+// cap; content is linearized. Caller holds mu; returns free space after
+// growing.
+func (rg *ring) grow(want int) int {
+	size := len(rg.buf)
+	if size == 0 {
+		size = min(ringStartBytes, rg.max)
 	}
-	size := len(rg.buf) * 2
-	if size > rg.max {
-		size = rg.max
+	for size-rg.n < want && size < rg.max {
+		size = min(2*size, rg.max)
+	}
+	if size == len(rg.buf) {
+		return size - rg.n
 	}
 	nb := make([]byte, size)
 	rg.copyOut(nb[:rg.n])
@@ -250,7 +267,10 @@ func (rg *ring) copyOut(p []byte) {
 func (rg *ring) write(p []byte) int {
 	free := len(rg.buf) - rg.n
 	if free < len(p) {
-		free = rg.grow()
+		free = rg.grow(len(p))
+	}
+	if free == 0 {
+		return 0
 	}
 	w := (rg.r + rg.n) % len(rg.buf)
 	take := len(p)
