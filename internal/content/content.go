@@ -304,11 +304,21 @@ func (s *Store) Register(doc catalog.DocID, size int64) {
 // Put installs explicit bytes for doc (replacing any synthetic
 // registration or cached copy) and returns its manifest.
 func (s *Store) Put(doc catalog.DocID, data []byte) *Manifest {
-	m := BuildManifest(doc, data, s.chunkSize)
+	return s.PutVerified(BuildManifest(doc, data, s.chunkSize), data)
+}
+
+// PutVerified is Put for a caller that holds the manifest data was
+// verified against (a completed transfer): nothing is hashed unless the
+// manifest was cut for another chunk size, and then outside the lock.
+func (s *Store) PutVerified(m *Manifest, data []byte) *Manifest {
+	size := int64(len(data))
+	if m.ChunkSize != s.chunkSize || m.Size != size {
+		m = BuildManifest(m.Doc, data, s.chunkSize)
+	}
 	s.mu.Lock()
-	s.uncacheLocked(doc)
-	s.docs[doc] = docEntry{data: data, size: int64(len(data))}
-	s.manifests[doc] = m
+	s.uncacheLocked(m.Doc)
+	s.docs[m.Doc] = docEntry{data: data, size: size}
+	s.manifests[m.Doc] = m
 	s.mu.Unlock()
 	return m
 }

@@ -46,6 +46,14 @@ func (c RunConfig) withDefaults() RunConfig {
 	return c
 }
 
+// pullCounters are the background pull pool's outcomes — move shipping
+// and pushed-replica pulls — summed over the fleet into a content plan's
+// totals, so a run shows whether moves and pushes competed for workers.
+var pullCounters = []string{
+	"replicate_drops", "replicate_redundant", "replicate_pull_failures",
+	"transfer_move_docs", "transfer_move_queued", "transfer_move_failures",
+}
+
 // Run executes one plan and returns its Result. Soak-bridge plans
 // (Plan.Soak set) run the scripted chaos scenario in-process; all
 // others drive the multi-process orchestration.
@@ -306,6 +314,7 @@ func runProcessPlan(p Plan, cfg RunConfig) (Result, error) {
 	var wireIn, wireOut, hits, misses float64
 	var xferIn, xferOut, hashFail float64
 	var cacheInstalls, pushInstalls, pushes float64
+	pulls := map[string]float64{}
 	for _, s := range final {
 		served = append(served, float64(s.Counters["served"]))
 		wireIn += float64(s.Counters["wire_bytes_in"])
@@ -318,6 +327,9 @@ func runProcessPlan(p Plan, cfg RunConfig) (Result, error) {
 		cacheInstalls += float64(s.Counters["content_cache_installs"])
 		pushInstalls += float64(s.Counters["replicate_installs"])
 		pushes += float64(s.Counters["replicate_pushes"])
+		for _, k := range pullCounters {
+			pulls[k] += float64(s.Counters[k])
+		}
 	}
 	res.Totals["queries"] = totQ
 	res.Totals["ok"] = totOK
@@ -363,6 +375,9 @@ func runProcessPlan(p Plan, cfg RunConfig) (Result, error) {
 		res.Totals["content_cache_installs"] = cacheInstalls
 		res.Totals["replicate_installs"] = pushInstalls
 		res.Totals["replicate_pushes"] = pushes
+		for k, v := range pulls {
+			res.Totals[k] = v
+		}
 	}
 	// Flash-crowd trajectory: a plan with a "steady" and a "spike" act
 	// (both fetching) gates on how much the spike degrades fetch tail

@@ -558,9 +558,9 @@ func (n *Node) applyMoveEntry(cat catalog.CategoryID, e protocol.DCRTEntry) bool
 			}
 			// The metadata flips immediately (queries route here now);
 			// the bytes arrive asynchronously — a move is not done until
-			// the gaining holder has fetched its share from the shedding
-			// cluster and Put the real bytes.
-			n.shipMovedDocs(need)
+			// the gaining holder has pulled its share from the shedding
+			// cluster and installed the real bytes.
+			n.queueMoves(need)
 		}
 	}
 	n.gossipEntry(cat, e)

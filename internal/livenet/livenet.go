@@ -31,6 +31,7 @@ package livenet
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -204,11 +205,10 @@ type Node struct {
 	// Content data plane (transfer.go). store is the chunk store, nil
 	// when Options.Content is unset — every serving and shipping path
 	// checks. xfers demultiplexes Manifest/Chunk replies to waiting
-	// Fetch callers by transfer id; rtt is the per-peer manifest
+	// downloads by transfer id; rtt is the per-peer manifest
 	// round-trip EWMA ordering fetch sources; prevCluster remembers,
 	// per moved category, the shedding cluster that still holds the
-	// bytes (routeMu-guarded, control loop writes). moveFetchers bounds
-	// background move-shipping goroutines.
+	// bytes (routeMu-guarded, control loop writes).
 	store           *content.Store
 	xferMu          sync.Mutex
 	xfers           map[uint64]chan envelope
@@ -219,28 +219,26 @@ type Node struct {
 	rttMu           sync.Mutex
 	rtt             map[model.NodeID]float64
 	prevCluster     map[catalog.CategoryID]prevClusterRecord
-	moveFetchers    atomic.Int64
 
-	// moveMu guards the owed-document queue the move-shipping workers
-	// drain (shipMovedDocs/moveFetchLoop): docs queue at the fetcher cap
-	// instead of being dropped.
-	moveMu      sync.Mutex
-	movePending []catalog.DocID
+	// pullMu guards the background pull pool (queueMoves/queuePush/
+	// pullWorker): the queued move and replica downloads and the running
+	// worker count.
+	pullMu      sync.Mutex
+	pullQueue   []func(context.Context)
+	pullWorkers int
 
 	// Demand-driven replication state (transfer.go). demand counts
 	// recent per-doc interest (own fetches + manifest requests seen) and
 	// gates cache admission at cacheAdmit observations (0 = caching
 	// off); servedDocs counts per-doc serve load drained each adaptation
 	// epoch (lastServed keeps the previous window for hot-doc pushes,
-	// control-loop owned); pullFetchers bounds concurrent background
-	// replica pulls triggered by wire.Replicate.
-	demandMu     sync.Mutex
-	demand       map[catalog.DocID]int
-	cacheAdmit   int
-	serveMu      sync.Mutex
-	servedDocs   map[catalog.DocID]int64
-	lastServed   map[catalog.DocID]int64
-	pullFetchers atomic.Int64
+	// control-loop owned).
+	demandMu   sync.Mutex
+	demand     map[catalog.DocID]int
+	cacheAdmit int
+	serveMu    sync.Mutex
+	servedDocs map[catalog.DocID]int64
+	lastServed map[catalog.DocID]int64
 	// prevClusterTTLOverride shortens the shedding-cluster fallback TTL
 	// in tests; 0 means the package default (prevClusterTTL).
 	prevClusterTTLOverride time.Duration

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"p2pshare/internal/catalog"
+	"p2pshare/internal/chaos"
 	"p2pshare/internal/content"
 	"p2pshare/internal/memnet"
 	"p2pshare/internal/model"
@@ -103,11 +104,28 @@ func TestPrevClusterBounded(t *testing.T) {
 	}
 }
 
+// addPullWorkersForTest moves the pull pool's worker count by delta, so
+// a test can occupy every slot without running transfers.
+func (n *Node) addPullWorkersForTest(delta int) {
+	n.pullMu.Lock()
+	n.pullWorkers += delta
+	n.pullMu.Unlock()
+}
+
+// pullWorkersForTest reads the pull pool's worker count.
+func (n *Node) pullWorkersForTest() int {
+	n.pullMu.Lock()
+	defer n.pullMu.Unlock()
+	return n.pullWorkers
+}
+
 // TestMovePendingQueueDrains is the regression test for move-shipping
-// starvation: with every fetcher slot busy, shipMovedDocs used to count
-// the batch as skipped and never retry it, leaving the move-acquired
-// holder permanently byteless. Owed documents are now queued, and the
-// next worker drains the whole queue.
+// starvation: with every pull worker busy, a move's owed documents used
+// to be counted as skipped and never retried, leaving the move-acquired
+// holder permanently byteless. They now queue in the node's one pull
+// pool — where a push no worker can take at once is refused instead
+// (TestPushReplicatePullFailures) — and the next workers drain the
+// whole queue.
 func TestMovePendingQueueDrains(t *testing.T) {
 	sh := contentShape(32)
 	c := launchOverMemnet(t, sh, nil, memnet.New(), Options{
@@ -134,22 +152,22 @@ func TestMovePendingQueueDrains(t *testing.T) {
 	}
 	first, last := owed[:3], owed[3:]
 
-	// Saturate the worker budget, then hand over a batch: it must queue,
-	// not ship — and not be dropped.
-	n.moveFetchers.Add(maxMoveFetchers)
-	n.shipMovedDocs(first)
+	// Saturate the pool, then hand over a batch: it must queue, not
+	// ship — and not be dropped.
+	n.addPullWorkersForTest(maxPullFetchers)
+	n.queueMoves(first)
 	if got := n.Stats()["transfer_move_queued"]; got != int64(len(first)) {
 		t.Fatalf("transfer_move_queued = %d, want %d", got, len(first))
 	}
 	time.Sleep(50 * time.Millisecond)
 	if got := n.Stats()["transfer_move_docs"]; got != 0 {
-		t.Fatalf("docs shipped while every fetcher slot was busy (%d)", got)
+		t.Fatalf("docs shipped while every pull worker was busy (%d)", got)
 	}
 
 	// Free the slots and land the next batch: its worker must drain the
 	// queued backlog too, not just its own docs.
-	n.moveFetchers.Add(-maxMoveFetchers)
-	n.shipMovedDocs(last)
+	n.addPullWorkersForTest(-maxPullFetchers)
+	n.queueMoves(last)
 	deadline := time.Now().Add(30 * time.Second)
 	for n.Stats()["transfer_move_docs"] < int64(len(owed)) {
 		if time.Now().After(deadline) {
@@ -167,6 +185,7 @@ func TestMovePendingQueueDrains(t *testing.T) {
 	if !bytes.Equal(b, content.SyntheticDoc(owed[0], sh.DocBytes)) {
 		t.Fatal("shipped doc bytes differ from the synthetic oracle")
 	}
+	waitFor(t, 10*time.Second, "the drained pool's workers to exit", func() bool { return n.pullWorkersForTest() == 0 })
 }
 
 // TestFetchAccountingConservation drives one node through every Fetch
@@ -429,4 +448,143 @@ func TestPushReplicateInstallsCachedCopy(t *testing.T) {
 	if b.Stats()["transfer_manifests_served"] == 0 {
 		t.Fatal("pushed replica does not serve manifests")
 	}
+}
+
+// TestPushReplicatePullFailures covers the failure paths of a pushed
+// replica's pull: the pusher's bytes rot after its manifest is built,
+// the pusher is closed mid-pull, the push finds every pull worker busy,
+// and the push finds move downloads queued ahead of it. Each must end
+// counted (replicate_pull_failures or
+// replicate_drops) with nothing installed and its worker slot free —
+// shown by a later push from a good holder installing.
+func TestPushReplicatePullFailures(t *testing.T) {
+	const chunk, docBytes = 16 << 10, 2 << 20
+	cases := []struct {
+		name    string
+		counter string
+		// fail delivers the failing push from p to b and waits until it
+		// has been refused or has failed.
+		fail func(t *testing.T, cn *chaos.Net, c *Cluster, b, p *Node, doc catalog.DocID)
+	}{
+		{"rotten pusher", "replicate_pull_failures", func(t *testing.T, _ *chaos.Net, _ *Cluster, b, p *Node, doc catalog.DocID) {
+			blob := content.SyntheticDoc(doc, docBytes)
+			man := p.store.Put(doc, blob)
+			blob[2*chunk+5] ^= 0xFF // chunk 2 now fails its hash
+			b.handleReplicate(p.id, replicateOf(man))
+			waitFor(t, 30*time.Second, "the rotten pull to fail", func() bool { return b.Stats()["replicate_pull_failures"] == 1 })
+			// The pull re-asks for the bad chunk until the per-source
+			// budget is spent, then gives up: no discovery, no failover.
+			if got := b.Stats()["chunk_hash_fail"]; got != maxHashFailsPerSource+1 {
+				t.Fatalf("chunk_hash_fail = %d, want %d", got, maxHashFailsPerSource+1)
+			}
+		}},
+		{"pusher closed mid-pull", "replicate_pull_failures", func(t *testing.T, cn *chaos.Net, c *Cluster, b, p *Node, doc catalog.DocID) {
+			// Pace the pusher's link so the pull is reliably mid-stream
+			// when the pusher goes.
+			cn.SetLinkBoth(p.id, b.id, chaos.Faults{Delay: 20 * time.Millisecond})
+			man, _ := p.store.Manifest(doc)
+			b.handleReplicate(p.id, replicateOf(man))
+			waitFor(t, 20*time.Second, "pull progress", func() bool { return b.Stats()["transfer_bytes_in"] > 0 })
+			if in := b.Stats()["transfer_bytes_in"]; in >= man.Size {
+				t.Fatalf("pull finished (%d bytes) before the pusher could be closed", in)
+			}
+			rest := make([]model.NodeID, 0, len(c.Nodes)-1)
+			for _, n := range c.Nodes {
+				if n != p {
+					rest = append(rest, n.id)
+				}
+			}
+			cn.Partition([]model.NodeID{p.id}, rest)
+			p.shutdown()
+			waitFor(t, 30*time.Second, "the orphaned pull to fail", func() bool { return b.Stats()["replicate_pull_failures"] == 1 })
+			// One silent stall re-grants the window, the second gives up.
+			if got := b.Stats()["transfer_stalls"]; got < 2 {
+				t.Fatalf("transfer_stalls = %d, want >= 2", got)
+			}
+		}},
+		{"every worker busy", "replicate_drops", func(t *testing.T, _ *chaos.Net, _ *Cluster, b, p *Node, doc catalog.DocID) {
+			man, _ := p.store.Manifest(doc)
+			b.addPullWorkersForTest(maxPullFetchers)
+			b.handleReplicate(p.id, replicateOf(man))
+			b.addPullWorkersForTest(-maxPullFetchers)
+		}},
+		{"moves queued ahead", "replicate_drops", func(t *testing.T, _ *chaos.Net, c *Cluster, b, p *Node, doc catalog.DocID) {
+			// Two owed move documents wait in the queue while every slot
+			// is taken; the slots then free up with the backlog still
+			// queued. The push must not wait behind it.
+			var owed []catalog.DocID
+			for _, d := range b.inst.Catalog.Docs {
+				if d.ID != doc && !b.store.Has(d.ID) && heldElsewhere(c, b, d.ID) {
+					owed = append(owed, d.ID)
+				}
+				if len(owed) == 2 {
+					break
+				}
+			}
+			if len(owed) < 2 {
+				t.Fatalf("only %d move documents to queue", len(owed))
+			}
+			b.addPullWorkersForTest(maxPullFetchers)
+			b.queueMoves(owed)
+			b.addPullWorkersForTest(-maxPullFetchers)
+			man, _ := p.store.Manifest(doc)
+			b.handleReplicate(p.id, replicateOf(man))
+			if got := b.Stats()["replicate_drops"]; got != 1 {
+				t.Fatalf("push behind a move backlog: replicate_drops = %d, want 1", got)
+			}
+			// The backlog still ships once workers take it.
+			b.queueMoves(nil)
+			waitFor(t, 30*time.Second, "the queued moves to ship", func() bool { return b.Stats()["transfer_move_docs"] == 2 })
+		}},
+	}
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sh := Shape{Documents: 24, Categories: 4, Nodes: 8, Clusters: 2, Seed: 23, DocBytes: docBytes}
+			cn := chaos.New(int64(40 + i))
+			c := launchOverMemnet(t, sh, cn, memnet.New(), Options{
+				Shards:     1,
+				CacheBytes: -1,
+				Content:    &ContentConfig{ChunkSize: chunk, CacheBytes: 64 << 20, CacheAdmitHits: 1},
+			})
+			fid, doc, _, members := pickRemoteDoc(t, sh)
+			for _, m := range members {
+				c.Nodes[m].store.Register(doc, sh.DocBytes)
+			}
+			b, p, good := c.Nodes[fid], c.Nodes[members[0]], c.Nodes[members[1]]
+
+			tc.fail(t, cn, c, b, p, doc)
+			st := b.Stats()
+			if st[tc.counter] != 1 {
+				t.Fatalf("%s = %d, want 1 (%+v)", tc.counter, st[tc.counter], st)
+			}
+			if st["replicate_installs"] != 0 || b.store.Has(doc) {
+				t.Fatalf("failed push installed a replica (installs=%d)", st["replicate_installs"])
+			}
+			waitFor(t, 10*time.Second, "the pull worker to exit", func() bool { return b.pullWorkersForTest() == 0 })
+
+			// The slot is free: a push from a good holder installs.
+			man, _ := good.store.Manifest(doc)
+			b.handleReplicate(good.id, replicateOf(man))
+			waitFor(t, 30*time.Second, "the later push to install", func() bool { return b.Stats()["replicate_installs"] == 1 })
+			got, _ := b.store.Bytes(doc)
+			if !bytes.Equal(got, content.SyntheticDoc(doc, sh.DocBytes)) {
+				t.Fatal("later pushed replica differs from the synthetic oracle")
+			}
+		})
+	}
+}
+
+// heldElsewhere reports whether a node of c other than b holds doc.
+func heldElsewhere(c *Cluster, b *Node, doc catalog.DocID) bool {
+	for _, n := range c.Nodes {
+		if n != b && n.store.Has(doc) {
+			return true
+		}
+	}
+	return false
+}
+
+// replicateOf is the push frame a holder sends for m.
+func replicateOf(m *content.Manifest) wire.Replicate {
+	return wire.Replicate{Doc: m.Doc, Size: m.Size, ChunkSize: int64(m.ChunkSize), Hashes: m.Hashes}
 }

@@ -3,11 +3,14 @@ package livenet
 // The content data plane, requester and server side. A fetch is the
 // bulk analogue of a query: the caller goroutine runs the whole state
 // machine (no per-transfer goroutine — the idle-cluster goroutine
-// budget stays nodes*4+64), replica holders serve manifest and chunk
+// budget stays nodes*3+64), replica holders serve manifest and chunk
 // requests inline on their connection reader goroutines (the store is
 // read-mostly and its own lock, so serving never occupies the control
 // loop), and replies are demultiplexed back to the waiting fetcher
-// through a transfer registry keyed by a requester-minted id.
+// through a transfer registry keyed by a requester-minted id. Every
+// byte a node pulls — a Fetch, a move's owed documents, a pushed
+// replica — streams through one routine, download; the background
+// pulls share one bounded worker pool.
 //
 // Flow control is receiver-driven: wire.ChunkReq IS the credit grant.
 // A server only ever sends chunks the fetcher explicitly asked for, so
@@ -75,12 +78,15 @@ const (
 	// re-flood may re-discover it).
 	maxFloods         = 4
 	maxTriesPerHolder = 2
-	// maxMoveFetchers bounds concurrent background move-shipping
-	// goroutines per node (adaptation can reassign several categories in
-	// one epoch; their transfers queue rather than stampede).
-	maxMoveFetchers = 2
-	// moveFetchTimeout backstops one background move transfer.
-	moveFetchTimeout = 2 * time.Minute
+	// maxPullFetchers bounds the background pull workers per node —
+	// move shipping and replica pulls share them (adaptation can
+	// reassign several categories in one epoch; their transfers queue
+	// rather than stampede, and a push no worker can take at once is
+	// dropped).
+	maxPullFetchers = 2
+	// pullTimeout backstops one background pull; the worker running it
+	// sets the deadline.
+	pullTimeout = 2 * time.Minute
 	// defaultCacheAdmitHits is the demand threshold a document must
 	// clear before a fetched copy is admitted to the replica cache: two
 	// observations (own fetches plus manifest requests seen) within one
@@ -90,10 +96,6 @@ const (
 	// the whole window resets (the counters are a recency signal, not an
 	// account).
 	maxDemandEntries = 4096
-	// maxPullFetchers bounds concurrent background replica pulls
-	// triggered by wire.Replicate pushes; pushes beyond it are dropped
-	// (replication is best-effort by design).
-	maxPullFetchers = 2
 	// pushHotDocs is how many of its hottest documents an overloaded
 	// holder pushes per epoch, and pushTargets how many under-loaded
 	// members each of them goes to.
@@ -104,7 +106,7 @@ const (
 	cacheDecayEpochs = 4
 	// prevClusterTTL bounds how long a moved category's shedding cluster
 	// stays a fetch-source fallback: long enough to cover the gaining
-	// holders' background shipping (moveFetchTimeout), short enough that
+	// holders' background shipping (pullTimeout), short enough that
 	// the map cannot grow without bound across repeated reassignments.
 	prevClusterTTL = 3 * time.Minute
 )
@@ -197,7 +199,8 @@ func (n *Node) drainServed() (map[catalog.DocID]int64, int64) {
 // routing metadata (storeDoc) plus — when the content plane is on — a
 // synthetic registration standing in for the bytes on the peer's disk.
 // Documents acquired by a rebalancing move do NOT come through here;
-// their bytes must arrive over the network (shipMovedDocs → Put).
+// their bytes must arrive over the network (queueMoves → runMove →
+// PutVerified).
 func (n *Node) holdDoc(d catalog.DocID) {
 	n.storeDoc(d)
 	if n.store != nil {
@@ -245,8 +248,7 @@ func (n *Node) deliverXfer(id uint64, env envelope) {
 }
 
 // creditWindow is the receiver-driven flow control of one chunk stream:
-// the chunks granted to src and not yet verified. Shared by Fetch and
-// pullReplica, which differ only in what they do around it.
+// the chunks granted to src and not yet verified, owned by download.
 type creditWindow struct {
 	n           *Node
 	src         model.NodeID
@@ -519,14 +521,12 @@ func fetchCtxReason(err error) (string, error) {
 
 // Fetch retrieves a document's bytes — the data-plane companion to
 // QueryContext. A locally held document is returned without touching
-// the network; otherwise the caller goroutine floods a TTL-bounded
-// manifest request at its contacts in the document's serving cluster
-// (non-holders forward it; holders answer), streams chunks from the
-// first holder to respond under receiver-driven flow control, verifies
-// each chunk against the manifest, and fails over to the next
-// discovered holder on silence, corruption, or a holder that no longer
-// has the document — resuming from the last verified chunk rather than
-// restarting. Safe for many concurrent calls.
+// the network; otherwise the caller goroutine runs download against its
+// contacts in the document's serving cluster: a TTL-bounded manifest
+// flood discovers replica holders, chunks stream from the first to
+// respond, and a silent, lying, or emptied holder is failed over with
+// the transfer resuming from the last verified chunk. Safe for many
+// concurrent calls.
 //
 // Accounting: every call counts fetches_total once and exactly one of
 // fetches_ok + fetch_bad_doc + fetch_closed + fetch_cancelled +
@@ -566,22 +566,65 @@ func (n *Node) Fetch(ctx context.Context, d catalog.DocID) ([]byte, error) {
 		n.stats.Add("fetch_no_route", 1)
 		return nil, ErrNoRoute
 	}
+	man, data, err := n.download(ctx, d, nil, nil, sources)
+	if err != nil {
+		reason := "fetch_exhausted"
+		switch {
+		case errors.Is(err, ErrClosed):
+			reason = "fetch_closed"
+		case ctx.Err() != nil:
+			reason, err = fetchCtxReason(ctx.Err())
+		}
+		n.stats.Add(reason, 1)
+		return nil, err
+	}
+	if elapsed := time.Since(start).Seconds(); len(data) > 0 && elapsed > 0 {
+		n.xferTput.Observe(float64(len(data)) / 1024 / elapsed)
+	}
+	// Demand-driven replication, requester side: a document the demand
+	// window saw repeatedly is installed as a cached replica (its own
+	// copy, since the caller owns the returned slice), so this node
+	// starts answering the crowd's ManifestReq floods instead of joining
+	// it.
+	if n.cacheAdmit > 0 && demandHits >= n.cacheAdmit {
+		if n.store.PutCachedVerified(man, append([]byte(nil), data...)) {
+			n.stats.Add("content_cache_installs", 1)
+		}
+	}
+	n.stats.Add("fetches_ok", 1)
+	return data, nil
+}
 
+// download pulls one document's bytes: the package's one loop that
+// receives transfer replies and grants chunk credit, shared by Fetch and
+// the background pulls. holders are the streaming sources queued up
+// front, with man their manifest (a push names the pusher); contacts are
+// where an empty queue floods a TTL-bounded manifest request — non-holders
+// forward it, holders answer with the manifest and join the queue — for
+// up to maxFloods rounds. Without contacts nothing is discovered: the
+// transfer ends when its given holders do. Chunks stream from one holder
+// at a time under the credit window, each verified as it lands. One
+// silent stall re-grants the window; a second, a Missing reply, or more
+// than maxHashFailsPerSource bad chunks move on to the next holder,
+// resuming from the last verified chunk. It returns the manifest the
+// bytes were verified against, or ErrNoContent when holders and floods
+// run out, ErrClosed on shutdown, and ctx's error on cancellation.
+func (n *Node) download(ctx context.Context, d catalog.DocID, man *content.Manifest, holders, contacts []model.NodeID) (*content.Manifest, []byte, error) {
 	id, ch := n.registerXfer()
 	defer n.unregisterXfer(id)
 	n.transfersActive.Add(1)
 	defer n.transfersActive.Add(-1)
 
 	var (
-		man       *content.Manifest
 		asm       *content.Assembly
-		bytesIn   int64
-		holders   []model.NodeID // discovered holders queued as sources
 		pending   = make(map[model.NodeID]bool)
 		tries     = make(map[model.NodeID]int)
 		floods    int
 		lastFlood time.Time
 	)
+	if man != nil {
+		asm = content.NewAssembly(man)
+	}
 	// One reusable timer across both phases.
 	timer := time.NewTimer(manifestWait)
 	defer timer.Stop()
@@ -594,38 +637,19 @@ func (n *Node) Fetch(ctx context.Context, d catalog.DocID) ([]byte, error) {
 		}
 		timer.Reset(d)
 	}
-	finish := func() ([]byte, error) {
+	finish := func() (*content.Manifest, []byte, error) {
 		data, err := asm.Bytes()
-		if err != nil {
-			// Unreachable: finish is only called on Complete.
-			n.stats.Add("fetch_exhausted", 1)
-			return nil, err
-		}
-		if elapsed := time.Since(start).Seconds(); bytesIn > 0 && elapsed > 0 {
-			n.xferTput.Observe(float64(bytesIn) / 1024 / elapsed)
-		}
-		// Demand-driven replication, requester side: a document the
-		// demand window saw repeatedly is installed as a cached replica
-		// (its own copy, since the caller owns the returned slice), so
-		// this node starts answering the crowd's ManifestReq floods
-		// instead of joining it.
-		if n.cacheAdmit > 0 && demandHits >= n.cacheAdmit {
-			if n.store.PutCachedVerified(man, append([]byte(nil), data...)) {
-				n.stats.Add("content_cache_installs", 1)
-			}
-		}
-		n.stats.Add("fetches_ok", 1)
-		return data, nil
+		return man, data, err
 	}
-	// noteManifest folds one Manifest frame into fetch state: the first
-	// valid one pins the transfer's geometry, and every distinct sender
-	// is a discovered replica holder queued as a streaming source (the
-	// manifest is content-addressed, so any holder's copy is the same).
-	// observe is true only during the discovery phase, when the elapsed
-	// time since the flood IS the sender's round trip; manifests that
-	// straggle in during the chunk phase still extend the failover queue
-	// but are measured against a stale flood timestamp and would poison
-	// the source-ordering EWMA with multi-second outliers.
+	// noteManifest folds one Manifest frame into transfer state: the
+	// first valid one pins the transfer's geometry, and every distinct
+	// sender is a discovered replica holder queued as a streaming source
+	// (the manifest is content-addressed, so any holder's copy is the
+	// same). observe is true only during the discovery phase, when the
+	// elapsed time since the flood IS the sender's round trip; manifests
+	// that straggle in during the chunk phase still extend the failover
+	// queue but are measured against a stale flood timestamp and would
+	// poison the source-ordering EWMA with multi-second outliers.
 	noteManifest := func(env envelope, observe bool) {
 		m, ok := env.Msg.(wire.Manifest)
 		if !ok || m.Doc != d || m.Missing {
@@ -655,7 +679,7 @@ func (n *Node) Fetch(ctx context.Context, d catalog.DocID) ([]byte, error) {
 		floods++
 		lastFlood = time.Now()
 		req := wire.ManifestReq{Doc: d, Xfer: id, Origin: n.id, TTL: discoverTTL}
-		for _, s := range sources {
+		for _, s := range contacts {
 			n.sendDirect(s, req, false)
 		}
 	}
@@ -665,9 +689,8 @@ func (n *Node) Fetch(ctx context.Context, d catalog.DocID) ([]byte, error) {
 		// Holders answer the flood with the manifest itself, so discovery
 		// and the manifest phase are the same round trip.
 		for len(holders) == 0 {
-			if floods >= maxFloods {
-				n.stats.Add("fetch_exhausted", 1)
-				return nil, ErrNoContent
+			if len(contacts) == 0 || floods >= maxFloods {
+				return nil, nil, ErrNoContent
 			}
 			flood()
 			resetTimer(manifestWait)
@@ -675,12 +698,9 @@ func (n *Node) Fetch(ctx context.Context, d catalog.DocID) ([]byte, error) {
 			for len(holders) == 0 {
 				select {
 				case <-ctx.Done():
-					reason, ferr := fetchCtxReason(ctx.Err())
-					n.stats.Add(reason, 1)
-					return nil, ferr
+					return nil, nil, ctx.Err()
 				case <-n.done:
-					n.stats.Add("fetch_closed", 1)
-					return nil, ErrClosed
+					return nil, nil, ErrClosed
 				case <-timer.C:
 					n.stats.Add("transfer_stalls", 1)
 					break discover
@@ -714,12 +734,9 @@ func (n *Node) Fetch(ctx context.Context, d catalog.DocID) ([]byte, error) {
 		for {
 			select {
 			case <-ctx.Done():
-				reason, ferr := fetchCtxReason(ctx.Err())
-				n.stats.Add(reason, 1)
-				return nil, ferr
+				return nil, nil, ctx.Err()
 			case <-n.done:
-				n.stats.Add("fetch_closed", 1)
-				return nil, ErrClosed
+				return nil, nil, ErrClosed
 			case <-timer.C:
 				n.stats.Add("transfer_stalls", 1)
 				if stalled {
@@ -766,7 +783,6 @@ func (n *Node) Fetch(ctx context.Context, d catalog.DocID) ([]byte, error) {
 					continue
 				}
 				stalled = false
-				bytesIn += size
 				n.stats.Add("transfer_bytes_in", size)
 				if asm.Complete() {
 					return finish()
@@ -778,72 +794,112 @@ func (n *Node) Fetch(ctx context.Context, d catalog.DocID) ([]byte, error) {
 	}
 }
 
-// shipMovedDocs pulls the bytes of documents this node newly owes (a
-// §6.1 move made it a holder) in the background, bounded to
-// maxMoveFetchers concurrent shippers per node. Called from the control
-// loop (applyMoveEntry) — it must only spawn, never block. Fetched
-// bytes are installed with Put: move-acquired content is real network
-// bytes, not a synthetic registration, which is what makes the
-// rebalancing data plane honest end to end.
-//
-// Owed documents are queued, never dropped: with every fetcher slot
-// busy the batch waits for the next free slot (counted as
-// transfer_move_queued) instead of being skipped — a skipped batch was
-// never retried, leaving the move-acquired holder permanently byteless.
-func (n *Node) shipMovedDocs(docs []catalog.DocID) {
-	if n.store == nil || len(docs) == 0 {
-		return
-	}
-	n.moveMu.Lock()
-	n.movePending = append(n.movePending, docs...)
-	if n.moveFetchers.Load() >= maxMoveFetchers {
+// queueMoves hands the documents a §6.1 move made this node owe to the
+// node's one bounded background pull pool. Called from the control loop,
+// so it only spawns, never blocks. They always queue: with every worker
+// busy they wait (counted as transfer_move_queued) for the next free one
+// — a skipped batch would leave the move-acquired holder permanently
+// byteless. A nil batch only hands an existing backlog to free workers.
+func (n *Node) queueMoves(docs []catalog.DocID) {
+	n.pullMu.Lock()
+	defer n.pullMu.Unlock()
+	if len(docs) > 0 && n.pullWorkers >= maxPullFetchers {
 		n.stats.Add("transfer_move_queued", int64(len(docs)))
-		n.moveMu.Unlock()
-		return
 	}
-	n.moveFetchers.Add(1)
-	n.moveMu.Unlock()
-	n.wg.Add(1)
-	go n.moveFetchLoop()
+	for _, d := range docs {
+		n.pullQueue = append(n.pullQueue, func(ctx context.Context) { n.runMove(ctx, d) })
+	}
+	n.startPullWorkersLocked()
 }
 
-// moveFetchLoop is one move-shipping worker: it drains the pending
-// queue one document at a time and exits when the queue is empty. The
-// empty check and the fetcher-count decrement happen under the same
-// lock shipMovedDocs appends under, so a doc enqueued while the last
-// worker is exiting is either seen by that worker or gets a fresh one —
-// never stranded.
-func (n *Node) moveFetchLoop() {
+// queuePush starts a pushed replica's pull only if a worker can take it
+// now: nothing is queued and a slot is free. Otherwise the push is
+// dropped (counted as replicate_drops) — a push answers a flash crowd,
+// and one that waited behind a move backlog would land after the crowd
+// had gone. Called from reader goroutines, so it only spawns, never
+// blocks.
+func (n *Node) queuePush(doc catalog.DocID, man *content.Manifest, src model.NodeID) {
+	n.pullMu.Lock()
+	defer n.pullMu.Unlock()
+	if len(n.pullQueue) > 0 || n.pullWorkers >= maxPullFetchers {
+		n.stats.Add("replicate_drops", 1)
+		return
+	}
+	n.pullQueue = append(n.pullQueue, func(ctx context.Context) { n.runPush(ctx, doc, man, src) })
+	n.startPullWorkersLocked()
+}
+
+// startPullWorkersLocked starts a worker per queued job while fewer than
+// maxPullFetchers run, so a queued job always means every slot is busy.
+// Callers hold pullMu.
+func (n *Node) startPullWorkersLocked() {
+	for n.pullWorkers < maxPullFetchers && n.pullWorkers < len(n.pullQueue) {
+		n.pullWorkers++
+		n.wg.Add(1)
+		go n.pullWorker()
+	}
+}
+
+// pullWorker drains the pull queue one job at a time and exits when it
+// is empty or the node shuts down. The empty check and the worker-count
+// decrement happen under the lock jobs are queued under, so a job queued
+// while the last worker is exiting is either seen by that worker or gets
+// a fresh one — never stranded.
+func (n *Node) pullWorker() {
 	defer n.wg.Done()
 	for {
-		n.moveMu.Lock()
-		if len(n.movePending) == 0 {
-			n.moveFetchers.Add(-1)
-			n.moveMu.Unlock()
-			return
-		}
-		d := n.movePending[0]
-		n.movePending = n.movePending[1:]
-		n.moveMu.Unlock()
+		n.pullMu.Lock()
+		stop := len(n.pullQueue) == 0
 		select {
 		case <-n.done:
-			n.moveFetchers.Add(-1)
-			return
+			stop = true
 		default:
 		}
-		if n.store.Has(d) {
-			continue // a concurrent worker or replicate push landed it
+		if stop {
+			n.pullWorkers--
+			n.pullMu.Unlock()
+			return
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), moveFetchTimeout)
-		data, err := n.Fetch(ctx, d)
+		job := n.pullQueue[0]
+		n.pullQueue[0] = nil
+		n.pullQueue = n.pullQueue[1:]
+		n.pullMu.Unlock()
+		ctx, cancel := context.WithTimeout(context.Background(), pullTimeout)
+		job(ctx)
 		cancel()
-		if err != nil {
-			n.stats.Add("transfer_move_failures", 1)
-			continue
-		}
-		n.store.Put(d, data)
-		n.stats.Add("transfer_move_docs", 1)
-		n.stats.Add("transfer_move_bytes", int64(len(data)))
+	}
+}
+
+// runMove downloads a document a move made this node owe, discovering
+// holders from fetchSources, and installs it as a base entry —
+// move-acquired content is real network bytes, not a synthetic
+// registration, which is what makes the rebalancing data plane honest
+// end to end. Like runPush it installs with the manifest the bytes were
+// verified against, so nothing is hashed twice, and counts no fetches_*:
+// a background pull is not a Fetch, and notes no demand.
+func (n *Node) runMove(ctx context.Context, doc catalog.DocID) {
+	if n.store.Has(doc) {
+		return // another job or a cached fetch landed it meanwhile
+	}
+	man, data, err := n.download(ctx, doc, nil, nil, n.fetchSources(n.inst.Catalog.Doc(doc).Categories[0]))
+	if err != nil {
+		n.stats.Add("transfer_move_failures", 1)
+		return
+	}
+	n.store.PutVerified(man, data)
+	n.stats.Add("transfer_move_docs", 1)
+	n.stats.Add("transfer_move_bytes", int64(len(data)))
+}
+
+// runPush pulls a pushed replica back from its pusher, the only holder,
+// against the pushed manifest, and installs it as a cached copy. It
+// starts as soon as handleReplicate found the document missing, so it
+// does not check again.
+func (n *Node) runPush(ctx context.Context, doc catalog.DocID, man *content.Manifest, src model.NodeID) {
+	if _, data, err := n.download(ctx, doc, man, []model.NodeID{src}, nil); err != nil {
+		n.stats.Add("replicate_pull_failures", 1)
+	} else if n.store.PutCachedVerified(man, data) {
+		n.stats.Add("replicate_installs", 1)
 	}
 }
 
@@ -899,19 +955,15 @@ func (n *Node) pushReplicas(lite []model.NodeID) {
 }
 
 // handleReplicate is the receiving side of a push: validate the
-// manifest, then pull the chunks back from the pusher in the background
-// and install the verified bytes as a cached replica — so the push
-// reuses the credit-granted chunk protocol and the bulk lane rather
-// than inventing an unsolicited bulk-send path. Runs inline on the
-// reader goroutine; bounded to maxPullFetchers concurrent pulls, beyond
-// which pushes are dropped (replication is best-effort).
+// manifest, then queue a background pull of the chunks back from the
+// pusher, installed as a cached replica — so the push reuses the
+// credit-granted chunk protocol and the bulk lane rather than inventing
+// an unsolicited bulk-send path. Runs inline on the reader goroutine;
+// a push no pull worker can take at once is dropped (replication is
+// best-effort).
 func (n *Node) handleReplicate(from model.NodeID, m wire.Replicate) {
-	if n.store == nil || n.cacheAdmit <= 0 {
-		n.stats.Add("replicate_drops", 1)
-		return
-	}
 	man := &content.Manifest{Doc: m.Doc, Size: m.Size, ChunkSize: int(m.ChunkSize), Hashes: m.Hashes}
-	if !man.Valid() || m.Size > n.store.CacheBudget() {
+	if n.store == nil || n.cacheAdmit <= 0 || !man.Valid() || m.Size > n.store.CacheBudget() {
 		n.stats.Add("replicate_drops", 1)
 		return
 	}
@@ -919,89 +971,5 @@ func (n *Node) handleReplicate(from model.NodeID, m wire.Replicate) {
 		n.stats.Add("replicate_redundant", 1)
 		return
 	}
-	for {
-		cur := n.pullFetchers.Load()
-		if cur >= maxPullFetchers {
-			n.stats.Add("replicate_drops", 1)
-			return
-		}
-		if n.pullFetchers.CompareAndSwap(cur, cur+1) {
-			break
-		}
-	}
-	n.wg.Add(1)
-	go n.pullReplica(from, man)
-}
-
-// pullReplica streams one pushed document's chunks from the pusher
-// under the usual credit window and installs the verified bytes with
-// PutCached — a directed, single-source cut of the Fetch chunk phase
-// (the source is known, so there is no discovery, failover, or resume;
-// one stall re-grant, then give up, the next push tries again).
-func (n *Node) pullReplica(src model.NodeID, man *content.Manifest) {
-	defer n.wg.Done()
-	defer n.pullFetchers.Add(-1)
-	id, ch := n.registerXfer()
-	defer n.unregisterXfer(id)
-	asm := content.NewAssembly(man)
-	d := man.Doc
-	win := creditWindow{n: n, src: src, doc: d, xfer: id, asm: asm}
-	win.reset()
-	timer := time.NewTimer(chunkStallWait)
-	defer timer.Stop()
-	stalled := false
-	for !asm.Complete() {
-		select {
-		case <-n.done:
-			return
-		case <-timer.C:
-			if stalled {
-				n.stats.Add("replicate_pull_failures", 1)
-				return
-			}
-			stalled = true
-			win.reset()
-			timer.Reset(chunkStallWait)
-		case env := <-ch:
-			c, ok := env.Msg.(wire.Chunk)
-			if !ok || c.Doc != d {
-				continue
-			}
-			if c.Missing {
-				n.stats.Add("replicate_pull_failures", 1)
-				return
-			}
-			added, err := asm.Add(int(c.Index), c.Data)
-			size := int64(len(c.Data))
-			c.Release()
-			if err != nil {
-				n.stats.Add("chunk_hash_fail", 1)
-				n.stats.Add("replicate_pull_failures", 1)
-				return
-			}
-			if !added {
-				continue
-			}
-			stalled = false
-			n.stats.Add("transfer_bytes_in", size)
-			if !asm.Complete() {
-				win.landed(int(c.Index))
-			}
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-			timer.Reset(chunkStallWait)
-		}
-	}
-	data, err := asm.Bytes()
-	if err != nil {
-		n.stats.Add("replicate_pull_failures", 1)
-		return
-	}
-	if n.store.PutCachedVerified(man, data) {
-		n.stats.Add("replicate_installs", 1)
-	}
+	n.queuePush(m.Doc, man, from)
 }

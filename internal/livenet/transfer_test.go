@@ -307,13 +307,15 @@ func TestFetchResumesAfterSourceDeath(t *testing.T) {
 // reassigns a category, the gaining members don't just flip metadata —
 // they pull their placement share's actual bytes from the shedding
 // cluster (which fetchSources keeps as a fallback) and install them as
-// real blobs.
+// real blobs. A move is not a Fetch: with caching on and a one-hit
+// admission threshold, the gaining node still counts no fetch, admits
+// nothing to its cache, and holds the shipped document as a base entry.
 func TestMoveShipsBytes(t *testing.T) {
 	sh := contentShape(24)
 	c := launchOverMemnet(t, sh, nil, memnet.New(), Options{
 		Shards:     1,
 		CacheBytes: -1,
-		Content:    &ContentConfig{},
+		Content:    &ContentConfig{CacheBytes: 64 << 20, CacheAdmitHits: 1},
 	})
 	// Adaptation enabled with an epoch too long to ever fire: the move
 	// below is injected, not measured, so the test is deterministic.
@@ -386,7 +388,7 @@ func TestMoveShipsBytes(t *testing.T) {
 	}
 
 	// Some receiving member must acquire real bytes over the network —
-	// transfer_move_docs only advances on a completed Fetch+Put.
+	// transfer_move_docs only advances on a completed, installed pull.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		shipped := int64(0)
@@ -404,8 +406,13 @@ func TestMoveShipsBytes(t *testing.T) {
 	// Find one shipped doc and verify its bytes against the oracle.
 	verified := false
 	for _, g := range receivers {
-		if c.Nodes[g].Stats()["transfer_move_docs"] == 0 {
+		st := c.Nodes[g].Stats()
+		if st["transfer_move_docs"] == 0 {
 			continue
+		}
+		if st["fetches_total"] != 0 || st["content_cache_installs"] != 0 || c.Nodes[g].store.CachedLen() != 0 {
+			t.Fatalf("node %d shipped a move through Fetch: fetches_total=%d content_cache_installs=%d cached docs=%d",
+				g, st["fetches_total"], st["content_cache_installs"], c.Nodes[g].store.CachedLen())
 		}
 		for _, d := range docs {
 			if !c.Nodes[g].store.Has(d) {
