@@ -11,8 +11,9 @@
 // Per scale it reports startup time, resident memory per node, goroutine
 // count per node (after boot, i.e. the idle cost — transport writers
 // park, timers ride the shared wheel), and Zipf-workload throughput with
-// driver-side latency percentiles. The requester cache is disabled so
-// throughput is an engine+transport property, not a cache property.
+// driver-side latency percentiles and the frames sent per query. The
+// requester cache is disabled so throughput is an engine+transport
+// property, not a cache property.
 package main
 
 import (
@@ -60,6 +61,9 @@ type run struct {
 	P50Ms             float64 `json:"p50_ms"`
 	P95Ms             float64 `json:"p95_ms"`
 	P99Ms             float64 `json:"p99_ms"`
+	// FramesPerQuery is every frame the cluster sent during the timed
+	// queries (transport_sends), divided by the query count.
+	FramesPerQuery float64 `json:"frames_per_query"`
 }
 
 // report is the whole artifact.
@@ -180,6 +184,7 @@ func bench(nodes, queries, workers, origins, shards int, zipfS float64, seed int
 	// Zipf workload over categories. Latency is measured around each
 	// Query call in the driver, so the percentiles are exact over the
 	// run, not histogram-bucketed.
+	sendsBefore := c.Stats()["transport_sends"]
 	var next, errs atomic.Int64
 	latencies := make([][]time.Duration, workers)
 	var wg sync.WaitGroup
@@ -205,6 +210,7 @@ func bench(nodes, queries, workers, origins, shards int, zipfS float64, seed int
 	}
 	wg.Wait()
 	elapsed := time.Since(loadStart)
+	frames := c.Stats()["transport_sends"] - sendsBefore
 
 	var all []time.Duration
 	for _, l := range latencies {
@@ -236,6 +242,7 @@ func bench(nodes, queries, workers, origins, shards int, zipfS float64, seed int
 		P50Ms:             q(0.50),
 		P95Ms:             q(0.95),
 		P99Ms:             q(0.99),
+		FramesPerQuery:    float64(frames) / float64(queries),
 	}, nil
 }
 

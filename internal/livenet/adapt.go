@@ -515,9 +515,11 @@ func (n *Node) handleMetaUpdate(m protocol.MetadataUpdateMsg) {
 }
 
 // applyMoveEntry folds one DCRT entry in under the move-counter rule.
-// On change: members of the receiving cluster re-run the intra-cluster
-// placement for the moved category and store their deterministic share
-// (every member computes the same map, so no coordinator is needed),
+// On change: the node re-runs the intra-cluster placement for the moved
+// category and makes it the category's holder view — a node without
+// adaptation state cannot, and its view drops the category, which then
+// floods; members of the receiving cluster store their deterministic
+// share (every node computes the same map, so no coordinator is needed);
 // and the entry is re-gossiped — forwarding only on change keeps the
 // epidemic bounded.
 func (n *Node) applyMoveEntry(cat catalog.CategoryID, e protocol.DCRTEntry) bool {
@@ -546,9 +548,11 @@ func (n *Node) applyMoveEntry(cat catalog.CategoryID, e protocol.DCRTEntry) bool
 		n.prevCluster[cat] = prevClusterRecord{cluster: m.Prev.Cluster, expires: now.Add(ttl)}
 		n.prunePrevClusters(now)
 	}
+	var share map[model.NodeID][]catalog.DocID
 	if ad := n.adapt; ad != nil {
-		if ms := ad.members[e.Cluster]; containsNode(ms, n.id) {
-			share := replica.PlaceCategory(n.inst, cat, ms, replica.DefaultConfig())
+		ms := ad.members[e.Cluster]
+		share = replica.PlaceCategory(n.inst, cat, ms, replica.DefaultConfig())
+		if containsNode(ms, n.id) {
 			var need []catalog.DocID
 			for _, d := range share[n.id] {
 				n.storeDoc(d)
@@ -563,6 +567,7 @@ func (n *Node) applyMoveEntry(cat catalog.CategoryID, e protocol.DCRTEntry) bool
 			n.queueMoves(need)
 		}
 	}
+	n.holders.move(cat, share)
 	n.gossipEntry(cat, e)
 	return true
 }

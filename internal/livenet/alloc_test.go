@@ -84,6 +84,31 @@ func TestHandleQueryForwardOnlyAllocs(t *testing.T) {
 	}
 }
 
+// TestHandleQueryDirectAllocs is its twin on the directed path: an entry
+// member with no match sends one boxed message to one holder, and
+// choosing that holder allocates nothing.
+func TestHandleQueryDirectAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	n, sh := allocTestNode()
+	delete(n.byCat, 3)
+	n.holders.base = [][]protocol.Holder{3: {{Node: 4, Docs: 8}}}
+	m := protocol.QueryMsg{Category: 3, Want: 8, Origin: 9, Hops: 1, Entry: true}
+	if r := protocol.Forward(n.id, m, 0, n.holders.of(3), n.book.has); !r.Direct || r.To != 4 {
+		t.Fatalf("Forward = %+v, want the query directed to node 4", r)
+	}
+	const runs = 2000
+	sh.seenCur = make(map[uint64]struct{}, 4*runs)
+	avg := testing.AllocsPerRun(runs, func() {
+		m.ID++
+		sh.handleQuery(9, m)
+	})
+	if avg > 1 {
+		t.Fatalf("directed handleQuery allocates %.1f per run, budget 1 (one box)", avg)
+	}
+}
+
 // TestHandleResultAllocs pins result folding: recording docs into the
 // pending set must not allocate once the doc map has its size.
 func TestHandleResultAllocs(t *testing.T) {

@@ -14,30 +14,69 @@ import (
 	"p2pshare/internal/protocol"
 )
 
-// The in-cluster forwarding rule: a node forwards a query's residual
-// demand to every NRT neighbour except the one the frame came from, and
-// the entry hop (sent by the origin) is forwarded to all of them. These
-// tests pin what that costs in frames, exactly, and that it reaches the
-// same nodes the echoing flood did.
+// The in-cluster forwarding rule (protocol.Forward): an entry member
+// that matched nothing sends the query to one holder its placement view
+// names; otherwise a node forwards the residual demand to every NRT
+// neighbour except the one the frame came from, and the entry hop (sent
+// by the origin) is forwarded to all of them. These tests pin what that
+// costs in frames, exactly, and that the flood reaches the same nodes
+// the echoing flood did.
 
 // floodPrediction is what one m = 1 query costs, read off the routing
-// tables: the frames sent under the forwarding rule and under the old
-// echoing flood (which also sent every forwarder's copy back to its
-// sender), and the holders the flood reaches — each answers once.
+// tables: the frames sent under the forwarding rule, under the flood
+// alone (no directed step) and under the old echoing flood (which also
+// sent every forwarder's copy back to its sender), and the holders the
+// rule reaches — each answers once. directed is the holder the entry
+// sent the query to, when it did.
 type floodPrediction struct {
+	frames, floodFrames, echoFrames int64
+	holders                         []model.NodeID
+	directed                        model.NodeID
+	isDirected                      bool
+}
+
+// predictFlood applies protocol.Forward to the entry's own tables: when
+// it directs the query, the cost is the entry frame, the directed copy
+// and the walk from the directed holder, whose sender — the entry — has
+// run the query already. Otherwise it is the entry frame plus the flood
+// walk from the entry.
+func predictFlood(t *testing.T, c *Cluster, cat catalog.CategoryID, entry model.NodeID) floodPrediction {
+	t.Helper()
+	var p floodPrediction
+	var flood floodWalk
+	flood.run(t, c, cat, entry, entry, false)
+	p.floodFrames, p.echoFrames = 1+flood.frames, 1+flood.echoFrames
+	n := c.Nodes[entry]
+	n.routeMu.RLock()
+	r := protocol.Forward(entry, protocol.QueryMsg{Category: cat, Want: 1, Entry: true},
+		min(1, len(n.byCat[cat])), n.holders.of(cat), n.book.has)
+	n.routeMu.RUnlock()
+	if !r.Direct {
+		p.frames, p.holders = p.floodFrames, flood.holders
+		return p
+	}
+	var w floodWalk
+	w.run(t, c, cat, r.To, entry, true)
+	p.frames, p.holders = 2+w.frames, w.holders
+	p.directed, p.isDirected = r.To, true
+	return p
+}
+
+// floodWalk walks the serving cluster's NRTs breadth-first from start,
+// expanding only through nodes that hold nothing of cat: those forward,
+// holders answer with one ResultMsg and stop. Every node reached runs
+// the query exactly once, whichever copy arrives first, so the count is
+// exact provided in-cluster NRT links are symmetric (Launch wires them
+// so) — then the sender of a non-start node's first copy is always among
+// its neighbours and is the one left out. start leaves out sender only
+// when skipSender is set (it received a non-entry frame); sender has run
+// the query then, so the walk never enters it.
+type floodWalk struct {
 	frames, echoFrames int64
 	holders            []model.NodeID
 }
 
-// predictFlood walks the serving cluster's NRTs breadth-first from entry,
-// expanding only through nodes that hold nothing of cat: those forward,
-// holders answer with one ResultMsg and stop. Every node reached runs the
-// query exactly once, whichever copy arrives first, so the count is exact
-// provided in-cluster NRT links are symmetric (Launch wires them so) —
-// then the sender of a non-entry node's first copy is always among its
-// neighbours and is the one left out. The leading frame is the origin's
-// entry message.
-func predictFlood(t *testing.T, c *Cluster, cat catalog.CategoryID, entry model.NodeID) floodPrediction {
+func (w *floodWalk) run(t *testing.T, c *Cluster, cat catalog.CategoryID, start, sender model.NodeID, skipSender bool) {
 	t.Helper()
 	view := func(id model.NodeID) (nbs []model.NodeID, holds bool) {
 		n := c.Nodes[id]
@@ -45,21 +84,23 @@ func predictFlood(t *testing.T, c *Cluster, cat catalog.CategoryID, entry model.
 		defer n.routeMu.RUnlock()
 		return slices.Clone(n.nrt[n.dcrt[cat].Cluster]), len(n.byCat[cat]) > 0
 	}
-	p := floodPrediction{frames: 1, echoFrames: 1}
-	reached := map[model.NodeID]bool{entry: true}
-	for queue := []model.NodeID{entry}; len(queue) > 0; queue = queue[1:] {
+	reached := map[model.NodeID]bool{start: true}
+	if skipSender {
+		reached[sender] = true
+	}
+	for queue := []model.NodeID{start}; len(queue) > 0; queue = queue[1:] {
 		v := queue[0]
 		nbs, holds := view(v)
 		if holds {
-			p.frames++
-			p.echoFrames++
-			p.holders = append(p.holders, v)
+			w.frames++
+			w.echoFrames++
+			w.holders = append(w.holders, v)
 			continue
 		}
-		p.echoFrames += int64(len(nbs))
-		p.frames += int64(len(nbs))
-		if v != entry {
-			p.frames--
+		w.echoFrames += int64(len(nbs))
+		w.frames += int64(len(nbs))
+		if v != start || skipSender && slices.Contains(nbs, sender) {
+			w.frames--
 		}
 		for _, nb := range nbs {
 			if back, _ := view(nb); !slices.Contains(back, v) {
@@ -71,7 +112,6 @@ func predictFlood(t *testing.T, c *Cluster, cat catalog.CategoryID, entry model.
 			}
 		}
 	}
-	return p
 }
 
 // clusterSends sums transport_sends over the cluster.
@@ -101,8 +141,10 @@ func awaitSends(t *testing.T, c *Cluster, want int64, what string) {
 }
 
 // setTables rewrites one node's view of cat's serving cluster: its NRT
-// entry for that cluster and whether it holds doc. Runs in the node's
-// control loop, the tables' only writer.
+// entry for that cluster and whether it holds doc. It also empties the
+// node's holder view of cat, so the node floods cat as an entry: the
+// launched view names holders the rewritten tables no longer match.
+// Runs in the node's control loop, the tables' only writer.
 func setTables(t *testing.T, n *Node, cat catalog.CategoryID, nbs []model.NodeID, doc catalog.DocID, holds bool) {
 	t.Helper()
 	runCmd(t, n, func(n *Node) {
@@ -111,7 +153,14 @@ func setTables(t *testing.T, n *Node, cat catalog.CategoryID, nbs []model.NodeID
 		if holds {
 			n.byCat[cat] = []catalog.DocID{doc}
 		}
+		n.holders.move(cat, nil)
 	})
+}
+
+// setView replaces one node's holder view of cat.
+func setView(t *testing.T, n *Node, cat catalog.CategoryID, hs ...protocol.Holder) {
+	t.Helper()
+	runCmd(t, n, func(n *Node) { n.holders.moved[cat] = hs })
 }
 
 // handBuiltCluster boots a 16-node memnet cluster whose routing tables
@@ -134,7 +183,8 @@ func servedBy(c *Cluster) []int64 {
 
 // TestFloodFrameCountExact: a ring of ten non-holders with one chord,
 // a holder three hops from the entry, and an origin outside the ring
-// whose NRT names only the entry. The query reaches all ten ring nodes;
+// whose NRT names only the entry. No holder view names anyone, so the
+// entry floods (the fallback). The query reaches all ten ring nodes;
 // the entry forwards to both neighbours, every other non-holder to all
 // neighbours but its sender, the holder answers once.
 func TestFloodFrameCountExact(t *testing.T) {
@@ -142,16 +192,7 @@ func TestFloodFrameCountExact(t *testing.T) {
 	origin := c.Nodes[0]
 	ring := []model.NodeID{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	entry, holder := ring[0], ring[3]
-	for i, id := range ring {
-		nbs := []model.NodeID{ring[(i+len(ring)-1)%len(ring)], ring[(i+1)%len(ring)]}
-		switch id {
-		case ring[6]:
-			nbs = append(nbs, ring[8])
-		case ring[8]:
-			nbs = append(nbs, ring[6])
-		}
-		setTables(t, c.Nodes[id], cat, nbs, doc, id == holder)
-	}
+	ringTables(t, c, cat, doc, ring, holder)
 	setTables(t, origin, cat, []model.NodeID{entry}, doc, false)
 
 	p := predictFlood(t, c, cat, entry)
@@ -160,30 +201,15 @@ func TestFloodFrameCountExact(t *testing.T) {
 	if p.frames != 14 || p.echoFrames != 22 || !slices.Equal(p.holders, []model.NodeID{holder}) {
 		t.Fatalf("prediction %+v, want 14 frames (22 echoing) reaching holder %d", p, holder)
 	}
-	served := servedBy(c)
-	before := clusterSends(c)
-	out, err := origin.Query(cat, 1, 5*time.Second)
-	if err != nil || !slices.Equal(out.Docs, []catalog.DocID{doc}) {
-		t.Fatalf("query: %v, docs %v", err, out.Docs)
-	}
-	awaitSends(t, c, before+p.frames, "ring flood")
-	time.Sleep(50 * time.Millisecond)
-	awaitSends(t, c, before+p.frames, "ring flood after quiescence")
-	for i, s := range servedBy(c) {
-		want := served[i]
-		if model.NodeID(i) == holder {
-			want++ // what the echoing flood served too: one answer per reached holder
-		}
-		if s != want {
-			t.Errorf("node %d served %d, want %d", i, s, want)
-		}
-	}
+	// One answer per reached holder, what the echoing flood served too.
+	queryExact(t, c, origin, cat, doc, p, holder)
 }
 
 // TestEntryHopReachesOriginMember: the origin is a cluster member, the
 // only holder, and a leaf hanging off the entry, so the entry's copy back
-// to its sender is the only way the flood can reach it. The entry hop is
-// exempt from the rule, and the origin's own store answers.
+// to its sender is the only way the flood can reach it. With no holder
+// view the entry floods; the entry hop is exempt from the no-echo rule,
+// and the origin's own store answers.
 func TestEntryHopReachesOriginMember(t *testing.T) {
 	c, cat, doc := handBuiltCluster(t)
 	tables := map[model.NodeID][]model.NodeID{
@@ -279,11 +305,12 @@ func TestFloodNeverEchoesToSender(t *testing.T) {
 // non-empty category from an origin outside the serving cluster through a
 // fixed entry sends exactly what predictFlood reads off the primed tables.
 func TestFloodSendsMatchOracle(t *testing.T) {
-	floodOracle(t, Shape{Documents: 400, Categories: 20, Nodes: 200, Clusters: 4, Seed: 51})
+	floodOracle(t, querySmallShape)
 }
 
 // TestFloodSendsMatchOracleThousand is the same check on the query_1k
-// deployment.
+// deployment, and pins the growth law: frames per query at 1 000 nodes
+// stay within 1.2× those at 200.
 func TestFloodSendsMatchOracleThousand(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1 000-node cluster; -short runs the 200-node oracle only")
@@ -291,10 +318,17 @@ func TestFloodSendsMatchOracleThousand(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the 200-node oracle covers the same code under the race detector")
 	}
-	floodOracle(t, Shape{Documents: 2000, Categories: 50, Nodes: 1000, Clusters: 10, Seed: 51})
+	small := floodOracle(t, querySmallShape)
+	big := floodOracle(t, Shape{Documents: 2000, Categories: 50, Nodes: 1000, Clusters: 10, Seed: 51})
+	if big > 1.2*small {
+		t.Fatalf("%.2f frames per query at 1 000 nodes, over 1.2× the %.2f at 200", big, small)
+	}
 }
 
-func floodOracle(t *testing.T, sh Shape) {
+var querySmallShape = Shape{Documents: 400, Categories: 20, Nodes: 200, Clusters: 4, Seed: 51}
+
+// floodOracle runs the oracle on sh and returns the frames per query.
+func floodOracle(t *testing.T, sh Shape) float64 {
 	inst, assign, _, err := sh.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -306,7 +340,7 @@ func floodOracle(t *testing.T, sh Shape) {
 	c := launchOverMemnet(t, sh, nil, memnet.New(), Options{CacheBytes: -1})
 	rng := rand.New(rand.NewSource(sh.Seed))
 	want := clusterSends(c)
-	var queries, frames, echoFrames int64
+	var queries, directed, frames, floodFrames, echoFrames int64
 	for _, cg := range inst.Catalog.Cats {
 		cl := assign[cg.ID]
 		members := mem.NodesOf(cl)
@@ -329,16 +363,110 @@ func floodOracle(t *testing.T, sh Shape) {
 			t.Fatalf("category %d from node %d via %d: %v", cg.ID, origin.id, entry, err)
 		}
 		want += p.frames
-		awaitSends(t, c, want, "category flood")
+		awaitSends(t, c, want, "category query")
 		queries++
+		if p.isDirected {
+			directed++
+		}
 		frames += p.frames
+		floodFrames += p.floodFrames
 		echoFrames += p.echoFrames
 	}
 	time.Sleep(100 * time.Millisecond)
-	awaitSends(t, c, want, "all floods after quiescence")
+	awaitSends(t, c, want, "all queries after quiescence")
 	if queries == 0 {
 		t.Fatal("no category was queried")
 	}
-	t.Logf("%d queries: %.2f frames/query (the echoing flood: %.2f)",
-		queries, float64(frames)/float64(queries), float64(echoFrames)/float64(queries))
+	perQuery := float64(frames) / float64(queries)
+	t.Logf("%d nodes, %d queries (%d directed): %.2f frames/query (the flood: %.2f, the echoing flood: %.2f)",
+		sh.Nodes, queries, directed, perQuery,
+		float64(floodFrames)/float64(queries), float64(echoFrames)/float64(queries))
+	return perQuery
+}
+
+// TestStaleDirectedHolderFloods: the entry's view names a holder whose
+// store is empty. The entry sends it the one directed copy; it runs a
+// non-entry frame, matches nothing and floods from where it sits, leaving
+// out only its sender, until the real holder answers.
+func TestStaleDirectedHolderFloods(t *testing.T) {
+	c, cat, doc := handBuiltCluster(t)
+	origin := c.Nodes[0]
+	ring := []model.NodeID{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	entry, holder, stale := ring[0], ring[3], ring[6]
+	ringTables(t, c, cat, doc, ring, holder)
+	setTables(t, origin, cat, []model.NodeID{entry}, doc, false)
+	setView(t, c.Nodes[entry], cat, protocol.Holder{Node: stale, Docs: 5})
+
+	p := predictFlood(t, c, cat, entry)
+	// 1 entry frame + 1 directed + 3 from the stale holder (its sender is
+	// not a neighbour) + 1 each from ring[5], ring[7], ring[4], ring[9]
+	// + 2 from ring[8] + 1 result. The entry ran the query, so the walk
+	// stops at it: ring[1] and ring[2] are never reached.
+	if p.frames != 12 || !p.isDirected || p.directed != stale || !slices.Equal(p.holders, []model.NodeID{holder}) {
+		t.Fatalf("prediction %+v, want 12 frames through %d reaching holder %d", p, stale, holder)
+	}
+	queryExact(t, c, origin, cat, doc, p, holder)
+}
+
+// TestUnaddressableSuccessorSkipped: the entry's view lists itself, then
+// a successor missing from its address book, then the holder; the query
+// goes to the holder in one directed frame.
+func TestUnaddressableSuccessorSkipped(t *testing.T) {
+	c, cat, doc := handBuiltCluster(t)
+	origin := c.Nodes[0]
+	ring := []model.NodeID{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	entry, gone, holder := ring[5], ring[6], ring[3]
+	ringTables(t, c, cat, doc, ring, holder)
+	setTables(t, origin, cat, []model.NodeID{entry}, doc, false)
+	setView(t, c.Nodes[entry], cat,
+		protocol.Holder{Node: holder, Docs: 1},
+		protocol.Holder{Node: entry, Docs: 3},
+		protocol.Holder{Node: gone, Docs: 2})
+	runCmd(t, c.Nodes[entry], func(n *Node) { n.book.del(gone) })
+
+	p := predictFlood(t, c, cat, entry)
+	if p.frames != 3 || p.directed != holder || !slices.Equal(p.holders, []model.NodeID{holder}) {
+		t.Fatalf("prediction %+v, want 3 frames: entry, directed to %d, result", p, holder)
+	}
+	queryExact(t, c, origin, cat, doc, p, holder)
+}
+
+// ringTables wires ring as a cycle with one chord, ring[6]–ring[8], in
+// cat's serving cluster; only holder stores doc.
+func ringTables(t *testing.T, c *Cluster, cat catalog.CategoryID, doc catalog.DocID, ring []model.NodeID, holder model.NodeID) {
+	t.Helper()
+	for i, id := range ring {
+		nbs := []model.NodeID{ring[(i+len(ring)-1)%len(ring)], ring[(i+1)%len(ring)]}
+		switch id {
+		case ring[6]:
+			nbs = append(nbs, ring[8])
+		case ring[8]:
+			nbs = append(nbs, ring[6])
+		}
+		setTables(t, c.Nodes[id], cat, nbs, doc, id == holder)
+	}
+}
+
+// queryExact runs one m = 1 query from origin and checks it returns doc,
+// sends exactly p.frames and is served by holder alone.
+func queryExact(t *testing.T, c *Cluster, origin *Node, cat catalog.CategoryID, doc catalog.DocID, p floodPrediction, holder model.NodeID) {
+	t.Helper()
+	served := servedBy(c)
+	before := clusterSends(c)
+	out, err := origin.Query(cat, 1, 5*time.Second)
+	if err != nil || !slices.Equal(out.Docs, []catalog.DocID{doc}) {
+		t.Fatalf("query: %v, docs %v", err, out.Docs)
+	}
+	awaitSends(t, c, before+p.frames, "query")
+	time.Sleep(50 * time.Millisecond)
+	awaitSends(t, c, before+p.frames, "query after quiescence")
+	for i, s := range servedBy(c) {
+		want := served[i]
+		if model.NodeID(i) == holder {
+			want++
+		}
+		if s != want {
+			t.Errorf("node %d served %d, want %d", i, s, want)
+		}
+	}
 }

@@ -119,6 +119,7 @@ func StartNode(sh Shape, id model.NodeID, listenAddr, bootstrapAddr string, opts
 	for _, d := range place.Stored[id] {
 		n.holdDoc(d)
 	}
+	n.holders.base = buildHolders(inst, func(k int) []catalog.DocID { return place.Stored[k] })
 	for cat, cl := range assign {
 		if cl != model.NoCluster {
 			n.dcrt[catalog.CategoryID(cat)] = protocol.DCRTEntry{Cluster: cl}

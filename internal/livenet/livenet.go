@@ -171,6 +171,7 @@ type Node struct {
 	byCat   map[catalog.CategoryID][]catalog.DocID
 	dcrt    map[catalog.CategoryID]protocol.DCRTEntry
 	nrt     map[model.ClusterID][]model.NodeID
+	holders holderView // who holds each category (holders.go)
 
 	// served counts requests this node answered (readers increment).
 	served atomic.Int64
@@ -580,15 +581,19 @@ func Launch(inst *model.Instance, assign []model.ClusterID, place *replica.Place
 		c.Nodes = append(c.Nodes, n)
 	}
 
-	// Prime storage.
-	for k, n := range c.Nodes {
-		docs := inst.Nodes[k].Contributed
+	// Prime storage, and the holder view every node shares.
+	stored := func(k int) []catalog.DocID {
 		if place != nil {
-			docs = place.Stored[k]
+			return place.Stored[k]
 		}
-		for _, d := range docs {
+		return inst.Nodes[k].Contributed
+	}
+	holders := buildHolders(inst, stored)
+	for k, n := range c.Nodes {
+		for _, d := range stored(k) {
 			n.holdDoc(d)
 		}
+		n.holders.base = holders
 	}
 	// Prime DCRTs.
 	for cat, cl := range assign {

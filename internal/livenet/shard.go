@@ -254,17 +254,15 @@ func (s *engineShard) sweep(now time.Time) {
 	}
 }
 
-// handleQuery mirrors the simulated overlay's §3.3 target-node logic:
-// answer from the local store, then forward the residual demand to every
-// NRT neighbour in the serving cluster except from, the node the frame
-// came from. That node ran the query before forwarding it here, so its
-// seen set would drop the copy; the entry hop is exempt, because its
-// sender is the origin, which never ran the query as a cluster member and
-// may be one (its own store then answers through the flood). A query for
-// a category this node has no DCRT entry for is dropped (and counted)
-// instead of being misrouted into cluster 0. The only shard state a query
-// touches is the seen set, so mu is held for the dedup alone; matching
-// and forwarding run under routeMu.RLock.
+// handleQuery runs the §3.3 target-node logic: answer from the local
+// store, then send the residual demand where protocol.Forward says — an
+// entry member that matched nothing asks one placement holder (its
+// holder view), every other case floods the NRT neighbours in the
+// serving cluster, a non-entry hop leaving out from, the node the frame
+// came from. A query for a category this node has no DCRT entry for is
+// dropped (and counted) instead of being misrouted into cluster 0. The
+// only shard state a query touches is the seen set, so mu is held for
+// the dedup alone; matching and forwarding run under routeMu.RLock.
 func (s *engineShard) handleQuery(from model.NodeID, m protocol.QueryMsg) {
 	s.mu.Lock()
 	dup := s.markSeen(m.ID)
@@ -303,22 +301,29 @@ func (s *engineShard) handleQuery(from model.NodeID, m protocol.QueryMsg) {
 			ID: m.ID, Docs: matches, Hops: m.Hops, From: n.id,
 		})
 	}
-	if remaining := m.Want - len(matches); remaining > 0 {
-		if nbs := n.nrt[entry.Cluster]; len(nbs) > 0 {
-			// Box the forwarded message ONCE: send takes `any`, so a
-			// struct literal at each call site would re-box per neighbor —
-			// one interface allocation per flood edge on the hottest path.
-			var fwd any = protocol.QueryMsg{
-				ID: m.ID, Category: m.Category, Want: remaining,
-				Origin: m.Origin, Hops: m.Hops + 1,
-			}
-			for _, nb := range nbs {
-				if nb == from && !m.Entry {
-					continue
-				}
-				n.send(nb, fwd)
-			}
+	r := protocol.Forward(n.id, m, len(matches), n.holders.of(m.Category), n.book.has)
+	nbs := n.nrt[entry.Cluster]
+	if r.Want == 0 || !r.Direct && len(nbs) == 0 {
+		return
+	}
+	// Box the forwarded message ONCE: send takes `any`, so a struct
+	// literal at each call site would re-box per neighbor — one
+	// interface allocation per flood edge on the hottest path. The
+	// copy is never an entry frame, so a directed holder counts no hit
+	// and, should its store be stale, floods.
+	var fwd any = protocol.QueryMsg{
+		ID: m.ID, Category: m.Category, Want: r.Want,
+		Origin: m.Origin, Hops: m.Hops + 1,
+	}
+	if r.Direct {
+		n.send(r.To, fwd)
+		return
+	}
+	for _, nb := range nbs {
+		if nb == from && r.SkipSender {
+			continue
 		}
+		n.send(nb, fwd)
 	}
 }
 

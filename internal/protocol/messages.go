@@ -2,7 +2,8 @@
 // the simulated overlay (package overlay, on simnet) and the live node
 // (package livenet, on sockets). It owns the vocabulary the two share
 // (the DCRT row and the query/result/publish/ack/metadata messages), the
-// §6.1.2 move-counter merge rule, the measured cluster load with its
+// in-cluster forwarding rule of a query (Forward), the §6.1.2
+// move-counter merge rule, the measured cluster load with its
 // normalized-popularity convention, and phases 3–4 of the adaptation —
 // fairness over the loads a leader heard, then MaxFair_Reassign on the
 // state rebuilt from those measurements.
@@ -53,11 +54,11 @@ type QueryMsg struct {
 	// Hops counts forwarding steps so far.
 	Hops int
 	// Entry marks the first delivery into the serving cluster (set by
-	// the origin and by cross-cluster forwarding, cleared on in-cluster
-	// neighbor forwarding). The receiving node counts the request in its
-	// per-category hit counter exactly once per cluster entry, so the
-	// §6.1.2 monitoring counters estimate category demand rather than
-	// flood width.
+	// the origin and by cross-cluster forwarding, cleared on every
+	// in-cluster forward, the directed one included). The receiving
+	// node counts the request in its per-category hit counter exactly
+	// once per cluster entry, so the §6.1.2 monitoring counters estimate
+	// category demand rather than flood width.
 	Entry bool
 }
 
