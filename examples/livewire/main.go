@@ -78,7 +78,10 @@ func main() {
 			q.origin, q.cat, q.m, len(out.Docs), out.Hops, time.Since(start).Round(time.Millisecond))
 	}
 
-	// Publish the new document from node 7 and find it from node 22.
+	// Publish the new document from node 7 and look for it from node 22.
+	// Queries follow the launch placement, which a publish does not
+	// update: the broad query finds the document only when node 7 is
+	// among the nodes that answer.
 	if err := cluster.Nodes[7].Publish(ids[0]); err != nil {
 		log.Fatal(err)
 	}

@@ -237,7 +237,6 @@ func (r *Run) checkInvariants(overdueSlack time.Duration) {
 			{"book", nNodes},
 			{"tombstones", nNodes},
 			{"nrt", nNodes * r.cfg.Clusters},
-			{"seen", 1 << 17},
 			{"cache_index", 1 << 17},
 		}
 		for _, b := range bounds {

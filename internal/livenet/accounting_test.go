@@ -26,7 +26,7 @@ func TestQueryAccountingConservation(t *testing.T) {
 	c, inst := launchShards(t, 63, 4)
 	n := c.Nodes[0]
 	cat := bigCategory(inst)
-	impossible := impossibleWant(len(inst.Catalog.Docs))
+	impossible := unsatisfiable(t, n, cat)
 
 	// Successes, including a repeat that must be served from the
 	// requester cache (still exactly one queries_ok each).

@@ -38,6 +38,7 @@ package livenet
 
 import (
 	"maps"
+	"slices"
 	"sort"
 	"time"
 
@@ -83,12 +84,8 @@ func (c AdaptConfig) withDefaults() AdaptConfig {
 // adaptState is the adaptation layer's event-loop-owned state.
 type adaptState struct {
 	cfg AdaptConfig
-	// members is the deterministic cluster membership snapshot taken at
-	// enable time (identical in every process of the deployment, since
-	// it derives from the shared model and initial assignment); mine
-	// lists the clusters this node belongs to.
-	members map[model.ClusterID][]model.NodeID
-	mine    []model.ClusterID
+	// mine lists the clusters this node belongs to (Node.members).
+	mine []model.ClusterID
 	// epoch/step track progress through the current wall-clock epoch.
 	epoch uint64
 	step  int
@@ -141,43 +138,24 @@ func (c *Cluster) EnableAdaptation(cfg AdaptConfig) {
 	}
 }
 
-// enableAdaptation builds the membership snapshot and starts the epoch
-// clock. Runs in the event loop.
+// enableAdaptation starts the epoch clock. Runs in the event loop.
 func (n *Node) enableAdaptation(cfg AdaptConfig) {
 	if n.adapt != nil {
 		return
 	}
 	cfg = cfg.withDefaults()
-	assign := make([]model.ClusterID, len(n.inst.Catalog.Cats))
-	for i := range assign {
-		assign[i] = model.NoCluster
-	}
-	for cat, e := range n.dcrt {
-		assign[cat] = e.Cluster
-	}
-	mem, err := model.NewMembership(n.inst, assign)
-	if err != nil {
-		n.stats.Add("adapt_enable_errors", 1)
-		return
-	}
-	members := make(map[model.ClusterID][]model.NodeID, n.inst.NumClusters)
 	var mine []model.ClusterID
-	for c := 0; c < n.inst.NumClusters; c++ {
-		cl := model.ClusterID(c)
-		ms := append([]model.NodeID(nil), mem.NodesOf(cl)...)
-		sort.Slice(ms, func(i, j int) bool { return ms[i] < ms[j] })
-		members[cl] = ms
+	for cl, ms := range n.members {
 		if containsNode(ms, n.id) {
-			mine = append(mine, cl)
+			mine = append(mine, model.ClusterID(cl))
 		}
 	}
 	n.adapt = &adaptState{
-		cfg:     cfg,
-		members: members,
-		mine:    mine,
-		agg:     make(map[model.ClusterID]*protocol.ClusterLoad),
-		loads:   make(map[model.ClusterID]*protocol.ClusterLoad),
-		serves:  make(map[model.ClusterID]*serveLoad),
+		cfg:    cfg,
+		mine:   mine,
+		agg:    make(map[model.ClusterID]*protocol.ClusterLoad),
+		loads:  make(map[model.ClusterID]*protocol.ClusterLoad),
+		serves: make(map[model.ClusterID]*serveLoad),
 	}
 	n.gauges.Set("adapt_enabled", 1)
 	tick := cfg.Interval / 8
@@ -232,7 +210,7 @@ func (n *Node) adaptTick(now time.Time) {
 func (n *Node) leaderOf(cl model.ClusterID) (model.NodeID, bool) {
 	best := model.NodeID(-1)
 	var bestU float64
-	for _, id := range n.adapt.members[cl] {
+	for _, id := range n.members[cl] {
 		if id != n.id && n.det != nil && !n.det.IsLive(id) {
 			continue
 		}
@@ -343,7 +321,7 @@ func (n *Node) pushHints(cl model.ClusterID, e uint64) {
 	if sv == nil || sv.epoch != e || len(sv.byNode) == 0 {
 		return
 	}
-	members := ad.members[cl]
+	members := n.members[cl]
 	if len(members) < 2 {
 		return
 	}
@@ -488,7 +466,7 @@ func (n *Node) adaptEvaluate(e uint64) {
 		announce := wire.Move{Category: mv.Category, From: mv.From, Entry: entry}
 		seen := map[model.NodeID]bool{n.id: true}
 		for _, cl := range []model.ClusterID{mv.From, mv.To} {
-			for _, id := range ad.members[cl] {
+			for _, id := range n.members[cl] {
 				if seen[id] {
 					continue
 				}
@@ -516,12 +494,11 @@ func (n *Node) handleMetaUpdate(m protocol.MetadataUpdateMsg) {
 
 // applyMoveEntry folds one DCRT entry in under the move-counter rule.
 // On change: the node re-runs the intra-cluster placement for the moved
-// category and makes it the category's holder view — a node without
-// adaptation state cannot, and its view drops the category, which then
-// floods; members of the receiving cluster store their deterministic
-// share (every node computes the same map, so no coordinator is needed);
-// and the entry is re-gossiped — forwarding only on change keeps the
-// epidemic bounded.
+// category over the gaining cluster's launch members and makes it the
+// category's holder view; members of the receiving cluster store their
+// deterministic share (every node computes the same map, so no
+// coordinator is needed); and the entry is re-gossiped — forwarding only
+// on change keeps the epidemic bounded.
 func (n *Node) applyMoveEntry(cat catalog.CategoryID, e protocol.DCRTEntry) bool {
 	m := protocol.MergeEntry(n.dcrt, cat, e)
 	if m.Rejected {
@@ -548,24 +525,24 @@ func (n *Node) applyMoveEntry(cat catalog.CategoryID, e protocol.DCRTEntry) bool
 		n.prevCluster[cat] = prevClusterRecord{cluster: m.Prev.Cluster, expires: now.Add(ttl)}
 		n.prunePrevClusters(now)
 	}
-	var share map[model.NodeID][]catalog.DocID
-	if ad := n.adapt; ad != nil {
-		ms := ad.members[e.Cluster]
-		share = replica.PlaceCategory(n.inst, cat, ms, replica.DefaultConfig())
-		if containsNode(ms, n.id) {
-			var need []catalog.DocID
-			for _, d := range share[n.id] {
-				n.storeDoc(d)
-				if n.store != nil && !n.store.Has(d) {
-					need = append(need, d)
-				}
+	share := replica.PlaceCategory(n.inst, cat, n.members[e.Cluster], replica.DefaultConfig())
+	if mine := share[n.id]; len(mine) > 0 {
+		// The share leads the category's list: the holder view expects
+		// this node to answer from it first.
+		rest := slices.DeleteFunc(n.byCat[cat], func(d catalog.DocID) bool { return slices.Contains(mine, d) })
+		n.byCat[cat] = append(slices.Clone(mine), rest...)
+		var need []catalog.DocID
+		for _, d := range mine {
+			n.dt[d] = cat
+			if n.store != nil && !n.store.Has(d) {
+				need = append(need, d)
 			}
-			// The metadata flips immediately (queries route here now);
-			// the bytes arrive asynchronously — a move is not done until
-			// the gaining holder has pulled its share from the shedding
-			// cluster and installed the real bytes.
-			n.queueMoves(need)
 		}
+		// The metadata flips immediately (queries route here now);
+		// the bytes arrive asynchronously — a move is not done until
+		// the gaining holder has pulled its share from the shedding
+		// cluster and installed the real bytes.
+		n.queueMoves(need)
 	}
 	n.holders.move(cat, share)
 	n.gossipEntry(cat, e)

@@ -24,8 +24,9 @@ func allocTestNode() (*Node, *engineShard) {
 		book:  newAddrBook(),
 		dcrt:  map[catalog.CategoryID]protocol.DCRTEntry{3: {Cluster: 1}},
 		byCat: map[catalog.CategoryID][]catalog.DocID{3: {10, 11, 12, 13}},
-		nrt:   map[model.ClusterID][]model.NodeID{1: {2, 3, 4}},
 	}
+	// Node 0 (n.id) holds all four documents of category 3.
+	n.holders.base = []protocol.View{3: {Holders: []protocol.Holder{{Node: 0, Docs: n.byCat[3]}}, Placed: 4}}
 	n.tr.close()
 	for _, id := range []model.NodeID{2, 3, 4, 9} {
 		n.book.set(id, "mem:0")
@@ -35,52 +36,51 @@ func allocTestNode() (*Node, *engineShard) {
 }
 
 // TestHandleQueryAllocs pins the query hot path's allocation budget:
-// one exact-capacity matches slice, one boxed ResultMsg reply, and ONE
-// boxed QueryMsg shared by every forward edge. The seed code re-boxed
-// the forward message per neighbor and grew matches through an append
-// chain, so this pin is what keeps the hunt's wins from silently
-// regressing.
+// one exact-capacity matches slice and one boxed ResultMsg reply, and
+// nothing for the query itself, which the node does not remember.
 func TestHandleQueryAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	_, sh := allocTestNode()
-	const runs = 2000
-	// Pre-size the dedup set so map growth doesn't alias handler allocs.
-	sh.seenCur = make(map[uint64]struct{}, 4*runs)
 	var id uint64
-	avg := testing.AllocsPerRun(runs, func() {
+	avg := testing.AllocsPerRun(2000, func() {
 		id++
-		sh.handleQuery(9, protocol.QueryMsg{
+		sh.handleQuery(protocol.QueryMsg{
 			ID: id, Category: 3, Want: 8, Origin: 9, Hops: 1, Entry: true,
 		})
 	})
-	// matches slice + ResultMsg box + one shared forward box = 3.
-	if avg > 3 {
-		t.Fatalf("handleQuery allocates %.1f per run, budget 3", avg)
+	// matches slice + ResultMsg box = 2.
+	if avg > 2 {
+		t.Fatalf("handleQuery allocates %.1f per run, budget 2", avg)
 	}
 }
 
-// TestHandleQueryForwardOnlyAllocs pins the pure-relay path (no local
-// matches): the only allocation is the one boxed forward message,
-// regardless of fan-out width.
+// TestHandleQueryForwardOnlyAllocs pins the cover path: an entry member
+// holding nothing, whose view names no holder of the whole demand, asks
+// all three holders, and the only allocation is the one boxed message
+// they share (the cover's set of eight documents stays on the stack).
 func TestHandleQueryForwardOnlyAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	n, sh := allocTestNode()
-	delete(n.byCat, 3) // nothing stored: every query only forwards
-	const runs = 2000
-	sh.seenCur = make(map[uint64]struct{}, 4*runs)
-	var id uint64
-	avg := testing.AllocsPerRun(runs, func() {
-		id++
-		sh.handleQuery(2, protocol.QueryMsg{
-			ID: id, Category: 3, Want: 8, Origin: 9, Hops: 1,
-		})
+	delete(n.byCat, 3) // nothing stored: every query only asks
+	n.holders.base = []protocol.View{3: {Holders: []protocol.Holder{
+		{Node: 2, Docs: []catalog.DocID{10, 11, 12}}, {Node: 3, Docs: []catalog.DocID{13, 14, 15}}, {Node: 4, Docs: []catalog.DocID{16, 17}},
+	}, Placed: 8}}
+	m := protocol.QueryMsg{Category: 3, Want: 8, Origin: 9, Hops: 1, Entry: true}
+	var ask []model.NodeID
+	protocol.Forward(n.id, m, nil, n.holders.of(3), n.book.has, func(id model.NodeID) { ask = append(ask, id) })
+	if len(ask) != 3 {
+		t.Fatalf("Forward asks %v, want a cover of all three holders", ask)
+	}
+	avg := testing.AllocsPerRun(2000, func() {
+		m.ID++
+		sh.handleQuery(m)
 	})
 	if avg > 1 {
-		t.Fatalf("forward-only handleQuery allocates %.1f per run, budget 1 (one shared box)", avg)
+		t.Fatalf("cover handleQuery allocates %.1f per run, budget 1 (one shared box)", avg)
 	}
 }
 
@@ -93,16 +93,16 @@ func TestHandleQueryDirectAllocs(t *testing.T) {
 	}
 	n, sh := allocTestNode()
 	delete(n.byCat, 3)
-	n.holders.base = [][]protocol.Holder{3: {{Node: 4, Docs: 8}}}
+	n.holders.base = []protocol.View{3: {Holders: []protocol.Holder{{Node: 4, Docs: []catalog.DocID{10, 11, 12, 13, 14, 15, 16, 17}}}, Placed: 8}}
 	m := protocol.QueryMsg{Category: 3, Want: 8, Origin: 9, Hops: 1, Entry: true}
-	if r := protocol.Forward(n.id, m, 0, n.holders.of(3), n.book.has); !r.Direct || r.To != 4 {
-		t.Fatalf("Forward = %+v, want the query directed to node 4", r)
+	var ask []model.NodeID
+	protocol.Forward(n.id, m, nil, n.holders.of(3), n.book.has, func(id model.NodeID) { ask = append(ask, id) })
+	if len(ask) != 1 || ask[0] != 4 {
+		t.Fatalf("Forward asks %v, want the query directed to node 4", ask)
 	}
-	const runs = 2000
-	sh.seenCur = make(map[uint64]struct{}, 4*runs)
-	avg := testing.AllocsPerRun(runs, func() {
+	avg := testing.AllocsPerRun(2000, func() {
 		m.ID++
-		sh.handleQuery(9, m)
+		sh.handleQuery(m)
 	})
 	if avg > 1 {
 		t.Fatalf("directed handleQuery allocates %.1f per run, budget 1 (one box)", avg)
@@ -116,7 +116,7 @@ func TestHandleResultAllocs(t *testing.T) {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	_, sh := allocTestNode()
-	pq := &pendingQuery{id: 42, want: 1 << 30, docs: make(map[catalog.DocID]bool, 8)}
+	pq := &pendingQuery{id: 42, want: 1 << 30, need: 1 << 30, docs: make(map[catalog.DocID]bool, 8)}
 	sh.pending[42] = pq
 	docs := []catalog.DocID{10, 11, 12}
 	avg := testing.AllocsPerRun(2000, func() {
@@ -164,7 +164,7 @@ func TestQueryRoundTripAllocs(t *testing.T) {
 		}
 	}
 	for i := 0; i < 50; i++ {
-		query() // warm links, pools and the seen maps
+		query() // warm links and pools
 	}
 	if avg := testing.AllocsPerRun(500, query); avg > 14 {
 		t.Fatalf("one query round trip allocates %.1f, budget 14", avg)

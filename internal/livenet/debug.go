@@ -18,46 +18,32 @@ func (n *Node) SetDialer(dial func(addr string) (net.Conn, error)) {
 	n.tr.setDial(dial)
 }
 
-// shardTables is one engine shard's contribution to TableSizes /
-// OverduePending.
-type shardTables struct {
-	pending int
-	seen    int
-	overdue int
-}
-
-// tables snapshots the shard's table sizes and counts pending queries
-// more than slack past their deadline.
-func (s *engineShard) tables(slack time.Duration) shardTables {
+// tables counts the shard's pending queries, and those more than slack
+// past their deadline: its contribution to TableSizes / OverduePending.
+func (s *engineShard) tables(slack time.Duration) (pending, overdue int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	t := shardTables{
-		pending: len(s.pending),
-		seen:    len(s.seenCur) + len(s.seenPrev),
-	}
 	now := time.Now()
 	for _, pq := range s.pending {
 		if now.After(pq.deadline.Add(slack)) {
-			t.overdue++
+			overdue++
 		}
 	}
-	return t
+	return len(s.pending), overdue
 }
 
 // TableSizes snapshots the sizes of every state table that must stay
-// bounded on a long-lived node: the pending query table and seen-set
-// generations (summed across every engine shard), address book, NRT
-// entries (across clusters), membership tombstones, and the
-// requester-cache category index. The soak runner asserts bounds on
+// bounded on a long-lived node: the pending query table (summed across
+// every engine shard), address book, NRT entries (across clusters),
+// membership tombstones, and the requester-cache category index. The soak runner asserts bounds on
 // these under churn and partitions; a blocked call (a wedged control
 // loop, a shard lock never released) is itself an invariant violation
 // the caller detects by timeout. Returns nil once the node has shut down.
 func (n *Node) TableSizes() map[string]int {
-	sizes := map[string]int{"pending": 0, "seen": 0}
+	sizes := map[string]int{"pending": 0}
 	for _, s := range n.shards {
-		t := s.tables(0)
-		sizes["pending"] += t.pending
-		sizes["seen"] += t.seen
+		pending, _ := s.tables(0)
+		sizes["pending"] += pending
 	}
 	ch := make(chan map[string]int, 1)
 	select {
@@ -105,7 +91,8 @@ func (n *Node) TableSizes() map[string]int {
 func (n *Node) OverduePending(slack time.Duration) int {
 	overdue := 0
 	for _, s := range n.shards {
-		overdue += s.tables(slack).overdue
+		_, o := s.tables(slack)
+		overdue += o
 	}
 	return overdue
 }

@@ -49,8 +49,8 @@ const (
 	DefaultCacheBytes = 64 << 20
 	// resendAfter is how long a pending query waits with nothing received
 	// before re-sending to another member of the serving cluster — the
-	// entry message was probably lost, and because the query id was never
-	// flooded, a re-send under the same id is not suppressed by dedup.
+	// entry message was probably lost. A re-send keeps the query id, and
+	// an answer to both copies is folded in once.
 	resendAfter = 1200 * time.Millisecond
 	// maxResends bounds per-query re-sends; a cancelled query leaves the
 	// pending table and stops counting toward this budget.
@@ -65,7 +65,9 @@ const (
 )
 
 // QueryContext runs the §3.3 protocol for a category over the live
-// network, seeking m distinct documents. It is safe to call from many
+// network, seeking m distinct documents. It is Done once it holds
+// min(m, documents placed in the category), so an empty category
+// returns at once without sending a frame. It is safe to call from many
 // goroutines at once — each call occupies one in-flight slot until it
 // completes, times out, or ctx is cancelled. A context deadline maps to
 // ErrTimeout (with the partial outcome); a cancellation returns
@@ -98,14 +100,7 @@ func (n *Node) QueryContext(ctx context.Context, cat catalog.CategoryID, m int) 
 		}
 		if len(docs) >= m {
 			n.stats.Add("cache_hit", 1)
-			out := query.Result{Done: true, Results: len(docs)}
-			for d := range docs {
-				out.Docs = append(out.Docs, d)
-			}
-			out.ResponseTime = time.Since(start)
-			n.latency.ObserveDuration(out.ResponseTime)
-			n.stats.Add("queries_ok", 1)
-			return out, nil
+			return n.answered(start, docs), nil
 		}
 		n.stats.Add("cache_miss", 1)
 	}
@@ -131,8 +126,10 @@ func (n *Node) QueryContext(ctx context.Context, cat catalog.CategoryID, m int) 
 	// never have joined this deployment, and a query sent to one of
 	// those is a guaranteed timeout.
 	n.routeMu.RLock()
+	need := n.holders.of(cat).Target(m)
 	var members []model.NodeID
-	if entry, ok := n.dcrt[cat]; ok {
+	entry, routed := n.dcrt[cat]
+	if routed {
 		all := n.nrt[entry.Cluster]
 		if len(all) > 0 {
 			members = make([]model.NodeID, 0, len(all))
@@ -150,6 +147,12 @@ func (n *Node) QueryContext(ctx context.Context, cat catalog.CategoryID, m int) 
 		}
 	}
 	n.routeMu.RUnlock()
+	if routed && len(docs) >= need {
+		// Nothing left to ask for: an empty category, or a cache holding
+		// every document placed.
+		n.inflight.Add(-1)
+		return n.answered(start, docs), nil
+	}
 	if len(members) == 0 {
 		n.inflight.Add(-1)
 		n.stats.Add("query_no_route", 1)
@@ -162,7 +165,7 @@ func (n *Node) QueryContext(ctx context.Context, cat catalog.CategoryID, m int) 
 	ch := make(chan query.Result, 1)
 	deadline, hasDeadline := ctx.Deadline()
 	sh.mu.Lock()
-	id := sh.register(cat, m, docs, ch, deadline, hasDeadline, members)
+	id := sh.register(cat, m, need, docs, ch, deadline, hasDeadline, members)
 	sh.mu.Unlock()
 
 	select {
@@ -200,9 +203,21 @@ func (n *Node) QueryContext(ctx context.Context, cat catalog.CategoryID, m int) 
 	}
 }
 
-// Query blocks until m distinct documents arrive or the timeout expires
-// (in which case the partial outcome and ErrTimeout are returned): it
-// is QueryContext under a timeout context.
+// answered completes a query the caller settles without a frame.
+func (n *Node) answered(start time.Time, docs map[catalog.DocID]bool) query.Result {
+	out := query.Result{Done: true, Results: len(docs)}
+	for d := range docs {
+		out.Docs = append(out.Docs, d)
+	}
+	out.ResponseTime = time.Since(start)
+	n.latency.ObserveDuration(out.ResponseTime)
+	n.stats.Add("queries_ok", 1)
+	return out
+}
+
+// Query blocks until min(m, documents placed) distinct documents arrive
+// or the timeout expires (in which case the partial outcome and
+// ErrTimeout are returned): it is QueryContext under a timeout context.
 func (n *Node) Query(cat catalog.CategoryID, m int, timeout time.Duration) (QueryOutcome, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
@@ -223,7 +238,7 @@ func ctxReason(err error) (string, error) {
 // and a per-shard sequence number. The pre-fix scheme kept only the low
 // 16 bits of the node id (`nextQuery<<16 | id&0xffff`), so two nodes
 // whose ids agree mod 65536 minted IDENTICAL ids at the same sequence
-// point — and the flood-dedup `seen` set then suppressed one node's
+// point, and the loop-detection set of the time suppressed one node's
 // query as a duplicate of the other's. Mixing the full node id through a
 // bijective 64-bit finalizer makes same-node ids distinct by
 // construction (mixQ is a bijection over the sequence) and cross-node

@@ -26,9 +26,20 @@ func waitInFlight(t *testing.T, n *Node, want int, deadline time.Duration) {
 	t.Fatalf("in-flight gauge never reached %d (now %d)", want, n.InFlight())
 }
 
-// impossibleWant returns a demand no query can satisfy, so the query
-// stays pending until its deadline.
-func impossibleWant(totalDocs int) int { return totalDocs + 100 }
+// unsatisfiable makes n's queries for cat wait out their deadline and
+// returns the demand they ask for: n's view of cat claims more documents
+// than are placed, as a stale view might, so the serving cluster answers
+// everything it holds and the query still needs more.
+func unsatisfiable(t *testing.T, n *Node, cat catalog.CategoryID) int {
+	t.Helper()
+	const want = 1 << 20
+	runCmd(t, n, func(n *Node) {
+		v := n.holders.of(cat)
+		v.Placed = want
+		putView(n, cat, v)
+	})
+	return want
+}
 
 // TestHundredConcurrentInFlightQueries holds ≥ 100 queries in flight on
 // ONE node simultaneously and checks every one of them completes exactly
@@ -39,7 +50,7 @@ func TestHundredConcurrentInFlightQueries(t *testing.T) {
 	n := c.Nodes[0]
 	cat := bigCategory(inst)
 	const concurrent = 120
-	want := impossibleWant(len(inst.Catalog.Docs))
+	want := unsatisfiable(t, n, cat)
 
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -128,10 +139,11 @@ func TestCancellationReleasesSlot(t *testing.T) {
 	c, inst := launchSmall(t, 23)
 	n := c.Nodes[2]
 	cat := bigCategory(inst)
+	want := unsatisfiable(t, n, cat)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := n.QueryContext(ctx, cat, impossibleWant(len(inst.Catalog.Docs)))
+		_, err := n.QueryContext(ctx, cat, want)
 		done <- err
 	}()
 	waitInFlight(t, n, 1, 2*time.Second)
@@ -164,6 +176,7 @@ func TestAdmissionControlRejectsAtLimit(t *testing.T) {
 	n := c.Nodes[3]
 	cat := bigCategory(inst)
 	const limit = 4
+	want := unsatisfiable(t, n, cat)
 	n.SetMaxInFlight(limit)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -172,7 +185,7 @@ func TestAdmissionControlRejectsAtLimit(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			n.QueryContext(ctx, cat, impossibleWant(len(inst.Catalog.Docs)))
+			n.QueryContext(ctx, cat, want)
 		}()
 	}
 	waitInFlight(t, n, limit, 2*time.Second)

@@ -3,115 +3,57 @@ package livenet
 import (
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 	"time"
 
 	"p2pshare/internal/catalog"
 	"p2pshare/internal/memnet"
-	"p2pshare/internal/metrics"
 	"p2pshare/internal/model"
 	"p2pshare/internal/protocol"
 )
 
-// The in-cluster forwarding rule (protocol.Forward): an entry member
-// that matched nothing sends the query to one holder its placement view
-// names; otherwise a node forwards the residual demand to every NRT
-// neighbour except the one the frame came from, and the entry hop (sent
-// by the origin) is forwarded to all of them. These tests pin what that
-// costs in frames, exactly, and that the flood reaches the same nodes
-// the echoing flood did.
+// The in-cluster rule (protocol.Forward): the entry member answers when
+// it holds the documents the query can gather, asks one placement holder
+// that does, or else answers what it holds and asks the holders that
+// cover the rest; an asked node answers, or redirects when its store is
+// stale. These tests pin what that costs in frames, exactly.
 
-// floodPrediction is what one m = 1 query costs, read off the routing
-// tables: the frames sent under the forwarding rule, under the flood
-// alone (no directed step) and under the old echoing flood (which also
-// sent every forwarder's copy back to its sender), and the holders the
-// rule reaches — each answers once. directed is the holder the entry
-// sent the query to, when it did.
-type floodPrediction struct {
-	frames, floodFrames, echoFrames int64
-	holders                         []model.NodeID
-	directed                        model.NodeID
-	isDirected                      bool
+// askPrediction is what one query costs, read off the nodes' tables: the
+// frames sent (the entry frame, the asks, one result per answering
+// node), the asks alone, and the nodes that answer.
+type askPrediction struct {
+	frames, asks int64
+	answerers    []model.NodeID
 }
 
-// predictFlood applies protocol.Forward to the entry's own tables: when
-// it directs the query, the cost is the entry frame, the directed copy
-// and the walk from the directed holder, whose sender — the entry — has
-// run the query already. Otherwise it is the entry frame plus the flood
-// walk from the entry.
-func predictFlood(t *testing.T, c *Cluster, cat catalog.CategoryID, entry model.NodeID) floodPrediction {
+// predictAsk applies protocol.Forward at the entry and at every node it
+// asks, each on its own tables, for a query seeking want documents.
+func predictAsk(t *testing.T, c *Cluster, cat catalog.CategoryID, entry model.NodeID, want int) askPrediction {
 	t.Helper()
-	var p floodPrediction
-	var flood floodWalk
-	flood.run(t, c, cat, entry, entry, false)
-	p.floodFrames, p.echoFrames = 1+flood.frames, 1+flood.echoFrames
-	n := c.Nodes[entry]
-	n.routeMu.RLock()
-	r := protocol.Forward(entry, protocol.QueryMsg{Category: cat, Want: 1, Entry: true},
-		min(1, len(n.byCat[cat])), n.holders.of(cat), n.book.has)
-	n.routeMu.RUnlock()
-	if !r.Direct {
-		p.frames, p.holders = p.floodFrames, flood.holders
-		return p
-	}
-	var w floodWalk
-	w.run(t, c, cat, r.To, entry, true)
-	p.frames, p.holders = 2+w.frames, w.holders
-	p.directed, p.isDirected = r.To, true
-	return p
-}
-
-// floodWalk walks the serving cluster's NRTs breadth-first from start,
-// expanding only through nodes that hold nothing of cat: those forward,
-// holders answer with one ResultMsg and stop. Every node reached runs
-// the query exactly once, whichever copy arrives first, so the count is
-// exact provided in-cluster NRT links are symmetric (Launch wires them
-// so) — then the sender of a non-start node's first copy is always among
-// its neighbours and is the one left out. start leaves out sender only
-// when skipSender is set (it received a non-entry frame); sender has run
-// the query then, so the walk never enters it.
-type floodWalk struct {
-	frames, echoFrames int64
-	holders            []model.NodeID
-}
-
-func (w *floodWalk) run(t *testing.T, c *Cluster, cat catalog.CategoryID, start, sender model.NodeID, skipSender bool) {
-	t.Helper()
-	view := func(id model.NodeID) (nbs []model.NodeID, holds bool) {
+	p := askPrediction{frames: 1}
+	var visit func(id model.NodeID, m protocol.QueryMsg)
+	visit = func(id model.NodeID, m protocol.QueryMsg) {
+		if m.Hops > len(c.Nodes) {
+			t.Fatalf("the query is still asked after %d hops: the rule loops", m.Hops)
+		}
 		n := c.Nodes[id]
+		var asked []model.NodeID
 		n.routeMu.RLock()
-		defer n.routeMu.RUnlock()
-		return slices.Clone(n.nrt[n.dcrt[cat].Cluster]), len(n.byCat[cat]) > 0
-	}
-	reached := map[model.NodeID]bool{start: true}
-	if skipSender {
-		reached[sender] = true
-	}
-	for queue := []model.NodeID{start}; len(queue) > 0; queue = queue[1:] {
-		v := queue[0]
-		nbs, holds := view(v)
-		if holds {
-			w.frames++
-			w.echoFrames++
-			w.holders = append(w.holders, v)
-			continue
+		answers := protocol.Forward(id, m, n.byCat[cat], n.holders.of(cat), n.book.has,
+			func(h model.NodeID) { asked = append(asked, h) })
+		n.routeMu.RUnlock()
+		if answers {
+			p.frames++
+			p.answerers = append(p.answerers, id)
 		}
-		w.echoFrames += int64(len(nbs))
-		w.frames += int64(len(nbs))
-		if v != start || skipSender && slices.Contains(nbs, sender) {
-			w.frames--
-		}
-		for _, nb := range nbs {
-			if back, _ := view(nb); !slices.Contains(back, v) {
-				t.Fatalf("NRT link %d→%d is one-way: the prediction needs symmetric links", v, nb)
-			}
-			if !reached[nb] {
-				reached[nb] = true
-				queue = append(queue, nb)
-			}
+		for _, to := range asked {
+			p.frames++
+			p.asks++
+			visit(to, protocol.QueryMsg{Category: cat, Want: m.Want, Hops: m.Hops + 1})
 		}
 	}
+	visit(entry, protocol.QueryMsg{Category: cat, Want: want, Hops: 1, Entry: true})
+	return p
 }
 
 // clusterSends sums transport_sends over the cluster.
@@ -140,37 +82,38 @@ func awaitSends(t *testing.T, c *Cluster, want int64, what string) {
 	}
 }
 
-// setTables rewrites one node's view of cat's serving cluster: its NRT
-// entry for that cluster and whether it holds doc. It also empties the
-// node's holder view of cat, so the node floods cat as an entry: the
-// launched view names holders the rewritten tables no longer match.
-// Runs in the node's control loop, the tables' only writer.
-func setTables(t *testing.T, n *Node, cat catalog.CategoryID, nbs []model.NodeID, doc catalog.DocID, holds bool) {
+// setStore replaces what one node holds of cat. Runs in the node's
+// control loop, the tables' only writer.
+func setStore(t *testing.T, n *Node, cat catalog.CategoryID, docs ...catalog.DocID) {
 	t.Helper()
-	runCmd(t, n, func(n *Node) {
-		n.nrt[n.dcrt[cat].Cluster] = nbs
-		n.byCat[cat] = nil
-		if holds {
-			n.byCat[cat] = []catalog.DocID{doc}
-		}
-		n.holders.move(cat, nil)
-	})
+	runCmd(t, n, func(n *Node) { n.byCat[cat] = docs })
 }
 
 // setView replaces one node's holder view of cat.
-func setView(t *testing.T, n *Node, cat catalog.CategoryID, hs ...protocol.Holder) {
+func setView(t *testing.T, n *Node, cat catalog.CategoryID, placed int, hs ...protocol.Holder) {
 	t.Helper()
-	runCmd(t, n, func(n *Node) { n.holders.moved[cat] = hs })
+	runCmd(t, n, func(n *Node) { putView(n, cat, protocol.View{Holders: hs, Placed: placed}) })
 }
 
-// handBuiltCluster boots a 16-node memnet cluster whose routing tables
-// the test rewrites, and picks a category with a document.
-func handBuiltCluster(t *testing.T) (*Cluster, catalog.CategoryID, catalog.DocID) {
+// routeVia makes entry the only member origin knows in cat's serving
+// cluster, so every query origin issues for cat enters there.
+func routeVia(t *testing.T, origin *Node, cat catalog.CategoryID, entry model.NodeID) {
+	t.Helper()
+	runCmd(t, origin, func(n *Node) { n.nrt[n.dcrt[cat].Cluster] = []model.NodeID{entry} })
+}
+
+// handBuiltCluster boots a 16-node memnet cluster whose tables the test
+// rewrites, and picks a category with at least six documents.
+func handBuiltCluster(t *testing.T) (*Cluster, catalog.CategoryID, []catalog.DocID) {
 	t.Helper()
 	c := launchOverMemnet(t, Shape{Documents: 200, Categories: 6, Nodes: 16, Clusters: 2, Seed: 9},
 		nil, memnet.New(), Options{CacheBytes: -1})
 	cat := bigCategory(c.inst)
-	return c, cat, c.inst.Catalog.Cats[cat].Docs[0]
+	docs := c.inst.Catalog.Cats[cat].Docs
+	if len(docs) < 6 {
+		t.Fatalf("category %d has %d documents, want 6", cat, len(docs))
+	}
+	return c, cat, docs
 }
 
 func servedBy(c *Cluster) []int64 {
@@ -181,154 +124,187 @@ func servedBy(c *Cluster) []int64 {
 	return out
 }
 
-// TestFloodFrameCountExact: a ring of ten non-holders with one chord,
-// a holder three hops from the entry, and an origin outside the ring
-// whose NRT names only the entry. No holder view names anyone, so the
-// entry floods (the fallback). The query reaches all ten ring nodes;
-// the entry forwards to both neighbours, every other non-holder to all
-// neighbours but its sender, the holder answers once.
-func TestFloodFrameCountExact(t *testing.T) {
-	c, cat, doc := handBuiltCluster(t)
-	origin := c.Nodes[0]
-	ring := []model.NodeID{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	entry, holder := ring[0], ring[3]
-	ringTables(t, c, cat, doc, ring, holder)
-	setTables(t, origin, cat, []model.NodeID{entry}, doc, false)
-
-	p := predictFlood(t, c, cat, entry)
-	// 1 entry frame + 2 from the entry + 1 from each of six degree-2
-	// forwarders + 2 from each of the two chord ends + 1 result.
-	if p.frames != 14 || p.echoFrames != 22 || !slices.Equal(p.holders, []model.NodeID{holder}) {
-		t.Fatalf("prediction %+v, want 14 frames (22 echoing) reaching holder %d", p, holder)
+// queryExact runs one query for want documents from origin and checks it
+// is Done with exactly need distinct documents of docs, sends exactly
+// p.frames, and is answered by p.answerers alone, once each.
+func queryExact(t *testing.T, c *Cluster, origin *Node, cat catalog.CategoryID, want, need int, docs []catalog.DocID, p askPrediction) {
+	t.Helper()
+	served := servedBy(c)
+	before := clusterSends(c)
+	out, err := origin.Query(cat, want, 5*time.Second)
+	if err != nil || !out.Done || len(out.Docs) != need {
+		t.Fatalf("query: %v, done %v, docs %v, want %d documents", err, out.Done, out.Docs, need)
 	}
-	// One answer per reached holder, what the echoing flood served too.
-	queryExact(t, c, origin, cat, doc, p, holder)
+	for _, d := range out.Docs {
+		if !slices.Contains(docs, d) {
+			t.Errorf("document %d is not one the stores hold", d)
+		}
+	}
+	awaitSends(t, c, before+p.frames, "query")
+	time.Sleep(50 * time.Millisecond)
+	awaitSends(t, c, before+p.frames, "query after quiescence")
+	for i, s := range servedBy(c) {
+		want := served[i]
+		if slices.Contains(p.answerers, model.NodeID(i)) {
+			want++
+		}
+		if s != want {
+			t.Errorf("node %d served %d, want %d", i, s, want)
+		}
+	}
 }
 
-// TestEntryHopReachesOriginMember: the origin is a cluster member, the
-// only holder, and a leaf hanging off the entry, so the entry's copy back
-// to its sender is the only way the flood can reach it. With no holder
-// view the entry floods; the entry hop is exempt from the no-echo rule,
-// and the origin's own store answers.
+// TestCoverFrameCountExact: the entry holds one of the six placed
+// documents and no holder holds the four the query asks for, so the
+// entry answers its one and asks the holders that cover the rest: the
+// two that add two documents each, not the one missing from its address
+// book, the one whose document the entry answers already, or the one
+// adding a single document. 1 entry frame + 2 asks + 3 results, and the
+// origin keeps exactly four documents.
+func TestCoverFrameCountExact(t *testing.T) {
+	c, cat, d := handBuiltCluster(t)
+	origin := c.Nodes[0]
+	entry, gone, h1, h2, h3, h4 := model.NodeID(1), model.NodeID(2), model.NodeID(3), model.NodeID(4), model.NodeID(5), model.NodeID(6)
+	stores := map[model.NodeID][]catalog.DocID{
+		entry: {d[0]}, gone: {d[5]}, h1: {d[0]}, h2: {d[1], d[2]}, h3: {d[3], d[4]}, h4: {d[5]},
+	}
+	var hs []protocol.Holder
+	for _, id := range []model.NodeID{entry, gone, h1, h2, h3, h4} {
+		setStore(t, c.Nodes[id], cat, stores[id]...)
+		hs = append(hs, protocol.Holder{Node: id, Docs: stores[id]})
+	}
+	setView(t, c.Nodes[entry], cat, 6, hs...)
+	runCmd(t, c.Nodes[entry], func(n *Node) { n.book.del(gone) })
+	routeVia(t, origin, cat, entry)
+
+	p := predictAsk(t, c, cat, entry, 4)
+	if p.frames != 6 || p.asks != 2 || !slices.Equal(p.answerers, []model.NodeID{entry, h2, h3}) {
+		t.Fatalf("prediction %+v, want 6 frames, 2 asks, answered by %d %d %d", p, entry, h2, h3)
+	}
+	queryExact(t, c, origin, cat, 4, 4, d[:5], p)
+}
+
+// TestEntryHopReachesOriginMember: the origin is a cluster member and
+// the only holder. The entry holds nothing and asks its successor
+// holder, the origin, whose own store answers: 3 frames.
 func TestEntryHopReachesOriginMember(t *testing.T) {
-	c, cat, doc := handBuiltCluster(t)
-	tables := map[model.NodeID][]model.NodeID{
-		0: {1},
-		1: {0, 2, 3},
-		2: {1, 3},
-		3: {1, 2, 4},
-		4: {3},
+	c, cat, d := handBuiltCluster(t)
+	origin, entry := c.Nodes[0], model.NodeID(1)
+	setStore(t, origin, cat, d[0])
+	setStore(t, c.Nodes[entry], cat)
+	setView(t, c.Nodes[entry], cat, 1, protocol.Holder{Node: origin.id, Docs: d[:1]})
+	routeVia(t, origin, cat, entry)
+
+	p := predictAsk(t, c, cat, entry, 1)
+	if p.frames != 3 || !slices.Equal(p.answerers, []model.NodeID{origin.id}) {
+		t.Fatalf("prediction %+v, want 3 frames answered by the origin", p)
 	}
-	for id, nbs := range tables {
-		setTables(t, c.Nodes[id], cat, nbs, doc, id == 0)
+	queryExact(t, c, origin, cat, 1, 1, d[:1], p)
+}
+
+// TestStaleHolderRedirects: the entry's view names a holder whose store
+// is empty. The entry asks it; it holds nothing, so it passes the query
+// on to the successor holder in its own view, which answers: 1 entry
+// frame + 1 ask + 1 redirect + 1 result. When every holder is stale the
+// chain ends after one visit per holder, and the query sends nothing
+// more while it waits out its deadline.
+func TestStaleHolderRedirects(t *testing.T) {
+	c, cat, d := handBuiltCluster(t)
+	origin := c.Nodes[0]
+	entry, holder, stale := model.NodeID(1), model.NodeID(4), model.NodeID(7)
+	setStore(t, c.Nodes[entry], cat)
+	setStore(t, c.Nodes[stale], cat)
+	setStore(t, c.Nodes[holder], cat, d[0])
+	setView(t, c.Nodes[entry], cat, 1, protocol.Holder{Node: stale, Docs: d[:1]})
+	setView(t, c.Nodes[stale], cat, 1, protocol.Holder{Node: holder, Docs: d[:1]}, protocol.Holder{Node: stale, Docs: d[:1]})
+	routeVia(t, origin, cat, entry)
+
+	p := predictAsk(t, c, cat, entry, 1)
+	if p.frames != 4 || p.asks != 2 || !slices.Equal(p.answerers, []model.NodeID{holder}) {
+		t.Fatalf("prediction %+v, want 4 frames through %d answered by %d", p, stale, holder)
 	}
-	p := predictFlood(t, c, cat, 1)
-	if p.frames != 8 || !slices.Equal(p.holders, []model.NodeID{0}) {
-		t.Fatalf("prediction %+v, want 8 frames reaching the origin", p)
+	queryExact(t, c, origin, cat, 1, 1, d[:1], p)
+
+	// Now the holder is stale too, and its view names the stale node
+	// back: entry → stale → holder → stale … would loop, but the redirect
+	// reaches the holder at Hops 3, over its view's 2 holders, and ends.
+	setStore(t, c.Nodes[holder], cat)
+	setView(t, c.Nodes[holder], cat, 1, protocol.Holder{Node: holder, Docs: d[:1]}, protocol.Holder{Node: stale, Docs: d[:1]})
+	p = predictAsk(t, c, cat, entry, 1)
+	if p.frames != 3 || p.asks != 2 || len(p.answerers) != 0 {
+		t.Fatalf("prediction %+v, want the entry frame and 2 asks, no answer", p)
 	}
 	before := clusterSends(c)
-	served := c.Nodes[0].Served()
-	out, err := c.Nodes[0].Query(cat, 1, 3*time.Second)
-	if err != nil || !slices.Equal(out.Docs, []catalog.DocID{doc}) {
-		t.Fatalf("origin's own document did not come back through the flood: %v, docs %v", err, out.Docs)
+	if out, err := origin.Query(cat, 1, 300*time.Millisecond); err != ErrTimeout || len(out.Docs) != 0 {
+		t.Fatalf("all-stale query: %v, docs %v, want ErrTimeout with nothing", err, out.Docs)
 	}
-	if got := c.Nodes[0].Served() - served; got != 1 {
-		t.Errorf("origin served %d, want 1", got)
-	}
-	awaitSends(t, c, before+p.frames, "leaf-origin flood")
+	awaitSends(t, c, before+p.frames, "all-stale query")
 }
 
-// TestFloodNeverEchoesToSender drives one node's handler directly, its
-// three neighbours being sinks: a forwarded frame from neighbour 2 goes
-// to 3 and 4 only — also when it arrives again after two sweeps have
-// rotated the seen set — while an entry frame from 2 (2 is the origin)
-// goes to all three.
-func TestFloodNeverEchoesToSender(t *testing.T) {
-	var mu sync.Mutex
-	got := map[model.NodeID]int{}
-	count := func(id model.NodeID) int {
-		mu.Lock()
-		defer mu.Unlock()
-		return got[id]
-	}
-	stats := metrics.NewSyncCounter()
-	n := &Node{
-		id:    1,
-		stats: stats,
-		tr:    newTransport(1, 1, stats),
-		book:  newAddrBook(),
-		dcrt:  map[catalog.CategoryID]protocol.DCRTEntry{3: {Cluster: 1}},
-		byCat: map[catalog.CategoryID][]catalog.DocID{},
-		nrt:   map[model.ClusterID][]model.NodeID{1: {2, 3, 4}},
-	}
-	t.Cleanup(n.tr.close)
-	for _, id := range []model.NodeID{2, 3, 4} {
-		s := startSink(t, "127.0.0.1:0", nil, func(env envelope) {
-			if _, ok := env.Msg.(protocol.QueryMsg); ok {
-				mu.Lock()
-				got[id]++
-				mu.Unlock()
-			}
-		})
-		n.book.set(id, s.addr())
-	}
-	sh := newShards(n, 1, 1)[0]
-	fwd := protocol.QueryMsg{ID: 77, Category: 3, Want: 1, Origin: 9, Hops: 2}
-	await := func(what string, want map[model.NodeID]int) {
-		t.Helper()
-		waitFor(t, 5*time.Second, what, func() bool {
-			for id, k := range want {
-				if count(id) != k {
-					return false
-				}
-			}
-			return true
-		})
-	}
+// TestUnaddressableSuccessorSkipped: the entry's view lists itself, then
+// a successor missing from its address book, then the holder; the query
+// goes to the holder in one directed frame.
+func TestUnaddressableSuccessorSkipped(t *testing.T) {
+	c, cat, d := handBuiltCluster(t)
+	origin := c.Nodes[0]
+	holder, entry, gone := model.NodeID(4), model.NodeID(6), model.NodeID(7)
+	setStore(t, c.Nodes[entry], cat)
+	setStore(t, c.Nodes[holder], cat, d[0])
+	setView(t, c.Nodes[entry], cat, 3,
+		protocol.Holder{Node: holder, Docs: d[:1]},
+		protocol.Holder{Node: entry, Docs: d[:3]},
+		protocol.Holder{Node: gone, Docs: d[1:3]})
+	runCmd(t, c.Nodes[entry], func(n *Node) { n.book.del(gone) })
+	routeVia(t, origin, cat, entry)
 
-	sh.handleQuery(2, fwd)
-	await("forward from 2", map[model.NodeID]int{3: 1, 4: 1})
-	sh.handleQuery(2, fwd) // a duplicate: dropped by the seen set
-	runShard(sh, func(s *engineShard) {
-		s.sweep(time.Now())
-		s.sweep(time.Now())
-	})
-	sh.handleQuery(2, fwd) // forgotten by now: runs again, still not echoed
-	await("forward from 2 after two sweeps", map[model.NodeID]int{3: 2, 4: 2})
-	sh.handleQuery(2, protocol.QueryMsg{ID: 78, Category: 3, Want: 1, Origin: 2, Hops: 1, Entry: true})
-	// Each link is FIFO: an echo sent earlier would have reached 2 first.
-	await("entry frame from 2", map[model.NodeID]int{2: 1, 3: 3, 4: 3})
+	p := predictAsk(t, c, cat, entry, 1)
+	if p.frames != 3 || !slices.Equal(p.answerers, []model.NodeID{holder}) {
+		t.Fatalf("prediction %+v, want 3 frames: entry, directed to %d, result", p, holder)
+	}
+	queryExact(t, c, origin, cat, 1, 1, d[:1], p)
 }
 
-// TestFloodSendsMatchOracle: on the query_small deployment (200 nodes,
-// four clusters, the benchmark's shape and seed), one m = 1 query per
-// non-empty category from an origin outside the serving cluster through a
-// fixed entry sends exactly what predictFlood reads off the primed tables.
-func TestFloodSendsMatchOracle(t *testing.T) {
-	floodOracle(t, querySmallShape)
+// TestAskSendsMatchOracle: on the query_small deployment (200 nodes,
+// four clusters, the benchmark's shape and seed), one query per
+// category for m = 1 and m = 4, from an origin outside the serving
+// cluster through a fixed entry, sends exactly what predictAsk reads off
+// the launched tables and returns min(m, placed) documents.
+func TestAskSendsMatchOracle(t *testing.T) {
+	c := launchOverMemnet(t, querySmallShape, nil, memnet.New(), Options{CacheBytes: -1})
+	for _, m := range []int{1, 4} {
+		askOracle(t, c, querySmallShape, m)
+	}
 }
 
-// TestFloodSendsMatchOracleThousand is the same check on the query_1k
-// deployment, and pins the growth law: frames per query at 1 000 nodes
-// stay within 1.2× those at 200.
-func TestFloodSendsMatchOracleThousand(t *testing.T) {
+// TestAskSendsMatchOracleThousand is the same check on the query_1k
+// deployment, and pins two growth laws: m = 1 frames per query at
+// 1 000 nodes stay within 1.2× those at 200, and m = 4 costs at most
+// twice m = 1.
+func TestAskSendsMatchOracleThousand(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1 000-node cluster; -short runs the 200-node oracle only")
 	}
 	if raceEnabled {
 		t.Skip("the 200-node oracle covers the same code under the race detector")
 	}
-	small := floodOracle(t, querySmallShape)
-	big := floodOracle(t, Shape{Documents: 2000, Categories: 50, Nodes: 1000, Clusters: 10, Seed: 51})
-	if big > 1.2*small {
-		t.Fatalf("%.2f frames per query at 1 000 nodes, over 1.2× the %.2f at 200", big, small)
+	small := askOracle(t, launchOverMemnet(t, querySmallShape, nil, memnet.New(), Options{CacheBytes: -1}), querySmallShape, 1)
+	sh := Shape{Documents: 2000, Categories: 50, Nodes: 1000, Clusters: 10, Seed: 51}
+	c := launchOverMemnet(t, sh, nil, memnet.New(), Options{CacheBytes: -1})
+	one, four := askOracle(t, c, sh, 1), askOracle(t, c, sh, 4)
+	if one > 1.2*small {
+		t.Errorf("%.2f frames per query at 1 000 nodes, over 1.2× the %.2f at 200", one, small)
+	}
+	if four > 2*one {
+		t.Errorf("m = 4 costs %.2f frames per query at 1 000 nodes, over 2× the %.2f of m = 1", four, one)
 	}
 }
 
 var querySmallShape = Shape{Documents: 400, Categories: 20, Nodes: 200, Clusters: 4, Seed: 51}
 
-// floodOracle runs the oracle on sh and returns the frames per query.
-func floodOracle(t *testing.T, sh Shape) float64 {
+// askOracle runs the oracle for m on c, launched from sh, and returns
+// the frames per query.
+func askOracle(t *testing.T, c *Cluster, sh Shape, m int) float64 {
+	t.Helper()
 	inst, assign, _, err := sh.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -337,13 +313,11 @@ func floodOracle(t *testing.T, sh Shape) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := launchOverMemnet(t, sh, nil, memnet.New(), Options{CacheBytes: -1})
-	rng := rand.New(rand.NewSource(sh.Seed))
+	rng := rand.New(rand.NewSource(sh.Seed + int64(m)))
 	want := clusterSends(c)
-	var queries, directed, frames, floodFrames, echoFrames int64
+	var queries, asked, frames int64
 	for _, cg := range inst.Catalog.Cats {
-		cl := assign[cg.ID]
-		members := mem.NodesOf(cl)
+		members := mem.NodesOf(assign[cg.ID])
 		if len(cg.Docs) == 0 || len(members) < 2 {
 			continue
 		}
@@ -354,23 +328,21 @@ func floodOracle(t *testing.T, sh Shape) float64 {
 				origin = n
 			}
 		}
-		runCmd(t, origin, func(n *Node) { n.nrt[cl] = []model.NodeID{entry} })
-		p := predictFlood(t, c, cg.ID, entry)
-		if len(p.holders) == 0 {
-			continue
-		}
-		if _, err := origin.Query(cg.ID, 1, 5*time.Second); err != nil {
-			t.Fatalf("category %d from node %d via %d: %v", cg.ID, origin.id, entry, err)
+		routeVia(t, origin, cg.ID, entry)
+		p := predictAsk(t, c, cg.ID, entry, m)
+		need := c.Nodes[entry].holders.of(cg.ID).Target(m)
+		out, err := origin.Query(cg.ID, m, 5*time.Second)
+		if err != nil || !out.Done || len(out.Docs) != need {
+			t.Fatalf("m = %d, category %d from node %d via %d: %v, done %v, %d documents, want %d",
+				m, cg.ID, origin.id, entry, err, out.Done, len(out.Docs), need)
 		}
 		want += p.frames
 		awaitSends(t, c, want, "category query")
 		queries++
-		if p.isDirected {
-			directed++
+		if p.asks > 0 {
+			asked++
 		}
 		frames += p.frames
-		floodFrames += p.floodFrames
-		echoFrames += p.echoFrames
 	}
 	time.Sleep(100 * time.Millisecond)
 	awaitSends(t, c, want, "all queries after quiescence")
@@ -378,95 +350,15 @@ func floodOracle(t *testing.T, sh Shape) float64 {
 		t.Fatal("no category was queried")
 	}
 	perQuery := float64(frames) / float64(queries)
-	t.Logf("%d nodes, %d queries (%d directed): %.2f frames/query (the flood: %.2f, the echoing flood: %.2f)",
-		sh.Nodes, queries, directed, perQuery,
-		float64(floodFrames)/float64(queries), float64(echoFrames)/float64(queries))
+	t.Logf("%d nodes, m = %d, %d queries (%d asked a holder): %.2f frames/query",
+		sh.Nodes, m, queries, asked, perQuery)
 	return perQuery
 }
 
-// TestStaleDirectedHolderFloods: the entry's view names a holder whose
-// store is empty. The entry sends it the one directed copy; it runs a
-// non-entry frame, matches nothing and floods from where it sits, leaving
-// out only its sender, until the real holder answers.
-func TestStaleDirectedHolderFloods(t *testing.T) {
-	c, cat, doc := handBuiltCluster(t)
-	origin := c.Nodes[0]
-	ring := []model.NodeID{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	entry, holder, stale := ring[0], ring[3], ring[6]
-	ringTables(t, c, cat, doc, ring, holder)
-	setTables(t, origin, cat, []model.NodeID{entry}, doc, false)
-	setView(t, c.Nodes[entry], cat, protocol.Holder{Node: stale, Docs: 5})
-
-	p := predictFlood(t, c, cat, entry)
-	// 1 entry frame + 1 directed + 3 from the stale holder (its sender is
-	// not a neighbour) + 1 each from ring[5], ring[7], ring[4], ring[9]
-	// + 2 from ring[8] + 1 result. The entry ran the query, so the walk
-	// stops at it: ring[1] and ring[2] are never reached.
-	if p.frames != 12 || !p.isDirected || p.directed != stale || !slices.Equal(p.holders, []model.NodeID{holder}) {
-		t.Fatalf("prediction %+v, want 12 frames through %d reaching holder %d", p, stale, holder)
+// putView replaces n's view of cat. Run it in n's control loop.
+func putView(n *Node, cat catalog.CategoryID, v protocol.View) {
+	if n.holders.moved == nil {
+		n.holders.moved = make(map[catalog.CategoryID]protocol.View)
 	}
-	queryExact(t, c, origin, cat, doc, p, holder)
-}
-
-// TestUnaddressableSuccessorSkipped: the entry's view lists itself, then
-// a successor missing from its address book, then the holder; the query
-// goes to the holder in one directed frame.
-func TestUnaddressableSuccessorSkipped(t *testing.T) {
-	c, cat, doc := handBuiltCluster(t)
-	origin := c.Nodes[0]
-	ring := []model.NodeID{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	entry, gone, holder := ring[5], ring[6], ring[3]
-	ringTables(t, c, cat, doc, ring, holder)
-	setTables(t, origin, cat, []model.NodeID{entry}, doc, false)
-	setView(t, c.Nodes[entry], cat,
-		protocol.Holder{Node: holder, Docs: 1},
-		protocol.Holder{Node: entry, Docs: 3},
-		protocol.Holder{Node: gone, Docs: 2})
-	runCmd(t, c.Nodes[entry], func(n *Node) { n.book.del(gone) })
-
-	p := predictFlood(t, c, cat, entry)
-	if p.frames != 3 || p.directed != holder || !slices.Equal(p.holders, []model.NodeID{holder}) {
-		t.Fatalf("prediction %+v, want 3 frames: entry, directed to %d, result", p, holder)
-	}
-	queryExact(t, c, origin, cat, doc, p, holder)
-}
-
-// ringTables wires ring as a cycle with one chord, ring[6]–ring[8], in
-// cat's serving cluster; only holder stores doc.
-func ringTables(t *testing.T, c *Cluster, cat catalog.CategoryID, doc catalog.DocID, ring []model.NodeID, holder model.NodeID) {
-	t.Helper()
-	for i, id := range ring {
-		nbs := []model.NodeID{ring[(i+len(ring)-1)%len(ring)], ring[(i+1)%len(ring)]}
-		switch id {
-		case ring[6]:
-			nbs = append(nbs, ring[8])
-		case ring[8]:
-			nbs = append(nbs, ring[6])
-		}
-		setTables(t, c.Nodes[id], cat, nbs, doc, id == holder)
-	}
-}
-
-// queryExact runs one m = 1 query from origin and checks it returns doc,
-// sends exactly p.frames and is served by holder alone.
-func queryExact(t *testing.T, c *Cluster, origin *Node, cat catalog.CategoryID, doc catalog.DocID, p floodPrediction, holder model.NodeID) {
-	t.Helper()
-	served := servedBy(c)
-	before := clusterSends(c)
-	out, err := origin.Query(cat, 1, 5*time.Second)
-	if err != nil || !slices.Equal(out.Docs, []catalog.DocID{doc}) {
-		t.Fatalf("query: %v, docs %v", err, out.Docs)
-	}
-	awaitSends(t, c, before+p.frames, "query")
-	time.Sleep(50 * time.Millisecond)
-	awaitSends(t, c, before+p.frames, "query after quiescence")
-	for i, s := range servedBy(c) {
-		want := served[i]
-		if model.NodeID(i) == holder {
-			want++
-		}
-		if s != want {
-			t.Errorf("node %d served %d, want %d", i, s, want)
-		}
-	}
+	n.holders.moved[cat] = v
 }

@@ -1,16 +1,15 @@
 package livenet
 
 // holderView is a node's view of who holds each category's documents —
-// the placement view protocol.Forward directs an entry member's query
-// with. Every node of a deployment computes the same placement, so the
-// view is built once (Launch, StartNode) from exactly the documents the
-// nodes are primed with, and every node of a launched cluster aliases
-// that one immutable base, the way the address book shares its base
-// (book.go). A move replaces the moved category's entry in a
-// node-private overlay.
+// the placement view protocol.Forward routes every query with. Every
+// node of a deployment computes the same placement, so the view is built
+// once (Launch, StartNode) from exactly the documents the nodes are
+// primed with, and every node of a launched cluster aliases that one
+// immutable base, the way the address book shares its base (book.go). A
+// move replaces the moved category's entry in a node-private overlay.
 //
 // Concurrency contract: the control loop is the sole writer and holds
-// routeMu.Lock; shards read under routeMu.RLock.
+// routeMu.Lock; shards and callers read under routeMu.RLock.
 
 import (
 	"sort"
@@ -21,58 +20,66 @@ import (
 )
 
 type holderView struct {
-	base  [][]protocol.Holder                      // shared, immutable; indexed by category
-	moved map[catalog.CategoryID][]protocol.Holder // node-private entries of moved categories
+	base  []protocol.View                      // shared, immutable; indexed by category
+	moved map[catalog.CategoryID]protocol.View // node-private entries of moved categories
 }
 
-// buildHolders computes every category's holder list, ascending by node,
-// from what each node k is primed with (stored(k)), counting each
-// document once per node as storeDoc does.
-func buildHolders(inst *model.Instance, stored func(k int) []catalog.DocID) [][]protocol.Holder {
-	view := make([][]protocol.Holder, len(inst.Catalog.Cats))
+// buildHolders computes every category's view, holders ascending by
+// node, from what each node k is primed with (stored(k)), listing each
+// document once per node in the order storeDoc files it, and counting
+// it once in Placed.
+func buildHolders(inst *model.Instance, stored func(k int) []catalog.DocID) []protocol.View {
+	view := make([]protocol.View, len(inst.Catalog.Cats))
 	counted := make([]int, len(inst.Catalog.Docs)) // 1 + the last node that counted the document
 	for k := range inst.Nodes {
 		for _, d := range stored(k) {
 			if counted[d] == k+1 {
 				continue
 			}
-			counted[d] = k + 1
 			cat := inst.Catalog.Doc(d).Categories[0]
-			if hs := view[cat]; len(hs) > 0 && hs[len(hs)-1].Node == model.NodeID(k) {
-				hs[len(hs)-1].Docs++
+			v := &view[cat]
+			if counted[d] == 0 {
+				v.Placed++
+			}
+			counted[d] = k + 1
+			if hs := v.Holders; len(hs) > 0 && hs[len(hs)-1].Node == model.NodeID(k) {
+				hs[len(hs)-1].Docs = append(hs[len(hs)-1].Docs, d)
 			} else {
-				view[cat] = append(hs, protocol.Holder{Node: model.NodeID(k), Docs: 1})
+				v.Holders = append(hs, protocol.Holder{Node: model.NodeID(k), Docs: []catalog.DocID{d}})
 			}
 		}
 	}
 	return view
 }
 
-// of returns the holders of cat, nil when the view names none.
-func (v *holderView) of(cat catalog.CategoryID) []protocol.Holder {
-	if hs, ok := v.moved[cat]; ok {
-		return hs
+// of returns cat's view, empty when the view names no holder.
+func (v *holderView) of(cat catalog.CategoryID) protocol.View {
+	if cv, ok := v.moved[cat]; ok {
+		return cv
 	}
 	if int(cat) < len(v.base) {
 		return v.base[cat]
 	}
-	return nil
+	return protocol.View{}
 }
 
-// move replaces cat's entry with the holders of share, the moved
-// category's placement in its new cluster. A nil share — a node that
-// cannot compute the placement — empties the entry, so the category
-// floods.
+// move makes cat's entry the holders of share, the moved category's
+// placement in its new cluster.
 func (v *holderView) move(cat catalog.CategoryID, share map[model.NodeID][]catalog.DocID) {
-	var hs []protocol.Holder
+	var cv protocol.View
+	placed := make(map[catalog.DocID]bool)
 	for k, docs := range share {
 		if len(docs) > 0 {
-			hs = append(hs, protocol.Holder{Node: k, Docs: len(docs)})
+			cv.Holders = append(cv.Holders, protocol.Holder{Node: k, Docs: docs})
+		}
+		for _, d := range docs {
+			placed[d] = true
 		}
 	}
-	sort.Slice(hs, func(i, j int) bool { return hs[i].Node < hs[j].Node })
+	sort.Slice(cv.Holders, func(i, j int) bool { return cv.Holders[i].Node < cv.Holders[j].Node })
+	cv.Placed = len(placed)
 	if v.moved == nil {
-		v.moved = make(map[catalog.CategoryID][]protocol.Holder)
+		v.moved = make(map[catalog.CategoryID]protocol.View)
 	}
-	v.moved[cat] = hs
+	v.moved[cat] = cv
 }

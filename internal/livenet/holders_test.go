@@ -12,19 +12,21 @@ import (
 	"p2pshare/internal/replica"
 )
 
-// viewCount reads node k's count in a holder list, 0 when it is absent.
-func viewCount(hs []protocol.Holder, k model.NodeID) int {
+// viewDocs reads node k's documents in a holder list, nil when it is
+// absent.
+func viewDocs(hs []protocol.Holder, k model.NodeID) []catalog.DocID {
 	for _, h := range hs {
 		if h.Node == k {
 			return h.Docs
 		}
 	}
-	return 0
+	return nil
 }
 
 // checkViewMatchesStores: every node aliases one holder view, sorted by
-// node, in which node k appears for category c with count n exactly
-// when its byCat[c] holds n documents.
+// node, in which node k's documents of category c are exactly its
+// byCat[c], in order, and Placed counts the distinct documents all
+// nodes hold of c.
 func checkViewMatchesStores(t *testing.T, c *Cluster) {
 	t.Helper()
 	base := c.Nodes[0].holders.base
@@ -34,16 +36,23 @@ func checkViewMatchesStores(t *testing.T, c *Cluster) {
 		}
 	}
 	for _, cg := range c.inst.Catalog.Cats {
-		hs := base[cg.ID]
+		hs := base[cg.ID].Holders
 		if !slices.IsSortedFunc(hs, func(a, b protocol.Holder) int { return int(a.Node) - int(b.Node) }) {
 			t.Fatalf("category %d: view %v not sorted by node", cg.ID, hs)
 		}
+		placed := map[catalog.DocID]bool{}
 		for _, n := range c.Nodes {
-			var held int
-			runCmd(t, n, func(n *Node) { held = len(n.byCat[cg.ID]) })
-			if got := viewCount(hs, n.id); got != held {
-				t.Errorf("category %d node %d: view says %d documents, store holds %d", cg.ID, n.id, got, held)
+			var held []catalog.DocID
+			runCmd(t, n, func(n *Node) { held = slices.Clone(n.byCat[cg.ID]) })
+			if got := viewDocs(hs, n.id); !slices.Equal(got, held) {
+				t.Errorf("category %d node %d: view says %v, store holds %v", cg.ID, n.id, got, held)
 			}
+			for _, d := range held {
+				placed[d] = true
+			}
+		}
+		if got := base[cg.ID].Placed; got != len(placed) {
+			t.Errorf("category %d: view places %d documents, stores hold %d", cg.ID, got, len(placed))
 		}
 	}
 }
@@ -74,66 +83,55 @@ func launchUnplaced(t *testing.T, sh Shape) *Cluster {
 	return c
 }
 
-// TestHolderViewFollowsMoves: a node with adaptation on makes a moved
-// category's view the placement PlaceCategory computes in the gaining
-// cluster; a node without it drops the category from its view, so its
-// entry queries for it flood. Neither touches the shared base.
+// TestHolderViewFollowsMoves: every node, adapting or not, makes a
+// moved category's view the placement PlaceCategory computes over the
+// gaining cluster's launch members, and keeps directing its entry
+// queries by it. Neither touches the shared base.
 func TestHolderViewFollowsMoves(t *testing.T) {
 	sh := Shape{Documents: 200, Categories: 6, Nodes: 16, Clusters: 2, Seed: 9}
-	move := func(t *testing.T, c *Cluster) (n *Node, cat catalog.CategoryID, to model.ClusterID) {
-		n, cat = c.Nodes[3], bigCategory(c.inst)
-		runCmd(t, n, func(n *Node) {
-			to = 1 - n.dcrt[cat].Cluster
-			n.applyMoveEntry(cat, protocol.DCRTEntry{Cluster: to, MoveCounter: 1})
+	for _, adapt := range []bool{true, false} {
+		name := "no adaptation"
+		if adapt {
+			name = "adaptation"
+		}
+		t.Run(name, func(t *testing.T) {
+			c := launchOverMemnet(t, sh, nil, memnet.New(), Options{CacheBytes: -1})
+			if adapt {
+				c.EnableAdaptation(AdaptConfig{Interval: time.Hour})
+			}
+			n, cat := c.Nodes[3], bigCategory(c.inst)
+			m := protocol.QueryMsg{Category: cat, Want: 1, Hops: 1, Entry: true}
+			var to model.ClusterID
+			var got, launched protocol.View
+			var share map[model.NodeID][]catalog.DocID
+			runCmd(t, n, func(n *Node) {
+				to = 1 - n.dcrt[cat].Cluster
+				n.applyMoveEntry(cat, protocol.DCRTEntry{Cluster: to, MoveCounter: 1})
+				got, launched = n.holders.of(cat), n.holders.base[cat]
+				share = replica.PlaceCategory(n.inst, cat, n.members[to], replica.DefaultConfig())
+				var ask []model.NodeID
+				protocol.Forward(n.id, m, nil, got, n.book.has, func(id model.NodeID) { ask = append(ask, id) })
+				if len(ask) != 1 || viewDocs(got.Holders, ask[0]) == nil {
+					t.Errorf("after the move: Forward asks %v, want one holder of the share", ask)
+				}
+			})
+			var want []protocol.Holder
+			for k := range c.Nodes {
+				if docs := share[model.NodeID(k)]; len(docs) > 0 {
+					want = append(want, protocol.Holder{Node: model.NodeID(k), Docs: docs})
+				}
+			}
+			if len(want) == 0 || !slices.EqualFunc(got.Holders, want, sameHolder) {
+				t.Fatalf("view after the move %v, want PlaceCategory's share %v", got.Holders, want)
+			}
+			if got.Placed != len(c.inst.Catalog.Cats[cat].Docs) {
+				t.Errorf("view after the move places %d documents, the category has %d", got.Placed, len(c.inst.Catalog.Cats[cat].Docs))
+			}
+			if slices.EqualFunc(launched.Holders, want, sameHolder) {
+				t.Fatal("the launched view already equals the moved placement: the check proves nothing")
+			}
 		})
-		return n, cat, to
 	}
-
-	t.Run("adaptation", func(t *testing.T) {
-		c := launchOverMemnet(t, sh, nil, memnet.New(), Options{CacheBytes: -1})
-		c.EnableAdaptation(AdaptConfig{Interval: time.Hour})
-		n, cat, to := move(t, c)
-		var got []protocol.Holder
-		var share map[model.NodeID][]catalog.DocID
-		runCmd(t, n, func(n *Node) {
-			got = n.holders.of(cat)
-			share = replica.PlaceCategory(n.inst, cat, n.adapt.members[to], replica.DefaultConfig())
-		})
-		var want []protocol.Holder
-		for k := range c.Nodes {
-			if docs := share[model.NodeID(k)]; len(docs) > 0 {
-				want = append(want, protocol.Holder{Node: model.NodeID(k), Docs: len(docs)})
-			}
-		}
-		if len(want) == 0 || !slices.Equal(got, want) {
-			t.Fatalf("view after the move %v, want PlaceCategory's share %v", got, want)
-		}
-		if slices.Equal(n.holders.base[cat], want) {
-			t.Fatal("the launched view already equals the moved placement: the check proves nothing")
-		}
-	})
-
-	t.Run("no adaptation", func(t *testing.T) {
-		c := launchOverMemnet(t, sh, nil, memnet.New(), Options{CacheBytes: -1})
-		m := protocol.QueryMsg{Want: 1, Entry: true}
-		n, cat := c.Nodes[3], bigCategory(c.inst)
-		runCmd(t, n, func(n *Node) {
-			m.Category = cat
-			if r := protocol.Forward(n.id, m, 0, n.holders.of(cat), n.book.has); !r.Direct {
-				t.Errorf("before the move: Forward = %+v, want a directed query", r)
-			}
-		})
-		move(t, c)
-		runCmd(t, n, func(n *Node) {
-			if hs := n.holders.of(cat); len(hs) != 0 {
-				t.Errorf("view after the move %v, want none", hs)
-			}
-			if r := protocol.Forward(n.id, m, 0, n.holders.of(cat), n.book.has); r.Direct {
-				t.Errorf("after the move: Forward = %+v, want a flood", r)
-			}
-			if len(n.holders.base[cat]) == 0 {
-				t.Error("the move emptied the shared base")
-			}
-		})
-	})
 }
+
+func sameHolder(a, b protocol.Holder) bool { return a.Node == b.Node && slices.Equal(a.Docs, b.Docs) }

@@ -135,6 +135,7 @@ func StartNode(sh Shape, id model.NodeID, listenAddr, bootstrapAddr string, opts
 		ln.Close()
 		return nil, err
 	}
+	n.members = clusterMembers(mem)
 	for c := 0; c < inst.NumClusters; c++ {
 		for _, m := range mem.NodesOf(model.ClusterID(c)) {
 			if m != id {

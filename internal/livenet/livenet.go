@@ -7,21 +7,24 @@
 // multi-host deployment.
 //
 // Concurrency model: each peer's query engine is SHARDED — the pending
-// query table, flood-dedup seen set, and query-id minting are
-// partitioned across P mutex-guarded shards keyed by query id
-// (shard.go), and the per-connection reader goroutines run decoded
-// QueryMsg/ResultMsg frames themselves under the owning shard's lock, so
-// a node's protocol work scales across cores and a message crosses two
-// goroutines per hop (the sender's writer, the receiver's reader), not
-// three. A dedicated control loop owns everything low-rate and
-// topological: membership, adaptation, the address book, and the
-// DT/DCRT/NRT routing tables, which shard code reads under an RWMutex
-// (routeMu) the control loop alone writes. An idle node therefore runs
-// two goroutines, accept and control. Queries are fully concurrent: each
-// QueryContext call passes admission (an atomic reservation) and the
-// requester cache in its own goroutine, registers an independent state
-// machine on one shard, and only the issuing goroutine blocks, so one
-// node sustains hundreds of in-flight queries at once (engine.go).
+// query table and query-id minting are partitioned across P
+// mutex-guarded shards keyed by query id (shard.go), and the
+// per-connection reader goroutines run decoded QueryMsg/ResultMsg frames
+// themselves on the owning shard, so a node's protocol work scales
+// across cores and a message crosses two goroutines per hop (the
+// sender's writer, the receiver's reader), not three. Inside the serving
+// cluster a query goes where the deterministic placement says
+// (protocol.Forward over the holder view, holders.go), never to every
+// neighbour. A dedicated control loop owns everything low-rate and
+// topological: membership, adaptation, the address book, the DT/DCRT/NRT
+// routing tables and the holder view, which shard code reads under an
+// RWMutex (routeMu) the control loop alone writes. An idle node
+// therefore runs two goroutines, accept and control. Queries are fully
+// concurrent: each QueryContext call passes admission (an atomic
+// reservation) and the requester cache in its own goroutine, registers
+// an independent state machine on one shard, and only the issuing
+// goroutine blocks, so one node sustains hundreds of in-flight queries
+// at once (engine.go).
 // Outbound messages go through a per-peer persistent-connection pool
 // (transport.go): one framed stream per destination, reused across
 // messages, with reconnect-on-failure and capped backoff. Every stream
@@ -38,7 +41,7 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,10 +60,8 @@ import (
 )
 
 const (
-	// sweepInterval paces each shard's housekeeping tick: the seen
-	// set rotates one generation (so loop-detection state lives between
-	// one and two intervals instead of forever) and pending queries past
-	// their deadline are expired.
+	// sweepInterval paces each shard's housekeeping tick: pending
+	// queries past their deadline are expired and silent ones re-sent.
 	sweepInterval = 2 * time.Second
 	// pendingGrace pads a pending query's expiry past the caller's own
 	// timeout, so the sweep only reaps entries whose caller is gone.
@@ -99,6 +100,7 @@ type pendingQuery struct {
 	id       uint64
 	cat      catalog.CategoryID
 	want     int // total distinct documents the caller asked for
+	need     int // min(want, documents placed): the query is done at this many
 	docs     map[catalog.DocID]bool
 	received int // network results folded in (cache-primed docs excluded)
 	hops     int
@@ -172,6 +174,10 @@ type Node struct {
 	dcrt    map[catalog.CategoryID]protocol.DCRTEntry
 	nrt     map[model.ClusterID][]model.NodeID
 	holders holderView // who holds each category (holders.go)
+	// members lists each cluster's launch members by ascending id: what
+	// a moved category is placed over and adaptation elects leaders
+	// from. Immutable; every node of a launched cluster shares one.
+	members [][]model.NodeID
 
 	// served counts requests this node answered (readers increment).
 	served atomic.Int64
@@ -589,11 +595,13 @@ func Launch(inst *model.Instance, assign []model.ClusterID, place *replica.Place
 		return inst.Nodes[k].Contributed
 	}
 	holders := buildHolders(inst, stored)
+	clusters := clusterMembers(mem)
 	for k, n := range c.Nodes {
 		for _, d := range stored(k) {
 			n.holdDoc(d)
 		}
 		n.holders.base = holders
+		n.members = clusters
 	}
 	// Prime DCRTs.
 	for cat, cl := range assign {
@@ -605,12 +613,10 @@ func Launch(inst *model.Instance, assign []model.ClusterID, place *replica.Place
 		}
 	}
 	// Prime NRTs: ring + chords within clusters, remote contacts across.
-	for cl := 0; cl < inst.NumClusters; cl++ {
-		members := append([]model.NodeID(nil), mem.NodesOf(model.ClusterID(cl))...)
+	for cl, members := range clusters {
 		if len(members) < 2 {
 			continue
 		}
-		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
 		link := func(a, b model.NodeID) {
 			if a != b {
 				c.Nodes[a].addNeighbor(model.ClusterID(cl), b)
@@ -659,6 +665,16 @@ func Launch(inst *model.Instance, assign []model.ClusterID, place *replica.Place
 		c.EnableAdaptation(*opts.Adaptation)
 	}
 	return c, nil
+}
+
+// clusterMembers lists each cluster's members in ascending id order.
+func clusterMembers(mem *model.Membership) [][]model.NodeID {
+	out := make([][]model.NodeID, len(mem.ClusterNodes))
+	for cl, ms := range mem.ClusterNodes {
+		out[cl] = append([]model.NodeID(nil), ms...)
+		slices.Sort(out[cl])
+	}
+	return out
 }
 
 // newNodeRng derives a node-local random source.
@@ -863,7 +879,7 @@ func (n *Node) routeInbound(env envelope) bool {
 func (n *Node) runOnShard(env envelope) bool {
 	switch m := env.Msg.(type) {
 	case protocol.QueryMsg:
-		n.shardFor(m.ID).handleQuery(env.From, m)
+		n.shardFor(m.ID).handleQuery(m)
 	case protocol.ResultMsg:
 		n.shardFor(m.ID).handleResult(m)
 	default:

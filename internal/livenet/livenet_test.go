@@ -150,22 +150,19 @@ func TestLivePublishBecomesQueryable(t *testing.T) {
 	if err := publisher.Publish(ids[0]); err != nil {
 		t.Fatal(err)
 	}
-	// Give the publish a moment to propagate, then query the category
-	// with a demand that must include the new doc eventually. The
-	// publisher itself stores the doc, so a broad query finds it.
-	time.Sleep(300 * time.Millisecond)
+	// The placement the holder view is built from never saw the
+	// document, so its publisher is the one node that answers with it:
+	// as the entry member, which answers everything it holds up to m.
 	cat := inst.Catalog.Doc(ids[0]).Categories[0]
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		out, _ := c.Nodes[1].Query(cat, len(inst.Catalog.Cats[cat].Docs), 2*time.Second)
-		for _, d := range out.Docs {
-			if d == ids[0] {
-				return // found it
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("published document never appeared in query results")
-		}
+	var held int
+	runCmd(t, publisher, func(n *Node) { held = len(n.byCat[cat]) })
+	routeVia(t, c.Nodes[1], cat, publisher.id)
+	out, err := c.Nodes[1].Query(cat, held, 5*time.Second)
+	if err != nil || !out.Done {
+		t.Fatalf("query through the publisher: %v, done %v", err, out.Done)
+	}
+	if !slices.Contains(out.Docs, ids[0]) {
+		t.Fatalf("published document %d not among the %d results %v", ids[0], held, out.Docs)
 	}
 }
 
@@ -260,9 +257,10 @@ func TestPublishSkipsUnaddressableMembers(t *testing.T) {
 func TestLiveQueryTimeoutOnImpossibleDemand(t *testing.T) {
 	c, inst := launchSmall(t, 5)
 	cat := bigCategory(inst)
-	// Demand more documents than exist: the query cannot complete and
-	// must time out with partial results.
-	out, err := c.Nodes[2].Query(cat, len(inst.Catalog.Docs)+100, 1500*time.Millisecond)
+	// The origin's view claims more documents than are placed: the
+	// query cannot complete and must time out with partial results.
+	want := unsatisfiable(t, c.Nodes[2], cat)
+	out, err := c.Nodes[2].Query(cat, want, 1500*time.Millisecond)
 	if err != ErrTimeout {
 		t.Fatalf("expected ErrTimeout, got %v", err)
 	}

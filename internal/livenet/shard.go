@@ -3,37 +3,39 @@ package livenet
 // The sharded query engine. Node protocol state is partitioned across P
 // engine shards so a node's query work uses the whole machine instead of
 // serializing on one core. A shard is a lock partition, not a goroutine:
-// it owns a slice of the pending-query table and of the flood-dedup seen
-// set behind one mutex, and whichever goroutine holds the work — the
-// connection reader that decoded a frame, the caller issuing a query,
-// the timerwheel running a sweep — locks the partition and runs it.
+// it owns a slice of the pending-query table behind one mutex, and
+// whichever goroutine holds the work — the connection reader that
+// decoded a frame, the caller issuing a query, the timerwheel running a
+// sweep — locks the partition and runs it.
 //
 // Ownership map:
 //
-//	shard s (of P)    under s.mu: pending queries and seen entries whose
-//	                  query id satisfies int(id&shardIDMask)%P == s, the
-//	                  shard's rng and query-id sequence. Under s.hitsMu
-//	                  (a leaf): per-category hit counters, drained by
+//	shard s (of P)    under s.mu: pending queries whose query id
+//	                  satisfies int(id&shardIDMask)%P == s, the shard's
+//	                  rng and query-id sequence. Under s.hitsMu (a
+//	                  leaf): per-category hit counters, drained by
 //	                  adaptation from the control loop.
 //	control loop      membership, adaptation, address book, DT/byCat,
-//	                  DCRT, NRT — everything low-rate; see livenet.go.
+//	                  DCRT, NRT, holder view — everything low-rate; see
+//	                  livenet.go.
 //	caller goroutine  admission (atomic CAS), requester-cache lookup, the
 //	                  route snapshot, and registering its own query.
 //
 // Frame dispatch: a connection reader runs a decoded QueryMsg/ResultMsg
-// itself, on the shard owning its query id, and hands handleQuery the
-// envelope's sender so the flood is not echoed back to it; every other
-// message type goes to the control loop. A query id is minted with its
-// owning shard's index in the low shardIDBits bits, so any node — even
-// one running a different shard count — routes the id to one
-// deterministic shard, and results for a query come home to the shard
-// that registered it.
+// itself, on the shard owning its query id; every other message type
+// goes to the control loop. Running a query takes no shard lock: a node
+// keeps no per-query state for queries it did not issue, since the
+// placement rule (protocol.Forward) cannot loop. A query id is minted
+// with its owning shard's index in the low shardIDBits bits, so any
+// node — even one running a different shard count — routes the id to
+// one deterministic shard, and results for a query come home to the
+// shard that registered it.
 //
 // Locking: the order is s.mu → routeMu. Shard code reads the
-// control-owned routing state (book, DCRT, NRT, byCat) under
-// routeMu.RLock, possibly while holding s.mu; the control loop holds
-// routeMu.Lock for every event it processes, is the sole writer, and
-// must never take a shard lock while it does (a reader holding that
+// control-owned routing state (book, DCRT, NRT, byCat, holder view)
+// under routeMu.RLock, possibly while holding s.mu; the control loop
+// holds routeMu.Lock for every event it processes, is the sole writer,
+// and must never take a shard lock while it does (a reader holding that
 // shard may be waiting for RLock). send() assumes routeMu is held in
 // either mode. Nothing under either lock blocks: sends enqueue or drop,
 // results go to a buffered channel, the sweep only TryLocks.
@@ -72,8 +74,6 @@ type engineShard struct {
 	// mu guards the fields below, down to rng.
 	mu        sync.Mutex
 	pending   map[uint64]*pendingQuery
-	seenCur   map[uint64]struct{}
-	seenPrev  map[uint64]struct{}
 	nextQuery uint64
 	rng       *rand.Rand
 
@@ -90,13 +90,11 @@ func newShards(n *Node, count int, seed int64) []*engineShard {
 	shards := make([]*engineShard, count)
 	for i := range shards {
 		shards[i] = &engineShard{
-			n:        n,
-			idx:      i,
-			pending:  make(map[uint64]*pendingQuery),
-			seenCur:  make(map[uint64]struct{}),
-			seenPrev: make(map[uint64]struct{}),
-			rng:      rand.New(rand.NewSource(seed + int64(n.id)*int64(count) + int64(i) + 7)),
-			hits:     make(map[catalog.CategoryID]int64),
+			n:       n,
+			idx:     i,
+			pending: make(map[uint64]*pendingQuery),
+			rng:     rand.New(rand.NewSource(seed + int64(n.id)*int64(count) + int64(i) + 7)),
+			hits:    make(map[catalog.CategoryID]int64),
 		}
 	}
 	return shards
@@ -125,19 +123,6 @@ func (s *engineShard) trySweep(now time.Time) {
 	}
 	s.sweep(now)
 	s.mu.Unlock()
-}
-
-// markSeen records a flooded query id and reports whether the shard had
-// seen it already. An id always routes to the same shard of a node, so
-// per-shard dedup is exact, not probabilistic. Caller holds mu.
-func (s *engineShard) markSeen(id uint64) (dup bool) {
-	before := len(s.seenCur)
-	s.seenCur[id] = struct{}{}
-	if len(s.seenCur) == before {
-		return true
-	}
-	_, dup = s.seenPrev[id]
-	return dup
 }
 
 // addHit bumps the §6.1.2 per-category request counter.
@@ -181,9 +166,10 @@ func (s *engineShard) mintID() uint64 {
 }
 
 // register installs a new pending query on this shard and issues its
-// entry message. Caller holds mu, has passed admission and holds the
-// in-flight slot.
-func (s *engineShard) register(cat catalog.CategoryID, want int, docs map[catalog.DocID]bool,
+// entry message. The query asks for want documents and is done at need,
+// min(want, documents placed). Caller holds mu, has passed admission
+// and holds the in-flight slot.
+func (s *engineShard) register(cat catalog.CategoryID, want, need int, docs map[catalog.DocID]bool,
 	ch chan QueryOutcome, deadline time.Time, hasDeadline bool, members []model.NodeID) uint64 {
 	id := s.mintID()
 	now := time.Now()
@@ -191,6 +177,7 @@ func (s *engineShard) register(cat catalog.CategoryID, want int, docs map[catalo
 		id:       id,
 		cat:      cat,
 		want:     want,
+		need:     need,
 		docs:     docs,
 		ch:       ch,
 		deadline: now.Add(maxPendingAge),
@@ -207,9 +194,9 @@ func (s *engineShard) register(cat catalog.CategoryID, want int, docs map[catalo
 
 // sendQuery (re)issues the query to a random reachable member of the
 // serving cluster. The full demand goes out even when the cache primed a
-// partial answer: intermediate nodes subtract their own matches from Want
-// before forwarding, so a reduced demand would degenerate the flood and
-// could strand the query one hop in. Caller holds mu.
+// partial answer: the entry member picks who answers by the demand, and
+// a node that answers returns at most that many documents. Caller holds
+// mu.
 func (s *engineShard) sendQuery(pq *pendingQuery) {
 	if len(pq.entry) == 0 {
 		return // all targets evicted; the sweep refills or expires
@@ -223,16 +210,13 @@ func (s *engineShard) sendQuery(pq *pendingQuery) {
 	n.routeMu.RUnlock()
 }
 
-// sweep rotates this shard's seen-set generations and advances its
-// pending queries: expired entries deliver their partial outcome, and
-// silent queries re-send to another serving-cluster member after the
-// resend-target list is pruned against the current membership (peers
-// evicted by the failure detector leave the address book; the shard
-// catches up here instead of being chased by a cross-shard broadcast).
-// Caller holds mu.
+// sweep advances this shard's pending queries: expired entries deliver
+// their partial outcome, and silent queries re-send to another
+// serving-cluster member after the resend-target list is pruned against
+// the current membership (peers evicted by the failure detector leave
+// the address book; the shard catches up here instead of being chased
+// by a cross-shard broadcast). Caller holds mu.
 func (s *engineShard) sweep(now time.Time) {
-	s.seenPrev = s.seenCur
-	s.seenCur = make(map[uint64]struct{})
 	for _, pq := range s.pending {
 		if now.After(pq.deadline) {
 			s.finishPending(pq, false)
@@ -254,80 +238,50 @@ func (s *engineShard) sweep(now time.Time) {
 	}
 }
 
-// handleQuery runs the §3.3 target-node logic: answer from the local
-// store, then send the residual demand where protocol.Forward says — an
-// entry member that matched nothing asks one placement holder (its
-// holder view), every other case floods the NRT neighbours in the
-// serving cluster, a non-entry hop leaving out from, the node the frame
-// came from. A query for a category this node has no DCRT entry for is
-// dropped (and counted) instead of being misrouted into cluster 0. The
-// only shard state a query touches is the seen set, so mu is held for
-// the dedup alone; matching and forwarding run under routeMu.RLock.
-func (s *engineShard) handleQuery(from model.NodeID, m protocol.QueryMsg) {
-	s.mu.Lock()
-	dup := s.markSeen(m.ID)
-	s.mu.Unlock()
-	if dup {
-		return
-	}
+// handleQuery runs the §3.3 target-node logic: protocol.Forward says
+// whom the node asks and whether it answers from its store. A query for
+// a category this node has no DCRT entry for is dropped (and counted)
+// instead of being misrouted into cluster 0. No shard state is touched
+// but the hit counter; matching and asking run under routeMu.RLock.
+func (s *engineShard) handleQuery(m protocol.QueryMsg) {
 	n := s.n
 	n.routeMu.RLock()
 	defer n.routeMu.RUnlock()
-	entry, ok := n.dcrt[m.Category]
-	if !ok {
+	if _, ok := n.dcrt[m.Category]; !ok {
 		n.stats.Add("drop_no_route", 1)
 		return
 	}
 	if m.Entry {
 		// §6.1.2 monitoring: count the request once per cluster entry, so
-		// the adaptation layer measures category demand, not flood width.
+		// the adaptation layer measures category demand, not how many
+		// holders answered.
 		s.addHit(m.Category)
 	}
-	var matches []catalog.DocID
-	if docs := n.byCat[m.Category]; len(docs) > 0 {
+	docs := n.byCat[m.Category]
+	// Box the forwarded message once, and only when the rule asks
+	// someone: send takes `any`, so a struct literal per send would
+	// re-box per holder. The copy is never an entry frame, so an asked
+	// holder counts no hit and asks nobody unless its store is stale.
+	var fwd any
+	answers := protocol.Forward(n.id, m, docs, n.holders.of(m.Category), n.book.has, func(to model.NodeID) {
+		if fwd == nil {
+			fwd = protocol.QueryMsg{ID: m.ID, Category: m.Category, Want: m.Want, Origin: m.Origin, Hops: m.Hops + 1}
+		}
+		n.send(to, fwd)
+	})
+	if take := min(m.Want, len(docs)); answers && take > 0 {
 		// Exact-capacity allocation: the hot path pays one slice alloc,
 		// never an append-grow chain (pinned by TestHandleQueryAllocs).
-		take := m.Want
-		if take > len(docs) {
-			take = len(docs)
-		}
-		if take > 0 {
-			matches = append(make([]catalog.DocID, 0, take), docs[:take]...)
-		}
-	}
-	if len(matches) > 0 {
 		n.served.Add(1)
 		n.send(m.Origin, protocol.ResultMsg{
-			ID: m.ID, Docs: matches, Hops: m.Hops, From: n.id,
+			ID: m.ID, Docs: append(make([]catalog.DocID, 0, take), docs[:take]...), Hops: m.Hops, From: n.id,
 		})
-	}
-	r := protocol.Forward(n.id, m, len(matches), n.holders.of(m.Category), n.book.has)
-	nbs := n.nrt[entry.Cluster]
-	if r.Want == 0 || !r.Direct && len(nbs) == 0 {
-		return
-	}
-	// Box the forwarded message ONCE: send takes `any`, so a struct
-	// literal at each call site would re-box per neighbor — one
-	// interface allocation per flood edge on the hottest path. The
-	// copy is never an entry frame, so a directed holder counts no hit
-	// and, should its store be stale, floods.
-	var fwd any = protocol.QueryMsg{
-		ID: m.ID, Category: m.Category, Want: r.Want,
-		Origin: m.Origin, Hops: m.Hops + 1,
-	}
-	if r.Direct {
-		n.send(r.To, fwd)
-		return
-	}
-	for _, nb := range nbs {
-		if nb == from && r.SkipSender {
-			continue
-		}
-		n.send(nb, fwd)
 	}
 }
 
-// handleResult folds an inbound result into the owning pending query.
+// handleResult folds an inbound result into the owning pending query,
+// up to the m documents it asks for (holders asked together may answer
+// more between them), and completes it at the documents it needs.
 func (s *engineShard) handleResult(m protocol.ResultMsg) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -337,12 +291,15 @@ func (s *engineShard) handleResult(m protocol.ResultMsg) {
 	}
 	pq.received++
 	for _, d := range m.Docs {
+		if len(pq.docs) >= pq.want {
+			break
+		}
 		pq.docs[d] = true
 	}
 	if m.Hops > pq.hops {
 		pq.hops = m.Hops
 	}
-	if len(pq.docs) >= pq.want {
+	if len(pq.docs) >= pq.need {
 		// Report the farthest contributing result, not whichever message
 		// happened to complete the set.
 		s.finishPending(pq, true)

@@ -106,7 +106,7 @@ func TestCrossShardConcurrentQueries(t *testing.T) {
 	}
 	cat := bigCategory(inst)
 	const concurrent = 120
-	want := impossibleWant(len(inst.Catalog.Docs))
+	want := unsatisfiable(t, n, cat)
 
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -145,7 +145,7 @@ func TestCrossShardConcurrentQueries(t *testing.T) {
 	// in flight over 8 shards, several shards must own entries.
 	busy := 0
 	for _, s := range n.shards {
-		if s.tables(0).pending > 0 {
+		if pending, _ := s.tables(0); pending > 0 {
 			busy++
 		}
 	}
@@ -187,7 +187,7 @@ func TestShardLockOrder(t *testing.T) {
 	cat := bigCategory(inst)
 	doc := inst.Catalog.Cats[cat].Docs[0]
 	entry := n.dcrtEntryForTest(cat)
-	impossible := impossibleWant(len(inst.Catalog.Docs))
+	impossible := unsatisfiable(t, n, cat)
 
 	stop := make(chan struct{})
 	var background, callers sync.WaitGroup

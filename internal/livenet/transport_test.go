@@ -84,15 +84,16 @@ func TestTransportReusesConnections(t *testing.T) {
 func TestCloseDuringInflightQuery(t *testing.T) {
 	c, inst := launchSmall(t, 12)
 	cat := bigCategory(inst)
+	want := unsatisfiable(t, c.Nodes[0], cat)
 	type res struct {
 		err error
 	}
 	got := make(chan res, 1)
 	go func() {
-		_, err := c.Nodes[0].Query(cat, len(inst.Catalog.Docs)+100, 30*time.Second)
+		_, err := c.Nodes[0].Query(cat, want, 30*time.Second)
 		got <- res{err}
 	}()
-	time.Sleep(150 * time.Millisecond) // let the flood start
+	time.Sleep(150 * time.Millisecond) // let the query reach the cluster
 	closed := make(chan struct{})
 	go func() { c.Close(); close(closed) }()
 	select {
@@ -267,37 +268,6 @@ func TestEvictPeerRemovesNRTEntries(t *testing.T) {
 	})
 }
 
-// TestSeenMapBounded floods a node with unique query ids and checks the
-// generation sweep keeps the loop-detection state bounded instead of
-// growing forever.
-func TestSeenMapBounded(t *testing.T) {
-	c, _ := launchSmall(t, 15)
-	n := c.Nodes[0]
-	const ids = 5000
-	sh := n.shards[0]
-	runShard(sh, func(s *engineShard) {
-		for i := 0; i < ids; i++ {
-			s.markSeen(uint64(1_000_000 + i))
-		}
-	})
-	runShard(sh, func(s *engineShard) {
-		if len(s.seenCur)+len(s.seenPrev) < ids {
-			t.Errorf("seen set lost fresh entries: %d", len(s.seenCur)+len(s.seenPrev))
-		}
-		s.sweep(time.Now())
-		// One generation old: still deduplicating (and the probe itself
-		// re-marks the id, so it takes two more sweeps to age out).
-		if !s.markSeen(1_000_000) {
-			t.Error("entry forgotten after one sweep")
-		}
-		s.sweep(time.Now())
-		s.sweep(time.Now())
-		if got := len(s.seenCur) + len(s.seenPrev); got != 0 {
-			t.Errorf("seen set holds %d entries two sweeps after the last mark, want 0", got)
-		}
-	})
-}
-
 // TestPendingExpirySweep checks an orphaned pending query is reaped once
 // its deadline passes, delivering the partial outcome.
 func TestPendingExpirySweep(t *testing.T) {
@@ -350,7 +320,7 @@ func TestQueryNoRouteExplicit(t *testing.T) {
 
 	// Handler path: an inbound query for the unroutable category is
 	// dropped and counted, not forwarded to cluster 0.
-	n.shardFor(1<<40).handleQuery(5, protocol.QueryMsg{ID: 1 << 40, Category: cat, Want: 1, Origin: 5, Hops: 1})
+	n.shardFor(1 << 40).handleQuery(protocol.QueryMsg{ID: 1 << 40, Category: cat, Want: 1, Origin: 5, Hops: 1})
 	if n.stats.Get("drop_no_route") == 0 {
 		t.Error("drop_no_route not counted on handler path")
 	}
@@ -385,6 +355,7 @@ func TestHandleResultMaxHops(t *testing.T) {
 		s.pending[77] = &pendingQuery{
 			id:       77,
 			want:     2,
+			need:     2,
 			docs:     make(map[catalog.DocID]bool),
 			ch:       ch,
 			deadline: time.Now().Add(time.Minute),

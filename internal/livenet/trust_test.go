@@ -75,7 +75,7 @@ func TestOutOfShapeIDsNeverReachTables(t *testing.T) {
 	runShard(n.shardFor(qid), func(s *engineShard) {
 		s.n.inflight.Add(1)
 		s.pending[qid] = &pendingQuery{
-			id: qid, cat: cat, want: 1, docs: make(map[catalog.DocID]bool),
+			id: qid, cat: cat, want: 1, need: 1, docs: make(map[catalog.DocID]bool),
 			ch: ch, deadline: time.Now().Add(time.Minute), resends: maxResends,
 		}
 	})

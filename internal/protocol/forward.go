@@ -3,64 +3,98 @@ package protocol
 import (
 	"sort"
 
+	"p2pshare/internal/catalog"
 	"p2pshare/internal/model"
 )
 
-// Holder is one node's stake in a category: it holds Docs of the
-// category's documents. A holder view lists a category's holders in
-// ascending Node order, computed from the deterministic placement every
-// node of a deployment shares (§4.3.3).
+// Holder is one node's stake in a category: the documents of it that
+// Node holds, in the order it answers them.
 type Holder struct {
 	Node model.NodeID
-	Docs int
+	Docs []catalog.DocID
 }
 
-// Route is where a node sends the residual of a query it ran.
-type Route struct {
-	// Want is the residual demand; zero means the query is settled and
-	// nothing is sent.
-	Want int
-	// Direct sends the residual to To alone. Otherwise it floods every
-	// NRT neighbour in the serving cluster, leaving out the frame's
-	// sender when SkipSender is set.
-	Direct     bool
-	To         model.NodeID
-	SkipSender bool
+// View is a node's view of one category's holders, in ascending Node
+// order, computed from the placement every node of a deployment shares
+// (§4.3.3). Placed counts the distinct documents they hold.
+type View struct {
+	Holders []Holder
+	Placed  int
 }
 
-// Forward decides where self sends the residual of query m after
-// matching `matched` of its documents locally. holders is self's holder
-// view of m.Category and addressable reports whether a node can be sent
-// to.
+// Target is how many documents a query for m of them gathers:
+// min(m, v.Placed). The query is done when it holds that many.
+func (v View) Target(m int) int { return min(m, v.Placed) }
+
+// Forward runs §3.3's "until m results or cluster exhausted" at self,
+// asked of the placement (serve-or-redirect, arXiv:cs/0209023). It calls
+// ask for each node self sends query m to, and reports whether self
+// answers from held, its documents of the category in answer order. v is
+// self's view of the category; addressable reports whether a node can be
+// sent to. A copy carries m.Want unchanged.
 //
-// The entry member (m.Entry) that matched nothing sends the query to one
-// holder of at least Want documents: the first addressable one after
-// self in member-id order, wrapping around — a fixed successor, so an
-// entry's directed traffic stays on one link per category (§3.3's
-// "until m results" asked of the placement, the directed ask of
-// serve-or-redirect, arXiv:cs/0209023). Every other case floods the
-// serving cluster: a partial match at the entry, an empty or
-// insufficient view, and every non-entry hop — which leaves its sender
-// out, since the sender ran the query already. The entry hop keeps its
-// sender, the origin, which never ran the query as a member and may be
-// one. A directed holder whose store turns out stale runs a non-entry
-// frame and so floods from where it sits.
-func Forward(self model.NodeID, m QueryMsg, matched int, holders []Holder, addressable func(model.NodeID) bool) Route {
-	r := Route{Want: m.Want - matched, SkipSender: !m.Entry}
-	if r.Want <= 0 {
-		return Route{}
+// Every member of a cluster stores the category's hot set, so holders'
+// stores overlap, and a residual passed from holder to holder would
+// count the same hot documents twice. The entry member therefore decides
+// alone who answers, against the target T = v.Target(m.Want):
+//   - it answers alone when it holds T documents;
+//   - otherwise it asks one holder of at least T documents and does not
+//     answer: the first addressable one after self in id order,
+//     wrapping around, a fixed successor that keeps an entry's traffic
+//     for a category on one link;
+//   - otherwise it answers and asks a greedy cover: each round, the
+//     addressable holder adding the most documents not yet answered,
+//     ties to the first in successor order, until the answers reach T.
+//
+// A non-entry recipient answers and asks nobody, unless it holds
+// nothing: a stale view named it, and it passes the query on to its own
+// successor holder of T documents. Such a chain ends once m.Hops exceeds
+// the number of holders, so no node needs to remember a query it ran.
+func Forward(self model.NodeID, m QueryMsg, held []catalog.DocID, v View, addressable func(model.NodeID) bool, ask func(model.NodeID)) (answers bool) {
+	t, hs := v.Target(m.Want), v.Holders
+	if m.Entry && len(held) >= t || !m.Entry && (len(held) > 0 || m.Hops > len(hs)) {
+		return len(held) > 0
 	}
-	if !m.Entry || matched > 0 {
-		return r
-	}
-	// Scan from the first holder with an id above self, wrapping around.
-	next := sort.Search(len(holders), func(i int) bool { return holders[i].Node > self })
-	for i := range holders {
-		h := holders[(next+i)%len(holders)]
-		if h.Node != self && h.Docs >= r.Want && addressable(h.Node) {
-			r.Direct, r.To = true, h.Node
-			return r
+	next := sort.Search(len(hs), func(i int) bool { return hs[i].Node > self })
+	for i := range hs {
+		if h := hs[(next+i)%len(hs)]; h.Node != self && len(h.Docs) >= t && addressable(h.Node) {
+			ask(h.Node)
+			return false
 		}
 	}
-	return r
+	if !m.Entry {
+		return false
+	}
+	// Here self and every holder it may ask hold fewer than T ≤ m.Want
+	// documents, so each answers all it holds.
+	got := make(map[catalog.DocID]bool, t)
+	for _, d := range held {
+		got[d] = true
+	}
+	for len(got) < t {
+		best, gain := -1, 0
+		for i := range hs {
+			j := (next + i) % len(hs)
+			if hs[j].Node == self || !addressable(hs[j].Node) {
+				continue
+			}
+			g := 0
+			for _, d := range hs[j].Docs {
+				if !got[d] {
+					g++
+				}
+			}
+			if g > gain {
+				best, gain = j, g
+			}
+		}
+		if best < 0 {
+			break
+		}
+		for _, d := range hs[best].Docs {
+			got[d] = true
+		}
+		ask(hs[best].Node)
+	}
+	return len(held) > 0
 }

@@ -1,46 +1,84 @@
 package protocol
 
 import (
+	"slices"
 	"testing"
 
+	"p2pshare/internal/catalog"
 	"p2pshare/internal/model"
 )
 
+// holder builds a Holder of node holding docs.
+func holder(node model.NodeID, docs ...catalog.DocID) Holder { return Holder{Node: node, Docs: docs} }
+
+// docs builds a document list.
+func docs(ids ...catalog.DocID) []catalog.DocID { return ids }
+
 func TestForward(t *testing.T) {
 	const self = 5
-	view := []Holder{{Node: 2, Docs: 3}, {Node: 5, Docs: 4}, {Node: 7, Docs: 1}, {Node: 9, Docs: 2}}
+	// Documents 1–8 placed; node 5 holds four of them, node 3 nothing
+	// node 2 does not.
+	view := View{Holders: []Holder{holder(2, 1, 2, 3), holder(3, 1, 2), holder(5, 1, 4, 5, 6), holder(7, 7), holder(9, 7, 8)}, Placed: 8}
 	all := func(model.NodeID) bool { return true }
-	entry := func(want int) QueryMsg { return QueryMsg{Want: want, Entry: true} }
-	flood := func(want int) Route { return Route{Want: want} }
-	direct := func(want int, to model.NodeID) Route { return Route{Want: want, Direct: true, To: to} }
+	entry := func(want int) QueryMsg { return QueryMsg{Want: want, Hops: 1, Entry: true} }
+	relayed := func(want, hops int) QueryMsg { return QueryMsg{Want: want, Hops: hops} }
+	mine := docs(1, 4, 5, 6)
 
 	for _, tc := range []struct {
 		name        string
+		self        model.NodeID
 		m           QueryMsg
-		matched     int
-		view        []Holder
+		held        []catalog.DocID
+		view        View
 		addressable func(model.NodeID) bool
-		want        Route
+		answers     bool
+		ask         []model.NodeID
 	}{
-		{"entry matched: nothing to send", entry(1), 1, view, all, Route{}},
-		{"entry without a match asks its successor", entry(1), 0, view, all, direct(1, 7)},
-		{"successor must hold Want documents", entry(2), 0, view, all, direct(2, 9)},
-		{"successor wraps around", entry(3), 0, view, all, direct(3, 2)},
-		{"wrap from above every id", entry(1), 0, []Holder{{Node: 1, Docs: 1}, {Node: 3, Docs: 1}}, all, direct(1, 1)},
-		{"self is skipped", entry(4), 0, view, all, flood(4)},
-		{"only self in the view", entry(1), 0, []Holder{{Node: self, Docs: 9}}, all, flood(1)},
-		{"unaddressable holders are skipped", entry(1), 0, view,
-			func(id model.NodeID) bool { return id != 7 && id != 9 }, direct(1, 2)},
-		{"no addressable holder", entry(1), 0, view, func(model.NodeID) bool { return false }, flood(1)},
-		{"no holder has Want documents", entry(5), 0, view, all, flood(5)},
-		{"empty view", entry(1), 0, nil, all, flood(1)},
-		{"m = 2 with one local match floods the residual", entry(2), 1, view, all, flood(1)},
-		{"non-entry frame floods minus the sender", QueryMsg{Want: 1}, 0, view, all, Route{Want: 1, SkipSender: true}},
-		{"non-entry partial match", QueryMsg{Want: 3}, 1, view, all, Route{Want: 2, SkipSender: true}},
-		{"non-entry match settles", QueryMsg{Want: 1}, 1, view, all, Route{}},
+		{"entry holds the target: it answers alone", self, entry(1), mine, view, all, true, nil},
+		{"entry holding m > 1 documents answers alone", self, entry(3), mine, view, all, true, nil},
+		{"entry without a match asks its successor", self, entry(1), nil, view, all, false, []model.NodeID{7}},
+		{"successor must hold the target", self, entry(2), nil, view, all, false, []model.NodeID{9}},
+		{"a partial match asks a holder of the whole target", self, entry(2), docs(1), view, all, false, []model.NodeID{9}},
+		{"successor wraps around", self, entry(3), nil, view, all, false, []model.NodeID{2}},
+		{"wrap from above every id", self, entry(1), nil, View{Holders: []Holder{holder(1, 1), holder(3, 2)}, Placed: 2}, all, false, []model.NodeID{1}},
+		{"unaddressable holders are skipped", self, entry(1), nil, view,
+			func(id model.NodeID) bool { return id != 7 && id != 9 }, false, []model.NodeID{2}},
+		{"empty category: nothing to ask", self, entry(1), nil, View{}, all, false, nil},
+		{"target capped by Placed lets a full holder answer", self, entry(20), docs(1, 2, 3, 4, 5, 6, 7, 8), view, all, true, nil},
+
+		{"cover: largest gain first, ties in successor order", self, entry(8), mine, view, all, true, []model.NodeID{9, 2}},
+		{"cover stops at the target", self, entry(5), mine, view, all, true, []model.NodeID{9}},
+		{"cover above the placement", self, entry(20), mine, view, all, true, []model.NodeID{9, 2}},
+		{"a holder adding nothing is not asked", 2, entry(8), docs(1, 2, 3), view, all, true, []model.NodeID{5, 9}},
+		{"a published document counts too", 7, entry(7), docs(40), view, all, true, []model.NodeID{5, 9}},
+		{"cover skips unaddressable holders", self, entry(8), mine, view,
+			func(id model.NodeID) bool { return id != 9 }, true, []model.NodeID{2, 7}},
+		{"no addressable holder: the entry answers what it holds", self, entry(8), mine, view,
+			func(model.NodeID) bool { return false }, true, nil},
+		{"only self in the view", self, entry(2), nil, View{Holders: []Holder{holder(self, 1, 2)}, Placed: 2}, all, false, nil},
+
+		{"recipient with documents answers alone", self, relayed(4, 2), docs(1), view, all, true, nil},
+		{"stale recipient redirects to its successor", self, relayed(1, 2), nil, view, all, false, []model.NodeID{7}},
+		{"stale redirect needs a holder of the target", self, relayed(3, 3), nil, view, all, false, []model.NodeID{2}},
+		{"a chain ends after one visit per holder", self, relayed(1, 6), nil, view, all, false, nil},
+		{"stale recipient with no successor stops", self, relayed(5, 2), nil, view, all, false, nil},
 	} {
-		if got := Forward(self, tc.m, tc.matched, tc.view, tc.addressable); got != tc.want {
-			t.Errorf("%s: Forward = %+v, want %+v", tc.name, got, tc.want)
+		var ask []model.NodeID
+		answers := Forward(tc.self, tc.m, tc.held, tc.view, tc.addressable, func(id model.NodeID) { ask = append(ask, id) })
+		if answers != tc.answers || !slices.Equal(ask, tc.ask) {
+			t.Errorf("%s: Forward answers %v and asks %v, want %v and %v", tc.name, answers, ask, tc.answers, tc.ask)
 		}
+	}
+}
+
+func TestViewTarget(t *testing.T) {
+	v := View{Placed: 3}
+	for m, want := range map[int]int{1: 1, 3: 3, 5: 3} {
+		if got := v.Target(m); got != want {
+			t.Errorf("Target(%d) = %d, want %d", m, got, want)
+		}
+	}
+	if got := (View{}).Target(4); got != 0 {
+		t.Errorf("empty category: Target(4) = %d, want 0", got)
 	}
 }

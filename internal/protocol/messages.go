@@ -42,12 +42,14 @@ type DCRTEntry struct {
 
 // QueryMsg implements the paper's §3.3 query: the requesting node resolved
 // keywords to a category, looked up the cluster in its DCRT, and sent the
-// query to a random cluster node from its NRT. Nodes forward it within the
-// cluster while Want results are missing.
+// query to a random cluster node from its NRT. Within the cluster the
+// live engine sends it where Forward says; the simulated overlay floods
+// it while Want results are missing.
 type QueryMsg struct {
 	ID       uint64
 	Category catalog.CategoryID
-	// Want is m: how many results this branch still seeks.
+	// Want is m. The live engine forwards it unchanged; the simulator's
+	// flood lowers it to what its branch still seeks.
 	Want int
 	// Origin is the requesting node, which results flow back to.
 	Origin model.NodeID
@@ -55,10 +57,10 @@ type QueryMsg struct {
 	Hops int
 	// Entry marks the first delivery into the serving cluster (set by
 	// the origin and by cross-cluster forwarding, cleared on every
-	// in-cluster forward, the directed one included). The receiving
-	// node counts the request in its per-category hit counter exactly
-	// once per cluster entry, so the §6.1.2 monitoring counters estimate
-	// category demand rather than flood width.
+	// in-cluster forward). The receiving node counts the request in its
+	// per-category hit counter exactly once per cluster entry, so the
+	// §6.1.2 monitoring counters estimate category demand rather than
+	// how many members the query reached.
 	Entry bool
 }
 

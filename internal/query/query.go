@@ -16,8 +16,9 @@ import (
 // Result reports one query's outcome, whether it ran on the simulator or
 // over live TCP.
 type Result struct {
-	// Done is true when the requested number of distinct documents was
-	// gathered before the deadline.
+	// Done is true when the query gathered what it could before the
+	// deadline: on the live engine min(m, documents placed in the
+	// category) distinct documents, on the simulator m of them.
 	Done bool
 	// Results is the number of distinct matching documents returned.
 	Results int
