@@ -1,5 +1,5 @@
 // Command p2pchaos runs seeded chaos scenarios against a live loopback
-// cluster and checks the livenet invariants (responsive event loops, no
+// cluster and checks the livenet invariants (responsive nodes, no
 // stuck queries, bounded tables, post-heal recovery).
 //
 // A failing run prints its seed and the exact command that replays the

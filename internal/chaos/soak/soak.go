@@ -1,6 +1,6 @@
 // Package soak drives a live loopback cluster through scripted chaos
 // scenarios while checking the invariants a healthy livenet must hold
-// under faults: the event loop stays responsive, no pending query
+// under faults: the node's locks stay responsive, no pending query
 // outlives its deadline, every long-lived state table stays bounded,
 // and query service recovers after the network heals.
 //
@@ -202,8 +202,8 @@ func bigCategory(inst *model.Instance) catalog.CategoryID {
 }
 
 // tableSizesWithin reads a node's table sizes, bounding the wait: a
-// node whose event loop is wedged cannot answer, which is itself the
-// invariant violation the timeout detects.
+// node whose routing lock or a shard lock is wedged cannot answer, which
+// is itself the invariant violation the timeout detects.
 func tableSizesWithin(n *livenet.Node, d time.Duration) (map[string]int, bool) {
 	ch := make(chan map[string]int, 1)
 	go func() { ch <- n.TableSizes() }()
@@ -223,7 +223,7 @@ func (r *Run) checkInvariants(overdueSlack time.Duration) {
 	for _, n := range r.Alive() {
 		sizes, ok := tableSizesWithin(n, 3*time.Second)
 		if !ok {
-			r.violate("node %d event loop unresponsive for 3s", n.ID())
+			r.violate("node %d unresponsive for 3s (TableSizes blocked)", n.ID())
 			continue
 		}
 		if sizes == nil { // node shut down between Alive() and here

@@ -46,7 +46,6 @@ import (
 	"p2pshare/internal/model"
 	"p2pshare/internal/protocol"
 	"p2pshare/internal/replica"
-	"p2pshare/internal/timerwheel"
 	"p2pshare/internal/wire"
 )
 
@@ -81,7 +80,7 @@ func (c AdaptConfig) withDefaults() AdaptConfig {
 	return c
 }
 
-// adaptState is the adaptation layer's event-loop-owned state.
+// adaptState is the adaptation layer's state, used under routeMu.Lock.
 type adaptState struct {
 	cfg AdaptConfig
 	// mine lists the clusters this node belongs to (Node.members).
@@ -107,24 +106,15 @@ type serveLoad struct {
 	byNode map[model.NodeID]int64
 }
 
-// EnableAdaptation turns on the adaptation loop. Idempotent; safe any
-// time after the node's loops are running. Works best with membership
-// enabled (leader election then excludes dead nodes); without it, every
-// static cluster member is considered electable.
+// EnableAdaptation turns on the adaptation loop. Idempotent, and a call
+// after Close does nothing. Works best with membership enabled (leader
+// election then excludes dead nodes); without it, every static cluster
+// member is considered electable.
 func (n *Node) EnableAdaptation(cfg AdaptConfig) {
-	enabled := make(chan struct{})
-	select {
-	case n.cmds <- func(n *Node) {
+	n.routeMu.Lock()
+	defer n.routeMu.Unlock()
+	if !n.closed() {
 		n.enableAdaptation(cfg)
-		close(enabled)
-	}:
-		select {
-		case <-enabled:
-		case <-n.done:
-			// Either the control loop enabled it just before shutdown or
-			// it never will; nothing left to wait for.
-		}
-	case <-n.done:
 	}
 }
 
@@ -138,7 +128,7 @@ func (c *Cluster) EnableAdaptation(cfg AdaptConfig) {
 	}
 }
 
-// enableAdaptation starts the epoch clock. Runs in the event loop.
+// enableAdaptation starts the epoch clock. Caller holds routeMu.Lock.
 func (n *Node) enableAdaptation(cfg AdaptConfig) {
 	if n.adapt != nil {
 		return
@@ -164,18 +154,12 @@ func (n *Node) enableAdaptation(cfg AdaptConfig) {
 	}
 	// The epoch clock rides the shared timerwheel (membership's probe
 	// clock also ticks the adaptation layer; both paths are idempotent per
-	// step, so double or dropped ticks are harmless — the next tick
+	// step, so double or skipped ticks are harmless — the next tick
 	// catches the state machine up).
-	n.addTimer(timerwheel.Default().Every(tick, func(now time.Time) {
-		select {
-		case n.cmds <- func(n *Node) { n.adaptTick(now) }:
-		default:
-			n.stats.Add("adapt_tick_skips", 1)
-		}
-	}))
+	n.everyLocked(tick, "adapt_tick_skips", n.adaptTick)
 }
 
-// adaptTick advances the epoch state machine. Runs in the event loop.
+// adaptTick advances the epoch state machine. Caller holds routeMu.Lock.
 func (n *Node) adaptTick(now time.Time) {
 	ad := n.adapt
 	if ad == nil {
@@ -381,7 +365,7 @@ func (n *Node) adaptAggregate(e uint64) {
 		// Finalize: the accumulator is retired (a late member report for
 		// this epoch starts a fresh one that is never read) and the wire
 		// message carries deep copies — the transport writers encode the
-		// maps off the event loop, so they must never be the live ones
+		// maps outside routeMu, so they must never be the live ones
 		// ClusterLoad.Add mutates.
 		st := ad.aggregate(cl, e)
 		delete(ad.agg, cl)
@@ -533,7 +517,6 @@ func (n *Node) applyMoveEntry(cat catalog.CategoryID, e protocol.DCRTEntry) bool
 		n.byCat[cat] = append(slices.Clone(mine), rest...)
 		var need []catalog.DocID
 		for _, d := range mine {
-			n.dt[d] = cat
 			if n.store != nil && !n.store.Has(d) {
 				need = append(need, d)
 			}

@@ -1,6 +1,7 @@
 package livenet
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -16,7 +17,7 @@ import (
 // id, moves to nonexistent categories and clusters, a gossiped entry for
 // a category outside the catalog, and a move counter near max-uint64 —
 // each on a stream of its own, and checks the node rejects them all
-// (counted), keeps its DCRT intact, keeps its event loop alive, and
+// (counted), keeps its DCRT intact, keeps taking frames, and
 // still accepts a legitimate move afterwards (the huge counter must not
 // wedge the category).
 func TestCorruptAdaptationFramesFailSafe(t *testing.T) {
@@ -28,7 +29,7 @@ func TestCorruptAdaptationFramesFailSafe(t *testing.T) {
 
 	n, from := c.Nodes[0], c.Nodes[1].id
 	victim := catalog.CategoryID(-1)
-	runCmd(t, n, func(n *Node) {
+	locked(n, func(n *Node) {
 		for cat, e := range n.dcrt {
 			if e.Cluster == 0 && (victim == -1 || cat < victim) {
 				victim = cat
@@ -63,9 +64,9 @@ func TestCorruptAdaptationFramesFailSafe(t *testing.T) {
 	send(wire.Move{Category: victim, Entry: protocol.DCRTEntry{Cluster: 1, MoveCounter: ^uint64(0)}})
 	waitFor(t, 5*time.Second, "counter jump refused", func() bool { return n.Stats()["adapt_bad_moves"] == 1 })
 
-	// The event loop survived and the DCRT is untouched.
+	// The node still takes frames and the DCRT is untouched.
 	readEntry := func() (e protocol.DCRTEntry) {
-		runCmd(t, n, func(n *Node) { e = n.dcrt[victim] })
+		locked(n, func(n *Node) { e = n.dcrt[victim] })
 		return e
 	}
 	if e := readEntry(); e.Cluster != 0 || e.MoveCounter != 0 {
@@ -78,4 +79,45 @@ func TestCorruptAdaptationFramesFailSafe(t *testing.T) {
 		e := readEntry()
 		return e.Cluster == 1 && e.MoveCounter == 1
 	})
+}
+
+// TestTickSkipsWhileRunning: a clock tick runs under routeMu.Lock on a
+// goroutine of its own, and a tick that fires while the previous one
+// still holds the lock is counted as a skip and dropped — never queued
+// to run after it.
+func TestTickSkipsWhileRunning(t *testing.T) {
+	c := launchOverMemnet(t, churnShape(), nil, memnet.New(), Options{})
+	n := c.Nodes[0]
+	const period, hold = 5 * time.Millisecond, 150 * time.Millisecond
+
+	var mu sync.Mutex
+	var fired []time.Time
+	n.routeMu.Lock()
+	n.everyLocked(period, "test_tick_skips", func(now time.Time) {
+		mu.Lock()
+		fired = append(fired, now)
+		first := len(fired) == 1
+		mu.Unlock()
+		if first {
+			time.Sleep(hold) // the tick holds routeMu.Lock throughout
+		}
+	})
+	n.routeMu.Unlock()
+
+	waitFor(t, 10*time.Second, "two ticks run", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(fired) >= 2
+	})
+	mu.Lock()
+	first, second := fired[0], fired[1]
+	mu.Unlock()
+	// A tick queued behind the first would carry a fire time from inside
+	// its hold; the next tick to run fired after the hold ended.
+	if gap := second.Sub(first); gap < hold-2*period {
+		t.Fatalf("second tick fired %v after the first, inside its %v hold: it was queued", gap, hold)
+	}
+	if skips := n.Stats()["test_tick_skips"]; skips < 5 {
+		t.Fatalf("test_tick_skips = %d while one tick held the lock for %v at a %v period, want >= 5", skips, hold, period)
+	}
 }

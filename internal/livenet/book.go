@@ -8,10 +8,10 @@ package livenet
 // divergence privately: an overlay of adds/updates and a deletion set,
 // plus an incrementally maintained live-entry count so len() stays O(1).
 //
-// Concurrency contract: identical to the plain map it replaces — the
-// control loop is the sole writer and holds routeMu.Lock; shards and API
-// accessors read under routeMu.RLock. The base map is frozen before any
-// loop starts, so aliasing it across nodes is safe.
+// Concurrency contract: identical to the plain map it replaces — every
+// writer holds routeMu.Lock; shards and API accessors read under
+// routeMu.RLock. The base map is frozen before any node starts, so
+// aliasing it across nodes is safe.
 
 import "p2pshare/internal/model"
 

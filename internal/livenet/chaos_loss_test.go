@@ -123,11 +123,11 @@ func TestResendRecoversEntryLoss(t *testing.T) {
 	}
 }
 
-// TestEvictedTargetsRefilled pins the refill contract: a pending query
-// whose entire resend-target list was evicted (membership declared every
-// original target dead) is rebuilt from the current routing tables by
-// the sweep and then completes — instead of silently stalling until its
-// deadline.
+// TestEvictedTargetsRefilled pins the resend contract: a resend reads
+// the current routing tables, so when membership declares the target of
+// a query's first send dead, the resend goes to a surviving member of
+// the serving cluster and the query completes — instead of chasing the
+// dead peer until its deadline.
 func TestEvictedTargetsRefilled(t *testing.T) {
 	const seed = 2003
 	c, cn, inst := launchChaos(t, seed)
@@ -149,34 +149,41 @@ func TestEvictedTargetsRefilled(t *testing.T) {
 		done <- err
 	}()
 
-	// Wait until the query is registered, then let the entry message be
-	// consumed and dropped (on a cold stream the handshake is what the
-	// fault layer drops, and the send fails after its connect attempts).
+	// The first send is origin's only traffic: its one peer link leads to
+	// the target.
 	waitFor(t, 2*time.Second, "query pending", func() bool { return origin.InFlight() == 1 })
-	time.Sleep(1300 * time.Millisecond)
-
-	// Simulate the death cascade: every original target evicted from the
-	// pending entry, on every shard. Then heal — the refilled resend
-	// must get through.
-	for _, s := range origin.shards {
-		runShard(s, func(s *engineShard) {
-			for _, pq := range s.pending {
-				pq.entry = nil
-			}
-		})
+	var targets []model.NodeID
+	origin.tr.mu.Lock()
+	for to := range origin.tr.peers {
+		targets = append(targets, to)
 	}
+	origin.tr.mu.Unlock()
+	if len(targets) != 1 {
+		t.Fatalf("origin links to %v after one send, want one target", targets)
+	}
+	victim := targets[0]
+
+	// Let the entry message be consumed and dropped (on a cold stream the
+	// handshake is what the fault layer drops, and the send fails after
+	// its connect attempts), then declare the target dead and heal.
+	time.Sleep(1300 * time.Millisecond)
+	locked(origin, func(n *Node) { n.evictDeadPeer(victim) })
 	cn.Clear()
 
 	if err := <-done; err != nil {
-		t.Fatalf("all-targets-evicted query did not recover (chaos seed %d): %v", seed, err)
+		t.Fatalf("query whose first target died did not recover (chaos seed %d): %v", seed, err)
 	}
-	if origin.Stats()["query_resends"] < 1 {
-		t.Fatal("query completed without the refilled resend firing")
+	s := origin.Stats()
+	if s["query_resends"] < 1 {
+		t.Fatal("query completed without a resend")
+	}
+	if s["send_no_addr"] != 0 {
+		t.Fatalf("send_no_addr = %d: a resend chose the evicted target", s["send_no_addr"])
 	}
 }
 
 // TestUnroutableQueryExpiresNotLeaks pins the other half of the
-// contract: when refill finds NOTHING (no addressable serving-cluster
+// contract: when a resend finds NOTHING (no addressable serving-cluster
 // member survives), the query expires — the caller gets its timeout and
 // the sweep reaps the slot — rather than leaking a pending-table entry.
 func TestUnroutableQueryExpiresNotLeaks(t *testing.T) {
@@ -196,10 +203,9 @@ func TestUnroutableQueryExpiresNotLeaks(t *testing.T) {
 	}()
 	waitFor(t, 2*time.Second, "query pending", func() bool { return origin.InFlight() == 1 })
 
-	// Evict every peer: the death cascade empties the entry list AND the
-	// address book, so refill has nothing to rebuild from.
-	evicted := make(chan struct{})
-	origin.cmds <- func(n *Node) {
+	// Evict every peer: the death cascade empties the NRT AND the
+	// address book, so a resend has nothing to choose from.
+	locked(origin, func(n *Node) {
 		var ids []model.NodeID
 		n.book.forEach(func(id model.NodeID, _ string) bool {
 			if id != n.id {
@@ -210,9 +216,7 @@ func TestUnroutableQueryExpiresNotLeaks(t *testing.T) {
 		for _, id := range ids {
 			n.evictDeadPeer(id)
 		}
-		close(evicted)
-	}
-	<-evicted
+	})
 
 	if err := <-done; !errors.Is(err, ErrTimeout) {
 		t.Fatalf("unroutable query returned %v, want ErrTimeout", err)

@@ -9,14 +9,10 @@ import (
 	"p2pshare/internal/cache"
 )
 
-// Regression tests for the close races the single-loop engine shipped
-// with: accessors and setters that enqueued a command into the buffered
-// cmds channel could succeed AFTER the loop exited (the buffer accepts
-// 16 entries with nobody draining them) and then block forever on the
-// reply channel. Served() and KnownPeers() had no done arm at all; the
-// setters had a race window between the enqueue select and the reply
-// read. Every one of these tests hangs (and trips the watchdog) on the
-// pre-shard engine.
+// Close-race tests: every public accessor and setter, called while the
+// node shuts down and after, must return — with its usual answer, or
+// with ErrClosed or a zero value once the node is closed — and never
+// block on a node that is gone.
 
 // watchdog fails the test if fn doesn't return within the deadline —
 // the failure mode under test is "blocks forever", which otherwise
@@ -104,9 +100,7 @@ func TestCloseRaceAccessors(t *testing.T) {
 
 // TestCloseRaceSetters closes a node concurrently with each setter in a
 // tight loop, one setter per subtest, so a regression names the exact
-// call that hangs. This is the narrow reproducer for the original
-// SetMaxInFlight/SetCacheCapacity race: enqueue wins the select, loop
-// exits, reply never comes.
+// call that hangs.
 func TestCloseRaceSetters(t *testing.T) {
 	cases := []struct {
 		name string

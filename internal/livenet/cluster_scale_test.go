@@ -169,7 +169,7 @@ func TestParkedWriterSurvivesAddressChange(t *testing.T) {
 
 // TestIdleClusterGoroutineBudget pins the idle-resource property the
 // 10k-node benchmark rests on: a booted node costs a FIXED number of
-// goroutines (accept + control) regardless of peer and shard count, and
+// goroutines (accept only) regardless of peer and shard count, and
 // after traffic the cluster returns to that budget — writers park,
 // their conns drop, and the remote read loops drain away.
 func TestIdleClusterGoroutineBudget(t *testing.T) {
@@ -186,11 +186,10 @@ func TestIdleClusterGoroutineBudget(t *testing.T) {
 		WriterIdle: 150 * time.Millisecond,
 	})
 
-	// accept + control = 2 per node; one more per node of slack covers
-	// the shared timer wheel, test runtime goroutines, and GC workers
-	// without masking a per-peer leak (which would scale with peers, not
-	// nodes).
-	budget := nodes*3 + 64
+	// accept = 1 per node; one more per node of slack covers the shared
+	// timer wheel, test runtime goroutines, and GC workers without
+	// masking a per-peer leak (which would scale with peers, not nodes).
+	budget := nodes*2 + 64
 	if g := runtime.NumGoroutine() - g0; g > budget {
 		t.Fatalf("idle %d-node cluster costs %d goroutines, budget %d", nodes, g, budget)
 	}

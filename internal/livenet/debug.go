@@ -35,45 +35,31 @@ func (s *engineShard) tables(slack time.Duration) (pending, overdue int) {
 // TableSizes snapshots the sizes of every state table that must stay
 // bounded on a long-lived node: the pending query table (summed across
 // every engine shard), address book, NRT entries (across clusters),
-// membership tombstones, and the requester-cache category index. The soak runner asserts bounds on
-// these under churn and partitions; a blocked call (a wedged control
-// loop, a shard lock never released) is itself an invariant violation
-// the caller detects by timeout. Returns nil once the node has shut down.
+// membership tombstones, and the requester-cache category index. The
+// soak runner asserts bounds on these under churn and partitions; a
+// blocked call (routeMu or a shard lock never released) is itself an
+// invariant violation the caller detects by timeout. The shard tables
+// are read before routeMu is taken: nothing under routeMu.Lock may take
+// a shard lock. Returns nil once the node has shut down.
 func (n *Node) TableSizes() map[string]int {
 	sizes := map[string]int{"pending": 0}
 	for _, s := range n.shards {
 		pending, _ := s.tables(0)
 		sizes["pending"] += pending
 	}
-	ch := make(chan map[string]int, 1)
-	select {
-	case n.cmds <- func(n *Node) {
-		ctrl := map[string]int{"book": n.book.len()}
-		nrt := 0
-		for _, members := range n.nrt {
-			nrt += len(members)
-		}
-		ctrl["nrt"] = nrt
-		if n.det != nil {
-			ctrl["tombstones"] = len(n.det.Tombstones())
-		}
-		ch <- ctrl
-	}:
-	case <-n.done:
+	n.routeMu.Lock()
+	defer n.routeMu.Unlock()
+	if n.closed() {
 		return nil
 	}
-	var ctrl map[string]int
-	select {
-	case ctrl = <-ch:
-	case <-n.done:
-		select {
-		case ctrl = <-ch:
-		default:
-			return nil
-		}
+	sizes["book"] = n.book.len()
+	nrt := 0
+	for _, members := range n.nrt {
+		nrt += len(members)
 	}
-	for k, v := range ctrl {
-		sizes[k] = v
+	sizes["nrt"] = nrt
+	if n.det != nil {
+		sizes["tombstones"] = len(n.det.Tombstones())
 	}
 	if cs := n.cacheSt.Load(); cs != nil {
 		sizes["cache_index"] = cs.indexSize()

@@ -17,8 +17,8 @@ import (
 // lock by the readers that receive its results, while the issuing
 // goroutine only waits on its private result channel. The caller
 // goroutine does the requester-cache lookup, admission (an atomic CAS
-// reservation against inflightMax) and the routing-table snapshot with no
-// shard lock held, then locks a shard to register the query — and, if it
+// reservation against inflightMax) and the route check with no shard
+// lock held, then locks a shard to register the query — and, if it
 // gives up, to take the query back out (abandonQuery). Admission
 // control bounds the pending table across all shards: a node under
 // overload rejects new queries with ErrOverloaded instead of piling up
@@ -34,9 +34,7 @@ import (
 //
 // on exit, and the latency histogram observes every completed, timed-out,
 // and cancelled query (not just successes — an abandoned query's wait is
-// response-time the caller experienced too). The pre-shard engine counted
-// some exits twice (cache hits also recorded ok) and dropped others
-// (cancellations before registration vanished); the conservation equation
+// response-time the caller experienced too). The conservation equation
 // above is pinned by TestQueryAccountingConservation.
 const (
 	// DefaultMaxInFlight bounds concurrently pending queries per node;
@@ -81,13 +79,11 @@ func (n *Node) QueryContext(ctx context.Context, cat catalog.CategoryID, m int) 
 		n.latency.ObserveDuration(time.Since(start))
 		return query.Result{}, qerr
 	}
-	select {
-	case <-n.done:
+	if n.closed() {
 		// Fail fast on a closed node — without this, a query could reach
 		// admission and bounce off slots that died with the engine.
 		n.stats.Add("query_closed", 1)
 		return query.Result{}, ErrClosed
-	default:
 	}
 
 	// Requester-cache lookup, entirely in this goroutine: a full cache
@@ -121,31 +117,12 @@ func (n *Node) QueryContext(ctx context.Context, cat catalog.CategoryID, m int) 
 		}
 	}
 
-	// Route snapshot under the read lock. Prefer members this node can
-	// actually address: the static NRT priming lists peers that may
-	// never have joined this deployment, and a query sent to one of
-	// those is a guaranteed timeout.
+	// Route check under the read lock: the serving cluster must have an
+	// NRT member for the entry send (sendQuery) to choose from.
 	n.routeMu.RLock()
 	need := n.holders.of(cat).Target(m)
-	var members []model.NodeID
 	entry, routed := n.dcrt[cat]
-	if routed {
-		all := n.nrt[entry.Cluster]
-		if len(all) > 0 {
-			members = make([]model.NodeID, 0, len(all))
-		}
-		for _, mb := range all {
-			if n.book.has(mb) {
-				members = append(members, mb)
-			}
-		}
-		if len(members) == 0 {
-			members = nil
-		}
-		if members == nil {
-			members = append([]model.NodeID(nil), all...)
-		}
-	}
+	routed = routed && len(n.nrt[entry.Cluster]) > 0
 	n.routeMu.RUnlock()
 	if routed && len(docs) >= need {
 		// Nothing left to ask for: an empty category, or a cache holding
@@ -153,7 +130,7 @@ func (n *Node) QueryContext(ctx context.Context, cat catalog.CategoryID, m int) 
 		n.inflight.Add(-1)
 		return n.answered(start, docs), nil
 	}
-	if len(members) == 0 {
+	if !routed {
 		n.inflight.Add(-1)
 		n.stats.Add("query_no_route", 1)
 		return query.Result{}, ErrNoRoute
@@ -165,7 +142,7 @@ func (n *Node) QueryContext(ctx context.Context, cat catalog.CategoryID, m int) 
 	ch := make(chan query.Result, 1)
 	deadline, hasDeadline := ctx.Deadline()
 	sh.mu.Lock()
-	id := sh.register(cat, m, need, docs, ch, deadline, hasDeadline, members)
+	id := sh.register(cat, m, need, docs, ch, deadline, hasDeadline)
 	sh.mu.Unlock()
 
 	select {
@@ -263,45 +240,6 @@ func mixQ(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// refillEntry reconciles a pending query's resend-target list with the
-// current routing tables: members the failure detector has evicted since
-// the query was issued are pruned, and current serving-cluster members
-// are added. The owning shard's sweep calls this under routeMu.RLock —
-// membership changes are not broadcast into shards; shards catch up
-// lazily here, just before they would resend. Targets
-// already in the list are not re-added: a blind append would insert
-// duplicates on every sweep pass, growing the slice without bound and
-// biasing the uniform resend pick toward whichever members were appended
-// most often.
-func (n *Node) refillEntry(pq *pendingQuery) {
-	entry, ok := n.dcrt[pq.cat]
-	if !ok {
-		return
-	}
-	live := pq.entry[:0]
-	have := make(map[model.NodeID]struct{}, len(pq.entry))
-	for _, m := range pq.entry {
-		if !n.book.has(m) {
-			continue // evicted by membership; resending there is wasted
-		}
-		if _, dup := have[m]; dup {
-			continue
-		}
-		have[m] = struct{}{}
-		live = append(live, m)
-	}
-	pq.entry = live
-	for _, mb := range n.nrt[entry.Cluster] {
-		if _, dup := have[mb]; dup {
-			continue
-		}
-		if n.book.has(mb) {
-			have[mb] = struct{}{}
-			pq.entry = append(pq.entry, mb)
-		}
-	}
-}
-
 // abandonQuery takes a cancelled or deadline-expired query out of its
 // shard's table: it finishes the query as not done, which releases the
 // slot, caches the partial docs (they were fetched either way) and
@@ -330,8 +268,7 @@ func (n *Node) InFlight() int { return int(n.inflight.Load()) }
 
 // SetMaxInFlight resizes the admission-control bound (k <= 0 restores
 // DefaultMaxInFlight). Queries already pending are unaffected. Lock-free
-// and safe concurrently with Close — the pre-shard version enqueued a
-// command on the event loop and could deadlock against shutdown.
+// and safe concurrently with Close.
 func (n *Node) SetMaxInFlight(k int) {
 	if k <= 0 {
 		k = DefaultMaxInFlight
@@ -343,8 +280,7 @@ func (n *Node) SetMaxInFlight(k int) {
 // fresh one of the given policy and byte capacity; 0 bytes disables
 // caching. Previously cached contents are discarded. The swap is a
 // single atomic pointer store: in-progress lookups finish against the
-// generation they loaded, and like SetMaxInFlight this no longer rides
-// the event loop, so it cannot deadlock against Close.
+// generation they loaded.
 func (n *Node) SetCacheCapacity(policy cache.Policy, bytes int64) error {
 	if bytes == 0 {
 		n.cacheSt.Store(nil)

@@ -9,13 +9,11 @@ import (
 	"p2pshare/internal/catalog"
 	"p2pshare/internal/memnet"
 	"p2pshare/internal/model"
-	"p2pshare/internal/protocol"
 )
 
 // Regression tests for the bug crop the chaos harness surfaced: query-id
-// collisions across nodes, refillEntry duplicating resend targets, and
-// the requester cache indexing multi-category documents under only
-// their first category.
+// collisions across nodes, and the requester cache indexing
+// multi-category documents under only their first category.
 
 // TestQueryIDNoCollisionAcrossNodes pins the id-collision fix. The
 // pre-fix scheme (`nextQuery<<16 | id&0xffff`) minted identical ids on
@@ -53,59 +51,6 @@ func TestQueryIDNoCollisionAcrossNodes(t *testing.T) {
 			t.Fatalf("node 9 repeated query id %#x at seq %d", id, seq)
 		}
 		seen[id] = struct{}{}
-	}
-}
-
-// TestRefillEntryDeduplicates pins the refill fix: sweeping a pending
-// query must not append targets already in its entry list, and repeated
-// refills must not grow the list.
-func TestRefillEntryDeduplicates(t *testing.T) {
-	n := &Node{
-		dcrt: map[catalog.CategoryID]protocol.DCRTEntry{
-			3: {Cluster: 1},
-		},
-		nrt: map[model.ClusterID][]model.NodeID{
-			1: {2, 3, 4},
-		},
-		book: newAddrBook(),
-	}
-	n.book.set(2, "a")
-	n.book.set(3, "b")
-	n.book.set(4, "c")
-	pq := &pendingQuery{cat: 3, entry: []model.NodeID{2}}
-
-	n.refillEntry(pq)
-	want := map[model.NodeID]int{2: 1, 3: 1, 4: 1}
-	got := map[model.NodeID]int{}
-	for _, m := range pq.entry {
-		got[m]++
-	}
-	if len(pq.entry) != 3 {
-		t.Fatalf("after refill entry = %v, want exactly {2,3,4}", pq.entry)
-	}
-	for id, c := range want {
-		if got[id] != c {
-			t.Fatalf("after refill entry = %v: target %d appears %d times, want %d",
-				pq.entry, id, got[id], c)
-		}
-	}
-
-	// A second sweep pass over a still-pending query must be a no-op,
-	// not another append of the full NRT list.
-	n.refillEntry(pq)
-	n.refillEntry(pq)
-	if len(pq.entry) != 3 {
-		t.Fatalf("repeated refills grew entry to %v (len %d), want stable 3",
-			pq.entry, len(pq.entry))
-	}
-
-	// Unaddressable members (not in the book) stay out.
-	n.nrt[1] = append(n.nrt[1], 9)
-	n.refillEntry(pq)
-	for _, m := range pq.entry {
-		if m == 9 {
-			t.Fatal("refill added a target with no address-book entry")
-		}
 	}
 }
 

@@ -33,7 +33,7 @@ func waitInFlight(t *testing.T, n *Node, want int, deadline time.Duration) {
 func unsatisfiable(t *testing.T, n *Node, cat catalog.CategoryID) int {
 	t.Helper()
 	const want = 1 << 20
-	runCmd(t, n, func(n *Node) {
+	locked(n, func(n *Node) {
 		v := n.holders.of(cat)
 		v.Placed = want
 		putView(n, cat, v)

@@ -1,6 +1,7 @@
 package livenet
 
 import (
+	"bufio"
 	"math/rand"
 	"slices"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"p2pshare/internal/memnet"
 	"p2pshare/internal/model"
 	"p2pshare/internal/protocol"
+	"p2pshare/internal/wire"
 )
 
 // The in-cluster rule (protocol.Forward): the entry member answers when
@@ -82,24 +84,24 @@ func awaitSends(t *testing.T, c *Cluster, want int64, what string) {
 	}
 }
 
-// setStore replaces what one node holds of cat. Runs in the node's
-// control loop, the tables' only writer.
+// setStore replaces what one node holds of cat, under the node's
+// routeMu.Lock like every table write.
 func setStore(t *testing.T, n *Node, cat catalog.CategoryID, docs ...catalog.DocID) {
 	t.Helper()
-	runCmd(t, n, func(n *Node) { n.byCat[cat] = docs })
+	locked(n, func(n *Node) { n.byCat[cat] = docs })
 }
 
 // setView replaces one node's holder view of cat.
 func setView(t *testing.T, n *Node, cat catalog.CategoryID, placed int, hs ...protocol.Holder) {
 	t.Helper()
-	runCmd(t, n, func(n *Node) { putView(n, cat, protocol.View{Holders: hs, Placed: placed}) })
+	locked(n, func(n *Node) { putView(n, cat, protocol.View{Holders: hs, Placed: placed}) })
 }
 
 // routeVia makes entry the only member origin knows in cat's serving
 // cluster, so every query origin issues for cat enters there.
 func routeVia(t *testing.T, origin *Node, cat catalog.CategoryID, entry model.NodeID) {
 	t.Helper()
-	runCmd(t, origin, func(n *Node) { n.nrt[n.dcrt[cat].Cluster] = []model.NodeID{entry} })
+	locked(origin, func(n *Node) { n.nrt[n.dcrt[cat].Cluster] = []model.NodeID{entry} })
 }
 
 // handBuiltCluster boots a 16-node memnet cluster whose tables the test
@@ -174,7 +176,7 @@ func TestCoverFrameCountExact(t *testing.T) {
 		hs = append(hs, protocol.Holder{Node: id, Docs: stores[id]})
 	}
 	setView(t, c.Nodes[entry], cat, 6, hs...)
-	runCmd(t, c.Nodes[entry], func(n *Node) { n.book.del(gone) })
+	locked(c.Nodes[entry], func(n *Node) { n.book.del(gone) })
 	routeVia(t, origin, cat, entry)
 
 	p := predictAsk(t, c, cat, entry, 4)
@@ -254,7 +256,7 @@ func TestUnaddressableSuccessorSkipped(t *testing.T) {
 		protocol.Holder{Node: holder, Docs: d[:1]},
 		protocol.Holder{Node: entry, Docs: d[:3]},
 		protocol.Holder{Node: gone, Docs: d[1:3]})
-	runCmd(t, c.Nodes[entry], func(n *Node) { n.book.del(gone) })
+	locked(c.Nodes[entry], func(n *Node) { n.book.del(gone) })
 	routeVia(t, origin, cat, entry)
 
 	p := predictAsk(t, c, cat, entry, 1)
@@ -262,6 +264,64 @@ func TestUnaddressableSuccessorSkipped(t *testing.T) {
 		t.Fatalf("prediction %+v, want 3 frames: entry, directed to %d, result", p, holder)
 	}
 	queryExact(t, c, origin, cat, 1, 1, d[:1], p)
+}
+
+// TestControlFrameOrderOnStream: a control frame takes effect before the
+// frame behind it on its stream. A Move of a category to the other
+// cluster and then an entry query for it arrive in one flush at a member
+// of the gaining cluster that holds none of the category yet. Applied
+// first, the move hands that member its share of the placement, so it
+// answers the query itself; routed before the move, the query would go
+// to a holder of the old placement.
+func TestControlFrameOrderOnStream(t *testing.T) {
+	nw := memnet.New()
+	c := launchOverMemnet(t, Shape{Documents: 200, Categories: 6, Nodes: 16, Clusters: 2, Seed: 9},
+		nil, nw, Options{CacheBytes: -1})
+	cat := bigCategory(c.inst)
+	cur := c.Nodes[0].dcrtEntryForTest(cat)
+	to := 1 - cur.Cluster
+	gaining := c.Nodes[0].members[to]
+	if len(gaining) < 2 {
+		t.Fatalf("cluster %d has %d members, want 2", to, len(gaining))
+	}
+	entry, origin := c.Nodes[gaining[0]], gaining[1]
+	setStore(t, entry, cat)
+	served := servedBy(c)
+
+	conn, err := nw.Dial(entry.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := wire.OpenStream(conn, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	bw := bufio.NewWriter(conn)
+	for _, msg := range []any{
+		wire.Move{Category: cat, From: cur.Cluster, Entry: protocol.DCRTEntry{Cluster: to, MoveCounter: cur.MoveCounter + 1}},
+		protocol.QueryMsg{ID: 1 << 40, Category: cat, Want: 1, Origin: origin, Hops: 1, Entry: true},
+	} {
+		if err := wire.WriteEnvelope(bw, envelope{From: origin, Msg: msg}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	answerer := model.NodeID(-1)
+	waitFor(t, 5*time.Second, "query answered", func() bool {
+		for i, s := range servedBy(c) {
+			if s > served[i] {
+				answerer = model.NodeID(i)
+				return true
+			}
+		}
+		return false
+	})
+	if answerer != entry.id {
+		t.Fatalf("node %d answered, not the entry %d the move made a holder: the query was routed before the move", answerer, entry.id)
+	}
 }
 
 // TestAskSendsMatchOracle: on the query_small deployment (200 nodes,
@@ -355,7 +415,7 @@ func askOracle(t *testing.T, c *Cluster, sh Shape, m int) float64 {
 	return perQuery
 }
 
-// putView replaces n's view of cat. Run it in n's control loop.
+// putView replaces n's view of cat. Caller holds n.routeMu.Lock.
 func putView(n *Node, cat catalog.CategoryID, v protocol.View) {
 	if n.holders.moved == nil {
 		n.holders.moved = make(map[catalog.CategoryID]protocol.View)

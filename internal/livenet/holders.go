@@ -8,8 +8,8 @@ package livenet
 // immutable base, the way the address book shares its base (book.go). A
 // move replaces the moved category's entry in a node-private overlay.
 //
-// Concurrency contract: the control loop is the sole writer and holds
-// routeMu.Lock; shards and callers read under routeMu.RLock.
+// Concurrency contract: every writer holds routeMu.Lock; shards and
+// callers read under routeMu.RLock.
 
 import (
 	"sort"

@@ -43,7 +43,7 @@ func checkViewMatchesStores(t *testing.T, c *Cluster) {
 		placed := map[catalog.DocID]bool{}
 		for _, n := range c.Nodes {
 			var held []catalog.DocID
-			runCmd(t, n, func(n *Node) { held = slices.Clone(n.byCat[cg.ID]) })
+			locked(n, func(n *Node) { held = slices.Clone(n.byCat[cg.ID]) })
 			if got := viewDocs(hs, n.id); !slices.Equal(got, held) {
 				t.Errorf("category %d node %d: view says %v, store holds %v", cg.ID, n.id, got, held)
 			}
@@ -104,7 +104,7 @@ func TestHolderViewFollowsMoves(t *testing.T) {
 			var to model.ClusterID
 			var got, launched protocol.View
 			var share map[model.NodeID][]catalog.DocID
-			runCmd(t, n, func(n *Node) {
+			locked(n, func(n *Node) {
 				to = 1 - n.dcrt[cat].Cluster
 				n.applyMoveEntry(cat, protocol.DCRTEntry{Cluster: to, MoveCounter: 1})
 				got, launched = n.holders.of(cat), n.holders.base[cat]

@@ -168,7 +168,8 @@ func StartNode(sh Shape, id model.NodeID, listenAddr, bootstrapAddr string, opts
 }
 
 // Close shuts down a standalone node and waits for all of its goroutines
-// (event loop, accept loop, transport writers, inbound read loops).
+// (accept loop, ticks, pull workers, transport writers, inbound read
+// loops).
 func (n *Node) Close() {
 	n.shutdown()
 	n.wg.Wait()
@@ -205,8 +206,8 @@ func (n *Node) announce(bootstrapAddr string) error {
 		}
 		return nil
 	}
-	// A local rng: n.rng is owned by the event loop, which is already
-	// running.
+	// A local rng: n.rng is control state, and this wait must not hold
+	// routeMu.
 	rng := rand.New(rand.NewSource(int64(n.id)*2654435761 + 17))
 	const dialAttempts = 6
 	var err error
@@ -240,10 +241,7 @@ func (n *Node) announce(bootstrapAddr string) error {
 }
 
 // KnownPeers reports how many peers (including itself) the node can
-// address. Reads the book directly under the routing read lock — the
-// pre-shard version rode the event loop and then blocked on `<-ch` with
-// no shutdown arm, so KnownPeers racing Close hung forever (pinned by
-// TestCloseRaceAccessors).
+// address, read under the routing read lock.
 func (n *Node) KnownPeers() int {
 	n.routeMu.RLock()
 	defer n.routeMu.RUnlock()

@@ -1,30 +1,33 @@
 // Package livenet runs the architecture's query and publish protocols
 // over real TCP sockets — one OS process, many peers, each with its own
-// listener, event loop, and metadata tables (DT/DCRT/NRT). The simulated
-// overlay (internal/overlay) is the instrument for experiments; livenet
-// demonstrates that the same protocols work over an actual network with
-// goroutines and sockets, and is the natural starting point for a
-// multi-host deployment.
+// listener and metadata tables (DCRT/NRT and the documents it holds).
+// The simulated overlay (internal/overlay) is the instrument for
+// experiments; livenet demonstrates that the same protocols work over an
+// actual network with goroutines and sockets, and is the natural
+// starting point for a multi-host deployment.
 //
-// Concurrency model: each peer's query engine is SHARDED — the pending
-// query table and query-id minting are partitioned across P
-// mutex-guarded shards keyed by query id (shard.go), and the
-// per-connection reader goroutines run decoded QueryMsg/ResultMsg frames
-// themselves on the owning shard, so a node's protocol work scales
-// across cores and a message crosses two goroutines per hop (the
-// sender's writer, the receiver's reader), not three. Inside the serving
+// Concurrency model: a node has no event loop. Work runs on the
+// goroutine it arrives on — the connection reader that decoded a frame,
+// the caller of an API method, a timerwheel tick — under one of two
+// kinds of lock. The query engine is SHARDED: the pending query table
+// and query-id minting are partitioned across P mutex-guarded shards
+// keyed by query id (shard.go), and a reader runs a decoded
+// QueryMsg/ResultMsg itself on the owning shard, so a node's protocol
+// work scales across cores and a message crosses two goroutines per hop
+// (the sender's writer, the receiver's reader). Inside the serving
 // cluster a query goes where the deterministic placement says
 // (protocol.Forward over the holder view, holders.go), never to every
-// neighbour. A dedicated control loop owns everything low-rate and
-// topological: membership, adaptation, the address book, the DT/DCRT/NRT
-// routing tables and the holder view, which shard code reads under an
-// RWMutex (routeMu) the control loop alone writes. An idle node
-// therefore runs two goroutines, accept and control. Queries are fully
-// concurrent: each QueryContext call passes admission (an atomic
-// reservation) and the requester cache in its own goroutine, registers
-// an independent state machine on one shard, and only the issuing
-// goroutine blocks, so one node sustains hundreds of in-flight queries
-// at once (engine.go).
+// neighbour. Everything low-rate and topological — membership,
+// adaptation, the address book, the DCRT/NRT routing tables and the
+// holder view — is control state, serialized by routeMu.Lock: a control
+// frame runs under it on its reader, in stream order; an API call on its
+// caller; a probe or epoch tick on a goroutine of its own. Shard code
+// reads that state under routeMu.RLock. An idle node therefore runs one
+// goroutine, accept. Queries are fully concurrent: each QueryContext
+// call passes admission (an atomic reservation) and the requester cache
+// in its own goroutine, registers an independent state machine on one
+// shard, and only the issuing goroutine blocks, so one node sustains
+// hundreds of in-flight queries at once (engine.go).
 // Outbound messages go through a per-peer persistent-connection pool
 // (transport.go): one framed stream per destination, reused across
 // messages, with reconnect-on-failure and capped backoff. Every stream
@@ -108,7 +111,6 @@ type pendingQuery struct {
 	deadline time.Time // sweep backstop, padded past the caller's own deadline
 	lastSend time.Time
 	resends  int
-	entry    []model.NodeID // reachable serving-cluster members (resend targets)
 }
 
 // result snapshots the outcome accumulated so far.
@@ -123,20 +125,15 @@ func (pq *pendingQuery) result(done bool) query.Result {
 	return out
 }
 
-// command is an API request executed inside the control loop.
-type command func(*Node)
-
 // Node is one live peer.
 type Node struct {
 	id   model.NodeID
 	inst *model.Instance
 	ln   net.Listener
-	rng  *rand.Rand
+	rng  *rand.Rand // control state: under routeMu.Lock
 
-	inbox chan envelope // control messages (everything but Query/Result)
-	cmds  chan command
-	done  chan struct{}
-	wg    sync.WaitGroup
+	done chan struct{}
+	wg   sync.WaitGroup
 
 	// shards partition the query engine (shard.go); nextShard
 	// round-robins new queries across them.
@@ -161,15 +158,15 @@ type Node struct {
 	// bounds is the deployment's shape inbound frames are decoded against.
 	bounds wire.Bounds
 
-	// Routing and topology state. The control loop is the sole writer
-	// and holds routeMu.Lock for every event it processes; shard code
-	// and API callers read under routeMu.RLock (lock order: shard.mu →
-	// routeMu, see shard.go). book maps node ids to
-	// listen addresses (handleHello and handleBook mutate it) —
-	// copy-on-write over a cluster-shared base, see book.go.
+	// Routing and topology state. Every write — a control frame, an API
+	// call, a tick — holds routeMu.Lock; shard code and accessors read
+	// under routeMu.RLock (lock order: shard.mu → routeMu, see
+	// shard.go). book maps node ids to listen addresses (handleHello and
+	// handleBook mutate it) — copy-on-write over a cluster-shared base,
+	// see book.go. byCat lists the documents this node holds, per
+	// category.
 	routeMu sync.RWMutex
 	book    *addrBook
-	dt      map[catalog.DocID]catalog.CategoryID
 	byCat   map[catalog.CategoryID][]catalog.DocID
 	dcrt    map[catalog.CategoryID]protocol.DCRTEntry
 	nrt     map[model.ClusterID][]model.NodeID
@@ -198,14 +195,14 @@ type Node struct {
 	cacheSt atomic.Pointer[cacheState]
 
 	// det is the SWIM failure detector (membership.go); nil until
-	// StartMembership. gauges holds the point-in-time membership and
-	// fairness readings merged into Stats(). Both owned by the control
-	// loop (gauges is itself concurrency-safe for the Stats() reader).
+	// StartMembership, used under routeMu.Lock. gauges holds the
+	// point-in-time membership and fairness readings merged into Stats()
+	// (itself concurrency-safe for the Stats() reader).
 	det    *membership.Detector
 	gauges *metrics.SyncGauge
 
 	// adapt is the live adaptation state (adapt.go), nil until
-	// EnableAdaptation; owned by the control loop. The §6.1.2 hit
+	// EnableAdaptation, used under routeMu.Lock. The §6.1.2 hit
 	// counters feeding it live on the shards (drainHits).
 	adapt *adaptState
 
@@ -215,7 +212,7 @@ type Node struct {
 	// downloads by transfer id; rtt is the per-peer manifest
 	// round-trip EWMA ordering fetch sources; prevCluster remembers,
 	// per moved category, the shedding cluster that still holds the
-	// bytes (routeMu-guarded, control loop writes).
+	// bytes (written under routeMu.Lock).
 	store           *content.Store
 	xferMu          sync.Mutex
 	xfers           map[uint64]chan envelope
@@ -239,7 +236,7 @@ type Node struct {
 	// gates cache admission at cacheAdmit observations (0 = caching
 	// off); servedDocs counts per-doc serve load drained each adaptation
 	// epoch (lastServed keeps the previous window for hot-doc pushes,
-	// control-loop owned).
+	// under routeMu.Lock).
 	demandMu   sync.Mutex
 	demand     map[catalog.DocID]int
 	cacheAdmit int
@@ -259,32 +256,64 @@ type Node struct {
 	// adaptation epoch clock). Those used to be 3+ dedicated ticker
 	// goroutines per node; at paper scale that alone was tens of
 	// thousands of goroutines. Guarded by timersMu because subsystems
-	// register from the control loop while shutdown may run concurrently.
+	// register from API callers while shutdown may run concurrently.
 	timersMu   sync.Mutex
 	stopTimers []func()
 }
 
 // addTimer records a timerwheel stop function for shutdown — or runs it
-// immediately when the node is already shut down (a subsystem enabled in
-// the control loop racing Close).
+// immediately when the node is already shut down (a subsystem enabled
+// racing Close).
 func (n *Node) addTimer(stop func()) {
 	n.timersMu.Lock()
-	select {
-	case <-n.done:
+	if n.closed() {
 		n.timersMu.Unlock()
 		stop()
 		return
-	default:
 	}
 	n.stopTimers = append(n.stopTimers, stop)
 	n.timersMu.Unlock()
+}
+
+// everyLocked registers f on the shared timerwheel to run every period
+// under routeMu.Lock. A tick runs on a goroutine of its own, joined to
+// n.wg: the wheel must not wait for the lock (the shards hold RLock
+// almost continuously under query load) nor run every node's tick on
+// its one goroutine. A tick that fires while the previous one is still
+// waiting or running is counted under skips and dropped, never queued;
+// the next tick catches the state machine up.
+func (n *Node) everyLocked(period time.Duration, skips string, f func(now time.Time)) {
+	var busy atomic.Bool
+	n.addTimer(timerwheel.Default().Every(period, func(now time.Time) {
+		if !busy.CompareAndSwap(false, true) {
+			n.stats.Add(skips, 1)
+			return
+		}
+		// Under timersMu, which shutdown takes after closing done: a tick
+		// either joins n.wg before Close waits on it or sees done.
+		n.timersMu.Lock()
+		defer n.timersMu.Unlock()
+		if n.closed() {
+			return
+		}
+		n.wg.Add(1)
+		go func() {
+			defer n.wg.Done()
+			n.routeMu.Lock()
+			if !n.closed() {
+				f(now)
+			}
+			n.routeMu.Unlock()
+			busy.Store(false)
+		}()
+	}))
 }
 
 // newNode builds a Node with empty peer state, its own private address
 // book, an idle transport, and the engine geometry and birth
 // configuration the Options ask for (shard count, admission bound,
 // requester cache). Membership and adaptation are enabled by the
-// callers after the loops start — they ride the command channel.
+// callers once the node listens.
 func newNode(inst *model.Instance, id model.NodeID, ln net.Listener, seed int64, opts Options) *Node {
 	shards := opts.Shards
 	if shards <= 0 {
@@ -300,14 +329,11 @@ func newNode(inst *model.Instance, id model.NodeID, ln net.Listener, seed int64,
 		ln:      ln,
 		rng:     newNodeRng(seed, id),
 		book:    newAddrBook(),
-		inbox:   make(chan envelope, 256),
-		cmds:    make(chan command, 16),
 		done:    make(chan struct{}),
 		tr:      newTransport(id, seed, stats),
 		stats:   stats,
 		latency: &metrics.SyncHistogram{},
 		conns:   make(map[net.Conn]struct{}),
-		dt:      make(map[catalog.DocID]catalog.CategoryID),
 		byCat:   make(map[catalog.CategoryID][]catalog.DocID),
 		dcrt:    make(map[catalog.CategoryID]protocol.DCRTEntry),
 		nrt:     make(map[model.ClusterID][]model.NodeID),
@@ -359,22 +385,30 @@ func newNode(inst *model.Instance, id model.NodeID, ln net.Listener, seed int64,
 	}
 	n.shards = newShards(n, shards, seed)
 	n.tr.onPeerDown = func(peer model.NodeID) {
-		select {
-		case n.cmds <- func(n *Node) { n.evictPeer(peer) }:
-		case <-n.done:
-		}
+		n.routeMu.Lock()
+		n.evictPeer(peer)
+		n.routeMu.Unlock()
 	}
 	return n
 }
 
-// startLoops launches the node's two goroutines, the TCP accept loop and
-// the control loop. The housekeeping sweep rides the shared timerwheel:
-// one registration per node sweeps every shard that is free (TryLock) on
-// the wheel's goroutine.
+// closed reports whether the node has shut down.
+func (n *Node) closed() bool {
+	select {
+	case <-n.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// startLoops launches the node's one goroutine, the TCP accept loop. The
+// housekeeping sweep rides the shared timerwheel: one registration per
+// node sweeps every shard that is free (TryLock) on the wheel's
+// goroutine.
 func (n *Node) startLoops() {
-	n.wg.Add(2)
+	n.wg.Add(1)
 	go n.acceptLoop()
-	go n.controlLoop()
 	n.addTimer(timerwheel.Default().Every(sweepInterval, func(now time.Time) {
 		for _, s := range n.shards {
 			s.trySweep(now)
@@ -388,10 +422,7 @@ func (n *Node) ID() model.NodeID { return n.id }
 // Addr returns the node's listen address.
 func (n *Node) Addr() string { return n.ln.Addr().String() }
 
-// Served returns how many requests this node has served. Lock-free:
-// the pre-shard implementation read the counter through the event loop
-// and deadlocked forever when the node closed between enqueuing the
-// command and the loop running it (the reply read had no done arm).
+// Served returns how many requests this node has served.
 func (n *Node) Served() int64 { return n.served.Load() }
 
 // Stats snapshots the node's transport and protocol counters
@@ -645,7 +676,7 @@ func Launch(inst *model.Instance, assign []model.ClusterID, place *replica.Place
 
 	// Every node aliases ONE shared immutable base book and diverges
 	// copy-on-write (book.go): handleHello and handleBook mutate only the
-	// node-private overlay inside the owning event loop, so sharing is
+	// node-private overlay, under that node's routeMu.Lock, so sharing is
 	// race-free and Launch memory is O(N) instead of the O(N²) that
 	// private full copies cost (≈10⁸ map entries at 10k nodes).
 	for _, n := range c.Nodes {
@@ -655,8 +686,8 @@ func Launch(inst *model.Instance, assign []model.ClusterID, place *replica.Place
 	for _, n := range c.Nodes {
 		n.startLoops()
 	}
-	// Birth-time subsystems ride the command channel, so they come up
-	// after the loops. Membership first: adaptation's leader election
+	// Birth-time subsystems come up once every node listens and holds
+	// its tables. Membership first: adaptation's leader election
 	// consults the detector's live view when one is running.
 	if opts.Membership != nil {
 		c.StartMembership(*opts.Membership)
@@ -696,9 +727,10 @@ func (c *Cluster) Close() {
 	}
 }
 
-// shutdown signals every goroutine belonging to the node: the event and
-// accept loops (done / listener), the transport writers, and the inbound
-// read loops (closing their connections unblocks Decode). Idempotent.
+// shutdown signals every goroutine belonging to the node: the accept
+// loop (listener), ticks and API calls (done), the transport writers,
+// and the inbound read loops (closing their connections unblocks
+// Decode). Idempotent.
 func (n *Node) shutdown() {
 	select {
 	case <-n.done:
@@ -722,11 +754,10 @@ func (n *Node) shutdown() {
 }
 
 func (n *Node) storeDoc(d catalog.DocID) {
-	if _, ok := n.dt[d]; ok {
+	cat := n.inst.Catalog.Doc(d).Categories[0]
+	if slices.Contains(n.byCat[cat], d) {
 		return
 	}
-	cat := n.inst.Catalog.Doc(d).Categories[0]
-	n.dt[d] = cat
 	n.byCat[cat] = append(n.byCat[cat], d)
 }
 
@@ -828,94 +859,43 @@ func (n *Node) readLoop(conn net.Conn) {
 			}
 			return // stream closed, peer died, malformed frame, or idle timeout
 		}
-		if !n.routeInbound(env) {
-			return
-		}
+		n.routeInbound(env)
 	}
 }
 
-// routeInbound handles one decoded envelope on its connection reader:
-// query and result frames run right here under the lock of the shard
-// that owns their query id (no queue, no second goroutine in the hot
-// path), content frames likewise; everything else — publish, join,
-// membership, adaptation — rides the control inbox. Returns false when
-// the node shut down.
-func (n *Node) routeInbound(env envelope) bool {
-	if n.runOnShard(env) {
-		return true
-	}
-	switch m := env.Msg.(type) {
-	case wire.ManifestReq:
-		// Content frames are served and demultiplexed inline on the
-		// reader goroutine: serving is read-only against the store
-		// (its own lock), and chunk I/O through the control loop would
-		// head-of-line block membership and adaptation behind bulk work.
-		n.serveManifestReq(env.From, m)
-		return true
-	case wire.ChunkReq:
-		n.serveChunkReq(env.From, m)
-		return true
-	case wire.Manifest:
-		n.deliverXfer(m.Xfer, env)
-		return true
-	case wire.Chunk:
-		n.deliverXfer(m.Xfer, env)
-		return true
-	case wire.Replicate:
-		n.handleReplicate(env.From, m)
-		return true
-	}
-	select {
-	case n.inbox <- env:
-		return true
-	case <-n.done:
-		return false
-	}
-}
-
-// runOnShard runs a query or result frame on the shard that owns its
-// query id and reports whether env was one. The caller must not hold
-// routeMu.
-func (n *Node) runOnShard(env envelope) bool {
+// routeInbound handles one decoded envelope on its connection reader,
+// in stream order. Query and result frames run under the lock of the
+// shard that owns their query id, content frames against the store and
+// the transfer table (chunk I/O under routeMu would stall membership and
+// adaptation behind bulk work), and every other frame — publish, join,
+// membership, adaptation — under routeMu.Lock, so it has taken effect
+// before the reader decodes the frame behind it.
+func (n *Node) routeInbound(env envelope) {
 	switch m := env.Msg.(type) {
 	case protocol.QueryMsg:
 		n.shardFor(m.ID).handleQuery(m)
 	case protocol.ResultMsg:
 		n.shardFor(m.ID).handleResult(m)
+	case wire.ManifestReq:
+		n.serveManifestReq(env.From, m)
+	case wire.ChunkReq:
+		n.serveChunkReq(env.From, m)
+	case wire.Manifest:
+		n.deliverXfer(m.Xfer, env)
+	case wire.Chunk:
+		n.deliverXfer(m.Xfer, env)
+	case wire.Replicate:
+		n.handleReplicate(env.From, m)
 	default:
-		return false
-	}
-	return true
-}
-
-// controlLoop owns the node's low-rate state: membership, adaptation,
-// the address book, and the routing tables. It holds routeMu.Lock for
-// each event it processes — it is the sole writer of that state, and
-// shard code reads it under RLock, often while holding a shard lock. So
-// nothing under the write lock may take a shard lock: a query or result
-// frame that strays onto the control inbox (readers never put one
-// there) runs before the lock is taken.
-func (n *Node) controlLoop() {
-	defer n.wg.Done()
-	for {
-		select {
-		case env := <-n.inbox:
-			if n.runOnShard(env) {
-				continue
-			}
-			n.routeMu.Lock()
-			n.dispatchControl(env)
-			n.routeMu.Unlock()
-		case cmd := <-n.cmds:
-			n.routeMu.Lock()
-			cmd(n)
-			n.routeMu.Unlock()
-		case <-n.done:
-			return
-		}
+		n.routeMu.Lock()
+		n.dispatchControl(env)
+		n.routeMu.Unlock()
 	}
 }
 
+// dispatchControl runs one control frame. The caller holds routeMu.Lock
+// and no shard lock, and nothing here takes one: a reader holding a
+// shard lock may be waiting for RLock.
 func (n *Node) dispatchControl(env envelope) {
 	switch m := env.Msg.(type) {
 	case protocol.PublishMsg:
@@ -958,8 +938,8 @@ func (n *Node) dispatchControl(env envelope) {
 // send queues one envelope on the persistent transport (fire and forget —
 // P2P messages are best-effort, exactly as in the simulator; the
 // transport retries and reconnects under the hood). The caller must
-// hold routeMu in either mode: it reads the address book. The control
-// loop holds the write lock for every event; shard code takes RLock.
+// hold routeMu in either mode: it reads the address book. Control code
+// holds the write lock; shard code takes RLock.
 func (n *Node) send(to model.NodeID, msg any) {
 	addr, ok := n.book.get(to)
 	if !ok {
@@ -992,7 +972,7 @@ const publishFanout = 3
 // Publish announces a (locally stored) document to the cluster serving
 // its category — the §6.2 protocol over TCP — through the first
 // publishFanout members of its NRT entry that are in the address book,
-// the preference QueryContext's route snapshot applies. Publishing a
+// the preference a query's entry send applies. Publishing a
 // category with no DCRT entry, or into a cluster with no addressable
 // member, fails with ErrNoRoute. The document must be in the catalog
 // the deployment launched with: peers refuse frames naming any other.
@@ -1000,47 +980,30 @@ func (n *Node) Publish(d catalog.DocID) error {
 	if !n.bounds.HasDoc(d) {
 		return fmt.Errorf("livenet: document %d is outside the %d-document catalog the deployment launched with", d, n.bounds.Docs)
 	}
-	doc := n.inst.Catalog.Doc(d)
-	errc := make(chan error, 1)
-	select {
-	case n.cmds <- func(n *Node) {
-		n.holdDoc(d)
-		cat := doc.Categories[0]
-		sent := 0
-		if entry, ok := n.dcrt[cat]; ok {
-			for _, nb := range n.nrt[entry.Cluster] {
-				if sent == publishFanout {
-					break
-				}
-				if n.book.has(nb) {
-					n.send(nb, protocol.PublishMsg{Doc: d, Category: cat, Publisher: n.id})
-					sent++
-				}
-			}
-		}
-		if sent == 0 {
-			n.stats.Add("publish_no_route", 1)
-			errc <- ErrNoRoute
-			return
-		}
-		errc <- nil
-	}:
-	case <-n.done:
+	n.routeMu.Lock()
+	defer n.routeMu.Unlock()
+	if n.closed() {
 		return ErrClosed
 	}
-	select {
-	case err := <-errc:
-		return err
-	case <-n.done:
-		// The control loop may have run the command just before shutting
-		// down; prefer its answer when present.
-		select {
-		case err := <-errc:
-			return err
-		default:
-			return ErrClosed
+	n.holdDoc(d)
+	cat := n.inst.Catalog.Doc(d).Categories[0]
+	sent := 0
+	if entry, ok := n.dcrt[cat]; ok {
+		for _, nb := range n.nrt[entry.Cluster] {
+			if sent == publishFanout {
+				break
+			}
+			if n.book.has(nb) {
+				n.send(nb, protocol.PublishMsg{Doc: d, Category: cat, Publisher: n.id})
+				sent++
+			}
 		}
 	}
+	if sent == 0 {
+		n.stats.Add("publish_no_route", 1)
+		return ErrNoRoute
+	}
+	return nil
 }
 
 // handlePublish acknowledges a publish into a cluster this node can

@@ -155,7 +155,7 @@ func TestLivePublishBecomesQueryable(t *testing.T) {
 	// as the entry member, which answers everything it holds up to m.
 	cat := inst.Catalog.Doc(ids[0]).Categories[0]
 	var held int
-	runCmd(t, publisher, func(n *Node) { held = len(n.byCat[cat]) })
+	locked(publisher, func(n *Node) { held = len(n.byCat[cat]) })
 	routeVia(t, c.Nodes[1], cat, publisher.id)
 	out, err := c.Nodes[1].Query(cat, held, 5*time.Second)
 	if err != nil || !out.Done {
@@ -219,14 +219,14 @@ func TestPublishSkipsUnaddressableMembers(t *testing.T) {
 	if len(targets) < 4 {
 		t.Fatal("serving cluster has fewer than four other members")
 	}
-	runCmd(t, p, func(n *Node) {
+	locked(p, func(n *Node) {
 		n.nrt[cl] = slices.Clone(targets)
 		for _, id := range targets[:3] {
 			n.book.del(id)
 		}
 	})
 	var visible bool
-	runCmd(t, c.Nodes[targets[3]], func(n *Node) {
+	locked(c.Nodes[targets[3]], func(n *Node) {
 		visible = slices.ContainsFunc(n.nrt[cl], func(id model.NodeID) bool { return id != p.id && !slices.Contains(targets, id) })
 	})
 	if !visible {
@@ -238,14 +238,14 @@ func TestPublishSkipsUnaddressableMembers(t *testing.T) {
 	}
 	waitFor(t, 5*time.Second, "PublishAck from the addressable member", func() bool {
 		var l int
-		runCmd(t, p, func(n *Node) { l = len(n.nrt[cl]) })
+		locked(p, func(n *Node) { l = len(n.nrt[cl]) })
 		return l > len(targets)
 	})
 	if got := p.Stats()["send_no_addr"]; got != 0 {
 		t.Errorf("publish sent %d envelopes to members without an address", got)
 	}
 
-	runCmd(t, p, func(n *Node) { n.nrt[cl] = slices.Clone(targets[:3]) })
+	locked(p, func(n *Node) { n.nrt[cl] = slices.Clone(targets[:3]) })
 	if err := p.Publish(doc); !errors.Is(err, ErrNoRoute) {
 		t.Fatalf("Publish with no addressable member: %v, want ErrNoRoute", err)
 	}

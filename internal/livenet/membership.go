@@ -1,25 +1,24 @@
 package livenet
 
 // Live membership: the SWIM-lite failure detector (internal/membership)
-// wired into the control loop. The detector is a pure state machine —
-// this file owns its clock (a probe goroutine funneling ticks through
-// the command channel, so all detector access is control-loop
-// serialized), its network (packets ride the persistent transport like
-// every other envelope), and the consequences of its verdicts: a peer
-// confirmed Dead or Left is evicted from the address book and every NRT
-// entry, and remembered by tombstone so a stale address-book merge
-// cannot resurrect it. In-flight queries' resend-target lists are NOT
-// chased here — they live on the engine shards, which reconcile against
-// the book lazily in their sweep (refillEntry) just before resending.
-// Tombstones travel inside book messages (wire.Book.Dead), closing the
-// loop for nodes that were partitioned while the death was gossiped.
+// wired into the node's control state. The detector is a pure state
+// machine used only under routeMu.Lock — by the reader that decoded a
+// membership frame, by the API calls, and by its probe clock, a
+// timerwheel tick that runs on a goroutine of its own (everyLocked). This
+// file owns that clock, its network (packets ride the persistent
+// transport like every other envelope), and the consequences of its
+// verdicts: a peer confirmed Dead or Left is evicted from the address
+// book and every NRT entry, and remembered by tombstone so a stale
+// address-book merge cannot resurrect it. In-flight queries need no
+// chasing: a resend re-reads the current tables (sendQuery). Tombstones
+// travel inside book messages (wire.Book.Dead), closing the loop for
+// nodes that were partitioned while the death was gossiped.
 
 import (
 	"time"
 
 	"p2pshare/internal/membership"
 	"p2pshare/internal/model"
-	"p2pshare/internal/timerwheel"
 )
 
 // leaveFlushGrace is how long Leave waits after queueing its departure
@@ -31,21 +30,12 @@ const leaveFlushGrace = 150 * time.Millisecond
 // (zero fields take membership.DefaultConfig values). Every peer already
 // in the address book is observed immediately; later peers join the
 // view as hellos and book merges arrive. Idempotent: a second call is a
-// no-op. Safe to call any time after the node's loops are running.
+// no-op, and so is a call after Close.
 func (n *Node) StartMembership(cfg membership.Config) {
-	started := make(chan struct{})
-	select {
-	case n.cmds <- func(n *Node) {
+	n.routeMu.Lock()
+	defer n.routeMu.Unlock()
+	if !n.closed() {
 		n.enableMembership(cfg)
-		close(started)
-	}:
-		select {
-		case <-started:
-		case <-n.done:
-			// The control loop may have run the command just before
-			// shutting down; either way there is nothing left to wait for.
-		}
-	case <-n.done:
 	}
 }
 
@@ -59,8 +49,8 @@ func (c *Cluster) StartMembership(cfg membership.Config) {
 	}
 }
 
-// enableMembership builds the detector and starts its clock. Runs in the
-// event loop.
+// enableMembership builds the detector and starts its clock. Caller
+// holds routeMu.Lock.
 func (n *Node) enableMembership(cfg membership.Config) {
 	if n.det != nil {
 		return
@@ -81,24 +71,16 @@ func (n *Node) enableMembership(cfg membership.Config) {
 	}
 	// Tick faster than the probe interval so ping/probe timeouts are
 	// checked with reasonable granularity (Tick rate-limits the probes
-	// themselves). The clock rides the shared timerwheel instead of a
-	// dedicated ticker goroutine; the offer into the command channel is
-	// non-blocking (wheel callbacks must not block), and a dropped tick
-	// just means the next one ≤ interval later advances the detector.
+	// themselves). A skipped tick just means the next one ≤ interval
+	// later advances the detector.
 	if interval /= 4; interval < 5*time.Millisecond {
 		interval = 5 * time.Millisecond
 	}
-	n.addTimer(timerwheel.Default().Every(interval, func(now time.Time) {
-		select {
-		case n.cmds <- func(n *Node) { n.membershipTick(now) }:
-		default:
-			n.stats.Add("membership_tick_skips", 1)
-		}
-	}))
+	n.everyLocked(interval, "membership_tick_skips", n.membershipTick)
 }
 
 // membershipTick advances the detector's timers and the adaptation
-// layer's epoch clock. Runs in the event loop.
+// layer's epoch clock. Caller holds routeMu.Lock.
 func (n *Node) membershipTick(now time.Time) {
 	n.sendPackets(n.det.Tick(now))
 	n.drainMembership()
@@ -123,8 +105,8 @@ func (n *Node) sendPackets(pkts []membership.Packet) {
 }
 
 // drainMembership folds the detector's state transitions into the
-// node's routing state and refreshes the membership gauges. Runs in the
-// event loop after every detector interaction.
+// node's routing state and refreshes the membership gauges. Runs under
+// routeMu.Lock after every detector interaction.
 func (n *Node) drainMembership() {
 	for _, ev := range n.det.Events() {
 		switch ev.State {
@@ -145,12 +127,11 @@ func (n *Node) drainMembership() {
 }
 
 // evictDeadPeer removes a confirmed-dead (or gracefully departed) peer
-// from the routing structures the control loop owns: address book and
-// NRTs. In-flight queries' resend-target lists are pruned lazily by the
-// owning shard's sweep (refillEntry drops book-absent members before a
-// resend), so no cross-shard broadcast is needed here. The tombstone
-// stays behind in the detector so book merges cannot resurrect the
-// entry.
+// from the routing structures: address book and NRTs. In-flight queries
+// stop choosing it at their next resend, which re-reads these tables,
+// so no cross-shard broadcast is needed here. The tombstone stays behind
+// in the detector so book merges cannot resurrect the entry. Caller
+// holds routeMu.Lock.
 func (n *Node) evictDeadPeer(peer model.NodeID) {
 	if n.book.del(peer) {
 		n.stats.Add("book_evictions", 1)
@@ -163,33 +144,12 @@ func (n *Node) evictDeadPeer(peer model.NodeID) {
 // (including itself) and members under suspicion. Zeros when membership
 // is not running.
 func (n *Node) MembershipCounts() (alive, suspect int) {
-	type counts struct{ a, s int }
-	ch := make(chan counts, 1)
-	select {
-	case n.cmds <- func(n *Node) {
-		if n.det == nil {
-			ch <- counts{}
-			return
-		}
-		a, s := n.det.Counts()
-		ch <- counts{a, s}
-	}:
-		select {
-		case c := <-ch:
-			return c.a, c.s
-		case <-n.done:
-			// The control loop may have answered just before shutting
-			// down; prefer the real counts when present.
-			select {
-			case c := <-ch:
-				return c.a, c.s
-			default:
-				return 0, 0
-			}
-		}
-	case <-n.done:
+	n.routeMu.Lock()
+	defer n.routeMu.Unlock()
+	if n.closed() || n.det == nil {
 		return 0, 0
 	}
+	return n.det.Counts()
 }
 
 // Leave announces a graceful departure to every addressable peer (so
@@ -197,13 +157,9 @@ func (n *Node) MembershipCounts() (alive, suspect int) {
 // moment for the transport to flush, and shuts the node down. Without a
 // running detector it is just Close.
 func (n *Node) Leave() {
-	queued := make(chan bool, 1)
-	select {
-	case n.cmds <- func(n *Node) {
-		if n.det == nil {
-			queued <- false
-			return
-		}
+	n.routeMu.Lock()
+	sent := !n.closed() && n.det != nil
+	if sent {
 		lv := n.det.MakeLeave()
 		n.book.forEach(func(id model.NodeID, _ string) bool {
 			if id != n.id {
@@ -211,23 +167,10 @@ func (n *Node) Leave() {
 			}
 			return true
 		})
-		queued <- true
-	}:
-		select {
-		case sent := <-queued:
-			if sent {
-				time.Sleep(leaveFlushGrace)
-			}
-		case <-n.done:
-			select {
-			case sent := <-queued:
-				if sent {
-					time.Sleep(leaveFlushGrace)
-				}
-			default:
-			}
-		}
-	case <-n.done:
+	}
+	n.routeMu.Unlock()
+	if sent {
+		time.Sleep(leaveFlushGrace)
 	}
 	n.Close()
 }

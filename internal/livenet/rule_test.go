@@ -53,7 +53,7 @@ func launchReplicated(t *testing.T, docs, cats, nodes, clusters, reps int, seed 
 func checkQuery(t *testing.T, c *Cluster, origin *Node, cat catalog.CategoryID, m int) {
 	t.Helper()
 	var placed int
-	runCmd(t, origin, func(n *Node) { placed = n.holders.of(cat).Placed })
+	locked(origin, func(n *Node) { placed = n.holders.of(cat).Placed })
 	out, err := origin.Query(cat, m, 5*time.Second)
 	want := min(m, placed)
 	if err != nil || !out.Done || len(out.Docs) != want || out.Results != want {
@@ -129,12 +129,12 @@ func TestQueryRuleProperty(t *testing.T) {
 		}
 		entry := protocol.DCRTEntry{Cluster: to, MoveCounter: 1}
 		for _, n := range c.Nodes {
-			runCmd(t, n, func(n *Node) { n.applyMoveEntry(cat, entry) })
+			locked(n, func(n *Node) { n.applyMoveEntry(cat, entry) })
 		}
 		share := replica.PlaceCategory(c.inst, cat, mem.NodesOf(to), replica.DefaultConfig())
 		for _, n := range c.Nodes {
 			var hs []protocol.Holder
-			runCmd(t, n, func(n *Node) { hs = n.holders.of(cat).Holders })
+			locked(n, func(n *Node) { hs = n.holders.of(cat).Holders })
 			for _, h := range hs {
 				if !slices.Equal(h.Docs, share[h.Node]) {
 					t.Fatalf("node %d's view of the moved category: holder %d has %v, PlaceCategory gives %v",

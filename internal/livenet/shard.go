@@ -13,37 +13,38 @@ package livenet
 //	shard s (of P)    under s.mu: pending queries whose query id
 //	                  satisfies int(id&shardIDMask)%P == s, the shard's
 //	                  rng and query-id sequence. Under s.hitsMu (a
-//	                  leaf): per-category hit counters, drained by
-//	                  adaptation from the control loop.
-//	control loop      membership, adaptation, address book, DT/byCat,
-//	                  DCRT, NRT, holder view — everything low-rate; see
-//	                  livenet.go.
+//	                  leaf): per-category hit counters, drained by the
+//	                  adaptation report under routeMu.Lock.
+//	routeMu.Lock      control state: membership, adaptation, address
+//	                  book, byCat, DCRT, NRT, holder view, the node rng —
+//	                  everything low-rate, written by whichever goroutine
+//	                  the work arrived on (a reader's control frame, an
+//	                  API caller, a tick); see livenet.go.
 //	caller goroutine  admission (atomic CAS), requester-cache lookup, the
-//	                  route snapshot, and registering its own query.
+//	                  route check, and registering its own query.
 //
 // Frame dispatch: a connection reader runs a decoded QueryMsg/ResultMsg
-// itself, on the shard owning its query id; every other message type
-// goes to the control loop. Running a query takes no shard lock: a node
-// keeps no per-query state for queries it did not issue, since the
-// placement rule (protocol.Forward) cannot loop. A query id is minted
-// with its owning shard's index in the low shardIDBits bits, so any
-// node — even one running a different shard count — routes the id to
-// one deterministic shard, and results for a query come home to the
-// shard that registered it.
+// itself, on the shard owning its query id, and every other control
+// frame itself under routeMu.Lock (routeInbound). Running a query takes
+// no shard lock: a node keeps no per-query state for queries it did not
+// issue, since the placement rule (protocol.Forward) cannot loop. A
+// query id is minted with its owning shard's index in the low
+// shardIDBits bits, so any node — even one running a different shard
+// count — routes the id to one deterministic shard, and results for a
+// query come home to the shard that registered it.
 //
-// Locking: the order is s.mu → routeMu. Shard code reads the
-// control-owned routing state (book, DCRT, NRT, byCat, holder view)
-// under routeMu.RLock, possibly while holding s.mu; the control loop
-// holds routeMu.Lock for every event it processes, is the sole writer,
-// and must never take a shard lock while it does (a reader holding that
-// shard may be waiting for RLock). send() assumes routeMu is held in
-// either mode. Nothing under either lock blocks: sends enqueue or drop,
-// results go to a buffered channel, the sweep only TryLocks.
+// Locking: the order is s.mu → routeMu. Shard code reads the control
+// state under routeMu.RLock, possibly while holding s.mu; whoever holds
+// routeMu.Lock must never take a shard lock while it does (a reader
+// holding that shard may be waiting for RLock). send() assumes routeMu
+// is held in either mode. Nothing under either lock blocks: sends
+// enqueue or drop, results go to a buffered channel, the sweep only
+// TryLocks.
 //
-// Shutdown: there is nothing to stop. close(done) ends the control and
-// accept loops and the readers; shard state simply stops being visited,
-// and a caller waiting on its result channel leaves through its done
-// arm, preferring a result delivered just before.
+// Shutdown: there is nothing to stop. close(done) ends the accept loop
+// and, with the connections closed, the readers; shard state simply
+// stops being visited, and a caller waiting on its result channel leaves
+// through its done arm, preferring a result delivered just before.
 
 import (
 	"math/rand"
@@ -78,9 +79,9 @@ type engineShard struct {
 	rng       *rand.Rand
 
 	// hits counts per-category entry requests into this shard (the
-	// §6.1.2 monitoring counter). Readers increment it, the control
-	// loop's adaptation report drains it — under routeMu.Lock, where it
-	// may not take mu; hence a mutex of its own.
+	// §6.1.2 monitoring counter). Readers increment it, the adaptation
+	// report drains it — under routeMu.Lock, where it may not take mu;
+	// hence a mutex of its own.
 	hits   map[catalog.CategoryID]int64
 	hitsMu sync.Mutex
 }
@@ -170,7 +171,7 @@ func (s *engineShard) mintID() uint64 {
 // min(want, documents placed). Caller holds mu, has passed admission
 // and holds the in-flight slot.
 func (s *engineShard) register(cat catalog.CategoryID, want, need int, docs map[catalog.DocID]bool,
-	ch chan QueryOutcome, deadline time.Time, hasDeadline bool, members []model.NodeID) uint64 {
+	ch chan QueryOutcome, deadline time.Time, hasDeadline bool) uint64 {
 	id := s.mintID()
 	now := time.Now()
 	pq := &pendingQuery{
@@ -182,7 +183,6 @@ func (s *engineShard) register(cat catalog.CategoryID, want, need int, docs map[
 		ch:       ch,
 		deadline: now.Add(maxPendingAge),
 		lastSend: now,
-		entry:    members,
 	}
 	if hasDeadline {
 		pq.deadline = deadline.Add(pendingGrace)
@@ -192,30 +192,59 @@ func (s *engineShard) register(cat catalog.CategoryID, want, need int, docs map[
 	return id
 }
 
-// sendQuery (re)issues the query to a random reachable member of the
-// serving cluster. The full demand goes out even when the cache primed a
-// partial answer: the entry member picks who answers by the demand, and
-// a node that answers returns at most that many documents. Caller holds
-// mu.
-func (s *engineShard) sendQuery(pq *pendingQuery) {
-	if len(pq.entry) == 0 {
-		return // all targets evicted; the sweep refills or expires
-	}
-	target := pq.entry[s.rng.Intn(len(pq.entry))]
+// sendQuery (re)issues the query to a random member of the serving
+// cluster, read off the current tables: a member this node can address
+// (the static NRT priming lists peers that may never have joined this
+// deployment, and a query sent to one of those is a guaranteed
+// timeout), or any NRT member when none is addressable. It reports false,
+// sending nothing, when the category has no route. The full demand goes
+// out even when the cache primed a partial answer: the entry member picks
+// who answers by the demand, and a node that answers returns at most that
+// many documents. Caller holds mu.
+func (s *engineShard) sendQuery(pq *pendingQuery) bool {
 	n := s.n
 	n.routeMu.RLock()
+	defer n.routeMu.RUnlock()
+	entry, ok := n.dcrt[pq.cat]
+	if !ok {
+		return false
+	}
+	members := n.nrt[entry.Cluster]
+	count := 0
+	for _, mb := range members {
+		if n.book.has(mb) {
+			count++
+		}
+	}
+	var target model.NodeID
+	switch {
+	case count > 0:
+		k := s.rng.Intn(count)
+		for _, mb := range members {
+			if n.book.has(mb) {
+				if k == 0 {
+					target = mb
+					break
+				}
+				k--
+			}
+		}
+	case len(members) > 0:
+		target = members[s.rng.Intn(len(members))]
+	default:
+		return false
+	}
 	n.send(target, protocol.QueryMsg{
 		ID: pq.id, Category: pq.cat, Want: pq.want, Origin: n.id, Hops: 1, Entry: true,
 	})
-	n.routeMu.RUnlock()
+	return true
 }
 
 // sweep advances this shard's pending queries: expired entries deliver
-// their partial outcome, and silent queries re-send to another
-// serving-cluster member after the resend-target list is pruned against
-// the current membership (peers evicted by the failure detector leave
-// the address book; the shard catches up here instead of being chased
-// by a cross-shard broadcast). Caller holds mu.
+// their partial outcome, and silent queries re-send to a serving-cluster
+// member chosen from the current tables, so a peer the failure detector
+// evicted since the last send is no longer a candidate. A query with no
+// route left is not re-sent and waits out its deadline. Caller holds mu.
 func (s *engineShard) sweep(now time.Time) {
 	for _, pq := range s.pending {
 		if now.After(pq.deadline) {
@@ -223,17 +252,10 @@ func (s *engineShard) sweep(now time.Time) {
 			s.n.stats.Add("pending_expired", 1)
 			continue
 		}
-		if pq.received == 0 && pq.resends < maxResends && now.Sub(pq.lastSend) > resendAfter {
-			s.n.routeMu.RLock()
-			s.n.refillEntry(pq)
-			s.n.routeMu.RUnlock()
-			if len(pq.entry) == 0 {
-				continue
-			}
+		if pq.received == 0 && pq.resends < maxResends && now.Sub(pq.lastSend) > resendAfter && s.sendQuery(pq) {
 			pq.resends++
 			pq.lastSend = now
 			s.n.stats.Add("query_resends", 1)
-			s.sendQuery(pq)
 		}
 	}
 }

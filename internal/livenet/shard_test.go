@@ -176,11 +176,11 @@ func TestCrossShardConcurrentQueries(t *testing.T) {
 // shard.mu → routeMu (run it under -race). Reader goroutines push query
 // frames at both shards the way connection readers do, a sweeper plays
 // the timerwheel, and real callers register and abandon queries — all
-// of which take a shard lock and then routeMu.RLock — while the control
-// loop, which holds routeMu.Lock per event, applies publishes and moves
-// and is fed stray query and result frames through its inbox. If the
-// control loop ever took a shard lock under its write lock, this wedges;
-// it must finish, and every query must still be accounted for.
+// of which take a shard lock and then routeMu.RLock — while publishes
+// and moves take routeMu.Lock, the moves on a reader that also carries
+// query and result frames. If anything under routeMu.Lock took a shard
+// lock, this wedges; it must finish, and every query must still be
+// accounted for.
 func TestShardLockOrder(t *testing.T) {
 	c, inst := launchShards(t, 91, 2)
 	n := c.Nodes[0]
@@ -221,8 +221,9 @@ func TestShardLockOrder(t *testing.T) {
 		}
 		n.TableSizes()
 	})
-	// The routeMu writer: publishes ride the command channel, moves and
-	// the stray frames ride the control inbox.
+	// The routeMu writers: publishes on their caller, moves on a reader
+	// (routeInbound takes routeMu.Lock for them), with non-entry query
+	// and result frames between them on the same reader.
 	spin(func(int) {
 		if err := n.Publish(doc); err != nil {
 			t.Errorf("publish: %v", err)
@@ -234,11 +235,7 @@ func TestShardLockOrder(t *testing.T) {
 			protocol.QueryMsg{ID: 1<<50 | uint64(i)<<shardIDBits | uint64(i&1), Category: cat, Want: 1, Origin: 1, Hops: 1},
 			protocol.ResultMsg{ID: uint64(i), From: 1},
 		} {
-			select {
-			case n.inbox <- envelope{From: 1, Msg: msg}:
-			case <-stop:
-				return
-			}
+			n.routeInbound(envelope{From: 1, Msg: msg})
 		}
 	})
 

@@ -3,10 +3,10 @@ package livenet
 // The content data plane, requester and server side. A fetch is the
 // bulk analogue of a query: the caller goroutine runs the whole state
 // machine (no per-transfer goroutine — the idle-cluster goroutine
-// budget stays nodes*3+64), replica holders serve manifest and chunk
+// budget stays nodes*2+64), replica holders serve manifest and chunk
 // requests inline on their connection reader goroutines (the store is
-// read-mostly and its own lock, so serving never occupies the control
-// loop), and replies are demultiplexed back to the waiting fetcher
+// read-mostly and its own lock, so serving never holds routeMu), and
+// replies are demultiplexed back to the waiting fetcher
 // through a transfer registry keyed by a requester-minted id. Every
 // byte a node pulls — a Fetch, a move's owed documents, a pushed
 // replica — streams through one routine, download; the background
@@ -305,8 +305,8 @@ func (w *creditWindow) landed(idx int) {
 	w.grant(fresh[:k])
 }
 
-// sendDirect queues one envelope to a peer from OUTSIDE the control
-// loop (reader goroutines serving transfers, fetch callers): unlike
+// sendDirect queues one envelope to a peer from code that does not hold
+// routeMu (reader goroutines serving transfers, fetch callers): unlike
 // send it takes the routing read lock itself. bulk selects the
 // transport's low-priority lane, so document chunks ride behind any
 // pending protocol frames instead of ahead of them.
@@ -440,8 +440,8 @@ type prevClusterRecord struct {
 	expires time.Time
 }
 
-// prunePrevClusters drops expired shedding-cluster records. Called from
-// the control loop whenever a move lands, so the map's size is bounded
+// prunePrevClusters drops expired shedding-cluster records. Called under
+// routeMu.Lock whenever a move lands, so the map's size is bounded
 // by the categories moved within one TTL window.
 func (n *Node) prunePrevClusters(now time.Time) {
 	for cat, rec := range n.prevCluster {
@@ -483,7 +483,7 @@ func (n *Node) fetchSources(cat catalog.CategoryID) []model.NodeID {
 	}
 	n.routeMu.RUnlock()
 	if len(out) == 0 {
-		// Same fallback as the query engine's route snapshot: with no
+		// Same fallback as a query's entry send (sendQuery): with no
 		// addressable member, try the statically primed ones — the book
 		// may simply not have synced yet.
 		out = unbooked
@@ -544,11 +544,9 @@ func (n *Node) Fetch(ctx context.Context, d catalog.DocID) ([]byte, error) {
 		n.stats.Add(reason, 1)
 		return nil, ferr
 	}
-	select {
-	case <-n.done:
+	if n.closed() {
 		n.stats.Add("fetch_closed", 1)
 		return nil, ErrClosed
-	default:
 	}
 	if n.store != nil {
 		if b, ok := n.store.Bytes(d); ok {
@@ -795,8 +793,8 @@ func (n *Node) download(ctx context.Context, d catalog.DocID, man *content.Manif
 }
 
 // queueMoves hands the documents a §6.1 move made this node owe to the
-// node's one bounded background pull pool. Called from the control loop,
-// so it only spawns, never blocks. They always queue: with every worker
+// node's one bounded background pull pool. Called under routeMu.Lock, so
+// it only spawns, never blocks. They always queue: with every worker
 // busy they wait (counted as transfer_move_queued) for the next free one
 // — a skipped batch would leave the move-acquired holder permanently
 // byteless. A nil batch only hands an existing backlog to free workers.
@@ -849,13 +847,7 @@ func (n *Node) pullWorker() {
 	defer n.wg.Done()
 	for {
 		n.pullMu.Lock()
-		stop := len(n.pullQueue) == 0
-		select {
-		case <-n.done:
-			stop = true
-		default:
-		}
-		if stop {
+		if len(n.pullQueue) == 0 || n.closed() {
 			n.pullWorkers--
 			n.pullMu.Unlock()
 			return
@@ -906,8 +898,8 @@ func (n *Node) runPush(ctx context.Context, doc catalog.DocID, man *content.Mani
 // pushReplicas is the holder side of demand-driven replication: the
 // cluster leader reported this node overloaded and named under-loaded
 // members (wire.LeaderLoad.Lite); push the manifests of the hottest
-// documents from the last drained serve window at them. Runs in the
-// control loop — it only enqueues frames.
+// documents from the last drained serve window at them. Runs under
+// routeMu.Lock — it only enqueues frames.
 func (n *Node) pushReplicas(lite []model.NodeID) {
 	if n.store == nil || len(n.lastServed) == 0 {
 		return

@@ -118,7 +118,7 @@ var writeBufs = sync.Pool{
 
 // transport is one node's connection pool. All methods are safe for
 // concurrent use: enqueue is called from the node's connection readers,
-// query callers and control loop while the writers run.
+// API callers and ticks while the writers run.
 type transport struct {
 	from    model.NodeID
 	seed    int64
@@ -246,8 +246,8 @@ func (t *transport) dialPeer(addr string) (net.Conn, error) {
 
 // enqueue hands a protocol envelope to the peer's writer, spawning one
 // if the peer's writer is parked (or never started). It never blocks: a
-// full queue drops the message (counted) rather than stalling a reader
-// or the control loop, which call it with locks held.
+// full queue drops the message (counted) rather than stalling its
+// caller, which holds routeMu or a shard lock.
 func (t *transport) enqueue(to model.NodeID, addr string, env envelope) {
 	t.enqueueOn(to, addr, env, false)
 }

@@ -14,16 +14,12 @@ import (
 	"p2pshare/internal/protocol"
 )
 
-// runCmd executes f inside the node's control loop and waits for it.
-func runCmd(t *testing.T, n *Node, f func(*Node)) {
-	t.Helper()
-	done := make(chan struct{})
-	select {
-	case n.cmds <- func(n *Node) { f(n); close(done) }:
-		<-done
-	case <-n.done:
-		t.Fatal("node closed before command ran")
-	}
+// locked runs f on n under routeMu.Lock, the way control frames, API
+// calls and ticks run.
+func locked(n *Node, f func(*Node)) {
+	n.routeMu.Lock()
+	defer n.routeMu.Unlock()
+	f(n)
 }
 
 // runShard executes f under one engine shard's lock.
@@ -248,7 +244,7 @@ func TestEvictPeerRemovesNRTEntries(t *testing.T) {
 	c, _ := launchSmall(t, 14)
 	n := c.Nodes[0]
 	var victim model.NodeID
-	runCmd(t, n, func(n *Node) {
+	locked(n, func(n *Node) {
 		for _, members := range n.nrt {
 			if len(members) > 0 {
 				victim = members[0]
@@ -256,8 +252,8 @@ func TestEvictPeerRemovesNRTEntries(t *testing.T) {
 			}
 		}
 	})
-	runCmd(t, n, func(n *Node) { n.evictPeer(victim) })
-	runCmd(t, n, func(n *Node) {
+	locked(n, func(n *Node) { n.evictPeer(victim) })
+	locked(n, func(n *Node) {
 		for cl, members := range n.nrt {
 			for _, m := range members {
 				if m == victim {
@@ -309,7 +305,7 @@ func TestQueryNoRouteExplicit(t *testing.T) {
 	c, inst := launchSmall(t, 17)
 	n := c.Nodes[0]
 	cat := bigCategory(inst)
-	runCmd(t, n, func(n *Node) { delete(n.dcrt, cat) })
+	locked(n, func(n *Node) { delete(n.dcrt, cat) })
 
 	if _, err := n.Query(cat, 1, time.Second); !errors.Is(err, ErrNoRoute) {
 		t.Errorf("Query without DCRT entry: err = %v, want ErrNoRoute", err)
@@ -328,12 +324,9 @@ func TestQueryNoRouteExplicit(t *testing.T) {
 	// Publish path: a document whose category has no route errors out.
 	var doc catalog.DocID
 	found := false
-	runCmd(t, n, func(n *Node) {
-		for d := range n.dt {
-			if n.dt[d] == cat {
-				doc, found = d, true
-				return
-			}
+	locked(n, func(n *Node) {
+		if docs := n.byCat[cat]; len(docs) > 0 {
+			doc, found = docs[0], true
 		}
 	})
 	if found {

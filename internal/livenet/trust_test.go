@@ -66,7 +66,7 @@ func TestOutOfShapeIDsNeverReachTables(t *testing.T) {
 	docs := len(c.inst.Catalog.Docs)
 	cat := c.inst.Catalog.Doc(0).Categories[0]
 	var entry protocol.DCRTEntry
-	runCmd(t, n, func(n *Node) { entry = n.dcrt[cat] })
+	locked(n, func(n *Node) { entry = n.dcrt[cat] })
 
 	// A pending query the bad result names. Its resends are spent, so
 	// only the frames below can answer it.
@@ -93,7 +93,7 @@ func TestOutOfShapeIDsNeverReachTables(t *testing.T) {
 	}
 
 	var strays []model.NodeID
-	runCmd(t, n, func(n *Node) {
+	locked(n, func(n *Node) {
 		for cl := 0; cl < n.inst.NumClusters; cl++ {
 			for _, id := range n.nrt[model.ClusterID(cl)] {
 				if id < 0 || id >= outside {

@@ -10,12 +10,12 @@
 // for their cluster-based replication architecture).
 //
 // The Detector is a pure state machine: it owns no goroutines, no
-// timers, and no sockets. The caller — in practice one livenet event
-// loop — drives it with Tick(now) and the On* handlers, all of which
-// return the packets to transmit; state-change events accumulate and
-// are drained with Events(). Methods are NOT safe for concurrent use;
-// the owning event loop serializes them, exactly like the rest of a
-// livenet node's state.
+// timers, and no sockets. The caller — in practice one livenet node —
+// drives it with Tick(now) and the On* handlers, all of which return
+// the packets to transmit; state-change events accumulate and are
+// drained with Events(). Methods are NOT safe for concurrent use; the
+// node serializes them under its routing lock, like the rest of its
+// control state.
 package membership
 
 import (

@@ -176,7 +176,7 @@ func (c *Counter) Labels() []string {
 
 // SyncCounter is a labelled monotonically increasing count safe for
 // concurrent use — the live transport's writer goroutines, the
-// connection readers and the control loop all increment the same set.
+// connection readers and API callers all increment the same set.
 // Every label is one atomic cell: Add finds the cell under the mutex and
 // adds outside it; a per-message site calls Handle once and keeps the
 // cell, so counting costs one atomic add and no string hash. A label

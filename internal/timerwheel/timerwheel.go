@@ -18,8 +18,9 @@
 // "roughly how long ago" pays one atomic load instead of a clock read.
 //
 // Callbacks run on the wheel goroutine and MUST NOT block: livenet's
-// registrations make non-blocking channel offers into the loops that own
-// the real work, or do a short sweep under a TryLock. A slow callback
+// registrations do a short sweep under a TryLock, or start a goroutine
+// that takes the lock the real work needs (dropping the tick while the
+// previous one still runs). A slow callback
 // delays every other timer and the coarse clock — that is the deal one
 // shared goroutine implies, and the callers here accept it because
 // dropped or delayed periodic ticks are harmless by design.
