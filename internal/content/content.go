@@ -150,6 +150,39 @@ func buildManifest(doc catalog.DocID, data []byte, size int64, chunkSize int) *M
 	return m
 }
 
+// synthKey names one synthetic manifest: the same document cut at
+// another size or chunk size has another manifest.
+type synthKey struct {
+	doc       catalog.DocID
+	size      int64
+	chunkSize int
+}
+
+// synthManifests maps each synthKey to a sync.OnceValue that builds its
+// manifest. A synthetic document's bytes, and so its manifest, are a
+// pure function of the key, so the manifest is hashed once per process
+// and every Store serves that one immutable copy. Entries are never
+// removed: there is one per synthetic document some store in the process
+// has answered a manifest for, a set the catalog bounds.
+var synthManifests sync.Map
+
+// synthBuilds counts the synthetic manifests built; the package's tests
+// read it.
+var synthBuilds atomic.Int64
+
+// syntheticManifest returns the shared manifest for k, building it on
+// the first call. Concurrent first calls wait for that one build.
+func syntheticManifest(k synthKey) *Manifest {
+	f, ok := synthManifests.Load(k)
+	if !ok {
+		f, _ = synthManifests.LoadOrStore(k, sync.OnceValue(func() *Manifest {
+			synthBuilds.Add(1)
+			return buildManifest(k.doc, nil, k.size, k.chunkSize)
+		}))
+	}
+	return f.(func() *Manifest)()
+}
+
 // splitmix64 is the synthetic byte generator's word function.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
@@ -247,13 +280,16 @@ type docEntry struct {
 }
 
 // Store is a node's chunk store: the set of documents it can serve,
-// with cached manifests. Safe for concurrent use; reads (Chunk,
-// Manifest on a cached doc) take only an RLock, so many transfer
-// streams can be served in parallel.
+// with their manifests. Safe for concurrent use; reads (Chunk,
+// Manifest) take only an RLock, so many transfer streams can be served
+// in parallel.
 type Store struct {
 	mu        sync.RWMutex
 	chunkSize int
 	docs      map[catalog.DocID]docEntry
+	// manifests holds the manifest of every explicit document, installed
+	// under mu with its bytes. Synthetic documents have no entry: their
+	// manifests come from the shared synthManifests table.
 	manifests map[catalog.DocID]*Manifest
 
 	// clock is a logical tick advanced on every cached-entry serve;
@@ -285,18 +321,16 @@ func NewStore(chunkSize int) *Store {
 // ChunkSize returns the store's transfer unit.
 func (s *Store) ChunkSize() int { return s.chunkSize }
 
-// Register marks doc as held with synthetic backing of the given size.
+// Register marks doc as held with synthetic backing of the given size;
+// its manifest is the process-wide one for (doc, size, chunk size).
 // An existing explicit blob is left in place (real bytes win).
 func (s *Store) Register(doc catalog.DocID, size int64) {
 	if size < 0 {
 		return
 	}
 	s.mu.Lock()
-	if e, ok := s.docs[doc]; !ok || e.data == nil {
-		if !ok || e.size != size {
-			s.docs[doc] = docEntry{size: size}
-			delete(s.manifests, doc)
-		}
+	if e, ok := s.docs[doc]; !ok || (e.data == nil && e.size != size) {
+		s.docs[doc] = docEntry{size: size}
 	}
 	s.mu.Unlock()
 }
@@ -486,28 +520,25 @@ func (s *Store) Len() int {
 	return n
 }
 
-// Manifest returns doc's manifest, computing and caching it on first
-// use (synthetic documents hash their generated chunks once).
+// Manifest returns doc's manifest, or false if doc is not held. An
+// explicit document's manifest was installed with its bytes; a
+// synthetic one's is shared by every Store in the process and hashed
+// once, by whichever request reaches it first. The returned manifest
+// is shared: callers must not modify it.
 func (s *Store) Manifest(doc catalog.DocID) (*Manifest, bool) {
 	s.mu.RLock()
-	m, ok := s.manifests[doc]
 	e, held := s.docs[doc]
+	m := s.manifests[doc]
 	if held {
 		s.touch(e)
 	}
 	s.mu.RUnlock()
-	if ok {
-		return m, true
-	}
 	if !held {
 		return nil, false
 	}
-	m = buildManifest(doc, e.data, e.size, s.chunkSize)
-	s.mu.Lock()
-	// Another goroutine may have raced us here; either result is
-	// identical, so last-write-wins is fine.
-	s.manifests[doc] = m
-	s.mu.Unlock()
+	if e.data == nil {
+		m = syntheticManifest(synthKey{doc, e.size, s.chunkSize})
+	}
 	return m, true
 }
 

@@ -16,8 +16,9 @@ import (
 // 64 nodes over 512 KB memnet rings, 4 MB synthetic documents, caches
 // off — and returns one client node with sixteen documents it holds no
 // copy of, so every Fetch streams the full document from a remote
-// holder. Their holders' manifests are built here (a store hashes a
-// document on the first request for it), so callers measure transfers.
+// holder. Each document's manifest is built here, through one holder
+// (a synthetic manifest is hashed once per process, on the first
+// request for it), so callers measure transfers.
 func fetch4MBCluster(tb testing.TB) (*Node, []catalog.DocID) {
 	tb.Helper()
 	sh := Shape{Documents: 128, Categories: 16, Nodes: 64, Clusters: 4, Seed: 51}
@@ -32,7 +33,10 @@ func fetch4MBCluster(tb testing.TB) (*Node, []catalog.DocID) {
 		if len(remote) < 16 && d.Size == 4<<20 && !client.store.Has(d.ID) {
 			remote = append(remote, d.ID)
 			for _, n := range c.Nodes {
-				n.store.Manifest(d.ID)
+				if n.store.Has(d.ID) {
+					n.store.Manifest(d.ID)
+					break
+				}
 			}
 		}
 	}

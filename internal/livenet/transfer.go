@@ -327,7 +327,11 @@ func (n *Node) sendDirect(to model.NodeID, msg any, bulk bool) {
 }
 
 // serveManifestReq answers a manifest request inline on the reader
-// goroutine. A holder replies straight to the request's origin; a
+// goroutine. The store answers a manifest only for a document it holds
+// at that moment; a synthetic one is hashed once per process, not once
+// per holder, so every holder sends the same bytes and only the first
+// request for a document in the process pays the hash on its reader. A
+// holder replies straight to the request's origin; a
 // member that does not hold the document forwards the request to a few
 // serving-cluster neighbors instead (TTL-bounded), so holder discovery
 // rides the overlay the same way queries do — placement stores each
