@@ -42,7 +42,6 @@ import (
 type run struct {
 	Nodes          int     `json:"nodes"`
 	Clusters       int     `json:"clusters"`
-	Shards         int     `json:"shards"`
 	StartupSeconds float64 `json:"startup_seconds"`
 	// HeapBytesPerNode is the Go-heap growth of booting the cluster
 	// (HeapAlloc delta across the launch, both sides GC'd) divided by the
@@ -126,7 +125,7 @@ func shapeFor(nodes int, seed int64) livenet.Shape {
 	}
 }
 
-func bench(nodes, queries, workers, origins, shards int, zipfS float64, seed int64) (run, error) {
+func bench(nodes, queries, workers, origins int, zipfS float64, seed int64) (run, error) {
 	sh := shapeFor(nodes, seed)
 	inst, assign, place, err := sh.Build()
 	if err != nil {
@@ -144,9 +143,8 @@ func bench(nodes, queries, workers, origins, shards int, zipfS float64, seed int
 	runtime.ReadMemStats(&msBefore)
 	bootStart := time.Now()
 	c, err := livenet.Launch(inst, assign, place, livenet.Options{
-		Seed:   seed,
-		Shards: shards,
-		Hooks:  hooks,
+		Seed:  seed,
+		Hooks: hooks,
 		// Full engine+transport path on every query; no requester cache.
 		CacheBytes: -1,
 		// Park quickly: idle cost should reflect steady state, not the
@@ -229,7 +227,6 @@ func bench(nodes, queries, workers, origins, shards int, zipfS float64, seed int
 	return run{
 		Nodes:             nodes,
 		Clusters:          sh.Clusters,
-		Shards:            c.Nodes[0].Shards(),
 		StartupSeconds:    startup.Seconds(),
 		HeapBytesPerNode:  heapDelta / float64(nodes),
 		RSSBytes:          rssBytes(),
@@ -253,7 +250,6 @@ func main() {
 		queries    = flag.Int("queries", 2000, "queries per scale")
 		workers    = flag.Int("workers", 16, "concurrent query workers")
 		origins    = flag.Int("origins", 256, "size of the requester pool queries originate from")
-		shards     = flag.Int("shards", 0, "engine shards per node (0 = default)")
 		zipfS      = flag.Float64("zipf", 1.2, "Zipf skew parameter s for category popularity")
 		seed       = flag.Int64("seed", 51, "deployment seed")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this path")
@@ -295,7 +291,7 @@ func main() {
 	}
 	for _, n := range sizes {
 		fmt.Fprintf(os.Stderr, "benchcluster: booting %d live nodes over memnet...\n", n)
-		r, err := bench(n, *queries, *workers, *origins, *shards, *zipfS, *seed)
+		r, err := bench(n, *queries, *workers, *origins, *zipfS, *seed)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchcluster:", err)
 			os.Exit(1)

@@ -198,7 +198,6 @@ func main() {
 	contentCacheMB := flag.Int64("content-cachemb", 0, "demand-driven replica cache budget in MB (0 = off; requires -content)")
 	cacheAdmit := flag.Int("cache-admit", 0, "demand hits before a fetched doc earns a cache slot (0 = default, 2)")
 	docBytes := flag.Int64("docbytes", 0, "shape: bytes per document (0 = catalog default, 4 MB)")
-	shards := flag.Int("shards", 0, "engine shards (parallel query loops; 0 = GOMAXPROCS, min 2, max 64)")
 	maxInFlight := flag.Int("maxinflight", 0, "admission bound on concurrently served queries (0 = default)")
 	harnessMode := flag.Bool("harness", false, "machine mode: speak the harness JSON protocol on stdin/stdout")
 	syncAddr := flag.String("sync", "", "harness barrier service address (machine mode)")
@@ -218,10 +217,8 @@ func main() {
 		Documents: *docs, Categories: *cats, Nodes: *nodes,
 		Clusters: *clusters, Seed: *seed, DocBytes: *docBytes,
 	}
-	// The whole birth configuration is one Options struct; only runtime
-	// re-tuning still goes through setters.
+	// The whole birth configuration is one Options struct.
 	opts := livenet.Options{
-		Shards:      *shards,
 		MaxInFlight: *maxInFlight,
 		CacheBytes:  *cacheMB << 20,
 	}
@@ -279,8 +276,8 @@ func main() {
 		fmt.Printf("adaptation on: %v epochs, rebalance below fairness %.2f\n",
 			*adaptEvery, *fairThresh)
 	}
-	fmt.Printf("node %d listening on %s (knows %d peers, %d engine shards)\n",
-		node.ID(), node.Addr(), node.KnownPeers(), node.Shards())
+	fmt.Printf("node %d listening on %s (knows %d peers)\n",
+		node.ID(), node.Addr(), node.KnownPeers())
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt)

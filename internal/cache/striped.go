@@ -8,9 +8,9 @@ import (
 
 // Striped is a byte-budgeted document cache safe for concurrent use: the
 // key space is partitioned over independently locked Cache stripes, so
-// goroutines touching different documents proceed in parallel (the
-// sharded livenet engine reads and fills the requester cache from every
-// shard and from caller goroutines at once). Each stripe gets an equal
+// goroutines touching different documents proceed in parallel (a
+// livenet node reads and fills its requester cache from caller
+// goroutines and from the readers that complete queries, at once). Each stripe gets an equal
 // share of the byte budget; eviction is per-stripe, which approximates
 // the single-cache policy the way a set-associative cache approximates
 // full associativity.

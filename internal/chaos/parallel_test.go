@@ -13,8 +13,8 @@ import (
 )
 
 // runParallel drives W writes over each of L links from L concurrent
-// goroutines (one writer per link — the shape of livenet's sharded
-// engine, where per-peer writer goroutines never share a link) and
+// goroutines (one writer per link — the shape of livenet's transport,
+// where per-peer writer goroutines never share a link) and
 // returns the bytes each link delivered. stagger perturbs goroutine
 // scheduling so two runs interleave differently across links.
 func runParallel(t *testing.T, seed int64, f Faults, links, writes int, stagger bool) map[Link][]byte {
@@ -65,12 +65,12 @@ func runParallel(t *testing.T, seed int64, f Faults, links, writes int, stagger 
 	return out
 }
 
-// TestChaosReplayParallelShards pins the determinism contract the
-// sharded engine depends on: fault decisions are PRF(seed, link,
+// TestChaosReplayParallelShards pins the determinism contract the live
+// node's parallel link writers depend on: fault decisions are PRF(seed, link,
 // write-index), so replaying a scenario with many writer goroutines
 // running truly in parallel (GOMAXPROCS > 1) delivers byte-identical
 // per-link streams even when the cross-link interleaving differs
-// between runs. Before trusting any chaos repro from a sharded run,
+// between runs. Before trusting any chaos repro from a parallel run,
 // this is the property that must hold.
 func TestChaosReplayParallelShards(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)

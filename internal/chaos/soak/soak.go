@@ -202,7 +202,7 @@ func bigCategory(inst *model.Instance) catalog.CategoryID {
 }
 
 // tableSizesWithin reads a node's table sizes, bounding the wait: a
-// node whose routing lock or a shard lock is wedged cannot answer, which
+// node whose routing lock or query-table lock is wedged cannot answer, which
 // is itself the invariant violation the timeout detects.
 func tableSizesWithin(n *livenet.Node, d time.Duration) (map[string]int, bool) {
 	ch := make(chan map[string]int, 1)

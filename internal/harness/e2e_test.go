@@ -26,7 +26,7 @@ func TestTinyPlanEndToEnd(t *testing.T) {
 			{Metric: "p95_ms", Goal: "min"},
 		},
 		Nodes: 5, Clusters: 2, Docs: 160, Cats: 6, Seed: 33,
-		Shards: 2, CacheMB: 4, Warmup: 5,
+		CacheMB: 4, Warmup: 5,
 		Acts: []Act{
 			{Name: "steady", QueriesPerNode: 12, Concurrency: 3, M: 2,
 				HotCategory: -1, TimeoutMS: 5000},

@@ -108,7 +108,6 @@ type Plan struct {
 	ContentCacheMB int64 `json:"content_cache_mb,omitempty"`
 
 	// Per-node configuration (0 = the node's default).
-	Shards            int     `json:"shards,omitempty"`
 	MaxInFlight       int     `json:"max_inflight,omitempty"`
 	CacheMB           int64   `json:"cache_mb,omitempty"` // <0 disables caching
 	AdaptEveryMS      int     `json:"adapt_every_ms,omitempty"`

@@ -40,8 +40,7 @@ func Smoke() Plan {
 			"and adaptation convergence.",
 		Optimized: smokeObjectives(),
 		Nodes:     22, Clusters: 4, Docs: 600, Cats: 12, Seed: 7,
-		Shards: 2, CacheMB: 8,
-		AdaptEveryMS: 1000, FairnessThreshold: 0.83,
+		CacheMB: 8, AdaptEveryMS: 1000, FairnessThreshold: 0.83,
 		ConvergeTarget: 830,
 		Warmup:         20,
 		Acts: []Act{
@@ -73,8 +72,7 @@ func Zipf() Plan {
 			{Metric: "qps", Goal: "max"},
 		},
 		Nodes: 24, Clusters: 4, Docs: 800, Cats: 16, Seed: 11,
-		Shards: 2, CacheMB: 16,
-		AdaptEveryMS: 1000, FairnessThreshold: 0.83,
+		CacheMB: 16, AdaptEveryMS: 1000, FairnessThreshold: 0.83,
 		Warmup: 20,
 	}
 	for _, s := range []float64{0.4, 1.0, 1.4} {
@@ -101,8 +99,7 @@ func FlashCrowd() Plan {
 			{Metric: "fairness_jain_served", Goal: "max", RelTol: 0.25},
 		},
 		Nodes: 24, Clusters: 4, Docs: 800, Cats: 16, Seed: 13,
-		Shards: 2, CacheMB: 16,
-		AdaptEveryMS: 1000, FairnessThreshold: 0.83, ConvergeTarget: 830,
+		CacheMB: 16, AdaptEveryMS: 1000, FairnessThreshold: 0.83, ConvergeTarget: 830,
 		Warmup: 20,
 		Acts: []Act{
 			{
@@ -133,8 +130,7 @@ func Churn() Plan {
 			{Metric: "fairness_jain_served", Goal: "max", RelTol: 0.3},
 		},
 		Nodes: 24, Clusters: 4, Docs: 800, Cats: 16, Seed: 17,
-		Shards: 2, CacheMB: 16,
-		Warmup: 20,
+		CacheMB: 16, Warmup: 20,
 		Acts: []Act{
 			{
 				Name: "steady", QueriesPerNode: 40, Concurrency: 4, M: 2,
@@ -168,8 +164,7 @@ func Lossy() Plan {
 			{Metric: "p95_ms", Goal: "min", RelTol: 2.0, AbsTol: 300},
 		},
 		Nodes: 20, Clusters: 4, Docs: 600, Cats: 12, Seed: 19,
-		Shards: 2, CacheMB: 8,
-		Warmup: 20,
+		CacheMB: 8, Warmup: 20,
 		Acts: []Act{
 			{
 				Name: "clean", QueriesPerNode: 40, Concurrency: 4, M: 2,
@@ -207,8 +202,7 @@ func Bulkmix() Plan {
 			{Metric: "chunk_hash_fail", Goal: "min"},
 		},
 		Nodes: 20, Clusters: 4, Docs: 400, Cats: 12, Seed: 23,
-		Shards: 2, CacheMB: 8,
-		Content: true, DocBytes: 128 << 10,
+		CacheMB: 8, Content: true, DocBytes: 128 << 10,
 		Warmup: 20,
 		Acts: []Act{
 			{
@@ -257,8 +251,7 @@ func Flashbulk() Plan {
 			{Metric: "chunk_hash_fail", Goal: "min"},
 		},
 		Nodes: 20, Clusters: 4, Docs: 400, Cats: 12, Seed: 29,
-		Shards: 2, CacheMB: 8,
-		Content: true, DocBytes: 128 << 10, ContentCacheMB: 16,
+		CacheMB: 8, Content: true, DocBytes: 128 << 10, ContentCacheMB: 16,
 		AdaptEveryMS: 500, FairnessThreshold: 0.83,
 		Warmup: 20,
 		Acts: []Act{

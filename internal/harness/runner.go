@@ -127,9 +127,6 @@ func nodeArgs(id int, bootstrap string, p Plan, sync string) []string {
 	if p.DocBytes > 0 {
 		args = append(args, "-docbytes", strconv.FormatInt(p.DocBytes, 10))
 	}
-	if p.Shards > 0 {
-		args = append(args, "-shards", strconv.Itoa(p.Shards))
-	}
 	if p.MaxInFlight > 0 {
 		args = append(args, "-maxinflight", strconv.Itoa(p.MaxInFlight))
 	}

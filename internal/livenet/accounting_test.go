@@ -19,11 +19,12 @@ import (
 //	                 query_timeouts + query_cancelled + query_closed
 //
 // and the latency histogram observed every query a caller actually
-// waited on (ok + timeouts + cancelled), no more, no fewer. The
-// pre-shard engine violated both: abandoned queries skipped the
+// waited on (ok + timeouts + cancelled), no more, no fewer. An
+// earlier engine violated both: abandoned queries skipped the
 // histogram, and some exits double-counted.
 func TestQueryAccountingConservation(t *testing.T) {
-	c, inst := launchShards(t, 63, 4)
+	// Two admission slots: the rejection phase below fills both.
+	c, inst := launchWith(t, 63, Options{MaxInFlight: 2})
 	n := c.Nodes[0]
 	cat := bigCategory(inst)
 	impossible := unsatisfiable(t, n, cat)
@@ -43,10 +44,10 @@ func TestQueryAccountingConservation(t *testing.T) {
 		}
 	}
 
-	// Cancellations: abandon queries mid-flight.
+	// Cancellations: abandon queries mid-flight, one per slot.
 	var wg sync.WaitGroup
 	ctx, cancel := context.WithCancel(context.Background())
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -55,12 +56,11 @@ func TestQueryAccountingConservation(t *testing.T) {
 			}
 		}()
 	}
-	waitInFlight(t, n, 3, 2*time.Second)
+	waitInFlight(t, n, 2, 2*time.Second)
 	cancel()
 	wg.Wait()
 
-	// Rejections: clamp admission to 2 slots, fill them, overflow twice.
-	n.SetMaxInFlight(2)
+	// Rejections: fill both slots, overflow twice.
 	hold, holdCancel := context.WithCancel(context.Background())
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
@@ -79,7 +79,6 @@ func TestQueryAccountingConservation(t *testing.T) {
 	}
 	holdCancel()
 	wg.Wait()
-	n.SetMaxInFlight(1024)
 
 	// No-route: a category no cluster serves fails fast.
 	bogus := catalog.CategoryID(len(inst.Catalog.Cats) + 50)

@@ -209,9 +209,9 @@ func (n *Node) leaderOf(cl model.ClusterID) (model.NodeID, bool) {
 	return best, true
 }
 
-// adaptReport is step 0: drain every engine shard's hit counters into
-// one epoch measurement and report it to each of this node's clusters'
-// leaders. The drain itself resets the shard counters, so each report
+// adaptReport is step 0: drain the query table's hit counters into one
+// epoch measurement and report it to each of this node's clusters'
+// leaders. The drain itself resets the counters, so each report
 // covers exactly one epoch.
 func (n *Node) adaptReport(e uint64) {
 	ad := n.adapt
@@ -548,7 +548,7 @@ func (n *Node) gossipEntry(cat catalog.CategoryID, e protocol.DCRTEntry) {
 	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
 	update := protocol.MetadataUpdateMsg{Entries: map[catalog.CategoryID]protocol.DCRTEntry{cat: e}}
 	for i := 0; i < 3; i++ {
-		n.send(peers[n.rng.Intn(len(peers))], update)
+		n.send(peers[n.rng.IntN(len(peers))], update)
 	}
 }
 

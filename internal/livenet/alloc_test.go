@@ -14,9 +14,9 @@ import (
 // allocTestNode builds a minimal node whose query hot path can run
 // without any network: the transport is pre-closed, so send() resolves
 // the address and enqueue() no-ops deterministically — what's measured
-// is exactly the in-process handler work (decode-side handling, shard
-// dispatch state, reply/forward construction).
-func allocTestNode() (*Node, *engineShard) {
+// is exactly the in-process handler work (decode-side handling, query
+// table state, reply/forward construction).
+func allocTestNode() *Node {
 	stats := metrics.NewSyncCounter()
 	n := &Node{
 		stats: stats,
@@ -24,6 +24,11 @@ func allocTestNode() (*Node, *engineShard) {
 		book:  newAddrBook(),
 		dcrt:  map[catalog.CategoryID]protocol.DCRTEntry{3: {Cluster: 1}},
 		byCat: map[catalog.CategoryID][]catalog.DocID{3: {10, 11, 12, 13}},
+		queries: queryTable{
+			pending: make(map[uint64]*pendingQuery),
+			rng:     newPCG(1, 1, streamQueries),
+			hits:    make(map[catalog.CategoryID]int64),
+		},
 	}
 	// Node 0 (n.id) holds all four documents of category 3.
 	n.holders.base = []protocol.View{3: {Holders: []protocol.Holder{{Node: 0, Docs: n.byCat[3]}}, Placed: 4}}
@@ -31,8 +36,7 @@ func allocTestNode() (*Node, *engineShard) {
 	for _, id := range []model.NodeID{2, 3, 4, 9} {
 		n.book.set(id, "mem:0")
 	}
-	sh := newShards(n, 1, 1)[0]
-	return n, sh
+	return n
 }
 
 // TestHandleQueryAllocs pins the query hot path's allocation budget:
@@ -42,11 +46,11 @@ func TestHandleQueryAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	_, sh := allocTestNode()
+	n := allocTestNode()
 	var id uint64
 	avg := testing.AllocsPerRun(2000, func() {
 		id++
-		sh.handleQuery(protocol.QueryMsg{
+		n.handleQuery(protocol.QueryMsg{
 			ID: id, Category: 3, Want: 8, Origin: 9, Hops: 1, Entry: true,
 		})
 	})
@@ -64,7 +68,7 @@ func TestHandleQueryForwardOnlyAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	n, sh := allocTestNode()
+	n := allocTestNode()
 	delete(n.byCat, 3) // nothing stored: every query only asks
 	n.holders.base = []protocol.View{3: {Holders: []protocol.Holder{
 		{Node: 2, Docs: []catalog.DocID{10, 11, 12}}, {Node: 3, Docs: []catalog.DocID{13, 14, 15}}, {Node: 4, Docs: []catalog.DocID{16, 17}},
@@ -77,7 +81,7 @@ func TestHandleQueryForwardOnlyAllocs(t *testing.T) {
 	}
 	avg := testing.AllocsPerRun(2000, func() {
 		m.ID++
-		sh.handleQuery(m)
+		n.handleQuery(m)
 	})
 	if avg > 1 {
 		t.Fatalf("cover handleQuery allocates %.1f per run, budget 1 (one shared box)", avg)
@@ -91,7 +95,7 @@ func TestHandleQueryDirectAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	n, sh := allocTestNode()
+	n := allocTestNode()
 	delete(n.byCat, 3)
 	n.holders.base = []protocol.View{3: {Holders: []protocol.Holder{{Node: 4, Docs: []catalog.DocID{10, 11, 12, 13, 14, 15, 16, 17}}}, Placed: 8}}
 	m := protocol.QueryMsg{Category: 3, Want: 8, Origin: 9, Hops: 1, Entry: true}
@@ -102,7 +106,7 @@ func TestHandleQueryDirectAllocs(t *testing.T) {
 	}
 	avg := testing.AllocsPerRun(2000, func() {
 		m.ID++
-		sh.handleQuery(m)
+		n.handleQuery(m)
 	})
 	if avg > 1 {
 		t.Fatalf("directed handleQuery allocates %.1f per run, budget 1 (one box)", avg)
@@ -115,12 +119,12 @@ func TestHandleResultAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	_, sh := allocTestNode()
+	n := allocTestNode()
 	pq := &pendingQuery{id: 42, want: 1 << 30, need: 1 << 30, docs: make(map[catalog.DocID]bool, 8)}
-	sh.pending[42] = pq
+	n.queries.pending[42] = pq
 	docs := []catalog.DocID{10, 11, 12}
 	avg := testing.AllocsPerRun(2000, func() {
-		sh.handleResult(protocol.ResultMsg{ID: 42, Docs: docs, Hops: 2, From: 2})
+		n.handleResult(protocol.ResultMsg{ID: 42, Docs: docs, Hops: 2, From: 2})
 	})
 	if avg > 0 {
 		t.Fatalf("handleResult allocates %.1f per run, budget 0", avg)

@@ -9,7 +9,7 @@ package livenet
 // plus an incrementally maintained live-entry count so len() stays O(1).
 //
 // Concurrency contract: identical to the plain map it replaces — every
-// writer holds routeMu.Lock; shards and API accessors read under
+// writer holds routeMu.Lock; query code and API accessors read under
 // routeMu.RLock. The base map is frozen before any node starts, so
 // aliasing it across nodes is safe.
 

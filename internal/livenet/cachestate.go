@@ -1,14 +1,13 @@
 package livenet
 
-// The requester-side document cache (§7 viii), restructured for the
-// sharded engine: one node-global concurrent cache instead of per-shard
-// caches. Per-shard caches would re-open the multi-category index bug
-// fixed in PR 5 — a document cached by a query on shard A must be a hit
-// for a repeat query in ANY of its categories, which round-robin shard
-// selection may register on shard B. The document store is a
-// lock-striped cache (internal/cache.Striped); the per-category index
-// is striped by category. Cache lookups happen in the caller goroutine
-// (engine.go), so a cache hit never touches any loop at all.
+// The requester-side document cache (§7 viii): one node-global
+// concurrent LRU cache, read and filled from every caller goroutine and
+// every reader that completes a query. A cached document is a hit for a
+// repeat query in ANY of its categories, so the index lists it under
+// each. The document store is a lock-striped cache
+// (internal/cache.Striped); the per-category index is striped by
+// category. Cache lookups happen in the caller goroutine (engine.go), so
+// a cache hit never touches the query table at all.
 
 import (
 	"sync"
@@ -23,9 +22,7 @@ import (
 // contend.
 const cacheIdxStripes = 8
 
-// cacheState is one immutable-identity cache generation: SetCacheCapacity
-// swaps the whole state atomically (Node.cacheSt), so readers never see
-// a half-replaced cache.
+// cacheState is a node's requester cache, built once in newNode.
 type cacheState struct {
 	docs *cache.Striped
 	idx  [cacheIdxStripes]cacheIdx
@@ -39,10 +36,10 @@ type cacheIdx struct {
 	byCat map[catalog.CategoryID][]catalog.DocID
 }
 
-// newCacheState builds a cache generation; nil (no caching) is
-// represented by a nil *cacheState, not a zero-capacity one.
-func newCacheState(policy cache.Policy, bytes int64) (*cacheState, error) {
-	docs, err := cache.NewStriped(policy, bytes)
+// newCacheState builds an LRU cache of the given byte capacity; nil (no
+// caching) is represented by a nil *cacheState, not a zero-capacity one.
+func newCacheState(bytes int64) (*cacheState, error) {
+	docs, err := cache.NewStriped(cache.LRU, bytes)
 	if err != nil {
 		return nil, err
 	}
@@ -144,10 +141,10 @@ func (cs *cacheState) seedCatIndex(cat catalog.CategoryID, docs []catalog.DocID)
 	ix.byCat[cat] = docs
 }
 
-// cacheDocs folds completed-query documents into the current cache
-// generation (no-op when caching is disabled). Safe from any goroutine.
+// cacheDocs folds completed-query documents into the cache (no-op when
+// caching is disabled). Safe from any goroutine.
 func (n *Node) cacheDocs(docs map[catalog.DocID]bool) {
-	if cs := n.cacheSt.Load(); cs != nil && len(docs) > 0 {
-		cs.add(n.inst, docs)
+	if n.cacheSt != nil && len(docs) > 0 {
+		n.cacheSt.add(n.inst, docs)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"p2pshare/internal/cache"
 	"p2pshare/internal/catalog"
 	"p2pshare/internal/chaos"
 	"p2pshare/internal/core"
@@ -21,8 +20,8 @@ import (
 // Options.Hooks.
 
 // launchChaos boots a compact live cluster with every node's dial path
-// wrapped by a shared chaos controller.
-func launchChaos(t *testing.T, seed int64) (*Cluster, *chaos.Net, *model.Instance) {
+// wrapped by a shared chaos controller; opts' Seed and Hooks are set.
+func launchChaos(t *testing.T, seed int64, opts Options) (*Cluster, *chaos.Net, *model.Instance) {
 	t.Helper()
 	cfg := model.DefaultConfig()
 	cfg.Catalog.NumDocs = 300
@@ -47,7 +46,8 @@ func launchChaos(t *testing.T, seed int64) (*Cluster, *chaos.Net, *model.Instanc
 		t.Fatal(err)
 	}
 	cn := chaos.New(seed)
-	hooks := NetHooks{
+	opts.Seed = seed
+	opts.Hooks = NetHooks{
 		Listen: func(id model.NodeID, addr string) (net.Listener, error) {
 			ln, err := net.Listen("tcp", addr)
 			if err == nil {
@@ -57,7 +57,7 @@ func launchChaos(t *testing.T, seed int64) (*Cluster, *chaos.Net, *model.Instanc
 		},
 		Dial: cn.DialFrom,
 	}
-	c, err := Launch(inst, res.Assignment, place, Options{Seed: seed, Hooks: hooks})
+	c, err := Launch(inst, res.Assignment, place, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,14 +83,12 @@ func dropAllFrom(cn *chaos.Net, from model.NodeID, peers int) {
 // pattern replays exactly from the chaos seed.
 func TestResendRecoversEntryLoss(t *testing.T) {
 	const seed = 1009
-	c, cn, inst := launchChaos(t, seed)
+	// No requester cache: it would answer the repeat query locally and
+	// prove nothing.
+	c, cn, inst := launchChaos(t, seed, Options{CacheBytes: -1})
 	origin := c.Nodes[0]
 	cat := bigCategory(inst)
 
-	// The cache would answer the repeat query locally and prove nothing.
-	if err := origin.SetCacheCapacity(cache.LRU, 0); err != nil {
-		t.Fatal(err)
-	}
 	// Warm the path fault-free so streams are open; the loss below then
 	// hits a data frame, not the stream handshake.
 	if out, err := origin.Query(cat, 1, 5*time.Second); err != nil || !out.Done {
@@ -130,7 +128,7 @@ func TestResendRecoversEntryLoss(t *testing.T) {
 // dead peer until its deadline.
 func TestEvictedTargetsRefilled(t *testing.T) {
 	const seed = 2003
-	c, cn, inst := launchChaos(t, seed)
+	c, cn, inst := launchChaos(t, seed, Options{})
 	origin := c.Nodes[0]
 	cat := bigCategory(inst)
 
@@ -188,7 +186,7 @@ func TestEvictedTargetsRefilled(t *testing.T) {
 // the sweep reaps the slot — rather than leaking a pending-table entry.
 func TestUnroutableQueryExpiresNotLeaks(t *testing.T) {
 	const seed = 3001
-	c, cn, inst := launchChaos(t, seed)
+	c, cn, inst := launchChaos(t, seed, Options{})
 	origin := c.Nodes[0]
 	cat := bigCategory(inst)
 
@@ -235,20 +233,20 @@ func TestUnroutableQueryExpiresNotLeaks(t *testing.T) {
 // pending entry whose caller is gone (deadline already past, nobody
 // listening) is reaped by the next sweep instead of leaking forever.
 func TestSweepReapsAbandonedPending(t *testing.T) {
-	c, _, _ := launchChaos(t, 4001)
+	c, _, _ := launchChaos(t, 4001, Options{})
 	n := c.Nodes[1]
 
-	runShard(n.shards[0], func(s *engineShard) {
+	withTable(n, func(n *Node) {
 		pq := &pendingQuery{
-			id:       s.mintID(), // an id this shard owns
+			id:       n.nextQueryID(),
 			cat:      0,
 			want:     1,
 			docs:     map[catalog.DocID]bool{},
 			ch:       make(chan QueryOutcome, 1),
 			deadline: time.Now().Add(-time.Second), // already expired
 		}
-		s.pending[pq.id] = pq
-		s.n.inflight.Add(1)
+		n.queries.pending[pq.id] = pq
+		n.inflight.Add(1)
 	})
 
 	waitFor(t, 2*sweepInterval+time.Second, "abandoned entry reaped", func() bool {

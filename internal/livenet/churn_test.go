@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"p2pshare/internal/cache"
 	"p2pshare/internal/catalog"
 	"p2pshare/internal/membership"
 	"p2pshare/internal/model"
@@ -31,7 +30,10 @@ func TestChurnHardKillDetectedAndQueriesSurvive(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	seed, err := StartNode(sh, 0, "127.0.0.1:0", "", Options{})
+	// No requester cache on the querying node 0: repeat queries for the
+	// same category must hit the network every time, or the kill-survival
+	// assertions would be answered locally in zero hops and prove nothing.
+	seed, err := StartNode(sh, 0, "127.0.0.1:0", "", Options{CacheBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,13 +95,6 @@ func TestChurnHardKillDetectedAndQueriesSurvive(t *testing.T) {
 	}
 	if victim == -1 {
 		t.Fatal("no category with enough holders in this shape")
-	}
-
-	// Disable the requester cache: repeat queries for the same category
-	// must hit the network every time, or the kill-survival assertions
-	// would be answered locally in zero hops and prove nothing.
-	if err := nodes[0].SetCacheCapacity(cache.LRU, 0); err != nil {
-		t.Fatal(err)
 	}
 
 	if out, err := nodes[0].Query(testCat, 1, 5*time.Second); err != nil || !out.Done {
@@ -216,7 +211,10 @@ func TestAdaptationRebalancesSkewedLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Launch(inst, assign, place, Options{Seed: sh.Seed})
+	// No requester cache: it would absorb every repeat query after the
+	// first round — zero network traffic, zero hits, and every idle epoch
+	// measuring as perfectly fair. The skew must stay live.
+	c, err := Launch(inst, assign, place, Options{Seed: sh.Seed, CacheBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,12 +238,6 @@ func TestAdaptationRebalancesSkewedLoad(t *testing.T) {
 		t.Skipf("shape put %d categories on cluster 0; need >= 2 to rebalance", len(hotCats))
 	}
 	origin := c.Nodes[0]
-	// The requester cache would absorb every repeat query after the
-	// first round — zero network traffic, zero hits, and every idle
-	// epoch measuring as perfectly fair. The skew must stay live.
-	if err := origin.SetCacheCapacity(cache.LRU, 0); err != nil {
-		t.Fatal(err)
-	}
 	driveRound := func() {
 		for _, cat := range hotCats {
 			origin.Query(cat, 1, 2*time.Second)

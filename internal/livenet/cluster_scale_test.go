@@ -95,7 +95,6 @@ func TestParkedWriterSurvivesAddressChange(t *testing.T) {
 	cn.SetDefault(chaos.Faults{Delay: time.Millisecond, Jitter: 2 * time.Millisecond})
 	sh := Shape{Documents: 240, Categories: 8, Nodes: 12, Clusters: 3, Seed: 7}
 	c := launchOverMemnet(t, sh, cn, nw, Options{
-		Shards:     1,
 		CacheBytes: -1, // phase-2 queries must hit the network, not a cache
 		WriterIdle: 120 * time.Millisecond,
 	})
@@ -169,7 +168,7 @@ func TestParkedWriterSurvivesAddressChange(t *testing.T) {
 
 // TestIdleClusterGoroutineBudget pins the idle-resource property the
 // 10k-node benchmark rests on: a booted node costs a FIXED number of
-// goroutines (accept only) regardless of peer and shard count, and
+// goroutines (accept only) regardless of peer count, and
 // after traffic the cluster returns to that budget — writers park,
 // their conns drop, and the remote read loops drain away.
 func TestIdleClusterGoroutineBudget(t *testing.T) {
@@ -181,7 +180,6 @@ func TestIdleClusterGoroutineBudget(t *testing.T) {
 	sh := Shape{Documents: 2 * nodes, Categories: 20, Nodes: nodes, Clusters: 5, Seed: 51}
 	g0 := runtime.NumGoroutine()
 	c := launchOverMemnet(t, sh, nil, nw, Options{
-		Shards:     1,
 		CacheBytes: -1,
 		WriterIdle: 150 * time.Millisecond,
 	})
@@ -218,8 +216,8 @@ func TestIdleClusterGoroutineBudget(t *testing.T) {
 }
 
 // TestThousandNodeClusterOverMemnet boots the CI-scale live cluster —
-// every node a real Node with listeners, shards, and transports on the
-// memnet fabric — and serves queries across it. This is the -short
+// every node a real Node with listeners, query tables, and transports on
+// the memnet fabric — and serves queries across it. This is the -short
 // smoke for the paper-scale path benchcluster measures.
 func TestThousandNodeClusterOverMemnet(t *testing.T) {
 	nodes := 1000
@@ -230,7 +228,6 @@ func TestThousandNodeClusterOverMemnet(t *testing.T) {
 	sh := Shape{Documents: 2 * nodes, Categories: 30, Nodes: nodes, Clusters: 10, Seed: 31}
 	start := time.Now()
 	c := launchOverMemnet(t, sh, nil, nw, Options{
-		Shards:     1,
 		CacheBytes: -1,
 		WriterIdle: 200 * time.Millisecond,
 	})

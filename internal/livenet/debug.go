@@ -18,35 +18,18 @@ func (n *Node) SetDialer(dial func(addr string) (net.Conn, error)) {
 	n.tr.setDial(dial)
 }
 
-// tables counts the shard's pending queries, and those more than slack
-// past their deadline: its contribution to TableSizes / OverduePending.
-func (s *engineShard) tables(slack time.Duration) (pending, overdue int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	now := time.Now()
-	for _, pq := range s.pending {
-		if now.After(pq.deadline.Add(slack)) {
-			overdue++
-		}
-	}
-	return len(s.pending), overdue
-}
-
 // TableSizes snapshots the sizes of every state table that must stay
-// bounded on a long-lived node: the pending query table (summed across
-// every engine shard), address book, NRT entries (across clusters),
-// membership tombstones, and the requester-cache category index. The
-// soak runner asserts bounds on these under churn and partitions; a
-// blocked call (routeMu or a shard lock never released) is itself an
-// invariant violation the caller detects by timeout. The shard tables
-// are read before routeMu is taken: nothing under routeMu.Lock may take
-// a shard lock. Returns nil once the node has shut down.
+// bounded on a long-lived node: the pending query table, address book,
+// NRT entries (across clusters), membership tombstones, and the
+// requester-cache category index. The soak runner asserts bounds on
+// these under churn and partitions; a blocked call (routeMu or the
+// query table's lock never released) is itself an invariant violation
+// the caller detects by timeout. The query table is read before routeMu
+// is taken: nothing under routeMu.Lock may take its lock. Returns nil
+// once the node has shut down.
 func (n *Node) TableSizes() map[string]int {
-	sizes := map[string]int{"pending": 0}
-	for _, s := range n.shards {
-		pending, _ := s.tables(0)
-		sizes["pending"] += pending
-	}
+	pending, _ := n.tables(0)
+	sizes := map[string]int{"pending": pending}
 	n.routeMu.Lock()
 	defer n.routeMu.Unlock()
 	if n.closed() {
@@ -61,7 +44,7 @@ func (n *Node) TableSizes() map[string]int {
 	if n.det != nil {
 		sizes["tombstones"] = len(n.det.Tombstones())
 	}
-	if cs := n.cacheSt.Load(); cs != nil {
+	if cs := n.cacheSt; cs != nil {
 		sizes["cache_index"] = cs.indexSize()
 	} else {
 		sizes["cache_index"] = 0
@@ -69,16 +52,11 @@ func (n *Node) TableSizes() map[string]int {
 	return sizes
 }
 
-// OverduePending counts pending queries, across all shards, that
-// outlived their deadline by more than slack — entries the sweeps
-// should have reaped. Anything non-zero means a query slot leaked past
-// its expiry (a stuck query), one of the chaos harness's core
-// invariants.
+// OverduePending counts pending queries that outlived their deadline by
+// more than slack — entries the sweep should have reaped. Anything
+// non-zero means a query slot leaked past its expiry (a stuck query),
+// one of the chaos harness's core invariants.
 func (n *Node) OverduePending(slack time.Duration) int {
-	overdue := 0
-	for _, s := range n.shards {
-		_, o := s.tables(slack)
-		overdue += o
-	}
+	_, overdue := n.tables(slack)
 	return overdue
 }

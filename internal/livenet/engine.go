@@ -5,7 +5,6 @@ import (
 	"errors"
 	"time"
 
-	"p2pshare/internal/cache"
 	"p2pshare/internal/catalog"
 	"p2pshare/internal/model"
 	"p2pshare/internal/query"
@@ -13,18 +12,18 @@ import (
 
 // The concurrent query engine, caller side. A node carries many in-flight
 // queries at once: each is an independent state machine (a pendingQuery)
-// in one engine shard's table (shard.go), advanced under that shard's
+// in the node's query table (querytable.go), advanced under the table's
 // lock by the readers that receive its results, while the issuing
 // goroutine only waits on its private result channel. The caller
 // goroutine does the requester-cache lookup, admission (an atomic CAS
-// reservation against inflightMax) and the route check with no shard
-// lock held, then locks a shard to register the query — and, if it
+// reservation against inflightMax) and the route check with no table
+// lock held, then locks the table to register the query — and, if it
 // gives up, to take the query back out (abandonQuery). Admission
-// control bounds the pending table across all shards: a node under
-// overload rejects new queries with ErrOverloaded instead of piling up
-// goroutines, and the requester-side document cache (internal/cache, the
-// paper's §7 viii extension) answers repeat queries in zero hops before
-// any message is sent.
+// control bounds the pending table: a node under overload rejects new
+// queries with ErrOverloaded instead of piling up goroutines, and the
+// requester-side document cache (internal/cache, the paper's §7 viii
+// extension) answers repeat queries in zero hops before any message is
+// sent.
 //
 // Outcome accounting is conservative — every QueryContext call counts
 // queries_total exactly once at entry and exactly one of
@@ -42,13 +41,14 @@ const (
 	// control, counted as query_rejected).
 	DefaultMaxInFlight = 1024
 	// DefaultCacheBytes sizes the requester-side document cache a node
-	// starts with (16 of the paper's 4 MB example documents); use
-	// SetCacheCapacity to resize or disable it.
+	// starts with (16 of the paper's 4 MB example documents);
+	// Options.CacheBytes resizes or disables it.
 	DefaultCacheBytes = 64 << 20
-	// resendAfter is how long a pending query waits with nothing received
+	// resendAfter is how long a pending query waits after its last send
 	// before re-sending to another member of the serving cluster — the
-	// entry message was probably lost. A re-send keeps the query id, and
-	// an answer to both copies is folded in once.
+	// entry message, or a frame to a holder the entry member asked, was
+	// probably lost. A re-send keeps the query id, and an answer to both
+	// copies is folded in once.
 	resendAfter = 1200 * time.Millisecond
 	// maxResends bounds per-query re-sends; a cancelled query leaves the
 	// pending table and stops counting toward this budget.
@@ -89,7 +89,7 @@ func (n *Node) QueryContext(ctx context.Context, cat catalog.CategoryID, m int) 
 	// Requester-cache lookup, entirely in this goroutine: a full cache
 	// hit never touches a lock, a channel, or the network.
 	docs := make(map[catalog.DocID]bool, min(m, maxDocsHint))
-	if cs := n.cacheSt.Load(); cs != nil {
+	if cs := n.cacheSt; cs != nil {
 		for _, d := range cs.lookup(cat, m) {
 			cs.docs.Contains(d) // refresh recency/frequency and hit stats
 			docs[d] = true
@@ -102,13 +102,13 @@ func (n *Node) QueryContext(ctx context.Context, cat catalog.CategoryID, m int) 
 	}
 
 	// Admission: CAS-reserve a slot so the bound stays exact with every
-	// shard and caller admitting at once (a plain load-then-increment
-	// overshoots under contention). The slot is released by the owning
-	// shard when the query leaves its pending table, or right here on
-	// the paths below that never reach a shard.
+	// caller admitting at once (a plain load-then-increment overshoots
+	// under contention). The slot is released by whoever takes the query
+	// out of the pending table, or right here on the paths below that
+	// never reach it.
 	for {
 		cur := n.inflight.Load()
-		if cur >= n.inflightMax.Load() {
+		if cur >= n.inflightMax {
 			n.stats.Add("query_rejected", 1)
 			return query.Result{}, ErrOverloaded
 		}
@@ -136,14 +136,13 @@ func (n *Node) QueryContext(ctx context.Context, cat catalog.CategoryID, m int) 
 		return query.Result{}, ErrNoRoute
 	}
 
-	// Register on a shard (round-robin). From here on the pending entry
-	// owns the in-flight slot; whoever removes the entry releases it.
-	sh := n.pickShard()
+	// Register. From here on the pending entry owns the in-flight slot;
+	// whoever removes the entry releases it.
 	ch := make(chan query.Result, 1)
 	deadline, hasDeadline := ctx.Deadline()
-	sh.mu.Lock()
-	id := sh.register(cat, m, need, docs, ch, deadline, hasDeadline)
-	sh.mu.Unlock()
+	n.queries.mu.Lock()
+	id := n.register(cat, m, need, docs, ch, deadline, hasDeadline)
+	n.queries.mu.Unlock()
 
 	select {
 	case out := <-ch:
@@ -212,17 +211,14 @@ func ctxReason(err error) (string, error) {
 }
 
 // queryID builds a globally unique query id from the node's 64-bit salt
-// and a per-shard sequence number. The pre-fix scheme kept only the low
+// and its query sequence number. The pre-fix scheme kept only the low
 // 16 bits of the node id (`nextQuery<<16 | id&0xffff`), so two nodes
 // whose ids agree mod 65536 minted IDENTICAL ids at the same sequence
 // point, and the loop-detection set of the time suppressed one node's
 // query as a duplicate of the other's. Mixing the full node id through a
 // bijective 64-bit finalizer makes same-node ids distinct by
 // construction (mixQ is a bijection over the sequence) and cross-node
-// collisions need a full-width match instead of a low-16-bit one. The
-// sharded engine overwrites the low shardIDBits bits with the minting
-// shard's index (see engineShard.mintID), leaving 58 bits of cross-node
-// entropy.
+// collisions need a full-width match instead of a low-16-bit one.
 func queryID(salt, seq uint64) uint64 {
 	return mixQ(salt ^ mixQ(seq))
 }
@@ -240,20 +236,19 @@ func mixQ(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// abandonQuery takes a cancelled or deadline-expired query out of its
-// shard's table: it finishes the query as not done, which releases the
+// abandonQuery takes a cancelled or deadline-expired query out of the
+// pending table: it finishes the query as not done, which releases the
 // slot, caches the partial docs (they were fetched either way) and
 // buffers the partial outcome in ch. If the query completed in the race
 // window, finishPending already ran and ch holds the completed outcome
 // instead; the second return reports that case. The caller owns the
 // stats accounting for whichever outcome this returns.
 func (n *Node) abandonQuery(id uint64, ch chan query.Result) (query.Result, bool) {
-	sh := n.shardFor(id)
-	sh.mu.Lock()
-	if pq, ok := sh.pending[id]; ok {
-		sh.finishPending(pq, false)
+	n.queries.mu.Lock()
+	if pq, ok := n.queries.pending[id]; ok {
+		n.finishPending(pq, false)
 	}
-	sh.mu.Unlock()
+	n.queries.mu.Unlock()
 	select {
 	case out := <-ch:
 		return out, out.Done
@@ -265,34 +260,6 @@ func (n *Node) abandonQuery(id uint64, ch chan query.Result) (query.Result, bool
 // InFlight reports how many queries this node currently has pending (a
 // point-in-time gauge; also exported as queries_inflight in Stats).
 func (n *Node) InFlight() int { return int(n.inflight.Load()) }
-
-// SetMaxInFlight resizes the admission-control bound (k <= 0 restores
-// DefaultMaxInFlight). Queries already pending are unaffected. Lock-free
-// and safe concurrently with Close.
-func (n *Node) SetMaxInFlight(k int) {
-	if k <= 0 {
-		k = DefaultMaxInFlight
-	}
-	n.inflightMax.Store(int64(k))
-}
-
-// SetCacheCapacity replaces the requester-side document cache with a
-// fresh one of the given policy and byte capacity; 0 bytes disables
-// caching. Previously cached contents are discarded. The swap is a
-// single atomic pointer store: in-progress lookups finish against the
-// generation they loaded.
-func (n *Node) SetCacheCapacity(policy cache.Policy, bytes int64) error {
-	if bytes == 0 {
-		n.cacheSt.Store(nil)
-		return nil
-	}
-	cs, err := newCacheState(policy, bytes)
-	if err != nil {
-		return err
-	}
-	n.cacheSt.Store(cs)
-	return nil
-}
 
 // Instance exposes the deployment's content model (for workload
 // generation against a live node; treat it as read-only).

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"p2pshare/internal/cache"
 	"p2pshare/internal/catalog"
 	"p2pshare/internal/memnet"
 	"p2pshare/internal/model"
@@ -20,8 +19,9 @@ import (
 // any two nodes whose ids agree mod 65536 — node 1 and node 65537
 // collided at every sequence number, so the flood-dedup `seen` set on
 // intermediate nodes silently suppressed one of the two queries. The
-// fixed scheme must keep ids distinct across such node pairs and across
-// sequence numbers on one node.
+// fixed scheme must keep ids distinct across such node pairs, and one
+// node must never mint the same id twice: its pending table is keyed by
+// id.
 func TestQueryIDNoCollisionAcrossNodes(t *testing.T) {
 	pairs := [][2]model.NodeID{
 		{1, 1 + 1<<16},         // agree mod 2^16 — the reported collision
@@ -41,14 +41,15 @@ func TestQueryIDNoCollisionAcrossNodes(t *testing.T) {
 			}
 		}
 	}
-	// Same node, distinct sequences: ids never repeat (mixQ is bijective,
-	// but pin it — a regression here re-opens the seen-set suppression).
-	seen := make(map[uint64]struct{}, 5000)
-	salt := querySaltFor(9)
-	for seq := uint64(1); seq <= 5000; seq++ {
-		id := queryID(salt, seq)
+	// Within one node: 10⁵ ids from the node's own minting path, all
+	// distinct.
+	const ids = 100_000
+	n := &Node{querySalt: querySaltFor(9)}
+	seen := make(map[uint64]struct{}, ids)
+	for i := 0; i < ids; i++ {
+		id := n.nextQueryID()
 		if _, dup := seen[id]; dup {
-			t.Fatalf("node 9 repeated query id %#x at seq %d", id, seq)
+			t.Fatalf("node 9 repeated query id %#x after %d ids", id, i)
 		}
 		seen[id] = struct{}{}
 	}
@@ -85,7 +86,7 @@ func multiCatInstance(t *testing.T) (*model.Instance, *catalog.Document) {
 // The fix now lives in cacheState.add (cachestate.go).
 func TestCacheDocsIndexesAllCategories(t *testing.T) {
 	inst, doc := multiCatInstance(t)
-	cs, err := newCacheState(cache.LRU, 10*doc.Size)
+	cs, err := newCacheState(10 * doc.Size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestCacheDocsIndexesAllCategories(t *testing.T) {
 // histories) is returned once and the index collapses to one entry.
 func TestCachedInDropsDuplicateIndexEntries(t *testing.T) {
 	inst, doc := multiCatInstance(t)
-	cs, err := newCacheState(cache.LRU, 10*doc.Size)
+	cs, err := newCacheState(10 * doc.Size)
 	if err != nil {
 		t.Fatal(err)
 	}

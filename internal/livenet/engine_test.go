@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"p2pshare/internal/cache"
 	"p2pshare/internal/catalog"
 	"p2pshare/internal/query"
 )
@@ -172,12 +171,11 @@ func TestCancellationReleasesSlot(t *testing.T) {
 // limit and checks the next query is rejected with ErrOverloaded instead
 // of queueing.
 func TestAdmissionControlRejectsAtLimit(t *testing.T) {
-	c, inst := launchSmall(t, 24)
+	const limit = 4
+	c, inst := launchWith(t, 24, Options{MaxInFlight: limit})
 	n := c.Nodes[3]
 	cat := bigCategory(inst)
-	const limit = 4
 	want := unsatisfiable(t, n, cat)
-	n.SetMaxInFlight(limit)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var wg sync.WaitGroup
@@ -244,11 +242,8 @@ func TestCacheHitShortCircuitsRepeatQuery(t *testing.T) {
 // TestCacheDisabledAlwaysGoesToNetwork turns the cache off and checks
 // repeat queries still traverse the overlay.
 func TestCacheDisabledAlwaysGoesToNetwork(t *testing.T) {
-	c, inst := launchSmall(t, 26)
+	c, inst := launchWith(t, 26, Options{CacheBytes: -1})
 	n := c.Nodes[5]
-	if err := n.SetCacheCapacity(cache.LRU, 0); err != nil {
-		t.Fatal(err)
-	}
 	cat := bigCategory(inst)
 	for i := 0; i < 2; i++ {
 		out, err := n.Query(cat, 2, 5*time.Second)

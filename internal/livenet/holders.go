@@ -8,8 +8,8 @@ package livenet
 // immutable base, the way the address book shares its base (book.go). A
 // move replaces the moved category's entry in a node-private overlay.
 //
-// Concurrency contract: every writer holds routeMu.Lock; shards and
-// callers read under routeMu.RLock.
+// Concurrency contract: every writer holds routeMu.Lock; query code
+// and callers read under routeMu.RLock.
 
 import (
 	"sort"

@@ -3,7 +3,7 @@ package livenet
 import (
 	"bufio"
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"net"
 	"time"
 
@@ -83,7 +83,7 @@ func (sh Shape) Build() (*model.Instance, []model.ClusterID, *replica.Placement,
 // role of node `id` (storing what the placement assigned to it), listens
 // on listenAddr, and — when bootstrapAddr is non-empty — announces itself
 // to the existing deployment and fetches the address book. Options is
-// the same birth-time knob surface Launch takes (shards, hooks,
+// the same birth-time knob surface Launch takes (hooks,
 // admission, cache, membership, adaptation); its zero value matches the
 // historical StartNode defaults, with one path difference: membership is
 // ON by default here (standalone deployments face real churn), and
@@ -208,7 +208,7 @@ func (n *Node) announce(bootstrapAddr string) error {
 	}
 	// A local rng: n.rng is control state, and this wait must not hold
 	// routeMu.
-	rng := rand.New(rand.NewSource(int64(n.id)*2654435761 + 17))
+	rng := rand.New(rand.NewPCG(uint64(n.id)*2654435761+17, 0))
 	const dialAttempts = 6
 	var err error
 	for attempt := 1; ; attempt++ {

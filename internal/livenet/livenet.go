@@ -9,25 +9,23 @@
 // Concurrency model: a node has no event loop. Work runs on the
 // goroutine it arrives on — the connection reader that decoded a frame,
 // the caller of an API method, a timerwheel tick — under one of two
-// kinds of lock. The query engine is SHARDED: the pending query table
-// and query-id minting are partitioned across P mutex-guarded shards
-// keyed by query id (shard.go), and a reader runs a decoded
-// QueryMsg/ResultMsg itself on the owning shard, so a node's protocol
-// work scales across cores and a message crosses two goroutines per hop
-// (the sender's writer, the receiver's reader). Inside the serving
-// cluster a query goes where the deterministic placement says
-// (protocol.Forward over the holder view, holders.go), never to every
-// neighbour. Everything low-rate and topological — membership,
+// kinds of lock. The queries a node issued wait in one query table
+// behind one mutex (querytable.go); a reader runs a decoded ResultMsg
+// itself under that mutex and a decoded QueryMsg under routeMu.RLock
+// alone, so a message crosses two goroutines per hop (the sender's
+// writer, the receiver's reader). Inside the serving cluster a query
+// goes where the deterministic placement says (protocol.Forward over
+// the holder view, holders.go), never to every neighbour. Everything low-rate and topological — membership,
 // adaptation, the address book, the DCRT/NRT routing tables and the
 // holder view — is control state, serialized by routeMu.Lock: a control
 // frame runs under it on its reader, in stream order; an API call on its
-// caller; a probe or epoch tick on a goroutine of its own. Shard code
+// caller; a probe or epoch tick on a goroutine of its own. Query code
 // reads that state under routeMu.RLock. An idle node therefore runs one
 // goroutine, accept. Queries are fully concurrent: each QueryContext
 // call passes admission (an atomic reservation) and the requester cache
-// in its own goroutine, registers an independent state machine on one
-// shard, and only the issuing goroutine blocks, so one node sustains
-// hundreds of in-flight queries at once (engine.go).
+// in its own goroutine, registers an independent state machine in the
+// query table, and only the issuing goroutine blocks, so one node
+// sustains hundreds of in-flight queries at once (engine.go).
 // Outbound messages go through a per-peer persistent-connection pool
 // (transport.go): one framed stream per destination, reused across
 // messages, with reconnect-on-failure and capped backoff. Every stream
@@ -37,19 +35,19 @@ package livenet
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
+	mrand "math/rand"
+	"math/rand/v2"
 	"net"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"p2pshare/internal/cache"
 	"p2pshare/internal/catalog"
 	"p2pshare/internal/content"
 	"p2pshare/internal/membership"
@@ -63,7 +61,7 @@ import (
 )
 
 const (
-	// sweepInterval paces each shard's housekeeping tick: pending
+	// sweepInterval paces the query table's housekeeping tick: pending
 	// queries past their deadline are expired and silent ones re-sent.
 	sweepInterval = 2 * time.Second
 	// pendingGrace pads a pending query's expiry past the caller's own
@@ -96,16 +94,15 @@ type envelope = wire.Envelope
 type QueryOutcome = query.Result
 
 // pendingQuery is one in-flight query's state machine, guarded by the
-// lock of the engine shard its id routes to. The issuing goroutine holds
-// only the buffered result channel; everything else advances on received
-// ResultMsgs and sweep ticks (deadline expiry, resend-on-silence).
+// query table's lock. The issuing goroutine holds only the buffered
+// result channel; everything else advances on received ResultMsgs and
+// sweep ticks (deadline expiry, resends).
 type pendingQuery struct {
 	id       uint64
 	cat      catalog.CategoryID
 	want     int // total distinct documents the caller asked for
 	need     int // min(want, documents placed): the query is done at this many
 	docs     map[catalog.DocID]bool
-	received int // network results folded in (cache-primed docs excluded)
 	hops     int
 	ch       chan query.Result
 	deadline time.Time // sweep backstop, padded past the caller's own deadline
@@ -135,10 +132,8 @@ type Node struct {
 	done chan struct{}
 	wg   sync.WaitGroup
 
-	// shards partition the query engine (shard.go); nextShard
-	// round-robins new queries across them.
-	shards    []*engineShard
-	nextShard atomic.Uint64
+	// queries holds the queries this node issued (querytable.go).
+	queries queryTable
 
 	// tr is the outbound persistent-connection pool; stats and latency
 	// are shared with it and safe for concurrent use.
@@ -159,11 +154,11 @@ type Node struct {
 	bounds wire.Bounds
 
 	// Routing and topology state. Every write — a control frame, an API
-	// call, a tick — holds routeMu.Lock; shard code and accessors read
-	// under routeMu.RLock (lock order: shard.mu → routeMu, see
-	// shard.go). book maps node ids to listen addresses (handleHello and
-	// handleBook mutate it) — copy-on-write over a cluster-shared base,
-	// see book.go. byCat lists the documents this node holds, per
+	// call, a tick — holds routeMu.Lock; query code and accessors read
+	// under routeMu.RLock (lock order: queries.mu → routeMu, see
+	// querytable.go). book maps node ids to listen addresses (handleHello
+	// and handleBook mutate it) — copy-on-write over a cluster-shared
+	// base, see book.go. byCat lists the documents this node holds, per
 	// category.
 	routeMu sync.RWMutex
 	book    *addrBook
@@ -179,20 +174,19 @@ type Node struct {
 	// served counts requests this node answered (readers increment).
 	served atomic.Int64
 
-	// inflightMax is the admission-control bound on pending queries
-	// across all shards; inflight is the live reservation count (slots
-	// are CAS-reserved by callers and released by whoever takes the
-	// entry out of its shard's table), so the bound is exact even with
-	// every caller admitting at once.
-	inflightMax atomic.Int64
+	// inflightMax is the admission-control bound on pending queries;
+	// inflight is the live reservation count (slots are CAS-reserved by
+	// callers and released by whoever takes the entry out of the query
+	// table), so the bound is exact even with every caller admitting at
+	// once.
+	inflightMax int64
 	inflight    atomic.Int64
 
-	// cacheSt is the requester-side document cache generation (§7 viii,
+	// cacheSt is the requester-side document cache (§7 viii,
 	// cachestate.go): results of completed queries are kept and repeat
 	// queries answered in zero hops, checked in the caller goroutine.
-	// SetCacheCapacity swaps the whole generation atomically; nil when
-	// caching is disabled.
-	cacheSt atomic.Pointer[cacheState]
+	// Set in newNode; nil when caching is disabled.
+	cacheSt *cacheState
 
 	// det is the SWIM failure detector (membership.go); nil until
 	// StartMembership, used under routeMu.Lock. gauges holds the
@@ -203,7 +197,7 @@ type Node struct {
 
 	// adapt is the live adaptation state (adapt.go), nil until
 	// EnableAdaptation, used under routeMu.Lock. The §6.1.2 hit
-	// counters feeding it live on the shards (drainHits).
+	// counters feeding it live in the query table (drainHits).
 	adapt *adaptState
 
 	// Content data plane (transfer.go). store is the chunk store, nil
@@ -247,12 +241,12 @@ type Node struct {
 	// in tests; 0 means the package default (prevClusterTTL).
 	prevClusterTTLOverride time.Duration
 
-	// querySalt mints query ids: each shard's sequence is mixed with
-	// this full-width node discriminant (see queryID in engine.go).
+	// querySalt mints query ids: the query table's sequence is mixed
+	// with this full-width node discriminant (see queryID in engine.go).
 	querySalt uint64
 
 	// stopTimers unregisters this node's periodic work from the shared
-	// process-wide timerwheel (shard sweeps, membership probe clock,
+	// process-wide timerwheel (query sweep, membership probe clock,
 	// adaptation epoch clock). Those used to be 3+ dedicated ticker
 	// goroutines per node; at paper scale that alone was tens of
 	// thousands of goroutines. Guarded by timersMu because subsystems
@@ -277,7 +271,7 @@ func (n *Node) addTimer(stop func()) {
 
 // everyLocked registers f on the shared timerwheel to run every period
 // under routeMu.Lock. A tick runs on a goroutine of its own, joined to
-// n.wg: the wheel must not wait for the lock (the shards hold RLock
+// n.wg: the wheel must not wait for the lock (readers hold RLock
 // almost continuously under query load) nor run every node's tick on
 // its one goroutine. A tick that fires while the previous one is still
 // waiting or running is counted under skips and dropped, never queued;
@@ -310,24 +304,17 @@ func (n *Node) everyLocked(period time.Duration, skips string, f func(now time.T
 }
 
 // newNode builds a Node with empty peer state, its own private address
-// book, an idle transport, and the engine geometry and birth
-// configuration the Options ask for (shard count, admission bound,
-// requester cache). Membership and adaptation are enabled by the
-// callers once the node listens.
+// book, an idle transport, an empty query table, and the engine
+// configuration the Options ask for (admission bound, requester cache),
+// fixed for the node's life. Membership and adaptation are enabled by
+// the callers once the node listens.
 func newNode(inst *model.Instance, id model.NodeID, ln net.Listener, seed int64, opts Options) *Node {
-	shards := opts.Shards
-	if shards <= 0 {
-		shards = DefaultShards()
-	}
-	if shards > maxShards {
-		shards = maxShards
-	}
 	stats := metrics.NewSyncCounter()
 	n := &Node{
 		id:      id,
 		inst:    inst,
 		ln:      ln,
-		rng:     newNodeRng(seed, id),
+		rng:     newPCG(seed, id, streamControl),
 		book:    newAddrBook(),
 		done:    make(chan struct{}),
 		tr:      newTransport(id, seed, stats),
@@ -337,6 +324,12 @@ func newNode(inst *model.Instance, id model.NodeID, ln net.Listener, seed int64,
 		byCat:   make(map[catalog.CategoryID][]catalog.DocID),
 		dcrt:    make(map[catalog.CategoryID]protocol.DCRTEntry),
 		nrt:     make(map[model.ClusterID][]model.NodeID),
+		queries: queryTable{
+			pending: make(map[uint64]*pendingQuery),
+			rng:     newPCG(seed, id, streamQueries),
+			hits:    make(map[catalog.CategoryID]int64),
+		},
+		inflightMax: DefaultMaxInFlight,
 
 		gauges:    metrics.NewSyncGauge(),
 		querySalt: querySaltFor(id),
@@ -367,23 +360,11 @@ func newNode(inst *model.Instance, id model.NodeID, ln net.Listener, seed int64,
 		n.tr.writerIdle = opts.WriterIdle
 	}
 	if opts.MaxInFlight > 0 {
-		n.inflightMax.Store(int64(opts.MaxInFlight))
-	} else {
-		n.inflightMax.Store(DefaultMaxInFlight)
+		n.inflightMax = int64(opts.MaxInFlight)
 	}
-	switch {
-	case opts.CacheBytes < 0:
-		// Caching disabled at birth; cacheSt stays nil.
-	case opts.CacheBytes == 0:
-		if cs, err := newCacheState(opts.CachePolicy, DefaultCacheBytes); err == nil {
-			n.cacheSt.Store(cs)
-		}
-	default:
-		if cs, err := newCacheState(opts.CachePolicy, opts.CacheBytes); err == nil {
-			n.cacheSt.Store(cs)
-		}
+	if cacheBytes := cmp.Or(opts.CacheBytes, DefaultCacheBytes); cacheBytes > 0 {
+		n.cacheSt, _ = newCacheState(cacheBytes) // a positive capacity cannot fail
 	}
-	n.shards = newShards(n, shards, seed)
 	n.tr.onPeerDown = func(peer model.NodeID) {
 		n.routeMu.Lock()
 		n.evictPeer(peer)
@@ -404,16 +385,12 @@ func (n *Node) closed() bool {
 
 // startLoops launches the node's one goroutine, the TCP accept loop. The
 // housekeeping sweep rides the shared timerwheel: one registration per
-// node sweeps every shard that is free (TryLock) on the wheel's
+// node sweeps the query table when it is free (TryLock) on the wheel's
 // goroutine.
 func (n *Node) startLoops() {
 	n.wg.Add(1)
 	go n.acceptLoop()
-	n.addTimer(timerwheel.Default().Every(sweepInterval, func(now time.Time) {
-		for _, s := range n.shards {
-			s.trySweep(now)
-		}
-	}))
+	n.addTimer(timerwheel.Default().Every(sweepInterval, n.trySweep))
 }
 
 // ID returns the node's id.
@@ -434,26 +411,22 @@ func (n *Node) Stats() map[string]int64 {
 	s["queue_depth"] = int64(n.tr.queueDepth())
 	s["transport_writers_active"] = n.tr.writers()
 	s["queries_inflight"] = n.inflight.Load()
-	s["engine_shards"] = int64(len(n.shards))
 	s["served"] = n.served.Load()
-	s["max_inflight"] = n.inflightMax.Load()
+	s["max_inflight"] = n.inflightMax
 	s["transfers_active"] = n.transfersActive.Load()
 	if n.store != nil {
 		s["content_docs_held"] = int64(n.store.Len())
 		s["content_cache_bytes"] = n.store.CacheBytes()
 		s["content_cache_docs"] = int64(n.store.CachedLen())
 	}
-	if cs := n.cacheSt.Load(); cs != nil {
-		s["cache_capacity_bytes"] = cs.capBytes
+	if n.cacheSt != nil {
+		s["cache_capacity_bytes"] = n.cacheSt.capBytes
 	}
 	for k, v := range n.gauges.Snapshot() {
 		s[k] = v
 	}
 	return s
 }
-
-// Shards reports how many engine shards this node runs.
-func (n *Node) Shards() int { return len(n.shards) }
 
 // QueryLatency exposes the node's query-latency histogram
 // (milliseconds). Every finished QueryContext observes it — successes,
@@ -503,9 +476,10 @@ type NetHooks struct {
 // construction. It is the single knob surface for both launch paths
 // (Launch for in-process clusters, StartNode for one peer of a
 // multi-process deployment), so a harness plan can spawn a
-// fully-configured node in one call; the setters (SetMaxInFlight,
-// SetCacheCapacity, StartMembership, EnableAdaptation) remain for
-// runtime tuning. The zero value is each path's default.
+// fully-configured node in one call. The engine's admission bound and
+// requester cache are fixed at birth; membership and adaptation may
+// also be started later (StartMembership, EnableAdaptation). The zero
+// value is each path's default.
 type Options struct {
 	// Seed drives deterministic randomness: node rngs, transport backoff
 	// jitter, and (under Launch) the NRT chord wiring. StartNode derives
@@ -513,27 +487,17 @@ type Options struct {
 	// simply the seed 0 deployment.
 	Seed int64
 
-	// Shards is the engine shard count per node (the -shards flag in
-	// cmd/p2pnode); 0 means DefaultShards(), capped at 64.
-	Shards int
-
 	// Hooks injects the network layer (fault middleware, alternative
 	// listeners). The zero value uses plain TCP.
 	Hooks NetHooks
 
 	// MaxInFlight is the admission-control bound on concurrently pending
-	// queries; 0 means DefaultMaxInFlight. Runtime-tunable later with
-	// SetMaxInFlight.
+	// queries; 0 means DefaultMaxInFlight.
 	MaxInFlight int
 
-	// CacheBytes sizes the requester-side document cache: 0 means
+	// CacheBytes sizes the requester-side LRU document cache: 0 means
 	// DefaultCacheBytes, negative disables caching entirely.
-	// Runtime-tunable later with SetCacheCapacity.
 	CacheBytes int64
-
-	// CachePolicy picks the cache eviction policy; the zero value is
-	// cache.LRU (the historical default).
-	CachePolicy cache.Policy
 
 	// Membership configures the SWIM failure detector. nil keeps each
 	// path's historical default: off under Launch (opt in later with
@@ -560,28 +524,13 @@ type Options struct {
 	Content *ContentConfig
 }
 
-// DefaultShards is the engine shard count used when Options.Shards is
-// zero: GOMAXPROCS, floored at 2 so the cross-shard dispatch paths are
-// exercised even on a single-core box, capped at 64 (the query-id
-// encoding space).
-func DefaultShards() int {
-	p := runtime.GOMAXPROCS(0)
-	if p < 2 {
-		p = 2
-	}
-	if p > maxShards {
-		p = maxShards
-	}
-	return p
-}
-
 // Launch starts one TCP peer per instance node on loopback ports, primes
 // metadata exactly like the simulated overlay's bootstrap (full DCRT,
 // ring-plus-chords NRT per cluster, remote contacts), and returns the
 // running cluster. Close it when done. Options carries everything a
-// deployment can configure at birth — seed, network hooks, engine
-// shards, admission bound, cache, membership, adaptation; the zero
-// value matches the historical Launch defaults.
+// deployment can configure at birth — seed, network hooks, admission
+// bound, cache, membership, adaptation; the zero value matches the
+// historical Launch defaults.
 func Launch(inst *model.Instance, assign []model.ClusterID, place *replica.Placement, opts Options) (*Cluster, error) {
 	if len(assign) != len(inst.Catalog.Cats) {
 		return nil, fmt.Errorf("livenet: assignment covers %d of %d categories",
@@ -598,7 +547,9 @@ func Launch(inst *model.Instance, assign []model.ClusterID, place *replica.Place
 			return net.Listen("tcp", addr)
 		}
 	}
-	rng := rand.New(rand.NewSource(seed))
+	// The NRT wiring draws from math/rand, so a seed wires the same NRTs
+	// it always has.
+	rng := mrand.New(mrand.NewSource(seed))
 	c := &Cluster{inst: inst}
 	book := make(map[model.NodeID]string, len(inst.Nodes))
 
@@ -706,11 +657,6 @@ func clusterMembers(mem *model.Membership) [][]model.NodeID {
 		slices.Sort(out[cl])
 	}
 	return out
-}
-
-// newNodeRng derives a node-local random source.
-func newNodeRng(seed int64, id model.NodeID) *rand.Rand {
-	return rand.New(rand.NewSource(seed + int64(id) + 1))
 }
 
 // Close shuts every peer down and waits for their loops to exit.
@@ -864,8 +810,8 @@ func (n *Node) readLoop(conn net.Conn) {
 }
 
 // routeInbound handles one decoded envelope on its connection reader,
-// in stream order. Query and result frames run under the lock of the
-// shard that owns their query id, content frames against the store and
+// in stream order. A query frame runs under routeMu.RLock, a result
+// frame under the query table's lock, content frames against the store and
 // the transfer table (chunk I/O under routeMu would stall membership and
 // adaptation behind bulk work), and every other frame — publish, join,
 // membership, adaptation — under routeMu.Lock, so it has taken effect
@@ -873,9 +819,9 @@ func (n *Node) readLoop(conn net.Conn) {
 func (n *Node) routeInbound(env envelope) {
 	switch m := env.Msg.(type) {
 	case protocol.QueryMsg:
-		n.shardFor(m.ID).handleQuery(m)
+		n.handleQuery(m)
 	case protocol.ResultMsg:
-		n.shardFor(m.ID).handleResult(m)
+		n.handleResult(m)
 	case wire.ManifestReq:
 		n.serveManifestReq(env.From, m)
 	case wire.ChunkReq:
@@ -894,8 +840,8 @@ func (n *Node) routeInbound(env envelope) {
 }
 
 // dispatchControl runs one control frame. The caller holds routeMu.Lock
-// and no shard lock, and nothing here takes one: a reader holding a
-// shard lock may be waiting for RLock.
+// and not the query table's lock, and nothing here takes it: a reader
+// holding that lock may be waiting for RLock.
 func (n *Node) dispatchControl(env envelope) {
 	switch m := env.Msg.(type) {
 	case protocol.PublishMsg:
@@ -939,7 +885,7 @@ func (n *Node) dispatchControl(env envelope) {
 // P2P messages are best-effort, exactly as in the simulator; the
 // transport retries and reconnects under the hood). The caller must
 // hold routeMu in either mode: it reads the address book. Control code
-// holds the write lock; shard code takes RLock.
+// holds the write lock; query code takes RLock.
 func (n *Node) send(to model.NodeID, msg any) {
 	addr, ok := n.book.get(to)
 	if !ok {

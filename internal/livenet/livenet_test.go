@@ -18,13 +18,20 @@ import (
 // launchSmall starts a compact live cluster on loopback.
 func launchSmall(t *testing.T, seed int64) (*Cluster, *model.Instance) {
 	t.Helper()
-	return launchPlaced(t, seed, func(*model.Instance) {})
+	return launchWith(t, seed, Options{})
 }
 
-// launchPlaced is launchSmall with grow run on the instance after
+// launchWith is launchSmall with the given Options; their Seed is set
+// to seed.
+func launchWith(t *testing.T, seed int64, opts Options) (*Cluster, *model.Instance) {
+	t.Helper()
+	return launchPlaced(t, seed, opts, func(*model.Instance) {})
+}
+
+// launchPlaced is launchWith with grow run on the instance after
 // placement and before launch: documents it adds are part of the
 // deployment, held by no node.
-func launchPlaced(t *testing.T, seed int64, grow func(*model.Instance)) (*Cluster, *model.Instance) {
+func launchPlaced(t *testing.T, seed int64, opts Options, grow func(*model.Instance)) (*Cluster, *model.Instance) {
 	t.Helper()
 	cfg := model.DefaultConfig()
 	cfg.Catalog.NumDocs = 400
@@ -49,7 +56,8 @@ func launchPlaced(t *testing.T, seed int64, grow func(*model.Instance)) (*Cluste
 		t.Fatal(err)
 	}
 	grow(inst)
-	c, err := Launch(inst, res.Assignment, place, Options{Seed: seed})
+	opts.Seed = seed
+	c, err := Launch(inst, res.Assignment, place, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +145,7 @@ func TestLivePublishBecomesQueryable(t *testing.T) {
 	// malformed), so the document joins it first; placement has already
 	// run, so no node holds it until the publish.
 	var ids []catalog.DocID
-	c, inst := launchPlaced(t, 4, func(inst *model.Instance) {
+	c, inst := launchPlaced(t, 4, Options{}, func(inst *model.Instance) {
 		var err error
 		if ids, err = inst.Catalog.AddDocuments(1, 0.05, 0.8, rand.New(rand.NewSource(4))); err != nil {
 			t.Fatal(err)

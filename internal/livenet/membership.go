@@ -55,7 +55,7 @@ func (n *Node) enableMembership(cfg membership.Config) {
 	if n.det != nil {
 		return
 	}
-	n.det = membership.New(n.id, n.Addr(), cfg, n.rng.Int63())
+	n.det = membership.New(n.id, n.Addr(), cfg, n.rng.Int64())
 	now := time.Now()
 	n.book.forEach(func(id model.NodeID, addr string) bool {
 		if id != n.id {
@@ -129,9 +129,9 @@ func (n *Node) drainMembership() {
 // evictDeadPeer removes a confirmed-dead (or gracefully departed) peer
 // from the routing structures: address book and NRTs. In-flight queries
 // stop choosing it at their next resend, which re-reads these tables,
-// so no cross-shard broadcast is needed here. The tombstone stays behind
-// in the detector so book merges cannot resurrect the entry. Caller
-// holds routeMu.Lock.
+// so the query table needs no notice. The tombstone stays behind in the
+// detector so book merges cannot resurrect the entry. Caller holds
+// routeMu.Lock.
 func (n *Node) evictDeadPeer(peer model.NodeID) {
 	if n.book.del(peer) {
 		n.stats.Add("book_evictions", 1)

@@ -1,8 +1,9 @@
 package livenet
 
-// Equivalence tests for the construction API: birth-time configuration
+// Equivalence tests for the construction API: membership and adaptation
 // through Options must match the equivalent post-construction setter
-// calls, and the zero-value Options must reproduce each path's defaults.
+// calls, the engine's Options must take effect at birth, and the
+// zero-value Options must reproduce each path's defaults.
 
 import (
 	"net"
@@ -10,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"p2pshare/internal/cache"
 	"p2pshare/internal/membership"
 	"p2pshare/internal/model"
 )
@@ -21,7 +21,6 @@ func optionsShape() Shape {
 
 // nodeFingerprint gathers every Options-governed observable of one node.
 type nodeFingerprint struct {
-	shards    int
 	maxFlight int64
 	cacheCap  int64
 	hasCache  bool
@@ -34,7 +33,6 @@ func fingerprint(n *Node) nodeFingerprint {
 	cap, hasCache := s["cache_capacity_bytes"]
 	alive := s["membership_alive"]
 	return nodeFingerprint{
-		shards:    n.Shards(),
 		maxFlight: s["max_inflight"],
 		cacheCap:  cap,
 		hasCache:  hasCache,
@@ -51,8 +49,8 @@ func checkFingerprintsEqual(t *testing.T, name string, a, b nodeFingerprint) {
 }
 
 // TestZeroValueOptionsMatchesLaunchDefaults pins the historical Launch
-// defaults against the zero-value Options: default shard count, default
-// admission bound, default LRU cache, membership and adaptation off.
+// defaults against the zero-value Options: default admission bound,
+// default LRU cache, membership and adaptation off.
 func TestZeroValueOptionsMatchesLaunchDefaults(t *testing.T) {
 	sh := optionsShape()
 	inst, assign, place, err := sh.Build()
@@ -67,7 +65,6 @@ func TestZeroValueOptionsMatchesLaunchDefaults(t *testing.T) {
 	for _, n := range c.Nodes {
 		fp := fingerprint(n)
 		want := nodeFingerprint{
-			shards:    DefaultShards(),
 			maxFlight: DefaultMaxInFlight,
 			cacheCap:  DefaultCacheBytes,
 			hasCache:  true,
@@ -78,10 +75,12 @@ func TestZeroValueOptionsMatchesLaunchDefaults(t *testing.T) {
 	}
 }
 
-// TestLaunchOptionsMatchSetters builds one cluster through
-// post-construction setters and one through birth Options, and requires
-// identical configuration observables plus working query service and
-// dial-hook injection on both.
+// TestLaunchOptionsMatchSetters builds one cluster whose membership and
+// adaptation start through post-construction setters and one where they
+// start through birth Options, both with the same engine Options, and
+// requires identical configuration observables — the engine's bound and
+// cache as asked — plus working query service and dial-hook injection on
+// both.
 func TestLaunchOptionsMatchSetters(t *testing.T) {
 	sh := optionsShape()
 	inst, assign, place, err := sh.Build()
@@ -100,29 +99,23 @@ func TestLaunchOptionsMatchSetters(t *testing.T) {
 		}}
 	}
 
-	// Four setter calls per node.
-	a, err := Launch(inst, assign, place, Options{Seed: sh.Seed, Hooks: hook(&dialsA), Shards: 3})
+	// Two setter calls.
+	a, err := Launch(inst, assign, place, Options{
+		Seed: sh.Seed, Hooks: hook(&dialsA), MaxInFlight: maxFlight, CacheBytes: cacheBytes,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	for _, n := range a.Nodes {
-		n.SetMaxInFlight(maxFlight)
-		if err := n.SetCacheCapacity(cache.LFU, cacheBytes); err != nil {
-			t.Fatal(err)
-		}
-	}
 	a.StartMembership(mcfg)
 	a.EnableAdaptation(acfg)
 
 	// One call.
 	b, err := Launch(inst, assign, place, Options{
 		Seed:        sh.Seed,
-		Shards:      3,
 		Hooks:       hook(&dialsB),
 		MaxInFlight: maxFlight,
 		CacheBytes:  cacheBytes,
-		CachePolicy: cache.LFU,
 		Membership:  &mcfg,
 		Adaptation:  &acfg,
 	})
@@ -136,6 +129,9 @@ func TestLaunchOptionsMatchSetters(t *testing.T) {
 		checkFingerprintsEqual(t, "launch", fa, fb)
 		if !fa.memberOn || !fa.adaptOn {
 			t.Fatalf("node %d: membership/adaptation not enabled on setter path: %+v", i, fa)
+		}
+		if fa.maxFlight != maxFlight || fa.cacheCap != cacheBytes {
+			t.Fatalf("node %d: engine Options not applied: %+v", i, fa)
 		}
 	}
 
@@ -152,73 +148,54 @@ func TestLaunchOptionsMatchSetters(t *testing.T) {
 	}
 }
 
-// TestLaunchCacheDisabledEquivalence: CacheBytes < 0 at birth must equal
-// the SetCacheCapacity(_, 0) disable — no cache generation at
-// all, and repeat queries never count cache lookups.
+// TestLaunchCacheDisabledEquivalence: CacheBytes < 0 at birth disables
+// the requester cache — no cache at all, and repeat queries never count
+// cache lookups.
 func TestLaunchCacheDisabledEquivalence(t *testing.T) {
 	sh := optionsShape()
 	inst, assign, place, err := sh.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Launch(inst, assign, place, Options{Seed: sh.Seed})
+	c, err := Launch(inst, assign, place, Options{Seed: sh.Seed, CacheBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a.Close()
-	for _, n := range a.Nodes {
-		if err := n.SetCacheCapacity(cache.LRU, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	b, err := Launch(inst, assign, place, Options{Seed: sh.Seed, CacheBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
+	defer c.Close()
 
 	cat := bigCategory(inst)
-	for name, c := range map[string]*Cluster{"setters": a, "options": b} {
-		for i := 0; i < 2; i++ {
-			if _, err := c.Nodes[0].Query(cat, 1, 5*time.Second); err != nil {
-				t.Fatalf("%s query %d: %v", name, i, err)
-			}
+	for i := 0; i < 2; i++ {
+		if _, err := c.Nodes[0].Query(cat, 1, 5*time.Second); err != nil {
+			t.Fatalf("query %d: %v", i, err)
 		}
-		s := c.Nodes[0].Stats()
-		if _, ok := s["cache_capacity_bytes"]; ok {
-			t.Fatalf("%s: cache still present after disable: %v", name, s["cache_capacity_bytes"])
-		}
-		if s["cache_hit"]+s["cache_miss"] != 0 {
-			t.Fatalf("%s: disabled cache recorded lookups: hit=%d miss=%d",
-				name, s["cache_hit"], s["cache_miss"])
-		}
+	}
+	s := c.Nodes[0].Stats()
+	if _, ok := s["cache_capacity_bytes"]; ok {
+		t.Fatalf("cache present with CacheBytes < 0: %v", s["cache_capacity_bytes"])
+	}
+	if s["cache_hit"]+s["cache_miss"] != 0 {
+		t.Fatalf("disabled cache recorded lookups: hit=%d miss=%d", s["cache_hit"], s["cache_miss"])
 	}
 }
 
-// TestStartNodeOptionsMatchSetters: birth Options and post-construction
-// setters must agree, and the StartNode zero value must keep membership
-// ON (its default).
+// TestStartNodeOptionsMatchSetters: adaptation through birth Options and
+// through its setter must agree, the engine's Options must take effect,
+// and the StartNode zero value must keep membership ON (its default).
 func TestStartNodeOptionsMatchSetters(t *testing.T) {
 	sh := optionsShape()
 	acfg := AdaptConfig{Interval: time.Hour}
 	const maxFlight, cacheBytes = 19, int64(1 << 20)
 
-	a, err := StartNode(sh, 0, "127.0.0.1:0", "", Options{Shards: 2})
+	a, err := StartNode(sh, 0, "127.0.0.1:0", "", Options{MaxInFlight: maxFlight, CacheBytes: cacheBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	a.SetMaxInFlight(maxFlight)
-	if err := a.SetCacheCapacity(cache.LFU, cacheBytes); err != nil {
-		t.Fatal(err)
-	}
 	a.EnableAdaptation(acfg)
 
 	b, err := StartNode(sh, 1, "127.0.0.1:0", "", Options{
-		Shards:      2,
 		MaxInFlight: maxFlight,
 		CacheBytes:  cacheBytes,
-		CachePolicy: cache.LFU,
 		Adaptation:  &acfg,
 	})
 	if err != nil {
@@ -234,6 +211,9 @@ func TestStartNodeOptionsMatchSetters(t *testing.T) {
 	if !fa.adaptOn || !fb.adaptOn {
 		t.Fatalf("adaptation not enabled: setters=%v options=%v", fa.adaptOn, fb.adaptOn)
 	}
+	if fa.maxFlight != maxFlight || fa.cacheCap != cacheBytes {
+		t.Fatalf("engine Options not applied: %+v", fa)
+	}
 
 	// Zero-value Options on the StartNode path: defaults, membership on.
 	z, err := StartNode(sh, 2, "127.0.0.1:0", "", Options{})
@@ -243,7 +223,6 @@ func TestStartNodeOptionsMatchSetters(t *testing.T) {
 	defer z.Close()
 	fz := fingerprint(z)
 	want := nodeFingerprint{
-		shards:    DefaultShards(),
 		maxFlight: DefaultMaxInFlight,
 		cacheCap:  DefaultCacheBytes,
 		hasCache:  true,

@@ -46,7 +46,6 @@ func waitMoveCounter(t *testing.T, n *Node, cat catalog.CategoryID, counter uint
 func TestPrevClusterBounded(t *testing.T) {
 	sh := contentShape(31)
 	c := launchOverMemnet(t, sh, nil, memnet.New(), Options{
-		Shards:     1,
 		CacheBytes: -1,
 		Content:    &ContentConfig{},
 	})
@@ -125,7 +124,6 @@ func (n *Node) pullWorkersForTest() int {
 func TestMovePendingQueueDrains(t *testing.T) {
 	sh := contentShape(32)
 	c := launchOverMemnet(t, sh, nil, memnet.New(), Options{
-		Shards:     1,
 		CacheBytes: -1,
 		Content:    &ContentConfig{},
 	})
@@ -198,7 +196,6 @@ func TestMovePendingQueueDrains(t *testing.T) {
 func TestFetchAccountingConservation(t *testing.T) {
 	sh := contentShape(34)
 	c := launchOverMemnet(t, sh, nil, memnet.New(), Options{
-		Shards:     1,
 		CacheBytes: -1,
 		Content:    &ContentConfig{},
 	})
@@ -313,7 +310,6 @@ func TestFetchAccountingConservation(t *testing.T) {
 func TestCachedFetchBecomesReplica(t *testing.T) {
 	sh := contentShape(35)
 	c := launchOverMemnet(t, sh, nil, memnet.New(), Options{
-		Shards:     1,
 		CacheBytes: -1,
 		Content:    &ContentConfig{CacheBytes: 64 << 20, CacheAdmitHits: 2},
 	})
@@ -381,7 +377,6 @@ func TestCachedFetchBecomesReplica(t *testing.T) {
 func TestPushReplicateInstallsCachedCopy(t *testing.T) {
 	sh := contentShape(36)
 	c := launchOverMemnet(t, sh, nil, memnet.New(), Options{
-		Shards:     1,
 		CacheBytes: -1,
 		Content:    &ContentConfig{CacheBytes: 64 << 20, CacheAdmitHits: 1},
 	})
@@ -536,7 +531,6 @@ func TestPushReplicatePullFailures(t *testing.T) {
 			sh := Shape{Documents: 24, Categories: 4, Nodes: 8, Clusters: 2, Seed: 23, DocBytes: docBytes}
 			cn := chaos.New(int64(40 + i))
 			c := launchOverMemnet(t, sh, cn, memnet.New(), Options{
-				Shards:     1,
 				CacheBytes: -1,
 				Content:    &ContentConfig{ChunkSize: chunk, CacheBytes: 64 << 20, CacheAdmitHits: 1},
 			})

@@ -73,7 +73,6 @@ func pickRemoteDoc(t *testing.T, sh Shape) (model.NodeID, catalog.DocID, catalog
 func TestFetchRemoteAndLocal(t *testing.T) {
 	sh := contentShape(21)
 	c := launchOverMemnet(t, sh, nil, memnet.New(), Options{
-		Shards:     1,
 		CacheBytes: -1,
 		Content:    &ContentConfig{},
 	})
@@ -133,7 +132,6 @@ func TestFetchSurvivesCorruptSource(t *testing.T) {
 	sh := contentShape(22)
 	cn := chaos.New(22)
 	c := launchOverMemnet(t, sh, cn, memnet.New(), Options{
-		Shards:     1,
 		CacheBytes: -1,
 		Content:    &ContentConfig{ChunkSize: 32 << 10},
 	})
@@ -209,7 +207,6 @@ func TestFetchResumesAfterSourceDeath(t *testing.T) {
 	sh := Shape{Documents: 24, Categories: 4, Nodes: 8, Clusters: 2, Seed: 23, DocBytes: 2 << 20}
 	cn := chaos.New(23)
 	c := launchOverMemnet(t, sh, cn, memnet.New(), Options{
-		Shards:     1,
 		CacheBytes: -1,
 		Content:    &ContentConfig{ChunkSize: 16 << 10}, // 128 chunks
 	})
@@ -311,7 +308,6 @@ func TestFetchResumesAfterSourceDeath(t *testing.T) {
 func TestMoveShipsBytes(t *testing.T) {
 	sh := contentShape(24)
 	c := launchOverMemnet(t, sh, nil, memnet.New(), Options{
-		Shards:     1,
 		CacheBytes: -1,
 		Content:    &ContentConfig{CacheBytes: 64 << 20, CacheAdmitHits: 1},
 	})
@@ -444,7 +440,6 @@ func TestBulkFetchUnderQueryLoad(t *testing.T) {
 	nodes := 48
 	sh := Shape{Documents: 96, Categories: 12, Nodes: nodes, Clusters: 4, Seed: 25, DocBytes: 256 << 10}
 	c := launchOverMemnet(t, sh, nil, memnet.NewSized(512<<10), Options{
-		Shards:     1,
 		CacheBytes: -1,
 		Content:    &ContentConfig{},
 	})

@@ -3,7 +3,7 @@ package livenet
 import (
 	"bufio"
 	"io"
-	"math/rand"
+	"math/rand/v2"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -247,7 +247,7 @@ func (t *transport) dialPeer(addr string) (net.Conn, error) {
 // enqueue hands a protocol envelope to the peer's writer, spawning one
 // if the peer's writer is parked (or never started). It never blocks: a
 // full queue drops the message (counted) rather than stalling its
-// caller, which holds routeMu or a shard lock.
+// caller, which holds routeMu or the query table's lock.
 func (t *transport) enqueue(to model.NodeID, addr string, env envelope) {
 	t.enqueueOn(to, addr, env, false)
 }
@@ -585,7 +585,7 @@ func (w *peerWriter) connect() (ok, alive bool) {
 			}
 		}
 		if w.rng == nil {
-			w.rng = rand.New(rand.NewSource(t.seed + int64(t.from)*7919 + int64(p.to)*104729))
+			w.rng = rand.New(rand.NewPCG(uint64(t.seed), uint64(t.from)<<32|uint64(uint32(p.to))))
 		}
 		return false, t.backoff(w.rng, w.connectFails)
 	}
@@ -616,7 +616,7 @@ func (t *transport) backoff(rng *rand.Rand, fails int) bool {
 	if d > backoffCap {
 		d = backoffCap
 	}
-	d += time.Duration(rng.Int63n(int64(d/2) + 1))
+	d += time.Duration(rng.Int64N(int64(d/2) + 1))
 	timer := time.NewTimer(d)
 	defer timer.Stop()
 	select {

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"p2pshare/internal/cache"
 	"p2pshare/internal/catalog"
 	"p2pshare/internal/metrics"
 	"p2pshare/internal/model"
@@ -22,28 +21,23 @@ func locked(n *Node, f func(*Node)) {
 	f(n)
 }
 
-// runShard executes f under one engine shard's lock.
-func runShard(s *engineShard, f func(*engineShard)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f(s)
+// withTable runs f on n under the query table's lock, the way callers,
+// result readers and the sweep run.
+func withTable(n *Node, f func(*Node)) {
+	n.queries.mu.Lock()
+	defer n.queries.mu.Unlock()
+	f(n)
 }
 
 // TestTransportReusesConnections is the acceptance check: under a
 // multi-query workload, messages reuse persistent streams — dials per
 // sent message come out well below one.
 func TestTransportReusesConnections(t *testing.T) {
-	c, inst := launchSmall(t, 11)
+	// No requester cache, so every query exercises the transport; with
+	// caching on, repeat queries are answered locally and the handful of
+	// networked ones make stream reuse a coin flip of random target picks.
+	c, inst := launchWith(t, 11, Options{CacheBytes: -1})
 	cat := bigCategory(inst)
-	// Disable the requester cache so every query exercises the transport;
-	// with caching on, repeat queries are answered locally and the
-	// handful of networked ones make stream reuse a coin flip of random
-	// target picks.
-	for _, n := range c.Nodes {
-		if err := n.SetCacheCapacity(cache.LRU, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
 	const queries = 60
 	start := time.Now()
 	for i := 0; i < queries; i++ {
@@ -270,9 +264,9 @@ func TestPendingExpirySweep(t *testing.T) {
 	c, _ := launchSmall(t, 16)
 	n := c.Nodes[0]
 	ch := make(chan QueryOutcome, 1)
-	runShard(n.shardFor(42), func(s *engineShard) {
-		s.n.inflight.Add(1)
-		s.pending[42] = &pendingQuery{
+	withTable(n, func(n *Node) {
+		n.inflight.Add(1)
+		n.queries.pending[42] = &pendingQuery{
 			id:       42,
 			want:     5,
 			docs:     map[catalog.DocID]bool{7: true},
@@ -280,8 +274,8 @@ func TestPendingExpirySweep(t *testing.T) {
 			ch:       ch,
 			deadline: time.Now().Add(-time.Second),
 		}
-		s.sweep(time.Now())
-		if _, still := s.pending[42]; still {
+		n.sweep(time.Now())
+		if _, still := n.queries.pending[42]; still {
 			t.Error("expired pending query not removed")
 		}
 	})
@@ -316,7 +310,7 @@ func TestQueryNoRouteExplicit(t *testing.T) {
 
 	// Handler path: an inbound query for the unroutable category is
 	// dropped and counted, not forwarded to cluster 0.
-	n.shardFor(1 << 40).handleQuery(protocol.QueryMsg{ID: 1 << 40, Category: cat, Want: 1, Origin: 5, Hops: 1})
+	n.handleQuery(protocol.QueryMsg{ID: 1 << 40, Category: cat, Want: 1, Origin: 5, Hops: 1})
 	if n.stats.Get("drop_no_route") == 0 {
 		t.Error("drop_no_route not counted on handler path")
 	}
@@ -343,9 +337,9 @@ func TestHandleResultMaxHops(t *testing.T) {
 	c, _ := launchSmall(t, 18)
 	n := c.Nodes[0]
 	ch := make(chan QueryOutcome, 1)
-	runShard(n.shardFor(77), func(s *engineShard) {
-		s.n.inflight.Add(1)
-		s.pending[77] = &pendingQuery{
+	withTable(n, func(n *Node) {
+		n.inflight.Add(1)
+		n.queries.pending[77] = &pendingQuery{
 			id:       77,
 			want:     2,
 			need:     2,
@@ -354,8 +348,8 @@ func TestHandleResultMaxHops(t *testing.T) {
 			deadline: time.Now().Add(time.Minute),
 		}
 	})
-	n.shardFor(77).handleResult(protocol.ResultMsg{ID: 77, Docs: []catalog.DocID{1}, Hops: 5, From: 2})
-	n.shardFor(77).handleResult(protocol.ResultMsg{ID: 77, Docs: []catalog.DocID{2}, Hops: 2, From: 3})
+	n.handleResult(protocol.ResultMsg{ID: 77, Docs: []catalog.DocID{1}, Hops: 5, From: 2})
+	n.handleResult(protocol.ResultMsg{ID: 77, Docs: []catalog.DocID{2}, Hops: 2, From: 3})
 	select {
 	case out := <-ch:
 		if !out.Done {

@@ -72,9 +72,9 @@ func TestOutOfShapeIDsNeverReachTables(t *testing.T) {
 	// only the frames below can answer it.
 	const qid = 77
 	ch := make(chan QueryOutcome, 1)
-	runShard(n.shardFor(qid), func(s *engineShard) {
-		s.n.inflight.Add(1)
-		s.pending[qid] = &pendingQuery{
+	withTable(n, func(n *Node) {
+		n.inflight.Add(1)
+		n.queries.pending[qid] = &pendingQuery{
 			id: qid, cat: cat, want: 1, need: 1, docs: make(map[catalog.DocID]bool),
 			ch: ch, deadline: time.Now().Add(time.Minute), resends: maxResends,
 		}

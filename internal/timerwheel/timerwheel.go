@@ -3,7 +3,7 @@
 // one time.Ticker goroutine per timer.
 //
 // livenet's per-node housekeeping — membership probe ticks, adaptation
-// epoch ticks, per-shard sweeps — used to cost three-plus dedicated
+// epoch ticks, query-table sweeps — used to cost three-plus dedicated
 // ticker goroutines per node. At paper scale (a 10k-node in-process
 // cluster) that is tens of thousands of goroutines and runtime timers
 // doing nothing but sleeping. All of them now register here: the wheel
