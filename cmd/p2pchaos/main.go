@@ -9,58 +9,17 @@
 //	go run ./cmd/p2pchaos -all -seed 7 -nodes 16
 //	go run ./cmd/p2pchaos -list
 //
-// With -out DIR, each scenario additionally writes a
-// BENCH_soak-<name>.json data point in the harness trajectory format
-// (internal/harness), so soak outcomes land in the same artifact stream
-// the p2pbench plans feed.
+// A scenario's BENCH_soak-<name>.json artifact comes from the harness:
+// go run ./cmd/p2pbench -plan soak-<name>.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"p2pshare/internal/chaos/soak"
 )
-
-// benchResult mirrors harness.Result enough to emit the same artifact
-// schema without importing the orchestrator into this small CLI.
-type benchResult struct {
-	Plan    string             `json:"plan"`
-	Seed    int64              `json:"seed"`
-	Nodes   int                `json:"nodes"`
-	Seconds float64            `json:"seconds"`
-	Totals  map[string]float64 `json:"totals"`
-}
-
-func writeBench(dir string, rep soak.Report, nodes int) error {
-	rate := func(num, den int) float64 {
-		if den == 0 {
-			return 1
-		}
-		return float64(num) / float64(den)
-	}
-	res := benchResult{
-		Plan: "soak-" + rep.Scenario, Seed: rep.Seed, Nodes: nodes,
-		Seconds: rep.Elapsed.Seconds(),
-		Totals: map[string]float64{
-			"queries":        float64(rep.Queries),
-			"ok":             float64(rep.Succeeded),
-			"violations":     float64(len(rep.Violations)),
-			"probe_ok_rate":  rate(rep.ProbeOK, rep.ProbeTotal),
-			"success_rate":   rate(rep.Succeeded, rep.Queries),
-			"nodes_launched": float64(nodes),
-		},
-	}
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(dir, "BENCH_"+res.Plan+".json")
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
 
 func main() {
 	var (
@@ -71,7 +30,6 @@ func main() {
 		nodes    = flag.Int("nodes", 12, "number of live nodes")
 		clusters = flag.Int("clusters", 3, "number of node clusters")
 		quiet    = flag.Bool("q", false, "suppress progress output")
-		outDir   = flag.String("out", "", "also write BENCH_soak-<scenario>.json artifacts into this directory")
 	)
 	flag.Parse()
 
@@ -107,12 +65,6 @@ func main() {
 	failed := false
 	for _, sc := range run {
 		rep, err := soak.RunScenario(sc, cfg)
-		if *outDir != "" && rep.Scenario != "" {
-			if werr := writeBench(*outDir, rep, *nodes); werr != nil {
-				fmt.Fprintf(os.Stderr, "write bench artifact: %v\n", werr)
-				failed = true
-			}
-		}
 		if err != nil {
 			failed = true
 			fmt.Fprintf(os.Stderr, "FAIL %s (seed %d): %v\n", sc.Name, rep.Seed, err)

@@ -27,28 +27,14 @@ import (
 // statsReport snapshots the node in the machine-protocol schema (also
 // the -stats-json output format).
 func statsReport(node *livenet.Node) *proto.StatsReport {
-	lat := node.QueryLatency()
 	alive, susp := node.MembershipCounts()
-	r := &proto.StatsReport{
+	return &proto.StatsReport{
 		NodeID:        int(node.ID()),
 		Counters:      node.Stats(),
-		LatCount:      lat.Count(),
 		FairnessX1000: node.Fairness(),
 		MembersAlive:  alive,
 		MembersSusp:   susp,
 	}
-	if r.LatCount > 0 {
-		r.LatP50 = lat.Quantile(0.5)
-		r.LatP95 = lat.Quantile(0.95)
-		r.LatP99 = lat.Quantile(0.99)
-	}
-	if tput := node.TransferThroughput(); tput.Count() > 0 {
-		r.XferCount = tput.Count()
-		r.XferP50KBps = tput.Quantile(0.5)
-		r.XferP95KBps = tput.Quantile(0.95)
-		r.XferP99KBps = tput.Quantile(0.99)
-	}
-	return r
 }
 
 // printStatsJSON is the -stats-json replacement for printStats: one

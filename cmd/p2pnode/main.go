@@ -44,13 +44,14 @@ import (
 	"p2pshare/internal/catalog"
 	"p2pshare/internal/chaos"
 	"p2pshare/internal/livenet"
+	"p2pshare/internal/membership"
 	"p2pshare/internal/metrics"
 	"p2pshare/internal/model"
 	"p2pshare/internal/workload"
 )
 
-// printStats dumps the node's transport/protocol counters and its query
-// latency histogram in a stable order.
+// printStats dumps the node's transport/protocol counters in a stable
+// order, then the membership view and the write-batch histogram.
 func printStats(node *livenet.Node) {
 	s := node.Stats()
 	keys := make([]string, 0, len(s))
@@ -70,15 +71,8 @@ func printStats(node *livenet.Node) {
 		}
 		fmt.Println(line)
 	}
-	if lat := node.QueryLatency(); lat.Count() > 0 {
-		fmt.Printf("query latency (ms): %s\n", lat.PercentileSummary())
-	}
 	if batches := node.BatchSizes(); batches.Count() > 0 {
 		fmt.Printf("write batches (msgs/flush): %s\n", batches.Summary())
-	}
-	if tput := node.TransferThroughput(); tput.Count() > 0 {
-		fmt.Printf("transfer throughput (KB/s, %d transfers): p50 %.0f p95 %.0f p99 %.0f\n",
-			tput.Count(), tput.Quantile(0.5), tput.Quantile(0.95), tput.Quantile(0.99))
 	}
 }
 
@@ -217,10 +211,12 @@ func main() {
 		Documents: *docs, Categories: *cats, Nodes: *nodes,
 		Clusters: *clusters, Seed: *seed, DocBytes: *docBytes,
 	}
-	// The whole birth configuration is one Options struct.
+	// The whole birth configuration is one Options struct. A standalone
+	// node faces real churn, so it always runs the failure detector.
 	opts := livenet.Options{
 		MaxInFlight: *maxInFlight,
 		CacheBytes:  *cacheMB << 20,
+		Membership:  &membership.Config{},
 	}
 	if *cacheMB == 0 {
 		opts.CacheBytes = -1 // historical flag meaning: 0 MB disables caching
@@ -325,7 +321,8 @@ func main() {
 				fmt.Printf("query category %d: %v (%d partial results)\n", cat, err, len(out.Docs))
 				continue
 			}
-			fmt.Printf("query category %d: %d results in %d hop(s)\n", cat, len(out.Docs), out.Hops)
+			fmt.Printf("query category %d: %d results in %d hop(s), %v\n",
+				cat, len(out.Docs), out.Hops, out.ResponseTime.Round(time.Microsecond))
 		case <-statsTick:
 			dump(node)
 		case <-stop:

@@ -142,29 +142,17 @@ type QuerySpec struct {
 }
 
 // StatsReport snapshots one node: raw counters plus the derived
-// readings scripts always end up wanting (percentiles, fairness,
-// membership). Counters is Node.Stats() verbatim.
+// readings scripts always end up wanting (fairness, membership).
+// Counters is Node.Stats() verbatim. Query latency is the caller's to
+// time: LoadReport carries the samples of a harness load.
 type StatsReport struct {
 	NodeID   int              `json:"node_id"`
 	Counters map[string]int64 `json:"counters"`
-	// Latency percentiles of the node's lifetime query latency
-	// histogram, in milliseconds.
-	LatCount int     `json:"lat_count"`
-	LatP50   float64 `json:"lat_p50_ms"`
-	LatP95   float64 `json:"lat_p95_ms"`
-	LatP99   float64 `json:"lat_p99_ms"`
 	// FairnessX1000 is the node's last measured fairness index in
 	// thousandths; -1 when this node has not evaluated an epoch.
 	FairnessX1000 int64 `json:"fairness_x1000"`
 	MembersAlive  int   `json:"members_alive"`
 	MembersSusp   int   `json:"members_suspect"`
-	// Per-transfer throughput percentiles (KB/s) of the node's completed
-	// remote fetches; zero-valued when the content plane is off or no
-	// transfer has finished. Raw transfer_* counters ride in Counters.
-	XferCount   int     `json:"xfer_count,omitempty"`
-	XferP50KBps float64 `json:"xfer_p50_kbps,omitempty"`
-	XferP95KBps float64 `json:"xfer_p95_kbps,omitempty"`
-	XferP99KBps float64 `json:"xfer_p99_kbps,omitempty"`
 	// LoadRunning reports an OpLoad still in flight — the orchestrator's
 	// convergence poll uses it to stop polling once an act's load drains.
 	LoadRunning bool `json:"load_running,omitempty"`

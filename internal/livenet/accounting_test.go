@@ -18,10 +18,7 @@ import (
 //	queries_total == queries_ok + query_rejected + query_no_route +
 //	                 query_timeouts + query_cancelled + query_closed
 //
-// and the latency histogram observed every query a caller actually
-// waited on (ok + timeouts + cancelled), no more, no fewer. An
-// earlier engine violated both: abandoned queries skipped the
-// histogram, and some exits double-counted.
+// An earlier engine violated it: some exits double-counted.
 func TestQueryAccountingConservation(t *testing.T) {
 	// Two admission slots: the rejection phase below fills both.
 	c, inst := launchWith(t, 63, Options{MaxInFlight: 2})
@@ -110,14 +107,5 @@ func TestQueryAccountingConservation(t *testing.T) {
 		if s[k] == 0 {
 			t.Errorf("%s never incremented — test lost coverage of that exit path", k)
 		}
-	}
-
-	// The histogram saw exactly the queries a caller waited on. Timed-out
-	// and cancelled queries DO observe (their wait is response time too);
-	// rejections and no-route exits (which never wait) do not.
-	waited := s["queries_ok"] + s["query_timeouts"] + s["query_cancelled"]
-	if got := int64(n.QueryLatency().Count()); got != waited {
-		t.Errorf("latency histogram counted %d observations, want %d (ok+timeouts+cancelled)",
-			got, waited)
 	}
 }

@@ -106,33 +106,8 @@ type serveLoad struct {
 	byNode map[model.NodeID]int64
 }
 
-// EnableAdaptation turns on the adaptation loop. Idempotent, and a call
-// after Close does nothing. Works best with membership enabled (leader
-// election then excludes dead nodes); without it, every static cluster
-// member is considered electable.
-func (n *Node) EnableAdaptation(cfg AdaptConfig) {
-	n.routeMu.Lock()
-	defer n.routeMu.Unlock()
-	if !n.closed() {
-		n.enableAdaptation(cfg)
-	}
-}
-
-// EnableAdaptation turns on adaptation on every node of a launched
-// cluster.
-func (c *Cluster) EnableAdaptation(cfg AdaptConfig) {
-	for _, n := range c.Nodes {
-		if n != nil {
-			n.EnableAdaptation(cfg)
-		}
-	}
-}
-
 // enableAdaptation starts the epoch clock. Caller holds routeMu.Lock.
 func (n *Node) enableAdaptation(cfg AdaptConfig) {
-	if n.adapt != nil {
-		return
-	}
 	cfg = cfg.withDefaults()
 	var mine []model.ClusterID
 	for cl, ms := range n.members {

@@ -22,10 +22,11 @@ import (
 // wedge the category).
 func TestCorruptAdaptationFramesFailSafe(t *testing.T) {
 	nw := memnet.New()
-	c := launchOverMemnet(t, churnShape(), nil, nw, Options{})
 	// An hour-long epoch: the clock never fires during the test, so the
 	// only adaptation traffic is what the test sends.
-	c.EnableAdaptation(AdaptConfig{Interval: time.Hour})
+	c := launchOverMemnet(t, churnShape(), nil, nw, Options{
+		Adaptation: &AdaptConfig{Interval: time.Hour},
+	})
 
 	n, from := c.Nodes[0], c.Nodes[1].id
 	victim := catalog.CategoryID(-1)

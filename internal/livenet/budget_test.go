@@ -111,3 +111,38 @@ func BenchmarkFetch4MB(b *testing.B) {
 		mustFetch(b, client, remote[i%len(remote)])
 	}
 }
+
+// TestQueriesLeaveNodeHeapFlat pins that a node keeps counts, not
+// samples: 100 000 queries answered from the requester cache leave the
+// live heap where it was. A node that kept one 8-byte latency sample
+// per query grew ≈ 0.8 MB here.
+func TestQueriesLeaveNodeHeapFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow state inflates the live heap")
+	}
+	const queries, budget = 100_000, 128 << 10
+	c := launchOverMemnet(t, twoNodeShape(), nil, memnet.New(), Options{})
+	n := c.Nodes[0]
+	cat := bigCategory(c.inst)
+	query := func() {
+		if _, err := n.QueryContext(context.Background(), cat, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	query() // the one network answer fills the cache
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < queries; i++ {
+		query()
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if hits := n.Stats()["cache_hit"]; hits < queries {
+		t.Fatalf("%d of %d queries were cache hits", hits, queries)
+	}
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= budget {
+		t.Fatalf("%d cache-hit queries grew the live heap by %d KB, budget %d KB",
+			queries, grew>>10, budget>>10)
+	}
+}

@@ -33,7 +33,7 @@ func TestChurnHardKillDetectedAndQueriesSurvive(t *testing.T) {
 	// No requester cache on the querying node 0: repeat queries for the
 	// same category must hit the network every time, or the kill-survival
 	// assertions would be answered locally in zero hops and prove nothing.
-	seed, err := StartNode(sh, 0, "127.0.0.1:0", "", Options{CacheBytes: -1})
+	seed, err := StartNode(sh, 0, "127.0.0.1:0", "", Options{CacheBytes: -1, Membership: &membership.Config{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestChurnHardKillDetectedAndQueriesSurvive(t *testing.T) {
 		}
 	}()
 	for id := model.NodeID(1); int(id) < sh.Nodes; id++ {
-		n, err := StartNode(sh, id, "127.0.0.1:0", seed.Addr(), Options{})
+		n, err := StartNode(sh, id, "127.0.0.1:0", seed.Addr(), Options{Membership: &membership.Config{}})
 		if err != nil {
 			t.Fatalf("node %d: %v", id, err)
 		}
@@ -214,18 +214,21 @@ func TestAdaptationRebalancesSkewedLoad(t *testing.T) {
 	// No requester cache: it would absorb every repeat query after the
 	// first round — zero network traffic, zero hits, and every idle epoch
 	// measuring as perfectly fair. The skew must stay live.
-	c, err := Launch(inst, assign, place, Options{Seed: sh.Seed, CacheBytes: -1})
+	c, err := Launch(inst, assign, place, Options{
+		Seed:       sh.Seed,
+		CacheBytes: -1,
+		Membership: &membership.Config{},
+		Adaptation: &AdaptConfig{
+			Interval:       700 * time.Millisecond,
+			LowThreshold:   0.9,
+			TargetFairness: 0.95,
+			MaxMoves:       8,
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.StartMembership(membership.Config{})
-	c.EnableAdaptation(AdaptConfig{
-		Interval:       700 * time.Millisecond,
-		LowThreshold:   0.9,
-		TargetFairness: 0.95,
-		MaxMoves:       8,
-	})
 
 	// The skewed demand: every category initially assigned to cluster 0.
 	var hotCats []catalog.CategoryID

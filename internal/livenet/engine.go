@@ -31,10 +31,10 @@ import (
 //	queries_ok + query_rejected + query_no_route +
 //	query_timeouts + query_cancelled + query_closed
 //
-// on exit, and the latency histogram observes every completed, timed-out,
-// and cancelled query (not just successes — an abandoned query's wait is
-// response-time the caller experienced too). The conservation equation
-// above is pinned by TestQueryAccountingConservation.
+// on exit. The node keeps these counts, not per-query samples: a caller
+// that wants latency reads each outcome's ResponseTime. The
+// conservation equation above is pinned by
+// TestQueryAccountingConservation.
 const (
 	// DefaultMaxInFlight bounds concurrently pending queries per node;
 	// queries beyond it are rejected with ErrOverloaded (admission
@@ -76,7 +76,6 @@ func (n *Node) QueryContext(ctx context.Context, cat catalog.CategoryID, m int) 
 	if err := ctx.Err(); err != nil {
 		reason, qerr := ctxReason(err)
 		n.stats.Add(reason, 1)
-		n.latency.ObserveDuration(time.Since(start))
 		return query.Result{}, qerr
 	}
 	if n.closed() {
@@ -147,14 +146,12 @@ func (n *Node) QueryContext(ctx context.Context, cat catalog.CategoryID, m int) 
 	select {
 	case out := <-ch:
 		out.ResponseTime = time.Since(start)
-		n.latency.ObserveDuration(out.ResponseTime)
 		n.stats.Add("queries_ok", 1)
 		return out, nil
 	case <-ctx.Done():
 		reason, qerr := ctxReason(ctx.Err())
 		out, completed := n.abandonQuery(id, ch)
 		out.ResponseTime = time.Since(start)
-		n.latency.ObserveDuration(out.ResponseTime)
 		if completed {
 			// The query finished in the race window between ctx firing
 			// and the slot being released; report the success.
@@ -169,7 +166,6 @@ func (n *Node) QueryContext(ctx context.Context, cat catalog.CategoryID, m int) 
 		select {
 		case out := <-ch:
 			out.ResponseTime = time.Since(start)
-			n.latency.ObserveDuration(out.ResponseTime)
 			n.stats.Add("queries_ok", 1)
 			return out, nil
 		default:
@@ -186,7 +182,6 @@ func (n *Node) answered(start time.Time, docs map[catalog.DocID]bool) query.Resu
 		out.Docs = append(out.Docs, d)
 	}
 	out.ResponseTime = time.Since(start)
-	n.latency.ObserveDuration(out.ResponseTime)
 	n.stats.Add("queries_ok", 1)
 	return out
 }

@@ -95,10 +95,11 @@ func TestHolderViewFollowsMoves(t *testing.T) {
 			name = "adaptation"
 		}
 		t.Run(name, func(t *testing.T) {
-			c := launchOverMemnet(t, sh, nil, memnet.New(), Options{CacheBytes: -1})
+			opts := Options{CacheBytes: -1}
 			if adapt {
-				c.EnableAdaptation(AdaptConfig{Interval: time.Hour})
+				opts.Adaptation = &AdaptConfig{Interval: time.Hour}
 			}
+			c := launchOverMemnet(t, sh, nil, memnet.New(), opts)
 			n, cat := c.Nodes[3], bigCategory(c.inst)
 			m := protocol.QueryMsg{Category: cat, Want: 1, Hops: 1, Entry: true}
 			var to model.ClusterID

@@ -9,7 +9,6 @@ import (
 
 	"p2pshare/internal/catalog"
 	"p2pshare/internal/core"
-	"p2pshare/internal/membership"
 	"p2pshare/internal/model"
 	"p2pshare/internal/protocol"
 	"p2pshare/internal/replica"
@@ -83,12 +82,11 @@ func (sh Shape) Build() (*model.Instance, []model.ClusterID, *replica.Placement,
 // role of node `id` (storing what the placement assigned to it), listens
 // on listenAddr, and — when bootstrapAddr is non-empty — announces itself
 // to the existing deployment and fetches the address book. Options is
-// the same birth-time knob surface Launch takes (hooks,
-// admission, cache, membership, adaptation); its zero value matches the
-// historical StartNode defaults, with one path difference: membership is
-// ON by default here (standalone deployments face real churn), and
-// Options.Seed zero means Shape.Seed — the deployment seed — so every
-// process derives identical node-local randomness without repeating it.
+// the same knob surface Launch takes, with the same meaning; only a zero
+// Options.Seed differs: it means Shape.Seed, the deployment seed, so
+// every process derives identical node-local randomness without
+// repeating it. A standalone deployment faces real churn, so a caller
+// that wants the failure detector sets Options.Membership.
 func StartNode(sh Shape, id model.NodeID, listenAddr, bootstrapAddr string, opts Options) (*Node, error) {
 	inst, assign, place, err := sh.Build()
 	if err != nil {
@@ -144,19 +142,7 @@ func StartNode(sh Shape, id model.NodeID, listenAddr, bootstrapAddr string, opts
 		}
 	}
 	n.startLoops()
-
-	// Standalone deployments face real churn, so the failure detector is
-	// on by default (Launch-style in-process clusters opt in with
-	// Cluster.StartMembership or Options.Membership); a non-nil
-	// Options.Membership only overrides its timing.
-	mcfg := membership.Config{}
-	if opts.Membership != nil {
-		mcfg = *opts.Membership
-	}
-	n.StartMembership(mcfg)
-	if opts.Adaptation != nil {
-		n.EnableAdaptation(*opts.Adaptation)
-	}
+	n.startSubsystems(opts)
 
 	if bootstrapAddr != "" {
 		if err := n.announce(bootstrapAddr); err != nil {

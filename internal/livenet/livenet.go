@@ -135,11 +135,10 @@ type Node struct {
 	// queries holds the queries this node issued (querytable.go).
 	queries queryTable
 
-	// tr is the outbound persistent-connection pool; stats and latency
-	// are shared with it and safe for concurrent use.
-	tr      *transport
-	stats   *metrics.SyncCounter
-	latency *metrics.SyncHistogram
+	// tr is the outbound persistent-connection pool; stats is shared
+	// with it and safe for concurrent use.
+	tr    *transport
+	stats *metrics.SyncCounter
 
 	// conns tracks accepted inbound connections so Close can unblock
 	// their read loops.
@@ -188,15 +187,15 @@ type Node struct {
 	// Set in newNode; nil when caching is disabled.
 	cacheSt *cacheState
 
-	// det is the SWIM failure detector (membership.go); nil until
-	// StartMembership, used under routeMu.Lock. gauges holds the
+	// det is the SWIM failure detector (membership.go); nil unless
+	// Options.Membership is set, used under routeMu.Lock. gauges holds the
 	// point-in-time membership and fairness readings merged into Stats()
 	// (itself concurrency-safe for the Stats() reader).
 	det    *membership.Detector
 	gauges *metrics.SyncGauge
 
-	// adapt is the live adaptation state (adapt.go), nil until
-	// EnableAdaptation, used under routeMu.Lock. The §6.1.2 hit
+	// adapt is the live adaptation state (adapt.go), nil unless
+	// Options.Adaptation is set, used under routeMu.Lock. The §6.1.2 hit
 	// counters feeding it live in the query table (drainHits).
 	adapt *adaptState
 
@@ -213,7 +212,6 @@ type Node struct {
 	xferSeq         atomic.Uint64
 	fwdSeq          atomic.Uint64
 	transfersActive atomic.Int64
-	xferTput        *metrics.SyncHistogram
 	rttMu           sync.Mutex
 	rtt             map[model.NodeID]float64
 	prevCluster     map[catalog.CategoryID]prevClusterRecord
@@ -249,22 +247,16 @@ type Node struct {
 	// process-wide timerwheel (query sweep, membership probe clock,
 	// adaptation epoch clock). Those used to be 3+ dedicated ticker
 	// goroutines per node; at paper scale that alone was tens of
-	// thousands of goroutines. Guarded by timersMu because subsystems
-	// register from API callers while shutdown may run concurrently.
+	// thousands of goroutines. Every registration happens at birth,
+	// before the node is returned; timersMu also orders a tick's n.wg
+	// join against shutdown (everyLocked).
 	timersMu   sync.Mutex
 	stopTimers []func()
 }
 
-// addTimer records a timerwheel stop function for shutdown — or runs it
-// immediately when the node is already shut down (a subsystem enabled
-// racing Close).
+// addTimer records a timerwheel stop function for shutdown.
 func (n *Node) addTimer(stop func()) {
 	n.timersMu.Lock()
-	if n.closed() {
-		n.timersMu.Unlock()
-		stop()
-		return
-	}
 	n.stopTimers = append(n.stopTimers, stop)
 	n.timersMu.Unlock()
 }
@@ -306,24 +298,23 @@ func (n *Node) everyLocked(period time.Duration, skips string, f func(now time.T
 // newNode builds a Node with empty peer state, its own private address
 // book, an idle transport, an empty query table, and the engine
 // configuration the Options ask for (admission bound, requester cache),
-// fixed for the node's life. Membership and adaptation are enabled by
-// the callers once the node listens.
+// fixed for the node's life. Membership and adaptation start later, in
+// startSubsystems.
 func newNode(inst *model.Instance, id model.NodeID, ln net.Listener, seed int64, opts Options) *Node {
 	stats := metrics.NewSyncCounter()
 	n := &Node{
-		id:      id,
-		inst:    inst,
-		ln:      ln,
-		rng:     newPCG(seed, id, streamControl),
-		book:    newAddrBook(),
-		done:    make(chan struct{}),
-		tr:      newTransport(id, seed, stats),
-		stats:   stats,
-		latency: &metrics.SyncHistogram{},
-		conns:   make(map[net.Conn]struct{}),
-		byCat:   make(map[catalog.CategoryID][]catalog.DocID),
-		dcrt:    make(map[catalog.CategoryID]protocol.DCRTEntry),
-		nrt:     make(map[model.ClusterID][]model.NodeID),
+		id:    id,
+		inst:  inst,
+		ln:    ln,
+		rng:   newPCG(seed, id, streamControl),
+		book:  newAddrBook(),
+		done:  make(chan struct{}),
+		tr:    newTransport(id, seed, stats),
+		stats: stats,
+		conns: make(map[net.Conn]struct{}),
+		byCat: make(map[catalog.CategoryID][]catalog.DocID),
+		dcrt:  make(map[catalog.CategoryID]protocol.DCRTEntry),
+		nrt:   make(map[model.ClusterID][]model.NodeID),
 		queries: queryTable{
 			pending: make(map[uint64]*pendingQuery),
 			rng:     newPCG(seed, id, streamQueries),
@@ -338,7 +329,6 @@ func newNode(inst *model.Instance, id model.NodeID, ln net.Listener, seed int64,
 			Categories: len(inst.Catalog.Cats), Docs: len(inst.Catalog.Docs)},
 
 		xfers:       make(map[uint64]chan envelope),
-		xferTput:    &metrics.SyncHistogram{},
 		rtt:         make(map[model.NodeID]float64),
 		prevCluster: make(map[catalog.CategoryID]prevClusterRecord),
 		demand:      make(map[catalog.DocID]int),
@@ -393,6 +383,21 @@ func (n *Node) startLoops() {
 	n.addTimer(timerwheel.Default().Every(sweepInterval, n.trySweep))
 }
 
+// startSubsystems turns on the membership and adaptation the Options ask
+// for, once the node listens and holds its tables; both launch paths end
+// with it. Membership first: adaptation's leader election consults the
+// detector's live view when one is running.
+func (n *Node) startSubsystems(opts Options) {
+	n.routeMu.Lock()
+	defer n.routeMu.Unlock()
+	if opts.Membership != nil {
+		n.enableMembership(*opts.Membership)
+	}
+	if opts.Adaptation != nil {
+		n.enableAdaptation(*opts.Adaptation)
+	}
+}
+
 // ID returns the node's id.
 func (n *Node) ID() model.NodeID { return n.id }
 
@@ -427,13 +432,6 @@ func (n *Node) Stats() map[string]int64 {
 	}
 	return s
 }
-
-// QueryLatency exposes the node's query-latency histogram
-// (milliseconds). Every finished QueryContext observes it — successes,
-// timeouts, and cancellations alike; a timed-out query's wait is
-// response time the caller experienced too. Only admission rejections
-// and no-route failures (which never wait) stay out.
-func (n *Node) QueryLatency() *metrics.SyncHistogram { return n.latency }
 
 // BatchSizes exposes the transport's write-coalescing histogram: how
 // many envelopes each flush carried to the socket.
@@ -476,10 +474,9 @@ type NetHooks struct {
 // construction. It is the single knob surface for both launch paths
 // (Launch for in-process clusters, StartNode for one peer of a
 // multi-process deployment), so a harness plan can spawn a
-// fully-configured node in one call. The engine's admission bound and
-// requester cache are fixed at birth; membership and adaptation may
-// also be started later (StartMembership, EnableAdaptation). The zero
-// value is each path's default.
+// fully-configured node in one call. Everything it sets is fixed for
+// the node's life. The zero value means the same on both paths: default
+// engine, no membership, no adaptation, no content plane.
 type Options struct {
 	// Seed drives deterministic randomness: node rngs, transport backoff
 	// jitter, and (under Launch) the NRT chord wiring. StartNode derives
@@ -499,14 +496,15 @@ type Options struct {
 	// DefaultCacheBytes, negative disables caching entirely.
 	CacheBytes int64
 
-	// Membership configures the SWIM failure detector. nil keeps each
-	// path's historical default: off under Launch (opt in later with
-	// Cluster.StartMembership), on with membership.DefaultConfig under
-	// StartNode. Non-nil turns it on with the given config in both paths.
+	// Membership turns on the SWIM failure detector with the given
+	// timing (zero fields take membership.DefaultConfig values); nil
+	// leaves it off.
 	Membership *membership.Config
 
-	// Adaptation enables the §6.1 online rebalancing loop with the given
-	// config; nil leaves it off (opt in later with EnableAdaptation).
+	// Adaptation turns on the §6.1 online rebalancing loop with the
+	// given config; nil leaves it off. It works best with Membership on
+	// (leader election then excludes dead nodes); without it, every
+	// static cluster member is electable.
 	Adaptation *AdaptConfig
 
 	// WriterIdle is how long a peer link's writer goroutine may sit idle
@@ -528,9 +526,8 @@ type Options struct {
 // metadata exactly like the simulated overlay's bootstrap (full DCRT,
 // ring-plus-chords NRT per cluster, remote contacts), and returns the
 // running cluster. Close it when done. Options carries everything a
-// deployment can configure at birth — seed, network hooks, admission
-// bound, cache, membership, adaptation; the zero value matches the
-// historical Launch defaults.
+// deployment can configure — seed, network hooks, admission bound,
+// cache, membership, adaptation, content plane.
 func Launch(inst *model.Instance, assign []model.ClusterID, place *replica.Placement, opts Options) (*Cluster, error) {
 	if len(assign) != len(inst.Catalog.Cats) {
 		return nil, fmt.Errorf("livenet: assignment covers %d of %d categories",
@@ -637,14 +634,9 @@ func Launch(inst *model.Instance, assign []model.ClusterID, place *replica.Place
 	for _, n := range c.Nodes {
 		n.startLoops()
 	}
-	// Birth-time subsystems come up once every node listens and holds
-	// its tables. Membership first: adaptation's leader election
-	// consults the detector's live view when one is running.
-	if opts.Membership != nil {
-		c.StartMembership(*opts.Membership)
-	}
-	if opts.Adaptation != nil {
-		c.EnableAdaptation(*opts.Adaptation)
+	// Every node listens before any detector probes.
+	for _, n := range c.Nodes {
+		n.startSubsystems(opts)
 	}
 	return c, nil
 }

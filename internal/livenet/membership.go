@@ -26,35 +26,11 @@ import (
 // writers to batch and flush the frames on loopback or LAN.
 const leaveFlushGrace = 150 * time.Millisecond
 
-// StartMembership turns on the failure detector with the given timing
-// (zero fields take membership.DefaultConfig values). Every peer already
+// enableMembership builds the detector and starts its clock (zero
+// fields of cfg take membership.DefaultConfig values). Every peer already
 // in the address book is observed immediately; later peers join the
-// view as hellos and book merges arrive. Idempotent: a second call is a
-// no-op, and so is a call after Close.
-func (n *Node) StartMembership(cfg membership.Config) {
-	n.routeMu.Lock()
-	defer n.routeMu.Unlock()
-	if !n.closed() {
-		n.enableMembership(cfg)
-	}
-}
-
-// StartMembership turns on the failure detector on every node of a
-// launched cluster.
-func (c *Cluster) StartMembership(cfg membership.Config) {
-	for _, n := range c.Nodes {
-		if n != nil {
-			n.StartMembership(cfg)
-		}
-	}
-}
-
-// enableMembership builds the detector and starts its clock. Caller
-// holds routeMu.Lock.
+// view as hellos and book merges arrive. Caller holds routeMu.Lock.
 func (n *Node) enableMembership(cfg membership.Config) {
-	if n.det != nil {
-		return
-	}
 	n.det = membership.New(n.id, n.Addr(), cfg, n.rng.Int64())
 	now := time.Now()
 	n.book.forEach(func(id model.NodeID, addr string) bool {

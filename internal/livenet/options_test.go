@@ -1,9 +1,8 @@
 package livenet
 
-// Equivalence tests for the construction API: membership and adaptation
-// through Options must match the equivalent post-construction setter
-// calls, the engine's Options must take effect at birth, and the
-// zero-value Options must reproduce each path's defaults.
+// Tests for the construction API: every Options field takes effect at
+// birth on both launch paths, and the zero-value Options means the same
+// defaults on both.
 
 import (
 	"net"
@@ -41,13 +40,6 @@ func fingerprint(n *Node) nodeFingerprint {
 	}
 }
 
-func checkFingerprintsEqual(t *testing.T, name string, a, b nodeFingerprint) {
-	t.Helper()
-	if a != b {
-		t.Fatalf("%s: fingerprints differ:\n  setter path: %+v\n  options path: %+v", name, a, b)
-	}
-}
-
 // TestZeroValueOptionsMatchesLaunchDefaults pins the historical Launch
 // defaults against the zero-value Options: default admission bound,
 // default LRU cache, membership and adaptation off.
@@ -75,76 +67,53 @@ func TestZeroValueOptionsMatchesLaunchDefaults(t *testing.T) {
 	}
 }
 
-// TestLaunchOptionsMatchSetters builds one cluster whose membership and
-// adaptation start through post-construction setters and one where they
-// start through birth Options, both with the same engine Options, and
-// requires identical configuration observables — the engine's bound and
-// cache as asked — plus working query service and dial-hook injection on
-// both.
+// TestLaunchOptionsMatchSetters: membership, adaptation and the engine's
+// bound and cache, all set through Options, take effect on every node of
+// a launched cluster, which serves queries through its injected dialer.
 func TestLaunchOptionsMatchSetters(t *testing.T) {
 	sh := optionsShape()
 	inst, assign, place, err := sh.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	mcfg := membership.Config{}
-	acfg := AdaptConfig{Interval: time.Hour} // never fires during the test
 	const maxFlight, cacheBytes = 37, int64(2 << 20)
-
-	var dialsA, dialsB atomic.Int64
-	hook := func(ctr *atomic.Int64) NetHooks {
-		return NetHooks{Dial: func(_ model.NodeID, addr string) (net.Conn, error) {
-			ctr.Add(1)
+	var dials atomic.Int64
+	c, err := Launch(inst, assign, place, Options{
+		Seed: sh.Seed,
+		Hooks: NetHooks{Dial: func(_ model.NodeID, addr string) (net.Conn, error) {
+			dials.Add(1)
 			return net.DialTimeout("tcp", addr, 2*time.Second)
-		}}
-	}
-
-	// Two setter calls.
-	a, err := Launch(inst, assign, place, Options{
-		Seed: sh.Seed, Hooks: hook(&dialsA), MaxInFlight: maxFlight, CacheBytes: cacheBytes,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	a.StartMembership(mcfg)
-	a.EnableAdaptation(acfg)
-
-	// One call.
-	b, err := Launch(inst, assign, place, Options{
-		Seed:        sh.Seed,
-		Hooks:       hook(&dialsB),
+		}},
 		MaxInFlight: maxFlight,
 		CacheBytes:  cacheBytes,
-		Membership:  &mcfg,
-		Adaptation:  &acfg,
+		Membership:  &membership.Config{},
+		Adaptation:  &AdaptConfig{Interval: time.Hour}, // never fires during the test
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer b.Close()
+	defer c.Close()
 
-	for i := range a.Nodes {
-		fa, fb := fingerprint(a.Nodes[i]), fingerprint(b.Nodes[i])
-		checkFingerprintsEqual(t, "launch", fa, fb)
-		if !fa.memberOn || !fa.adaptOn {
-			t.Fatalf("node %d: membership/adaptation not enabled on setter path: %+v", i, fa)
-		}
-		if fa.maxFlight != maxFlight || fa.cacheCap != cacheBytes {
-			t.Fatalf("node %d: engine Options not applied: %+v", i, fa)
+	want := nodeFingerprint{
+		maxFlight: maxFlight,
+		cacheCap:  cacheBytes,
+		hasCache:  true,
+		adaptOn:   true,
+		memberOn:  true,
+	}
+	for _, n := range c.Nodes {
+		if fp := fingerprint(n); fp != want {
+			t.Fatalf("node %d: Options not applied: got %+v, want %+v", n.ID(), fp, want)
 		}
 	}
 
-	// Both clusters serve queries through their injected dialers.
 	cat := bigCategory(inst)
-	for name, c := range map[string]*Cluster{"setters": a, "options": b} {
-		out, err := c.Nodes[0].Query(cat, 2, 5*time.Second)
-		if err != nil || !out.Done {
-			t.Fatalf("%s cluster query: %v (done=%v)", name, err, out.Done)
-		}
+	out, err := c.Nodes[0].Query(cat, 2, 5*time.Second)
+	if err != nil || !out.Done {
+		t.Fatalf("query: %v (done=%v)", err, out.Done)
 	}
-	if dialsA.Load() == 0 || dialsB.Load() == 0 {
-		t.Fatalf("dial hooks not exercised: setters=%d options=%d", dialsA.Load(), dialsB.Load())
+	if dials.Load() == 0 {
+		t.Fatal("dial hook not exercised")
 	}
 }
 
@@ -178,58 +147,52 @@ func TestLaunchCacheDisabledEquivalence(t *testing.T) {
 	}
 }
 
-// TestStartNodeOptionsMatchSetters: adaptation through birth Options and
-// through its setter must agree, the engine's Options must take effect,
-// and the StartNode zero value must keep membership ON (its default).
+// TestStartNodeOptionsMatchSetters: on the StartNode path too, the
+// engine's Options and Adaptation take effect at birth, a nil Membership
+// means no failure detector, and a non-nil one turns it on.
 func TestStartNodeOptionsMatchSetters(t *testing.T) {
 	sh := optionsShape()
-	acfg := AdaptConfig{Interval: time.Hour}
 	const maxFlight, cacheBytes = 19, int64(1 << 20)
 
-	a, err := StartNode(sh, 0, "127.0.0.1:0", "", Options{MaxInFlight: maxFlight, CacheBytes: cacheBytes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	a.EnableAdaptation(acfg)
-
-	b, err := StartNode(sh, 1, "127.0.0.1:0", "", Options{
+	a, err := StartNode(sh, 0, "127.0.0.1:0", "", Options{
 		MaxInFlight: maxFlight,
 		CacheBytes:  cacheBytes,
-		Adaptation:  &acfg,
+		Adaptation:  &AdaptConfig{Interval: time.Hour},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer b.Close()
-
-	fa, fb := fingerprint(a), fingerprint(b)
-	checkFingerprintsEqual(t, "startnode", fa, fb)
-	if !fa.memberOn {
-		t.Fatalf("StartNode must keep membership on by default: %+v", fa)
-	}
-	if !fa.adaptOn || !fb.adaptOn {
-		t.Fatalf("adaptation not enabled: setters=%v options=%v", fa.adaptOn, fb.adaptOn)
-	}
-	if fa.maxFlight != maxFlight || fa.cacheCap != cacheBytes {
-		t.Fatalf("engine Options not applied: %+v", fa)
+	defer a.Close()
+	want := nodeFingerprint{maxFlight: maxFlight, cacheCap: cacheBytes, hasCache: true, adaptOn: true}
+	if fa := fingerprint(a); fa != want {
+		t.Fatalf("StartNode Options not applied: got %+v, want %+v", fa, want)
 	}
 
-	// Zero-value Options on the StartNode path: defaults, membership on.
-	z, err := StartNode(sh, 2, "127.0.0.1:0", "", Options{})
+	// Zero-value Options: the Launch defaults, membership off.
+	z, err := StartNode(sh, 1, "127.0.0.1:0", "", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer z.Close()
-	fz := fingerprint(z)
-	want := nodeFingerprint{
-		maxFlight: DefaultMaxInFlight,
-		cacheCap:  DefaultCacheBytes,
-		hasCache:  true,
-		memberOn:  true,
-	}
-	if fz != want {
+	want = nodeFingerprint{maxFlight: DefaultMaxInFlight, cacheCap: DefaultCacheBytes, hasCache: true}
+	if fz := fingerprint(z); fz != want {
 		t.Fatalf("StartNode zero-value Options: got %+v, want %+v", fz, want)
+	}
+	if alive, suspect := z.MembershipCounts(); alive != 0 || suspect != 0 {
+		t.Fatalf("nil Membership: detector counts %d alive, %d suspect; want 0, 0", alive, suspect)
+	}
+
+	// A non-nil Membership turns the detector on.
+	m, err := StartNode(sh, 2, "127.0.0.1:0", "", Options{Membership: &membership.Config{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if alive, _ := m.MembershipCounts(); alive < 1 {
+		t.Fatalf("Membership set: detector counts %d alive, want >= 1 (itself)", alive)
+	}
+	if fm := fingerprint(m); !fm.memberOn {
+		t.Fatalf("Membership set: no membership gauge: %+v", fm)
 	}
 }
 
@@ -254,7 +217,10 @@ func TestStartNodeHooksInjected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer seed.Close()
-	n, err := StartNode(sh, 1, "127.0.0.1:0", seed.Addr(), Options{Hooks: hooks})
+	n, err := StartNode(sh, 1, "127.0.0.1:0", seed.Addr(), Options{
+		Hooks:      hooks,
+		Membership: &membership.Config{},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +229,7 @@ func TestStartNodeHooksInjected(t *testing.T) {
 		t.Fatalf("listen hook called %d times, want 1", listens.Load())
 	}
 	// The persistent transport dials through the hook as soon as the
-	// join's book reply goes out (membership probes keep it busy too).
+	// joined node's detector probes the seed.
 	deadline := time.Now().Add(5 * time.Second)
 	for dials.Load() == 0 && time.Now().Before(deadline) {
 		time.Sleep(20 * time.Millisecond)

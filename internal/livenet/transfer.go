@@ -31,7 +31,6 @@ import (
 
 	"p2pshare/internal/catalog"
 	"p2pshare/internal/content"
-	"p2pshare/internal/metrics"
 	"p2pshare/internal/model"
 	"p2pshare/internal/wire"
 )
@@ -139,10 +138,6 @@ type ContentConfig struct {
 // data plane is disabled. Callers may Put real bytes before Publish to
 // share non-synthetic content (see examples/musicshare).
 func (n *Node) ContentStore() *content.Store { return n.store }
-
-// TransferThroughput exposes the per-transfer throughput histogram:
-// one observation (KB/s) per completed remote fetch.
-func (n *Node) TransferThroughput() *metrics.SyncHistogram { return n.xferTput }
 
 // noteDemand counts one observation of recent demand for doc — an own
 // fetch or a manifest request seen — and returns the updated count. The
@@ -536,7 +531,6 @@ func fetchCtxReason(err error) (string, error) {
 // fetches_ok + fetch_bad_doc + fetch_closed + fetch_cancelled +
 // fetch_timeouts + fetch_no_route + fetch_exhausted on exit.
 func (n *Node) Fetch(ctx context.Context, d catalog.DocID) ([]byte, error) {
-	start := time.Now()
 	n.stats.Add("fetches_total", 1)
 	if !n.bounds.HasDoc(d) {
 		n.stats.Add("fetch_bad_doc", 1)
@@ -579,9 +573,6 @@ func (n *Node) Fetch(ctx context.Context, d catalog.DocID) ([]byte, error) {
 		}
 		n.stats.Add(reason, 1)
 		return nil, err
-	}
-	if elapsed := time.Since(start).Seconds(); len(data) > 0 && elapsed > 0 {
-		n.xferTput.Observe(float64(len(data)) / 1024 / elapsed)
 	}
 	// Demand-driven replication, requester side: a document the demand
 	// window saw repeatedly is installed as a cached replica (its own

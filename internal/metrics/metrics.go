@@ -305,8 +305,10 @@ func (g *SyncGauge) Labels() []string {
 	return out
 }
 
-// SyncHistogram is a Histogram safe for concurrent observers (e.g. query
-// latency recorded from many caller goroutines).
+// SyncHistogram is a Histogram safe for concurrent observers (e.g. a
+// load generator's response times recorded from many worker
+// goroutines). It keeps every sample, so it suits a bounded run, not a
+// long-lived process.
 type SyncHistogram struct {
 	mu sync.Mutex
 	h  Histogram
