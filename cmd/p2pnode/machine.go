@@ -18,7 +18,6 @@ import (
 
 	"p2pshare/internal/catalog"
 	"p2pshare/internal/chaos"
-	"p2pshare/internal/harness"
 	"p2pshare/internal/harness/proto"
 	"p2pshare/internal/livenet"
 	"p2pshare/internal/workload"
@@ -45,9 +44,12 @@ func printStatsJSON(node *livenet.Node) {
 	})
 }
 
-// machineLoad runs one LoadSpec to completion (it is started on a
-// background goroutine; OpWait collects the report).
-func machineLoad(node *livenet.Node, spec proto.LoadSpec) (*proto.LoadReport, error) {
+// machineLoad runs one LoadSpec to completion: the harness starts it on
+// a background goroutine (OpWait collects the report), and -loadgen
+// runs it in the foreground. Once ctx is done no worker issues another
+// query or fetch; one already in flight finishes under its own deadline,
+// so every issued operation has a real outcome in the report.
+func machineLoad(ctx context.Context, node *livenet.Node, spec proto.LoadSpec) (*proto.LoadReport, error) {
 	var gen *workload.Generator
 	var err error
 	if spec.ZipfS > 0 {
@@ -103,7 +105,7 @@ func machineLoad(node *livenet.Node, spec proto.LoadSpec) (*proto.LoadReport, er
 				if spec.FetchZipfS > 1 {
 					zipf = rand.NewZipf(rng, spec.FetchZipfS, 1, uint64(len(docs)-1))
 				}
-				for i := 0; i < quota; i++ {
+				for i := 0; i < quota && ctx.Err() == nil; i++ {
 					var d catalog.DocID
 					switch {
 					case spec.FetchHotFraction > 0 && rng.Float64() < spec.FetchHotFraction:
@@ -147,6 +149,9 @@ func machineLoad(node *livenet.Node, spec proto.LoadSpec) (*proto.LoadReport, er
 			for i := 0; i < quota; i++ {
 				if spec.IntervalMS > 0 {
 					time.Sleep(time.Duration(rng.ExpFloat64() * float64(spec.IntervalMS) * float64(time.Millisecond)))
+				}
+				if ctx.Err() != nil {
+					return
 				}
 				genMu.Lock()
 				q := gen.Next()
@@ -192,9 +197,9 @@ func machineLoad(node *livenet.Node, spec proto.LoadSpec) (*proto.LoadReport, er
 	return rep, nil
 }
 
-// runMachine is the harness-mode main: announce readiness, clear the
-// warm-up barrier, then serve the command loop until quit/EOF.
-func runMachine(node *livenet.Node, cn *chaos.Net, syncAddr string) error {
+// runMachine is the harness-mode main: announce readiness, then serve
+// the command loop until quit/EOF.
+func runMachine(node *livenet.Node, cn *chaos.Net) error {
 	enc := json.NewEncoder(os.Stdout)
 	reply := func(r proto.Response) {
 		if err := enc.Encode(r); err != nil {
@@ -208,11 +213,6 @@ func runMachine(node *livenet.Node, cn *chaos.Net, syncAddr string) error {
 	reply(proto.Response{Op: proto.OpReady, OK: true, Ready: &proto.ReadyInfo{
 		ID: int(node.ID()), Addr: node.Addr(), Peers: node.KnownPeers(),
 	}})
-	if syncAddr != "" {
-		if err := harness.SyncEnter(syncAddr, "warmup", 60*time.Second); err != nil {
-			return err
-		}
-	}
 
 	// One background load at a time: OpLoad starts it, OpWait joins it.
 	var loadDone chan struct{}
@@ -245,7 +245,7 @@ func runMachine(node *livenet.Node, cn *chaos.Net, syncAddr string) error {
 			loadDone = make(chan struct{})
 			go func() {
 				defer close(loadDone)
-				loadRep, loadErr = machineLoad(node, spec)
+				loadRep, loadErr = machineLoad(context.Background(), node, spec)
 			}()
 			reply(proto.Response{Op: cmd.Op, OK: true})
 		case proto.OpWait:

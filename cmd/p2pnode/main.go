@@ -17,18 +17,21 @@
 // until interrupted.
 //
 // With -loadgen, the node becomes a load generator: -concurrency worker
-// goroutines drive the deployment with the Zipf workload of
-// internal/workload (temporal locality tunable with -repeat) for
-// -duration, then print a latency histogram with p50/p95/p99 and the
-// requester-cache hit share:
+// goroutines issue -queries queries of the Zipf workload of
+// internal/workload (temporal locality tunable with -repeat), the same
+// load machine mode runs for the harness, then print the outcome
+// counts, a latency histogram with p50/p95/p99 and the requester-cache
+// hit share. Ctrl-c stops issuing and reports what was issued:
 //
 //	p2pnode -id 3 -bootstrap 127.0.0.1:7000 -loadgen \
-//	        -concurrency 32 -duration 30s -repeat 0.4
+//	        -concurrency 32 -queries 50000 -repeat 0.4
+//
+// With -harness, the node is one orchestrated peer of an
+// internal/harness plan instead (see machine.go).
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -37,17 +40,15 @@ import (
 	"os"
 	"os/signal"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"p2pshare/internal/catalog"
 	"p2pshare/internal/chaos"
+	"p2pshare/internal/harness/proto"
 	"p2pshare/internal/livenet"
 	"p2pshare/internal/membership"
 	"p2pshare/internal/metrics"
 	"p2pshare/internal/model"
-	"p2pshare/internal/workload"
 )
 
 // printStats dumps the node's transport/protocol counters in a stable
@@ -76,25 +77,12 @@ func printStats(node *livenet.Node) {
 	}
 }
 
-// runLoadgen drives the deployment from this node with concurrent
-// workers issuing popularity-faithful queries, then reports latency
+// runLoadgen drives the deployment from this node with machine mode's
+// load (the harness's LoadSpec, catalog-popularity Zipf queries) until
+// the count is issued or stop fires, then reports outcomes, latency
 // percentiles, a latency distribution, and the cache's contribution.
-func runLoadgen(node *livenet.Node, concurrency int, duration, qtimeout time.Duration, m int, repeatP float64, seed int64, stop <-chan os.Signal) error {
-	gen, err := workload.NewGenerator(node.Instance(), m, seed+99)
-	if err != nil {
-		return err
-	}
-	gen.WithRepeat(repeatP, 32)
-	var genMu sync.Mutex // Generator is not safe for concurrent use
-
-	// Zero-hop (cache) answers and network answers are tracked apart so
-	// the cache's latency effect is visible, not averaged away.
-	all := &metrics.SyncHistogram{}
-	network := &metrics.SyncHistogram{}
-	local := &metrics.SyncHistogram{}
-	var issued, ok, timeouts, rejected, failed atomic.Int64
-
-	ctx, cancel := context.WithTimeout(context.Background(), duration)
+func runLoadgen(node *livenet.Node, spec proto.LoadSpec, stop <-chan os.Signal) error {
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() {
 		select {
@@ -104,64 +92,28 @@ func runLoadgen(node *livenet.Node, concurrency int, duration, qtimeout time.Dur
 		}
 	}()
 
-	fmt.Printf("loadgen: %d workers for %v (m=%d, repeat=%.2f)\n",
-		concurrency, duration, m, repeatP)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < concurrency; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				genMu.Lock()
-				q := gen.Next()
-				genMu.Unlock()
-				qctx, qcancel := context.WithTimeout(ctx, qtimeout)
-				out, err := node.QueryContext(qctx, q.Category, q.M)
-				qcancel()
-				if ctx.Err() != nil && err != nil {
-					return // run over; a cut-short query is not a data point
-				}
-				issued.Add(1)
-				switch {
-				case err == nil:
-					ok.Add(1)
-					all.ObserveDuration(out.ResponseTime)
-					if out.Hops == 0 {
-						local.ObserveDuration(out.ResponseTime)
-					} else {
-						network.ObserveDuration(out.ResponseTime)
-					}
-				case errors.Is(err, livenet.ErrTimeout):
-					timeouts.Add(1)
-				case errors.Is(err, livenet.ErrOverloaded):
-					rejected.Add(1)
-				default:
-					failed.Add(1)
-				}
-			}
-		}()
+	fmt.Printf("loadgen: %d workers, %d queries (m=%d, repeat=%.2f)\n",
+		spec.Concurrency, spec.Queries, spec.M, spec.Repeat)
+	rep, err := machineLoad(ctx, node, spec)
+	if err != nil {
+		return err
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	total := issued.Load()
-	fmt.Printf("\nloadgen: %d queries in %v (%.1f qps): %d ok, %d timeout, %d rejected, %d failed\n",
-		total, elapsed.Round(time.Millisecond), float64(total)/elapsed.Seconds(),
-		ok.Load(), timeouts.Load(), rejected.Load(), failed.Load())
-	if all.Count() > 0 {
-		fmt.Printf("latency (ms): %s\n", all.PercentileSummary())
-		fmt.Print(all.Distribution(12, 40))
+	fmt.Printf("\nloadgen: %d queries in %.3fs (%.1f qps): %d ok, %d timeout, %d rejected, %d no route, %d failed\n",
+		rep.Issued, rep.Seconds, float64(rep.Issued)/rep.Seconds,
+		rep.OK, rep.Timeouts, rep.Rejected, rep.NoRoute, rep.Failed)
+	if len(rep.LatencyMS) > 0 {
+		lat := &metrics.Histogram{}
+		for _, ms := range rep.LatencyMS {
+			lat.Observe(ms)
+		}
+		fmt.Printf("latency (ms): %s\n", lat.PercentileSummary())
+		fmt.Print(lat.Distribution(12, 40))
 	}
 	s := node.Stats()
 	hits, misses := s["cache_hit"], s["cache_miss"]
 	if hits+misses > 0 {
 		fmt.Printf("requester cache: %d hits / %d lookups (%.1f%%)\n",
 			hits, hits+misses, 100*float64(hits)/float64(hits+misses))
-	}
-	if local.Count() > 0 && network.Count() > 0 {
-		fmt.Printf("zero-hop (cache) p50 %.2fms vs network p50 %.2fms over %d / %d answers\n",
-			local.Quantile(0.5), network.Quantile(0.5), local.Count(), network.Count())
 	}
 	return nil
 }
@@ -182,7 +134,7 @@ func main() {
 	cacheMB := flag.Int64("cachemb", 64, "requester-cache capacity in MB (0 = disable caching)")
 	loadgen := flag.Bool("loadgen", false, "drive the deployment with the Zipf workload, then print a latency histogram")
 	concurrency := flag.Int("concurrency", 8, "loadgen: concurrent query workers")
-	duration := flag.Duration("duration", 10*time.Second, "loadgen: how long to generate load")
+	queries := flag.Int("queries", 10000, "loadgen: how many queries to issue")
 	qtimeout := flag.Duration("qtimeout", 5*time.Second, "loadgen: per-query deadline")
 	repeat := flag.Float64("repeat", 0.3, "loadgen: probability of re-issuing a recent query (temporal locality)")
 	adaptEvery := flag.Duration("adapt-interval", 0, "online rebalancing epoch length (0 = adaptation off)")
@@ -194,7 +146,6 @@ func main() {
 	docBytes := flag.Int64("docbytes", 0, "shape: bytes per document (0 = catalog default, 4 MB)")
 	maxInFlight := flag.Int("maxinflight", 0, "admission bound on concurrently served queries (0 = default)")
 	harnessMode := flag.Bool("harness", false, "machine mode: speak the harness JSON protocol on stdin/stdout")
-	syncAddr := flag.String("sync", "", "harness barrier service address (machine mode)")
 	statsJSON := flag.Bool("stats-json", false, "print stats as one JSON line (harness schema) instead of text")
 	flag.Parse()
 
@@ -260,7 +211,7 @@ func main() {
 	defer node.Leave()
 
 	if *harnessMode {
-		if err := runMachine(node, cn, *syncAddr); err != nil {
+		if err := runMachine(node, cn); err != nil {
 			fmt.Fprintln(os.Stderr, "p2pnode: machine:", err)
 			node.Leave()
 			os.Exit(1)
@@ -284,7 +235,12 @@ func main() {
 	defer dump(node)
 
 	if *loadgen {
-		if err := runLoadgen(node, *concurrency, *duration, *qtimeout, *m, *repeat, *seed, stop); err != nil {
+		spec := proto.LoadSpec{
+			Queries: *queries, Concurrency: *concurrency, M: *m,
+			Repeat: *repeat, HotCategory: -1,
+			TimeoutMS: int(*qtimeout / time.Millisecond), Seed: *seed + 99,
+		}
+		if err := runLoadgen(node, spec, stop); err != nil {
 			fmt.Fprintln(os.Stderr, "p2pnode: loadgen:", err)
 			os.Exit(1)
 		}

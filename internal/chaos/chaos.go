@@ -285,12 +285,6 @@ func (c *Net) DialFrom(from model.NodeID, addr string) (net.Conn, error) {
 	return c.Wrap(raw, from, to), nil
 }
 
-// Dialer curries DialFrom for one sender — the shape livenet's
-// Node.SetDialer wants.
-func (c *Net) Dialer(from model.NodeID) func(addr string) (net.Conn, error) {
-	return func(addr string) (net.Conn, error) { return c.DialFrom(from, addr) }
-}
-
 // Wrap applies the from→to link's fault middleware to an established
 // connection (exported for tests that build their own pipes).
 func (c *Net) Wrap(raw net.Conn, from, to model.NodeID) net.Conn {

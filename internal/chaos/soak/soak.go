@@ -453,7 +453,7 @@ func RunScenario(sc Scenario, cfg Config) (Report, error) {
 
 	if len(violations) > 0 {
 		return rep, fmt.Errorf(
-			"scenario %q failed with %d invariant violations (first: %s)\nreplay: go run ./cmd/p2pchaos -scenario %s -seed %d",
+			"scenario %q failed with %d invariant violations (first: %s)\nreplay: go run ./cmd/p2pbench -plan soak-%s -seed %d",
 			sc.Name, len(violations), violations[0], sc.Name, cfg.Seed)
 	}
 	return rep, nil

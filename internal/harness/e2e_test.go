@@ -7,8 +7,8 @@ import (
 )
 
 // TestTinyPlanEndToEnd drives a miniature plan through the real
-// machinery: builds the p2pnode binary, launches real processes, clears
-// the warm-up barrier, runs a steady act and a kill/restart act, and
+// machinery: builds the p2pnode binary, launches real processes, runs
+// the uncounted warm-up load, a steady act and a kill/restart act, and
 // checks the Result carries the promised data points. Small on purpose
 // (5 processes, tens of queries) so tier-1 `go test ./...` stays quick;
 // -short skips it, as does a missing `go` on PATH.

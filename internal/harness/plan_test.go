@@ -3,6 +3,8 @@ package harness
 import (
 	"path/filepath"
 	"testing"
+
+	"p2pshare/internal/chaos/soak"
 )
 
 func res(totals map[string]float64) Result {
@@ -96,8 +98,9 @@ func TestResultRoundtrip(t *testing.T) {
 }
 
 // TestPlanRegistry: every plan is well-formed — resolvable by name,
-// shaped sanely, objectives pointing at gateable directions, and the
-// smoke plan honoring the ≥20-process floor.
+// shaped sanely, objectives pointing at gateable directions, the
+// smoke plan honoring the ≥20-process floor, and one plan per soak
+// scenario.
 func TestPlanRegistry(t *testing.T) {
 	seen := map[string]bool{}
 	for _, p := range Plans() {
@@ -129,5 +132,16 @@ func TestPlanRegistry(t *testing.T) {
 	}
 	if smoke, _ := LookupPlan("smoke"); smoke.Nodes < 20 {
 		t.Fatalf("smoke plan launches %d processes, want >= 20", smoke.Nodes)
+	}
+	// A soak failure's replay line names `p2pbench -plan soak-<name>`:
+	// every scenario must resolve to the plan that runs it.
+	for _, sc := range soak.Scenarios() {
+		p, err := LookupPlan("soak-" + sc.Name)
+		if err != nil {
+			t.Fatalf("soak scenario %s has no plan: %v", sc.Name, err)
+		}
+		if p.Soak != sc.Name {
+			t.Fatalf("plan soak-%s runs scenario %q", sc.Name, p.Soak)
+		}
 	}
 }

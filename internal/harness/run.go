@@ -1,5 +1,5 @@
 // The orchestrator: runs one Plan end to end against a fleet of real
-// p2pnode processes — build, spawn, warm-up barrier, act sequence with
+// p2pnode processes — build, spawn, warm-up load, act sequence with
 // churn/chaos/convergence tracking, stats scraping, and the BENCH
 // artifact. Latency percentiles are computed from the merged raw
 // samples of every node (exact cluster-wide quantiles, never averages
@@ -181,13 +181,7 @@ func runProcessPlan(p Plan, cfg RunConfig) (Result, error) {
 		return Result{}, err
 	}
 
-	sync, err := NewSyncServer()
-	if err != nil {
-		return Result{}, err
-	}
-	defer sync.Close()
-
-	r := &Runner{Bin: bin, SyncAddr: sync.Addr()}
+	r := &Runner{Bin: bin}
 	defer r.KillAll()
 
 	// The seed process first (its address bootstraps everyone else),
@@ -223,12 +217,9 @@ func runProcessPlan(p Plan, cfg RunConfig) (Result, error) {
 	}
 	sort.Slice(r.Procs, func(i, j int) bool { return r.Procs[i].ID < r.Procs[j].ID })
 
-	// Everyone (including the seed) enters the warm-up barrier after
-	// announcing; release it only when the full fleet is present.
-	if err := SyncAwait(sync.Addr(), "warmup", p.Nodes, cfg.SpawnTimeout); err != nil {
-		return Result{}, err
-	}
-	fmt.Fprintf(cfg.Out, "plan %s: fleet up, warm-up barrier cleared\n", p.Name)
+	// Spawn returns on a node's ready line, which a joiner prints only
+	// once its address book has arrived: the last return is a full fleet.
+	fmt.Fprintf(cfg.Out, "plan %s: fleet up\n", p.Name)
 
 	// Uncounted warm-up load: primes connections, caches, and the
 	// adaptation monitors; its data points are discarded.

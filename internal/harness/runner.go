@@ -95,13 +95,12 @@ type NodeProc struct {
 
 // Runner owns the fleet for one plan run.
 type Runner struct {
-	Bin      string
-	SyncAddr string
-	Procs    []*NodeProc
+	Bin   string
+	Procs []*NodeProc
 }
 
 // nodeArgs renders the common shape/config argv for node id.
-func nodeArgs(id int, bootstrap string, p Plan, sync string) []string {
+func nodeArgs(id int, bootstrap string, p Plan) []string {
 	args := []string{
 		"-harness",
 		"-id", strconv.Itoa(id),
@@ -111,9 +110,6 @@ func nodeArgs(id int, bootstrap string, p Plan, sync string) []string {
 		"-nodes", strconv.Itoa(p.Nodes),
 		"-clusters", strconv.Itoa(p.Clusters),
 		"-seed", strconv.FormatInt(p.Seed, 10),
-	}
-	if sync != "" {
-		args = append(args, "-sync", sync)
 	}
 	if bootstrap != "" {
 		args = append(args, "-bootstrap", bootstrap)
@@ -148,7 +144,7 @@ func nodeArgs(id int, bootstrap string, p Plan, sync string) []string {
 
 // Spawn launches one node process and waits for its ready line.
 func (r *Runner) Spawn(id int, bootstrap string, p Plan, timeout time.Duration) (*NodeProc, error) {
-	np := &NodeProc{ID: id, args: nodeArgs(id, bootstrap, p, r.SyncAddr)}
+	np := &NodeProc{ID: id, args: nodeArgs(id, bootstrap, p)}
 	if err := np.start(r.Bin, timeout); err != nil {
 		return nil, err
 	}

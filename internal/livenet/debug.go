@@ -1,22 +1,10 @@
 package livenet
 
-import (
-	"net"
-	"time"
-)
+import "time"
 
-// Introspection and injection seams for the chaos harness
-// (internal/chaos, cmd/p2pchaos): a replaceable dialer, and snapshot
-// accessors for the bounded-table invariants the soak runner checks
-// between fault injections.
-
-// SetDialer replaces the node's outbound dial function — the injection
-// point for fault middleware and tests. Streams already established
-// keep their connection; new dials (including reconnects) go through
-// the replacement. Safe to call at any time.
-func (n *Node) SetDialer(dial func(addr string) (net.Conn, error)) {
-	n.tr.setDial(dial)
-}
+// Introspection seams for the chaos soak (internal/chaos/soak): snapshot
+// accessors for the bounded-table invariants it checks between fault
+// injections. Faults are injected at birth, through Options.Hooks.Dial.
 
 // TableSizes snapshots the sizes of every state table that must stay
 // bounded on a long-lived node: the pending query table, address book,
