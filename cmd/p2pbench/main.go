@@ -1,6 +1,8 @@
 // Command p2pbench runs harness plans — scripted multi-process
 // scenarios with a tracked perf trajectory — and gates them against
-// committed baselines.
+// committed baselines. The process plans are smoke, bulkmix and
+// flashbulk, each with a baseline in bench/; soak-<name> runs a chaos
+// soak scenario in-process.
 //
 //	p2pbench -list                         # what plans exist
 //	p2pbench -plan smoke                   # run one plan → BENCH_smoke.json

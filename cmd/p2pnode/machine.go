@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"p2pshare/internal/catalog"
-	"p2pshare/internal/chaos"
 	"p2pshare/internal/harness/proto"
 	"p2pshare/internal/livenet"
 	"p2pshare/internal/workload"
@@ -199,7 +198,7 @@ func machineLoad(ctx context.Context, node *livenet.Node, spec proto.LoadSpec) (
 
 // runMachine is the harness-mode main: announce readiness, then serve
 // the command loop until quit/EOF.
-func runMachine(node *livenet.Node, cn *chaos.Net) error {
+func runMachine(node *livenet.Node) error {
 	enc := json.NewEncoder(os.Stdout)
 	reply := func(r proto.Response) {
 		if err := enc.Encode(r); err != nil {
@@ -271,28 +270,6 @@ func runMachine(node *livenet.Node, cn *chaos.Net) error {
 				}
 			}
 			reply(proto.Response{Op: cmd.Op, OK: true, Stats: rep})
-		case proto.OpChaos:
-			if cmd.Chaos == nil {
-				fail(cmd.Op, errors.New("chaos: missing spec"))
-				continue
-			}
-			// Register the current book first: links are attributed by
-			// destination address, and peers may have joined since launch.
-			for id, addr := range node.Peers() {
-				cn.Register(id, addr)
-			}
-			if cmd.Chaos.Clear {
-				cn.Clear()
-			} else {
-				cn.SetDefault(chaos.Faults{
-					Drop:      cmd.Chaos.Drop,
-					Corrupt:   cmd.Chaos.Corrupt,
-					Duplicate: cmd.Chaos.Duplicate,
-					Delay:     time.Duration(cmd.Chaos.DelayMS) * time.Millisecond,
-					Jitter:    time.Duration(cmd.Chaos.JitterMS) * time.Millisecond,
-				})
-			}
-			reply(proto.Response{Op: cmd.Op, OK: true})
 		case proto.OpQuery:
 			if cmd.Query == nil {
 				fail(cmd.Op, errors.New("query: missing spec"))

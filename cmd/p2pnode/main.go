@@ -34,7 +34,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof handlers on -pprof
 	"os"
@@ -43,10 +42,8 @@ import (
 	"time"
 
 	"p2pshare/internal/catalog"
-	"p2pshare/internal/chaos"
 	"p2pshare/internal/harness/proto"
 	"p2pshare/internal/livenet"
-	"p2pshare/internal/membership"
 	"p2pshare/internal/metrics"
 	"p2pshare/internal/model"
 )
@@ -138,13 +135,10 @@ func main() {
 	qtimeout := flag.Duration("qtimeout", 5*time.Second, "loadgen: per-query deadline")
 	repeat := flag.Float64("repeat", 0.3, "loadgen: probability of re-issuing a recent query (temporal locality)")
 	adaptEvery := flag.Duration("adapt-interval", 0, "online rebalancing epoch length (0 = adaptation off)")
-	fairThresh := flag.Float64("fairness-threshold", 0.83, "fairness index below which the chosen leader rebalances")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty = off)")
 	contentOn := flag.Bool("content", false, "enable the content data plane (chunk store, Fetch, byte-shipping moves)")
 	contentCacheMB := flag.Int64("content-cachemb", 0, "demand-driven replica cache budget in MB (0 = off; requires -content)")
-	cacheAdmit := flag.Int("cache-admit", 0, "demand hits before a fetched doc earns a cache slot (0 = default, 2)")
 	docBytes := flag.Int64("docbytes", 0, "shape: bytes per document (0 = catalog default, 4 MB)")
-	maxInFlight := flag.Int("maxinflight", 0, "admission bound on concurrently served queries (0 = default)")
 	harnessMode := flag.Bool("harness", false, "machine mode: speak the harness JSON protocol on stdin/stdout")
 	statsJSON := flag.Bool("stats-json", false, "print stats as one JSON line (harness schema) instead of text")
 	flag.Parse()
@@ -165,41 +159,17 @@ func main() {
 	// The whole birth configuration is one Options struct. A standalone
 	// node faces real churn, so it always runs the failure detector.
 	opts := livenet.Options{
-		MaxInFlight: *maxInFlight,
-		CacheBytes:  *cacheMB << 20,
-		Membership:  &membership.Config{},
+		CacheBytes: *cacheMB << 20,
+		Membership: true,
 	}
 	if *cacheMB == 0 {
 		opts.CacheBytes = -1 // historical flag meaning: 0 MB disables caching
 	}
 	if *adaptEvery > 0 {
-		opts.Adaptation = &livenet.AdaptConfig{
-			Interval:     *adaptEvery,
-			LowThreshold: *fairThresh,
-		}
+		opts.Adaptation = &livenet.AdaptConfig{Interval: *adaptEvery}
 	}
 	if *contentOn {
-		opts.Content = &livenet.ContentConfig{
-			CacheBytes:     *contentCacheMB << 20,
-			CacheAdmitHits: *cacheAdmit,
-		}
-	}
-	// Machine mode runs every link through a chaos controller so the
-	// orchestrator can inject faults mid-act. Seeded per process: each
-	// node owns only its outbound links, so streams never overlap.
-	var cn *chaos.Net
-	if *harnessMode {
-		cn = chaos.New(*seed*1000003 + int64(*id))
-		opts.Hooks = livenet.NetHooks{
-			Listen: func(nid model.NodeID, addr string) (net.Listener, error) {
-				ln, err := net.Listen("tcp", addr)
-				if err == nil {
-					cn.Register(nid, ln.Addr().String())
-				}
-				return ln, err
-			},
-			Dial: cn.DialFrom,
-		}
+		opts.Content = &livenet.ContentConfig{CacheBytes: *contentCacheMB << 20}
 	}
 	node, err := livenet.StartNode(shape, model.NodeID(*id), *listen, *bootstrap, opts)
 	if err != nil {
@@ -211,7 +181,7 @@ func main() {
 	defer node.Leave()
 
 	if *harnessMode {
-		if err := runMachine(node, cn); err != nil {
+		if err := runMachine(node); err != nil {
 			fmt.Fprintln(os.Stderr, "p2pnode: machine:", err)
 			node.Leave()
 			os.Exit(1)
@@ -220,8 +190,7 @@ func main() {
 	}
 
 	if *adaptEvery > 0 {
-		fmt.Printf("adaptation on: %v epochs, rebalance below fairness %.2f\n",
-			*adaptEvery, *fairThresh)
+		fmt.Printf("adaptation on: %v epochs\n", *adaptEvery)
 	}
 	fmt.Printf("node %d listening on %s (knows %d peers)\n",
 		node.ID(), node.Addr(), node.KnownPeers())

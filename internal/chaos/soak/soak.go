@@ -23,7 +23,6 @@ import (
 	"p2pshare/internal/chaos"
 	"p2pshare/internal/core"
 	"p2pshare/internal/livenet"
-	"p2pshare/internal/membership"
 	"p2pshare/internal/model"
 	"p2pshare/internal/replica"
 	"sync"
@@ -302,7 +301,7 @@ func RunScenario(sc Scenario, cfg Config) (Report, error) {
 	opts := livenet.Options{
 		Seed:       cfg.Seed,
 		Hooks:      hooks,
-		Membership: &membership.Config{},
+		Membership: true,
 	}
 	if sc.Adapt {
 		opts.Adaptation = &livenet.AdaptConfig{

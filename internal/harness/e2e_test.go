@@ -8,7 +8,7 @@ import (
 
 // TestTinyPlanEndToEnd drives a miniature plan through the real
 // machinery: builds the p2pnode binary, launches real processes, runs
-// the uncounted warm-up load, a steady act and a kill/restart act, and
+// the uncounted warm-up load, a steady act and a kill act, and
 // checks the Result carries the promised data points. Small on purpose
 // (5 processes, tens of queries) so tier-1 `go test ./...` stays quick;
 // -short skips it, as does a missing `go` on PATH.
@@ -26,13 +26,9 @@ func TestTinyPlanEndToEnd(t *testing.T) {
 			{Metric: "p95_ms", Goal: "min"},
 		},
 		Nodes: 5, Clusters: 2, Docs: 160, Cats: 6, Seed: 33,
-		CacheMB: 4, Warmup: 5,
 		Acts: []Act{
-			{Name: "steady", QueriesPerNode: 12, Concurrency: 3, M: 2,
-				HotCategory: -1, TimeoutMS: 5000},
-			{Name: "churn", QueriesPerNode: 10, Concurrency: 3, M: 2,
-				HotCategory: -1, TimeoutMS: 5000,
-				KillNodes: []int{4}},
+			{Name: "steady", QueriesPerNode: 12, HotCategory: -1},
+			{Name: "churn", QueriesPerNode: 10, HotCategory: -1, KillNodes: []int{4}},
 		},
 	}
 	res, err := Run(p, RunConfig{Out: testLogWriter{t}, ActTimeout: 90 * time.Second})

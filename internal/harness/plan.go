@@ -30,60 +30,40 @@ type Objective struct {
 }
 
 // Act is one named phase of load after warm-up. Counts, not durations,
-// size it (see proto.LoadSpec). Zero-valued fault/churn fields make it
-// a plain load act.
+// size it (see proto.LoadSpec). Every act runs its queries on
+// actConcurrency workers per node and its fetches on
+// actFetchConcurrency; an act without KillNodes is a plain load act.
 type Act struct {
-	Name string `json:"name"`
-	// QueriesPerNode and Concurrency shape each node's LoadSpec.
-	QueriesPerNode int `json:"queries_per_node"`
-	Concurrency    int `json:"concurrency"`
-	// M, ZipfS, Repeat, HotCategory, HotFraction, IntervalMS, TimeoutMS
-	// pass through to the LoadSpec (HotCategory -1 = off).
-	M           int     `json:"m"`
+	Name           string `json:"name"`
+	QueriesPerNode int    `json:"queries_per_node"`
+	// ZipfS, HotCategory, HotFraction and IntervalMS pass through to the
+	// LoadSpec (HotCategory -1 = off).
 	ZipfS       float64 `json:"zipf_s,omitempty"`
-	Repeat      float64 `json:"repeat,omitempty"`
 	HotCategory int     `json:"hot_category"`
 	HotFraction float64 `json:"hot_fraction,omitempty"`
 	IntervalMS  int     `json:"interval_ms,omitempty"`
-	TimeoutMS   int     `json:"timeout_ms,omitempty"`
 	// FetchesPerNode adds a bulk workload alongside the queries: each
-	// node runs this many whole-document fetches on FetchConcurrency
-	// workers, documents sampled rank-Zipf with FetchZipfS (> 1; lower
-	// means uniform). Requires Plan.Content.
-	FetchesPerNode   int     `json:"fetches_per_node,omitempty"`
-	FetchConcurrency int     `json:"fetch_concurrency,omitempty"`
-	FetchZipfS       float64 `json:"fetch_zipf_s,omitempty"`
-	FetchTimeoutMS   int     `json:"fetch_timeout_ms,omitempty"`
+	// node runs this many whole-document fetches, documents sampled
+	// rank-Zipf with FetchZipfS (> 1; lower means uniform). Requires
+	// Plan.Content.
+	FetchesPerNode int     `json:"fetches_per_node,omitempty"`
+	FetchZipfS     float64 `json:"fetch_zipf_s,omitempty"`
 	// FetchHotDoc + FetchHotFraction aim that fraction of the fetches at
 	// one document — the single-document flash crowd (FetchHotFraction 0
 	// disables; see proto.LoadSpec).
 	FetchHotDoc      int     `json:"fetch_hot_doc,omitempty"`
 	FetchHotFraction float64 `json:"fetch_hot_fraction,omitempty"`
-	// KillNodes are hard-killed before the act's load; RestartNodes are
-	// brought back (same id, fresh port) before it.
-	KillNodes    []int `json:"kill_nodes,omitempty"`
-	RestartNodes []int `json:"restart_nodes,omitempty"`
-	// Chaos, when non-nil, is applied on ChaosNodes (all live nodes if
-	// empty) before the load and cleared after the act.
-	Chaos      *ActChaos `json:"chaos,omitempty"`
-	ChaosNodes []int     `json:"chaos_nodes,omitempty"`
+	// KillNodes are hard-killed before the act's load.
+	KillNodes []int `json:"kill_nodes,omitempty"`
 	// TrackConvergence watches the fleet's fairness during this act and
-	// records how long the leader takes to push it over the plan's
-	// ConvergeTarget (the §6.1 adaptation-convergence data point).
+	// records how long the leader takes to push it to convergeTarget
+	// (the §6.1 adaptation-convergence data point).
 	TrackConvergence bool `json:"track_convergence,omitempty"`
 }
 
-// ActChaos mirrors proto.ChaosSpec in plan JSON.
-type ActChaos struct {
-	Drop      float64 `json:"drop,omitempty"`
-	Corrupt   float64 `json:"corrupt,omitempty"`
-	Duplicate float64 `json:"duplicate,omitempty"`
-	DelayMS   int     `json:"delay_ms,omitempty"`
-	JitterMS  int     `json:"jitter_ms,omitempty"`
-}
-
 // Plan is one scenario: a deployment shape, per-node configuration, the
-// act sequence, and the declared objectives.
+// act sequence, and the declared objectives. Every process node runs
+// with a nodeCacheMB requester cache.
 type Plan struct {
 	Name     string `json:"name"`
 	Overview string `json:"overview"`
@@ -107,18 +87,8 @@ type Plan struct {
 	// meaningful with Content.
 	ContentCacheMB int64 `json:"content_cache_mb,omitempty"`
 
-	// Per-node configuration (0 = the node's default).
-	MaxInFlight       int     `json:"max_inflight,omitempty"`
-	CacheMB           int64   `json:"cache_mb,omitempty"` // <0 disables caching
-	AdaptEveryMS      int     `json:"adapt_every_ms,omitempty"`
-	FairnessThreshold float64 `json:"fairness_threshold,omitempty"`
-	// ConvergeTarget is the fairness (×1000) a TrackConvergence act
-	// waits for; 0 means the plan's FairnessThreshold.
-	ConvergeTarget int64 `json:"converge_target,omitempty"`
-
-	// Warmup sizes the uncounted warm-up load per node (0 = a small
-	// default); its data points are discarded.
-	Warmup int `json:"warmup,omitempty"`
+	// AdaptEveryMS is the adaptation epoch on every node (0 = off).
+	AdaptEveryMS int `json:"adapt_every_ms,omitempty"`
 
 	Acts []Act `json:"acts"`
 

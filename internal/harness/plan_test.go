@@ -2,6 +2,7 @@ package harness
 
 import (
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"p2pshare/internal/chaos/soak"
@@ -142,6 +143,41 @@ func TestPlanRegistry(t *testing.T) {
 		}
 		if p.Soak != sc.Name {
 			t.Fatalf("plan soak-%s runs scenario %q", sc.Name, p.Soak)
+		}
+	}
+}
+
+// TestNodeArgsFrozen pins the argv each process plan starts its nodes
+// with, a joiner's and the seed's: the node settings that became
+// harness constants render exactly as the plans used to spell them
+// (the adaptation threshold is p2pnode's built-in 0.83).
+func TestNodeArgsFrozen(t *testing.T) {
+	cases := []struct {
+		plan Plan
+		want []string
+	}{
+		{Smoke(), []string{"-harness", "-id", "3", "-listen", "127.0.0.1:0",
+			"-docs", "600", "-cats", "12", "-nodes", "22", "-clusters", "4", "-seed", "7",
+			"-bootstrap", "127.0.0.1:7000", "-cachemb", "8", "-adapt-interval", "1000ms"}},
+		{Bulkmix(), []string{"-harness", "-id", "3", "-listen", "127.0.0.1:0",
+			"-docs", "400", "-cats", "12", "-nodes", "20", "-clusters", "4", "-seed", "23",
+			"-bootstrap", "127.0.0.1:7000", "-content", "-docbytes", "131072", "-cachemb", "8"}},
+		{Flashbulk(), []string{"-harness", "-id", "3", "-listen", "127.0.0.1:0",
+			"-docs", "400", "-cats", "12", "-nodes", "20", "-clusters", "4", "-seed", "29",
+			"-bootstrap", "127.0.0.1:7000", "-content", "-content-cachemb", "16",
+			"-docbytes", "131072", "-cachemb", "8", "-adapt-interval", "500ms"}},
+	}
+	for _, tc := range cases {
+		if got := nodeArgs(3, "127.0.0.1:7000", tc.plan); !slices.Equal(got, tc.want) {
+			t.Errorf("%s joiner argv:\n got %q\nwant %q", tc.plan.Name, got, tc.want)
+		}
+		// The seed node's argv is the joiner's with id 0 and no -bootstrap.
+		seed := slices.Clone(tc.want)
+		seed[2] = "0"
+		i := slices.Index(seed, "-bootstrap")
+		seed = slices.Delete(seed, i, i+2)
+		if got := nodeArgs(0, "", tc.plan); !slices.Equal(got, seed) {
+			t.Errorf("%s seed argv:\n got %q\nwant %q", tc.plan.Name, got, seed)
 		}
 	}
 }

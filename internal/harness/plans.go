@@ -1,9 +1,9 @@
-// The built-in plan registry: every scenario the perf trajectory
-// tracks, each declaring up front what it measures and which data
-// points gate against the committed baseline. Tolerances are sized for
-// shared CI runners — latency gates are loose (machine noise), count
-// and rate gates tight (they are scheduling-independent by the
-// count-based act design).
+// The built-in plan registry: the three process plans CI runs against a
+// committed baseline (smoke, bulkmix, flashbulk) and one bridge per
+// chaos soak scenario, each declaring up front what it measures and
+// which data points gate. Tolerances are sized for shared CI runners —
+// latency gates are loose (machine noise), count and rate gates tight
+// (they are scheduling-independent by the count-based act design).
 package harness
 
 import (
@@ -40,140 +40,13 @@ func Smoke() Plan {
 			"and adaptation convergence.",
 		Optimized: smokeObjectives(),
 		Nodes:     22, Clusters: 4, Docs: 600, Cats: 12, Seed: 7,
-		CacheMB: 8, AdaptEveryMS: 1000, FairnessThreshold: 0.83,
-		ConvergeTarget: 830,
-		Warmup:         20,
+		AdaptEveryMS: 1000,
 		Acts: []Act{
+			{Name: "steady", QueriesPerNode: 50, HotCategory: -1},
 			{
-				Name: "steady", QueriesPerNode: 50, Concurrency: 4, M: 2,
-				HotCategory: -1, TimeoutMS: 5000,
-			},
-			{
-				Name: "skew", QueriesPerNode: 60, Concurrency: 4, M: 2,
+				Name: "skew", QueriesPerNode: 60,
 				ZipfS: 1.1, HotCategory: 2, HotFraction: 0.5,
-				IntervalMS: 20, TimeoutMS: 5000, TrackConvergence: true,
-			},
-		},
-	}
-}
-
-// Zipf sweeps the demand-skew knob: the same deployment under
-// near-uniform, classic, and extreme Zipf exponents. The trajectory of
-// interest is how tail latency and fairness hold as load concentrates.
-func Zipf() Plan {
-	p := Plan{
-		Name: "zipf",
-		Overview: "Demand-skew sweep: s=0.4 → 1.0 → 1.4 over one deployment; " +
-			"tracks tail latency and serving fairness as load concentrates.",
-		Optimized: []Objective{
-			{Metric: "error_rate", Goal: "min", RelTol: 1.0, AbsTol: 0.05},
-			{Metric: "p95_ms", Goal: "min", RelTol: 2.0, AbsTol: 100},
-			{Metric: "fairness_jain_served", Goal: "max", RelTol: 0.25},
-			{Metric: "qps", Goal: "max"},
-		},
-		Nodes: 24, Clusters: 4, Docs: 800, Cats: 16, Seed: 11,
-		CacheMB: 16, AdaptEveryMS: 1000, FairnessThreshold: 0.83,
-		Warmup: 20,
-	}
-	for _, s := range []float64{0.4, 1.0, 1.4} {
-		p.Acts = append(p.Acts, Act{
-			Name: fmt.Sprintf("zipf-%.1f", s), QueriesPerNode: 60,
-			Concurrency: 4, M: 2, ZipfS: s, HotCategory: -1, TimeoutMS: 5000,
-		})
-	}
-	return p
-}
-
-// FlashCrowd is the §5 stress: steady state, then a crowd chasing one
-// category, with convergence tracked while the adaptation layer chases
-// the moved demand.
-func FlashCrowd() Plan {
-	return Plan{
-		Name: "flashcrowd",
-		Overview: "Flash crowd: steady load, then 70% of demand slams one " +
-			"category; tracks how fast adaptation restores fairness.",
-		Optimized: []Objective{
-			{Metric: "error_rate", Goal: "min", RelTol: 1.0, AbsTol: 0.05},
-			{Metric: "p95_ms", Goal: "min", RelTol: 2.0, AbsTol: 100},
-			{Metric: "adapt_convergence_s", Goal: "min", RelTol: 2.0, AbsTol: 15},
-			{Metric: "fairness_jain_served", Goal: "max", RelTol: 0.25},
-		},
-		Nodes: 24, Clusters: 4, Docs: 800, Cats: 16, Seed: 13,
-		CacheMB: 16, AdaptEveryMS: 1000, FairnessThreshold: 0.83, ConvergeTarget: 830,
-		Warmup: 20,
-		Acts: []Act{
-			{
-				Name: "steady", QueriesPerNode: 50, Concurrency: 4, M: 2,
-				HotCategory: -1, TimeoutMS: 5000,
-			},
-			{
-				Name: "crowd", QueriesPerNode: 80, Concurrency: 4, M: 2,
-				HotCategory: 3, HotFraction: 0.7, IntervalMS: 20,
-				TimeoutMS: 5000, TrackConvergence: true,
-			},
-		},
-	}
-}
-
-// Churn kills a quarter of the fleet mid-run, then brings it back: the
-// data points are service quality through the failures and after the
-// rejoin.
-func Churn() Plan {
-	return Plan{
-		Name: "churn",
-		Overview: "Churn: steady load, then 6 of 24 nodes hard-killed under " +
-			"load, then restarted; tracks error rate and tail latency through " +
-			"failure and recovery.",
-		Optimized: []Objective{
-			{Metric: "error_rate", Goal: "min", RelTol: 1.0, AbsTol: 0.10},
-			{Metric: "p95_ms", Goal: "min", RelTol: 2.0, AbsTol: 200},
-			{Metric: "fairness_jain_served", Goal: "max", RelTol: 0.3},
-		},
-		Nodes: 24, Clusters: 4, Docs: 800, Cats: 16, Seed: 17,
-		CacheMB: 16, Warmup: 20,
-		Acts: []Act{
-			{
-				Name: "steady", QueriesPerNode: 40, Concurrency: 4, M: 2,
-				HotCategory: -1, TimeoutMS: 5000,
-			},
-			{
-				Name: "failures", QueriesPerNode: 50, Concurrency: 4, M: 2,
-				HotCategory: -1, TimeoutMS: 5000,
-				KillNodes: []int{19, 20, 21, 22, 23, 18},
-			},
-			{
-				Name: "recovery", QueriesPerNode: 40, Concurrency: 4, M: 2,
-				HotCategory: -1, TimeoutMS: 5000,
-				RestartNodes: []int{18, 19, 20, 21, 22, 23},
-			},
-		},
-	}
-}
-
-// Lossy runs the steady workload over a degraded network (drop +
-// corruption + jitter everywhere) — the wire protocol's resilience as a
-// tracked data point instead of a pass/fail test.
-func Lossy() Plan {
-	return Plan{
-		Name: "lossy",
-		Overview: "Degraded network: 3% drop, 0.5% corruption, 5±10ms jitter " +
-			"on every link during the second act; tracks how much service " +
-			"quality survives.",
-		Optimized: []Objective{
-			{Metric: "error_rate", Goal: "min", RelTol: 1.0, AbsTol: 0.10},
-			{Metric: "p95_ms", Goal: "min", RelTol: 2.0, AbsTol: 300},
-		},
-		Nodes: 20, Clusters: 4, Docs: 600, Cats: 12, Seed: 19,
-		CacheMB: 8, Warmup: 20,
-		Acts: []Act{
-			{
-				Name: "clean", QueriesPerNode: 40, Concurrency: 4, M: 2,
-				HotCategory: -1, TimeoutMS: 5000,
-			},
-			{
-				Name: "lossy", QueriesPerNode: 50, Concurrency: 4, M: 2,
-				HotCategory: -1, TimeoutMS: 8000,
-				Chaos: &ActChaos{Drop: 0.03, Corrupt: 0.005, DelayMS: 5, JitterMS: 10},
+				IntervalMS: 20, TrackConvergence: true,
 			},
 		},
 	}
@@ -202,18 +75,12 @@ func Bulkmix() Plan {
 			{Metric: "chunk_hash_fail", Goal: "min"},
 		},
 		Nodes: 20, Clusters: 4, Docs: 400, Cats: 12, Seed: 23,
-		CacheMB: 8, Content: true, DocBytes: 128 << 10,
-		Warmup: 20,
+		Content: true, DocBytes: 128 << 10,
 		Acts: []Act{
+			{Name: "baseline", QueriesPerNode: 50, HotCategory: -1},
 			{
-				Name: "baseline", QueriesPerNode: 50, Concurrency: 4, M: 2,
-				HotCategory: -1, TimeoutMS: 5000,
-			},
-			{
-				Name: "bulk", QueriesPerNode: 50, Concurrency: 4, M: 2,
-				HotCategory: -1, TimeoutMS: 5000,
-				FetchesPerNode: 6, FetchConcurrency: 2, FetchZipfS: 1.2,
-				FetchTimeoutMS: 30000,
+				Name: "bulk", QueriesPerNode: 50, HotCategory: -1,
+				FetchesPerNode: 6, FetchZipfS: 1.2,
 			},
 		},
 	}
@@ -251,22 +118,16 @@ func Flashbulk() Plan {
 			{Metric: "chunk_hash_fail", Goal: "min"},
 		},
 		Nodes: 20, Clusters: 4, Docs: 400, Cats: 12, Seed: 29,
-		CacheMB: 8, Content: true, DocBytes: 128 << 10, ContentCacheMB: 16,
-		AdaptEveryMS: 500, FairnessThreshold: 0.83,
-		Warmup: 20,
+		Content: true, DocBytes: 128 << 10, ContentCacheMB: 16,
+		AdaptEveryMS: 500,
 		Acts: []Act{
 			{
-				Name: "steady", QueriesPerNode: 30, Concurrency: 4, M: 2,
-				HotCategory: -1, TimeoutMS: 5000,
-				FetchesPerNode: 6, FetchConcurrency: 2, FetchZipfS: 1.2,
-				FetchTimeoutMS: 30000,
+				Name: "steady", QueriesPerNode: 30, HotCategory: -1,
+				FetchesPerNode: 6, FetchZipfS: 1.2,
 			},
 			{
-				Name: "spike", QueriesPerNode: 30, Concurrency: 4, M: 2,
-				HotCategory: -1, TimeoutMS: 5000,
-				FetchesPerNode: 12, FetchConcurrency: 2,
-				FetchHotDoc: 333, FetchHotFraction: 0.95,
-				FetchTimeoutMS: 30000,
+				Name: "spike", QueriesPerNode: 30, HotCategory: -1,
+				FetchesPerNode: 12, FetchHotDoc: 333, FetchHotFraction: 0.95,
 			},
 		},
 	}
@@ -296,7 +157,7 @@ func soakPlans() []Plan {
 
 // Plans returns every built-in plan, smoke first.
 func Plans() []Plan {
-	ps := []Plan{Smoke(), Zipf(), FlashCrowd(), Churn(), Lossy(), Bulkmix(), Flashbulk()}
+	ps := []Plan{Smoke(), Bulkmix(), Flashbulk()}
 	ps = append(ps, soakPlans()...)
 	return ps
 }

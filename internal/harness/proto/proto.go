@@ -18,7 +18,6 @@ const (
 	OpLoad  = "load"  // start a workload run in the background
 	OpWait  = "wait"  // block until the running load finishes; returns its report
 	OpStats = "stats" // snapshot the node's counters and latency percentiles
-	OpChaos = "chaos" // apply (or clear) a fault profile on this node's links
 	OpQuery = "query" // issue one probe query
 	OpQuit  = "quit"  // leave the deployment and exit 0
 )
@@ -27,7 +26,6 @@ const (
 type Command struct {
 	Op    string     `json:"op"`
 	Load  *LoadSpec  `json:"load,omitempty"`
-	Chaos *ChaosSpec `json:"chaos,omitempty"`
 	Query *QuerySpec `json:"query,omitempty"`
 }
 
@@ -119,20 +117,6 @@ type LoadReport struct {
 // MaxLatencySamples bounds one report's sample payload; a longer run is
 // downsampled every-kth so the report stays a few hundred KB at worst.
 const MaxLatencySamples = 20000
-
-// ChaosSpec is a blanket fault profile for the node's outbound links
-// (applied through internal/chaos as the default on every link).
-type ChaosSpec struct {
-	// Clear removes all faults instead of applying the profile.
-	Clear bool `json:"clear,omitempty"`
-	// Drop/Corrupt/Duplicate are per-write probabilities in [0,1).
-	Drop      float64 `json:"drop,omitempty"`
-	Corrupt   float64 `json:"corrupt,omitempty"`
-	Duplicate float64 `json:"duplicate,omitempty"`
-	// DelayMS adds fixed latency per write; JitterMS adds uniform extra.
-	DelayMS  int `json:"delay_ms,omitempty"`
-	JitterMS int `json:"jitter_ms,omitempty"`
-}
 
 // QuerySpec is one probe query.
 type QuerySpec struct {

@@ -1,6 +1,6 @@
 // The orchestrator: runs one Plan end to end against a fleet of real
 // p2pnode processes — build, spawn, warm-up load, act sequence with
-// churn/chaos/convergence tracking, stats scraping, and the BENCH
+// kills and convergence tracking, stats scraping, and the BENCH
 // artifact. Latency percentiles are computed from the merged raw
 // samples of every node (exact cluster-wide quantiles, never averages
 // of per-node averages).
@@ -17,6 +17,25 @@ import (
 	"p2pshare/internal/fairness"
 	"p2pshare/internal/harness/proto"
 	"p2pshare/internal/metrics"
+)
+
+// The values every process plan runs at.
+const (
+	// nodeCacheMB is each node's requester cache (p2pnode -cachemb).
+	nodeCacheMB = 8
+	// warmupQueries is each node's uncounted warm-up load.
+	warmupQueries = 20
+	// Each node's act load: actConcurrency query workers asking for actM
+	// documents under an actTimeoutMS deadline, and actFetchConcurrency
+	// fetch workers under an actFetchTimeoutMS one.
+	actConcurrency      = 4
+	actM                = 2
+	actTimeoutMS        = 5000
+	actFetchConcurrency = 2
+	actFetchTimeoutMS   = 30000
+	// convergeTarget is the fairness (×1000) a TrackConvergence act
+	// waits for: livenet.AdaptConfig's default rebalance threshold, 0.83.
+	convergeTarget = 830
 )
 
 // RunConfig tunes one Run invocation (not the plan itself).
@@ -124,7 +143,7 @@ func scrape(live []*NodeProc, timeout time.Duration) (map[int]*proto.StatsReport
 }
 
 // counterDelta sums a counter across nodes in `cur` minus the same sum
-// in `prev` (nodes missing from prev — restarts — count from zero).
+// in `prev` (nodes missing from prev count from zero).
 func counterDelta(prev, cur map[int]*proto.StatsReport, key string) float64 {
 	var d int64
 	for id, s := range cur {
@@ -223,13 +242,9 @@ func runProcessPlan(p Plan, cfg RunConfig) (Result, error) {
 
 	// Uncounted warm-up load: primes connections, caches, and the
 	// adaptation monitors; its data points are discarded.
-	warm := p.Warmup
-	if warm <= 0 {
-		warm = 20
-	}
 	warmSpec := proto.LoadSpec{
-		Queries: warm, Concurrency: 4, M: 2, HotCategory: -1,
-		TimeoutMS: 5000, Seed: p.Seed + 1,
+		Queries: warmupQueries, Concurrency: actConcurrency, M: actM,
+		HotCategory: -1, TimeoutMS: actTimeoutMS, Seed: p.Seed + 1,
 	}
 	if err := loadAll(r.Live(), warmSpec, p.Seed, cfg.ActTimeout); err != nil {
 		return Result{}, fmt.Errorf("warm-up: %w", err)
@@ -253,13 +268,8 @@ func runProcessPlan(p Plan, cfg RunConfig) (Result, error) {
 	var totLoadSec float64
 	convergeBest := -1.0
 
-	target := p.ConvergeTarget
-	if target == 0 && p.FairnessThreshold > 0 {
-		target = int64(p.FairnessThreshold * 1000)
-	}
-
 	for ai, act := range p.Acts {
-		am, lat, flat, convergeS, err := runAct(r, p, act, target, prev, cfg)
+		am, lat, flat, convergeS, err := runAct(r, p, act, prev, cfg)
 		if err != nil {
 			return res, fmt.Errorf("act %q: %w", act.Name, err)
 		}
@@ -419,30 +429,17 @@ func loadAll(live []*NodeProc, spec proto.LoadSpec, seedBase int64, timeout time
 	return nil
 }
 
-// runAct drives one act: churn, chaos, load on every live node, the
+// runAct drives one act: kills, load on every live node, the
 // convergence watch, then the merged data points. Returns the act's
 // metrics, the raw query and fetch latency samples (for run-level
 // percentiles), and the convergence seconds (-1 = not tracked / not
 // reached).
-func runAct(r *Runner, p Plan, act Act, target int64, prev map[int]*proto.StatsReport, cfg RunConfig) (map[string]float64, []float64, []float64, float64, error) {
-	// Churn first: kills are abrupt (the point), restarts re-announce.
+func runAct(r *Runner, p Plan, act Act, prev map[int]*proto.StatsReport, cfg RunConfig) (map[string]float64, []float64, []float64, float64, error) {
+	// Kills are abrupt (the point): no goodbye, peers must detect them.
 	for _, id := range act.KillNodes {
 		if id >= 0 && id < len(r.Procs) && r.Procs[id].Alive {
 			fmt.Fprintf(cfg.Out, "  act %s: killing node %d\n", act.Name, id)
 			r.Procs[id].Kill()
-		}
-	}
-	for _, id := range act.RestartNodes {
-		if id >= 0 && id < len(r.Procs) && !r.Procs[id].Alive {
-			boot := ""
-			for _, np := range r.Live() {
-				boot = np.Addr
-				break
-			}
-			fmt.Fprintf(cfg.Out, "  act %s: restarting node %d\n", act.Name, id)
-			if err := r.Procs[id].Restart(r.Bin, boot, cfg.SpawnTimeout); err != nil {
-				return nil, nil, nil, -1, err
-			}
 		}
 	}
 	live := r.Live()
@@ -450,45 +447,14 @@ func runAct(r *Runner, p Plan, act Act, target int64, prev map[int]*proto.StatsR
 		return nil, nil, nil, -1, fmt.Errorf("no live nodes")
 	}
 
-	chaosTargets := live
-	if len(act.ChaosNodes) > 0 {
-		chaosTargets = nil
-		for _, id := range act.ChaosNodes {
-			if id >= 0 && id < len(r.Procs) && r.Procs[id].Alive {
-				chaosTargets = append(chaosTargets, r.Procs[id])
-			}
-		}
-	}
-	if act.Chaos != nil {
-		spec := &proto.ChaosSpec{
-			Drop: act.Chaos.Drop, Corrupt: act.Chaos.Corrupt,
-			Duplicate: act.Chaos.Duplicate,
-			DelayMS:   act.Chaos.DelayMS, JitterMS: act.Chaos.JitterMS,
-		}
-		for _, np := range chaosTargets {
-			if _, err := np.Call(proto.Command{Op: proto.OpChaos, Chaos: spec}, 30*time.Second); err != nil {
-				return nil, nil, nil, -1, err
-			}
-		}
-	}
-
 	spec := proto.LoadSpec{
-		Queries: act.QueriesPerNode, Concurrency: act.Concurrency,
-		M: act.M, ZipfS: act.ZipfS, Repeat: act.Repeat,
+		Queries: act.QueriesPerNode, Concurrency: actConcurrency,
+		M: actM, ZipfS: act.ZipfS,
 		HotCategory: act.HotCategory, HotFraction: act.HotFraction,
-		IntervalMS: act.IntervalMS, TimeoutMS: act.TimeoutMS,
-		Fetches: act.FetchesPerNode, FetchConcurrency: act.FetchConcurrency,
-		FetchZipfS: act.FetchZipfS, FetchTimeoutMS: act.FetchTimeoutMS,
+		IntervalMS: act.IntervalMS, TimeoutMS: actTimeoutMS,
+		Fetches: act.FetchesPerNode, FetchConcurrency: actFetchConcurrency,
+		FetchZipfS: act.FetchZipfS, FetchTimeoutMS: actFetchTimeoutMS,
 		FetchHotDoc: act.FetchHotDoc, FetchHotFraction: act.FetchHotFraction,
-	}
-	if spec.Concurrency <= 0 {
-		spec.Concurrency = 4
-	}
-	if spec.M <= 0 {
-		spec.M = 2
-	}
-	if spec.TimeoutMS <= 0 {
-		spec.TimeoutMS = 5000
 	}
 	loadStart := time.Now()
 	for _, np := range live {
@@ -503,7 +469,7 @@ func runAct(r *Runner, p Plan, act Act, target int64, prev map[int]*proto.StatsR
 	// is the time from load start until the fleet's best fairness
 	// crosses the target (the leader's post-rebalance evaluation).
 	convergeS := -1.0
-	if act.TrackConvergence && target > 0 {
+	if act.TrackConvergence {
 		deadline := time.Now().Add(cfg.ActTimeout)
 		for time.Now().Before(deadline) {
 			time.Sleep(500 * time.Millisecond)
@@ -511,7 +477,7 @@ func runAct(r *Runner, p Plan, act Act, target int64, prev map[int]*proto.StatsR
 			if err != nil {
 				break // node busy finishing the act; the wait below reports real errors
 			}
-			if maxFairness(stats) >= target {
+			if maxFairness(stats) >= convergeTarget {
 				convergeS = time.Since(loadStart).Seconds()
 				break
 			}
@@ -550,15 +516,6 @@ func runAct(r *Runner, p Plan, act Act, target int64, prev map[int]*proto.StatsR
 		m["fetch_bytes"] += float64(rep.FetchBytes)
 		fetchLat = append(fetchLat, rep.FetchLatencyMS...)
 	}
-	if act.Chaos != nil {
-		for _, np := range chaosTargets {
-			if !np.Alive {
-				continue
-			}
-			np.Call(proto.Command{Op: proto.OpChaos, Chaos: &proto.ChaosSpec{Clear: true}}, 30*time.Second)
-		}
-	}
-
 	sort.Float64s(lat)
 	if len(lat) > 0 {
 		m["p50_ms"] = quantileSorted(lat, 0.5)

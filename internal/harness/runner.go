@@ -84,13 +84,12 @@ func (t *stderrTail) String() string {
 type NodeProc struct {
 	ID    int
 	Addr  string // bound listen address, learned from the ready line
-	Alive bool   // false after Kill until Restart
+	Alive bool   // false after Kill or Quit
 
 	cmd    *exec.Cmd
 	stdin  io.WriteCloser
 	resp   chan proto.Response
 	stderr *stderrTail
-	args   []string // full argv minus the -listen value, for Restart
 }
 
 // Runner owns the fleet for one plan run.
@@ -123,48 +122,28 @@ func nodeArgs(id int, bootstrap string, p Plan) []string {
 	if p.DocBytes > 0 {
 		args = append(args, "-docbytes", strconv.FormatInt(p.DocBytes, 10))
 	}
-	if p.MaxInFlight > 0 {
-		args = append(args, "-maxinflight", strconv.Itoa(p.MaxInFlight))
-	}
-	if p.CacheMB != 0 {
-		mb := p.CacheMB
-		if mb < 0 {
-			mb = 0 // flag meaning: 0 disables
-		}
-		args = append(args, "-cachemb", strconv.FormatInt(mb, 10))
-	}
+	args = append(args, "-cachemb", strconv.Itoa(nodeCacheMB))
 	if p.AdaptEveryMS > 0 {
 		args = append(args, "-adapt-interval", fmt.Sprintf("%dms", p.AdaptEveryMS))
-		if p.FairnessThreshold > 0 {
-			args = append(args, "-fairness-threshold", fmt.Sprintf("%g", p.FairnessThreshold))
-		}
 	}
 	return args
 }
 
 // Spawn launches one node process and waits for its ready line.
 func (r *Runner) Spawn(id int, bootstrap string, p Plan, timeout time.Duration) (*NodeProc, error) {
-	np := &NodeProc{ID: id, args: nodeArgs(id, bootstrap, p)}
-	if err := np.start(r.Bin, timeout); err != nil {
-		return nil, err
-	}
-	return np, nil
-}
-
-func (np *NodeProc) start(bin string, timeout time.Duration) error {
-	cmd := exec.Command(bin, np.args...)
-	np.stderr = &stderrTail{}
+	np := &NodeProc{ID: id, stderr: &stderrTail{}}
+	cmd := exec.Command(r.Bin, nodeArgs(id, bootstrap, p)...)
 	cmd.Stderr = np.stderr
 	stdin, err := cmd.StdinPipe()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := cmd.Start(); err != nil {
-		return fmt.Errorf("harness: start node %d: %w", np.ID, err)
+		return nil, fmt.Errorf("harness: start node %d: %w", id, err)
 	}
 	np.cmd = cmd
 	np.stdin = stdin
@@ -175,14 +154,14 @@ func (np *NodeProc) start(bin string, timeout time.Duration) error {
 	case rsp, ok := <-np.resp:
 		if !ok || rsp.Op != proto.OpReady || rsp.Ready == nil {
 			np.Kill()
-			return fmt.Errorf("harness: node %d: no ready line (got %+v)\nstderr: %s", np.ID, rsp, np.stderr)
+			return nil, fmt.Errorf("harness: node %d: no ready line (got %+v)\nstderr: %s", id, rsp, np.stderr)
 		}
 		np.Addr = rsp.Ready.Addr
 		np.Alive = true
-		return nil
+		return np, nil
 	case <-time.After(timeout):
 		np.Kill()
-		return fmt.Errorf("harness: node %d: timeout waiting for ready\nstderr: %s", np.ID, np.stderr)
+		return nil, fmt.Errorf("harness: node %d: timeout waiting for ready\nstderr: %s", id, np.stderr)
 	}
 }
 
@@ -251,33 +230,6 @@ func (np *NodeProc) Kill() {
 		np.cmd.Wait()
 	}
 	np.Alive = false
-}
-
-// Restart relaunches a killed node with its original argv (same id,
-// fresh ephemeral port) and waits for its ready line. The bootstrap
-// address may have to change if the original bootstrap died; pass the
-// address of any live peer.
-func (np *NodeProc) Restart(bin, bootstrap string, timeout time.Duration) error {
-	if np.Alive {
-		return fmt.Errorf("harness: node %d still alive", np.ID)
-	}
-	if bootstrap != "" {
-		args := make([]string, 0, len(np.args)+2)
-		skip := false
-		for _, a := range np.args {
-			if skip {
-				skip = false
-				continue
-			}
-			if a == "-bootstrap" {
-				skip = true
-				continue
-			}
-			args = append(args, a)
-		}
-		np.args = append(args, "-bootstrap", bootstrap)
-	}
-	return np.start(bin, timeout)
 }
 
 // KillAll tears the whole fleet down (cleanup path).

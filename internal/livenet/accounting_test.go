@@ -21,7 +21,7 @@ import (
 // An earlier engine violated it: some exits double-counted.
 func TestQueryAccountingConservation(t *testing.T) {
 	// Two admission slots: the rejection phase below fills both.
-	c, inst := launchWith(t, 63, Options{MaxInFlight: 2})
+	c, inst := launchWith(t, 63, Options{maxInFlight: 2})
 	n := c.Nodes[0]
 	cat := bigCategory(inst)
 	impossible := unsatisfiable(t, n, cat)

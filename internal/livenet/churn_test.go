@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"p2pshare/internal/catalog"
-	"p2pshare/internal/membership"
 	"p2pshare/internal/model"
 )
 
@@ -33,7 +32,7 @@ func TestChurnHardKillDetectedAndQueriesSurvive(t *testing.T) {
 	// No requester cache on the querying node 0: repeat queries for the
 	// same category must hit the network every time, or the kill-survival
 	// assertions would be answered locally in zero hops and prove nothing.
-	seed, err := StartNode(sh, 0, "127.0.0.1:0", "", Options{CacheBytes: -1, Membership: &membership.Config{}})
+	seed, err := StartNode(sh, 0, "127.0.0.1:0", "", Options{CacheBytes: -1, Membership: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +46,7 @@ func TestChurnHardKillDetectedAndQueriesSurvive(t *testing.T) {
 		}
 	}()
 	for id := model.NodeID(1); int(id) < sh.Nodes; id++ {
-		n, err := StartNode(sh, id, "127.0.0.1:0", seed.Addr(), Options{Membership: &membership.Config{}})
+		n, err := StartNode(sh, id, "127.0.0.1:0", seed.Addr(), Options{Membership: true})
 		if err != nil {
 			t.Fatalf("node %d: %v", id, err)
 		}
@@ -217,7 +216,7 @@ func TestAdaptationRebalancesSkewedLoad(t *testing.T) {
 	c, err := Launch(inst, assign, place, Options{
 		Seed:       sh.Seed,
 		CacheBytes: -1,
-		Membership: &membership.Config{},
+		Membership: true,
 		Adaptation: &AdaptConfig{
 			Interval:       700 * time.Millisecond,
 			LowThreshold:   0.9,

@@ -172,7 +172,7 @@ func TestCancellationReleasesSlot(t *testing.T) {
 // of queueing.
 func TestAdmissionControlRejectsAtLimit(t *testing.T) {
 	const limit = 4
-	c, inst := launchWith(t, 24, Options{MaxInFlight: limit})
+	c, inst := launchWith(t, 24, Options{maxInFlight: limit})
 	n := c.Nodes[3]
 	cat := bigCategory(inst)
 	want := unsatisfiable(t, n, cat)

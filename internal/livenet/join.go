@@ -234,15 +234,6 @@ func (n *Node) KnownPeers() int {
 	return n.book.len()
 }
 
-// Peers snapshots the node's address book (id → listen address),
-// including itself. Fault-injection layers use it to attribute links by
-// node id; treat the copy as read-only truth at the time of the call.
-func (n *Node) Peers() map[model.NodeID]string {
-	n.routeMu.RLock()
-	defer n.routeMu.RUnlock()
-	return n.book.snapshot()
-}
-
 // handleHello merges the newcomer into the book, replies with the full
 // book, and forwards the hello once to every peer this node knew before
 // (so the whole deployment learns the address without a broadcast storm).

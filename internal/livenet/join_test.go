@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"p2pshare/internal/membership"
 	"p2pshare/internal/memnet"
 	"p2pshare/internal/metrics"
 	"p2pshare/internal/model"
@@ -119,7 +118,7 @@ func TestCorruptNodeIDsStayOutOfBook(t *testing.T) {
 	sh := Shape{Documents: 200, Categories: 6, Nodes: 16, Clusters: 2, Seed: 9}
 	nw := memnet.New()
 	c := launchOverMemnet(t, sh, nil, nw, Options{
-		Membership: &membership.Config{ProbeInterval: time.Hour},
+		Membership: true, probeInterval: time.Hour,
 	})
 	n, from := c.Nodes[0], c.Nodes[1].id
 	outside := model.NodeID(len(c.Nodes))

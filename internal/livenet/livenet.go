@@ -188,7 +188,7 @@ type Node struct {
 	cacheSt *cacheState
 
 	// det is the SWIM failure detector (membership.go); nil unless
-	// Options.Membership is set, used under routeMu.Lock. gauges holds the
+	// Options.Membership is on, used under routeMu.Lock. gauges holds the
 	// point-in-time membership and fairness readings merged into Stats()
 	// (itself concurrency-safe for the Stats() reader).
 	det    *membership.Detector
@@ -297,7 +297,7 @@ func (n *Node) everyLocked(period time.Duration, skips string, f func(now time.T
 
 // newNode builds a Node with empty peer state, its own private address
 // book, an idle transport, an empty query table, and the engine
-// configuration the Options ask for (admission bound, requester cache),
+// configuration the Options ask for (requester cache, content plane),
 // fixed for the node's life. Membership and adaptation start later, in
 // startSubsystems.
 func newNode(inst *model.Instance, id model.NodeID, ln net.Listener, seed int64, opts Options) *Node {
@@ -320,7 +320,7 @@ func newNode(inst *model.Instance, id model.NodeID, ln net.Listener, seed int64,
 			rng:     newPCG(seed, id, streamQueries),
 			hits:    make(map[catalog.CategoryID]int64),
 		},
-		inflightMax: DefaultMaxInFlight,
+		inflightMax: int64(cmp.Or(opts.maxInFlight, DefaultMaxInFlight)),
 
 		gauges:    metrics.NewSyncGauge(),
 		querySalt: querySaltFor(id),
@@ -335,22 +335,16 @@ func newNode(inst *model.Instance, id model.NodeID, ln net.Listener, seed int64,
 		servedDocs:  make(map[catalog.DocID]int64),
 	}
 	if opts.Content != nil {
-		n.store = content.NewStore(opts.Content.ChunkSize)
+		n.store = content.NewStore(opts.Content.chunkSize)
 		n.tr.bulkLane = true
 		if opts.Content.CacheBytes > 0 {
 			n.store.SetCacheBudget(opts.Content.CacheBytes)
-			n.cacheAdmit = opts.Content.CacheAdmitHits
-			if n.cacheAdmit <= 0 {
-				n.cacheAdmit = defaultCacheAdmitHits
-			}
+			n.cacheAdmit = cmp.Or(opts.Content.cacheAdmitHits, defaultCacheAdmitHits)
 		}
 	}
 	n.book.set(id, ln.Addr().String())
 	if opts.WriterIdle != 0 {
 		n.tr.writerIdle = opts.WriterIdle
-	}
-	if opts.MaxInFlight > 0 {
-		n.inflightMax = int64(opts.MaxInFlight)
 	}
 	if cacheBytes := cmp.Or(opts.CacheBytes, DefaultCacheBytes); cacheBytes > 0 {
 		n.cacheSt, _ = newCacheState(cacheBytes) // a positive capacity cannot fail
@@ -390,8 +384,10 @@ func (n *Node) startLoops() {
 func (n *Node) startSubsystems(opts Options) {
 	n.routeMu.Lock()
 	defer n.routeMu.Unlock()
-	if opts.Membership != nil {
-		n.enableMembership(*opts.Membership)
+	if opts.Membership {
+		cfg := membership.DefaultConfig()
+		cfg.ProbeInterval = cmp.Or(opts.probeInterval, cfg.ProbeInterval)
+		n.enableMembership(cfg)
 	}
 	if opts.Adaptation != nil {
 		n.enableAdaptation(*opts.Adaptation)
@@ -417,7 +413,6 @@ func (n *Node) Stats() map[string]int64 {
 	s["transport_writers_active"] = n.tr.writers()
 	s["queries_inflight"] = n.inflight.Load()
 	s["served"] = n.served.Load()
-	s["max_inflight"] = n.inflightMax
 	s["transfers_active"] = n.transfersActive.Load()
 	if n.store != nil {
 		s["content_docs_held"] = int64(n.store.Len())
@@ -473,8 +468,9 @@ type NetHooks struct {
 // Options configures a node — or every node of a launched cluster — at
 // construction. It is the single knob surface for both launch paths
 // (Launch for in-process clusters, StartNode for one peer of a
-// multi-process deployment), so a harness plan can spawn a
-// fully-configured node in one call. Everything it sets is fixed for
+// multi-process deployment). It holds only the settings some deployment
+// varies; the admission bound, the detector's timing, the chunk size
+// and cache admission are constants. Everything it sets is fixed for
 // the node's life. The zero value means the same on both paths: default
 // engine, no membership, no adaptation, no content plane.
 type Options struct {
@@ -488,18 +484,13 @@ type Options struct {
 	// listeners). The zero value uses plain TCP.
 	Hooks NetHooks
 
-	// MaxInFlight is the admission-control bound on concurrently pending
-	// queries; 0 means DefaultMaxInFlight.
-	MaxInFlight int
-
 	// CacheBytes sizes the requester-side LRU document cache: 0 means
 	// DefaultCacheBytes, negative disables caching entirely.
 	CacheBytes int64
 
-	// Membership turns on the SWIM failure detector with the given
-	// timing (zero fields take membership.DefaultConfig values); nil
-	// leaves it off.
-	Membership *membership.Config
+	// Membership turns on the SWIM failure detector, timed by
+	// membership.DefaultConfig.
+	Membership bool
 
 	// Adaptation turns on the §6.1 online rebalancing loop with the
 	// given config; nil leaves it off. It works best with Membership on
@@ -520,14 +511,19 @@ type Options struct {
 	// category to its cluster. nil leaves the data plane off — metadata
 	// only, the historical behavior.
 	Content *ContentConfig
+
+	// Test seams, set only by this package's tests; zero means the
+	// constant every deployment runs.
+	maxInFlight   int           // admission bound (DefaultMaxInFlight)
+	probeInterval time.Duration // detector probe period (membership.DefaultConfig)
 }
 
 // Launch starts one TCP peer per instance node on loopback ports, primes
 // metadata exactly like the simulated overlay's bootstrap (full DCRT,
 // ring-plus-chords NRT per cluster, remote contacts), and returns the
 // running cluster. Close it when done. Options carries everything a
-// deployment can configure — seed, network hooks, admission bound,
-// cache, membership, adaptation, content plane.
+// deployment can configure — seed, network hooks, cache, writer
+// parking, membership, adaptation, content plane.
 func Launch(inst *model.Instance, assign []model.ClusterID, place *replica.Placement, opts Options) (*Cluster, error) {
 	if len(assign) != len(inst.Catalog.Cats) {
 		return nil, fmt.Errorf("livenet: assignment covers %d of %d categories",

@@ -26,10 +26,10 @@ import (
 // writers to batch and flush the frames on loopback or LAN.
 const leaveFlushGrace = 150 * time.Millisecond
 
-// enableMembership builds the detector and starts its clock (zero
-// fields of cfg take membership.DefaultConfig values). Every peer already
-// in the address book is observed immediately; later peers join the
-// view as hellos and book merges arrive. Caller holds routeMu.Lock.
+// enableMembership builds the detector and starts its clock. Every
+// peer already in the address book is observed immediately; later peers
+// join the view as hellos and book merges arrive. Caller holds
+// routeMu.Lock.
 func (n *Node) enableMembership(cfg membership.Config) {
 	n.det = membership.New(n.id, n.Addr(), cfg, n.rng.Int64())
 	now := time.Now()
@@ -41,17 +41,11 @@ func (n *Node) enableMembership(cfg membership.Config) {
 	})
 	n.drainMembership()
 
-	interval := cfg.ProbeInterval
-	if interval <= 0 {
-		interval = membership.DefaultConfig().ProbeInterval
-	}
 	// Tick faster than the probe interval so ping/probe timeouts are
 	// checked with reasonable granularity (Tick rate-limits the probes
 	// themselves). A skipped tick just means the next one ≤ interval
 	// later advances the detector.
-	if interval /= 4; interval < 5*time.Millisecond {
-		interval = 5 * time.Millisecond
-	}
+	interval := max(cfg.ProbeInterval/4, 5*time.Millisecond)
 	n.everyLocked(interval, "membership_tick_skips", n.membershipTick)
 }
 

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"p2pshare/internal/membership"
 	"p2pshare/internal/model"
 )
 
@@ -18,27 +17,51 @@ func optionsShape() Shape {
 	return Shape{Documents: 160, Categories: 6, Nodes: 8, Clusters: 2, Seed: 33}
 }
 
-// nodeFingerprint gathers every Options-governed observable of one node.
+// nodeFingerprint gathers every Options-governed observable of one
+// node, and the constants that stand in for the settings a deployment
+// cannot change: the admission bound, the content plane's chunk size
+// and cache admission, and the failure detector's probe interval.
 type nodeFingerprint struct {
-	maxFlight int64
-	cacheCap  int64
-	hasCache  bool
-	adaptOn   bool
-	memberOn  bool
+	maxFlight  int64
+	cacheCap   int64
+	hasCache   bool
+	adaptOn    bool
+	memberOn   bool
+	chunkSize  int           // 0 without a content plane
+	cacheAdmit int           // 0 without a content cache
+	probe      time.Duration // 0 without membership
 }
 
 func fingerprint(n *Node) nodeFingerprint {
 	s := n.Stats()
 	cap, hasCache := s["cache_capacity_bytes"]
-	alive := s["membership_alive"]
-	return nodeFingerprint{
-		maxFlight: s["max_inflight"],
-		cacheCap:  cap,
-		hasCache:  hasCache,
-		adaptOn:   s["adapt_enabled"] == 1,
-		memberOn:  alive > 0,
+	fp := nodeFingerprint{
+		maxFlight:  n.inflightMax,
+		cacheCap:   cap,
+		hasCache:   hasCache,
+		adaptOn:    s["adapt_enabled"] == 1,
+		memberOn:   s["membership_alive"] > 0,
+		cacheAdmit: n.cacheAdmit,
 	}
+	if n.store != nil {
+		fp.chunkSize = n.store.ChunkSize()
+	}
+	n.routeMu.Lock()
+	if n.det != nil {
+		fp.probe = n.det.Config().ProbeInterval
+	}
+	n.routeMu.Unlock()
+	return fp
 }
+
+// The constants a launched node runs with, spelled out so that changing
+// one of them fails these tests.
+const (
+	wantMaxInFlight = 1024                   // DefaultMaxInFlight
+	wantChunkSize   = 64 << 10               // content.DefaultChunkSize
+	wantCacheAdmit  = 2                      // defaultCacheAdmitHits
+	wantProbe       = 400 * time.Millisecond // membership.DefaultConfig().ProbeInterval
+)
 
 // TestZeroValueOptionsMatchesLaunchDefaults pins the historical Launch
 // defaults against the zero-value Options: default admission bound,
@@ -57,7 +80,7 @@ func TestZeroValueOptionsMatchesLaunchDefaults(t *testing.T) {
 	for _, n := range c.Nodes {
 		fp := fingerprint(n)
 		want := nodeFingerprint{
-			maxFlight: DefaultMaxInFlight,
+			maxFlight: wantMaxInFlight,
 			cacheCap:  DefaultCacheBytes,
 			hasCache:  true,
 		}
@@ -67,16 +90,19 @@ func TestZeroValueOptionsMatchesLaunchDefaults(t *testing.T) {
 	}
 }
 
-// TestLaunchOptionsMatchSetters: membership, adaptation and the engine's
-// bound and cache, all set through Options, take effect on every node of
-// a launched cluster, which serves queries through its injected dialer.
+// TestLaunchOptionsMatchSetters: membership, adaptation, the requester
+// cache and the content plane, all set through Options, take effect on
+// every node of a launched cluster, which serves queries through its
+// injected dialer. The admission bound, chunk size, cache admission and
+// probe interval are the constants, not settings.
 func TestLaunchOptionsMatchSetters(t *testing.T) {
 	sh := optionsShape()
+	sh.DocBytes = 64 << 10
 	inst, assign, place, err := sh.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	const maxFlight, cacheBytes = 37, int64(2 << 20)
+	const cacheBytes = int64(2 << 20)
 	var dials atomic.Int64
 	c, err := Launch(inst, assign, place, Options{
 		Seed: sh.Seed,
@@ -84,10 +110,10 @@ func TestLaunchOptionsMatchSetters(t *testing.T) {
 			dials.Add(1)
 			return net.DialTimeout("tcp", addr, 2*time.Second)
 		}},
-		MaxInFlight: maxFlight,
-		CacheBytes:  cacheBytes,
-		Membership:  &membership.Config{},
-		Adaptation:  &AdaptConfig{Interval: time.Hour}, // never fires during the test
+		CacheBytes: cacheBytes,
+		Membership: true,
+		Adaptation: &AdaptConfig{Interval: time.Hour}, // never fires during the test
+		Content:    &ContentConfig{CacheBytes: 1 << 20},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -95,11 +121,14 @@ func TestLaunchOptionsMatchSetters(t *testing.T) {
 	defer c.Close()
 
 	want := nodeFingerprint{
-		maxFlight: maxFlight,
-		cacheCap:  cacheBytes,
-		hasCache:  true,
-		adaptOn:   true,
-		memberOn:  true,
+		maxFlight:  wantMaxInFlight,
+		cacheCap:   cacheBytes,
+		hasCache:   true,
+		adaptOn:    true,
+		memberOn:   true,
+		chunkSize:  wantChunkSize,
+		cacheAdmit: wantCacheAdmit,
+		probe:      wantProbe,
 	}
 	for _, n := range c.Nodes {
 		if fp := fingerprint(n); fp != want {
@@ -148,22 +177,21 @@ func TestLaunchCacheDisabledEquivalence(t *testing.T) {
 }
 
 // TestStartNodeOptionsMatchSetters: on the StartNode path too, the
-// engine's Options and Adaptation take effect at birth, a nil Membership
-// means no failure detector, and a non-nil one turns it on.
+// cache and Adaptation take effect at birth, Membership off means no
+// failure detector, and on turns it on at the default timing.
 func TestStartNodeOptionsMatchSetters(t *testing.T) {
 	sh := optionsShape()
-	const maxFlight, cacheBytes = 19, int64(1 << 20)
+	const cacheBytes = int64(1 << 20)
 
 	a, err := StartNode(sh, 0, "127.0.0.1:0", "", Options{
-		MaxInFlight: maxFlight,
-		CacheBytes:  cacheBytes,
-		Adaptation:  &AdaptConfig{Interval: time.Hour},
+		CacheBytes: cacheBytes,
+		Adaptation: &AdaptConfig{Interval: time.Hour},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	want := nodeFingerprint{maxFlight: maxFlight, cacheCap: cacheBytes, hasCache: true, adaptOn: true}
+	want := nodeFingerprint{maxFlight: wantMaxInFlight, cacheCap: cacheBytes, hasCache: true, adaptOn: true}
 	if fa := fingerprint(a); fa != want {
 		t.Fatalf("StartNode Options not applied: got %+v, want %+v", fa, want)
 	}
@@ -174,25 +202,25 @@ func TestStartNodeOptionsMatchSetters(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer z.Close()
-	want = nodeFingerprint{maxFlight: DefaultMaxInFlight, cacheCap: DefaultCacheBytes, hasCache: true}
+	want = nodeFingerprint{maxFlight: wantMaxInFlight, cacheCap: DefaultCacheBytes, hasCache: true}
 	if fz := fingerprint(z); fz != want {
 		t.Fatalf("StartNode zero-value Options: got %+v, want %+v", fz, want)
 	}
 	if alive, suspect := z.MembershipCounts(); alive != 0 || suspect != 0 {
-		t.Fatalf("nil Membership: detector counts %d alive, %d suspect; want 0, 0", alive, suspect)
+		t.Fatalf("Membership off: detector counts %d alive, %d suspect; want 0, 0", alive, suspect)
 	}
 
-	// A non-nil Membership turns the detector on.
-	m, err := StartNode(sh, 2, "127.0.0.1:0", "", Options{Membership: &membership.Config{}})
+	// Membership on turns the detector on.
+	m, err := StartNode(sh, 2, "127.0.0.1:0", "", Options{Membership: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
 	if alive, _ := m.MembershipCounts(); alive < 1 {
-		t.Fatalf("Membership set: detector counts %d alive, want >= 1 (itself)", alive)
+		t.Fatalf("Membership on: detector counts %d alive, want >= 1 (itself)", alive)
 	}
-	if fm := fingerprint(m); !fm.memberOn {
-		t.Fatalf("Membership set: no membership gauge: %+v", fm)
+	if fm := fingerprint(m); !fm.memberOn || fm.probe != wantProbe {
+		t.Fatalf("Membership on: got %+v, want the gauge and a %v probe interval", fm, wantProbe)
 	}
 }
 
@@ -219,7 +247,7 @@ func TestStartNodeHooksInjected(t *testing.T) {
 	defer seed.Close()
 	n, err := StartNode(sh, 1, "127.0.0.1:0", seed.Addr(), Options{
 		Hooks:      hooks,
-		Membership: &membership.Config{},
+		Membership: true,
 	})
 	if err != nil {
 		t.Fatal(err)

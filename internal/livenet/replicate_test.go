@@ -305,7 +305,7 @@ func TestCachedFetchBecomesReplica(t *testing.T) {
 	sh := contentShape(35)
 	c := launchOverMemnet(t, sh, nil, memnet.New(), Options{
 		CacheBytes: -1,
-		Content:    &ContentConfig{CacheBytes: 64 << 20, CacheAdmitHits: 2},
+		Content:    &ContentConfig{CacheBytes: 64 << 20},
 	})
 	fid, doc, _, _ := pickRemoteDoc(t, sh)
 	n := c.Nodes[fid]
@@ -374,7 +374,7 @@ func TestPushReplicateInstallsCachedCopy(t *testing.T) {
 	// injected, not measured.
 	c := launchOverMemnet(t, sh, nil, memnet.New(), Options{
 		CacheBytes: -1,
-		Content:    &ContentConfig{CacheBytes: 64 << 20, CacheAdmitHits: 1},
+		Content:    &ContentConfig{CacheBytes: 64 << 20, cacheAdmitHits: 1},
 		Adaptation: &AdaptConfig{Interval: time.Hour},
 	})
 
@@ -526,7 +526,7 @@ func TestPushReplicatePullFailures(t *testing.T) {
 			cn := chaos.New(int64(40 + i))
 			c := launchOverMemnet(t, sh, cn, memnet.New(), Options{
 				CacheBytes: -1,
-				Content:    &ContentConfig{ChunkSize: chunk, CacheBytes: 64 << 20, CacheAdmitHits: 1},
+				Content:    &ContentConfig{chunkSize: chunk, CacheBytes: 64 << 20, cacheAdmitHits: 1},
 			})
 			fid, doc, _, members := pickRemoteDoc(t, sh)
 			for _, m := range members {

@@ -119,19 +119,16 @@ var ErrNoContent = errors.New("livenet: no replica holder could serve the docume
 // documents, inline manifest/chunk serving, Node.Fetch, and byte-
 // shipping rebalancing moves.
 type ContentConfig struct {
-	// ChunkSize is the transfer unit in bytes; 0 means
-	// content.DefaultChunkSize (64 KB).
-	ChunkSize int
 	// CacheBytes budgets the demand-driven replica cache: a successful
 	// remote Fetch (or an accepted Replicate push) installs the verified
 	// bytes as an evictable cached copy, making this node a real replica
 	// holder that answers ManifestReq floods. 0 disables caching.
 	CacheBytes int64
-	// CacheAdmitHits is the recent-demand threshold a document must
-	// clear before a fetched copy is admitted (0 → 2): only documents
-	// fetched or asked about repeatedly within one demand window earn a
-	// cache slot.
-	CacheAdmitHits int
+
+	// Test seams, set only by this package's tests; zero means
+	// content.DefaultChunkSize and defaultCacheAdmitHits.
+	chunkSize      int
+	cacheAdmitHits int
 }
 
 // ContentStore exposes the node's chunk store — nil when the content

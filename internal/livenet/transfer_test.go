@@ -130,7 +130,7 @@ func TestFetchSurvivesCorruptSource(t *testing.T) {
 	cn := chaos.New(22)
 	c := launchOverMemnet(t, sh, cn, memnet.New(), Options{
 		CacheBytes: -1,
-		Content:    &ContentConfig{ChunkSize: 32 << 10},
+		Content:    &ContentConfig{chunkSize: 32 << 10},
 	})
 	fid, doc, cat, _ := pickRemoteDoc(t, sh)
 	fetcher := c.Nodes[fid]
@@ -205,7 +205,7 @@ func TestFetchResumesAfterSourceDeath(t *testing.T) {
 	cn := chaos.New(23)
 	c := launchOverMemnet(t, sh, cn, memnet.New(), Options{
 		CacheBytes: -1,
-		Content:    &ContentConfig{ChunkSize: 16 << 10}, // 128 chunks
+		Content:    &ContentConfig{chunkSize: 16 << 10}, // 128 chunks
 	})
 	fid, doc, cat, members := pickRemoteDoc(t, sh)
 	fetcher := c.Nodes[fid]
@@ -308,7 +308,7 @@ func TestMoveShipsBytes(t *testing.T) {
 	// below is injected, not measured, so the test is deterministic.
 	c := launchOverMemnet(t, sh, nil, memnet.New(), Options{
 		CacheBytes: -1,
-		Content:    &ContentConfig{CacheBytes: 64 << 20, CacheAdmitHits: 1},
+		Content:    &ContentConfig{CacheBytes: 64 << 20, cacheAdmitHits: 1},
 		Adaptation: &AdaptConfig{Interval: time.Hour},
 	})
 

@@ -288,6 +288,9 @@ func New(self model.NodeID, addr string, cfg Config, seed int64) *Detector {
 // Self returns this node's id.
 func (d *Detector) Self() model.NodeID { return d.self }
 
+// Config returns the detector's timing, defaults filled in.
+func (d *Detector) Config() Config { return d.cfg }
+
 // Incarnation returns this node's current incarnation number.
 func (d *Detector) Incarnation() uint64 { return d.inc }
 

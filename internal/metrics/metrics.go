@@ -1,6 +1,6 @@
-// Package metrics provides the counters, histograms, and time series the
-// experiment harness reports: per-node load counters, hop/latency
-// histograms with quantiles, and fairness timelines.
+// Package metrics provides the counters, gauges and histograms the
+// experiments and live nodes report: labelled concurrent counters and
+// gauges, and hop/latency histograms with quantiles.
 package metrics
 
 import (
@@ -148,30 +148,6 @@ func (h *Histogram) Distribution(buckets, width int) string {
 		fmt.Fprintf(&b, "%10.2f .. %10.2f | %s %d\n", from, to, strings.Repeat("█", bar), c)
 	}
 	return b.String()
-}
-
-// Counter is a labelled monotonically increasing count.
-type Counter struct {
-	counts map[string]int64
-}
-
-// NewCounter returns an empty counter set.
-func NewCounter() *Counter { return &Counter{counts: make(map[string]int64)} }
-
-// Add increments label by delta.
-func (c *Counter) Add(label string, delta int64) { c.counts[label] += delta }
-
-// Get returns the count for label.
-func (c *Counter) Get(label string) int64 { return c.counts[label] }
-
-// Labels returns all labels in sorted order.
-func (c *Counter) Labels() []string {
-	out := make([]string, 0, len(c.counts))
-	for l := range c.counts {
-		out = append(out, l)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // SyncCounter is a labelled monotonically increasing count safe for
@@ -459,108 +435,4 @@ func (h *IntHistogram) Quantile(q float64) float64 {
 func (h *IntHistogram) Summary() string {
 	return fmt.Sprintf("n=%d mean=%.2f p50=%.2f p95=%.2f max=%.2f",
 		h.Count(), h.Mean(), h.Quantile(0.5), h.Quantile(0.95), h.Max())
-}
-
-// Timeline is a time-stamped series of float64 values (e.g. the fairness
-// index over a dynamic run).
-type Timeline struct {
-	Times  []time.Duration
-	Values []float64
-}
-
-// Record appends a point; times must be non-decreasing.
-func (tl *Timeline) Record(at time.Duration, v float64) {
-	tl.Times = append(tl.Times, at)
-	tl.Values = append(tl.Values, v)
-}
-
-// Len returns the number of points.
-func (tl *Timeline) Len() int { return len(tl.Values) }
-
-// Min returns the smallest recorded value (0 when empty).
-func (tl *Timeline) Min() float64 {
-	var min float64
-	for i, v := range tl.Values {
-		if i == 0 || v < min {
-			min = v
-		}
-	}
-	return min
-}
-
-// Last returns the most recent value (0 when empty).
-func (tl *Timeline) Last() float64 {
-	if len(tl.Values) == 0 {
-		return 0
-	}
-	return tl.Values[len(tl.Values)-1]
-}
-
-// ASCIIChart renders the timeline as a crude fixed-width chart for CLI
-// reports: one row per point, a bar scaled to [lo, hi].
-func (tl *Timeline) ASCIIChart(lo, hi float64, width int) string {
-	if width <= 0 {
-		width = 50
-	}
-	var b strings.Builder
-	for i, v := range tl.Values {
-		frac := (v - lo) / (hi - lo)
-		if frac < 0 {
-			frac = 0
-		}
-		if frac > 1 {
-			frac = 1
-		}
-		n := int(frac * float64(width))
-		fmt.Fprintf(&b, "%10v | %s %.4f\n", tl.Times[i].Truncate(time.Millisecond), strings.Repeat("█", n), v)
-	}
-	return b.String()
-}
-
-// LoadVector accumulates per-index load counts (requests served per node)
-// and converts to a float slice for fairness computations.
-type LoadVector struct {
-	counts []int64
-}
-
-// NewLoadVector sizes the vector for n indices.
-func NewLoadVector(n int) *LoadVector { return &LoadVector{counts: make([]int64, n)} }
-
-// Inc adds one unit of load to index i.
-func (lv *LoadVector) Inc(i int) { lv.counts[i]++ }
-
-// Add adds delta load to index i.
-func (lv *LoadVector) Add(i int, delta int64) { lv.counts[i] += delta }
-
-// Get returns the load at index i.
-func (lv *LoadVector) Get(i int) int64 { return lv.counts[i] }
-
-// Len returns the vector length.
-func (lv *LoadVector) Len() int { return len(lv.counts) }
-
-// Total returns the summed load.
-func (lv *LoadVector) Total() int64 {
-	var sum int64
-	for _, c := range lv.counts {
-		sum += c
-	}
-	return sum
-}
-
-// Floats returns the loads as float64s (a copy).
-func (lv *LoadVector) Floats() []float64 {
-	out := make([]float64, len(lv.counts))
-	for i, c := range lv.counts {
-		out[i] = float64(c)
-	}
-	return out
-}
-
-// Subset returns the loads at the given indices.
-func (lv *LoadVector) Subset(idx []int) []float64 {
-	out := make([]float64, len(idx))
-	for i, j := range idx {
-		out[i] = float64(lv.counts[j])
-	}
-	return out
 }

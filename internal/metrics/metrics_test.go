@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -144,72 +143,6 @@ func TestHistogramQuantileMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCounter(t *testing.T) {
-	c := NewCounter()
-	c.Add("a", 2)
-	c.Add("b", 1)
-	c.Add("a", 3)
-	if c.Get("a") != 5 || c.Get("b") != 1 || c.Get("missing") != 0 {
-		t.Error("counter arithmetic wrong")
-	}
-	labels := c.Labels()
-	if !sort.StringsAreSorted(labels) || len(labels) != 2 {
-		t.Errorf("labels = %v", labels)
-	}
-}
-
-func TestTimeline(t *testing.T) {
-	var tl Timeline
-	if tl.Len() != 0 || tl.Min() != 0 || tl.Last() != 0 {
-		t.Error("empty timeline should read zeros")
-	}
-	tl.Record(time.Second, 0.9)
-	tl.Record(2*time.Second, 0.7)
-	tl.Record(3*time.Second, 0.95)
-	if tl.Len() != 3 || tl.Min() != 0.7 || tl.Last() != 0.95 {
-		t.Errorf("timeline stats wrong: len=%d min=%g last=%g", tl.Len(), tl.Min(), tl.Last())
-	}
-	chart := tl.ASCIIChart(0, 1, 20)
-	if !strings.Contains(chart, "0.9500") {
-		t.Errorf("chart missing value:\n%s", chart)
-	}
-	if lines := strings.Count(chart, "\n"); lines != 3 {
-		t.Errorf("chart has %d lines, want 3", lines)
-	}
-}
-
-func TestTimelineChartClamps(t *testing.T) {
-	var tl Timeline
-	tl.Record(0, -5)
-	tl.Record(time.Second, 99)
-	chart := tl.ASCIIChart(0, 1, 10)
-	if strings.Count(chart, "█") != 10 {
-		t.Errorf("clamped chart should draw exactly one full bar:\n%s", chart)
-	}
-}
-
-func TestLoadVector(t *testing.T) {
-	lv := NewLoadVector(4)
-	lv.Inc(0)
-	lv.Inc(0)
-	lv.Add(2, 5)
-	if lv.Get(0) != 2 || lv.Get(2) != 5 || lv.Get(1) != 0 {
-		t.Error("load vector arithmetic wrong")
-	}
-	if lv.Total() != 7 || lv.Len() != 4 {
-		t.Errorf("total=%d len=%d", lv.Total(), lv.Len())
-	}
-	fs := lv.Floats()
-	fs[0] = 99
-	if lv.Get(0) != 2 {
-		t.Error("Floats should copy")
-	}
-	sub := lv.Subset([]int{2, 0})
-	if sub[0] != 5 || sub[1] != 2 {
-		t.Errorf("Subset = %v", sub)
 	}
 }
 
