@@ -1,12 +1,14 @@
-// Command p2pbench runs harness plans — scripted multi-process
-// scenarios with a tracked perf trajectory — and gates them against
-// committed baselines. The process plans are smoke, bulkmix and
-// flashbulk, each with a baseline in bench/; soak-<name> runs a chaos
-// soak scenario in-process.
+// Command p2pbench runs harness plans — scripted scenarios with a
+// tracked perf trajectory — and gates them against committed baselines.
+// The process plans are smoke, bulkmix and flashbulk; scale-1k, scale-5k
+// and scale-10k boot a paper-scale live cluster in-process over memnet;
+// each has a baseline in bench/. soak-<name> runs a chaos soak scenario
+// in-process.
 //
 //	p2pbench -list                         # what plans exist
 //	p2pbench -plan smoke                   # run one plan → BENCH_smoke.json
 //	p2pbench -plan smoke -baseline bench/BENCH_smoke.baseline.json
+//	p2pbench -plan scale-5k -baseline bench
 //	p2pbench -all                          # run the whole suite
 //
 // Every run writes BENCH_<plan>.json (see -out): the plan's declared
@@ -40,7 +42,6 @@ func run() int {
 	out := flag.String("out", ".", "directory for BENCH_<plan>.json artifacts")
 	baseline := flag.String("baseline", "", "baseline BENCH json (or directory of them) to gate against")
 	seed := flag.Int64("seed", 0, "override the plan seed (0 = plan default)")
-	actTimeout := flag.Duration("act-timeout", 3*time.Minute, "per-act wait bound")
 	cpuprofile := flag.String("cpuprofile", "", "write the driver's CPU profile to this path")
 	memprofile := flag.String("memprofile", "", "write the driver's heap profile to this path on exit")
 	flag.Parse()
@@ -108,7 +109,7 @@ func run() int {
 	for _, p := range plans {
 		started := time.Now()
 		res, err := harness.Run(p, harness.RunConfig{
-			Out: os.Stdout, Seed: *seed, ActTimeout: *actTimeout, BinDir: binDir,
+			Out: os.Stdout, Seed: *seed, BinDir: binDir,
 		})
 		res.Started = started.UTC().Format(time.RFC3339)
 		if err != nil {

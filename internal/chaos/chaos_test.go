@@ -6,7 +6,6 @@ import (
 	"net"
 	"sync"
 	"testing"
-	"time"
 
 	"p2pshare/internal/model"
 )
@@ -171,31 +170,4 @@ func (c *Net) faultsForTest(l Link) Faults {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.faultsFor(l)
-}
-
-// TestScheduleAppliesStepsInOrder checks steps fire in offset order and
-// that a closed done channel stops the run early.
-func TestScheduleAppliesStepsInOrder(t *testing.T) {
-	c := New(1)
-	var mu sync.Mutex
-	var fired []string
-	s := NewSchedule().
-		AddStep(20*time.Millisecond, "second", func(*Net) { mu.Lock(); fired = append(fired, "b"); mu.Unlock() }).
-		AddStep(0, "first", func(*Net) { mu.Lock(); fired = append(fired, "a"); mu.Unlock() })
-	done := make(chan struct{})
-	s.Run(done, c, nil)
-	mu.Lock()
-	got := append([]string(nil), fired...)
-	mu.Unlock()
-	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("steps fired as %v, want [a b]", got)
-	}
-
-	stopped := NewSchedule().AddStep(time.Hour, "never", func(*Net) { t.Error("step fired past done") })
-	close(done)
-	start := time.Now()
-	stopped.Run(done, c, nil)
-	if time.Since(start) > time.Second {
-		t.Fatal("Run did not return promptly on done")
-	}
 }

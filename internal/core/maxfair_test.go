@@ -337,20 +337,27 @@ func TestExtremesCacheMatchesScan(t *testing.T) {
 // scale (500 categories × 100 clusters): the greedy assignment, then a
 // popularity-drift perturbation followed by MaxFair_Reassign — the two
 // hot paths the cached cluster extremes and explicit target lists speed
-// up.
+// up. The naive sub-benchmark is the assignment with the paper's O(|C|)
+// fairness recomputation per candidate in place of the O(1) incremental
+// one (identical results), the ablation no experiment prints.
 func BenchmarkMaxFairPaperScale(b *testing.B) {
 	inst, err := model.Generate(model.PaperConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("assign", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := MaxFair(inst, Options{}); err != nil {
-				b.Fatal(err)
+	for _, bc := range []struct {
+		name string
+		opts Options
+	}{{"assign", Options{}}, {"naive", Options{Naive: true}}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := MaxFair(inst, bc.opts); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 	b.Run("reassign-after-drift", func(b *testing.B) {
 		res, err := MaxFair(inst, Options{})
 		if err != nil {

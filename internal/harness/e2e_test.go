@@ -31,7 +31,7 @@ func TestTinyPlanEndToEnd(t *testing.T) {
 			{Name: "churn", QueriesPerNode: 10, HotCategory: -1, KillNodes: []int{4}},
 		},
 	}
-	res, err := Run(p, RunConfig{Out: testLogWriter{t}, ActTimeout: 90 * time.Second})
+	res, err := Run(p, RunConfig{Out: testLogWriter{t}, actTimeout: 90 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,10 +92,9 @@ type Plan struct {
 
 	Acts []Act `json:"acts"`
 
-	// Soak, when set, bridges the plan to a chaos soak scenario
-	// (internal/chaos/soak) instead of the process orchestrator: the
-	// scenario runs in-process and its report becomes the Result.
-	Soak string `json:"soak,omitempty"`
+	// run, when set, measures the plan in this process instead of the
+	// process orchestrator: a chaos soak scenario or the scale rung.
+	run func(Plan, RunConfig) (Result, error)
 }
 
 // ActResult is one act's data points.

@@ -124,8 +124,8 @@ func TestPlanRegistry(t *testing.T) {
 				t.Fatalf("plan %s objective %s: goal %q", p.Name, o.Metric, o.Goal)
 			}
 		}
-		if p.Soak == "" && len(p.Acts) == 0 {
-			t.Fatalf("plan %s has neither acts nor a soak scenario", p.Name)
+		if p.run == nil && len(p.Acts) == 0 {
+			t.Fatalf("plan %s has neither acts nor an in-process runner", p.Name)
 		}
 	}
 	if _, err := LookupPlan("no-such-plan"); err == nil {
@@ -141,9 +141,53 @@ func TestPlanRegistry(t *testing.T) {
 		if err != nil {
 			t.Fatalf("soak scenario %s has no plan: %v", sc.Name, err)
 		}
-		if p.Soak != sc.Name {
-			t.Fatalf("plan soak-%s runs scenario %q", sc.Name, p.Soak)
+		if p.run == nil {
+			t.Fatalf("plan soak-%s has no in-process runner", sc.Name)
 		}
+	}
+	// The scale rung keeps the deployment shapes it has always measured.
+	for _, want := range []Plan{
+		{Name: "scale-1k", Nodes: 1000, Clusters: 10, Docs: 2000, Cats: 50, Seed: 51},
+		{Name: "scale-5k", Nodes: 5000, Clusters: 50, Docs: 10000, Cats: 250, Seed: 51},
+		{Name: "scale-10k", Nodes: 10000, Clusters: 100, Docs: 20000, Cats: 500, Seed: 51},
+	} {
+		p, err := LookupPlan(want.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Nodes != want.Nodes || p.Clusters != want.Clusters || p.Docs != want.Docs ||
+			p.Cats != want.Cats || p.Seed != want.Seed || p.run == nil {
+			t.Fatalf("plan %s: shape %d/%d/%d/%d seed %d, want %d/%d/%d/%d seed %d, in-process",
+				p.Name, p.Nodes, p.Clusters, p.Docs, p.Cats, p.Seed,
+				want.Nodes, want.Clusters, want.Docs, want.Cats, want.Seed)
+		}
+	}
+}
+
+// TestScalePlanSmall runs the scale measurement on a 40-node deployment:
+// every total is reported, no query fails, an idle node costs one
+// goroutine (its accept loop), and a query crosses two to three frames.
+func TestScalePlanSmall(t *testing.T) {
+	p := Plan{Name: "scale-small", Nodes: 40, Clusters: 4, Docs: 80, Cats: 20, Seed: 51}
+	res, err := runScalePlan(p, RunConfig{Out: testLogWriter{t}}, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Log(res.Summary())
+	for _, k := range []string{"startup_s", "heap_per_node_kb", "rss_mb", "goroutines_per_node",
+		"errors", "qps", "p50_ms", "p95_ms", "p99_ms", "frames_per_query", "nodes_launched"} {
+		if _, ok := res.Totals[k]; !ok {
+			t.Errorf("totals lack %q", k)
+		}
+	}
+	if e := res.Totals["errors"]; e != 0 {
+		t.Errorf("errors = %v, want 0", e)
+	}
+	if g := res.Totals["goroutines_per_node"]; g < 1 || g > 1.1 {
+		t.Errorf("goroutines_per_node = %v, want in [1, 1.1]", g)
+	}
+	if f := res.Totals["frames_per_query"]; f <= 1.5 || f >= 3 {
+		t.Errorf("frames_per_query = %v, want in (1.5, 3)", f)
 	}
 }
 

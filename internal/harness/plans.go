@@ -1,9 +1,10 @@
 // The built-in plan registry: the three process plans CI runs against a
-// committed baseline (smoke, bulkmix, flashbulk) and one bridge per
-// chaos soak scenario, each declaring up front what it measures and
-// which data points gate. Tolerances are sized for shared CI runners —
-// latency gates are loose (machine noise), count and rate gates tight
-// (they are scheduling-independent by the count-based act design).
+// committed baseline (smoke, bulkmix, flashbulk), one bridge per chaos
+// soak scenario and the three in-process scale plans, each declaring up
+// front what it measures and which data points gate. Tolerances are
+// sized for shared CI runners — latency gates are loose (machine noise),
+// count and rate gates tight (they are scheduling-independent by the
+// count-based act design).
 package harness
 
 import (
@@ -149,7 +150,54 @@ func soakPlans() []Plan {
 				{Metric: "success_rate", Goal: "max"},
 			},
 			Nodes: 12, Clusters: 3, Docs: 360, Cats: 9, Seed: 21,
-			Soak: sc.Name,
+			run: func(p Plan, cfg RunConfig) (Result, error) {
+				return runSoakPlan(sc, p, cfg)
+			},
+		})
+	}
+	return out
+}
+
+// scalePlans are the paper-scale rung (§4.4 argues for 20 000 nodes in
+// 100 clusters): every node of the deployment runs live in this process
+// over the memnet fabric. Clusters grow with the population, each node
+// holds two documents on average, and each cluster five categories.
+// Query rate and latency move by 2x between runs on a shared machine,
+// and heap and RSS follow the Go runtime as much as the protocol, so
+// only the scheduling-independent readings gate.
+func scalePlans() []Plan {
+	var out []Plan
+	for _, s := range []struct {
+		name                        string
+		nodes, clusters, docs, cats int
+	}{
+		{"scale-1k", 1000, 10, 2000, 50},
+		{"scale-5k", 5000, 50, 10000, 250},
+		{"scale-10k", 10000, 100, 20000, 500},
+	} {
+		out = append(out, Plan{
+			Name: s.name,
+			Overview: fmt.Sprintf("Scale rung: %d live nodes in %d clusters in-process "+
+				"over memnet, %d Zipf category queries from a warmed %d-origin pool "+
+				"with the requester cache off; gates errors, idle goroutines per "+
+				"node and frames per query.", s.nodes, s.clusters, scaleQueries, scaleOrigins),
+			Optimized: []Objective{
+				{Metric: "errors", Goal: "min", AbsTol: 0.5},
+				{Metric: "goroutines_per_node", Goal: "min", AbsTol: 0.1},
+				{Metric: "frames_per_query", Goal: "min", RelTol: 0.1},
+				// Tracked but not gated: machine noise.
+				{Metric: "qps", Goal: "max"},
+				{Metric: "p50_ms", Goal: "min"},
+				{Metric: "p95_ms", Goal: "min"},
+				{Metric: "p99_ms", Goal: "min"},
+				{Metric: "startup_s", Goal: "min"},
+				{Metric: "heap_per_node_kb", Goal: "min"},
+				{Metric: "rss_mb", Goal: "min"},
+			},
+			Nodes: s.nodes, Clusters: s.clusters, Docs: s.docs, Cats: s.cats, Seed: 51,
+			run: func(p Plan, cfg RunConfig) (Result, error) {
+				return runScalePlan(p, cfg, scaleQueries)
+			},
 		})
 	}
 	return out
@@ -159,7 +207,7 @@ func soakPlans() []Plan {
 func Plans() []Plan {
 	ps := []Plan{Smoke(), Bulkmix(), Flashbulk()}
 	ps = append(ps, soakPlans()...)
-	return ps
+	return append(ps, scalePlans()...)
 }
 
 // LookupPlan finds a plan by name.

@@ -36,6 +36,24 @@ const (
 	// convergeTarget is the fairness (×1000) a TrackConvergence act
 	// waits for: livenet.AdaptConfig's default rebalance threshold, 0.83.
 	convergeTarget = 830
+	// spawnTimeout bounds each process launch (build excluded);
+	// defaultActTimeout bounds each act's wait phase per node.
+	spawnTimeout      = 30 * time.Second
+	defaultActTimeout = 3 * time.Minute
+)
+
+// The values every scale plan runs at: a pool of scaleOrigins requesters,
+// each warmed with one query, then scaleWorkers concurrent workers ask
+// scaleQueries Zipf(scaleZipfS) category queries for one document under
+// a scaleQueryTimeout deadline. Writers park after scaleWriterIdle, so
+// the idle cost reflects steady state rather than the default tail.
+const (
+	scaleOrigins      = 256
+	scaleWorkers      = 16
+	scaleQueries      = 2000
+	scaleZipfS        = 1.2
+	scaleQueryTimeout = 10 * time.Second
+	scaleWriterIdle   = 2 * time.Second
 )
 
 // RunConfig tunes one Run invocation (not the plan itself).
@@ -44,23 +62,18 @@ type RunConfig struct {
 	Out io.Writer
 	// Seed overrides the plan's seed when non-zero (replay knob).
 	Seed int64
-	// SpawnTimeout bounds each process launch (build excluded).
-	SpawnTimeout time.Duration
-	// ActTimeout bounds each act's wait phase per node.
-	ActTimeout time.Duration
 	// BinDir, when set, reuses a prebuilt p2pnode binary directory.
 	BinDir string
+	// actTimeout replaces defaultActTimeout when set (tests shorten it).
+	actTimeout time.Duration
 }
 
 func (c RunConfig) withDefaults() RunConfig {
 	if c.Out == nil {
 		c.Out = io.Discard
 	}
-	if c.SpawnTimeout <= 0 {
-		c.SpawnTimeout = 30 * time.Second
-	}
-	if c.ActTimeout <= 0 {
-		c.ActTimeout = 3 * time.Minute
+	if c.actTimeout <= 0 {
+		c.actTimeout = defaultActTimeout
 	}
 	return c
 }
@@ -73,27 +86,22 @@ var pullCounters = []string{
 	"transfer_move_docs", "transfer_move_queued", "transfer_move_failures",
 }
 
-// Run executes one plan and returns its Result. Soak-bridge plans
-// (Plan.Soak set) run the scripted chaos scenario in-process; all
-// others drive the multi-process orchestration.
+// Run executes one plan and returns its Result. Soak and scale plans
+// run in-process; all others drive the multi-process orchestration.
 func Run(p Plan, cfg RunConfig) (Result, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Seed != 0 {
 		p.Seed = cfg.Seed
 	}
-	if p.Soak != "" {
-		return runSoakPlan(p, cfg)
+	if p.run != nil {
+		return p.run(p, cfg)
 	}
 	return runProcessPlan(p, cfg)
 }
 
 // runSoakPlan bridges a plan to internal/chaos/soak: the scenario's
 // invariant checking is the point; the report becomes the Result.
-func runSoakPlan(p Plan, cfg RunConfig) (Result, error) {
-	sc, err := soak.Lookup(p.Soak)
-	if err != nil {
-		return Result{}, err
-	}
+func runSoakPlan(sc soak.Scenario, p Plan, cfg RunConfig) (Result, error) {
 	fmt.Fprintf(cfg.Out, "plan %s: soak scenario %s (seed %d)\n", p.Name, sc.Name, p.Seed)
 	rep, err := soak.RunScenario(sc, soak.Config{
 		Seed: p.Seed, Nodes: p.Nodes, Clusters: p.Clusters,
@@ -206,7 +214,7 @@ func runProcessPlan(p Plan, cfg RunConfig) (Result, error) {
 	// The seed process first (its address bootstraps everyone else),
 	// then the rest concurrently.
 	fmt.Fprintf(cfg.Out, "plan %s: launching %d node processes...\n", p.Name, p.Nodes)
-	seedProc, err := r.Spawn(0, "", p, cfg.SpawnTimeout)
+	seedProc, err := r.Spawn(0, "", p, spawnTimeout)
 	if err != nil {
 		return Result{}, err
 	}
@@ -218,7 +226,7 @@ func runProcessPlan(p Plan, cfg RunConfig) (Result, error) {
 	ch := make(chan spawned, p.Nodes-1)
 	for id := 1; id < p.Nodes; id++ {
 		go func(id int) {
-			np, err := r.Spawn(id, seedProc.Addr, p, cfg.SpawnTimeout)
+			np, err := r.Spawn(id, seedProc.Addr, p, spawnTimeout)
 			ch <- spawned{np, err}
 		}(id)
 	}
@@ -246,7 +254,7 @@ func runProcessPlan(p Plan, cfg RunConfig) (Result, error) {
 		Queries: warmupQueries, Concurrency: actConcurrency, M: actM,
 		HotCategory: -1, TimeoutMS: actTimeoutMS, Seed: p.Seed + 1,
 	}
-	if err := loadAll(r.Live(), warmSpec, p.Seed, cfg.ActTimeout); err != nil {
+	if err := loadAll(r.Live(), warmSpec, p.Seed, cfg.actTimeout); err != nil {
 		return Result{}, fmt.Errorf("warm-up: %w", err)
 	}
 
@@ -470,7 +478,7 @@ func runAct(r *Runner, p Plan, act Act, prev map[int]*proto.StatsReport, cfg Run
 	// crosses the target (the leader's post-rebalance evaluation).
 	convergeS := -1.0
 	if act.TrackConvergence {
-		deadline := time.Now().Add(cfg.ActTimeout)
+		deadline := time.Now().Add(cfg.actTimeout)
 		for time.Now().Before(deadline) {
 			time.Sleep(500 * time.Millisecond)
 			stats, err := scrape(r.Live(), 15*time.Second)
@@ -497,7 +505,7 @@ func runAct(r *Runner, p Plan, act Act, prev map[int]*proto.StatsReport, cfg Run
 	var lat, fetchLat []float64
 	m := map[string]float64{}
 	for _, np := range live {
-		rsp, err := np.Call(proto.Command{Op: proto.OpWait}, cfg.ActTimeout)
+		rsp, err := np.Call(proto.Command{Op: proto.OpWait}, cfg.actTimeout)
 		if err != nil {
 			return nil, nil, nil, -1, err
 		}

@@ -122,7 +122,6 @@ func (n *Node) enableAdaptation(cfg AdaptConfig) {
 		loads:  make(map[model.ClusterID]*protocol.ClusterLoad),
 		serves: make(map[model.ClusterID]*serveLoad),
 	}
-	n.gauges.Set("adapt_enabled", 1)
 	tick := cfg.Interval / 8
 	if tick < 5*time.Millisecond {
 		tick = 5 * time.Millisecond
@@ -405,7 +404,7 @@ func (n *Node) adaptEvaluate(e uint64) {
 	if len(sv.Heard) == 0 {
 		return
 	}
-	n.gauges.Set("fairness_x1000", int64(sv.Fairness*1000))
+	n.fairnessX1000.Store(int64(sv.Fairness * 1000))
 	n.stats.Add("adapt_evaluations", 1)
 	if l, ok := n.leaderOf(sv.Hottest); !ok || l != n.id {
 		return
@@ -534,11 +533,6 @@ func containsNode(ms []model.NodeID, id model.NodeID) bool {
 }
 
 // Fairness returns the node's last measured fairness index in
-// thousandths (the fairness_x1000 gauge), or -1 when this node has not
+// thousandths (Stats' fairness_x1000), or -1 when this node has not
 // evaluated an epoch (only leaders do).
-func (n *Node) Fairness() int64 {
-	if v, ok := n.gauges.Snapshot()["fairness_x1000"]; ok {
-		return v
-	}
-	return -1
-}
+func (n *Node) Fairness() int64 { return n.fairnessX1000.Load() }

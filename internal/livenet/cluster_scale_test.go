@@ -218,7 +218,7 @@ func TestIdleClusterGoroutineBudget(t *testing.T) {
 // TestThousandNodeClusterOverMemnet boots the CI-scale live cluster —
 // every node a real Node with listeners, query tables, and transports on
 // the memnet fabric — and serves queries across it. This is the -short
-// smoke for the paper-scale path benchcluster measures.
+// smoke for the paper-scale path the p2pbench scale-* plans measure.
 func TestThousandNodeClusterOverMemnet(t *testing.T) {
 	nodes := 1000
 	if raceEnabled {

@@ -188,11 +188,14 @@ type Node struct {
 	cacheSt *cacheState
 
 	// det is the SWIM failure detector (membership.go); nil unless
-	// Options.Membership is on, used under routeMu.Lock. gauges holds the
-	// point-in-time membership and fairness readings merged into Stats()
-	// (itself concurrency-safe for the Stats() reader).
-	det    *membership.Detector
-	gauges *metrics.SyncGauge
+	// Options.Membership is on, used under routeMu.Lock. memberAlive and
+	// memberSuspect are its last counts, kept for the Stats() reader.
+	det           *membership.Detector
+	memberAlive   atomic.Int64
+	memberSuspect atomic.Int64
+	// fairnessX1000 is the last fairness this node measured as an epoch
+	// leader, in thousandths; -1 until it has evaluated one.
+	fairnessX1000 atomic.Int64
 
 	// adapt is the live adaptation state (adapt.go), nil unless
 	// Options.Adaptation is set, used under routeMu.Lock. The §6.1.2 hit
@@ -322,7 +325,6 @@ func newNode(inst *model.Instance, id model.NodeID, ln net.Listener, seed int64,
 		},
 		inflightMax: int64(cmp.Or(opts.maxInFlight, DefaultMaxInFlight)),
 
-		gauges:    metrics.NewSyncGauge(),
 		querySalt: querySaltFor(id),
 		readIdle:  readIdleTimeout,
 		bounds: wire.Bounds{Nodes: len(inst.Nodes), Clusters: inst.NumClusters,
@@ -334,6 +336,7 @@ func newNode(inst *model.Instance, id model.NodeID, ln net.Listener, seed int64,
 		demand:      make(map[catalog.DocID]int),
 		servedDocs:  make(map[catalog.DocID]int64),
 	}
+	n.fairnessX1000.Store(-1)
 	if opts.Content != nil {
 		n.store = content.NewStore(opts.Content.chunkSize)
 		n.tr.bulkLane = true
@@ -422,8 +425,15 @@ func (n *Node) Stats() map[string]int64 {
 	if n.cacheSt != nil {
 		s["cache_capacity_bytes"] = n.cacheSt.capBytes
 	}
-	for k, v := range n.gauges.Snapshot() {
-		s[k] = v
+	if n.det != nil {
+		s["membership_alive"] = n.memberAlive.Load()
+		s["membership_suspect"] = n.memberSuspect.Load()
+	}
+	if n.adapt != nil {
+		s["adapt_enabled"] = 1
+	}
+	if f := n.fairnessX1000.Load(); f >= 0 {
+		s["fairness_x1000"] = f
 	}
 	return s
 }

@@ -75,7 +75,7 @@ func (n *Node) sendPackets(pkts []membership.Packet) {
 }
 
 // drainMembership folds the detector's state transitions into the
-// node's routing state and refreshes the membership gauges. Runs under
+// node's routing state and refreshes the membership counts. Runs under
 // routeMu.Lock after every detector interaction.
 func (n *Node) drainMembership() {
 	for _, ev := range n.det.Events() {
@@ -92,8 +92,8 @@ func (n *Node) drainMembership() {
 		}
 	}
 	alive, suspect := n.det.Counts()
-	n.gauges.Set("membership_alive", int64(alive))
-	n.gauges.Set("membership_suspect", int64(suspect))
+	n.memberAlive.Store(int64(alive))
+	n.memberSuspect.Store(int64(suspect))
 }
 
 // evictDeadPeer removes a confirmed-dead (or gracefully departed) peer

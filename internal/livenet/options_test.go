@@ -27,6 +27,7 @@ type nodeFingerprint struct {
 	hasCache   bool
 	adaptOn    bool
 	memberOn   bool
+	pointKeys  string        // the point-in-time Stats keys shown, in order
 	chunkSize  int           // 0 without a content plane
 	cacheAdmit int           // 0 without a content cache
 	probe      time.Duration // 0 without membership
@@ -42,6 +43,11 @@ func fingerprint(n *Node) nodeFingerprint {
 		adaptOn:    s["adapt_enabled"] == 1,
 		memberOn:   s["membership_alive"] > 0,
 		cacheAdmit: n.cacheAdmit,
+	}
+	for _, k := range []string{"adapt_enabled", "fairness_x1000", "membership_alive", "membership_suspect"} {
+		if _, ok := s[k]; ok {
+			fp.pointKeys += k + " "
+		}
 	}
 	if n.store != nil {
 		fp.chunkSize = n.store.ChunkSize()
@@ -126,6 +132,7 @@ func TestLaunchOptionsMatchSetters(t *testing.T) {
 		hasCache:   true,
 		adaptOn:    true,
 		memberOn:   true,
+		pointKeys:  "adapt_enabled membership_alive membership_suspect ",
 		chunkSize:  wantChunkSize,
 		cacheAdmit: wantCacheAdmit,
 		probe:      wantProbe,
@@ -191,7 +198,8 @@ func TestStartNodeOptionsMatchSetters(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	want := nodeFingerprint{maxFlight: wantMaxInFlight, cacheCap: cacheBytes, hasCache: true, adaptOn: true}
+	want := nodeFingerprint{maxFlight: wantMaxInFlight, cacheCap: cacheBytes, hasCache: true,
+		adaptOn: true, pointKeys: "adapt_enabled "}
 	if fa := fingerprint(a); fa != want {
 		t.Fatalf("StartNode Options not applied: got %+v, want %+v", fa, want)
 	}

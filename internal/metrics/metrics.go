@@ -222,65 +222,6 @@ func (c *SyncCounter) Labels() []string {
 	return out
 }
 
-// SyncGauge is a labelled point-in-time value safe for concurrent use —
-// unlike SyncCounter it can move down as well as up (live member counts,
-// the current fairness index). Values are int64 so a snapshot merges
-// directly into the same Stats() map as the counters; callers with
-// fractional quantities scale them (e.g. fairness ×1000).
-type SyncGauge struct {
-	mu   sync.Mutex
-	vals map[string]int64
-}
-
-// NewSyncGauge returns an empty concurrent gauge set.
-func NewSyncGauge() *SyncGauge {
-	return &SyncGauge{vals: make(map[string]int64)}
-}
-
-// Set replaces the value for label.
-func (g *SyncGauge) Set(label string, v int64) {
-	g.mu.Lock()
-	g.vals[label] = v
-	g.mu.Unlock()
-}
-
-// Add moves the value for label by delta (negative deltas allowed).
-func (g *SyncGauge) Add(label string, delta int64) {
-	g.mu.Lock()
-	g.vals[label] += delta
-	g.mu.Unlock()
-}
-
-// Get returns the current value for label (0 when never set).
-func (g *SyncGauge) Get(label string) int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.vals[label]
-}
-
-// Snapshot returns a copy of all gauge values.
-func (g *SyncGauge) Snapshot() map[string]int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make(map[string]int64, len(g.vals))
-	for l, v := range g.vals {
-		out[l] = v
-	}
-	return out
-}
-
-// Labels returns all labels in sorted order.
-func (g *SyncGauge) Labels() []string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]string, 0, len(g.vals))
-	for l := range g.vals {
-		out = append(out, l)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // SyncHistogram is a Histogram safe for concurrent observers (e.g. a
 // load generator's response times recorded from many worker
 // goroutines). It keeps every sample, so it suits a bounded run, not a

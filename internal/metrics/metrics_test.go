@@ -212,42 +212,6 @@ func TestSyncCounterHandle(t *testing.T) {
 	}
 }
 
-func TestSyncGaugeConcurrent(t *testing.T) {
-	g := NewSyncGauge()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				g.Add("membership_alive", 1)
-				g.Add("membership_alive", -1)
-				g.Set("fairness_x1000", 920)
-			}
-		}()
-	}
-	wg.Wait()
-	if g.Get("membership_alive") != 0 {
-		t.Errorf("alive = %d, want 0 after balanced adds", g.Get("membership_alive"))
-	}
-	if g.Get("fairness_x1000") != 920 {
-		t.Errorf("fairness = %d", g.Get("fairness_x1000"))
-	}
-	g.Set("membership_suspect", 3)
-	snap := g.Snapshot()
-	snap["membership_suspect"] = 0
-	if g.Get("membership_suspect") != 3 {
-		t.Error("Snapshot should copy")
-	}
-	labels := g.Labels()
-	if len(labels) != 3 || labels[0] != "fairness_x1000" {
-		t.Errorf("Labels = %v", labels)
-	}
-	if g.Get("never_set") != 0 {
-		t.Error("unset label should read 0")
-	}
-}
-
 func TestSyncHistogramConcurrent(t *testing.T) {
 	var h SyncHistogram
 	var wg sync.WaitGroup
