@@ -11,7 +11,6 @@ import (
 	"math/rand"
 	"time"
 
-	"p2pshare/internal/core"
 	"p2pshare/internal/livenet"
 	"p2pshare/internal/model"
 	"p2pshare/internal/replica"
@@ -27,22 +26,11 @@ func main() {
 	cfg.NumClusters = 5
 	cfg.Seed = 2026
 
-	inst, err := model.Generate(cfg)
+	d, err := replica.Deploy(cfg, replica.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := core.MaxFair(inst, core.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	mem, err := model.NewMembership(inst, res.Assignment)
-	if err != nil {
-		log.Fatal(err)
-	}
-	place, err := replica.Place(inst, res.Assignment, mem, replica.DefaultConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
+	inst := d.Inst
 
 	// A new document for node 7 to publish below (launch fixes the catalog).
 	ids, err := inst.Catalog.AddDocuments(1, 0.03, 0.8, rand.New(rand.NewSource(99)))
@@ -53,14 +41,14 @@ func main() {
 		log.Fatal(err)
 	}
 
-	cluster, err := livenet.Launch(inst, res.Assignment, place, livenet.Options{Seed: 1})
+	cluster, err := livenet.Launch(inst, d.Assign, d.Place, livenet.Options{Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer cluster.Close()
 	fmt.Printf("%d live peers listening (e.g. node 0 at %s)\n",
 		len(cluster.Nodes), cluster.Nodes[0].Addr())
-	fmt.Printf("MaxFair fairness of the deployment: %.4f\n\n", res.Fairness)
+	fmt.Printf("MaxFair fairness of the deployment: %.4f\n\n", d.MaxFair.Fairness)
 
 	// Real queries over real sockets.
 	for _, q := range []struct {

@@ -1,9 +1,12 @@
 package soak
 
 import (
+	"slices"
 	"testing"
 
 	"p2pshare/internal/model"
+	"p2pshare/internal/protocol"
+	"p2pshare/internal/replica"
 )
 
 // Each soak scenario is a self-contained integration test: boot a live
@@ -68,24 +71,36 @@ func TestSoakFlappy(t *testing.T) {
 }
 
 // TestLeaderOfTargetsMostCapable pins the scenario library's leader
-// mirror to livenet's election rule (most units, ties to lowest id) so
+// mirror to livenet's election rule (protocol.MoreCapable over the
+// cluster's members) on the deployment TestSoakLeaderKill runs, so
 // leader-kill keeps killing the actual leader if either side changes.
 func TestLeaderOfTargetsMostCapable(t *testing.T) {
-	r := &Run{
-		Inst: &model.Instance{Nodes: []model.Node{
-			{ID: 0, Units: 2}, {ID: 1, Units: 5}, {ID: 2, Units: 5}, {ID: 3, Units: 1},
-		}},
-		Assign: []model.ClusterID{0, 0, 0, 1},
-		dead:   map[model.NodeID]bool{},
+	cfg := model.DefaultConfig()
+	cfg.Catalog.NumDocs, cfg.Catalog.NumCats = 300, 8
+	cfg.NumNodes, cfg.NumClusters, cfg.Seed = 10, 2, 202
+	d, err := replica.Deploy(cfg, replica.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := r.LeaderOf(0); got != 1 {
-		t.Fatalf("LeaderOf(0) = %d, want 1 (most capable, lowest id)", got)
+	order := slices.Clone(d.Mem.NodesOf(0))
+	slices.SortFunc(order, func(a, b model.NodeID) int {
+		switch {
+		case a == b:
+			return 0
+		case protocol.MoreCapable(a, d.Inst.Nodes[a].Units, b, d.Inst.Nodes[b].Units):
+			return -1
+		}
+		return 1
+	})
+	if len(order) < 2 || order[0] != 3 {
+		t.Fatalf("cluster 0 in capability order = %v, want node 3 first of at least two", order)
 	}
-	r.dead[1] = true
-	if got := r.LeaderOf(0); got != 2 {
-		t.Fatalf("LeaderOf(0) with 1 dead = %d, want 2", got)
+	r := &Run{Inst: d.Inst, Mem: d.Mem, dead: map[model.NodeID]bool{}}
+	if got := r.LeaderOf(0); got != order[0] {
+		t.Fatalf("LeaderOf(0) = %d, want %d (most capable member)", got, order[0])
 	}
-	if got := r.LeaderOf(1); got != 3 {
-		t.Fatalf("LeaderOf(1) = %d, want 3", got)
+	r.dead[order[0]] = true
+	if got := r.LeaderOf(0); got != order[1] {
+		t.Fatalf("LeaderOf(0) with %d dead = %d, want %d", order[0], got, order[1])
 	}
 }

@@ -21,9 +21,9 @@ import (
 	"net"
 	"p2pshare/internal/catalog"
 	"p2pshare/internal/chaos"
-	"p2pshare/internal/core"
 	"p2pshare/internal/livenet"
 	"p2pshare/internal/model"
+	"p2pshare/internal/protocol"
 	"p2pshare/internal/replica"
 	"sync"
 )
@@ -94,7 +94,7 @@ type Run struct {
 	Cluster *livenet.Cluster
 	Net     *chaos.Net
 	Inst    *model.Instance
-	Assign  []model.ClusterID
+	Mem     *model.Membership
 
 	cfg  Config
 	rng  *rand.Rand
@@ -136,30 +136,15 @@ func (r *Run) Alive() []*livenet.Node {
 	return out
 }
 
-// Members returns the ids assigned to a node cluster, in id order.
-func (r *Run) Members(cl model.ClusterID) []model.NodeID {
-	var out []model.NodeID
-	for id, c := range r.Assign {
-		if c == cl {
-			out = append(out, model.NodeID(id))
-		}
-	}
-	return out
-}
-
 // LeaderOf returns the deterministic leader of a cluster under the
-// static capability view: the most capable member, ties to the lowest
-// id — mirroring livenet's election so scenarios can target it.
+// static capability view: its first live member in protocol.MoreCapable
+// order — livenet's election rule, so scenarios can target it.
 func (r *Run) LeaderOf(cl model.ClusterID) model.NodeID {
-	best, bestU := model.NodeID(-1), -1.0
-	for _, id := range r.Members(cl) {
-		r.mu.Lock()
-		dead := r.dead[id]
-		r.mu.Unlock()
-		if dead {
-			continue
-		}
-		if u := r.Inst.Nodes[id].Units; u > bestU {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	best, bestU := model.NodeID(-1), 0.0
+	for _, id := range r.Mem.NodesOf(cl) {
+		if u := r.Inst.Nodes[id].Units; !r.dead[id] && (best == -1 || protocol.MoreCapable(id, u, best, bestU)) {
 			best, bestU = id, u
 		}
 	}
@@ -270,21 +255,9 @@ func RunScenario(sc Scenario, cfg Config) (Report, error) {
 	mcfg.NumNodes = cfg.Nodes
 	mcfg.NumClusters = cfg.Clusters
 	mcfg.Seed = cfg.Seed
-	inst, err := model.Generate(mcfg)
+	d, err := replica.Deploy(mcfg, replica.DefaultConfig())
 	if err != nil {
-		return Report{}, fmt.Errorf("generate: %w", err)
-	}
-	res, err := core.MaxFair(inst, core.Options{})
-	if err != nil {
-		return Report{}, fmt.Errorf("assign: %w", err)
-	}
-	mem, err := model.NewMembership(inst, res.Assignment)
-	if err != nil {
-		return Report{}, fmt.Errorf("membership: %w", err)
-	}
-	place, err := replica.Place(inst, res.Assignment, mem, replica.DefaultConfig())
-	if err != nil {
-		return Report{}, fmt.Errorf("placement: %w", err)
+		return Report{}, err
 	}
 
 	cn := chaos.New(cfg.Seed)
@@ -311,7 +284,7 @@ func RunScenario(sc Scenario, cfg Config) (Report, error) {
 			MaxMoves:       8,
 		}
 	}
-	c, err := livenet.Launch(inst, res.Assignment, place, opts)
+	c, err := livenet.Launch(d.Inst, d.Assign, d.Place, opts)
 	if err != nil {
 		return Report{}, fmt.Errorf("launch: %w", err)
 	}
@@ -320,14 +293,14 @@ func RunScenario(sc Scenario, cfg Config) (Report, error) {
 	r := &Run{
 		Cluster: c,
 		Net:     cn,
-		Inst:    inst,
-		Assign:  res.Assignment,
+		Inst:    d.Inst,
+		Mem:     d.Mem,
 		cfg:     cfg,
 		rng:     rand.New(rand.NewSource(cfg.Seed ^ 0x50a4)),
 		logf:    logf,
 		dead:    map[model.NodeID]bool{},
 	}
-	cat := bigCategory(inst)
+	cat := bigCategory(d.Inst)
 
 	// Background workload: queries from random live nodes throughout
 	// the fault timeline. Failures during faults are expected and only

@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"p2pshare/internal/cache"
-	"p2pshare/internal/core"
 	"p2pshare/internal/metrics"
 	"p2pshare/internal/model"
 	"p2pshare/internal/overlay"
-	"p2pshare/internal/replica"
 	"p2pshare/internal/workload"
 )
 
@@ -57,34 +55,16 @@ func CacheEffect(scale Scale, queries int, seed int64) ([]CacheRow, error) {
 }
 
 func runCacheCell(cfg model.Config, policy cache.Policy, mb int64, queries int, seed int64) (*CacheRow, error) {
-	cfg.Seed = seed
-	inst, err := model.Generate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	res, err := core.MaxFair(inst, core.Options{})
-	if err != nil {
-		return nil, err
-	}
-	mem, err := model.NewMembership(inst, res.Assignment)
-	if err != nil {
-		return nil, err
-	}
-	place, err := replica.Place(inst, res.Assignment, mem, replica.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
 	ocfg := overlay.DefaultConfig()
-	ocfg.Seed = seed
 	ocfg.CacheBytes = mb << 20
 	ocfg.CachePolicy = policy
-	sys, err := overlay.NewSystem(inst, res.Assignment, place, ocfg)
+	sys, d, err := buildOverlay(cfg, seed, ocfg)
 	if err != nil {
 		return nil, err
 	}
 	// A repeat-heavy workload: a modest set of active clients issuing
 	// popularity-sampled queries — exactly where per-client caches pay.
-	gen, err := workload.NewGenerator(inst, 1, seed+7)
+	gen, err := workload.NewGenerator(d.Inst, 1, seed+7)
 	if err != nil {
 		return nil, err
 	}

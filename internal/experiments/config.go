@@ -38,30 +38,11 @@ func ConfigSweep(scale Scale, clusterCounts []int, seed int64) ([]ConfigRow, err
 	for _, nc := range clusterCounts {
 		cfg := base
 		cfg.NumClusters = nc
-		cfg.Seed = seed
-		inst, err := model.Generate(cfg)
+		sys, d, err := buildOverlay(cfg, seed, overlay.DefaultConfig())
 		if err != nil {
 			return nil, err
 		}
-		res, err := core.MaxFair(inst, core.Options{})
-		if err != nil {
-			return nil, err
-		}
-		mem, err := model.NewMembership(inst, res.Assignment)
-		if err != nil {
-			return nil, err
-		}
-		place, err := replica.Place(inst, res.Assignment, mem, replica.DefaultConfig())
-		if err != nil {
-			return nil, err
-		}
-		ocfg := overlay.DefaultConfig()
-		ocfg.Seed = seed
-		sys, err := overlay.NewSystem(inst, res.Assignment, place, ocfg)
-		if err != nil {
-			return nil, err
-		}
-		gen, err := workload.NewGenerator(inst, 3, seed+7)
+		gen, err := workload.NewGenerator(d.Inst, 3, seed+7)
 		if err != nil {
 			return nil, err
 		}
@@ -85,16 +66,16 @@ func ConfigSweep(scale Scale, clusterCounts []int, seed int64) ([]ConfigRow, err
 			}
 		}
 		var members int
-		for _, nodes := range mem.ClusterNodes {
+		for _, nodes := range d.Mem.ClusterNodes {
 			members += len(nodes)
 		}
 		out = append(out, ConfigRow{
 			Clusters:           nc,
 			MeanClusterMembers: float64(members) / float64(nc),
-			Fairness:           res.Fairness,
+			Fairness:           d.MaxFair.Fairness,
 			MeanHops:           hops.Mean(),
 			P95Hops:            hops.Quantile(0.95),
-			MaxStoredMB:        float64(place.MaxStoredBytes()) / (1 << 20),
+			MaxStoredMB:        float64(d.Place.MaxStoredBytes()) / (1 << 20),
 		})
 	}
 	return out, nil

@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"p2pshare/internal/core"
 	"p2pshare/internal/fairness"
 	"p2pshare/internal/metrics"
 	"p2pshare/internal/model"
 	"p2pshare/internal/overlay"
-	"p2pshare/internal/replica"
 	"p2pshare/internal/workload"
 )
 
@@ -49,31 +47,13 @@ func ModeComparison(scale Scale, queries int, seed int64) ([]ModeRow, error) {
 }
 
 func runMode(cfg model.Config, mode overlay.Mode, queries int, seed int64) (*ModeRow, error) {
-	cfg.Seed = seed
-	inst, err := model.Generate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	res, err := core.MaxFair(inst, core.Options{})
-	if err != nil {
-		return nil, err
-	}
-	mem, err := model.NewMembership(inst, res.Assignment)
-	if err != nil {
-		return nil, err
-	}
-	place, err := replica.Place(inst, res.Assignment, mem, replica.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
 	ocfg := overlay.DefaultConfig()
-	ocfg.Seed = seed
 	ocfg.Mode = mode
-	sys, err := overlay.NewSystem(inst, res.Assignment, place, ocfg)
+	sys, d, err := buildOverlay(cfg, seed, ocfg)
 	if err != nil {
 		return nil, err
 	}
-	gen, err := workload.NewGenerator(inst, 3, seed+7)
+	gen, err := workload.NewGenerator(d.Inst, 3, seed+7)
 	if err != nil {
 		return nil, err
 	}

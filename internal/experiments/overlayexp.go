@@ -40,32 +40,20 @@ func overlayScale(s Scale) model.Config {
 	return cfg
 }
 
-// buildOverlay assembles instance → MaxFair → placement → overlay.
-func buildOverlay(cfg model.Config, seed int64) (*overlay.System, *model.Instance, []model.ClusterID, error) {
+// buildOverlay deploys cfg under seed (instance → MaxFair → membership
+// → placement) and boots the overlay on it with ocfg, seeded alike.
+func buildOverlay(cfg model.Config, seed int64, ocfg overlay.Config) (*overlay.System, *replica.Deployment, error) {
 	cfg.Seed = seed
-	inst, err := model.Generate(cfg)
+	d, err := replica.Deploy(cfg, replica.DefaultConfig())
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	res, err := core.MaxFair(inst, core.Options{})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	mem, err := model.NewMembership(inst, res.Assignment)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	place, err := replica.Place(inst, res.Assignment, mem, replica.DefaultConfig())
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	ocfg := overlay.DefaultConfig()
 	ocfg.Seed = seed
-	sys, err := overlay.NewSystem(inst, res.Assignment, place, ocfg)
+	sys, err := overlay.NewSystem(d.Inst, d.Assign, d.Place, ocfg)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return sys, inst, res.Assignment, nil
+	return sys, d, nil
 }
 
 // QueryHopsResult reports the §3.3 response-time experiment.
@@ -94,11 +82,11 @@ func QueryHops(scale Scale, queries int, seed int64) (*QueryHopsResult, error) {
 	if queries <= 0 {
 		queries = 2000
 	}
-	sys, inst, assign, err := buildOverlay(overlayScale(scale), seed)
+	sys, d, err := buildOverlay(overlayScale(scale), seed, overlay.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
-	gen, err := workload.NewGenerator(inst, 3, seed+7)
+	gen, err := workload.NewGenerator(d.Inst, 3, seed+7)
 	if err != nil {
 		return nil, err
 	}
@@ -127,16 +115,11 @@ func QueryHops(scale Scale, queries int, seed int64) (*QueryHopsResult, error) {
 		resp.ObserveDuration(rep.ResponseTime)
 	}
 	// Cluster sizes and intra-cluster fairness from membership truth.
-	mem, err := model.NewMembership(inst, assign)
-	if err != nil {
-		return nil, err
-	}
 	largest := 0
 	var fsum float64
 	fn := 0
 	served := sys.ServedLoads()
-	for c := range mem.ClusterNodes {
-		nodes := mem.ClusterNodes[c]
+	for _, nodes := range d.Mem.ClusterNodes {
 		if len(nodes) > largest {
 			largest = len(nodes)
 		}
@@ -189,10 +172,11 @@ func RoutingComparison(scale Scale, queries int, seed int64) ([]RoutingRow, erro
 	cfg := overlayScale(scale)
 
 	// Ours: hop count of the first completed result per query.
-	sys, inst, _, err := buildOverlay(cfg, seed)
+	sys, d, err := buildOverlay(cfg, seed, overlay.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
+	inst := d.Inst
 	gen, err := workload.NewGenerator(inst, 1, seed+7)
 	if err != nil {
 		return nil, err
@@ -328,10 +312,11 @@ func DynamicAdaptation(scale Scale, epochs, queriesPerEpoch int, adaptive bool, 
 		// demand, not sampling noise.
 		queriesPerEpoch = 50 * cfg.NumClusters
 	}
-	sys, inst, _, err := buildOverlay(cfg, seed)
+	sys, d, err := buildOverlay(cfg, seed, overlay.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
+	inst := d.Inst
 	rng := rand.New(rand.NewSource(seed + 99))
 	out := &DynamicResult{Adaptive: adaptive, MinMeasured: 1}
 	for e := 0; e < epochs; e++ {
@@ -431,10 +416,11 @@ type RebalanceCostResult struct {
 // round, and reports the transfer traffic the lazy rebalancing protocol
 // generated.
 func RebalanceCost(scale Scale, seed int64) (*RebalanceCostResult, error) {
-	sys, inst, assign, err := buildOverlay(overlayScale(scale), seed)
+	sys, d, err := buildOverlay(overlayScale(scale), seed, overlay.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
+	inst, assign := d.Inst, d.Assign
 	// Skew: all queries target one cluster's categories. Pick the cluster
 	// hosting the most categories — a single-category cluster could not
 	// be rebalanced at category granularity at all (the §7(vi) open

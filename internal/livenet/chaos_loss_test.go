@@ -9,7 +9,6 @@ import (
 
 	"p2pshare/internal/catalog"
 	"p2pshare/internal/chaos"
-	"p2pshare/internal/core"
 	"p2pshare/internal/model"
 	"p2pshare/internal/replica"
 )
@@ -29,19 +28,7 @@ func launchChaos(t *testing.T, seed int64, opts Options) (*Cluster, *chaos.Net, 
 	cfg.NumNodes = 10
 	cfg.NumClusters = 2
 	cfg.Seed = seed
-	inst, err := model.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := core.MaxFair(inst, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem, err := model.NewMembership(inst, res.Assignment)
-	if err != nil {
-		t.Fatal(err)
-	}
-	place, err := replica.Place(inst, res.Assignment, mem, replica.DefaultConfig())
+	d, err := replica.Deploy(cfg, replica.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,12 +44,12 @@ func launchChaos(t *testing.T, seed int64, opts Options) (*Cluster, *chaos.Net, 
 		},
 		Dial: cn.DialFrom,
 	}
-	c, err := Launch(inst, res.Assignment, place, opts)
+	c, err := Launch(d.Inst, d.Assign, d.Place, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
-	return c, cn, inst
+	return c, cn, d.Inst
 }
 
 // dropAllFrom sets Drop=1 on every link leaving one node — its messages

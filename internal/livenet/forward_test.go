@@ -365,14 +365,11 @@ var querySmallShape = Shape{Documents: 400, Categories: 20, Nodes: 200, Clusters
 // the frames per query.
 func askOracle(t *testing.T, c *Cluster, sh Shape, m int) float64 {
 	t.Helper()
-	inst, assign, _, err := sh.Build()
+	d, err := sh.deploy()
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem, err := model.NewMembership(inst, assign)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inst, assign, mem := d.Inst, d.Assign, d.Mem
 	rng := rand.New(rand.NewSource(sh.Seed + int64(m)))
 	want := clusterSends(c)
 	var queries, asked, frames int64

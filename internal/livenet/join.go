@@ -2,15 +2,13 @@ package livenet
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"math/rand/v2"
 	"net"
 	"time"
 
-	"p2pshare/internal/catalog"
-	"p2pshare/internal/core"
 	"p2pshare/internal/model"
-	"p2pshare/internal/protocol"
 	"p2pshare/internal/replica"
 	"p2pshare/internal/wire"
 )
@@ -49,6 +47,16 @@ type Shape struct {
 // assignment, and replica placement — identical in every process that
 // uses the same Shape.
 func (sh Shape) Build() (*model.Instance, []model.ClusterID, *replica.Placement, error) {
+	d, err := sh.deploy()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return d.Inst, d.Assign, d.Place, nil
+}
+
+// deploy derives the shape's full deployment under the paper's
+// placement parameters.
+func (sh Shape) deploy() (*replica.Deployment, error) {
 	cfg := model.DefaultConfig()
 	cfg.Catalog.NumDocs = sh.Documents
 	cfg.Catalog.NumCats = sh.Categories
@@ -58,23 +66,7 @@ func (sh Shape) Build() (*model.Instance, []model.ClusterID, *replica.Placement,
 	if sh.DocBytes > 0 {
 		cfg.Catalog.DocSize = sh.DocBytes
 	}
-	inst, err := model.Generate(cfg)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	res, err := core.MaxFair(inst, core.Options{})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	mem, err := model.NewMembership(inst, res.Assignment)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	place, err := replica.Place(inst, res.Assignment, mem, replica.DefaultConfig())
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return inst, res.Assignment, place, nil
+	return replica.Deploy(cfg, replica.DefaultConfig())
 }
 
 // StartNode boots ONE live peer of a deployment (for the multi-process
@@ -88,54 +80,24 @@ func (sh Shape) Build() (*model.Instance, []model.ClusterID, *replica.Placement,
 // repeating it. A standalone deployment faces real churn, so a caller
 // that wants the failure detector sets Options.Membership.
 func StartNode(sh Shape, id model.NodeID, listenAddr, bootstrapAddr string, opts Options) (*Node, error) {
-	inst, assign, place, err := sh.Build()
+	d, err := sh.deploy()
 	if err != nil {
 		return nil, err
 	}
-	if int(id) < 0 || int(id) >= len(inst.Nodes) {
-		return nil, fmt.Errorf("livenet: node id %d outside shape (0..%d)", id, len(inst.Nodes)-1)
+	if int(id) < 0 || int(id) >= len(d.Inst.Nodes) {
+		return nil, fmt.Errorf("livenet: node id %d outside shape (0..%d)", id, len(d.Inst.Nodes)-1)
 	}
-	listen := opts.Hooks.Listen
-	if listen == nil {
-		listen = func(_ model.NodeID, addr string) (net.Listener, error) {
-			return net.Listen("tcp", addr)
-		}
-	}
-	ln, err := listen(id, listenAddr)
+	n, err := newPrimer(d.Inst, d.Assign, d.Mem, d.Place).node(id, listenAddr, cmp.Or(opts.Seed, sh.Seed), opts)
 	if err != nil {
-		return nil, fmt.Errorf("livenet: listen %s: %w", listenAddr, err)
-	}
-	seed := sh.Seed
-	if opts.Seed != 0 {
-		seed = opts.Seed
-	}
-	n := newNode(inst, id, ln, seed, opts)
-	if opts.Hooks.Dial != nil {
-		dial := opts.Hooks.Dial
-		n.tr.setDial(func(addr string) (net.Conn, error) { return dial(id, addr) })
-	}
-	for _, d := range place.Stored[id] {
-		n.holdDoc(d)
-	}
-	n.holders.base = buildHolders(inst, func(k int) []catalog.DocID { return place.Stored[k] })
-	for cat, cl := range assign {
-		if cl != model.NoCluster {
-			n.dcrt[catalog.CategoryID(cat)] = protocol.DCRTEntry{Cluster: cl}
-		}
+		return nil, err
 	}
 	// NRT: this process cannot know which peers are up; it relies on the
 	// address book to find them. Route every cluster through the book:
 	// members are discovered as hellos arrive. Prime with the static
 	// membership so cluster routing knows WHO belongs WHERE; liveness is
 	// the book's job.
-	mem, err := model.NewMembership(inst, assign)
-	if err != nil {
-		ln.Close()
-		return nil, err
-	}
-	n.members = clusterMembers(mem)
-	for c := 0; c < inst.NumClusters; c++ {
-		for _, m := range mem.NodesOf(model.ClusterID(c)) {
+	for c := 0; c < d.Inst.NumClusters; c++ {
+		for _, m := range d.Mem.NodesOf(model.ClusterID(c)) {
 			if m != id {
 				n.addNeighbor(model.ClusterID(c), m)
 			}

@@ -1,6 +1,7 @@
 package livenet
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -26,15 +27,44 @@ func TestShapeBuildDeterministic(t *testing.T) {
 	if instA.DocCount() != instB.DocCount() {
 		t.Fatal("instances differ")
 	}
-	for c := range assignA {
-		if assignA[c] != assignB[c] {
-			t.Fatalf("assignment differs at category %d", c)
-		}
+	if !reflect.DeepEqual(assignA, assignB) {
+		t.Fatal("assignments differ")
 	}
-	for k := range placeA.Stored {
-		if len(placeA.Stored[k]) != len(placeB.Stored[k]) {
-			t.Fatalf("placement differs at node %d", k)
+	if !reflect.DeepEqual(placeA.Stored, placeB.Stored) {
+		t.Fatal("placements differ")
+	}
+}
+
+// TestLaunchAndStartNodePrimeAlike: a node StartNode boots for a shape
+// holds the same documents, holder-view base, DCRT and cluster members
+// as Launch's node of that id — the tables both paths prime alike.
+func TestLaunchAndStartNodePrimeAlike(t *testing.T) {
+	sh := testShape()
+	c := launchOverMemnet(t, sh, nil, memnet.New(), Options{})
+	nw := memnet.New()
+	for id := range model.NodeID(sh.Nodes) {
+		n, err := StartNode(sh, id, "127.0.0.1:0", "", Options{Hooks: memnetHooks(nw, nil)})
+		if err != nil {
+			t.Fatal(err)
 		}
+		locked(n, func(n *Node) {
+			locked(c.Nodes[id], func(l *Node) {
+				for _, f := range []struct {
+					name      string
+					got, want any
+				}{
+					{"held documents", n.byCat, l.byCat},
+					{"holder-view base", n.holders.base, l.holders.base},
+					{"DCRT", n.dcrt, l.dcrt},
+					{"members", n.members, l.members},
+				} {
+					if !reflect.DeepEqual(f.got, f.want) {
+						t.Errorf("node %d: StartNode's %s differ from Launch's", id, f.name)
+					}
+				}
+			})
+		})
+		n.Close()
 	}
 }
 

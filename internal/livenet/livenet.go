@@ -544,61 +544,23 @@ func Launch(inst *model.Instance, assign []model.ClusterID, place *replica.Place
 		return nil, err
 	}
 	seed := opts.Seed
-	listen := opts.Hooks.Listen
-	if listen == nil {
-		listen = func(_ model.NodeID, addr string) (net.Listener, error) {
-			return net.Listen("tcp", addr)
-		}
-	}
 	// The NRT wiring draws from math/rand, so a seed wires the same NRTs
 	// it always has.
 	rng := mrand.New(mrand.NewSource(seed))
 	c := &Cluster{inst: inst}
 	book := make(map[model.NodeID]string, len(inst.Nodes))
-
+	p := newPrimer(inst, assign, mem, place)
 	for k := range inst.Nodes {
-		ln, err := listen(inst.Nodes[k].ID, "127.0.0.1:0")
+		n, err := p.node(inst.Nodes[k].ID, "127.0.0.1:0", seed+int64(k), opts)
 		if err != nil {
 			c.Close()
-			return nil, fmt.Errorf("livenet: listen: %w", err)
+			return nil, err
 		}
-		n := newNode(inst, inst.Nodes[k].ID, ln, seed+int64(k), opts)
-		if opts.Hooks.Dial != nil {
-			from := n.id
-			dial := opts.Hooks.Dial
-			n.tr.setDial(func(addr string) (net.Conn, error) { return dial(from, addr) })
-		}
-		book[n.id] = ln.Addr().String()
+		book[n.id] = n.Addr()
 		c.Nodes = append(c.Nodes, n)
 	}
-
-	// Prime storage, and the holder view every node shares.
-	stored := func(k int) []catalog.DocID {
-		if place != nil {
-			return place.Stored[k]
-		}
-		return inst.Nodes[k].Contributed
-	}
-	holders := buildHolders(inst, stored)
-	clusters := clusterMembers(mem)
-	for k, n := range c.Nodes {
-		for _, d := range stored(k) {
-			n.holdDoc(d)
-		}
-		n.holders.base = holders
-		n.members = clusters
-	}
-	// Prime DCRTs.
-	for cat, cl := range assign {
-		if cl == model.NoCluster {
-			continue
-		}
-		for _, n := range c.Nodes {
-			n.dcrt[catalog.CategoryID(cat)] = protocol.DCRTEntry{Cluster: cl}
-		}
-	}
 	// Prime NRTs: ring + chords within clusters, remote contacts across.
-	for cl, members := range clusters {
+	for cl, members := range p.members {
 		if len(members) < 2 {
 			continue
 		}
@@ -655,6 +617,61 @@ func clusterMembers(mem *model.Membership) [][]model.NodeID {
 		slices.Sort(out[cl])
 	}
 	return out
+}
+
+// primer holds what every node of one deployment is primed from.
+type primer struct {
+	inst    *model.Instance
+	assign  []model.ClusterID
+	stored  func(k int) []catalog.DocID
+	holders []protocol.View
+	members [][]model.NodeID
+}
+
+// newPrimer derives the shared tables once per deployment; a nil place
+// leaves every node holding only what it contributed.
+func newPrimer(inst *model.Instance, assign []model.ClusterID, mem *model.Membership, place *replica.Placement) *primer {
+	stored := func(k int) []catalog.DocID {
+		if place != nil {
+			return place.Stored[k]
+		}
+		return inst.Nodes[k].Contributed
+	}
+	return &primer{inst: inst, assign: assign, stored: stored,
+		holders: buildHolders(inst, stored), members: clusterMembers(mem)}
+}
+
+// node opens node id's listener on addr (Options.Hooks.Listen, plain TCP
+// by default), builds the node with the dial hook wired, and primes what
+// both launch paths agree on: the documents it holds, the holder-view
+// base, the DCRT and the cluster members. The NRT and the address book
+// are each path's own.
+func (p *primer) node(id model.NodeID, addr string, seed int64, opts Options) (*Node, error) {
+	listen := opts.Hooks.Listen
+	if listen == nil {
+		listen = func(_ model.NodeID, addr string) (net.Listener, error) {
+			return net.Listen("tcp", addr)
+		}
+	}
+	ln, err := listen(id, addr)
+	if err != nil {
+		return nil, fmt.Errorf("livenet: listen %s: %w", addr, err)
+	}
+	n := newNode(p.inst, id, ln, seed, opts)
+	if dial := opts.Hooks.Dial; dial != nil {
+		n.tr.setDial(func(addr string) (net.Conn, error) { return dial(id, addr) })
+	}
+	for _, d := range p.stored(int(id)) {
+		n.holdDoc(d)
+	}
+	n.holders.base = p.holders
+	n.members = p.members
+	for cat, cl := range p.assign {
+		if cl != model.NoCluster {
+			n.dcrt[catalog.CategoryID(cat)] = protocol.DCRTEntry{Cluster: cl}
+		}
+	}
+	return n, nil
 }
 
 // Close shuts every peer down and waits for their loops to exit.

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"p2pshare/internal/catalog"
-	"p2pshare/internal/core"
 	"p2pshare/internal/memnet"
 	"p2pshare/internal/model"
 	"p2pshare/internal/replica"
@@ -39,25 +38,14 @@ func launchPlaced(t *testing.T, seed int64, opts Options, grow func(*model.Insta
 	cfg.NumNodes = 24
 	cfg.NumClusters = 4
 	cfg.Seed = seed
-	inst, err := model.Generate(cfg)
+	d, err := replica.Deploy(cfg, replica.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.MaxFair(inst, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem, err := model.NewMembership(inst, res.Assignment)
-	if err != nil {
-		t.Fatal(err)
-	}
-	place, err := replica.Place(inst, res.Assignment, mem, replica.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	inst := d.Inst
 	grow(inst)
 	opts.Seed = seed
-	c, err := Launch(inst, res.Assignment, place, opts)
+	c, err := Launch(inst, d.Assign, d.Place, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,14 +194,11 @@ func TestDocumentAddedAfterLaunchIsRefused(t *testing.T) {
 // ErrNoRoute instead of returning nil having sent nothing.
 func TestPublishSkipsUnaddressableMembers(t *testing.T) {
 	sh := Shape{Documents: 200, Categories: 6, Nodes: 16, Clusters: 2, Seed: 9}
-	inst, assign, _, err := sh.Build()
+	d, err := sh.deploy()
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem, err := model.NewMembership(inst, assign)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inst, assign, mem := d.Inst, d.Assign, d.Mem
 	c := launchOverMemnet(t, sh, nil, memnet.New(), Options{})
 	p := c.Nodes[0]
 	cg := inst.Catalog.Cats[bigCategory(inst)]

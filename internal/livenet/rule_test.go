@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"p2pshare/internal/catalog"
-	"p2pshare/internal/core"
 	"p2pshare/internal/memnet"
 	"p2pshare/internal/model"
 	"p2pshare/internal/protocol"
@@ -21,30 +20,18 @@ func launchReplicated(t *testing.T, docs, cats, nodes, clusters, reps int, seed 
 	cfg := model.DefaultConfig()
 	cfg.Catalog.NumDocs, cfg.Catalog.NumCats = docs, cats
 	cfg.NumNodes, cfg.NumClusters, cfg.Seed = nodes, clusters, seed
-	inst, err := model.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := core.MaxFair(inst, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem, err := model.NewMembership(inst, res.Assignment)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rcfg := replica.DefaultConfig()
 	rcfg.NReps = reps
-	place, err := replica.Place(inst, res.Assignment, mem, rcfg)
+	d, err := replica.Deploy(cfg, rcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Launch(inst, res.Assignment, place, Options{Seed: seed, CacheBytes: -1, Hooks: memnetHooks(memnet.New(), nil)})
+	c, err := Launch(d.Inst, d.Assign, d.Place, Options{Seed: seed, CacheBytes: -1, Hooks: memnetHooks(memnet.New(), nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
-	return c, res.Assignment, mem
+	return c, d.Assign, d.Mem
 }
 
 // checkQuery runs one query for m documents of cat from origin and

@@ -30,14 +30,11 @@ func contentShape(seed int64) Shape {
 // the pair must be searched for, not assumed.
 func pickRemoteDoc(t *testing.T, sh Shape) (model.NodeID, catalog.DocID, catalog.CategoryID, []model.NodeID) {
 	t.Helper()
-	inst, assign, _, err := sh.Build()
+	d, err := sh.deploy()
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem, err := model.NewMembership(inst, assign)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inst, assign, mem := d.Inst, d.Assign, d.Mem
 	for _, doc := range inst.Catalog.Docs {
 		cat := doc.Categories[0]
 		cl := assign[cat]
@@ -312,14 +309,11 @@ func TestMoveShipsBytes(t *testing.T) {
 		Adaptation: &AdaptConfig{Interval: time.Hour},
 	})
 
-	inst, assign, _, err := sh.Build()
+	d, err := sh.deploy()
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem, err := model.NewMembership(inst, assign)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inst, assign, mem := d.Inst, d.Assign, d.Mem
 	// Pick a category and a destination cluster it is not served by.
 	var cat catalog.CategoryID = -1
 	var from, to model.ClusterID

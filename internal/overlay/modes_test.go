@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"p2pshare/internal/catalog"
-	"p2pshare/internal/core"
 	"p2pshare/internal/model"
 	"p2pshare/internal/replica"
 )
@@ -18,30 +17,18 @@ func buildModeSystem(t testing.TB, seed int64, mode Mode) (*System, *model.Insta
 	cfg.NumNodes = 150
 	cfg.NumClusters = 8
 	cfg.Seed = seed
-	inst, err := model.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := core.MaxFair(inst, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem, err := model.NewMembership(inst, res.Assignment)
-	if err != nil {
-		t.Fatal(err)
-	}
-	place, err := replica.Place(inst, res.Assignment, mem, replica.DefaultConfig())
+	d, err := replica.Deploy(cfg, replica.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	ocfg := DefaultConfig()
 	ocfg.Seed = seed
 	ocfg.Mode = mode
-	sys, err := NewSystem(inst, res.Assignment, place, ocfg)
+	sys, err := NewSystem(d.Inst, d.Assign, d.Place, ocfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sys, inst, res.Assignment
+	return sys, d.Inst, d.Assign
 }
 
 func TestSuperPeerQueryCompletes(t *testing.T) {

@@ -4,45 +4,15 @@ import (
 	"testing"
 
 	"p2pshare/internal/catalog"
-	"p2pshare/internal/core"
 	"p2pshare/internal/fairness"
 	"p2pshare/internal/model"
-	"p2pshare/internal/replica"
 )
 
 // buildSystem assembles a small but complete system: instance → MaxFair →
-// replica placement → overlay.
+// membership → replica placement → overlay.
 func buildSystem(t testing.TB, seed int64) (*System, *model.Instance, []model.ClusterID) {
 	t.Helper()
-	cfg := model.DefaultConfig()
-	cfg.Catalog.NumDocs = 1500
-	cfg.Catalog.NumCats = 40
-	cfg.NumNodes = 150
-	cfg.NumClusters = 8
-	cfg.Seed = seed
-	inst, err := model.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := core.MaxFair(inst, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem, err := model.NewMembership(inst, res.Assignment)
-	if err != nil {
-		t.Fatal(err)
-	}
-	place, err := replica.Place(inst, res.Assignment, mem, replica.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ocfg := DefaultConfig()
-	ocfg.Seed = seed
-	sys, err := NewSystem(inst, res.Assignment, place, ocfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sys, inst, res.Assignment
+	return buildModeSystem(t, seed, ModeFlood)
 }
 
 // popularCategory returns a category with at least min documents.

@@ -19,6 +19,7 @@ import (
 	"sort"
 
 	"p2pshare/internal/catalog"
+	"p2pshare/internal/core"
 	"p2pshare/internal/fairness"
 	"p2pshare/internal/model"
 )
@@ -169,6 +170,43 @@ func Place(inst *model.Instance, assign []model.ClusterID, mem *model.Membership
 		}
 	}
 	return p, nil
+}
+
+// Deployment is one complete derivation of the paper's architecture:
+// the synthetic instance (§4.4), its MaxFair assignment (§4.2), the
+// cluster membership that follows (§3.1) and the replica placement
+// (§4.3.3).
+type Deployment struct {
+	Inst   *model.Instance
+	Assign []model.ClusterID
+	Mem    *model.Membership
+	Place  *Placement
+	// MaxFair is the balancing result Assign comes from (fairness and
+	// the live state for later rebalancing).
+	MaxFair *core.Result
+}
+
+// Deploy generates the instance cfg describes, balances it with MaxFair,
+// derives the membership and places replicas under rcfg — the one order
+// every full deployment is built in.
+func Deploy(cfg model.Config, rcfg Config) (*Deployment, error) {
+	inst, err := model.Generate(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("generate: %w", err)
+	}
+	res, err := core.MaxFair(inst, core.Options{})
+	if err != nil {
+		return nil, fmt.Errorf("maxfair: %w", err)
+	}
+	mem, err := model.NewMembership(inst, res.Assignment)
+	if err != nil {
+		return nil, fmt.Errorf("membership: %w", err)
+	}
+	place, err := Place(inst, res.Assignment, mem, rcfg)
+	if err != nil {
+		return nil, fmt.Errorf("placement: %w", err)
+	}
+	return &Deployment{Inst: inst, Assign: res.Assignment, Mem: mem, Place: place, MaxFair: res}, nil
 }
 
 // PlaceProportional is the §7(vii) alternative placement policy: instead

@@ -1,7 +1,9 @@
 package replica
 
 import (
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"p2pshare/internal/catalog"
@@ -10,15 +12,19 @@ import (
 	"p2pshare/internal/model"
 )
 
-func setup(t testing.TB) (*model.Instance, []model.ClusterID, *model.Membership) {
-	t.Helper()
+func setupConfig() model.Config {
 	cfg := model.DefaultConfig()
 	cfg.Catalog.NumDocs = 3000
 	cfg.Catalog.NumCats = 60
 	cfg.NumNodes = 300
 	cfg.NumClusters = 12
 	cfg.Seed = 50
-	inst, err := model.Generate(cfg)
+	return cfg
+}
+
+func setup(t testing.TB) (*model.Instance, []model.ClusterID, *model.Membership) {
+	t.Helper()
+	inst, err := model.Generate(setupConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,6 +37,29 @@ func setup(t testing.TB) (*model.Instance, []model.ClusterID, *model.Membership)
 		t.Fatal(err)
 	}
 	return inst, res.Assignment, mem
+}
+
+// TestDeployRunsTheStagesInOrder: Deploy's assignment, membership and
+// placement equal the stages run by hand, and an error names its stage.
+func TestDeployRunsTheStagesInOrder(t *testing.T) {
+	inst, assign, mem := setup(t)
+	place, err := Place(inst, assign, mem, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := Deploy(setupConfig(), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(d.Assign, assign) || !reflect.DeepEqual(d.Mem, mem) || !reflect.DeepEqual(d.Place, place) {
+		t.Fatal("Deploy differs from generate → MaxFair → membership → placement")
+	}
+	if !reflect.DeepEqual(d.Assign, d.MaxFair.Assignment) {
+		t.Fatal("Assign is not the MaxFair result's assignment")
+	}
+	if _, err := Deploy(setupConfig(), Config{NReps: 0}); err == nil || !strings.HasPrefix(err.Error(), "placement: ") {
+		t.Fatalf("invalid placement config: err = %v, want it named for the placement stage", err)
+	}
 }
 
 func TestPlaceRespectsCapacity(t *testing.T) {

@@ -166,39 +166,27 @@ func New(cfg Config) (*System, error) {
 	mcfg.NumClusters = cfg.Clusters
 	mcfg.Seed = cfg.Seed
 
-	inst, err := model.Generate(mcfg)
+	d, err := replica.Deploy(mcfg, cfg.Replication)
 	if err != nil {
-		return nil, fmt.Errorf("p2pshare: generate community: %w", err)
-	}
-	res, err := core.MaxFair(inst, core.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("p2pshare: balance: %w", err)
-	}
-	mem, err := model.NewMembership(inst, res.Assignment)
-	if err != nil {
-		return nil, fmt.Errorf("p2pshare: membership: %w", err)
-	}
-	place, err := replica.Place(inst, res.Assignment, mem, cfg.Replication)
-	if err != nil {
-		return nil, fmt.Errorf("p2pshare: replica placement: %w", err)
+		return nil, fmt.Errorf("p2pshare: %w", err)
 	}
 	ocfg := overlay.DefaultConfig()
 	ocfg.Seed = cfg.Seed
 	ocfg.Mode = cfg.Mode
-	sys, err := overlay.NewSystem(inst, res.Assignment, place, ocfg)
+	sys, err := overlay.NewSystem(d.Inst, d.Assign, d.Place, ocfg)
 	if err != nil {
 		return nil, fmt.Errorf("p2pshare: overlay: %w", err)
 	}
-	gen, err := workload.NewGenerator(inst, 3, cfg.Seed+7)
+	gen, err := workload.NewGenerator(d.Inst, 3, cfg.Seed+7)
 	if err != nil {
 		return nil, fmt.Errorf("p2pshare: workload: %w", err)
 	}
 	return &System{
 		cfg:     cfg,
-		inst:    inst,
-		state:   res.State,
+		inst:    d.Inst,
+		state:   d.MaxFair.State,
 		overlay: sys,
-		classif: classify.New(inst.Catalog),
+		classif: classify.New(d.Inst.Catalog),
 		gen:     gen,
 		rng:     rand.New(rand.NewSource(cfg.Seed + 1000)),
 	}, nil
