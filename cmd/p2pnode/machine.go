@@ -25,14 +25,7 @@ import (
 // statsReport snapshots the node in the machine-protocol schema (also
 // the -stats-json output format).
 func statsReport(node *livenet.Node) *proto.StatsReport {
-	alive, susp := node.MembershipCounts()
-	return &proto.StatsReport{
-		NodeID:        int(node.ID()),
-		Counters:      node.Stats(),
-		FairnessX1000: node.Fairness(),
-		MembersAlive:  alive,
-		MembersSusp:   susp,
-	}
+	return &proto.StatsReport{NodeID: int(node.ID()), Counters: node.Stats()}
 }
 
 // printStatsJSON is the -stats-json replacement for printStats: one

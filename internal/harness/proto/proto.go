@@ -125,18 +125,12 @@ type QuerySpec struct {
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 }
 
-// StatsReport snapshots one node: raw counters plus the derived
-// readings scripts always end up wanting (fairness, membership).
-// Counters is Node.Stats() verbatim. Query latency is the caller's to
-// time: LoadReport carries the samples of a harness load.
+// StatsReport snapshots one node. Counters is Node.Stats() verbatim,
+// the membership and fairness gauges included. Query latency is the
+// caller's to time: LoadReport carries the samples of a harness load.
 type StatsReport struct {
 	NodeID   int              `json:"node_id"`
 	Counters map[string]int64 `json:"counters"`
-	// FairnessX1000 is the node's last measured fairness index in
-	// thousandths; -1 when this node has not evaluated an epoch.
-	FairnessX1000 int64 `json:"fairness_x1000"`
-	MembersAlive  int   `json:"members_alive"`
-	MembersSusp   int   `json:"members_suspect"`
 	// LoadRunning reports an OpLoad still in flight — the orchestrator's
 	// convergence poll uses it to stop polling once an act's load drains.
 	LoadRunning bool `json:"load_running,omitempty"`

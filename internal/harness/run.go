@@ -179,13 +179,14 @@ func maxCounterDelta(prev, cur map[int]*proto.StatsReport, key string) float64 {
 	return float64(best)
 }
 
-// maxFairness is the fleet's best fairness reading (only the current
-// leader of an epoch evaluates; everyone else reports -1).
+// maxFairness is the fleet's best fairness reading, -1 when none has
+// one (only the current leader of an epoch evaluates; a node that has
+// not shows no fairness_x1000).
 func maxFairness(stats map[int]*proto.StatsReport) int64 {
 	best := int64(-1)
 	for _, s := range stats {
-		if s.FairnessX1000 > best {
-			best = s.FairnessX1000
+		if f, ok := s.Counters["fairness_x1000"]; ok && f > best {
+			best = f
 		}
 	}
 	return best

@@ -50,7 +50,7 @@ import (
 )
 
 // AdaptConfig tunes the live adaptation loop. Zero fields take the
-// defaults (the simulated overlay's thresholds, a 3s epoch).
+// defaults (protocol.DefaultThresholds, a 3s epoch).
 type AdaptConfig struct {
 	// Interval is the epoch length (the paper's "periodically, e.g.,
 	// every day", compressed for testability).
@@ -69,13 +69,13 @@ func (c AdaptConfig) withDefaults() AdaptConfig {
 		c.Interval = 3 * time.Second
 	}
 	if c.LowThreshold <= 0 {
-		c.LowThreshold = 0.83
+		c.LowThreshold = protocol.DefaultThresholds.LowThreshold
 	}
 	if c.TargetFairness <= 0 {
-		c.TargetFairness = 0.92
+		c.TargetFairness = protocol.DefaultThresholds.TargetFairness
 	}
 	if c.MaxMoves <= 0 {
-		c.MaxMoves = 16
+		c.MaxMoves = protocol.DefaultThresholds.MaxMoves
 	}
 	return c
 }
@@ -130,7 +130,7 @@ func (n *Node) enableAdaptation(cfg AdaptConfig) {
 	// clock also ticks the adaptation layer; both paths are idempotent per
 	// step, so double or skipped ticks are harmless — the next tick
 	// catches the state machine up).
-	n.everyLocked(tick, "adapt_tick_skips", n.adaptTick)
+	n.everyLocked(tick, &n.stats.AdaptTickSkips, n.adaptTick)
 }
 
 // adaptTick advances the epoch state machine. Caller holds routeMu.Lock.
@@ -230,9 +230,7 @@ func (n *Node) contentDecay() {
 	if n.store == nil || n.cacheAdmit <= 0 {
 		return
 	}
-	if dropped := n.store.Decay(); len(dropped) > 0 {
-		n.stats.Add("content_cache_decayed", int64(len(dropped)))
-	}
+	n.store.Decay()
 	n.resetDemand()
 }
 
@@ -318,7 +316,6 @@ func (n *Node) pushHints(cl model.ClusterID, e uint64) {
 		if !reported || w < pushHintMinServes || float64(w) <= 2*mean {
 			continue
 		}
-		n.stats.Add("replicate_hints", 1)
 		if id == n.id {
 			n.pushReplicas(lite)
 			continue
@@ -364,7 +361,7 @@ func (n *Node) adaptAggregate(e uint64) {
 func (n *Node) handleLeaderLoad(from model.NodeID, m wire.LeaderLoad) {
 	ad := n.adapt
 	if ad == nil {
-		n.stats.Add("adapt_dropped_loads", 1)
+		n.stats.AdaptDroppedLoads.Add(1)
 		return
 	}
 	if m.Aggregated {
@@ -381,14 +378,14 @@ func (n *Node) handleLeaderLoad(from model.NodeID, m wire.LeaderLoad) {
 		if leader, ok := n.leaderOf(m.Cluster); ok && leader == from {
 			n.pushReplicas(m.Lite)
 		} else {
-			n.stats.Add("adapt_dropped_loads", 1)
+			n.stats.AdaptDroppedLoads.Add(1)
 		}
 		return
 	}
 	if leader, ok := n.leaderOf(m.Cluster); !ok || leader != n.id {
 		// Liveness views briefly disagree on the leader; drop and let
 		// the next epoch converge.
-		n.stats.Add("adapt_dropped_loads", 1)
+		n.stats.AdaptDroppedLoads.Add(1)
 		return
 	}
 	ad.aggregate(m.Cluster, m.Epoch).Add(m.Hits, m.Units)
@@ -405,19 +402,19 @@ func (n *Node) adaptEvaluate(e uint64) {
 		return
 	}
 	n.fairnessX1000.Store(int64(sv.Fairness * 1000))
-	n.stats.Add("adapt_evaluations", 1)
+	n.stats.AdaptEvaluations.Add(1)
 	if l, ok := n.leaderOf(sv.Hottest); !ok || l != n.id {
 		return
 	}
 	d, err := protocol.Plan(ad.loads, e, n.inst.NumClusters, len(n.inst.Catalog.Cats),
 		protocol.Thresholds{LowThreshold: ad.cfg.LowThreshold, TargetFairness: ad.cfg.TargetFairness, MaxMoves: ad.cfg.MaxMoves})
 	if err != nil {
-		n.stats.Add("adapt_state_errors", 1)
+		n.stats.AdaptStateErrors.Add(1)
 		return
 	}
 	for _, mv := range d.Moves {
 		entry := protocol.DCRTEntry{Cluster: mv.To, MoveCounter: n.dcrt[mv.Category].MoveCounter + 1}
-		n.stats.Add("adapt_moves", 1)
+		n.stats.AdaptMoves.Add(1)
 		n.applyMoveEntry(mv.Category, entry)
 		// Direct announcement to both affected clusters (steps 1–2 of
 		// the lazy rebalancing protocol); gossip covers everyone else.
@@ -460,12 +457,12 @@ func (n *Node) handleMetaUpdate(m protocol.MetadataUpdateMsg) {
 func (n *Node) applyMoveEntry(cat catalog.CategoryID, e protocol.DCRTEntry) bool {
 	m := protocol.MergeEntry(n.dcrt, cat, e)
 	if m.Rejected {
-		n.stats.Add("adapt_bad_moves", 1)
+		n.stats.AdaptBadMoves.Add(1)
 	}
 	if !m.Changed {
 		return false
 	}
-	n.stats.Add("dcrt_moves", 1)
+	n.stats.DCRTMoves.Add(1)
 	if m.Known && m.Prev.Cluster != e.Cluster && n.store != nil {
 		// Remember the shedding cluster: until the gaining holders
 		// finish pulling bytes, it holds the only copies, and

@@ -6,7 +6,6 @@ import (
 
 	"p2pshare/internal/catalog"
 	"p2pshare/internal/memnet"
-	"p2pshare/internal/metrics"
 	"p2pshare/internal/model"
 	"p2pshare/internal/protocol"
 )
@@ -17,10 +16,7 @@ import (
 // is exactly the in-process handler work (decode-side handling, query
 // table state, reply/forward construction).
 func allocTestNode() *Node {
-	stats := metrics.NewSyncCounter()
 	n := &Node{
-		stats: stats,
-		tr:    newTransport(1, 1, stats),
 		book:  newAddrBook(),
 		dcrt:  map[catalog.CategoryID]protocol.DCRTEntry{3: {Cluster: 1}},
 		byCat: map[catalog.CategoryID][]catalog.DocID{3: {10, 11, 12, 13}},
@@ -31,6 +27,7 @@ func allocTestNode() *Node {
 		},
 	}
 	// Node 0 (n.id) holds all four documents of category 3.
+	n.tr = newTransport(1, 1, &n.stats)
 	n.holders.base = []protocol.View{3: {Holders: []protocol.Holder{{Node: 0, Docs: n.byCat[3]}}, Placed: 4}}
 	n.tr.close()
 	for _, id := range []model.NodeID{2, 3, 4, 9} {

@@ -3,6 +3,7 @@ package livenet
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"time"
 
 	"p2pshare/internal/catalog"
@@ -25,16 +26,11 @@ import (
 // extension) answers repeat queries in zero hops before any message is
 // sent.
 //
-// Outcome accounting is conservative — every QueryContext call counts
-// queries_total exactly once at entry and exactly one of
-//
-//	queries_ok + query_rejected + query_no_route +
-//	query_timeouts + query_cancelled + query_closed
-//
-// on exit. The node keeps these counts, not per-query samples: a caller
-// that wants latency reads each outcome's ResponseTime. The
-// conservation equation above is pinned by
-// TestQueryAccountingConservation.
+// Outcome accounting is conservative: every QueryContext call counts
+// queries_total once and exactly one outcome (the equation is written
+// above the query counters, counters.go). The node keeps these counts,
+// not per-query samples: a caller that wants latency reads each
+// outcome's ResponseTime.
 const (
 	// DefaultMaxInFlight bounds concurrently pending queries per node;
 	// queries beyond it are rejected with ErrOverloaded (admission
@@ -72,16 +68,16 @@ const (
 // ctx.Err() and frees the slot immediately.
 func (n *Node) QueryContext(ctx context.Context, cat catalog.CategoryID, m int) (query.Result, error) {
 	start := time.Now()
-	n.stats.Add("queries_total", 1)
+	n.stats.QueriesTotal.Add(1)
 	if err := ctx.Err(); err != nil {
-		reason, qerr := ctxReason(err)
-		n.stats.Add(reason, 1)
+		reason, qerr := ctxReason(err, &n.stats.QueryTimeouts, &n.stats.QueryCancelled)
+		reason.Add(1)
 		return query.Result{}, qerr
 	}
 	if n.closed() {
 		// Fail fast on a closed node — without this, a query could reach
 		// admission and bounce off slots that died with the engine.
-		n.stats.Add("query_closed", 1)
+		n.stats.QueryClosed.Add(1)
 		return query.Result{}, ErrClosed
 	}
 
@@ -94,10 +90,10 @@ func (n *Node) QueryContext(ctx context.Context, cat catalog.CategoryID, m int) 
 			docs[d] = true
 		}
 		if len(docs) >= m {
-			n.stats.Add("cache_hit", 1)
+			n.stats.CacheHit.Add(1)
 			return n.answered(start, docs), nil
 		}
-		n.stats.Add("cache_miss", 1)
+		n.stats.CacheMiss.Add(1)
 	}
 
 	// Admission: CAS-reserve a slot so the bound stays exact with every
@@ -108,7 +104,7 @@ func (n *Node) QueryContext(ctx context.Context, cat catalog.CategoryID, m int) 
 	for {
 		cur := n.inflight.Load()
 		if cur >= n.inflightMax {
-			n.stats.Add("query_rejected", 1)
+			n.stats.QueryRejected.Add(1)
 			return query.Result{}, ErrOverloaded
 		}
 		if n.inflight.CompareAndSwap(cur, cur+1) {
@@ -131,7 +127,7 @@ func (n *Node) QueryContext(ctx context.Context, cat catalog.CategoryID, m int) 
 	}
 	if !routed {
 		n.inflight.Add(-1)
-		n.stats.Add("query_no_route", 1)
+		n.stats.QueryNoRoute.Add(1)
 		return query.Result{}, ErrNoRoute
 	}
 
@@ -146,19 +142,19 @@ func (n *Node) QueryContext(ctx context.Context, cat catalog.CategoryID, m int) 
 	select {
 	case out := <-ch:
 		out.ResponseTime = time.Since(start)
-		n.stats.Add("queries_ok", 1)
+		n.stats.QueriesOK.Add(1)
 		return out, nil
 	case <-ctx.Done():
-		reason, qerr := ctxReason(ctx.Err())
+		reason, qerr := ctxReason(ctx.Err(), &n.stats.QueryTimeouts, &n.stats.QueryCancelled)
 		out, completed := n.abandonQuery(id, ch)
 		out.ResponseTime = time.Since(start)
 		if completed {
 			// The query finished in the race window between ctx firing
 			// and the slot being released; report the success.
-			n.stats.Add("queries_ok", 1)
+			n.stats.QueriesOK.Add(1)
 			return out, nil
 		}
-		n.stats.Add(reason, 1)
+		reason.Add(1)
 		return out, qerr
 	case <-n.done:
 		// Same preference on shutdown: a result delivered just before
@@ -166,10 +162,10 @@ func (n *Node) QueryContext(ctx context.Context, cat catalog.CategoryID, m int) 
 		select {
 		case out := <-ch:
 			out.ResponseTime = time.Since(start)
-			n.stats.Add("queries_ok", 1)
+			n.stats.QueriesOK.Add(1)
 			return out, nil
 		default:
-			n.stats.Add("query_closed", 1)
+			n.stats.QueryClosed.Add(1)
 			return query.Result{}, ErrClosed
 		}
 	}
@@ -182,7 +178,7 @@ func (n *Node) answered(start time.Time, docs map[catalog.DocID]bool) query.Resu
 		out.Docs = append(out.Docs, d)
 	}
 	out.ResponseTime = time.Since(start)
-	n.stats.Add("queries_ok", 1)
+	n.stats.QueriesOK.Add(1)
 	return out
 }
 
@@ -195,14 +191,15 @@ func (n *Node) Query(cat catalog.CategoryID, m int, timeout time.Duration) (Quer
 	return n.QueryContext(ctx, cat, m)
 }
 
-// ctxReason maps a context error to its stats counter and the engine's
-// sentinel: a deadline is a query timeout; an explicit cancellation stays
-// ctx.Err() so callers can tell the two apart.
-func ctxReason(err error) (string, error) {
+// ctxReason maps a context error to its outcome counter and sentinel,
+// for queries and fetches alike: a deadline is a timeout (ErrTimeout);
+// an explicit cancellation stays ctx.Err() so callers can tell the two
+// apart.
+func ctxReason(err error, timeouts, cancelled *atomic.Int64) (*atomic.Int64, error) {
 	if errors.Is(err, context.DeadlineExceeded) {
-		return "query_timeouts", ErrTimeout
+		return timeouts, ErrTimeout
 	}
-	return "query_cancelled", err
+	return cancelled, err
 }
 
 // queryID builds a globally unique query id from the node's 64-bit salt
@@ -253,7 +250,7 @@ func (n *Node) abandonQuery(id uint64, ch chan query.Result) (query.Result, bool
 }
 
 // InFlight reports how many queries this node currently has pending (a
-// point-in-time gauge; also exported as queries_inflight in Stats).
+// point-in-time gauge).
 func (n *Node) InFlight() int { return int(n.inflight.Load()) }
 
 // Instance exposes the deployment's content model (for workload

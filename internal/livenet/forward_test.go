@@ -62,7 +62,7 @@ func predictAsk(t *testing.T, c *Cluster, cat catalog.CategoryID, entry model.No
 func clusterSends(c *Cluster) int64 {
 	var s int64
 	for _, n := range c.Nodes {
-		s += n.tr.sends.Load()
+		s += n.stats.TransportSends.Load()
 	}
 	return s
 }

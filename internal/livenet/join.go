@@ -166,7 +166,7 @@ func (n *Node) announce(bootstrapAddr string) error {
 		if attempt >= dialAttempts {
 			return err
 		}
-		n.stats.Add("announce_retries", 1)
+		n.stats.AnnounceRetries.Add(1)
 		if !n.tr.backoff(rng, attempt) {
 			return ErrClosed // node shut down while waiting
 		}
@@ -182,7 +182,7 @@ func (n *Node) announce(bootstrapAddr string) error {
 			time.Sleep(20 * time.Millisecond)
 		}
 		if attempt < 4 && hello() != nil {
-			n.stats.Add("announce_retries", 1)
+			n.stats.AnnounceRetries.Add(1)
 		}
 	}
 	return fmt.Errorf("livenet: no address book received from %s", bootstrapAddr)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"p2pshare/internal/memnet"
-	"p2pshare/internal/metrics"
 	"p2pshare/internal/model"
 )
 
@@ -216,7 +215,7 @@ func TestJoinSurvivesBootstrapBlip(t *testing.T) {
 	startSink(t, addr, nil, onEnv)
 
 	// The restarted bootstrap answers the next hello with its book.
-	tr := newTransport(0, 1, metrics.NewSyncCounter())
+	tr := newTransport(0, 1, new(counters))
 	defer tr.close()
 	select {
 	case h := <-hellos:

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"p2pshare/internal/memnet"
-	"p2pshare/internal/metrics"
 	"p2pshare/internal/model"
 	"p2pshare/internal/protocol"
 	"p2pshare/internal/wire"
@@ -49,7 +48,7 @@ func TestLinkMemoryPerIdleStream(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	stats := metrics.NewSyncCounter()
+	stats := new(counters)
 	tr := newTransport(1, 1, stats)
 	tr.writerIdle = -1 // as in the benchmark: no writer parks, no stream closes
 	tr.setDial(nw.Dial)
@@ -59,7 +58,7 @@ func TestLinkMemoryPerIdleStream(t *testing.T) {
 			envelope{From: 1, Msg: protocol.QueryMsg{ID: uint64(i), Category: 3, Want: 1, Origin: 1}})
 	}
 	waitFor(t, 10*time.Second, "every frame sent and read", func() bool {
-		return read.Load() == streams && stats.Get("transport_sends") == streams
+		return read.Load() == streams && stats.TransportSends.Load() == streams
 	})
 	runtime.GC()
 	runtime.ReadMemStats(&after)
@@ -111,7 +110,7 @@ func TestLinkMemoryBulkQueueOnlyWithContent(t *testing.T) {
 		}
 		var read atomic.Int64
 		serveSink(t, ln, nil, func(envelope) { read.Add(1) })
-		stats := metrics.NewSyncCounter()
+		stats := new(counters)
 		tr := newTransport(1, 1, stats)
 		tr.bulkLane = lane
 		tr.setDial(nw.Dial)
@@ -119,7 +118,7 @@ func TestLinkMemoryBulkQueueOnlyWithContent(t *testing.T) {
 		tr.enqueueBulk(2, ln.Addr().String(), envelope{From: 1, Msg: protocol.QueryMsg{ID: 1, Category: 3, Want: 1, Origin: 1}})
 		if lane {
 			waitFor(t, 5*time.Second, "the bulk envelope read", func() bool { return read.Load() == 1 })
-		} else if got := stats.Get("transport_drops_bulk_full"); got != 1 || tr.queueDepth() != 0 {
+		} else if got := stats.TransportDropsBulkFull.Load(); got != 1 || tr.queueDepth() != 0 {
 			t.Errorf("no bulk lane: %d bulk drops and %d queued, want the envelope dropped", got, tr.queueDepth())
 		}
 	}
@@ -161,7 +160,7 @@ func TestWriteBufPoolFailedFlushLeavesNothing(t *testing.T) {
 	gotB := make(chan envelope, 64)
 	serveSink(t, lnB, nil, func(env envelope) { gotB <- env })
 
-	stats := metrics.NewSyncCounter()
+	stats := new(counters)
 	tr := newTransport(1, 1, stats)
 	defer tr.close()
 	// Peer A takes its first stream of a round and dies two frames into
@@ -218,7 +217,7 @@ func TestWriteBufPoolFailedFlushLeavesNothing(t *testing.T) {
 			}
 		}
 	}
-	st := stats.Snapshot()
+	st := stats.snapshot()
 	if st["transport_reconnects"] < rounds || st["transport_send_failures"] != rounds*20 || st["transport_sends"] != rounds*20 {
 		t.Fatalf("want every cut batch lost and every other one sent: %v", st)
 	}
@@ -255,7 +254,7 @@ func TestWriteBufPoolConcurrentReconnects(t *testing.T) {
 		}, nil)
 	}
 
-	stats := metrics.NewSyncCounter()
+	stats := new(counters)
 	tr := newTransport(1, 1, stats)
 	tr.setDial(nw.Dial)
 	defer tr.close()
@@ -276,10 +275,10 @@ func TestWriteBufPoolConcurrentReconnects(t *testing.T) {
 	wg.Wait()
 	const total = producers * frames * peers
 	waitFor(t, 10*time.Second, "every envelope sent, failed or dropped", func() bool {
-		st := stats.Snapshot()
+		st := stats.snapshot()
 		return st["transport_sends"]+st["transport_send_failures"]+st["transport_drops_queue_full"] == total
 	})
-	st := stats.Snapshot()
+	st := stats.snapshot()
 	t.Logf("%d envelopes: %d read, %v", total, read.Load(), st)
 	if foreign.Load() != 0 {
 		t.Fatalf("%d frames reached a peer they were not sent to", foreign.Load())

@@ -135,10 +135,10 @@ type Node struct {
 	// queries holds the queries this node issued (querytable.go).
 	queries queryTable
 
-	// tr is the outbound persistent-connection pool; stats is shared
-	// with it and safe for concurrent use.
+	// tr is the outbound persistent-connection pool; it counts into
+	// stats too.
 	tr    *transport
-	stats *metrics.SyncCounter
+	stats counters
 
 	// conns tracks accepted inbound connections so Close can unblock
 	// their read loops.
@@ -189,7 +189,8 @@ type Node struct {
 
 	// det is the SWIM failure detector (membership.go); nil unless
 	// Options.Membership is on, used under routeMu.Lock. memberAlive and
-	// memberSuspect are its last counts, kept for the Stats() reader.
+	// memberSuspect are its last counts, kept for lock-free readers
+	// (Stats, MembershipCounts).
 	det           *membership.Detector
 	memberAlive   atomic.Int64
 	memberSuspect atomic.Int64
@@ -209,15 +210,14 @@ type Node struct {
 	// round-trip EWMA ordering fetch sources; prevCluster remembers,
 	// per moved category, the shedding cluster that still holds the
 	// bytes (written under routeMu.Lock).
-	store           *content.Store
-	xferMu          sync.Mutex
-	xfers           map[uint64]chan envelope
-	xferSeq         atomic.Uint64
-	fwdSeq          atomic.Uint64
-	transfersActive atomic.Int64
-	rttMu           sync.Mutex
-	rtt             map[model.NodeID]float64
-	prevCluster     map[catalog.CategoryID]prevClusterRecord
+	store       *content.Store
+	xferMu      sync.Mutex
+	xfers       map[uint64]chan envelope
+	xferSeq     atomic.Uint64
+	fwdSeq      atomic.Uint64
+	rttMu       sync.Mutex
+	rtt         map[model.NodeID]float64
+	prevCluster map[catalog.CategoryID]prevClusterRecord
 
 	// pullMu guards the background pull pool (queueMoves/queuePush/
 	// pullWorker): the queued move and replica downloads and the running
@@ -271,11 +271,11 @@ func (n *Node) addTimer(stop func()) {
 // its one goroutine. A tick that fires while the previous one is still
 // waiting or running is counted under skips and dropped, never queued;
 // the next tick catches the state machine up.
-func (n *Node) everyLocked(period time.Duration, skips string, f func(now time.Time)) {
+func (n *Node) everyLocked(period time.Duration, skips *atomic.Int64, f func(now time.Time)) {
 	var busy atomic.Bool
 	n.addTimer(timerwheel.Default().Every(period, func(now time.Time) {
 		if !busy.CompareAndSwap(false, true) {
-			n.stats.Add(skips, 1)
+			skips.Add(1)
 			return
 		}
 		// Under timersMu, which shutdown takes after closing done: a tick
@@ -304,7 +304,6 @@ func (n *Node) everyLocked(period time.Duration, skips string, f func(now time.T
 // fixed for the node's life. Membership and adaptation start later, in
 // startSubsystems.
 func newNode(inst *model.Instance, id model.NodeID, ln net.Listener, seed int64, opts Options) *Node {
-	stats := metrics.NewSyncCounter()
 	n := &Node{
 		id:    id,
 		inst:  inst,
@@ -312,8 +311,6 @@ func newNode(inst *model.Instance, id model.NodeID, ln net.Listener, seed int64,
 		rng:   newPCG(seed, id, streamControl),
 		book:  newAddrBook(),
 		done:  make(chan struct{}),
-		tr:    newTransport(id, seed, stats),
-		stats: stats,
 		conns: make(map[net.Conn]struct{}),
 		byCat: make(map[catalog.CategoryID][]catalog.DocID),
 		dcrt:  make(map[catalog.CategoryID]protocol.DCRTEntry),
@@ -336,6 +333,7 @@ func newNode(inst *model.Instance, id model.NodeID, ln net.Listener, seed int64,
 		demand:      make(map[catalog.DocID]int),
 		servedDocs:  make(map[catalog.DocID]int64),
 	}
+	n.tr = newTransport(id, seed, &n.stats)
 	n.fairnessX1000.Store(-1)
 	if opts.Content != nil {
 		n.store = content.NewStore(opts.Content.chunkSize)
@@ -406,17 +404,13 @@ func (n *Node) Addr() string { return n.ln.Addr().String() }
 // Served returns how many requests this node has served.
 func (n *Node) Served() int64 { return n.served.Load() }
 
-// Stats snapshots the node's transport and protocol counters
-// (transport_dials, transport_reuses, transport_reconnects,
-// transport_retries, transport_send_failures, drop_no_route, …) plus the
-// current outbound queue depth under "queue_depth".
+// Stats snapshots the node's nonzero counters (counters.go) and its
+// point-in-time gauges, each by its key.
 func (n *Node) Stats() map[string]int64 {
-	s := n.stats.Snapshot()
+	s := n.stats.snapshot()
 	s["queue_depth"] = int64(n.tr.queueDepth())
 	s["transport_writers_active"] = n.tr.writers()
-	s["queries_inflight"] = n.inflight.Load()
 	s["served"] = n.served.Load()
-	s["transfers_active"] = n.transfersActive.Load()
 	if n.store != nil {
 		s["content_docs_held"] = int64(n.store.Len())
 		s["content_cache_bytes"] = n.store.CacheBytes()
@@ -584,7 +578,7 @@ func Launch(inst *model.Instance, assign []model.ClusterID, place *replica.Place
 			if len(members) == 0 {
 				continue
 			}
-			for i := 0; i < 3; i++ {
+			for i := 0; i < protocol.RemoteContacts; i++ {
 				n.addNeighbor(model.ClusterID(cl), members[rng.Intn(len(members))])
 			}
 		}
@@ -751,7 +745,7 @@ func (n *Node) evictPeer(peer model.NodeID) {
 		n.nrt[cl] = kept
 	}
 	if evicted {
-		n.stats.Add("nrt_evictions", 1)
+		n.stats.NRTEvictions.Add(1)
 	}
 }
 
@@ -800,14 +794,14 @@ func (n *Node) readLoop(conn net.Conn) {
 		n.connsMu.Unlock()
 		conn.Close()
 	}()
-	br := bufio.NewReaderSize(&countingReader{r: conn, bytes: n.stats.Handle("wire_bytes_in")}, readBufBytes)
+	br := bufio.NewReaderSize(&countingReader{r: conn, bytes: &n.stats.WireBytesIn}, readBufBytes)
 
 	idle := lazyDeadline{window: n.readIdle, set: conn.SetReadDeadline}
 	idle.touch()
 	r, err := wire.AcceptStream(br, conn, n.bounds)
 	if err != nil {
 		if err != io.EOF {
-			n.stats.Add("wire_handshake_rejects", 1)
+			n.stats.WireHandshakeRejects.Add(1)
 		}
 		return
 	}
@@ -816,7 +810,7 @@ func (n *Node) readLoop(conn net.Conn) {
 		env, err := r.Next()
 		if err != nil {
 			if errors.Is(err, wire.ErrMalformed) {
-				n.stats.Add("wire_bad_frames", 1)
+				n.stats.WireBadFrames.Add(1)
 			}
 			return // stream closed, peer died, malformed frame, or idle timeout
 		}
@@ -904,7 +898,7 @@ func (n *Node) dispatchControl(env envelope) {
 func (n *Node) send(to model.NodeID, msg any) {
 	addr, ok := n.book.get(to)
 	if !ok {
-		n.stats.Add("send_no_addr", 1)
+		n.stats.SendNoAddr.Add(1)
 		return
 	}
 	n.tr.enqueue(to, addr, envelope{From: n.id, Msg: msg})
@@ -927,14 +921,11 @@ var (
 	ErrOverloaded = query.ErrOverloaded
 )
 
-// publishFanout is how many serving-cluster members a publish goes to.
-const publishFanout = 3
-
 // Publish announces a (locally stored) document to the cluster serving
 // its category — the §6.2 protocol over TCP — through the first
-// publishFanout members of its NRT entry that are in the address book,
-// the preference a query's entry send applies. Publishing a
-// category with no DCRT entry, or into a cluster with no addressable
+// protocol.PublishFanout members of its NRT entry that are in the
+// address book, the preference a query's entry send applies. Publishing
+// a category with no DCRT entry, or into a cluster with no addressable
 // member, fails with ErrNoRoute. The document must be in the catalog
 // the deployment launched with: peers refuse frames naming any other.
 func (n *Node) Publish(d catalog.DocID) error {
@@ -951,7 +942,7 @@ func (n *Node) Publish(d catalog.DocID) error {
 	sent := 0
 	if entry, ok := n.dcrt[cat]; ok {
 		for _, nb := range n.nrt[entry.Cluster] {
-			if sent == publishFanout {
+			if sent == protocol.PublishFanout {
 				break
 			}
 			if n.book.has(nb) {
@@ -961,7 +952,7 @@ func (n *Node) Publish(d catalog.DocID) error {
 		}
 	}
 	if sent == 0 {
-		n.stats.Add("publish_no_route", 1)
+		n.stats.PublishNoRoute.Add(1)
 		return ErrNoRoute
 	}
 	return nil
@@ -973,7 +964,7 @@ func (n *Node) Publish(d catalog.DocID) error {
 func (n *Node) handlePublish(from model.NodeID, m protocol.PublishMsg) {
 	entry, known := n.dcrt[m.Category]
 	if !known {
-		n.stats.Add("drop_no_route", 1)
+		n.stats.DropNoRoute.Add(1)
 		return
 	}
 	accepted := len(n.nrt[entry.Cluster]) > 0
@@ -995,7 +986,7 @@ func (n *Node) handlePublishAck(m protocol.PublishAckMsg) {
 	// The same merge rule as applyMoveEntry: a corrupt or hostile ack must
 	// not plant an unbeatable move counter in the routing tables.
 	if protocol.MergeEntry(n.dcrt, m.Category, m.Entry).Rejected {
-		n.stats.Add("adapt_bad_moves", 1)
+		n.stats.AdaptBadMoves.Add(1)
 		return
 	}
 	for _, nb := range m.Members {

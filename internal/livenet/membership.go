@@ -46,7 +46,7 @@ func (n *Node) enableMembership(cfg membership.Config) {
 	// themselves). A skipped tick just means the next one ≤ interval
 	// later advances the detector.
 	interval := max(cfg.ProbeInterval/4, 5*time.Millisecond)
-	n.everyLocked(interval, "membership_tick_skips", n.membershipTick)
+	n.everyLocked(interval, &n.stats.MembershipTickSkips, n.membershipTick)
 }
 
 // membershipTick advances the detector's timers and the adaptation
@@ -67,7 +67,7 @@ func (n *Node) sendPackets(pkts []membership.Packet) {
 			addr = p.Addr
 		}
 		if addr == "" {
-			n.stats.Add("send_no_addr", 1)
+			n.stats.SendNoAddr.Add(1)
 			continue
 		}
 		n.tr.enqueue(p.To, addr, envelope{From: n.id, Msg: p.Msg})
@@ -85,8 +85,6 @@ func (n *Node) drainMembership() {
 			if ev.Addr != "" {
 				n.book.set(ev.ID, ev.Addr)
 			}
-		case membership.Suspect:
-			n.stats.Add("membership_suspicions", 1)
 		case membership.Dead, membership.Left:
 			n.evictDeadPeer(ev.ID)
 		}
@@ -104,22 +102,21 @@ func (n *Node) drainMembership() {
 // routeMu.Lock.
 func (n *Node) evictDeadPeer(peer model.NodeID) {
 	if n.book.del(peer) {
-		n.stats.Add("book_evictions", 1)
+		n.stats.BookEvictions.Add(1)
 	}
 	n.evictPeer(peer)
-	n.stats.Add("membership_evictions", 1)
+	n.stats.MembershipEvictions.Add(1)
 }
 
 // MembershipCounts reports the node's live view: members alive
-// (including itself) and members under suspicion. Zeros when membership
-// is not running.
+// (including itself) and members under suspicion, as drainMembership
+// last stored them. Zeros when membership is not running or the node is
+// closed.
 func (n *Node) MembershipCounts() (alive, suspect int) {
-	n.routeMu.Lock()
-	defer n.routeMu.Unlock()
-	if n.closed() || n.det == nil {
+	if n.closed() {
 		return 0, 0
 	}
-	return n.det.Counts()
+	return int(n.memberAlive.Load()), int(n.memberSuspect.Load())
 }
 
 // Leave announces a graceful departure to every addressable peer (so

@@ -85,7 +85,7 @@ func newPCG(seed int64, id model.NodeID, stream uint64) *rand.Rand {
 // sweep's semantics tolerate.
 func (n *Node) trySweep(now time.Time) {
 	if !n.queries.mu.TryLock() {
-		n.stats.Add("query_sweep_skips", 1)
+		n.stats.QuerySweepSkips.Add(1)
 		return
 	}
 	n.sweep(now)
@@ -201,13 +201,13 @@ func (n *Node) sweep(now time.Time) {
 	for _, pq := range n.queries.pending {
 		if now.After(pq.deadline) {
 			n.finishPending(pq, false)
-			n.stats.Add("pending_expired", 1)
+			n.stats.PendingExpired.Add(1)
 			continue
 		}
 		if pq.resends < maxResends && now.Sub(pq.lastSend) > resendAfter && n.sendQuery(pq) {
 			pq.resends++
 			pq.lastSend = now
-			n.stats.Add("query_resends", 1)
+			n.stats.QueryResends.Add(1)
 		}
 	}
 }
@@ -221,7 +221,7 @@ func (n *Node) handleQuery(m protocol.QueryMsg) {
 	n.routeMu.RLock()
 	defer n.routeMu.RUnlock()
 	if _, ok := n.dcrt[m.Category]; !ok {
-		n.stats.Add("drop_no_route", 1)
+		n.stats.DropNoRoute.Add(1)
 		return
 	}
 	if m.Entry {

@@ -204,16 +204,16 @@ func TestResendRecoversPartialAnswer(t *testing.T) {
 		withTable(n, func(n *Node) { n.sweep(at) })
 	}
 	sweep(now)
-	if pq.resends != 1 || n.stats.Get("query_resends") != 1 {
+	if pq.resends != 1 || n.stats.QueryResends.Load() != 1 {
 		t.Fatalf("partly answered query: %d resends (query_resends=%d), want exactly 1",
-			pq.resends, n.stats.Get("query_resends"))
+			pq.resends, n.stats.QueryResends.Load())
 	}
 	sweep(now.Add(resendAfter / 2)) // within resendAfter of the resend
 	sweep(now.Add(2 * resendAfter))
 	sweep(now.Add(4 * resendAfter)) // the budget is spent
-	if pq.resends != maxResends || n.stats.Get("query_resends") != maxResends {
+	if pq.resends != maxResends || n.stats.QueryResends.Load() != maxResends {
 		t.Fatalf("%d resends (query_resends=%d), want the budget of %d",
-			pq.resends, n.stats.Get("query_resends"), maxResends)
+			pq.resends, n.stats.QueryResends.Load(), maxResends)
 	}
 	if len(pq.docs) != 1 {
 		t.Fatalf("pending query holds %d documents, want the 1 answered", len(pq.docs))

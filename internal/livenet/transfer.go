@@ -224,16 +224,16 @@ func (n *Node) deliverXfer(id uint64, env envelope) {
 	n.xferMu.Lock()
 	ch := n.xfers[id]
 	n.xferMu.Unlock()
-	dropped := "transfer_stray_frames"
+	dropped := &n.stats.TransferStrayFrames
 	if ch != nil {
 		select {
 		case ch <- env:
 			return
 		default:
-			dropped = "transfer_overruns"
+			dropped = &n.stats.TransferOverruns
 		}
 	}
-	n.stats.Add(dropped, 1)
+	dropped.Add(1)
 	if c, ok := env.Msg.(wire.Chunk); ok {
 		c.Release()
 	}
@@ -307,7 +307,7 @@ func (n *Node) sendDirect(to model.NodeID, msg any, bulk bool) {
 	addr, ok := n.book.get(to)
 	n.routeMu.RUnlock()
 	if !ok {
-		n.stats.Add("send_no_addr", 1)
+		n.stats.SendNoAddr.Add(1)
 		return
 	}
 	env := envelope{From: n.id, Msg: msg}
@@ -337,7 +337,7 @@ func (n *Node) serveManifestReq(from model.NodeID, m wire.ManifestReq) {
 	n.noteDemand(m.Doc)
 	if n.store != nil {
 		if man, ok := n.store.Manifest(m.Doc); ok {
-			n.stats.Add("transfer_manifests_served", 1)
+			n.stats.TransferManifestsServed.Add(1)
 			n.noteServe(m.Doc, 1)
 			n.sendDirect(m.Origin, wire.Manifest{
 				Doc:       m.Doc,
@@ -350,7 +350,7 @@ func (n *Node) serveManifestReq(from model.NodeID, m wire.ManifestReq) {
 		}
 	}
 	if m.TTL <= 0 || n.store == nil {
-		n.stats.Add("transfer_req_dropped", 1)
+		n.stats.TransferReqDropped.Add(1)
 		return
 	}
 	// Forward to addressable serving-cluster members, rotating the start
@@ -375,10 +375,10 @@ func (n *Node) serveManifestReq(from model.NodeID, m wire.ManifestReq) {
 	}
 	n.routeMu.RUnlock()
 	if len(next) == 0 {
-		n.stats.Add("transfer_req_dropped", 1)
+		n.stats.TransferReqDropped.Add(1)
 		return
 	}
-	n.stats.Add("transfer_req_forwards", 1)
+	n.stats.TransferReqForwards.Add(1)
 	fwd := wire.ManifestReq{Doc: m.Doc, Xfer: m.Xfer, Origin: m.Origin, TTL: m.TTL - 1}
 	for _, peer := range next {
 		n.sendDirect(peer, fwd, false)
@@ -396,7 +396,7 @@ func (n *Node) serveChunkReq(from model.NodeID, m wire.ChunkReq) {
 	count := m.Count
 	if count > serverMaxGrant {
 		count = serverMaxGrant
-		n.stats.Add("transfer_grants_clamped", 1)
+		n.stats.TransferGrantsClamped.Add(1)
 	}
 	if n.store == nil || !n.store.Has(m.Doc) {
 		n.sendDirect(from, wire.Chunk{Doc: m.Doc, Xfer: m.Xfer, Index: m.First, Missing: true}, false)
@@ -409,7 +409,7 @@ func (n *Node) serveChunkReq(from model.NodeID, m wire.ChunkReq) {
 			n.sendDirect(from, wire.Chunk{Doc: m.Doc, Xfer: m.Xfer, Index: idx, Missing: true}, false)
 			return
 		}
-		n.stats.Add("transfer_bytes_out", int64(size))
+		n.stats.TransferBytesOut.Add(int64(size))
 		n.noteServe(m.Doc, 1)
 		n.sendDirect(from, wire.ChunkRef{Doc: m.Doc, Xfer: m.Xfer, Index: idx, Len: size, Src: n.store}, true)
 	}
@@ -506,15 +506,6 @@ func (n *Node) fetchSources(cat catalog.CategoryID) []model.NodeID {
 	return out
 }
 
-// fetchCtxReason maps a context error to its stats counter and
-// sentinel, mirroring the query engine's accounting discipline.
-func fetchCtxReason(err error) (string, error) {
-	if errors.Is(err, context.DeadlineExceeded) {
-		return "fetch_timeouts", ErrTimeout
-	}
-	return "fetch_cancelled", err
-}
-
 // Fetch retrieves a document's bytes — the data-plane companion to
 // QueryContext. A locally held document is returned without touching
 // the network; otherwise the caller goroutine runs download against its
@@ -522,31 +513,29 @@ func fetchCtxReason(err error) (string, error) {
 // flood discovers replica holders, chunks stream from the first to
 // respond, and a silent, lying, or emptied holder is failed over with
 // the transfer resuming from the last verified chunk. Safe for many
-// concurrent calls.
-//
-// Accounting: every call counts fetches_total once and exactly one of
-// fetches_ok + fetch_bad_doc + fetch_closed + fetch_cancelled +
-// fetch_timeouts + fetch_no_route + fetch_exhausted on exit.
+// concurrent calls. Every call counts fetches_total once and exactly one
+// outcome (the equation is written above the fetch counters,
+// counters.go).
 func (n *Node) Fetch(ctx context.Context, d catalog.DocID) ([]byte, error) {
-	n.stats.Add("fetches_total", 1)
+	n.stats.FetchesTotal.Add(1)
 	if !n.bounds.HasDoc(d) {
-		n.stats.Add("fetch_bad_doc", 1)
+		n.stats.FetchBadDoc.Add(1)
 		return nil, fmt.Errorf("livenet: document %d is outside the %d-document catalog the deployment launched with", d, n.bounds.Docs)
 	}
 	doc := n.inst.Catalog.Doc(d)
 	if err := ctx.Err(); err != nil {
-		reason, ferr := fetchCtxReason(err)
-		n.stats.Add(reason, 1)
+		reason, ferr := ctxReason(err, &n.stats.FetchTimeouts, &n.stats.FetchCancelled)
+		reason.Add(1)
 		return nil, ferr
 	}
 	if n.closed() {
-		n.stats.Add("fetch_closed", 1)
+		n.stats.FetchClosed.Add(1)
 		return nil, ErrClosed
 	}
 	if n.store != nil {
 		if b, ok := n.store.Bytes(d); ok {
-			n.stats.Add("fetch_local_hits", 1)
-			n.stats.Add("fetches_ok", 1)
+			n.stats.FetchLocalHits.Add(1)
+			n.stats.FetchesOK.Add(1)
 			return b, nil
 		}
 	}
@@ -556,19 +545,19 @@ func (n *Node) Fetch(ctx context.Context, d catalog.DocID) ([]byte, error) {
 	demandHits := n.noteDemand(d)
 	sources := n.fetchSources(doc.Categories[0])
 	if len(sources) == 0 {
-		n.stats.Add("fetch_no_route", 1)
+		n.stats.FetchNoRoute.Add(1)
 		return nil, ErrNoRoute
 	}
 	man, data, err := n.download(ctx, d, nil, nil, sources)
 	if err != nil {
-		reason := "fetch_exhausted"
+		reason := &n.stats.FetchExhausted
 		switch {
 		case errors.Is(err, ErrClosed):
-			reason = "fetch_closed"
+			reason = &n.stats.FetchClosed
 		case ctx.Err() != nil:
-			reason, err = fetchCtxReason(ctx.Err())
+			reason, err = ctxReason(ctx.Err(), &n.stats.FetchTimeouts, &n.stats.FetchCancelled)
 		}
-		n.stats.Add(reason, 1)
+		reason.Add(1)
 		return nil, err
 	}
 	// Demand-driven replication, requester side: a document the demand
@@ -578,10 +567,10 @@ func (n *Node) Fetch(ctx context.Context, d catalog.DocID) ([]byte, error) {
 	// it.
 	if n.cacheAdmit > 0 && demandHits >= n.cacheAdmit {
 		if n.store.PutCachedVerified(man, append([]byte(nil), data...)) {
-			n.stats.Add("content_cache_installs", 1)
+			n.stats.ContentCacheInstalls.Add(1)
 		}
 	}
-	n.stats.Add("fetches_ok", 1)
+	n.stats.FetchesOK.Add(1)
 	return data, nil
 }
 
@@ -602,8 +591,6 @@ func (n *Node) Fetch(ctx context.Context, d catalog.DocID) ([]byte, error) {
 func (n *Node) download(ctx context.Context, d catalog.DocID, man *content.Manifest, holders, contacts []model.NodeID) (*content.Manifest, []byte, error) {
 	id, ch := n.registerXfer()
 	defer n.unregisterXfer(id)
-	n.transfersActive.Add(1)
-	defer n.transfersActive.Add(-1)
 
 	var (
 		asm       *content.Assembly
@@ -648,7 +635,7 @@ func (n *Node) download(ctx context.Context, d catalog.DocID, man *content.Manif
 		if man == nil {
 			cm := &content.Manifest{Doc: d, Size: m.Size, ChunkSize: int(m.ChunkSize), Hashes: m.Hashes}
 			if !cm.Valid() {
-				n.stats.Add("transfer_bad_manifests", 1)
+				n.stats.TransferBadManifests.Add(1)
 				return
 			}
 			man = cm
@@ -656,8 +643,6 @@ func (n *Node) download(ctx context.Context, d catalog.DocID, man *content.Manif
 		}
 		if observe {
 			n.observeRTT(env.From, time.Since(lastFlood))
-		} else {
-			n.stats.Add("transfer_late_manifests", 1)
 		}
 		if !pending[env.From] && tries[env.From] < maxTriesPerHolder {
 			pending[env.From] = true
@@ -692,7 +677,7 @@ func (n *Node) download(ctx context.Context, d catalog.DocID, man *content.Manif
 				case <-n.done:
 					return nil, nil, ErrClosed
 				case <-timer.C:
-					n.stats.Add("transfer_stalls", 1)
+					n.stats.TransferStalls.Add(1)
 					break discover
 				case env := <-ch:
 					noteManifest(env, true)
@@ -707,7 +692,7 @@ func (n *Node) download(ctx context.Context, d catalog.DocID, man *content.Manif
 			return finish()
 		}
 		if asm.Got() > 0 {
-			n.stats.Add("transfer_resumes", 1)
+			n.stats.TransferResumes.Add(1)
 		}
 
 		// Chunk phase against src: grant a window, top it back up at the
@@ -728,7 +713,7 @@ func (n *Node) download(ctx context.Context, d catalog.DocID, man *content.Manif
 			case <-n.done:
 				return nil, nil, ErrClosed
 			case <-timer.C:
-				n.stats.Add("transfer_stalls", 1)
+				n.stats.TransferStalls.Add(1)
 				if stalled {
 					break chunkLoop
 				}
@@ -745,7 +730,7 @@ func (n *Node) download(ctx context.Context, d catalog.DocID, man *content.Manif
 					continue
 				}
 				if c.Missing {
-					n.stats.Add("transfer_source_missing", 1)
+					n.stats.TransferSourceMissing.Add(1)
 					break chunkLoop
 				}
 				added, err := asm.Add(int(c.Index), c.Data)
@@ -755,9 +740,9 @@ func (n *Node) download(ctx context.Context, d catalog.DocID, man *content.Manif
 				c.Release()
 				if err != nil {
 					if errors.Is(err, content.ErrHashMismatch) {
-						n.stats.Add("chunk_hash_fail", 1)
+						n.stats.ChunkHashFail.Add(1)
 					} else {
-						n.stats.Add("transfer_bad_chunks", 1)
+						n.stats.TransferBadChunks.Add(1)
 					}
 					hashFails++
 					if hashFails > maxHashFailsPerSource {
@@ -773,7 +758,7 @@ func (n *Node) download(ctx context.Context, d catalog.DocID, man *content.Manif
 					continue
 				}
 				stalled = false
-				n.stats.Add("transfer_bytes_in", size)
+				n.stats.TransferBytesIn.Add(size)
 				if asm.Complete() {
 					return finish()
 				}
@@ -794,7 +779,7 @@ func (n *Node) queueMoves(docs []catalog.DocID) {
 	n.pullMu.Lock()
 	defer n.pullMu.Unlock()
 	if len(docs) > 0 && n.pullWorkers >= maxPullFetchers {
-		n.stats.Add("transfer_move_queued", int64(len(docs)))
+		n.stats.TransferMoveQueued.Add(int64(len(docs)))
 	}
 	for _, d := range docs {
 		n.pullQueue = append(n.pullQueue, func(ctx context.Context) { n.runMove(ctx, d) })
@@ -812,7 +797,7 @@ func (n *Node) queuePush(doc catalog.DocID, man *content.Manifest, src model.Nod
 	n.pullMu.Lock()
 	defer n.pullMu.Unlock()
 	if len(n.pullQueue) > 0 || n.pullWorkers >= maxPullFetchers {
-		n.stats.Add("replicate_drops", 1)
+		n.stats.ReplicateDrops.Add(1)
 		return
 	}
 	n.pullQueue = append(n.pullQueue, func(ctx context.Context) { n.runPush(ctx, doc, man, src) })
@@ -867,12 +852,11 @@ func (n *Node) runMove(ctx context.Context, doc catalog.DocID) {
 	}
 	man, data, err := n.download(ctx, doc, nil, nil, n.fetchSources(n.inst.Catalog.Doc(doc).Categories[0]))
 	if err != nil {
-		n.stats.Add("transfer_move_failures", 1)
+		n.stats.TransferMoveFailures.Add(1)
 		return
 	}
 	n.store.PutVerified(man, data)
-	n.stats.Add("transfer_move_docs", 1)
-	n.stats.Add("transfer_move_bytes", int64(len(data)))
+	n.stats.TransferMoveDocs.Add(1)
 }
 
 // runPush pulls a pushed replica back from its pusher, the only holder,
@@ -881,9 +865,9 @@ func (n *Node) runMove(ctx context.Context, doc catalog.DocID) {
 // does not check again.
 func (n *Node) runPush(ctx context.Context, doc catalog.DocID, man *content.Manifest, src model.NodeID) {
 	if _, data, err := n.download(ctx, doc, man, []model.NodeID{src}, nil); err != nil {
-		n.stats.Add("replicate_pull_failures", 1)
+		n.stats.ReplicatePullFailures.Add(1)
 	} else if n.store.PutCachedVerified(man, data) {
-		n.stats.Add("replicate_installs", 1)
+		n.stats.ReplicateInstalls.Add(1)
 	}
 }
 
@@ -930,7 +914,7 @@ func (n *Node) pushReplicas(lite []model.NodeID) {
 				continue
 			}
 			n.send(to, msg)
-			n.stats.Add("replicate_pushes", 1)
+			n.stats.ReplicatePushes.Add(1)
 			if sent++; sent >= pushTargets {
 				break
 			}
@@ -948,11 +932,11 @@ func (n *Node) pushReplicas(lite []model.NodeID) {
 func (n *Node) handleReplicate(from model.NodeID, m wire.Replicate) {
 	man := &content.Manifest{Doc: m.Doc, Size: m.Size, ChunkSize: int(m.ChunkSize), Hashes: m.Hashes}
 	if n.store == nil || n.cacheAdmit <= 0 || !man.Valid() || m.Size > n.store.CacheBudget() {
-		n.stats.Add("replicate_drops", 1)
+		n.stats.ReplicateDrops.Add(1)
 		return
 	}
 	if n.store.Has(m.Doc) {
-		n.stats.Add("replicate_redundant", 1)
+		n.stats.ReplicateRedundant.Add(1)
 		return
 	}
 	n.queuePush(m.Doc, man, from)

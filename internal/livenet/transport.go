@@ -122,10 +122,8 @@ var writeBufs = sync.Pool{
 type transport struct {
 	from    model.NodeID
 	seed    int64
-	stats   *metrics.SyncCounter
+	stats   *counters             // the node's counters
 	batches *metrics.IntHistogram // envelopes coalesced per flush
-	// The per-message counters, held as cells (see SyncCounter.Handle).
-	sends, reuses, bytesOut *atomic.Int64
 
 	mu     sync.Mutex
 	peers  map[model.NodeID]*peerConn
@@ -212,15 +210,12 @@ func (d *lazyDeadline) touch() {
 	d.set(time.Now().Add(d.window))
 }
 
-func newTransport(from model.NodeID, seed int64, stats *metrics.SyncCounter) *transport {
+func newTransport(from model.NodeID, seed int64, stats *counters) *transport {
 	return &transport{
 		from:       from,
 		seed:       seed,
 		stats:      stats,
 		batches:    metrics.NewIntHistogram(maxBatchMsgs),
-		sends:      stats.Handle("transport_sends"),
-		reuses:     stats.Handle("transport_reuses"),
-		bytesOut:   stats.Handle("wire_bytes_out"),
 		peers:      make(map[model.NodeID]*peerConn),
 		done:       make(chan struct{}),
 		writerIdle: defaultWriterIdle,
@@ -298,9 +293,9 @@ func (t *transport) enqueueOn(to model.NodeID, addr string, env envelope, bulk b
 	}
 	if dropped {
 		if bulk {
-			t.stats.Add("transport_drops_bulk_full", 1)
+			t.stats.TransportDropsBulkFull.Add(1)
 		} else {
-			t.stats.Add("transport_drops_queue_full", 1)
+			t.stats.TransportDropsQueueFull.Add(1)
 		}
 	}
 }
@@ -461,7 +456,7 @@ func (t *transport) run(p *peerConn) {
 				return
 			case <-idleC:
 				if t.park(p) {
-					t.stats.Add("transport_writer_parks", 1)
+					t.stats.TransportWriterParks.Add(1)
 					return
 				}
 				// An envelope raced the timer: keep running, drain it on
@@ -498,7 +493,7 @@ func (w *peerWriter) deliver(batch []envelope) bool {
 	lost := 0  // framed into a stream that died before their flush
 	for attempt := 0; attempt < maxSendAttempts; attempt++ {
 		if attempt > 0 {
-			t.stats.Add("transport_retries", 1)
+			t.stats.TransportRetries.Add(1)
 		}
 		if w.conn == nil {
 			ok, alive := w.connect()
@@ -509,7 +504,7 @@ func (w *peerWriter) deliver(batch []envelope) bool {
 				continue // connect failed; backoff already served
 			}
 		} else if attempt == 0 {
-			t.reuses.Add(1)
+			t.stats.TransportReuses.Add(1)
 		}
 		w.deadline.touch()
 		framed, err := w.write(batch[sent:])
@@ -523,14 +518,14 @@ func (w *peerWriter) deliver(batch []envelope) bool {
 		// attempt and resume from the failed envelope.
 		lost = sent - acked
 		w.drop()
-		t.stats.Add("transport_reconnects", 1)
+		t.stats.TransportReconnects.Add(1)
 	}
 	if acked > 0 {
-		t.sends.Add(int64(acked))
+		t.stats.TransportSends.Add(int64(acked))
 		t.batches.Observe(acked)
 	}
 	if failed := len(batch) - acked; failed > 0 {
-		t.stats.Add("transport_send_failures", int64(failed))
+		t.stats.TransportSendFailures.Add(int64(failed))
 	}
 	return true
 }
@@ -563,7 +558,7 @@ func (w *peerWriter) write(envs []envelope) (framed int, err error) {
 // the transport is still open.
 func (w *peerWriter) connect() (ok, alive bool) {
 	t, p := w.t, w.p
-	failure := "transport_dial_failures"
+	failure := &t.stats.TransportDialFailures
 	t.mu.Lock()
 	addr := p.addr
 	t.mu.Unlock()
@@ -571,15 +566,15 @@ func (w *peerWriter) connect() (ok, alive bool) {
 	if err == nil {
 		if err = wire.OpenStream(c, handshakeTimeout); err != nil {
 			c.Close()
-			failure = "transport_handshake_failures"
+			failure = &t.stats.TransportHandshakeFailures
 		}
 	}
 	if err != nil {
 		w.connectFails++
-		t.stats.Add(failure, 1)
+		failure.Add(1)
 		if w.connectFails >= evictAfterFails && !w.notified {
 			w.notified = true
-			t.stats.Add("transport_peer_evictions", 1)
+			t.stats.TransportPeerEvictions.Add(1)
 			if t.onPeerDown != nil {
 				t.onPeerDown(p.to)
 			}
@@ -589,11 +584,11 @@ func (w *peerWriter) connect() (ok, alive bool) {
 		}
 		return false, t.backoff(w.rng, w.connectFails)
 	}
-	t.stats.Add("transport_dials", 1)
+	t.stats.TransportDials.Add(1)
 	w.connectFails = 0
 	w.notified = false
 	w.conn = c
-	w.out = countingWriter{w: c, bytes: t.bytesOut}
+	w.out = countingWriter{w: c, bytes: &t.stats.WireBytesOut}
 	w.deadline = lazyDeadline{window: writeTimeout, set: c.SetWriteDeadline}
 	return true, true
 }

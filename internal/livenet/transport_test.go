@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"p2pshare/internal/catalog"
-	"p2pshare/internal/metrics"
 	"p2pshare/internal/model"
 	"p2pshare/internal/protocol"
 )
@@ -154,7 +153,7 @@ func TestTransportReconnectAfterPeerRestart(t *testing.T) {
 	peer := startSink(t, "127.0.0.1:0", nil, onEnv)
 	addr := peer.addr()
 
-	stats := metrics.NewSyncCounter()
+	stats := new(counters)
 	tr := newTransport(1, 99, stats)
 	defer tr.close()
 
@@ -181,8 +180,8 @@ func TestTransportReconnectAfterPeerRestart(t *testing.T) {
 		select {
 		case id := <-received:
 			if id >= 100 {
-				if stats.Get("transport_reconnects") == 0 && stats.Get("transport_dials") < 2 {
-					t.Errorf("delivery resumed without a reconnect or redial: %v", stats.Snapshot())
+				if stats.TransportReconnects.Load() == 0 && stats.TransportDials.Load() < 2 {
+					t.Errorf("delivery resumed without a reconnect or redial: %v", stats.snapshot())
 				}
 				return
 			}
@@ -190,7 +189,7 @@ func TestTransportReconnectAfterPeerRestart(t *testing.T) {
 		}
 		next++
 		if time.Now().After(deadline) {
-			t.Fatalf("no delivery after peer restart: %v", stats.Snapshot())
+			t.Fatalf("no delivery after peer restart: %v", stats.snapshot())
 		}
 	}
 }
@@ -199,7 +198,7 @@ func TestTransportReconnectAfterPeerRestart(t *testing.T) {
 // the onPeerDown callback and that the node removes the peer from every
 // NRT entry.
 func TestTransportEvictsDeadPeer(t *testing.T) {
-	stats := metrics.NewSyncCounter()
+	stats := new(counters)
 	tr := newTransport(1, 7, stats)
 	defer tr.close()
 	tr.setDial(func(addr string) (net.Conn, error) {
@@ -224,11 +223,11 @@ func TestTransportEvictsDeadPeer(t *testing.T) {
 		case <-time.After(100 * time.Millisecond):
 			continue
 		case <-deadline:
-			t.Fatalf("onPeerDown never fired: %v", stats.Snapshot())
+			t.Fatalf("onPeerDown never fired: %v", stats.snapshot())
 		}
 		break
 	}
-	if stats.Get("transport_peer_evictions") == 0 {
+	if stats.TransportPeerEvictions.Load() == 0 {
 		t.Error("eviction not counted")
 	}
 }
@@ -286,7 +285,7 @@ func TestPendingExpirySweep(t *testing.T) {
 	default:
 		t.Error("expired pending query delivered nothing")
 	}
-	if n.stats.Get("pending_expired") == 0 {
+	if n.stats.PendingExpired.Load() == 0 {
 		t.Error("expiry not counted")
 	}
 }
@@ -303,14 +302,14 @@ func TestQueryNoRouteExplicit(t *testing.T) {
 	if _, err := n.Query(cat, 1, time.Second); !errors.Is(err, ErrNoRoute) {
 		t.Errorf("Query without DCRT entry: err = %v, want ErrNoRoute", err)
 	}
-	if n.stats.Get("query_no_route") == 0 {
+	if n.stats.QueryNoRoute.Load() == 0 {
 		t.Error("query_no_route not counted")
 	}
 
 	// Handler path: an inbound query for the unroutable category is
 	// dropped and counted, not forwarded to cluster 0.
 	n.handleQuery(protocol.QueryMsg{ID: 1 << 40, Category: cat, Want: 1, Origin: 5, Hops: 1})
-	if n.stats.Get("drop_no_route") == 0 {
+	if n.stats.DropNoRoute.Load() == 0 {
 		t.Error("drop_no_route not counted on handler path")
 	}
 

@@ -14,7 +14,6 @@ import (
 
 	"p2pshare/internal/catalog"
 	"p2pshare/internal/memnet"
-	"p2pshare/internal/metrics"
 	"p2pshare/internal/model"
 	"p2pshare/internal/protocol"
 	"p2pshare/internal/wire"
@@ -48,7 +47,7 @@ func TestTransportBatchingCoalesces(t *testing.T) {
 	received := make(chan struct{}, 1024)
 	s := startSink(t, "127.0.0.1:0", nil, func(envelope) { received <- struct{}{} })
 
-	stats := metrics.NewSyncCounter()
+	stats := new(counters)
 	tr := newTransport(1, 5, stats)
 	defer tr.close()
 	// Delay only the first dial so the whole burst is queued before the
@@ -69,7 +68,7 @@ func TestTransportBatchingCoalesces(t *testing.T) {
 		select {
 		case <-received:
 		case <-time.After(5 * time.Second):
-			t.Fatalf("only %d of %d envelopes arrived: %v", i, burst, stats.Snapshot())
+			t.Fatalf("only %d of %d envelopes arrived: %v", i, burst, stats.snapshot())
 		}
 	}
 	// The writer records a batch after its flush returns, which can be
@@ -215,7 +214,7 @@ func TestHandshakeStallIsAFailedConnect(t *testing.T) {
 		return true
 	}, func(env envelope) { received <- env })
 
-	stats := metrics.NewSyncCounter()
+	stats := new(counters)
 	tr := newTransport(1, 11, stats)
 	defer tr.close()
 	want := envelope{From: 1, Msg: protocol.QueryMsg{ID: 1}}
@@ -226,9 +225,9 @@ func TestHandshakeStallIsAFailedConnect(t *testing.T) {
 			t.Fatalf("delivered %+v, want %+v", got, want)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatalf("envelope never arrived after a stalled handshake: %v", stats.Snapshot())
+		t.Fatalf("envelope never arrived after a stalled handshake: %v", stats.snapshot())
 	}
-	st := stats.Snapshot()
+	st := stats.snapshot()
 	if st["transport_handshake_failures"] != 1 || st["transport_dials"] != 1 || st["transport_dial_failures"] != 0 {
 		t.Errorf("want one handshake failure, then one opened stream: %v", st)
 	}
@@ -253,7 +252,7 @@ func TestHandshakeStallIsAFailedConnect(t *testing.T) {
 // failures fire onPeerDown, once.
 func TestHandshakeFailuresEvictPeer(t *testing.T) {
 	s := startSink(t, "127.0.0.1:0", func(int, net.Conn) bool { return true }, nil)
-	stats := metrics.NewSyncCounter()
+	stats := new(counters)
 	tr := newTransport(1, 7, stats)
 	defer tr.close()
 	var downs atomic.Int64
@@ -266,14 +265,14 @@ func TestHandshakeFailuresEvictPeer(t *testing.T) {
 	// Steady traffic: each batch burns maxSendAttempts connects. Run one
 	// failure past the eviction to see that it does not fire again.
 	deadline := time.Now().Add(20 * time.Second)
-	for i := uint64(0); stats.Get("transport_handshake_failures") <= evictAfterFails; i++ {
+	for i := uint64(0); stats.TransportHandshakeFailures.Load() <= evictAfterFails; i++ {
 		if time.Now().After(deadline) {
-			t.Fatalf("handshake failures never reached eviction: %v", stats.Snapshot())
+			t.Fatalf("handshake failures never reached eviction: %v", stats.snapshot())
 		}
 		tr.enqueue(9, s.addr(), envelope{From: 1, Msg: protocol.QueryMsg{ID: i}})
 		time.Sleep(50 * time.Millisecond)
 	}
-	st := stats.Snapshot()
+	st := stats.snapshot()
 	if downs.Load() != 1 || st["transport_peer_evictions"] != 1 {
 		t.Errorf("onPeerDown fired %d times (%d counted), want once: %v", downs.Load(), st["transport_peer_evictions"], st)
 	}
@@ -292,7 +291,7 @@ func BenchmarkTransportThroughput(b *testing.B) {
 	received := make(chan struct{}, 4096)
 	s := startSink(b, "127.0.0.1:0", nil, func(envelope) { received <- struct{}{} })
 
-	stats := metrics.NewSyncCounter()
+	stats := new(counters)
 	tr := newTransport(1, 42, stats)
 	defer tr.close()
 
@@ -325,12 +324,12 @@ func BenchmarkTransportThroughput(b *testing.B) {
 	select {
 	case <-drained:
 	case <-time.After(30 * time.Second):
-		b.Fatalf("sink received %d of %d envelopes: %v", got.Load(), b.N, stats.Snapshot())
+		b.Fatalf("sink received %d of %d envelopes: %v", got.Load(), b.N, stats.snapshot())
 	}
 	elapsed := time.Since(start)
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/elapsed.Seconds(), "msgs/sec")
-	b.ReportMetric(float64(stats.Get("wire_bytes_out"))/(1<<20)/elapsed.Seconds(), "MB/s")
+	b.ReportMetric(float64(stats.WireBytesOut.Load())/(1<<20)/elapsed.Seconds(), "MB/s")
 	if mean := tr.batches.Mean(); mean > 0 {
 		b.ReportMetric(mean, "msgs/batch")
 	}
@@ -406,7 +405,7 @@ func TestBlockedWriteFailsWithinTimeout(t *testing.T) {
 			go wire.AcceptStream(bufio.NewReader(conn), conn, wire.Unbounded)
 		}
 	}()
-	stats := metrics.NewSyncCounter()
+	stats := new(counters)
 	tr := newTransport(1, 3, stats)
 	tr.setDial(nw.Dial)
 	defer tr.close()
@@ -424,7 +423,7 @@ func TestBlockedWriteFailsWithinTimeout(t *testing.T) {
 		tr.enqueue(2, addr, envelope{From: 1, Msg: protocol.QueryMsg{ID: uint64(i)}})
 		time.Sleep(writeTimeout / 20)
 	}
-	if got := stats.Get("transport_sends"); got != 4 {
+	if got := stats.TransportSends.Load(); got != 4 {
 		t.Fatalf("transport_sends = %d before the burst, want 4", got)
 	}
 	docs := make([]catalog.DocID, 2000)
@@ -432,9 +431,9 @@ func TestBlockedWriteFailsWithinTimeout(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		tr.enqueue(2, addr, envelope{From: 1, Msg: protocol.ResultMsg{ID: uint64(i), Docs: docs}})
 	}
-	for stats.Get("transport_reconnects") == 0 {
+	for stats.TransportReconnects.Load() == 0 {
 		if time.Since(blocked) > 3*writeTimeout {
-			t.Fatalf("blocked write never failed: %v", stats.Snapshot())
+			t.Fatalf("blocked write never failed: %v", stats.snapshot())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"p2pshare/internal/memnet"
-	"p2pshare/internal/metrics"
 	"p2pshare/internal/model"
 	"p2pshare/internal/protocol"
 )
@@ -20,7 +19,7 @@ import (
 // envelope the sink reads, in order.
 type stalledWriter struct {
 	tr      *transport
-	stats   *metrics.SyncCounter
+	stats   *counters
 	addr    string
 	release chan struct{}
 	got     chan envelope
@@ -34,7 +33,7 @@ func newStalledWriter(t *testing.T, bulkLane bool) *stalledWriter {
 		t.Fatal(err)
 	}
 	s := &stalledWriter{
-		stats:   metrics.NewSyncCounter(),
+		stats:   new(counters),
 		addr:    ln.Addr().String(),
 		release: make(chan struct{}),
 		got:     make(chan envelope, 1024),
@@ -103,7 +102,7 @@ func TestWriterQueueCap(t *testing.T) {
 					s.tr.enqueue(2, s.addr, queryEnv(uint64(i)))
 				}
 			}
-			if got := s.stats.Get(tc.drops); got != offered-int64(tc.limit) {
+			if got := s.stats.snapshot()[tc.drops]; got != offered-int64(tc.limit) {
 				t.Fatalf("%s = %d, want %d", tc.drops, got, offered-tc.limit)
 			}
 			if got := s.tr.queueDepth(); got != tc.limit {
@@ -122,7 +121,7 @@ func TestWriterQueueCap(t *testing.T) {
 			if got := s.tr.batches.Max(); got != float64(perFlush) {
 				t.Errorf("largest flush carried %v envelopes, want %d", got, perFlush)
 			}
-			st := s.stats.Snapshot()
+			st := s.stats.snapshot()
 			if st["transport_sends"] != int64(tc.limit)+1 || st["transport_send_failures"] != 0 {
 				t.Errorf("want every kept envelope sent: %v", st)
 			}
@@ -182,7 +181,7 @@ func TestWriterParkRace(t *testing.T) {
 			addrs[k] = ln.Addr().String()
 			serveSink(t, ln, nil, func(envelope) {})
 		}
-		stats := metrics.NewSyncCounter()
+		stats := new(counters)
 		tr := newTransport(1, 1, stats)
 		tr.writerIdle = idle
 		tr.setDial(nw.Dial)
@@ -213,7 +212,7 @@ func TestWriterParkRace(t *testing.T) {
 		}
 		wg.Wait()
 		waitFor(t, 10*time.Second, "every envelope sent, failed or dropped", func() bool {
-			st := stats.Snapshot()
+			st := stats.snapshot()
 			return st["transport_sends"]+st["transport_send_failures"]+st["transport_drops_queue_full"] == int64(enqueued)
 		})
 		if d := tr.queueDepth(); d != 0 {
@@ -221,10 +220,10 @@ func TestWriterParkRace(t *testing.T) {
 		}
 		if idle > 0 {
 			waitFor(t, 5*time.Second, "every writer parked", func() bool { return tr.writers() == 0 })
-			if stats.Get("transport_writer_parks") == 0 {
+			if stats.TransportWriterParks.Load() == 0 {
 				t.Errorf("idle %v: no writer ever parked; the race was not exercised", idle)
 			}
 		}
-		t.Logf("idle %v: %d enqueued, %v", idle, enqueued, stats.Snapshot())
+		t.Logf("idle %v: %d enqueued, %v", idle, enqueued, stats.snapshot())
 	}
 }

@@ -285,9 +285,6 @@ func New(self model.NodeID, addr string, cfg Config, seed int64) *Detector {
 	}
 }
 
-// Self returns this node's id.
-func (d *Detector) Self() model.NodeID { return d.self }
-
 // Config returns the detector's timing, defaults filled in.
 func (d *Detector) Config() Config { return d.cfg }
 

@@ -1,6 +1,6 @@
-// Package metrics provides the counters, gauges and histograms the
-// experiments and live nodes report: labelled concurrent counters and
-// gauges, and hop/latency histograms with quantiles.
+// Package metrics provides the histograms the experiments and live
+// nodes report: hop/latency histograms with quantiles, and their
+// concurrent forms.
 package metrics
 
 import (
@@ -148,78 +148,6 @@ func (h *Histogram) Distribution(buckets, width int) string {
 		fmt.Fprintf(&b, "%10.2f .. %10.2f | %s %d\n", from, to, strings.Repeat("█", bar), c)
 	}
 	return b.String()
-}
-
-// SyncCounter is a labelled monotonically increasing count safe for
-// concurrent use — the live transport's writer goroutines, the
-// connection readers and API callers all increment the same set.
-// Every label is one atomic cell: Add finds the cell under the mutex and
-// adds outside it; a per-message site calls Handle once and keeps the
-// cell, so counting costs one atomic add and no string hash. A label
-// shows in Snapshot and Labels once it has counted something.
-type SyncCounter struct {
-	mu    sync.Mutex
-	cells map[string]*atomic.Int64
-}
-
-// NewSyncCounter returns an empty concurrent counter set.
-func NewSyncCounter() *SyncCounter {
-	return &SyncCounter{cells: make(map[string]*atomic.Int64)}
-}
-
-// Handle returns label's cell. Adds through the cell and through
-// Add(label, …) land in the same count.
-func (c *SyncCounter) Handle(label string) *atomic.Int64 {
-	c.mu.Lock()
-	cell := c.cells[label]
-	if cell == nil {
-		cell = new(atomic.Int64)
-		c.cells[label] = cell
-	}
-	c.mu.Unlock()
-	return cell
-}
-
-// Add increments label by delta.
-func (c *SyncCounter) Add(label string, delta int64) {
-	c.Handle(label).Add(delta)
-}
-
-// Get returns the count for label.
-func (c *SyncCounter) Get(label string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cell := c.cells[label]; cell != nil {
-		return cell.Load()
-	}
-	return 0
-}
-
-// Snapshot returns a copy of all counts.
-func (c *SyncCounter) Snapshot() map[string]int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]int64, len(c.cells))
-	for l, cell := range c.cells {
-		if v := cell.Load(); v != 0 {
-			out[l] = v
-		}
-	}
-	return out
-}
-
-// Labels returns all labels in sorted order.
-func (c *SyncCounter) Labels() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.cells))
-	for l, cell := range c.cells {
-		if cell.Load() != 0 {
-			out = append(out, l)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // SyncHistogram is a Histogram safe for concurrent observers (e.g. a

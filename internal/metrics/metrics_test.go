@@ -146,72 +146,6 @@ func TestHistogramQuantileMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestSyncCounterConcurrent(t *testing.T) {
-	c := NewSyncCounter()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				c.Add("dials", 1)
-				c.Add("sends", 2)
-			}
-		}()
-	}
-	wg.Wait()
-	if c.Get("dials") != 8000 || c.Get("sends") != 16000 {
-		t.Errorf("dials=%d sends=%d", c.Get("dials"), c.Get("sends"))
-	}
-	snap := c.Snapshot()
-	snap["dials"] = 0
-	if c.Get("dials") != 8000 {
-		t.Error("Snapshot should copy")
-	}
-	labels := c.Labels()
-	if len(labels) != 2 || labels[0] != "dials" || labels[1] != "sends" {
-		t.Errorf("Labels = %v", labels)
-	}
-}
-
-// TestSyncCounterHandle pins the cell contract: adds through a handle
-// and through Add land in one count, an unused handle shows nowhere, and
-// concurrent Handle().Add calls are race-free.
-func TestSyncCounterHandle(t *testing.T) {
-	c := NewSyncCounter()
-	idle := c.Handle("never_counted")
-	h := c.Handle("wire_bytes_in")
-	if c.Handle("wire_bytes_in") != h {
-		t.Fatal("Handle returned two cells for one label")
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				c.Handle("wire_bytes_in").Add(3)
-				c.Add("wire_bytes_in", 1)
-				h.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := c.Get("wire_bytes_in"); got != 40000 {
-		t.Errorf("Get = %d, want 40000", got)
-	}
-	snap := c.Snapshot()
-	if len(snap) != 1 || snap["wire_bytes_in"] != 40000 {
-		t.Errorf("Snapshot = %v, want only wire_bytes_in=40000", snap)
-	}
-	if labels := c.Labels(); len(labels) != 1 || labels[0] != "wire_bytes_in" {
-		t.Errorf("Labels = %v", labels)
-	}
-	if idle.Load() != 0 || c.Get("never_counted") != 0 {
-		t.Error("an unused handle counted something")
-	}
-}
-
 func TestSyncHistogramConcurrent(t *testing.T) {
 	var h SyncHistogram
 	var wg sync.WaitGroup

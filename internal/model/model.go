@@ -45,6 +45,21 @@ type Instance struct {
 	Contributors []NodeID
 }
 
+// The node population's fixed shape (the paper's §4.4 values).
+const (
+	// minUnits/maxUnits bound per-node processing units (paper: 1..5).
+	minUnits, maxUnits = 1, 5
+	// minDocsPerNode/maxDocsPerNode bound content contributions
+	// (paper: 1..20 documents spanning various categories).
+	minDocsPerNode, maxDocsPerNode = 1, 20
+	// storageSlackFactor scales node storage capacity: capacity =
+	// factor × (bytes contributed) + storageSlackBytes, leaving room for
+	// replicas (§4.3.3).
+	storageSlackFactor = 8
+	// storageSlackBytes is a flat extra capacity per node.
+	storageSlackBytes = 512 << 20
+)
+
 // Config controls synthetic instance generation. The zero value is not
 // valid; use DefaultConfig or PaperConfig as a starting point.
 type Config struct {
@@ -53,17 +68,6 @@ type Config struct {
 	// riders are excluded per the paper (§4.4).
 	NumNodes    int
 	NumClusters int
-	// MinUnits/MaxUnits bound per-node processing units (paper: 1..5).
-	MinUnits, MaxUnits int
-	// MinDocsPerNode/MaxDocsPerNode bound content contributions
-	// (paper: 1..20 documents spanning various categories).
-	MinDocsPerNode, MaxDocsPerNode int
-	// StorageSlackFactor scales node storage capacity: capacity =
-	// factor × (bytes contributed) + StorageSlackBytes, leaving room for
-	// replicas (§4.3.3).
-	StorageSlackFactor float64
-	// StorageSlackBytes is a flat extra capacity per node.
-	StorageSlackBytes int64
 	// Seed drives all generation randomness.
 	Seed int64
 }
@@ -79,15 +83,9 @@ func DefaultConfig() Config {
 			ThetaCats: 0.7,
 			CatAssign: catalog.AssignZipf,
 		},
-		NumNodes:           2000,
-		NumClusters:        100,
-		MinUnits:           1,
-		MaxUnits:           5,
-		MinDocsPerNode:     1,
-		MaxDocsPerNode:     20,
-		StorageSlackFactor: 8,
-		StorageSlackBytes:  512 << 20,
-		Seed:               1,
+		NumNodes:    2000,
+		NumClusters: 100,
+		Seed:        1,
 	}
 }
 
@@ -108,15 +106,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("model: NumNodes must be positive, got %d", c.NumNodes)
 	case c.NumClusters <= 0:
 		return fmt.Errorf("model: NumClusters must be positive, got %d", c.NumClusters)
-	case c.MinUnits <= 0 || c.MaxUnits < c.MinUnits:
-		return fmt.Errorf("model: bad units range [%d,%d]", c.MinUnits, c.MaxUnits)
-	case c.MinDocsPerNode <= 0 || c.MaxDocsPerNode < c.MinDocsPerNode:
-		return fmt.Errorf("model: bad docs-per-node range [%d,%d]", c.MinDocsPerNode, c.MaxDocsPerNode)
-	case c.StorageSlackFactor < 1:
-		return fmt.Errorf("model: StorageSlackFactor must be >= 1, got %g", c.StorageSlackFactor)
-	case c.Catalog.NumDocs < c.NumNodes*c.MinDocsPerNode:
+	case c.Catalog.NumDocs < c.NumNodes*minDocsPerNode:
 		return fmt.Errorf("model: %d documents cannot give %d nodes at least %d each",
-			c.Catalog.NumDocs, c.NumNodes, c.MinDocsPerNode)
+			c.Catalog.NumDocs, c.NumNodes, minDocsPerNode)
 	}
 	return nil
 }
@@ -124,7 +116,7 @@ func (c Config) Validate() error {
 // Generate builds a synthetic instance: a catalog per cfg.Catalog, and
 // nodes with random units and contribution counts. Documents are dealt to
 // nodes in random order; every document has exactly one contributor, and
-// every node contributes between MinDocsPerNode and MaxDocsPerNode
+// every node contributes between minDocsPerNode and maxDocsPerNode
 // documents (except possibly the last nodes if documents run out, and
 // extra documents are dealt round-robin if nodes run out).
 func Generate(cfg Config) (*Instance, error) {
@@ -148,7 +140,7 @@ func Generate(cfg Config) (*Instance, error) {
 	for i := range inst.Nodes {
 		inst.Nodes[i] = Node{
 			ID:    NodeID(i),
-			Units: float64(cfg.MinUnits + rng.Intn(cfg.MaxUnits-cfg.MinUnits+1)),
+			Units: float64(minUnits + rng.Intn(maxUnits-minUnits+1)),
 		}
 	}
 
@@ -157,11 +149,11 @@ func Generate(cfg Config) (*Instance, error) {
 	perm := rng.Perm(len(cat.Docs))
 	next := 0
 	for i := range inst.Nodes {
-		want := cfg.MinDocsPerNode + rng.Intn(cfg.MaxDocsPerNode-cfg.MinDocsPerNode+1)
+		want := minDocsPerNode + rng.Intn(maxDocsPerNode-minDocsPerNode+1)
 		// Reserve enough documents for the remaining nodes to each get
 		// their minimum, so no node ends up a free rider.
 		nodesAfter := len(inst.Nodes) - i - 1
-		if maxAllowed := len(perm) - next - nodesAfter*cfg.MinDocsPerNode; want > maxAllowed {
+		if maxAllowed := len(perm) - next - nodesAfter*minDocsPerNode; want > maxAllowed {
 			want = maxAllowed
 		}
 		for j := 0; j < want && next < len(perm); j++ {
@@ -185,7 +177,7 @@ func Generate(cfg Config) (*Instance, error) {
 		for _, di := range inst.Nodes[i].Contributed {
 			contributed += cat.Docs[di].Size
 		}
-		inst.Nodes[i].StorageCap = int64(float64(contributed)*cfg.StorageSlackFactor) + cfg.StorageSlackBytes
+		inst.Nodes[i].StorageCap = int64(float64(contributed)*storageSlackFactor) + storageSlackBytes
 	}
 	return inst, nil
 }

@@ -63,8 +63,8 @@ func TestGenerateUnitsInRange(t *testing.T) {
 	}
 	for i := range inst.Nodes {
 		u := inst.Nodes[i].Units
-		if u < float64(cfg.MinUnits) || u > float64(cfg.MaxUnits) {
-			t.Fatalf("node %d units %g out of [%d,%d]", i, u, cfg.MinUnits, cfg.MaxUnits)
+		if u < minUnits || u > maxUnits {
+			t.Fatalf("node %d units %g out of [%d,%d]", i, u, minUnits, maxUnits)
 		}
 	}
 }
@@ -126,11 +126,6 @@ func TestValidate(t *testing.T) {
 	mutations := []func(*Config){
 		func(c *Config) { c.NumNodes = 0 },
 		func(c *Config) { c.NumClusters = -1 },
-		func(c *Config) { c.MinUnits = 0 },
-		func(c *Config) { c.MaxUnits = 0 },
-		func(c *Config) { c.MinDocsPerNode = 0 },
-		func(c *Config) { c.MaxDocsPerNode = 0 },
-		func(c *Config) { c.StorageSlackFactor = 0.5 },
 	}
 	for i, mut := range mutations {
 		c := smallCfg()

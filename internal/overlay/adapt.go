@@ -430,9 +430,8 @@ func (p *Peer) ownLedNormPop() float64 {
 // protocol.Plan's decision over the collected loads and drive the lazy
 // rebalancing protocol for each move.
 func (p *Peer) evaluateAndRebalance() error {
-	cfg := p.sys.cfg
 	d, err := protocol.Plan(p.leaderLoads, p.sys.epoch, p.sys.inst.NumClusters, len(p.sys.inst.Catalog.Cats),
-		protocol.Thresholds{LowThreshold: cfg.AdaptLowThreshold, TargetFairness: cfg.AdaptTarget, MaxMoves: cfg.AdaptMaxMoves})
+		protocol.DefaultThresholds)
 	if err != nil {
 		return err
 	}

@@ -6,6 +6,7 @@ import (
 	"p2pshare/internal/catalog"
 	"p2pshare/internal/fairness"
 	"p2pshare/internal/model"
+	"p2pshare/internal/protocol"
 )
 
 // buildSystem assembles a small but complete system: instance → MaxFair →
@@ -452,7 +453,7 @@ func TestAdaptationNoopWhenBalanced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.MeasuredFairness < sys.cfg.AdaptLowThreshold {
+	if rep.MeasuredFairness < protocol.DefaultThresholds.LowThreshold {
 		t.Logf("measured fairness %g below threshold — sampling noise", rep.MeasuredFairness)
 	} else if rep.Rebalanced {
 		t.Errorf("rebalanced although fairness %g above threshold", rep.MeasuredFairness)
@@ -501,7 +502,7 @@ func TestAdaptationRebalancesSkewedLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.MeasuredFairness >= sys.cfg.AdaptLowThreshold {
+	if rep.MeasuredFairness >= protocol.DefaultThresholds.LowThreshold {
 		t.Fatalf("skewed workload measured fair (%g)", rep.MeasuredFairness)
 	}
 	if !rep.Rebalanced || len(rep.Moves) == 0 {
@@ -579,16 +580,6 @@ func TestMetadataConflictResolution(t *testing.T) {
 func TestSystemConfigValidation(t *testing.T) {
 	sys, inst, assign := buildSystem(t, 17)
 	_ = sys
-	bad := DefaultConfig()
-	bad.NeighborDegree = 1
-	if _, err := NewSystem(inst, assign, nil, bad); err == nil {
-		t.Error("NeighborDegree=1 should fail")
-	}
-	bad = DefaultConfig()
-	bad.PublishFanout = 0
-	if _, err := NewSystem(inst, assign, nil, bad); err == nil {
-		t.Error("PublishFanout=0 should fail")
-	}
 	if _, err := NewSystem(inst, assign[:3], nil, DefaultConfig()); err == nil {
 		t.Error("short assignment should fail")
 	}

@@ -270,8 +270,8 @@ func (p *Peer) rememberNode(cl model.ClusterID, n model.NodeID) {
 		}
 	}
 	list = append(list, n)
-	if cap := p.sys.cfg.NRTCap; cap > 0 && len(list) > cap {
-		list = list[len(list)-cap:]
+	if len(list) > nrtCap {
+		list = list[len(list)-nrtCap:]
 	}
 	p.nrt[cl] = list
 }

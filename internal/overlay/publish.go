@@ -79,10 +79,7 @@ func (p *Peer) startPublish(d catalog.DocID, cat catalog.CategoryID, dummy bool)
 			return
 		}
 	}
-	fanout := p.sys.cfg.PublishFanout
-	if fanout > len(targets) {
-		fanout = len(targets)
-	}
+	fanout := min(protocol.PublishFanout, len(targets))
 	// Step 4: send "publish" to nodes of the target cluster.
 	for i := 0; i < fanout; i++ {
 		t := targets[p.sys.rng.Intn(len(targets))]

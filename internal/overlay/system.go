@@ -9,43 +9,32 @@ import (
 	"p2pshare/internal/cache"
 	"p2pshare/internal/catalog"
 	"p2pshare/internal/model"
+	"p2pshare/internal/protocol"
 	"p2pshare/internal/replica"
 	"p2pshare/internal/simnet"
 )
 
-// Config tunes the overlay runtime.
+// The overlay's fixed shape (the paper's examples).
+const (
+	// neighborDegree is the number of in-cluster forwarding/gossip
+	// neighbors per node (a ring plus random chords keeps every cluster
+	// connected).
+	neighborDegree = 4
+	// nrtCap bounds NRT entries learned at runtime per cluster; the
+	// paper suggests LRU replacement (§6.2).
+	nrtCap = 64
+)
+
+// Config tunes the overlay runtime: only what callers vary. The contact
+// counts are protocol.RemoteContacts and protocol.PublishFanout, the
+// adaptation knobs protocol.DefaultThresholds, and the latency model
+// simnet's default.
 type Config struct {
 	// Mode selects the intra-cluster content-location design (§3.1):
 	// flooding (default), super peers, or routing indices.
 	Mode Mode
-	// NeighborDegree is the number of in-cluster forwarding/gossip
-	// neighbors per node (a ring plus random chords keeps every cluster
-	// connected).
-	NeighborDegree int
-	// RemoteContacts is how many nodes of each foreign cluster a peer
-	// keeps in its NRT for query routing.
-	RemoteContacts int
-	// NRTCap bounds NRT entries learned at runtime per cluster
-	// (0 = unlimited); the paper suggests LRU replacement (§6.2).
-	NRTCap int
-	// PublishFanout is how many cluster nodes a publish is sent to.
-	PublishFanout int
-	// Latency is the network latency model (nil = simnet default).
-	Latency simnet.Latency
 	// Seed drives all runtime randomness.
 	Seed int64
-
-	// AdaptLowThreshold triggers rebalancing when measured fairness
-	// falls below it (paper example: 0.83).
-	AdaptLowThreshold float64
-	// AdaptTarget is the fairness MaxFair_Reassign rebalances back up to
-	// (paper example: 0.92).
-	AdaptTarget float64
-	// AdaptMaxMoves caps category reassignments per adaptation round.
-	AdaptMaxMoves int
-	// ReplicaConfig sets the replication degree used when moving
-	// categories between clusters.
-	ReplicaConfig replica.Config
 
 	// CacheBytes enables the §7(viii) extension: each peer keeps a
 	// byte-budgeted cache of documents received as query results and
@@ -58,17 +47,7 @@ type Config struct {
 // DefaultConfig returns sensible simulation defaults matching the paper's
 // examples.
 func DefaultConfig() Config {
-	return Config{
-		NeighborDegree:    4,
-		RemoteContacts:    3,
-		NRTCap:            64,
-		PublishFanout:     3,
-		Seed:              1,
-		AdaptLowThreshold: 0.83,
-		AdaptTarget:       0.92,
-		AdaptMaxMoves:     16,
-		ReplicaConfig:     replica.DefaultConfig(),
-	}
+	return Config{Seed: 1}
 }
 
 // QueryReport summarizes one finished (or drained) query.
@@ -124,12 +103,6 @@ func NewSystem(inst *model.Instance, assign []model.ClusterID, place *replica.Pl
 		return nil, fmt.Errorf("overlay: assignment covers %d of %d categories",
 			len(assign), len(inst.Catalog.Cats))
 	}
-	if cfg.NeighborDegree < 2 {
-		return nil, fmt.Errorf("overlay: NeighborDegree must be >= 2, got %d", cfg.NeighborDegree)
-	}
-	if cfg.PublishFanout < 1 {
-		return nil, fmt.Errorf("overlay: PublishFanout must be >= 1, got %d", cfg.PublishFanout)
-	}
 	mem, err := model.NewMembership(inst, assign)
 	if err != nil {
 		return nil, err
@@ -137,7 +110,7 @@ func NewSystem(inst *model.Instance, assign []model.ClusterID, place *replica.Pl
 	s := &System{
 		inst:         inst,
 		cfg:          cfg,
-		net:          simnet.New(cfg.Latency, cfg.Seed),
+		net:          simnet.New(simnet.DefaultLatency, cfg.Seed),
 		assign:       append([]model.ClusterID(nil), assign...),
 		moveCounters: make([]uint64, len(assign)),
 	}
@@ -219,7 +192,7 @@ func NewSystem(inst *model.Instance, assign []model.ClusterID, place *replica.Pl
 			if len(members) == 0 {
 				continue
 			}
-			for i := 0; i < cfg.RemoteContacts; i++ {
+			for i := 0; i < protocol.RemoteContacts; i++ {
 				p.nrt[cl] = appendUnique(p.nrt[cl], members[s.rng.Intn(len(members))], p.id)
 			}
 		}
@@ -314,7 +287,7 @@ func (s *System) SuperPeer(cl model.ClusterID) (model.NodeID, bool) {
 }
 
 // wireCluster builds the in-cluster neighbor graph: a ring over the sorted
-// members plus random chords up to NeighborDegree. The ring guarantees
+// members plus random chords up to neighborDegree. The ring guarantees
 // connectivity, so intra-cluster flooding reaches every member (the §3.3
 // worst-case response bound needs exactly this).
 func (s *System) wireCluster(cl model.ClusterID, members []model.NodeID) {
@@ -334,7 +307,7 @@ func (s *System) wireCluster(cl model.ClusterID, members []model.NodeID) {
 	for i, a := range sorted {
 		link(a, sorted[(i+1)%len(sorted)])
 	}
-	extra := s.cfg.NeighborDegree - 2
+	extra := neighborDegree - 2
 	for _, a := range sorted {
 		for e := 0; e < extra; e++ {
 			link(a, sorted[s.rng.Intn(len(sorted))])

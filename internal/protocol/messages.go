@@ -29,6 +29,17 @@ const (
 	PerEntryBytes = 16
 )
 
+// The paper's contact counts, shared by the simulated overlay and the
+// live node.
+const (
+	// RemoteContacts is how many members of each foreign cluster a node
+	// keeps in its NRT at bootstrap, for query routing.
+	RemoteContacts = 3
+	// PublishFanout is how many members of the serving cluster a publish
+	// is sent to (§6.2).
+	PublishFanout = 3
+)
+
 // DCRTEntry is one Document Category Routing Table row: the cluster
 // currently serving a category, versioned by a move counter so concurrent
 // metadata updates resolve to the newest move (§6.1.2 conflict

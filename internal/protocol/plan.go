@@ -19,6 +19,11 @@ type Thresholds struct {
 	MaxMoves int
 }
 
+// DefaultThresholds are the paper's example knobs (rebalance when
+// fairness falls below 0.83, back up to 0.92), at most 16 moves an
+// epoch.
+var DefaultThresholds = Thresholds{LowThreshold: 0.83, TargetFairness: 0.92, MaxMoves: 16}
+
 // Survey is phase 3's reading of the loads a leader holds for one epoch.
 type Survey struct {
 	// Heard lists, ascending, the clusters with a load for the epoch.

@@ -170,9 +170,6 @@ func (n *Network) Rng() *rand.Rand { return n.rng }
 // Now returns the current simulated time.
 func (n *Network) Now() time.Duration { return n.now }
 
-// NumProcesses returns how many processes are registered.
-func (n *Network) NumProcesses() int { return len(n.procs) }
-
 // Alive reports whether the process at addr is alive.
 func (n *Network) Alive(addr int) bool {
 	return addr >= 0 && addr < len(n.alive) && n.alive[addr]
