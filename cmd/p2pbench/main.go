@@ -18,8 +18,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -129,7 +131,12 @@ func run() int {
 			continue
 		}
 		if *baseline != "" {
-			base, ok := loadBaseline(*baseline, p.Name)
+			base, ok, err := loadBaseline(*baseline, p.Name)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "p2pbench: plan %s: baseline: %v\n", p.Name, err)
+				failed = true
+				continue
+			}
 			if !ok {
 				fmt.Printf("plan %s: no baseline yet; skipping gate\n", p.Name)
 				continue
@@ -153,18 +160,23 @@ func run() int {
 }
 
 // loadBaseline resolves -baseline: a file gates the plan directly; a
-// directory is searched for BENCH_<plan>.baseline.json.
-func loadBaseline(path, plan string) (harness.Result, bool) {
+// directory is searched for BENCH_<plan>.baseline.json. A directory
+// without that file is the one case with no gate (ok false): the plan
+// has no baseline yet, as the soak plans under -all. Any other failure
+// to stat, read or parse is an error, so a mistyped path or a corrupt
+// baseline fails the run instead of passing it ungated.
+func loadBaseline(path, plan string) (res harness.Result, ok bool, err error) {
 	fi, err := os.Stat(path)
 	if err != nil {
-		return harness.Result{}, false
+		return res, false, err
 	}
-	if fi.IsDir() {
-		path = filepath.Join(path, "BENCH_"+plan+".baseline.json")
+	if !fi.IsDir() {
+		res, err = harness.ReadResult(path)
+		return res, err == nil, err
 	}
-	res, err := harness.ReadResult(path)
-	if err != nil {
-		return harness.Result{}, false
+	res, err = harness.ReadResult(filepath.Join(path, "BENCH_"+plan+".baseline.json"))
+	if errors.Is(err, fs.ErrNotExist) {
+		return res, false, nil
 	}
-	return res, true
+	return res, err == nil, err
 }

@@ -8,6 +8,7 @@ package harness
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 )
@@ -149,30 +150,37 @@ type Regression struct {
 }
 
 func (r Regression) String() string {
+	if math.IsNaN(r.Current) {
+		return fmt.Sprintf("%s (%s): baseline %.4g, no reading in this run",
+			r.Metric, r.Goal, r.Baseline)
+	}
 	return fmt.Sprintf("%s (%s): baseline %.4g, current %.4g, allowed %.4g",
 		r.Metric, r.Goal, r.Baseline, r.Current, r.Allowed)
 }
 
 // Compare gates the current run against a committed baseline using the
-// plan's objectives. A metric missing from either side is skipped (the
+// plan's objectives. A metric the baseline lacks is skipped (the
 // trajectory may grow new data points before baselines catch up), as is
-// an unset convergence reading (-1) in the baseline — but a run that
-// STOPS converging while the baseline did converge is a regression.
+// an unset convergence reading (-1) in the baseline. A gated metric the
+// baseline has but the run lacks is a regression (Current NaN): a run
+// whose fetches never happened reports no fetch readings at all. So is
+// a run that STOPS converging while the baseline did converge.
 func Compare(objectives []Objective, baseline, current Result) []Regression {
 	var regs []Regression
 	for _, o := range objectives {
 		if o.RelTol == 0 && o.AbsTol == 0 {
 			continue // report-only
 		}
-		base, okB := baseline.Totals[o.Metric]
-		cur, okC := current.Totals[o.Metric]
-		if !okB || !okC {
-			continue
-		}
+		base, ok := baseline.Totals[o.Metric]
 		// Convergence sentinel: -1 means "not measured / did not
 		// converge". Baseline -1 gates nothing; current -1 against a
 		// measured baseline is the worst possible reading.
-		if base < 0 {
+		if !ok || base < 0 {
+			continue
+		}
+		cur, ok := current.Totals[o.Metric]
+		if !ok {
+			regs = append(regs, Regression{o.Metric, o.Goal, base, math.NaN(), base})
 			continue
 		}
 		if cur < 0 {

@@ -13,7 +13,8 @@ func res(totals map[string]float64) Result {
 }
 
 // TestCompareGates pins the gate arithmetic: slack = base*RelTol+AbsTol,
-// direction by Goal, report-only when both tolerances are zero.
+// direction by Goal, report-only when both tolerances are zero, and a
+// gated reading the run lacks counts against it.
 func TestCompareGates(t *testing.T) {
 	objs := []Objective{
 		{Metric: "p95_ms", Goal: "min", RelTol: 0.5, AbsTol: 10},
@@ -24,18 +25,24 @@ func TestCompareGates(t *testing.T) {
 
 	cases := []struct {
 		name string
+		base map[string]float64 // nil: base
 		cur  map[string]float64
 		want int
 	}{
-		{"within", map[string]float64{"p95_ms": 155, "fairness": 0.85, "qps": 1}, 0},
-		{"latency over", map[string]float64{"p95_ms": 161, "fairness": 0.9, "qps": 1}, 1},
-		{"fairness under", map[string]float64{"p95_ms": 100, "fairness": 0.80, "qps": 1}, 1},
-		{"both", map[string]float64{"p95_ms": 300, "fairness": 0.5, "qps": 1}, 2},
-		{"report-only never gates", map[string]float64{"p95_ms": 100, "fairness": 0.9, "qps": 0}, 0},
-		{"missing metric skipped", map[string]float64{"fairness": 0.9}, 0},
+		{"within", nil, map[string]float64{"p95_ms": 155, "fairness": 0.85, "qps": 1}, 0},
+		{"latency over", nil, map[string]float64{"p95_ms": 161, "fairness": 0.9, "qps": 1}, 1},
+		{"fairness under", nil, map[string]float64{"p95_ms": 100, "fairness": 0.80, "qps": 1}, 1},
+		{"both", nil, map[string]float64{"p95_ms": 300, "fairness": 0.5, "qps": 1}, 2},
+		{"report-only never gates", nil, map[string]float64{"p95_ms": 100, "fairness": 0.9, "qps": 0}, 0},
+		{"gated metric missing from run regresses", nil, map[string]float64{"fairness": 0.9}, 1},
+		{"metric missing from baseline skipped", map[string]float64{"fairness": 0.9}, map[string]float64{"fairness": 0.9}, 0},
 	}
 	for _, tc := range cases {
-		regs := Compare(objs, base, res(tc.cur))
+		b := base
+		if tc.base != nil {
+			b = res(tc.base)
+		}
+		regs := Compare(objs, b, res(tc.cur))
 		if len(regs) != tc.want {
 			t.Errorf("%s: got %d regressions %v, want %d", tc.name, len(regs), regs, tc.want)
 		}

@@ -136,8 +136,8 @@ func Flashbulk() Plan {
 
 // soakPlans bridges every scripted chaos-soak scenario into the plan
 // registry, so `p2pbench -plan soak-partition-adapt` runs the same
-// invariant-checked scenario the chaos CI job runs, with its report
-// folded into the trajectory format.
+// invariant-checked scenario `go test ./internal/chaos/soak` runs, with
+// its report folded into the trajectory format.
 func soakPlans() []Plan {
 	var out []Plan
 	for _, sc := range soak.Scenarios() {

@@ -269,9 +269,7 @@ func runProcessPlan(p Plan, cfg RunConfig) (Result, error) {
 		Optimized: p.Optimized,
 		Totals:    map[string]float64{"nodes_launched": float64(p.Nodes)},
 	}
-	allLat := &metrics.SyncHistogram{}
-	allFetchLat := &metrics.SyncHistogram{}
-	bulkLat := &metrics.SyncHistogram{}
+	var allLat, allFetchLat, bulkLat metrics.Histogram
 	var totQ, totOK, totErr float64
 	var totFetch, totFetchOK, totFetchBytes float64
 	var totLoadSec float64
@@ -525,17 +523,22 @@ func runAct(r *Runner, p Plan, act Act, prev map[int]*proto.StatsReport, cfg Run
 		m["fetch_bytes"] += float64(rep.FetchBytes)
 		fetchLat = append(fetchLat, rep.FetchLatencyMS...)
 	}
-	sort.Float64s(lat)
-	if len(lat) > 0 {
-		m["p50_ms"] = quantileSorted(lat, 0.5)
-		m["p95_ms"] = quantileSorted(lat, 0.95)
-		m["p99_ms"] = quantileSorted(lat, 0.99)
+	var latH, fetchH metrics.Histogram
+	for _, v := range lat {
+		latH.Observe(v)
 	}
-	sort.Float64s(fetchLat)
-	if len(fetchLat) > 0 {
-		m["fetch_p50_ms"] = quantileSorted(fetchLat, 0.5)
-		m["fetch_p95_ms"] = quantileSorted(fetchLat, 0.95)
-		m["fetch_p99_ms"] = quantileSorted(fetchLat, 0.99)
+	for _, v := range fetchLat {
+		fetchH.Observe(v)
+	}
+	if latH.Count() > 0 {
+		m["p50_ms"] = latH.Quantile(0.5)
+		m["p95_ms"] = latH.Quantile(0.95)
+		m["p99_ms"] = latH.Quantile(0.99)
+	}
+	if fetchH.Count() > 0 {
+		m["fetch_p50_ms"] = fetchH.Quantile(0.5)
+		m["fetch_p95_ms"] = fetchH.Quantile(0.95)
+		m["fetch_p99_ms"] = fetchH.Quantile(0.99)
 	}
 	if m["seconds"] > 0 {
 		m["qps"] = m["queries"] / m["seconds"]
@@ -571,13 +574,4 @@ func runAct(r *Runner, p Plan, act Act, prev map[int]*proto.StatsReport, cfg Run
 		m["converge_s"] = convergeS
 	}
 	return m, lat, fetchLat, convergeS, nil
-}
-
-// quantileSorted reads a quantile off an ascending sample slice.
-func quantileSorted(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(xs)-1))
-	return xs[i]
 }

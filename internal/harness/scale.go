@@ -10,7 +10,6 @@ import (
 	"net"
 	"os"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -19,6 +18,7 @@ import (
 
 	"p2pshare/internal/livenet"
 	"p2pshare/internal/memnet"
+	"p2pshare/internal/metrics"
 	"p2pshare/internal/model"
 )
 
@@ -101,11 +101,12 @@ func runScalePlan(p Plan, cfg RunConfig, queries int) (Result, error) {
 	elapsed := time.Since(loadStart).Seconds()
 	frames := c.Stats()["transport_sends"] - sendsBefore
 
-	var all []float64
+	var all metrics.Histogram
 	for _, l := range lats {
-		all = append(all, l...)
+		for _, v := range l {
+			all.Observe(v)
+		}
 	}
-	sort.Float64s(all)
 	n := float64(p.Nodes)
 	return Result{
 		Plan: p.Name, Overview: p.Overview, Seed: p.Seed, Nodes: p.Nodes,
@@ -118,9 +119,9 @@ func runScalePlan(p Plan, cfg RunConfig, queries int) (Result, error) {
 			"goroutines_per_node": float64(goroutines) / n,
 			"errors":              float64(errs.Load()),
 			"qps":                 float64(queries) / elapsed,
-			"p50_ms":              quantileSorted(all, 0.50),
-			"p95_ms":              quantileSorted(all, 0.95),
-			"p99_ms":              quantileSorted(all, 0.99),
+			"p50_ms":              all.Quantile(0.50),
+			"p95_ms":              all.Quantile(0.95),
+			"p99_ms":              all.Quantile(0.99),
 			"frames_per_query":    float64(frames) / float64(queries),
 			"nodes_launched":      n,
 		},

@@ -217,8 +217,9 @@ func TestIdleClusterGoroutineBudget(t *testing.T) {
 
 // TestThousandNodeClusterOverMemnet boots the CI-scale live cluster —
 // every node a real Node with listeners, query tables, and transports on
-// the memnet fabric — and serves queries across it. This is the -short
-// smoke for the paper-scale path the p2pbench scale-* plans measure.
+// the memnet fabric — and serves queries across it. This is the test
+// suite's smoke for the paper-scale path the p2pbench scale-* plans
+// measure; under -race it boots 250 nodes.
 func TestThousandNodeClusterOverMemnet(t *testing.T) {
 	nodes := 1000
 	if raceEnabled {
