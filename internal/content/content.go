@@ -371,13 +371,6 @@ func (s *Store) SetCacheBudget(bytes int64) {
 	s.mu.Unlock()
 }
 
-// CacheBudget returns the cached-replica byte budget.
-func (s *Store) CacheBudget() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.cacheBudget
-}
-
 // CacheBytes returns the bytes currently held by cached replicas.
 func (s *Store) CacheBytes() int64 {
 	s.mu.RLock()
@@ -467,8 +460,8 @@ func (s *Store) uncacheLocked(doc catalog.DocID) {
 
 // Decay drops cached replicas that have not served a chunk or manifest
 // since the previous Decay call, returning the dropped doc ids — the
-// aging half of demand-driven replication: pushed and fetched copies
-// disappear once the crowd moves on, base copies never do.
+// aging half of demand-driven replication: fetched copies disappear
+// once the crowd moves on, base copies never do.
 func (s *Store) Decay() []catalog.DocID {
 	s.mu.Lock()
 	defer s.mu.Unlock()

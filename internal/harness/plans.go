@@ -89,19 +89,19 @@ func Bulkmix() Plan {
 
 // Flashbulk is the content-plane flash crowd: a steady fetch mix, then
 // nearly every fetch in the fleet slams ONE document (a ~100x jump in
-// that document's demand). With demand-driven replication on, repeat
-// requesters cache the document and overloaded holders push it at
-// under-loaded members, so the spike's tail latency must stay within a
-// small factor of steady state and the origin holder's share of served
-// bytes must flatten instead of absorbing the whole crowd.
+// that document's demand). With demand-driven cache admission on,
+// repeat requesters install the document and start serving it, so the
+// spike's tail latency must stay within a small factor of steady state
+// and the origin holder's share of served bytes must flatten instead of
+// absorbing the whole crowd.
 func Flashbulk() Plan {
 	return Plan{
 		Name: "flashbulk",
 		Overview: "Single-document flash crowd on the content plane: steady " +
 			"Zipf fetches, then 95% of all fetches hit one document; " +
-			"demand-driven replica caching and holder push-replication are " +
-			"what keep the spike's fetch p99 near steady state and spread " +
-			"the served bytes off the origin holders.",
+			"demand-driven replica caching is what keeps the spike's fetch " +
+			"p99 near steady state and spreads the served bytes off the " +
+			"origin holders.",
 		Optimized: []Objective{
 			{Metric: "error_rate", Goal: "min", RelTol: 1.0, AbsTol: 0.05},
 			{Metric: "fetch_fail_rate", Goal: "min", RelTol: 1.0, AbsTol: 0.05},
@@ -111,11 +111,10 @@ func Flashbulk() Plan {
 			{Metric: "spike_origin_share", Goal: "min", RelTol: 0.5, AbsTol: 0.15},
 			{Metric: "fetch_p95_ms", Goal: "min", RelTol: 2.0, AbsTol: 2000},
 			// Tracked but not gated: absolute latencies are machine noise;
-			// the replication counters prove the machinery engaged.
+			// the cache installs prove the replication engaged.
 			{Metric: "spike_fetch_p99_ms", Goal: "min"},
 			{Metric: "steady_fetch_p99_ms", Goal: "min"},
 			{Metric: "content_cache_installs", Goal: "max"},
-			{Metric: "replicate_installs", Goal: "max"},
 			{Metric: "chunk_hash_fail", Goal: "min"},
 		},
 		Nodes: 20, Clusters: 4, Docs: 400, Cats: 12, Seed: 29,

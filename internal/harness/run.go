@@ -78,11 +78,10 @@ func (c RunConfig) withDefaults() RunConfig {
 	return c
 }
 
-// pullCounters are the background pull pool's outcomes — move shipping
-// and pushed-replica pulls — summed over the fleet into a content plan's
-// totals, so a run shows whether moves and pushes competed for workers.
+// pullCounters are the move-shipping pool's outcomes, summed over the
+// fleet into a content plan's totals, so a run shows whether moves
+// queued for workers or failed.
 var pullCounters = []string{
-	"replicate_drops", "replicate_redundant", "replicate_pull_failures",
 	"transfer_move_docs", "transfer_move_queued", "transfer_move_failures",
 }
 
@@ -321,7 +320,7 @@ func runProcessPlan(p Plan, cfg RunConfig) (Result, error) {
 	var served []float64
 	var wireIn, wireOut, hits, misses float64
 	var xferIn, xferOut, hashFail float64
-	var cacheInstalls, pushInstalls, pushes float64
+	var cacheInstalls float64
 	pulls := map[string]float64{}
 	for _, s := range final {
 		served = append(served, float64(s.Counters["served"]))
@@ -333,8 +332,6 @@ func runProcessPlan(p Plan, cfg RunConfig) (Result, error) {
 		xferOut += float64(s.Counters["transfer_bytes_out"])
 		hashFail += float64(s.Counters["chunk_hash_fail"])
 		cacheInstalls += float64(s.Counters["content_cache_installs"])
-		pushInstalls += float64(s.Counters["replicate_installs"])
-		pushes += float64(s.Counters["replicate_pushes"])
 		for _, k := range pullCounters {
 			pulls[k] += float64(s.Counters[k])
 		}
@@ -381,8 +378,6 @@ func runProcessPlan(p Plan, cfg RunConfig) (Result, error) {
 			res.Totals["bulk_query_p95_ms"] = bulkLat.Quantile(0.95)
 		}
 		res.Totals["content_cache_installs"] = cacheInstalls
-		res.Totals["replicate_installs"] = pushInstalls
-		res.Totals["replicate_pushes"] = pushes
 		for k, v := range pulls {
 			res.Totals[k] = v
 		}
@@ -567,7 +562,9 @@ func runAct(r *Runner, p Plan, act Act, prev map[int]*proto.StatsReport, cfg Run
 				m["origin_share"] = maxCounterDelta(prev, cur, "transfer_bytes_out") / total
 			}
 			m["cache_installs"] = counterDelta(prev, cur, "content_cache_installs")
-			m["replicate_installs"] = counterDelta(prev, cur, "replicate_installs")
+			// Documents adaptation's moves shipped during the act: moves
+			// landing mid-spike compete with the crowd for the links.
+			m["move_docs"] = counterDelta(prev, cur, "transfer_move_docs")
 		}
 	}
 	if act.TrackConvergence {

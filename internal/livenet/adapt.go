@@ -92,18 +92,6 @@ type adaptState struct {
 	// finalized per-cluster aggregates this leader has heard.
 	agg   map[model.ClusterID]*protocol.ClusterLoad
 	loads map[model.ClusterID]*protocol.ClusterLoad
-	// serves accumulates per-member content-serve loads at a leader
-	// (LeaderLoad.Served), feeding the demand-driven replication hints.
-	serves map[model.ClusterID]*serveLoad
-}
-
-// serveLoad is one cluster's per-member serve-load measurements for one
-// epoch — the content-plane analogue of protocol.ClusterLoad, kept per member
-// because the leader's job is to pair overloaded holders with
-// under-loaded push targets, not to aggregate.
-type serveLoad struct {
-	epoch  uint64
-	byNode map[model.NodeID]int64
 }
 
 // enableAdaptation starts the epoch clock. Caller holds routeMu.Lock.
@@ -116,11 +104,10 @@ func (n *Node) enableAdaptation(cfg AdaptConfig) {
 		}
 	}
 	n.adapt = &adaptState{
-		cfg:    cfg,
-		mine:   mine,
-		agg:    make(map[model.ClusterID]*protocol.ClusterLoad),
-		loads:  make(map[model.ClusterID]*protocol.ClusterLoad),
-		serves: make(map[model.ClusterID]*serveLoad),
+		cfg:   cfg,
+		mine:  mine,
+		agg:   make(map[model.ClusterID]*protocol.ClusterLoad),
+		loads: make(map[model.ClusterID]*protocol.ClusterLoad),
 	}
 	tick := cfg.Interval / 8
 	if tick < 5*time.Millisecond {
@@ -190,14 +177,6 @@ func (n *Node) leaderOf(cl model.ClusterID) (model.NodeID, bool) {
 func (n *Node) adaptReport(e uint64) {
 	ad := n.adapt
 	measured := n.drainHits()
-	// The content plane reports alongside the query plane: the drained
-	// per-doc serve window feeds this node's own hot-doc ranking
-	// (lastServed, read when a push hint arrives) and its total rides
-	// the same LeaderLoad frame to the leader.
-	servedDocs, servedTotal := n.drainServed()
-	if len(servedDocs) > 0 {
-		n.lastServed = servedDocs
-	}
 	for _, cl := range ad.mine {
 		hits := make(map[catalog.CategoryID]int64)
 		for c, h := range measured {
@@ -212,13 +191,12 @@ func (n *Node) adaptReport(e uint64) {
 		}
 		if leader == n.id {
 			ad.aggregate(cl, e).Add(hits, units)
-			ad.mergeServe(cl, e, n.id, servedTotal)
 			continue
 		}
-		if len(hits) == 0 && len(units) == 0 && servedTotal == 0 {
+		if len(hits) == 0 && len(units) == 0 {
 			continue
 		}
-		n.send(leader, wire.LeaderLoad{Epoch: e, Cluster: cl, Hits: hits, Units: units, Served: servedTotal})
+		n.send(leader, wire.LeaderLoad{Epoch: e, Cluster: cl, Hits: hits, Units: units})
 	}
 }
 
@@ -245,85 +223,6 @@ func (ad *adaptState) aggregate(cl model.ClusterID, e uint64) *protocol.ClusterL
 	return st
 }
 
-// mergeServe records one member's serve-load report at a leader; a
-// report from a newer epoch resets the accumulator.
-func (ad *adaptState) mergeServe(cl model.ClusterID, e uint64, from model.NodeID, served int64) {
-	sv := ad.serves[cl]
-	if sv == nil || sv.epoch != e {
-		sv = &serveLoad{epoch: e, byNode: make(map[model.NodeID]int64)}
-		ad.serves[cl] = sv
-	}
-	sv.byNode[from] = served
-}
-
-const (
-	// pushHintMinServes is the absolute serve-load floor below which a
-	// member is never flagged overloaded — trivial load needs no
-	// replication however skewed it is.
-	pushHintMinServes = 16
-	// maxLiteTargets caps how many under-loaded members one hint names.
-	maxLiteTargets = 4
-)
-
-// pushHints is the leader half of demand-driven replication, run at
-// aggregation time: pair members whose measured serve load is far above
-// the cluster mean with the lightest-loaded live members, and tell each
-// overloaded holder who to push at (LeaderLoad.Lite). Members that
-// reported nothing count as zero load — they are exactly the idle
-// capacity a flash crowd should spread onto.
-func (n *Node) pushHints(cl model.ClusterID, e uint64) {
-	ad := n.adapt
-	sv := ad.serves[cl]
-	if sv == nil || sv.epoch != e || len(sv.byNode) == 0 {
-		return
-	}
-	members := n.members[cl]
-	if len(members) < 2 {
-		return
-	}
-	var total int64
-	for _, w := range sv.byNode {
-		total += w
-	}
-	if total < pushHintMinServes {
-		return
-	}
-	mean := float64(total) / float64(len(members))
-	var lite []model.NodeID
-	for _, id := range members {
-		if id != n.id && n.det != nil && !n.det.IsLive(id) {
-			continue
-		}
-		if float64(sv.byNode[id]) <= mean {
-			lite = append(lite, id)
-		}
-	}
-	sort.Slice(lite, func(i, j int) bool {
-		if sv.byNode[lite[i]] != sv.byNode[lite[j]] {
-			return sv.byNode[lite[i]] < sv.byNode[lite[j]]
-		}
-		return lite[i] < lite[j]
-	})
-	if len(lite) > maxLiteTargets {
-		lite = lite[:maxLiteTargets]
-	}
-	if len(lite) == 0 {
-		return
-	}
-	hint := wire.LeaderLoad{Epoch: e, Cluster: cl, Lite: lite}
-	for _, id := range members {
-		w, reported := sv.byNode[id]
-		if !reported || w < pushHintMinServes || float64(w) <= 2*mean {
-			continue
-		}
-		if id == n.id {
-			n.pushReplicas(lite)
-			continue
-		}
-		n.send(id, hint)
-	}
-}
-
 // adaptAggregate is step 1 at each leader: finalize the cluster's load
 // and share it with every other cluster's leader.
 func (n *Node) adaptAggregate(e uint64) {
@@ -332,7 +231,6 @@ func (n *Node) adaptAggregate(e uint64) {
 		if leader, ok := n.leaderOf(cl); !ok || leader != n.id {
 			continue
 		}
-		n.pushHints(cl, e)
 		// Finalize: the accumulator is retired (a late member report for
 		// this epoch starts a fresh one that is never read) and the wire
 		// message carries deep copies — the transport writers encode the
@@ -358,7 +256,7 @@ func (n *Node) adaptAggregate(e uint64) {
 // handleLeaderLoad processes both kinds of load message: a member
 // report (accepted only by the believed leader of the reporting
 // cluster) and a leader-to-leader aggregate.
-func (n *Node) handleLeaderLoad(from model.NodeID, m wire.LeaderLoad) {
+func (n *Node) handleLeaderLoad(m wire.LeaderLoad) {
 	ad := n.adapt
 	if ad == nil {
 		n.stats.AdaptDroppedLoads.Add(1)
@@ -370,18 +268,6 @@ func (n *Node) handleLeaderLoad(from model.NodeID, m wire.LeaderLoad) {
 		}
 		return
 	}
-	if len(m.Lite) > 0 {
-		// A leader's replication hint: this node's serve load stood out
-		// and Lite names the under-loaded members to push hot replicas
-		// at. Accepted only from the believed leader of the named
-		// cluster, so a hostile frame cannot direct pushes.
-		if leader, ok := n.leaderOf(m.Cluster); ok && leader == from {
-			n.pushReplicas(m.Lite)
-		} else {
-			n.stats.AdaptDroppedLoads.Add(1)
-		}
-		return
-	}
 	if leader, ok := n.leaderOf(m.Cluster); !ok || leader != n.id {
 		// Liveness views briefly disagree on the leader; drop and let
 		// the next epoch converge.
@@ -389,7 +275,6 @@ func (n *Node) handleLeaderLoad(from model.NodeID, m wire.LeaderLoad) {
 		return
 	}
 	ad.aggregate(m.Cluster, m.Epoch).Add(m.Hits, m.Units)
-	ad.mergeServe(m.Cluster, m.Epoch, from, m.Served)
 }
 
 // adaptEvaluate is steps 2–4: every leader surveys the loads it heard;

@@ -67,15 +67,10 @@ type counters struct {
 	TransferStrayFrames     atomic.Int64 `stat:"transfer_stray_frames"`
 	TransferOverruns        atomic.Int64 `stat:"transfer_overruns"`
 
-	// Background pulls: adaptation's moves, demand-driven replicas.
-	TransferMoveQueued    atomic.Int64 `stat:"transfer_move_queued"`
-	TransferMoveDocs      atomic.Int64 `stat:"transfer_move_docs"`
-	TransferMoveFailures  atomic.Int64 `stat:"transfer_move_failures"`
-	ReplicatePushes       atomic.Int64 `stat:"replicate_pushes"`
-	ReplicateInstalls     atomic.Int64 `stat:"replicate_installs"`
-	ReplicateRedundant    atomic.Int64 `stat:"replicate_redundant"`
-	ReplicatePullFailures atomic.Int64 `stat:"replicate_pull_failures"`
-	ReplicateDrops        atomic.Int64 `stat:"replicate_drops"`
+	// Background pulls: adaptation's moves.
+	TransferMoveQueued   atomic.Int64 `stat:"transfer_move_queued"`
+	TransferMoveDocs     atomic.Int64 `stat:"transfer_move_docs"`
+	TransferMoveFailures atomic.Int64 `stat:"transfer_move_failures"`
 
 	// Adaptation (§6.1).
 	AdaptEvaluations  atomic.Int64 `stat:"adapt_evaluations"`

@@ -19,15 +19,14 @@ func TestStatsKeysReadOutsideLivenet(t *testing.T) {
 			"transfer_req_forwards", "transfer_stalls", "transport_dials", "transport_drops_bulk_full",
 			"transport_drops_queue_full", "transport_sends", "wire_bytes_out"},
 		"internal/harness": {"cache_hit", "cache_miss", "chunk_hash_fail", "content_cache_installs",
-			"fairness_x1000", "replicate_drops", "replicate_installs", "replicate_pull_failures",
-			"replicate_pushes", "replicate_redundant", "served", "transfer_bytes_in", "transfer_bytes_out",
+			"fairness_x1000", "served", "transfer_bytes_in", "transfer_bytes_out",
 			"transfer_move_docs", "transfer_move_failures", "transfer_move_queued", "transport_sends",
 			"wire_bytes_in", "wire_bytes_out"},
 		"cmd/p2pnode": {"cache_hit", "cache_miss"},
 		"examples/":   {"transfer_bytes_in", "transfer_bytes_out", "transfer_resumes"},
 		"the verify skill": {"adapt_evaluations", "adapt_moves", "book_evictions", "content_cache_bytes",
 			"content_cache_docs", "content_cache_installs", "content_docs_held", "dcrt_moves",
-			"membership_evictions", "nrt_evictions", "replicate_pushes", "served",
+			"membership_evictions", "nrt_evictions", "served",
 			"transport_dial_failures", "transport_dials", "transport_handshake_failures",
 			"transport_reconnects", "transport_reuses", "transport_sends", "wire_handshake_rejects"},
 	}

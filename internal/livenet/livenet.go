@@ -36,7 +36,6 @@ package livenet
 import (
 	"bufio"
 	"cmp"
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -219,25 +218,19 @@ type Node struct {
 	rtt         map[model.NodeID]float64
 	prevCluster map[catalog.CategoryID]prevClusterRecord
 
-	// pullMu guards the background pull pool (queueMoves/queuePush/
-	// pullWorker): the queued move and replica downloads and the running
-	// worker count.
+	// pullMu guards the background pull pool (queueMoves/pullWorker):
+	// the queued move downloads and the running worker count.
 	pullMu      sync.Mutex
-	pullQueue   []func(context.Context)
+	pullQueue   []catalog.DocID
 	pullWorkers int
 
 	// Demand-driven replication state (transfer.go). demand counts
 	// recent per-doc interest (own fetches + manifest requests seen) and
 	// gates cache admission at cacheAdmit observations (0 = caching
-	// off); servedDocs counts per-doc serve load drained each adaptation
-	// epoch (lastServed keeps the previous window for hot-doc pushes,
-	// under routeMu.Lock).
+	// off).
 	demandMu   sync.Mutex
 	demand     map[catalog.DocID]int
 	cacheAdmit int
-	serveMu    sync.Mutex
-	servedDocs map[catalog.DocID]int64
-	lastServed map[catalog.DocID]int64
 	// prevClusterTTLOverride shortens the shedding-cluster fallback TTL
 	// in tests; 0 means the package default (prevClusterTTL).
 	prevClusterTTLOverride time.Duration
@@ -331,7 +324,6 @@ func newNode(inst *model.Instance, id model.NodeID, ln net.Listener, seed int64,
 		rtt:         make(map[model.NodeID]float64),
 		prevCluster: make(map[catalog.CategoryID]prevClusterRecord),
 		demand:      make(map[catalog.DocID]int),
-		servedDocs:  make(map[catalog.DocID]int64),
 	}
 	n.tr = newTransport(id, seed, &n.stats)
 	n.fairnessX1000.Store(-1)
@@ -839,8 +831,6 @@ func (n *Node) routeInbound(env envelope) {
 		n.deliverXfer(m.Xfer, env)
 	case wire.Chunk:
 		n.deliverXfer(m.Xfer, env)
-	case wire.Replicate:
-		n.handleReplicate(env.From, m)
 	default:
 		n.routeMu.Lock()
 		n.dispatchControl(env)
@@ -882,7 +872,7 @@ func (n *Node) dispatchControl(env envelope) {
 			n.drainMembership()
 		}
 	case wire.LeaderLoad:
-		n.handleLeaderLoad(env.From, m)
+		n.handleLeaderLoad(m)
 	case wire.Move:
 		n.handleMove(m)
 	case protocol.MetadataUpdateMsg:

@@ -8,9 +8,9 @@ package livenet
 // read-mostly and its own lock, so serving never holds routeMu), and
 // replies are demultiplexed back to the waiting fetcher
 // through a transfer registry keyed by a requester-minted id. Every
-// byte a node pulls — a Fetch, a move's owed documents, a pushed
-// replica — streams through one routine, download; the background
-// pulls share one bounded worker pool.
+// byte a node pulls — a Fetch or a move's owed documents — streams
+// through one routine, download; the background move pulls share one
+// bounded worker pool.
 //
 // Flow control is receiver-driven: wire.ChunkReq IS the credit grant.
 // A server only ever sends chunks the fetcher explicitly asked for, so
@@ -77,11 +77,9 @@ const (
 	// re-flood may re-discover it).
 	maxFloods         = 4
 	maxTriesPerHolder = 2
-	// maxPullFetchers bounds the background pull workers per node —
-	// move shipping and replica pulls share them (adaptation can
-	// reassign several categories in one epoch; their transfers queue
-	// rather than stampede, and a push no worker can take at once is
-	// dropped).
+	// maxPullFetchers bounds the background pull workers per node that
+	// ship moves (adaptation can reassign several categories in one
+	// epoch; their transfers queue rather than stampede).
 	maxPullFetchers = 2
 	// pullTimeout backstops one background pull; the worker running it
 	// sets the deadline.
@@ -95,11 +93,6 @@ const (
 	// the whole window resets (the counters are a recency signal, not an
 	// account).
 	maxDemandEntries = 4096
-	// pushHotDocs is how many of its hottest documents an overloaded
-	// holder pushes per epoch, and pushTargets how many under-loaded
-	// members each of them goes to.
-	pushHotDocs = 2
-	pushTargets = 2
 	// cacheDecayEpochs is how many adaptation epochs a cached replica
 	// may sit unserved before the decay pass drops it.
 	cacheDecayEpochs = 4
@@ -120,9 +113,9 @@ var ErrNoContent = errors.New("livenet: no replica holder could serve the docume
 // shipping rebalancing moves.
 type ContentConfig struct {
 	// CacheBytes budgets the demand-driven replica cache: a successful
-	// remote Fetch (or an accepted Replicate push) installs the verified
-	// bytes as an evictable cached copy, making this node a real replica
-	// holder that answers ManifestReq floods. 0 disables caching.
+	// remote Fetch installs the verified bytes as an evictable cached
+	// copy, making this node a real replica holder that answers
+	// ManifestReq floods. 0 disables caching.
 	CacheBytes int64
 
 	// Test seams, set only by this package's tests; zero means
@@ -157,34 +150,6 @@ func (n *Node) resetDemand() {
 	n.demandMu.Lock()
 	n.demand = make(map[catalog.DocID]int)
 	n.demandMu.Unlock()
-}
-
-// noteServe counts weight units of serve load attributed to doc — one
-// per chunk streamed, one per manifest answered — feeding both the
-// holder's hot-doc ranking and the per-epoch total reported to the
-// cluster leader.
-func (n *Node) noteServe(d catalog.DocID, weight int64) {
-	n.serveMu.Lock()
-	if len(n.servedDocs) >= maxDemandEntries {
-		n.servedDocs = make(map[catalog.DocID]int64)
-	}
-	n.servedDocs[d] += weight
-	n.serveMu.Unlock()
-}
-
-// drainServed resets the per-doc serve counters and returns the drained
-// map plus its total — one epoch's content-plane load measurement
-// (adaptReport calls it alongside drainHits).
-func (n *Node) drainServed() (map[catalog.DocID]int64, int64) {
-	n.serveMu.Lock()
-	out := n.servedDocs
-	n.servedDocs = make(map[catalog.DocID]int64)
-	n.serveMu.Unlock()
-	var total int64
-	for _, w := range out {
-		total += w
-	}
-	return out, total
 }
 
 // holdDoc records a document this node holds from birth or publish: the
@@ -338,7 +303,6 @@ func (n *Node) serveManifestReq(from model.NodeID, m wire.ManifestReq) {
 	if n.store != nil {
 		if man, ok := n.store.Manifest(m.Doc); ok {
 			n.stats.TransferManifestsServed.Add(1)
-			n.noteServe(m.Doc, 1)
 			n.sendDirect(m.Origin, wire.Manifest{
 				Doc:       m.Doc,
 				Xfer:      m.Xfer,
@@ -410,7 +374,6 @@ func (n *Node) serveChunkReq(from model.NodeID, m wire.ChunkReq) {
 			return
 		}
 		n.stats.TransferBytesOut.Add(int64(size))
-		n.noteServe(m.Doc, 1)
 		n.sendDirect(from, wire.ChunkRef{Doc: m.Doc, Xfer: m.Xfer, Index: idx, Len: size, Src: n.store}, true)
 	}
 }
@@ -548,7 +511,7 @@ func (n *Node) Fetch(ctx context.Context, d catalog.DocID) ([]byte, error) {
 		n.stats.FetchNoRoute.Add(1)
 		return nil, ErrNoRoute
 	}
-	man, data, err := n.download(ctx, d, nil, nil, sources)
+	man, data, err := n.download(ctx, d, sources)
 	if err != nil {
 		reason := &n.stats.FetchExhausted
 		switch {
@@ -576,32 +539,29 @@ func (n *Node) Fetch(ctx context.Context, d catalog.DocID) ([]byte, error) {
 
 // download pulls one document's bytes: the package's one loop that
 // receives transfer replies and grants chunk credit, shared by Fetch and
-// the background pulls. holders are the streaming sources queued up
-// front, with man their manifest (a push names the pusher); contacts are
-// where an empty queue floods a TTL-bounded manifest request — non-holders
-// forward it, holders answer with the manifest and join the queue — for
-// up to maxFloods rounds. Without contacts nothing is discovered: the
-// transfer ends when its given holders do. Chunks stream from one holder
-// at a time under the credit window, each verified as it lands. One
-// silent stall re-grants the window; a second, a Missing reply, or more
-// than maxHashFailsPerSource bad chunks move on to the next holder,
-// resuming from the last verified chunk. It returns the manifest the
-// bytes were verified against, or ErrNoContent when holders and floods
-// run out, ErrClosed on shutdown, and ctx's error on cancellation.
-func (n *Node) download(ctx context.Context, d catalog.DocID, man *content.Manifest, holders, contacts []model.NodeID) (*content.Manifest, []byte, error) {
+// move shipping. Whenever no holder is queued it floods a TTL-bounded
+// manifest request at contacts — non-holders forward it, holders answer
+// with the manifest and join the queue — for up to maxFloods rounds.
+// Chunks stream from one holder at a time under the credit window, each
+// verified as it lands. One silent stall re-grants the window; a second,
+// a Missing reply, or more than maxHashFailsPerSource bad chunks move on
+// to the next holder, resuming from the last verified chunk. It returns
+// the manifest the bytes were verified against, or ErrNoContent when
+// holders and floods run out, ErrClosed on shutdown, and ctx's error on
+// cancellation.
+func (n *Node) download(ctx context.Context, d catalog.DocID, contacts []model.NodeID) (*content.Manifest, []byte, error) {
 	id, ch := n.registerXfer()
 	defer n.unregisterXfer(id)
 
 	var (
+		man       *content.Manifest
 		asm       *content.Assembly
+		holders   []model.NodeID
 		pending   = make(map[model.NodeID]bool)
 		tries     = make(map[model.NodeID]int)
 		floods    int
 		lastFlood time.Time
 	)
-	if man != nil {
-		asm = content.NewAssembly(man)
-	}
 	// One reusable timer across both phases.
 	timer := time.NewTimer(manifestWait)
 	defer timer.Stop()
@@ -774,40 +734,17 @@ func (n *Node) download(ctx context.Context, d catalog.DocID, man *content.Manif
 // it only spawns, never blocks. They always queue: with every worker
 // busy they wait (counted as transfer_move_queued) for the next free one
 // — a skipped batch would leave the move-acquired holder permanently
-// byteless. A nil batch only hands an existing backlog to free workers.
+// byteless.
 func (n *Node) queueMoves(docs []catalog.DocID) {
 	n.pullMu.Lock()
 	defer n.pullMu.Unlock()
 	if len(docs) > 0 && n.pullWorkers >= maxPullFetchers {
 		n.stats.TransferMoveQueued.Add(int64(len(docs)))
 	}
-	for _, d := range docs {
-		n.pullQueue = append(n.pullQueue, func(ctx context.Context) { n.runMove(ctx, d) })
-	}
-	n.startPullWorkersLocked()
-}
-
-// queuePush starts a pushed replica's pull only if a worker can take it
-// now: nothing is queued and a slot is free. Otherwise the push is
-// dropped (counted as replicate_drops) — a push answers a flash crowd,
-// and one that waited behind a move backlog would land after the crowd
-// had gone. Called from reader goroutines, so it only spawns, never
-// blocks.
-func (n *Node) queuePush(doc catalog.DocID, man *content.Manifest, src model.NodeID) {
-	n.pullMu.Lock()
-	defer n.pullMu.Unlock()
-	if len(n.pullQueue) > 0 || n.pullWorkers >= maxPullFetchers {
-		n.stats.ReplicateDrops.Add(1)
-		return
-	}
-	n.pullQueue = append(n.pullQueue, func(ctx context.Context) { n.runPush(ctx, doc, man, src) })
-	n.startPullWorkersLocked()
-}
-
-// startPullWorkersLocked starts a worker per queued job while fewer than
-// maxPullFetchers run, so a queued job always means every slot is busy.
-// Callers hold pullMu.
-func (n *Node) startPullWorkersLocked() {
+	n.pullQueue = append(n.pullQueue, docs...)
+	// A worker starts per queued document while fewer than
+	// maxPullFetchers run, so a queued document always means every slot
+	// is busy.
 	for n.pullWorkers < maxPullFetchers && n.pullWorkers < len(n.pullQueue) {
 		n.pullWorkers++
 		n.wg.Add(1)
@@ -815,11 +752,11 @@ func (n *Node) startPullWorkersLocked() {
 	}
 }
 
-// pullWorker drains the pull queue one job at a time and exits when it
-// is empty or the node shuts down. The empty check and the worker-count
-// decrement happen under the lock jobs are queued under, so a job queued
-// while the last worker is exiting is either seen by that worker or gets
-// a fresh one — never stranded.
+// pullWorker ships the queued documents one at a time and exits when the
+// queue is empty or the node shuts down. The empty check and the
+// worker-count decrement happen under the lock documents are queued
+// under, so a document queued while the last worker is exiting is either
+// seen by that worker or gets a fresh one — never stranded.
 func (n *Node) pullWorker() {
 	defer n.wg.Done()
 	for {
@@ -829,12 +766,11 @@ func (n *Node) pullWorker() {
 			n.pullMu.Unlock()
 			return
 		}
-		job := n.pullQueue[0]
-		n.pullQueue[0] = nil
+		doc := n.pullQueue[0]
 		n.pullQueue = n.pullQueue[1:]
 		n.pullMu.Unlock()
 		ctx, cancel := context.WithTimeout(context.Background(), pullTimeout)
-		job(ctx)
+		n.runMove(ctx, doc)
 		cancel()
 	}
 }
@@ -843,101 +779,18 @@ func (n *Node) pullWorker() {
 // holders from fetchSources, and installs it as a base entry —
 // move-acquired content is real network bytes, not a synthetic
 // registration, which is what makes the rebalancing data plane honest
-// end to end. Like runPush it installs with the manifest the bytes were
-// verified against, so nothing is hashed twice, and counts no fetches_*:
-// a background pull is not a Fetch, and notes no demand.
+// end to end. It installs with the manifest the bytes were verified
+// against, so nothing is hashed twice, and counts no fetches_*: a
+// background pull is not a Fetch, and notes no demand.
 func (n *Node) runMove(ctx context.Context, doc catalog.DocID) {
 	if n.store.Has(doc) {
-		return // another job or a cached fetch landed it meanwhile
+		return // an earlier move or a cached fetch landed it meanwhile
 	}
-	man, data, err := n.download(ctx, doc, nil, nil, n.fetchSources(n.inst.Catalog.Doc(doc).Categories[0]))
+	man, data, err := n.download(ctx, doc, n.fetchSources(n.inst.Catalog.Doc(doc).Categories[0]))
 	if err != nil {
 		n.stats.TransferMoveFailures.Add(1)
 		return
 	}
 	n.store.PutVerified(man, data)
 	n.stats.TransferMoveDocs.Add(1)
-}
-
-// runPush pulls a pushed replica back from its pusher, the only holder,
-// against the pushed manifest, and installs it as a cached copy. It
-// starts as soon as handleReplicate found the document missing, so it
-// does not check again.
-func (n *Node) runPush(ctx context.Context, doc catalog.DocID, man *content.Manifest, src model.NodeID) {
-	if _, data, err := n.download(ctx, doc, man, []model.NodeID{src}, nil); err != nil {
-		n.stats.ReplicatePullFailures.Add(1)
-	} else if n.store.PutCachedVerified(man, data) {
-		n.stats.ReplicateInstalls.Add(1)
-	}
-}
-
-// pushReplicas is the holder side of demand-driven replication: the
-// cluster leader reported this node overloaded and named under-loaded
-// members (wire.LeaderLoad.Lite); push the manifests of the hottest
-// documents from the last drained serve window at them. Runs under
-// routeMu.Lock — it only enqueues frames.
-func (n *Node) pushReplicas(lite []model.NodeID) {
-	if n.store == nil || len(n.lastServed) == 0 {
-		return
-	}
-	type hotDoc struct {
-		d catalog.DocID
-		w int64
-	}
-	hot := make([]hotDoc, 0, len(n.lastServed))
-	for d, w := range n.lastServed {
-		hot = append(hot, hotDoc{d, w})
-	}
-	sort.Slice(hot, func(i, j int) bool {
-		if hot[i].w != hot[j].w {
-			return hot[i].w > hot[j].w
-		}
-		return hot[i].d < hot[j].d
-	})
-	if len(hot) > pushHotDocs {
-		hot = hot[:pushHotDocs]
-	}
-	for _, h := range hot {
-		man, ok := n.store.Manifest(h.d)
-		if !ok {
-			continue
-		}
-		msg := wire.Replicate{
-			Doc:       h.d,
-			Size:      man.Size,
-			ChunkSize: int64(man.ChunkSize),
-			Hashes:    man.Hashes,
-		}
-		sent := 0
-		for _, to := range lite {
-			if to == n.id {
-				continue
-			}
-			n.send(to, msg)
-			n.stats.ReplicatePushes.Add(1)
-			if sent++; sent >= pushTargets {
-				break
-			}
-		}
-	}
-}
-
-// handleReplicate is the receiving side of a push: validate the
-// manifest, then queue a background pull of the chunks back from the
-// pusher, installed as a cached replica — so the push reuses the
-// credit-granted chunk protocol and the bulk lane rather than inventing
-// an unsolicited bulk-send path. Runs inline on the reader goroutine;
-// a push no pull worker can take at once is dropped (replication is
-// best-effort).
-func (n *Node) handleReplicate(from model.NodeID, m wire.Replicate) {
-	man := &content.Manifest{Doc: m.Doc, Size: m.Size, ChunkSize: int(m.ChunkSize), Hashes: m.Hashes}
-	if n.store == nil || n.cacheAdmit <= 0 || !man.Valid() || m.Size > n.store.CacheBudget() {
-		n.stats.ReplicateDrops.Add(1)
-		return
-	}
-	if n.store.Has(m.Doc) {
-		n.stats.ReplicateRedundant.Add(1)
-		return
-	}
-	n.queuePush(m.Doc, man, from)
 }

@@ -51,8 +51,8 @@ func rejectFrame(t *testing.T, dial func(string) (net.Conn, error), addr string,
 
 // TestOutOfShapeIDsNeverReachTables: a live peer sends a 16-node
 // deployment frames whose ids lie outside it — a publish from node 21, a
-// publish-ack sampling members 22 and −9, a leader-load hint naming node
-// 23, and a result carrying a document past the catalog for a pending
+// publish-ack sampling members 22 and −9, a leader-load report for a
+// cluster past the deployment's two, and a result carrying a document past the catalog for a pending
 // query. Each frame ends its stream at decode and is counted; the NRT
 // gains none of the ids, the query's outcome none of the documents, and
 // the node keeps taking frames on fresh streams and answering queries.
@@ -83,7 +83,7 @@ func TestOutOfShapeIDsNeverReachTables(t *testing.T) {
 	for _, msg := range []any{
 		protocol.PublishMsg{Doc: 0, Category: cat, Publisher: outside + 5},
 		protocol.PublishAckMsg{Doc: 0, Category: cat, Entry: entry, Accepted: true, Members: []model.NodeID{outside + 6, -9}},
-		wire.LeaderLoad{Epoch: 1, Cluster: entry.Cluster, Lite: []model.NodeID{outside + 7}},
+		wire.LeaderLoad{Epoch: 1, Cluster: model.ClusterID(c.inst.NumClusters + 1)},
 		protocol.ResultMsg{ID: qid, Docs: []catalog.DocID{catalog.DocID(docs + 3)}, Hops: 1, From: peer},
 	} {
 		rejectFrame(t, nw.Dial, n.Addr(), envelope{From: peer, Msg: msg})

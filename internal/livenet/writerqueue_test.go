@@ -114,6 +114,13 @@ func TestWriterQueueCap(t *testing.T) {
 					t.Fatalf("envelope %d read is id %d: queue order lost", i, id)
 				}
 			}
+			// The writer counts a flush's sends and its batch size after
+			// the write returns, so the sink can read the last envelope
+			// before either shows: wait for the books to close.
+			waitFor(t, 10*time.Second, "every kept envelope counted sent", func() bool {
+				return s.stats.snapshot()["transport_sends"] == int64(tc.limit)+1 &&
+					s.tr.batches.Sum() == float64(tc.limit+1)
+			})
 			perFlush := maxBatchMsgs
 			if tc.bulk {
 				perFlush = maxBulkPerBatch
@@ -121,8 +128,7 @@ func TestWriterQueueCap(t *testing.T) {
 			if got := s.tr.batches.Max(); got != float64(perFlush) {
 				t.Errorf("largest flush carried %v envelopes, want %d", got, perFlush)
 			}
-			st := s.stats.snapshot()
-			if st["transport_sends"] != int64(tc.limit)+1 || st["transport_send_failures"] != 0 {
+			if st := s.stats.snapshot(); st["transport_send_failures"] != 0 {
 				t.Errorf("want every kept envelope sent: %v", st)
 			}
 		})
@@ -155,7 +161,10 @@ func TestWriterProtocolBeforeBulk(t *testing.T) {
 		}
 	}
 	// Flushes: the stalled envelope alone, then 5 protocol + 8 bulk, then
-	// the last 2 chunks.
+	// the last 2 chunks — each recorded after its write returns.
+	waitFor(t, 10*time.Second, "every flush recorded", func() bool {
+		return s.tr.batches.Sum() == float64(len(want))
+	})
 	if n, mx := s.tr.batches.Count(), s.tr.batches.Max(); n != 3 || mx != proto+maxBulkPerBatch {
 		t.Errorf("%d flushes, largest %v; want 3, largest %d", n, mx, proto+maxBulkPerBatch)
 	}

@@ -41,10 +41,10 @@ func frameOf(t testing.TB, env Envelope) []byte {
 	return raw.Bytes()
 }
 
-// TestChunkRefEncodesAsChunk pins wire v5: a descriptor materialized at
-// write time puts exactly the frame of the Chunk it stands for on the
-// stream, and a source that lost the document (or changed its length)
-// the ordinary Missing chunk.
+// TestChunkRefEncodesAsChunk pins the chunk frame: a descriptor
+// materialized at write time puts exactly the frame of the Chunk it
+// stands for on the stream, and a source that lost the document (or
+// changed its length) the ordinary Missing chunk.
 func TestChunkRefEncodesAsChunk(t *testing.T) {
 	for _, size := range []int{0, 1, 127, 128, 16383, 16384, 64 << 10, 100 << 10} {
 		src := patternSource{size: size, gone: 99}

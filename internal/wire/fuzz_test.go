@@ -49,6 +49,10 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		}
 		f.Add(b)
 	}
+	// Frames generation 6 withdrew: each must fail to decode.
+	for _, b := range generation5Frames(f) {
+		f.Add(b)
+	}
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		env, err := DecodeEnvelope(b)

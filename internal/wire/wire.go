@@ -52,9 +52,11 @@ import (
 //     (leader-load, move, meta-update), the Dead tombstones of Book.
 //   - 4: the content data plane — manifest-req, manifest, chunk-req
 //     (which doubles as the flow-control credit grant), chunk.
-//   - 5: demand-driven replication — the replicate frame, and the
-//     Served/Lite extensions of LeaderLoad.
-const Version = 5
+//   - 5: holder push replication — the replicate frame (tag 18), and
+//     LeaderLoad's serve total and under-loaded-member list.
+//   - 6: push replication withdrawn — tag 18 is retired, never reused,
+//     and LeaderLoad is back to its generation-3 fields.
+const Version = 6
 
 // MaxFrameBytes bounds one frame's payload. The largest legitimate
 // message is an address book; at ~30 bytes per peer this admits over a
@@ -81,7 +83,8 @@ const (
 	tagManifest    = 15
 	tagChunkReq    = 16
 	tagChunk       = 17
-	tagReplicate   = 18
+	// 18 was the replicate frame (generation 5 only); it is retired and
+	// decodes as an unknown tag.
 )
 
 // ErrMalformed is wrapped by every error that reports a frame's own
@@ -135,19 +138,12 @@ type Book struct {
 // Hits are per-category request counts; Units is the per-category unit
 // mass u_k·p(D_s(k))/p(D(k)) backing them, so the chosen leader can
 // rebuild the ICLB state from live measurements (§6.1.2).
-// Since generation 5 the member→leader report also carries Served (the
-// member's total chunk/manifest serves this epoch, the content-plane
-// load signal), and the leader's reply path reuses the frame to send
-// Lite — the cluster members with the lightest serve load — back to
-// overloaded members so they know where to push hot replicas.
 type LeaderLoad struct {
 	Epoch      uint64
 	Cluster    model.ClusterID
 	Aggregated bool
 	Hits       map[catalog.CategoryID]int64
 	Units      map[catalog.CategoryID]float64
-	Served     int64
-	Lite       []model.NodeID
 }
 
 // ManifestReq asks a replica holder for a document's manifest. Xfer is
@@ -264,18 +260,6 @@ func (r ChunkRef) appendFrame(b []byte, from model.NodeID) []byte {
 		b = appendUint(b, 0)
 	}
 	return b
-}
-
-// Replicate is a holder-side push trigger: an overloaded replica holder
-// hands an under-loaded serving-cluster member the manifest of a hot
-// document. The receiver pulls the chunks back over the ordinary
-// chunk-req/chunk flow (so the push reuses the credit-based window and
-// the bulk lane) and installs the verified bytes as a cached replica.
-type Replicate struct {
-	Doc       catalog.DocID
-	Size      int64
-	ChunkSize int64
-	Hashes    []byte
 }
 
 // Move announces one category reassignment decided by the chosen leader
@@ -477,7 +461,7 @@ func AppendEnvelope(b []byte, env Envelope) ([]byte, error) {
 		b = appendInt(b, int64(m.ID))
 		b = appendUint(b, m.Inc)
 	case LeaderLoad:
-		// leader-load := epoch cluster aggregated hits units served count lite*
+		// leader-load := epoch cluster aggregated hits units
 		b = append(b, tagLeaderLoad)
 		b = appendInt(b, int64(env.From))
 		b = appendUint(b, m.Epoch)
@@ -485,11 +469,6 @@ func AppendEnvelope(b []byte, env Envelope) ([]byte, error) {
 		b = appendBool(b, m.Aggregated)
 		b = appendCatInts(b, m.Hits)
 		b = appendCatFloats(b, m.Units)
-		b = appendInt(b, m.Served)
-		b = appendUint(b, uint64(len(m.Lite)))
-		for _, id := range m.Lite {
-			b = appendInt(b, int64(id))
-		}
 	case Move:
 		// move := category from cluster moveCounter
 		b = append(b, tagMove)
@@ -513,14 +492,6 @@ func AppendEnvelope(b []byte, env Envelope) ([]byte, error) {
 		b = appendInt(b, int64(m.Doc))
 		b = appendUint(b, m.Xfer)
 		b = appendBool(b, m.Missing)
-		b = appendInt(b, m.Size)
-		b = appendInt(b, m.ChunkSize)
-		b = appendBytes(b, m.Hashes)
-	case Replicate:
-		// replicate := doc size chunkSize hashes
-		b = append(b, tagReplicate)
-		b = appendInt(b, int64(env.From))
-		b = appendInt(b, int64(m.Doc))
 		b = appendInt(b, m.Size)
 		b = appendInt(b, m.ChunkSize)
 		b = appendBytes(b, m.Hashes)
@@ -867,13 +838,6 @@ func decodeEnvelope(b []byte, frame *[]byte, bounds Bounds) (Envelope, error) {
 		m.Aggregated = d.bool("aggregated flag")
 		m.Hits = d.catInts("hit map size")
 		m.Units = d.catFloats("unit map size")
-		m.Served = d.int("served count")
-		if n := d.count("lite count"); n > 0 {
-			m.Lite = make([]model.NodeID, n)
-			for i := range m.Lite {
-				m.Lite[i] = model.NodeID(d.id("lite member", d.Nodes))
-			}
-		}
 		env.Msg = m
 	case tagMove:
 		var m Move
@@ -904,18 +868,6 @@ func decodeEnvelope(b []byte, frame *[]byte, bounds Bounds) (Envelope, error) {
 		// geometry, can only come from corruption or a hostile peer.
 		if d.err == nil && (m.Size < 0 || m.ChunkSize < 0 || len(m.Hashes)%hashSize != 0) {
 			d.fail("manifest geometry")
-		}
-		env.Msg = m
-	case tagReplicate:
-		var m Replicate
-		m.Doc = catalog.DocID(d.id("replicate doc", d.Docs))
-		m.Size = d.int("replicate size")
-		m.ChunkSize = d.int("replicate chunk size")
-		m.Hashes = d.bytes("replicate hashes")
-		// Same geometry discipline as a manifest: the hash blob must be
-		// whole sha256 hashes with non-negative sizes.
-		if d.err == nil && (m.Size < 0 || m.ChunkSize <= 0 || len(m.Hashes)%hashSize != 0) {
-			d.fail("replicate geometry")
 		}
 		env.Msg = m
 	case tagChunkReq:

@@ -59,10 +59,6 @@ func sampleEnvelopes() []Envelope {
 			Units: map[catalog.CategoryID]float64{0: 1.5, 3: 0.25},
 		}},
 		{From: 3, Msg: LeaderLoad{Epoch: 1}},
-		{From: 4, Msg: LeaderLoad{
-			Epoch: 13, Cluster: 1, Served: 512,
-			Lite: []model.NodeID{4, 9, 17},
-		}},
 		{From: 3, Msg: Move{
 			Category: 5, From: 2,
 			Entry: protocol.DCRTEntry{Cluster: 0, MoveCounter: 3},
@@ -83,11 +79,6 @@ func sampleEnvelopes() []Envelope {
 		{From: 7, Msg: ChunkReq{}},
 		{From: 8, Msg: Chunk{Doc: 42, Xfer: 9, Index: 4, Data: []byte{1, 2, 3, 0, 255, 7}}},
 		{From: 8, Msg: Chunk{Doc: 42, Xfer: 9, Index: 5, Missing: true}},
-		{From: 6, Msg: Replicate{
-			Doc: 42, Size: 130<<10 + 17, ChunkSize: 64 << 10,
-			Hashes: bytes.Repeat([]byte{0xCD, 0x34}, 48), // 3 chunks * 32 bytes
-		}},
-		{From: 6, Msg: Replicate{Doc: 3, ChunkSize: 64 << 10}},
 	}
 }
 
@@ -165,14 +156,6 @@ func normalizeMsg(m any) any {
 		}
 		if len(v.Units) == 0 {
 			v.Units = nil
-		}
-		if len(v.Lite) == 0 {
-			v.Lite = nil
-		}
-		return v
-	case Replicate:
-		if len(v.Hashes) == 0 {
-			v.Hashes = nil
 		}
 		return v
 	case protocol.MetadataUpdateMsg:
@@ -270,14 +253,44 @@ func TestDecodeRejectsCorruptFrames(t *testing.T) {
 	if _, err := DecodeEnvelope(negTTL); !errors.Is(err, ErrMalformed) {
 		t.Error("negative manifest-req ttl decoded without error")
 	}
-	// A replicate push with a zero chunk size could never be pulled
-	// against; the decoder refuses it like any other bad geometry.
-	badRep, err := AppendEnvelope(nil, Envelope{From: 1, Msg: Replicate{Doc: 7, Size: 96, Hashes: make([]byte, 96)}})
+}
+
+// generation5Frames are frames only a generation-5 peer wrote: the
+// replicate frame (tag 18) with and without hashes, and a leader-load
+// carrying the serve total and the under-loaded-member list that
+// generation 6 dropped.
+func generation5Frames(t testing.TB) [][]byte {
+	replicate := func(chunks int) []byte {
+		b := appendInt([]byte{18}, 6)            // tag, sender
+		b = appendInt(b, 42)                     // doc
+		b = appendInt(b, int64(chunks)*(64<<10)) // size
+		b = appendInt(b, 64<<10)                 // chunk size
+		return appendBytes(b, make([]byte, chunks*hashSize))
+	}
+	load, err := AppendEnvelope(nil, Envelope{From: 4, Msg: LeaderLoad{Epoch: 13, Cluster: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeEnvelope(badRep); !errors.Is(err, ErrMalformed) {
-		t.Error("zero-chunk-size replicate decoded without error")
+	load = appendUint(appendInt(load, 512), 3) // served, member count
+	for _, id := range []int64{4, 9, 17} {
+		load = appendInt(load, id)
+	}
+	return [][]byte{replicate(3), replicate(0), load}
+}
+
+// TestRetiredFramesRejected pins generation 6's withdrawal of push
+// replication: tag 18 decodes as an unknown tag and a leader-load with
+// the generation-5 extensions has trailing bytes, so a stray one ends
+// its stream like any malformed frame instead of reaching a handler.
+func TestRetiredFramesRejected(t *testing.T) {
+	for i, frame := range generation5Frames(t) {
+		_, err := DecodeEnvelope(frame)
+		if !errors.Is(err, ErrMalformed) {
+			t.Fatalf("generation-5 frame %d: err = %v, want ErrMalformed", i, err)
+		}
+		if i < 2 && !strings.Contains(err.Error(), "unknown message tag 18") {
+			t.Fatalf("replicate frame %d: err = %v, want an unknown tag", i, err)
+		}
 	}
 }
 
@@ -352,9 +365,6 @@ func idFields(env Envelope, b Bounds) []idField {
 		for c := range m.Units {
 			cat("unit category", c)
 		}
-		for _, id := range m.Lite {
-			node("lite member", id)
-		}
 	case Move:
 		cat("category", m.Category)
 		cluster("source", m.From)
@@ -368,8 +378,6 @@ func idFields(env Envelope, b Bounds) []idField {
 		doc("doc", m.Doc)
 		node("origin", m.Origin)
 	case Manifest:
-		doc("doc", m.Doc)
-	case Replicate:
 		doc("doc", m.Doc)
 	case ChunkReq:
 		doc("doc", m.Doc)
@@ -449,7 +457,6 @@ func TestDecodeRejectsOutOfRangeIDs(t *testing.T) {
 		{"leader-load/unit-category", b.Categories, func(v int32) Envelope {
 			return Envelope{Msg: LeaderLoad{Units: map[catalog.CategoryID]float64{catalog.CategoryID(v): 1}}}
 		}},
-		{"leader-load/lite", b.Nodes, func(v int32) Envelope { return Envelope{Msg: LeaderLoad{Lite: nodes(v)}} }},
 		{"move/category", b.Categories, func(v int32) Envelope { return Envelope{Msg: Move{Category: catalog.CategoryID(v)}} }},
 		{"move/source", b.Clusters, func(v int32) Envelope { return Envelope{Msg: Move{From: model.ClusterID(v)}} }},
 		{"move/destination", b.Clusters, func(v int32) Envelope {
@@ -466,9 +473,6 @@ func TestDecodeRejectsOutOfRangeIDs(t *testing.T) {
 			return Envelope{Msg: ManifestReq{Origin: model.NodeID(v)}}
 		}},
 		{"manifest/doc", b.Docs, func(v int32) Envelope { return Envelope{Msg: Manifest{Doc: catalog.DocID(v)}} }},
-		{"replicate/doc", b.Docs, func(v int32) Envelope {
-			return Envelope{Msg: Replicate{Doc: catalog.DocID(v), ChunkSize: 1}}
-		}},
 		{"chunk-req/doc", b.Docs, func(v int32) Envelope { return Envelope{Msg: ChunkReq{Doc: catalog.DocID(v)}} }},
 		{"chunk/doc", b.Docs, func(v int32) Envelope { return Envelope{Msg: Chunk{Doc: catalog.DocID(v)}} }},
 	}
@@ -488,8 +492,8 @@ func TestDecodeRejectsOutOfRangeIDs(t *testing.T) {
 			return e
 		}})
 	}
-	if len(tags) != 18 {
-		t.Fatalf("cases cover %d tags, want 18", len(tags))
+	if len(tags) != 17 {
+		t.Fatalf("cases cover %d tags, want 17", len(tags))
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
