@@ -17,7 +17,7 @@ package livenet
 //	                      popularity — computes Jain's fairness index
 //	                      over the heard loads and, below the low
 //	                      threshold, runs MaxFair_Reassign on the
-//	                      measured state and announces the category
+//	                      measured state and applies the category
 //	                      moves.
 //
 // Leader election is deterministic rather than gossiped: node
@@ -29,12 +29,13 @@ package livenet
 // and the next epoch converges.
 //
 // Category moves carry a move counter (§6.1.2 conflict resolution: the
-// higher counter wins) and propagate both by direct announcement to the
-// affected clusters and by epidemic metadata gossip. Members of the
-// receiving cluster re-run the intra-cluster placement policy for the
-// moved category (replica.PlaceCategory) and store their deterministic
-// share, so the category is servable at its new home without a
-// coordinator.
+// higher counter wins) and spread one way: as DCRT rows piggybacked on
+// the failure detector's probes (membership.Detector.QueueMove), so
+// adaptation needs the detector. A node forwards a row only when it
+// changed its own table. Members of the receiving cluster re-run the
+// intra-cluster placement policy for the moved category
+// (replica.PlaceCategory) and store their deterministic share, so the
+// category is servable at its new home without a coordinator.
 
 import (
 	"maps"
@@ -43,6 +44,7 @@ import (
 	"time"
 
 	"p2pshare/internal/catalog"
+	"p2pshare/internal/membership"
 	"p2pshare/internal/model"
 	"p2pshare/internal/protocol"
 	"p2pshare/internal/replica"
@@ -113,10 +115,8 @@ func (n *Node) enableAdaptation(cfg AdaptConfig) {
 	if tick < 5*time.Millisecond {
 		tick = 5 * time.Millisecond
 	}
-	// The epoch clock rides the shared timerwheel (membership's probe
-	// clock also ticks the adaptation layer; both paths are idempotent per
-	// step, so double or skipped ticks are harmless — the next tick
-	// catches the state machine up).
+	// The epoch clock rides the shared timerwheel; a skipped tick is
+	// harmless, the next one catches the state machine up.
 	n.everyLocked(tick, &n.stats.AdaptTickSkips, n.adaptTick)
 }
 
@@ -149,14 +149,13 @@ func (n *Node) adaptTick(now time.Time) {
 }
 
 // leaderOf returns the cluster's leader under the current liveness
-// view: the first live member in protocol.MoreCapable order. With no
-// detector every static member is electable; with one, only members the
-// detector considers usable (self included).
+// view: the first member the detector considers usable (self included)
+// in protocol.MoreCapable order.
 func (n *Node) leaderOf(cl model.ClusterID) (model.NodeID, bool) {
 	best := model.NodeID(-1)
 	var bestU float64
 	for _, id := range n.members[cl] {
-		if id != n.id && n.det != nil && !n.det.IsLive(id) {
+		if !n.det.IsLive(id) {
 			continue
 		}
 		u := n.inst.Nodes[id].Units
@@ -279,7 +278,8 @@ func (n *Node) handleLeaderLoad(m wire.LeaderLoad) {
 
 // adaptEvaluate is steps 2–4: every leader surveys the loads it heard;
 // the chosen one — the leader of the hottest measured cluster — runs
-// protocol.Plan and announces the moves it decides.
+// protocol.Plan and applies the moves it decides, which queues them on
+// the probes' piggyback.
 func (n *Node) adaptEvaluate(e uint64) {
 	ad := n.adapt
 	sv := protocol.Measure(ad.loads, e)
@@ -301,51 +301,32 @@ func (n *Node) adaptEvaluate(e uint64) {
 		entry := protocol.DCRTEntry{Cluster: mv.To, MoveCounter: n.dcrt[mv.Category].MoveCounter + 1}
 		n.stats.AdaptMoves.Add(1)
 		n.applyMoveEntry(mv.Category, entry)
-		// Direct announcement to both affected clusters (steps 1–2 of
-		// the lazy rebalancing protocol); gossip covers everyone else.
-		announce := wire.Move{Category: mv.Category, From: mv.From, Entry: entry}
-		seen := map[model.NodeID]bool{n.id: true}
-		for _, cl := range []model.ClusterID{mv.From, mv.To} {
-			for _, id := range n.members[cl] {
-				if seen[id] {
-					continue
-				}
-				seen[id] = true
-				if n.book.has(id) {
-					n.send(id, announce)
-				}
-			}
-		}
 	}
 }
 
-// handleMove applies a direct category-move announcement.
-func (n *Node) handleMove(m wire.Move) {
-	n.applyMoveEntry(m.Category, m.Entry)
-}
-
-// handleMetaUpdate merges epidemically propagated DCRT entries, keeping
-// the highest move counter per category (§6.1.2 conflict resolution).
-func (n *Node) handleMetaUpdate(m protocol.MetadataUpdateMsg) {
-	for _, cat := range m.Categories() {
-		n.applyMoveEntry(cat, m.Entries[cat])
+// applyMoves merges the DCRT rows a probe carried.
+func (n *Node) applyMoves(mvs []membership.Move) {
+	for _, mv := range mvs {
+		n.applyMoveEntry(mv.Category, mv.Entry)
 	}
 }
 
-// applyMoveEntry folds one DCRT entry in under the move-counter rule.
-// On change: the node re-runs the intra-cluster placement for the moved
-// category over the gaining cluster's launch members and makes it the
-// category's holder view; members of the receiving cluster store their
-// deterministic share (every node computes the same map, so no
-// coordinator is needed); and the entry is re-gossiped — forwarding only
-// on change keeps the epidemic bounded.
-func (n *Node) applyMoveEntry(cat catalog.CategoryID, e protocol.DCRTEntry) bool {
+// applyMoveEntry folds one DCRT entry in under the move-counter rule:
+// the one merge path for rows a probe, a publish ack or this node's own
+// adaptation brings. On change: the node re-runs the intra-cluster
+// placement for the moved category over the gaining cluster's launch
+// members and makes it the category's holder view; members of the
+// receiving cluster store their deterministic share (every node computes
+// the same map, so no coordinator is needed); and the entry is queued on
+// the detector's piggyback — forwarding only on change keeps the
+// epidemic bounded.
+func (n *Node) applyMoveEntry(cat catalog.CategoryID, e protocol.DCRTEntry) protocol.Merge {
 	m := protocol.MergeEntry(n.dcrt, cat, e)
 	if m.Rejected {
 		n.stats.AdaptBadMoves.Add(1)
 	}
 	if !m.Changed {
-		return false
+		return m
 	}
 	n.stats.DCRTMoves.Add(1)
 	if m.Known && m.Prev.Cluster != e.Cluster && n.store != nil {
@@ -384,28 +365,10 @@ func (n *Node) applyMoveEntry(cat catalog.CategoryID, e protocol.DCRTEntry) bool
 		n.queueMoves(need)
 	}
 	n.holders.move(cat, share)
-	n.gossipEntry(cat, e)
-	return true
-}
-
-// gossipEntry pushes one changed DCRT entry to a few random addressable
-// peers (lazy rebalancing step 5).
-func (n *Node) gossipEntry(cat catalog.CategoryID, e protocol.DCRTEntry) {
-	peers := make([]model.NodeID, 0, n.book.len())
-	n.book.forEach(func(id model.NodeID, _ string) bool {
-		if id != n.id {
-			peers = append(peers, id)
-		}
-		return true
-	})
-	if len(peers) == 0 {
-		return
+	if n.det != nil {
+		n.det.QueueMove(membership.Move{Category: cat, Entry: e})
 	}
-	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
-	update := protocol.MetadataUpdateMsg{Entries: map[catalog.CategoryID]protocol.DCRTEntry{cat: e}}
-	for i := 0; i < 3; i++ {
-		n.send(peers[n.rng.IntN(len(peers))], update)
-	}
+	return m
 }
 
 // containsNode reports membership of id in a sorted member list.

@@ -272,9 +272,9 @@ func TestAdaptationRebalancesSkewedLoad(t *testing.T) {
 	if c.Stats()["adapt_moves"] == 0 {
 		t.Fatal("no category moves despite sustained skew")
 	}
-	// The leader counts the announcement a few instructions before it
-	// applies the entry to its own DCRT; a snapshot can land in between.
-	waitFor(t, 2*time.Second, "announced moves applied to a DCRT", func() bool {
+	// The leader counts a move a few instructions before it applies the
+	// entry to its own DCRT; a snapshot can land in between.
+	waitFor(t, 2*time.Second, "moves applied to a DCRT", func() bool {
 		return c.Stats()["dcrt_moves"] > 0
 	})
 

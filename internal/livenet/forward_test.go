@@ -267,9 +267,10 @@ func TestUnaddressableSuccessorSkipped(t *testing.T) {
 }
 
 // TestControlFrameOrderOnStream: a control frame takes effect before the
-// frame behind it on its stream. A Move of a category to the other
-// cluster and then an entry query for it arrive in one flush at a member
-// of the gaining cluster that holds none of the category yet. Applied
+// frame behind it on its stream. A probe carrying a category's move to
+// the other cluster and then an entry query for it arrive in one flush
+// at a member of the gaining cluster that holds none of the category
+// yet. Applied
 // first, the move hands that member its share of the placement, so it
 // answers the query itself; routed before the move, the query would go
 // to a holder of the old placement.
@@ -298,7 +299,7 @@ func TestControlFrameOrderOnStream(t *testing.T) {
 	}
 	bw := bufio.NewWriter(conn)
 	for _, msg := range []any{
-		wire.Move{Category: cat, From: cur.Cluster, Entry: protocol.DCRTEntry{Cluster: to, MoveCounter: cur.MoveCounter + 1}},
+		moveProbe(cat, protocol.DCRTEntry{Cluster: to, MoveCounter: cur.MoveCounter + 1}),
 		protocol.QueryMsg{ID: 1 << 40, Category: cat, Want: 1, Origin: origin, Hops: 1, Entry: true},
 	} {
 		if err := wire.WriteEnvelope(bw, envelope{From: origin, Msg: msg}); err != nil {

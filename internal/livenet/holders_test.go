@@ -97,6 +97,7 @@ func TestHolderViewFollowsMoves(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			opts := Options{CacheBytes: -1}
 			if adapt {
+				opts.Membership = true
 				opts.Adaptation = &AdaptConfig{Interval: time.Hour}
 			}
 			c := launchOverMemnet(t, sh, nil, memnet.New(), opts)

@@ -372,8 +372,8 @@ func (n *Node) startLoops() {
 
 // startSubsystems turns on the membership and adaptation the Options ask
 // for, once the node listens and holds its tables; both launch paths end
-// with it. Membership first: adaptation's leader election consults the
-// detector's live view when one is running.
+// with it. Membership first: adaptation elects leaders from the
+// detector's live view and spreads its moves on the detector's probes.
 func (n *Node) startSubsystems(opts Options) {
 	n.routeMu.Lock()
 	defer n.routeMu.Unlock()
@@ -489,9 +489,9 @@ type Options struct {
 	Membership bool
 
 	// Adaptation turns on the §6.1 online rebalancing loop with the
-	// given config; nil leaves it off. It works best with Membership on
-	// (leader election then excludes dead nodes); without it, every
-	// static cluster member is electable.
+	// given config; nil leaves it off. It requires Membership: category
+	// moves spread on the failure detector's probes, and leader election
+	// excludes the nodes it declares dead.
 	Adaptation *AdaptConfig
 
 	// WriterIdle is how long a peer link's writer goroutine may sit idle
@@ -631,8 +631,12 @@ func newPrimer(inst *model.Instance, assign []model.ClusterID, mem *model.Member
 // by default), builds the node with the dial hook wired, and primes what
 // both launch paths agree on: the documents it holds, the holder-view
 // base, the DCRT and the cluster members. The NRT and the address book
-// are each path's own.
+// are each path's own. Adaptation without membership is refused: its
+// moves ride the failure detector's probes.
 func (p *primer) node(id model.NodeID, addr string, seed int64, opts Options) (*Node, error) {
+	if opts.Adaptation != nil && !opts.Membership {
+		return nil, errors.New("livenet: Options.Adaptation requires Options.Membership")
+	}
 	listen := opts.Hooks.Listen
 	if listen == nil {
 		listen = func(_ model.NodeID, addr string) (net.Listener, error) {
@@ -856,16 +860,19 @@ func (n *Node) dispatchControl(env envelope) {
 			n.sendPackets(n.det.OnPing(env.From, m, time.Now()))
 			n.drainMembership()
 		}
+		n.applyMoves(m.Moves)
 	case membership.Ack:
 		if n.det != nil {
 			n.sendPackets(n.det.OnAck(env.From, m, time.Now()))
 			n.drainMembership()
 		}
+		n.applyMoves(m.Moves)
 	case membership.PingReq:
 		if n.det != nil {
 			n.sendPackets(n.det.OnPingReq(env.From, m, time.Now()))
 			n.drainMembership()
 		}
+		n.applyMoves(m.Moves)
 	case membership.Leave:
 		if n.det != nil {
 			n.det.OnLeave(m, time.Now())
@@ -873,10 +880,6 @@ func (n *Node) dispatchControl(env envelope) {
 		}
 	case wire.LeaderLoad:
 		n.handleLeaderLoad(m)
-	case wire.Move:
-		n.handleMove(m)
-	case protocol.MetadataUpdateMsg:
-		n.handleMetaUpdate(m)
 	}
 }
 
@@ -972,11 +975,10 @@ func (n *Node) handlePublish(from model.NodeID, m protocol.PublishMsg) {
 	})
 }
 
+// handlePublishAck merges the ack's DCRT row like a probe's (a corrupt
+// ack plants no unbeatable counter) and learns the sampled members.
 func (n *Node) handlePublishAck(m protocol.PublishAckMsg) {
-	// The same merge rule as applyMoveEntry: a corrupt or hostile ack must
-	// not plant an unbeatable move counter in the routing tables.
-	if protocol.MergeEntry(n.dcrt, m.Category, m.Entry).Rejected {
-		n.stats.AdaptBadMoves.Add(1)
+	if n.applyMoveEntry(m.Category, m.Entry).Rejected {
 		return
 	}
 	for _, nb := range m.Members {

@@ -49,12 +49,11 @@ func (n *Node) enableMembership(cfg membership.Config) {
 	n.everyLocked(interval, &n.stats.MembershipTickSkips, n.membershipTick)
 }
 
-// membershipTick advances the detector's timers and the adaptation
-// layer's epoch clock. Caller holds routeMu.Lock.
+// membershipTick advances the detector's timers. Caller holds
+// routeMu.Lock.
 func (n *Node) membershipTick(now time.Time) {
 	n.sendPackets(n.det.Tick(now))
 	n.drainMembership()
-	n.adaptTick(now)
 }
 
 // sendPackets transmits detector protocol messages. The packet's own

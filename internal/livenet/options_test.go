@@ -185,13 +185,30 @@ func TestLaunchCacheDisabledEquivalence(t *testing.T) {
 
 // TestStartNodeOptionsMatchSetters: on the StartNode path too, the
 // cache and Adaptation take effect at birth, Membership off means no
-// failure detector, and on turns it on at the default timing.
+// failure detector, and on turns it on at the default timing. On both
+// launch paths Adaptation without Membership is refused: its moves ride
+// the detector's probes.
 func TestStartNodeOptionsMatchSetters(t *testing.T) {
 	sh := optionsShape()
 	const cacheBytes = int64(1 << 20)
 
+	adaptOnly := Options{Adaptation: &AdaptConfig{Interval: time.Hour}}
+	if n, err := StartNode(sh, 0, "127.0.0.1:0", "", adaptOnly); err == nil {
+		n.Close()
+		t.Fatal("StartNode accepted Adaptation without Membership")
+	}
+	inst, assign, place, err := sh.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, err := Launch(inst, assign, place, adaptOnly); err == nil {
+		c.Close()
+		t.Fatal("Launch accepted Adaptation without Membership")
+	}
+
 	a, err := StartNode(sh, 0, "127.0.0.1:0", "", Options{
 		CacheBytes: cacheBytes,
+		Membership: true,
 		Adaptation: &AdaptConfig{Interval: time.Hour},
 	})
 	if err != nil {
@@ -199,7 +216,7 @@ func TestStartNodeOptionsMatchSetters(t *testing.T) {
 	}
 	defer a.Close()
 	want := nodeFingerprint{maxFlight: wantMaxInFlight, cacheCap: cacheBytes, hasCache: true,
-		adaptOn: true, pointKeys: "adapt_enabled "}
+		adaptOn: true, memberOn: true, pointKeys: "adapt_enabled membership_alive membership_suspect ", probe: wantProbe}
 	if fa := fingerprint(a); fa != want {
 		t.Fatalf("StartNode Options not applied: got %+v, want %+v", fa, want)
 	}

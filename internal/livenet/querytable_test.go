@@ -12,7 +12,6 @@ import (
 	"p2pshare/internal/catalog"
 	"p2pshare/internal/model"
 	"p2pshare/internal/protocol"
-	"p2pshare/internal/wire"
 )
 
 // Tests for the query table: concurrent callers, the lock order, the
@@ -139,7 +138,7 @@ func TestShardLockOrder(t *testing.T) {
 	})
 	spin(func(i int) {
 		for _, msg := range []any{
-			wire.Move{Category: cat, Entry: entry},
+			moveProbe(cat, entry),
 			protocol.QueryMsg{ID: 1<<50 | uint64(i), Category: cat, Want: 1, Origin: 1, Hops: 1},
 			protocol.ResultMsg{ID: uint64(i), From: 1},
 		} {

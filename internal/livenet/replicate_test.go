@@ -67,10 +67,10 @@ func TestPrevClusterBounded(t *testing.T) {
 		if to == cl {
 			continue
 		}
-		mv := wire.Move{Category: cc.ID, From: cl, Entry: protocol.DCRTEntry{
+		mv := moveProbe(cc.ID, protocol.DCRTEntry{
 			Cluster:     to,
 			MoveCounter: n.dcrtEntryForTest(cc.ID).MoveCounter + 1,
-		}}
+		})
 		n.routeInbound(envelope{From: n.id, Msg: mv})
 		moved = append(moved, cc.ID)
 	}
@@ -88,10 +88,10 @@ func TestPrevClusterBounded(t *testing.T) {
 	// rides on it must drop all the stale entries, leaving only the
 	// fresh one. The pre-fix map kept every record forever.
 	time.Sleep(120 * time.Millisecond)
-	back := wire.Move{Category: moved[0], From: assign[moved[0]], Entry: protocol.DCRTEntry{
+	back := moveProbe(moved[0], protocol.DCRTEntry{
 		Cluster:     assign[moved[0]],
 		MoveCounter: n.dcrtEntryForTest(moved[0]).MoveCounter + 1,
-	}}
+	})
 	n.routeInbound(envelope{From: n.id, Msg: back})
 	waitMoveCounter(t, n, moved[0], 2)
 	if got := n.prevClusterLenForTest(); got != 1 {

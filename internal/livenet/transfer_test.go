@@ -316,6 +316,7 @@ func TestMoveShipsBytes(t *testing.T) {
 	c := launchOverMemnet(t, sh, nil, memnet.New(), Options{
 		CacheBytes: -1,
 		Content:    &ContentConfig{CacheBytes: 64 << 20, cacheAdmitHits: 1},
+		Membership: true,
 		Adaptation: &AdaptConfig{Interval: time.Hour},
 	})
 
@@ -369,10 +370,10 @@ func TestMoveShipsBytes(t *testing.T) {
 		}
 	}
 
-	move := wire.Move{Category: cat, From: from, Entry: protocol.DCRTEntry{
+	move := moveProbe(cat, protocol.DCRTEntry{
 		Cluster:     to,
 		MoveCounter: c.Nodes[gaining[0]].dcrtEntryForTest(cat).MoveCounter + 1,
-	}}
+	})
 	// Every member of the receiving cluster hears the move (the share
 	// placement spans all of them; which ones owe docs is its choice).
 	receivers := mem.NodesOf(to)

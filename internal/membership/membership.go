@@ -9,6 +9,10 @@
 // DSN 2002 — the same family of detector Ayyasamy & Sivanandam assume
 // for their cluster-based replication architecture).
 //
+// The piggyback queue is the node's one epidemic channel: beside the
+// liveness rumors it carries DCRT rows (§6.1.2 lazy rebalancing), which
+// the caller merges on receipt and queues with QueueMove.
+//
 // The Detector is a pure state machine: it owns no goroutines, no
 // timers, and no sockets. The caller — in practice one livenet node —
 // drives it with Tick(now) and the On* handlers, all of which return
@@ -19,12 +23,16 @@
 package membership
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
+	"p2pshare/internal/catalog"
 	"p2pshare/internal/model"
+	"p2pshare/internal/protocol"
 )
 
 // State is a member's liveness state.
@@ -71,13 +79,21 @@ type Update struct {
 	Inc   uint64
 }
 
+// Move is one piggybacked DCRT row: Category is served by
+// Entry.Cluster as of Entry.MoveCounter (§6.1.2 lazy rebalancing).
+type Move struct {
+	Category catalog.CategoryID
+	Entry    protocol.DCRTEntry
+}
+
 // Ping is a direct liveness probe. Addr is the sender's listen address,
 // letting a receiver that had already declared the sender dead restore
-// it. Every protocol message carries piggybacked updates.
+// it. Every protocol message carries piggybacked updates and moves.
 type Ping struct {
 	Seq     uint64
 	Addr    string
 	Updates []Update
+	Moves   []Move
 }
 
 // Ack answers a Ping (directly, or relayed by a ping-req proxy). Target
@@ -87,6 +103,7 @@ type Ack struct {
 	Seq     uint64
 	Target  model.NodeID
 	Updates []Update
+	Moves   []Move
 }
 
 // PingReq asks a proxy to probe Target on the origin's behalf (the SWIM
@@ -98,6 +115,7 @@ type PingReq struct {
 	Target  model.NodeID
 	Addr    string
 	Updates []Update
+	Moves   []Move
 }
 
 // Leave is a graceful departure announcement; receivers skip the
@@ -144,7 +162,8 @@ type Config struct {
 	// IndirectProbes is k, the number of proxies asked to ping an
 	// unresponsive target.
 	IndirectProbes int
-	// MaxPiggyback caps the updates attached to one protocol message.
+	// MaxPiggyback caps the updates and moves attached to one protocol
+	// message.
 	MaxPiggyback int
 	// TombstoneTTL is how long a dead/left member's tombstone is kept
 	// before it is forgotten entirely. It only needs to outlive the
@@ -225,9 +244,21 @@ type relay struct {
 	at      time.Time
 }
 
-// queued is one rumor awaiting piggyback dissemination.
+// rumorKey names one fact in the piggyback queue: a member's liveness
+// by node id, or a category's DCRT row. A fresher fact replaces the
+// queued one under the same key.
+type rumorKey struct{ kind, id int32 }
+
+const (
+	liveness = iota
+	dcrtRow
+)
+
+// queued is one rumor awaiting piggyback dissemination: u for a
+// liveness key, mv for a DCRT key.
 type queued struct {
 	u     Update
+	mv    Move
 	sends int
 }
 
@@ -263,8 +294,8 @@ type Detector struct {
 	probes    map[uint64]*probe
 	relays    map[uint64]*relay
 
-	updates map[model.NodeID]*queued
-	events  []Event
+	rumors map[rumorKey]*queued
+	events []Event
 }
 
 // New builds a detector for self, which is always considered alive
@@ -281,7 +312,7 @@ func New(self model.NodeID, addr string, cfg Config, seed int64) *Detector {
 		tombSince:  make(map[model.NodeID]time.Time),
 		probes:     make(map[uint64]*probe),
 		relays:     make(map[uint64]*relay),
-		updates:    make(map[model.NodeID]*queued),
+		rumors:     make(map[rumorKey]*queued),
 	}
 }
 
@@ -455,10 +486,9 @@ func (d *Detector) Tick(now time.Time) []Packet {
 		case age >= d.cfg.PingTimeout && !p.indirect:
 			p.indirect = true
 			for _, proxy := range d.pickProxies(p.target) {
-				out = append(out, Packet{To: proxy, Msg: PingReq{
-					Seq: seq, Target: p.target, Addr: m.Addr,
-					Updates: d.piggyback(),
-				}})
+				pr := PingReq{Seq: seq, Target: p.target, Addr: m.Addr}
+				pr.Updates, pr.Moves = d.piggyback()
+				out = append(out, Packet{To: proxy, Msg: pr})
 			}
 		}
 	}
@@ -496,9 +526,7 @@ func (d *Detector) Tick(now time.Time) []Packet {
 			d.lastProbe = now
 			d.seq++
 			d.probes[d.seq] = &probe{target: target, sentAt: now}
-			out = append(out, Packet{To: target, Msg: Ping{
-				Seq: d.seq, Addr: d.addr, Updates: d.piggyback(),
-			}})
+			out = append(out, Packet{To: target, Msg: d.ping(d.seq)})
 		}
 	}
 	return out
@@ -515,9 +543,7 @@ func (d *Detector) OnPing(from model.NodeID, p Ping, now time.Time) []Packet {
 		d.markContact(from, now)
 	}
 	d.applyAll(p.Updates, now)
-	return []Packet{{To: from, Msg: Ack{
-		Seq: p.Seq, Target: d.self, Updates: d.piggyback(),
-	}}}
+	return []Packet{{To: from, Msg: d.ack(p.Seq, d.self)}}
 }
 
 // OnPingReq performs an indirect probe on the origin's behalf.
@@ -532,9 +558,7 @@ func (d *Detector) OnPingReq(from model.NodeID, pr PingReq, now time.Time) []Pac
 	if ok && m.Addr != "" {
 		addr = m.Addr
 	}
-	return []Packet{{To: pr.Target, Addr: addr, Msg: Ping{
-		Seq: d.seq, Addr: d.addr, Updates: d.piggyback(),
-	}}}
+	return []Packet{{To: pr.Target, Addr: addr, Msg: d.ping(d.seq)}}
 }
 
 // OnAck settles the matching probe (clearing suspicion on firsthand
@@ -549,9 +573,7 @@ func (d *Detector) OnAck(from model.NodeID, a Ack, now time.Time) []Packet {
 	if r, ok := d.relays[a.Seq]; ok && r.target == a.Target {
 		delete(d.relays, a.Seq)
 		d.markContact(a.Target, now)
-		return []Packet{{To: r.origin, Msg: Ack{
-			Seq: r.origSeq, Target: a.Target, Updates: d.piggyback(),
-		}}}
+		return []Packet{{To: r.origin, Msg: d.ack(r.origSeq, a.Target)}}
 	}
 	return nil
 }
@@ -670,10 +692,32 @@ func (d *Detector) setState(m *Member, s State, inc uint64, now time.Time) {
 	}
 }
 
+// ping builds a probe from this node with the next piggyback.
+func (d *Detector) ping(seq uint64) Ping {
+	p := Ping{Seq: seq, Addr: d.addr}
+	p.Updates, p.Moves = d.piggyback()
+	return p
+}
+
+// ack builds an ack vouching for target with the next piggyback.
+func (d *Detector) ack(seq uint64, target model.NodeID) Ack {
+	a := Ack{Seq: seq, Target: target}
+	a.Updates, a.Moves = d.piggyback()
+	return a
+}
+
 // queueUpdate stages a rumor for piggybacking; a fresh rumor about a
 // member replaces the queue's older one and resets its send budget.
 func (d *Detector) queueUpdate(u Update) {
-	d.updates[u.ID] = &queued{u: u}
+	d.rumors[rumorKey{liveness, int32(u.ID)}] = &queued{u: u}
+}
+
+// QueueMove stages a DCRT row for piggybacking, replacing any queued
+// row for the same category and resetting its send budget. The caller
+// queues only rows that changed its own table, so a row is forwarded
+// once per node that learns it and the epidemic stays bounded.
+func (d *Detector) QueueMove(mv Move) {
+	d.rumors[rumorKey{dcrtRow, int32(mv.Category)}] = &queued{mv: mv}
 }
 
 // retransmitBudget is how many times each rumor is piggybacked before
@@ -683,37 +727,36 @@ func (d *Detector) retransmitBudget() int {
 	return 3 * (int(math.Log2(float64(n))) + 1)
 }
 
-// piggyback selects up to MaxPiggyback queued rumors, preferring the
-// least-disseminated, and charges their budgets.
-func (d *Detector) piggyback() []Update {
-	if len(d.updates) == 0 {
-		return nil
+// piggyback selects up to MaxPiggyback queued rumors of either kind,
+// preferring the least-disseminated, and charges their budgets.
+func (d *Detector) piggyback() ([]Update, []Move) {
+	if len(d.rumors) == 0 {
+		return nil, nil
 	}
-	ids := make([]model.NodeID, 0, len(d.updates))
-	for id := range d.updates {
-		ids = append(ids, id)
+	keys := make([]rumorKey, 0, len(d.rumors))
+	for k := range d.rumors {
+		keys = append(keys, k)
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		qi, qj := d.updates[ids[i]], d.updates[ids[j]]
-		if qi.sends != qj.sends {
-			return qi.sends < qj.sends
-		}
-		return ids[i] < ids[j]
+	slices.SortFunc(keys, func(a, b rumorKey) int {
+		return cmp.Or(cmp.Compare(d.rumors[a].sends, d.rumors[b].sends),
+			cmp.Compare(a.kind, b.kind), cmp.Compare(a.id, b.id))
 	})
 	budget := d.retransmitBudget()
-	var out []Update
-	for _, id := range ids {
-		if len(out) == d.cfg.MaxPiggyback {
-			break
+	var us []Update
+	var mvs []Move
+	for _, k := range keys[:min(len(keys), d.cfg.MaxPiggyback)] {
+		q := d.rumors[k]
+		if k.kind == dcrtRow {
+			mvs = append(mvs, q.mv)
+		} else {
+			us = append(us, q.u)
 		}
-		q := d.updates[id]
-		out = append(out, q.u)
 		q.sends++
 		if q.sends >= budget {
-			delete(d.updates, id)
+			delete(d.rumors, k)
 		}
 	}
-	return out
+	return us, mvs
 }
 
 // nextTarget picks the next probe target from the shuffled rotation,

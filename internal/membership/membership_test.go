@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"p2pshare/internal/catalog"
 	"p2pshare/internal/model"
+	"p2pshare/internal/protocol"
 )
 
 // net is a virtual-time harness: detectors exchange packets instantly,
@@ -325,15 +327,51 @@ func TestPiggybackBudgetBoundsQueue(t *testing.T) {
 		d.Observe(model.NodeID(i), "x:1", now)
 	}
 	d.queueUpdate(Update{ID: 5, State: Suspect, Inc: 1})
+	d.QueueMove(Move{Category: 3, Entry: protocol.DCRTEntry{Cluster: 1, MoveCounter: 1}})
 	budget := d.retransmitBudget()
 	for i := 0; i < budget+5; i++ {
 		d.piggyback()
 	}
-	if len(d.updates) != 0 {
-		t.Fatalf("update queue not drained after budget: %d left", len(d.updates))
+	if len(d.rumors) != 0 {
+		t.Fatalf("rumor queue not drained after budget: %d left", len(d.rumors))
 	}
-	if got := d.piggyback(); got != nil {
-		t.Fatalf("piggyback after drain = %v, want nil", got)
+	if us, mvs := d.piggyback(); us != nil || mvs != nil {
+		t.Fatalf("piggyback after drain = %v, %v; want nil, nil", us, mvs)
+	}
+}
+
+// TestPiggybackOneQueueForBothKinds: liveness rumors and DCRT rows share
+// the MaxPiggyback cap and one least-sent-first order, and a fresher row
+// for a category replaces the queued one with a fresh budget.
+func TestPiggybackOneQueueForBothKinds(t *testing.T) {
+	d := New(0, "a:1", Config{MaxPiggyback: 4}, 1)
+	now := time.Unix(1000, 0)
+	for i := 1; i <= 20; i++ {
+		d.Observe(model.NodeID(i), "x:1", now)
+	}
+	for i := 1; i <= 3; i++ {
+		d.queueUpdate(Update{ID: model.NodeID(i), State: Suspect, Inc: 1})
+		d.QueueMove(Move{Category: catalog.CategoryID(i), Entry: protocol.DCRTEntry{Cluster: 1, MoveCounter: 1}})
+	}
+	// Six rumors, cap four: liveness first at equal sends, then the
+	// least-sent rows ride the next message ahead of anything sent once.
+	us, mvs := d.piggyback()
+	if len(us) != 3 || len(mvs) != 1 || mvs[0].Category != 1 {
+		t.Fatalf("first piggyback = %v, %v; want 3 updates and category 1's row", us, mvs)
+	}
+	us, mvs = d.piggyback()
+	if len(mvs) != 2 || mvs[0].Category != 2 || mvs[1].Category != 3 || len(us) != 2 {
+		t.Fatalf("second piggyback = %v, %v; want categories 2 and 3 first, then two updates", us, mvs)
+	}
+
+	fresh := Move{Category: 1, Entry: protocol.DCRTEntry{Cluster: 0, MoveCounter: 2}}
+	d.QueueMove(fresh)
+	_, mvs = d.piggyback()
+	if len(mvs) == 0 || mvs[0] != fresh {
+		t.Fatalf("after a fresher row: moves %v, want %+v first (never sent)", mvs, fresh)
+	}
+	if d.rumors[rumorKey{dcrtRow, 1}].sends != 1 {
+		t.Fatalf("replaced row sent %d times, want 1", d.rumors[rumorKey{dcrtRow, 1}].sends)
 	}
 }
 

@@ -135,9 +135,11 @@ func (m PublishAckMsg) Size() int64 {
 	return HeaderBytes + 3*PerIDBytes + int64(len(m.Members))*PerIDBytes
 }
 
-// MetadataUpdateMsg propagates DCRT changes epidemically (§6.1.2 lazy
-// rebalancing, step 5). Receivers keep the entry with the highest
-// move counter per category.
+// MetadataUpdateMsg propagates DCRT changes epidemically in the
+// simulated overlay (§6.1.2 lazy rebalancing, step 5). Receivers keep
+// the entry with the highest move counter per category. The live node
+// carries the same rows on its failure detector's probes instead
+// (membership.Move).
 type MetadataUpdateMsg struct {
 	Entries map[catalog.CategoryID]DCRTEntry
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"p2pshare/internal/catalog"
+	"p2pshare/internal/membership"
 	"p2pshare/internal/model"
 	"p2pshare/internal/protocol"
 )
@@ -39,7 +40,7 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 	// One id of each kind just outside smallBounds.
 	for _, env := range []Envelope{
 		{Msg: protocol.QueryMsg{Origin: model.NodeID(smallBounds.Nodes)}},
-		{Msg: Move{From: model.ClusterID(smallBounds.Clusters)}},
+		{Msg: membership.Ack{Moves: []membership.Move{{Entry: protocol.DCRTEntry{Cluster: model.ClusterID(smallBounds.Clusters)}}}}},
 		{Msg: protocol.PublishMsg{Category: catalog.CategoryID(smallBounds.Categories)}},
 		{Msg: protocol.ResultMsg{Docs: []catalog.DocID{catalog.DocID(smallBounds.Docs)}}},
 	} {
@@ -49,8 +50,8 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		}
 		f.Add(b)
 	}
-	// Frames generation 6 withdrew: each must fail to decode.
-	for _, b := range generation5Frames(f) {
+	// Frames generations 6 and 7 withdrew: each must fail to decode.
+	for _, b := range append(generation5Frames(f), generation6Frames()...) {
 		f.Add(b)
 	}
 

@@ -56,7 +56,10 @@ import (
 //     LeaderLoad's serve total and under-loaded-member list.
 //   - 6: push replication withdrawn — tag 18 is retired, never reused,
 //     and LeaderLoad is back to its generation-3 fields.
-const Version = 6
+//   - 7: one epidemic channel — ping, ack and ping-req carry a second
+//     piggyback list of DCRT rows, and the move (12) and meta-update (13)
+//     tags are retired, never reused.
+const Version = 7
 
 // MaxFrameBytes bounds one frame's payload. The largest legitimate
 // message is an address book; at ~30 bytes per peer this admits over a
@@ -66,19 +69,20 @@ const MaxFrameBytes = 4 << 20
 
 // Message type tags.
 const (
-	tagQuery       = 1
-	tagResult      = 2
-	tagPublish     = 3
-	tagPublishAck  = 4
-	tagHello       = 5
-	tagBook        = 6
-	tagPing        = 7
-	tagAck         = 8
-	tagPingReq     = 9
-	tagLeave       = 10
-	tagLeaderLoad  = 11
-	tagMove        = 12
-	tagMetaUpdate  = 13
+	tagQuery      = 1
+	tagResult     = 2
+	tagPublish    = 3
+	tagPublishAck = 4
+	tagHello      = 5
+	tagBook       = 6
+	tagPing       = 7
+	tagAck        = 8
+	tagPingReq    = 9
+	tagLeave      = 10
+	tagLeaderLoad = 11
+	// 12 and 13 were the move and meta-update frames (generations 3–6);
+	// category moves ride the probes' DCRT lists instead. Both tags are
+	// retired and decode as unknown tags.
 	tagManifestReq = 14
 	tagManifest    = 15
 	tagChunkReq    = 16
@@ -262,16 +266,6 @@ func (r ChunkRef) appendFrame(b []byte, from model.NodeID) []byte {
 	return b
 }
 
-// Move announces one category reassignment decided by the chosen leader
-// (§6.1.2 phase 4). Entry carries the destination cluster and the bumped
-// move counter; From is the source cluster, so receivers know whether
-// they are shedding or gaining the category.
-type Move struct {
-	Category catalog.CategoryID
-	From     model.ClusterID
-	Entry    protocol.DCRTEntry
-}
-
 func appendUint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
 func appendInt(b []byte, v int64) []byte   { return binary.AppendVarint(b, v) }
 
@@ -308,15 +302,22 @@ func appendChunkHeader(b []byte, from model.NodeID, doc catalog.DocID, xfer uint
 	return appendInt(b, index)
 }
 
-// appendUpdates writes a piggybacked membership rumor list:
-// count (id addr state inc)*.
-func appendUpdates(b []byte, us []membership.Update) []byte {
+// appendPiggyback writes a probe's two piggyback lists, the membership
+// rumors and the DCRT rows: count (id addr state inc)*
+// count (category cluster moveCounter)*.
+func appendPiggyback(b []byte, us []membership.Update, mvs []membership.Move) []byte {
 	b = appendUint(b, uint64(len(us)))
 	for _, u := range us {
 		b = appendInt(b, int64(u.ID))
 		b = appendString(b, u.Addr)
 		b = append(b, byte(u.State))
 		b = appendUint(b, u.Inc)
+	}
+	b = appendUint(b, uint64(len(mvs)))
+	for _, mv := range mvs {
+		b = appendInt(b, int64(mv.Category))
+		b = appendInt(b, int64(mv.Entry.Cluster))
+		b = appendUint(b, mv.Entry.MoveCounter)
 	}
 	return b
 }
@@ -433,27 +434,27 @@ func AppendEnvelope(b []byte, env Envelope) ([]byte, error) {
 			b = appendUint(b, m.Dead[id])
 		}
 	case membership.Ping:
-		// ping := seq addr updates
+		// ping := seq addr piggyback
 		b = append(b, tagPing)
 		b = appendInt(b, int64(env.From))
 		b = appendUint(b, m.Seq)
 		b = appendString(b, m.Addr)
-		b = appendUpdates(b, m.Updates)
+		b = appendPiggyback(b, m.Updates, m.Moves)
 	case membership.Ack:
-		// ack := seq target updates
+		// ack := seq target piggyback
 		b = append(b, tagAck)
 		b = appendInt(b, int64(env.From))
 		b = appendUint(b, m.Seq)
 		b = appendInt(b, int64(m.Target))
-		b = appendUpdates(b, m.Updates)
+		b = appendPiggyback(b, m.Updates, m.Moves)
 	case membership.PingReq:
-		// ping-req := seq target addr updates
+		// ping-req := seq target addr piggyback
 		b = append(b, tagPingReq)
 		b = appendInt(b, int64(env.From))
 		b = appendUint(b, m.Seq)
 		b = appendInt(b, int64(m.Target))
 		b = appendString(b, m.Addr)
-		b = appendUpdates(b, m.Updates)
+		b = appendPiggyback(b, m.Updates, m.Moves)
 	case membership.Leave:
 		// leave := id inc
 		b = append(b, tagLeave)
@@ -469,14 +470,6 @@ func AppendEnvelope(b []byte, env Envelope) ([]byte, error) {
 		b = appendBool(b, m.Aggregated)
 		b = appendCatInts(b, m.Hits)
 		b = appendCatFloats(b, m.Units)
-	case Move:
-		// move := category from cluster moveCounter
-		b = append(b, tagMove)
-		b = appendInt(b, int64(env.From))
-		b = appendInt(b, int64(m.Category))
-		b = appendInt(b, int64(m.From))
-		b = appendInt(b, int64(m.Entry.Cluster))
-		b = appendUint(b, m.Entry.MoveCounter)
 	case ManifestReq:
 		// manifest-req := doc xfer origin ttl
 		b = append(b, tagManifestReq)
@@ -508,23 +501,6 @@ func AppendEnvelope(b []byte, env Envelope) ([]byte, error) {
 		b = appendChunkHeader(b, env.From, m.Doc, m.Xfer, m.Index)
 		b = appendBool(b, m.Missing)
 		b = appendBytes(b, m.Data)
-	case protocol.MetadataUpdateMsg:
-		// meta-update := count (category cluster moveCounter)*   — sorted
-		// by category.
-		b = append(b, tagMetaUpdate)
-		b = appendInt(b, int64(env.From))
-		b = appendUint(b, uint64(len(m.Entries)))
-		cats := make([]catalog.CategoryID, 0, len(m.Entries))
-		for c := range m.Entries {
-			cats = append(cats, c)
-		}
-		sort.Slice(cats, func(i, j int) bool { return cats[i] < cats[j] })
-		for _, c := range cats {
-			e := m.Entries[c]
-			b = appendInt(b, int64(c))
-			b = appendInt(b, int64(e.Cluster))
-			b = appendUint(b, e.MoveCounter)
-		}
 	default:
 		return b, fmt.Errorf("wire: unencodable message type %T", env.Msg)
 	}
@@ -655,20 +631,26 @@ func (d *dec) state(what string) membership.State {
 	return membership.State(v)
 }
 
-// updates reads a piggybacked membership rumor list.
-func (d *dec) updates(what string) []membership.Update {
-	n := d.count(what)
-	if d.err != nil || n == 0 {
-		return nil
+// piggyback reads a probe's two piggyback lists.
+func (d *dec) piggyback() (us []membership.Update, mvs []membership.Move) {
+	if n := d.count("update count"); n > 0 {
+		us = make([]membership.Update, n)
+		for i := range us {
+			us[i].ID = model.NodeID(d.id("update id", d.Nodes))
+			us[i].Addr = d.str("update addr")
+			us[i].State = d.state("update state")
+			us[i].Inc = d.uint("update incarnation")
+		}
 	}
-	us := make([]membership.Update, n)
-	for i := range us {
-		us[i].ID = model.NodeID(d.id("update id", d.Nodes))
-		us[i].Addr = d.str("update addr")
-		us[i].State = d.state("update state")
-		us[i].Inc = d.uint("update incarnation")
+	if n := d.count("move count"); n > 0 {
+		mvs = make([]membership.Move, n)
+		for i := range mvs {
+			mvs[i].Category = catalog.CategoryID(d.id("move category", d.Categories))
+			mvs[i].Entry.Cluster = model.ClusterID(d.id("move cluster", d.Clusters))
+			mvs[i].Entry.MoveCounter = d.uint("move counter")
+		}
 	}
-	return us
+	return us, mvs
 }
 
 // catInts reads a category→int64 map.
@@ -811,20 +793,20 @@ func decodeEnvelope(b []byte, frame *[]byte, bounds Bounds) (Envelope, error) {
 		var m membership.Ping
 		m.Seq = d.uint("ping seq")
 		m.Addr = d.str("ping addr")
-		m.Updates = d.updates("ping updates")
+		m.Updates, m.Moves = d.piggyback()
 		env.Msg = m
 	case tagAck:
 		var m membership.Ack
 		m.Seq = d.uint("ack seq")
 		m.Target = model.NodeID(d.id("ack target", d.Nodes))
-		m.Updates = d.updates("ack updates")
+		m.Updates, m.Moves = d.piggyback()
 		env.Msg = m
 	case tagPingReq:
 		var m membership.PingReq
 		m.Seq = d.uint("ping-req seq")
 		m.Target = model.NodeID(d.id("ping-req target", d.Nodes))
 		m.Addr = d.str("ping-req addr")
-		m.Updates = d.updates("ping-req updates")
+		m.Updates, m.Moves = d.piggyback()
 		env.Msg = m
 	case tagLeave:
 		var m membership.Leave
@@ -838,13 +820,6 @@ func decodeEnvelope(b []byte, frame *[]byte, bounds Bounds) (Envelope, error) {
 		m.Aggregated = d.bool("aggregated flag")
 		m.Hits = d.catInts("hit map size")
 		m.Units = d.catFloats("unit map size")
-		env.Msg = m
-	case tagMove:
-		var m Move
-		m.Category = catalog.CategoryID(d.id("move category", d.Categories))
-		m.From = model.ClusterID(d.id("move source", d.Clusters))
-		m.Entry.Cluster = model.ClusterID(d.id("move destination", d.Clusters))
-		m.Entry.MoveCounter = d.uint("move counter")
 		env.Msg = m
 	case tagManifestReq:
 		var m ManifestReq
@@ -896,17 +871,6 @@ func decodeEnvelope(b []byte, frame *[]byte, bounds Bounds) (Envelope, error) {
 		}
 		if d.err == nil && m.Index < 0 {
 			d.fail("chunk index sign")
-		}
-		env.Msg = m
-	case tagMetaUpdate:
-		n := d.count("entry count")
-		m := protocol.MetadataUpdateMsg{Entries: make(map[catalog.CategoryID]protocol.DCRTEntry, n)}
-		for i := 0; i < n && d.err == nil; i++ {
-			c := catalog.CategoryID(d.id("entry category", d.Categories))
-			var e protocol.DCRTEntry
-			e.Cluster = model.ClusterID(d.id("entry cluster", d.Clusters))
-			e.MoveCounter = d.uint("entry move counter")
-			m.Entries[c] = e
 		}
 		env.Msg = m
 	default:

@@ -45,13 +45,24 @@ func sampleEnvelopes() []Envelope {
 		{From: 4, Msg: membership.Ping{Seq: 99, Addr: "127.0.0.1:7004", Updates: []membership.Update{
 			{ID: 2, Addr: "127.0.0.1:7002", State: membership.Suspect, Inc: 5},
 			{ID: 8, State: membership.Dead, Inc: 0},
+		}, Moves: []membership.Move{
+			{Category: 5, Entry: protocol.DCRTEntry{Cluster: 0, MoveCounter: 3}},
+			{Category: 9, Entry: protocol.DCRTEntry{Cluster: 1, MoveCounter: 1}},
 		}}},
 		{From: 4, Msg: membership.Ping{Seq: 1}},
 		{From: 2, Msg: membership.Ack{Seq: 99, Target: 4, Updates: []membership.Update{
 			{ID: 2, Addr: "127.0.0.1:7002", State: membership.Alive, Inc: 6},
+		}, Moves: []membership.Move{
+			{Category: 0, Entry: protocol.DCRTEntry{Cluster: 2, MoveCounter: 1 << 20}},
 		}}},
 		{From: 2, Msg: membership.Ack{Seq: 100, Target: 2}},
 		{From: 4, Msg: membership.PingReq{Seq: 7, Target: 3, Addr: "127.0.0.1:7003"}},
+		{From: 4, Msg: membership.PingReq{Seq: 8, Target: 3, Addr: "127.0.0.1:7003", Updates: []membership.Update{
+			{ID: 3, Addr: "127.0.0.1:7003", State: membership.Suspect, Inc: 2},
+			{ID: 6, State: membership.Left, Inc: 4},
+		}, Moves: []membership.Move{
+			{Category: 12, Entry: protocol.DCRTEntry{Cluster: 3, MoveCounter: 7}},
+		}}},
 		{From: 6, Msg: membership.Leave{ID: 6, Inc: 4}},
 		{From: 3, Msg: LeaderLoad{
 			Epoch: 12, Cluster: 2, Aggregated: true,
@@ -59,15 +70,6 @@ func sampleEnvelopes() []Envelope {
 			Units: map[catalog.CategoryID]float64{0: 1.5, 3: 0.25},
 		}},
 		{From: 3, Msg: LeaderLoad{Epoch: 1}},
-		{From: 3, Msg: Move{
-			Category: 5, From: 2,
-			Entry: protocol.DCRTEntry{Cluster: 0, MoveCounter: 3},
-		}},
-		{From: 3, Msg: protocol.MetadataUpdateMsg{Entries: map[catalog.CategoryID]protocol.DCRTEntry{
-			5: {Cluster: 0, MoveCounter: 3},
-			9: {Cluster: 1, MoveCounter: 1},
-		}}},
-		{From: 3, Msg: protocol.MetadataUpdateMsg{}},
 		{From: 7, Msg: ManifestReq{Doc: 42, Xfer: 1<<33 + 5, Origin: 7, TTL: 2}},
 		{From: 7, Msg: ManifestReq{}},
 		{From: 8, Msg: Manifest{
@@ -136,19 +138,13 @@ func normalizeMsg(m any) any {
 		}
 		return v
 	case membership.Ping:
-		if len(v.Updates) == 0 {
-			v.Updates = nil
-		}
+		v.Updates, v.Moves = normalizePiggyback(v.Updates, v.Moves)
 		return v
 	case membership.Ack:
-		if len(v.Updates) == 0 {
-			v.Updates = nil
-		}
+		v.Updates, v.Moves = normalizePiggyback(v.Updates, v.Moves)
 		return v
 	case membership.PingReq:
-		if len(v.Updates) == 0 {
-			v.Updates = nil
-		}
+		v.Updates, v.Moves = normalizePiggyback(v.Updates, v.Moves)
 		return v
 	case LeaderLoad:
 		if len(v.Hits) == 0 {
@@ -156,11 +152,6 @@ func normalizeMsg(m any) any {
 		}
 		if len(v.Units) == 0 {
 			v.Units = nil
-		}
-		return v
-	case protocol.MetadataUpdateMsg:
-		if len(v.Entries) == 0 {
-			v.Entries = nil
 		}
 		return v
 	case Manifest:
@@ -175,6 +166,59 @@ func normalizeMsg(m any) any {
 		return v
 	}
 	return m
+}
+
+// normalizePiggyback maps empty piggyback lists to nil.
+func normalizePiggyback(us []membership.Update, mvs []membership.Move) ([]membership.Update, []membership.Move) {
+	if len(us) == 0 {
+		us = nil
+	}
+	if len(mvs) == 0 {
+		mvs = nil
+	}
+	return us, mvs
+}
+
+// liveTags lists every tag the codec writes, retired ones excluded.
+var liveTags = []byte{tagQuery, tagResult, tagPublish, tagPublishAck, tagHello, tagBook,
+	tagPing, tagAck, tagPingReq, tagLeave, tagLeaderLoad,
+	tagManifestReq, tagManifest, tagChunkReq, tagChunk}
+
+// TestSamplesCoverEveryTag: sampleEnvelopes — the round-trip table and
+// both fuzz targets' seeds — writes every live tag and no other, and
+// each probe kind at least once with both piggyback lists non-empty.
+func TestSamplesCoverEveryTag(t *testing.T) {
+	seen := map[byte]bool{}
+	full := map[string]bool{}
+	for _, env := range sampleEnvelopes() {
+		b, err := AppendEnvelope(nil, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen[b[0]] = true
+		switch m := env.Msg.(type) {
+		case membership.Ping:
+			full["ping"] = full["ping"] || len(m.Updates) > 0 && len(m.Moves) > 0
+		case membership.Ack:
+			full["ack"] = full["ack"] || len(m.Updates) > 0 && len(m.Moves) > 0
+		case membership.PingReq:
+			full["ping-req"] = full["ping-req"] || len(m.Updates) > 0 && len(m.Moves) > 0
+		}
+	}
+	for _, tag := range liveTags {
+		if !seen[tag] {
+			t.Errorf("no sample writes live tag %d", tag)
+		}
+		delete(seen, tag)
+	}
+	for tag := range seen {
+		t.Errorf("a sample writes tag %d, which is not live", tag)
+	}
+	for _, kind := range []string{"ping", "ack", "ping-req"} {
+		if !full[kind] {
+			t.Errorf("no %s sample carries both liveness updates and DCRT moves", kind)
+		}
+	}
 }
 
 func TestDecodeRejectsCorruptFrames(t *testing.T) {
@@ -278,10 +322,36 @@ func generation5Frames(t testing.TB) [][]byte {
 	return [][]byte{replicate(3), replicate(0), load}
 }
 
-// TestRetiredFramesRejected pins generation 6's withdrawal of push
-// replication: tag 18 decodes as an unknown tag and a leader-load with
-// the generation-5 extensions has trailing bytes, so a stray one ends
-// its stream like any malformed frame instead of reaching a handler.
+// generation6Frames are frames only a generation-6 peer wrote: a move
+// (tag 12), a meta-update (tag 13) with two rows, and a ping whose
+// piggyback ends after the liveness list, without the DCRT list.
+func generation6Frames() [][]byte {
+	move := appendInt([]byte{12}, 3) // tag, sender
+	move = appendInt(move, 5)        // category
+	move = appendInt(move, 2)        // source cluster
+	move = appendInt(move, 0)        // destination cluster
+	move = appendUint(move, 3)       // move counter
+	meta := appendUint(appendInt([]byte{13}, 3), 2)
+	for _, row := range [][3]int64{{5, 0, 3}, {9, 1, 1}} {
+		meta = appendUint(appendInt(appendInt(meta, row[0]), row[1]), uint64(row[2]))
+	}
+	ping := appendInt([]byte{tagPing}, 4) // tag, sender
+	ping = appendUint(ping, 99)           // seq
+	ping = appendString(ping, "127.0.0.1:7004")
+	ping = appendUint(ping, 1)    // one liveness rumor, then no DCRT list
+	ping = appendInt(ping, 2)     // id
+	ping = appendString(ping, "") // addr
+	ping = append(ping, byte(membership.Suspect))
+	ping = appendUint(ping, 5) // incarnation
+	return [][]byte{move, meta, ping}
+}
+
+// TestRetiredFramesRejected pins the withdrawn frame formats: tag 18
+// (generation 6 withdrew push replication) and tags 12 and 13
+// (generation 7 moved category moves onto the probes' piggyback) decode
+// as unknown tags; a generation-5 leader-load has trailing bytes and a
+// generation-6 ping lacks its DCRT list. A stray one ends its stream
+// like any malformed frame instead of reaching a handler.
 func TestRetiredFramesRejected(t *testing.T) {
 	for i, frame := range generation5Frames(t) {
 		_, err := DecodeEnvelope(frame)
@@ -290,6 +360,15 @@ func TestRetiredFramesRejected(t *testing.T) {
 		}
 		if i < 2 && !strings.Contains(err.Error(), "unknown message tag 18") {
 			t.Fatalf("replicate frame %d: err = %v, want an unknown tag", i, err)
+		}
+	}
+	for i, frame := range generation6Frames() {
+		_, err := DecodeEnvelope(frame)
+		if !errors.Is(err, ErrMalformed) {
+			t.Fatalf("generation-6 frame %d: err = %v, want ErrMalformed", i, err)
+		}
+		if tag := frame[0]; i < 2 && !strings.Contains(err.Error(), fmt.Sprintf("unknown message tag %d", tag)) {
+			t.Fatalf("generation-6 tag-%d frame: err = %v, want an unknown tag", tag, err)
 		}
 	}
 }
@@ -313,9 +392,13 @@ func idFields(env Envelope, b Bounds) []idField {
 	cluster := func(what string, cl model.ClusterID) { fs = append(fs, idField{what, int(cl), b.Clusters}) }
 	cat := func(what string, c catalog.CategoryID) { fs = append(fs, idField{what, int(c), b.Categories}) }
 	doc := func(what string, d catalog.DocID) { fs = append(fs, idField{what, int(d), b.Docs}) }
-	updates := func(us []membership.Update) {
+	piggyback := func(us []membership.Update, mvs []membership.Move) {
 		for _, u := range us {
 			node("update id", u.ID)
+		}
+		for _, mv := range mvs {
+			cat("move category", mv.Category)
+			cluster("move cluster", mv.Entry.Cluster)
 		}
 	}
 	switch m := env.Msg.(type) {
@@ -348,13 +431,13 @@ func idFields(env Envelope, b Bounds) []idField {
 			node("tombstone id", id)
 		}
 	case membership.Ping:
-		updates(m.Updates)
+		piggyback(m.Updates, m.Moves)
 	case membership.Ack:
 		node("target", m.Target)
-		updates(m.Updates)
+		piggyback(m.Updates, m.Moves)
 	case membership.PingReq:
 		node("target", m.Target)
-		updates(m.Updates)
+		piggyback(m.Updates, m.Moves)
 	case membership.Leave:
 		node("leave id", m.ID)
 	case LeaderLoad:
@@ -364,15 +447,6 @@ func idFields(env Envelope, b Bounds) []idField {
 		}
 		for c := range m.Units {
 			cat("unit category", c)
-		}
-	case Move:
-		cat("category", m.Category)
-		cluster("source", m.From)
-		cluster("destination", m.Entry.Cluster)
-	case protocol.MetadataUpdateMsg:
-		for c, e := range m.Entries {
-			cat("entry category", c)
-			cluster("entry cluster", e.Cluster)
 		}
 	case ManifestReq:
 		doc("doc", m.Doc)
@@ -394,6 +468,9 @@ func idFields(env Envelope, b Bounds) []idField {
 func TestDecodeRejectsOutOfRangeIDs(t *testing.T) {
 	b := smallBounds
 	nodes := func(v int32) []model.NodeID { return []model.NodeID{0, model.NodeID(v)} }
+	moves := func(c catalog.CategoryID, cl model.ClusterID) []membership.Move {
+		return []membership.Move{{}, {Category: c, Entry: protocol.DCRTEntry{Cluster: cl, MoveCounter: 1}}}
+	}
 	type idCase struct {
 		name  string
 		bound int
@@ -437,15 +514,33 @@ func TestDecodeRejectsOutOfRangeIDs(t *testing.T) {
 		{"ping/update", b.Nodes, func(v int32) Envelope {
 			return Envelope{Msg: membership.Ping{Updates: []membership.Update{{ID: model.NodeID(v)}}}}
 		}},
+		{"ping/move-category", b.Categories, func(v int32) Envelope {
+			return Envelope{Msg: membership.Ping{Moves: moves(catalog.CategoryID(v), 0)}}
+		}},
+		{"ping/move-cluster", b.Clusters, func(v int32) Envelope {
+			return Envelope{Msg: membership.Ping{Moves: moves(0, model.ClusterID(v))}}
+		}},
 		{"ack/target", b.Nodes, func(v int32) Envelope { return Envelope{Msg: membership.Ack{Target: model.NodeID(v)}} }},
 		{"ack/update", b.Nodes, func(v int32) Envelope {
 			return Envelope{Msg: membership.Ack{Updates: []membership.Update{{ID: model.NodeID(v)}}}}
+		}},
+		{"ack/move-category", b.Categories, func(v int32) Envelope {
+			return Envelope{Msg: membership.Ack{Moves: moves(catalog.CategoryID(v), 0)}}
+		}},
+		{"ack/move-cluster", b.Clusters, func(v int32) Envelope {
+			return Envelope{Msg: membership.Ack{Moves: moves(0, model.ClusterID(v))}}
 		}},
 		{"ping-req/target", b.Nodes, func(v int32) Envelope {
 			return Envelope{Msg: membership.PingReq{Target: model.NodeID(v)}}
 		}},
 		{"ping-req/update", b.Nodes, func(v int32) Envelope {
 			return Envelope{Msg: membership.PingReq{Updates: []membership.Update{{ID: model.NodeID(v)}}}}
+		}},
+		{"ping-req/move-category", b.Categories, func(v int32) Envelope {
+			return Envelope{Msg: membership.PingReq{Moves: moves(catalog.CategoryID(v), 0)}}
+		}},
+		{"ping-req/move-cluster", b.Clusters, func(v int32) Envelope {
+			return Envelope{Msg: membership.PingReq{Moves: moves(0, model.ClusterID(v))}}
 		}},
 		{"leave/id", b.Nodes, func(v int32) Envelope { return Envelope{Msg: membership.Leave{ID: model.NodeID(v)}} }},
 		{"leader-load/cluster", b.Clusters, func(v int32) Envelope {
@@ -456,17 +551,6 @@ func TestDecodeRejectsOutOfRangeIDs(t *testing.T) {
 		}},
 		{"leader-load/unit-category", b.Categories, func(v int32) Envelope {
 			return Envelope{Msg: LeaderLoad{Units: map[catalog.CategoryID]float64{catalog.CategoryID(v): 1}}}
-		}},
-		{"move/category", b.Categories, func(v int32) Envelope { return Envelope{Msg: Move{Category: catalog.CategoryID(v)}} }},
-		{"move/source", b.Clusters, func(v int32) Envelope { return Envelope{Msg: Move{From: model.ClusterID(v)}} }},
-		{"move/destination", b.Clusters, func(v int32) Envelope {
-			return Envelope{Msg: Move{Entry: protocol.DCRTEntry{Cluster: model.ClusterID(v)}}}
-		}},
-		{"meta-update/category", b.Categories, func(v int32) Envelope {
-			return Envelope{Msg: protocol.MetadataUpdateMsg{Entries: map[catalog.CategoryID]protocol.DCRTEntry{catalog.CategoryID(v): {}}}}
-		}},
-		{"meta-update/cluster", b.Clusters, func(v int32) Envelope {
-			return Envelope{Msg: protocol.MetadataUpdateMsg{Entries: map[catalog.CategoryID]protocol.DCRTEntry{0: {Cluster: model.ClusterID(v)}}}}
 		}},
 		{"manifest-req/doc", b.Docs, func(v int32) Envelope { return Envelope{Msg: ManifestReq{Doc: catalog.DocID(v)}} }},
 		{"manifest-req/origin", b.Nodes, func(v int32) Envelope {
@@ -492,8 +576,8 @@ func TestDecodeRejectsOutOfRangeIDs(t *testing.T) {
 			return e
 		}})
 	}
-	if len(tags) != 17 {
-		t.Fatalf("cases cover %d tags, want 17", len(tags))
+	if len(tags) != len(liveTags) {
+		t.Fatalf("cases cover %d tags, want %d", len(tags), len(liveTags))
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
