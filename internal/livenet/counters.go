@@ -91,8 +91,11 @@ type counters struct {
 	MembershipTickSkips atomic.Int64 `stat:"membership_tick_skips"`
 	AnnounceRetries     atomic.Int64 `stat:"announce_retries"`
 
-	// Transport: the outbound connection pool.
+	// Transport: the outbound connection pool. Of transport_sends, the
+	// frames their sender wrote through to an idle stream itself; the
+	// rest went out in a writer's batch.
 	TransportSends             atomic.Int64 `stat:"transport_sends"`
+	TransportWriteThrough      atomic.Int64 `stat:"transport_write_through"`
 	TransportReuses            atomic.Int64 `stat:"transport_reuses"`
 	TransportDials             atomic.Int64 `stat:"transport_dials"`
 	TransportDialFailures      atomic.Int64 `stat:"transport_dial_failures"`

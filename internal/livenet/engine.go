@@ -136,8 +136,11 @@ func (n *Node) QueryContext(ctx context.Context, cat catalog.CategoryID, m int) 
 	ch := make(chan query.Result, 1)
 	deadline, hasDeadline := ctx.Deadline()
 	n.queries.mu.Lock()
-	id := n.register(cat, m, need, docs, ch, deadline, hasDeadline)
+	id, first, routed := n.register(cat, m, need, docs, ch, deadline, hasDeadline)
 	n.queries.mu.Unlock()
+	if routed {
+		n.post(first) // outside the table's lock: a write-through may wait
+	}
 
 	select {
 	case out := <-ch:

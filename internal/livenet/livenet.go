@@ -12,8 +12,10 @@
 // kinds of lock. The queries a node issued wait in one query table
 // behind one mutex (querytable.go); a reader runs a decoded ResultMsg
 // itself under that mutex and a decoded QueryMsg under routeMu.RLock
-// alone, so a message crosses two goroutines per hop (the sender's
-// writer, the receiver's reader). Inside the serving cluster a query
+// alone. On an idle link the goroutine that sends a query or result
+// frame also writes it to the stream, so such a message crosses one
+// goroutine hand-off per hop (to the receiver's reader); under backlog
+// it also waits for the sender's writer. Inside the serving cluster a query
 // goes where the deterministic placement says (protocol.Forward over
 // the holder view, holders.go), never to every neighbour. Everything low-rate and topological — membership,
 // adaptation, the address book, the DCRT/NRT routing tables and the
@@ -494,8 +496,9 @@ type Options struct {
 	// excludes the nodes it declares dead.
 	Adaptation *AdaptConfig
 
-	// WriterIdle is how long a peer link's writer goroutine may sit idle
-	// before parking (exiting until the next send respawns it). 0 means
+	// WriterIdle is how long a peer link may carry no frame — no batch
+	// of its writer goroutine, no write-through — before the writer parks
+	// (exiting until the next send respawns it). 0 means
 	// the default (45s); negative disables parking so writers persist for
 	// the node's lifetime, the pre-parking behavior.
 	WriterIdle time.Duration
@@ -887,14 +890,39 @@ func (n *Node) dispatchControl(env envelope) {
 // P2P messages are best-effort, exactly as in the simulator; the
 // transport retries and reconnects under the hood). The caller must
 // hold routeMu in either mode: it reads the address book. Control code
-// holds the write lock; query code takes RLock.
+// holds the write lock; query code takes RLock. Queueing never blocks,
+// so it is safe under either lock; the query path instead resolves a
+// frame under the lock (route) and writes it after releasing it (post).
 func (n *Node) send(to model.NodeID, msg any) {
+	if f, ok := n.route(to, msg); ok {
+		n.tr.enqueue(f.to, f.addr, envelope{From: n.id, Msg: f.msg})
+	}
+}
+
+// outFrame is a frame addressed under a node lock and sent after the
+// lock is released.
+type outFrame struct {
+	to   model.NodeID
+	addr string
+	msg  any
+}
+
+// route addresses msg to peer to off the address book, counting a peer
+// it has no address for. The caller holds routeMu in either mode.
+func (n *Node) route(to model.NodeID, msg any) (outFrame, bool) {
 	addr, ok := n.book.get(to)
 	if !ok {
 		n.stats.SendNoAddr.Add(1)
-		return
+		return outFrame{}, false
 	}
-	n.tr.enqueue(to, addr, envelope{From: n.id, Msg: msg})
+	return outFrame{to: to, addr: addr, msg: msg}, true
+}
+
+// post sends a routed frame, writing it through to an idle stream on
+// this goroutine. It may wait on the peer's socket buffer (for at most
+// the transport's writeTimeout), so the caller holds no node lock.
+func (n *Node) post(f outFrame) {
+	n.tr.send(f.to, f.addr, envelope{From: n.id, Msg: f.msg})
 }
 
 // Sentinel errors shared with the facade — internal/query is the single

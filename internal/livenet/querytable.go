@@ -32,9 +32,12 @@ package livenet
 // reads the control state under routeMu.RLock, possibly while holding
 // queries.mu; whoever holds routeMu.Lock must never take queries.mu
 // while it does (a reader holding the table may be waiting for RLock).
-// send() assumes routeMu is held in either mode. Nothing under either
-// lock blocks: sends enqueue or drop, results go to a buffered channel,
-// the sweep only TryLocks.
+// send() and route() assume routeMu is held in either mode. Nothing
+// under either lock blocks: sends under a lock enqueue or drop, results
+// go to a buffered channel, the sweep only TryLocks. The query path's
+// frames — a caller's entry send, a reader's answer and forwards — are
+// routed under the lock and posted after it is released, where a
+// write-through may wait on the peer's socket buffer.
 //
 // Shutdown: there is nothing to stop. close(done) ends the accept loop
 // and, with the connections closed, the readers; the table simply stops
@@ -79,17 +82,22 @@ func newPCG(seed int64, id model.NodeID, stream uint64) *rand.Rand {
 	return rand.New(rand.NewPCG(uint64(seed), mixQ(uint64(id)<<8|stream)))
 }
 
-// trySweep runs the housekeeping sweep if the table is free. It is
-// called on the timerwheel goroutine, which must never wait: a table busy
-// with a frame gets the next tick ≤ sweepInterval later, which the
-// sweep's semantics tolerate.
+// trySweep runs the housekeeping sweep if the table is free and queues
+// its resends once the table is released. It is called on the timerwheel
+// goroutine, which must never wait: a table busy with a frame gets the
+// next tick ≤ sweepInterval later, which the sweep's semantics tolerate,
+// and the resends are queued for their writers, never written through
+// (a stalled peer would stall the wheel).
 func (n *Node) trySweep(now time.Time) {
 	if !n.queries.mu.TryLock() {
 		n.stats.QuerySweepSkips.Add(1)
 		return
 	}
-	n.sweep(now)
+	resends := n.sweep(now)
 	n.queries.mu.Unlock()
+	for _, f := range resends {
+		n.tr.enqueue(f.to, f.addr, envelope{From: n.id, Msg: f.msg})
+	}
 }
 
 // addHit bumps the §6.1.2 per-category request counter.
@@ -116,13 +124,14 @@ func (n *Node) nextQueryID() uint64 {
 	return queryID(n.querySalt, n.queries.seq)
 }
 
-// register installs a new pending query and issues its entry message.
-// The query asks for want documents and is done at need, min(want,
-// documents placed). Caller holds queries.mu, has passed admission and
-// holds the in-flight slot.
+// register installs a new pending query and routes its entry message,
+// which the caller posts once it has released queries.mu (ok false: no
+// route, nothing to send). The query asks for want documents and is done
+// at need, min(want, documents placed). Caller holds queries.mu, has
+// passed admission and holds the in-flight slot.
 func (n *Node) register(cat catalog.CategoryID, want, need int, docs map[catalog.DocID]bool,
-	ch chan QueryOutcome, deadline time.Time, hasDeadline bool) uint64 {
-	id := n.nextQueryID()
+	ch chan QueryOutcome, deadline time.Time, hasDeadline bool) (id uint64, entry outFrame, ok bool) {
+	id = n.nextQueryID()
 	now := time.Now()
 	pq := &pendingQuery{
 		id:       id,
@@ -138,25 +147,25 @@ func (n *Node) register(cat catalog.CategoryID, want, need int, docs map[catalog
 		pq.deadline = deadline.Add(pendingGrace)
 	}
 	n.queries.pending[id] = pq
-	n.sendQuery(pq)
-	return id
+	entry, ok = n.routeQuery(pq)
+	return id, entry, ok
 }
 
-// sendQuery (re)issues the query to a random member of the serving
-// cluster, read off the current tables: a member this node can address
+// routeQuery addresses the query's (re)issue to a random member of the
+// serving cluster, read off the current tables: a member this node can address
 // (the static NRT priming lists peers that may never have joined this
 // deployment, and a query sent to one of those is a guaranteed
-// timeout), or any NRT member when none is addressable. It reports false,
-// sending nothing, when the category has no route. The full demand goes
+// timeout), or any NRT member when none is addressable. It reports false
+// when the category has no route, or the member chosen no address. The full demand goes
 // out even when the cache primed a partial answer: the entry member picks
 // who answers by the demand, and a node that answers returns at most that
 // many documents. Caller holds queries.mu.
-func (n *Node) sendQuery(pq *pendingQuery) bool {
+func (n *Node) routeQuery(pq *pendingQuery) (outFrame, bool) {
 	n.routeMu.RLock()
 	defer n.routeMu.RUnlock()
 	entry, ok := n.dcrt[pq.cat]
 	if !ok {
-		return false
+		return outFrame{}, false
 	}
 	members := n.nrt[entry.Cluster]
 	count := 0
@@ -181,12 +190,11 @@ func (n *Node) sendQuery(pq *pendingQuery) bool {
 	case len(members) > 0:
 		target = members[n.queries.rng.IntN(len(members))]
 	default:
-		return false
+		return outFrame{}, false
 	}
-	n.send(target, protocol.QueryMsg{
+	return n.route(target, protocol.QueryMsg{
 		ID: pq.id, Category: pq.cat, Want: pq.want, Origin: n.id, Hops: 1, Entry: true,
 	})
-	return true
 }
 
 // sweep advances the pending queries: expired entries deliver their
@@ -195,34 +203,51 @@ func (n *Node) sendQuery(pq *pendingQuery) bool {
 // tables, so a peer the failure detector evicted since the last send is
 // no longer a candidate. That holds for a query partly answered too: the
 // frame lost may be the one to a holder the entry member asked. A query
-// with no route left is not re-sent and waits out its deadline. Caller
-// holds queries.mu.
-func (n *Node) sweep(now time.Time) {
+// with no route left is not re-sent and waits out its deadline. It
+// returns the resends, routed, for the caller to send once it has
+// released queries.mu, which it holds.
+func (n *Node) sweep(now time.Time) (resends []outFrame) {
 	for _, pq := range n.queries.pending {
 		if now.After(pq.deadline) {
 			n.finishPending(pq, false)
 			n.stats.PendingExpired.Add(1)
 			continue
 		}
-		if pq.resends < maxResends && now.Sub(pq.lastSend) > resendAfter && n.sendQuery(pq) {
-			pq.resends++
-			pq.lastSend = now
-			n.stats.QueryResends.Add(1)
+		if pq.resends < maxResends && now.Sub(pq.lastSend) > resendAfter {
+			if f, ok := n.routeQuery(pq); ok {
+				resends = append(resends, f)
+				pq.resends++
+				pq.lastSend = now
+				n.stats.QueryResends.Add(1)
+			}
 		}
 	}
+	return resends
 }
 
 // handleQuery runs the §3.3 target-node logic: protocol.Forward says
 // whom the node asks and whether it answers from its store. A query for
 // a category this node has no DCRT entry for is dropped (and counted)
 // instead of being misrouted into cluster 0. No table state is touched
-// but the hit counter; matching and asking run under routeMu.RLock.
+// but the hit counter; matching and asking are decided under
+// routeMu.RLock, and the frames they route are posted after it is
+// released — forwards first, then the answer, the order they are
+// decided in.
 func (n *Node) handleQuery(m protocol.QueryMsg) {
+	var buf [4]outFrame // a directed ask and an answer, or a small cover
+	for _, f := range n.runQuery(m, buf[:0]) {
+		n.post(f)
+	}
+}
+
+// runQuery decides handleQuery's frames under routeMu.RLock and appends
+// them, routed, to out.
+func (n *Node) runQuery(m protocol.QueryMsg, out []outFrame) []outFrame {
 	n.routeMu.RLock()
 	defer n.routeMu.RUnlock()
 	if _, ok := n.dcrt[m.Category]; !ok {
 		n.stats.DropNoRoute.Add(1)
-		return
+		return out
 	}
 	if m.Entry {
 		// §6.1.2 monitoring: count the request once per cluster entry, so
@@ -232,7 +257,7 @@ func (n *Node) handleQuery(m protocol.QueryMsg) {
 	}
 	docs := n.byCat[m.Category]
 	// Box the forwarded message once, and only when the rule asks
-	// someone: send takes `any`, so a struct literal per send would
+	// someone: a frame carries `any`, so a struct literal per ask would
 	// re-box per holder. The copy is never an entry frame, so an asked
 	// holder counts no hit and asks nobody unless its store is stale.
 	var fwd any
@@ -240,16 +265,21 @@ func (n *Node) handleQuery(m protocol.QueryMsg) {
 		if fwd == nil {
 			fwd = protocol.QueryMsg{ID: m.ID, Category: m.Category, Want: m.Want, Origin: m.Origin, Hops: m.Hops + 1}
 		}
-		n.send(to, fwd)
+		if f, ok := n.route(to, fwd); ok {
+			out = append(out, f)
+		}
 	})
 	if take := min(m.Want, len(docs)); answers && take > 0 {
 		// Exact-capacity allocation: the hot path pays one slice alloc,
 		// never an append-grow chain (pinned by TestHandleQueryAllocs).
 		n.served.Add(1)
-		n.send(m.Origin, protocol.ResultMsg{
+		if f, ok := n.route(m.Origin, protocol.ResultMsg{
 			ID: m.ID, Docs: append(make([]catalog.DocID, 0, take), docs[:take]...), Hops: m.Hops, From: n.id,
-		})
+		}); ok {
+			out = append(out, f)
+		}
 	}
+	return out
 }
 
 // handleResult folds an inbound result into its pending query, up to the

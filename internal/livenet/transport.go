@@ -22,20 +22,32 @@ import (
 // established stream, and reconnects on failure with capped exponential
 // backoff plus jitter.
 //
-// Four things make the wire path fast and cheap:
+// Five things make the wire path fast and cheap:
 //
+//   - Write-through on idle links. A protocol frame sent by a goroutine
+//     that holds no node lock (send) is framed and flushed to the stream
+//     by that goroutine itself when the link is idle: the stream is
+//     live, both queues are empty and no writer is mid-flush (the
+//     stream's write mutex, wmu, is free to TryLock). The common query
+//     path — a caller's entry send, a reader's answer or forward — thus
+//     skips the hand-off to the writer goroutine. Everything else goes
+//     through the writer: the first dial, reconnect backoff, bulk
+//     chunks, backlogs, frames sent under a node lock (enqueue), and a
+//     write-through that failed, whose frame goes back to the head of the
+//     queue. The writer takes each batch under wmu, so frames leave a
+//     stream in the order they were handed over.
 //   - Codec. Every stream speaks internal/wire (compact varint frames,
 //     no reflection, pooled encode buffers), opened by that package's
 //     handshake. A handshake that fails — refused, mismatched, timed
 //     out — is a failed connect like a failed dial: the stream is
 //     closed and the attempt retried under the same backoff.
-//   - Write coalescing. The writer drains its queue in batches of up to
-//     maxBatchMsgs envelopes through a 64 KB bufio.Writer and flushes
-//     when the queue is empty or the batch is full — many envelopes per
-//     syscall under load, zero added latency when traffic is sparse
-//     (an envelope arriving alone flushes immediately). Batch sizes are
-//     observed in a histogram; bytes that reach the socket are counted
-//     as wire_bytes_out.
+//   - Write coalescing under backlog. Once frames queue — a link busy
+//     with a flush, a stream still dialing — the writer drains the queue
+//     in batches of up to maxBatchMsgs envelopes through a 64 KB
+//     bufio.Writer and flushes when the queue is empty or the batch is
+//     full: many envelopes per syscall under load. A write-through is a
+//     batch of one. Batch sizes are observed in a histogram; bytes that
+//     reach the socket are counted as wire_bytes_out.
 //   - A link costs what it carries. The write buffer is borrowed from a
 //     process-wide pool to frame and flush one batch and handed back
 //     after the flush, so between batches a stream holds no buffer: live
@@ -53,6 +65,10 @@ import (
 //     window has gone by (lazyDeadline) — so a timeout T takes effect
 //     after between ¾·T and T of trouble, and a busy stream touches its
 //     timer every T/4 instead of every frame.
+//
+// A write-through can wait on the peer's socket buffer, for at most
+// writeTimeout (the stream's lazily armed deadline), which is why only a
+// goroutine holding no node lock may call send.
 //
 // Messages carry a small retry budget; a batch that exhausts it is
 // dropped (the protocols are best-effort, exactly as in the simulator)
@@ -84,9 +100,10 @@ const (
 	// allocation: the queue grows to what is waiting); enqueue never
 	// blocks its caller — overflow is dropped and counted.
 	sendQueueCap = 256
-	// defaultWriterIdle is how long a peer's writer goroutine sits with an
-	// empty queue before parking: it closes its stream, exits, and is
-	// respawned lazily by the next enqueue. Writer goroutines therefore
+	// defaultWriterIdle is how long a peer's link goes without a frame —
+	// neither a batch of its writer nor a write-through — before the
+	// writer parks: it closes its stream, exits, and is respawned lazily
+	// by the next enqueue. Writer goroutines therefore
 	// scale with ACTIVE links, not address-book size — the property that
 	// lets a 10k-node in-process cluster idle at a handful of goroutines
 	// per node. Options.WriterIdle overrides it (negative disables
@@ -117,8 +134,8 @@ var writeBufs = sync.Pool{
 }
 
 // transport is one node's connection pool. All methods are safe for
-// concurrent use: enqueue is called from the node's connection readers,
-// API callers and ticks while the writers run.
+// concurrent use: send and enqueue are called from the node's
+// connection readers, API callers and ticks while the writers run.
 type transport struct {
 	from    model.NodeID
 	seed    int64
@@ -148,13 +165,15 @@ type transport struct {
 	dialMu sync.Mutex
 	dial   func(addr string) (net.Conn, error)
 
-	// onPeerDown fires (outside the transport locks) after
-	// evictAfterFails consecutive connect failures to one peer.
+	// onPeerDown fires on the peer's writer goroutine, which holds that
+	// peer's wmu but not t.mu, after evictAfterFails consecutive connect
+	// failures to one peer.
 	onPeerDown func(model.NodeID)
 }
 
 // peerConn is the queue and address of one destination peer. The
-// connection itself lives in the writer goroutine's locals.
+// connection itself lives in its writer goroutine's peerWriter, which a
+// write-through borrows under wmu.
 //
 // Two outbound queues implement the data/control priority split: queue
 // carries protocol frames (queries, probes, adaptation — everything
@@ -168,14 +187,19 @@ type transport struct {
 // transport with a bulk lane.
 type peerConn struct {
 	to model.NodeID
-	// queue and bulk are guarded by transport.mu, and so is running,
-	// which reports whether a writer goroutine currently owns the queues.
-	// One lock for all three is what makes the park/enqueue handoff
-	// airtight: a parking writer re-checks the queues under the same lock
-	// the producers append under, so a message either finds a live
-	// writer or spawns one.
+	// running reports whether a writer goroutine currently owns the
+	// queues. It is guarded by transport.mu, like queue and bulk: one lock
+	// for all three is what makes the park/enqueue handoff airtight: a
+	// parking writer re-checks the queues under the same lock the
+	// producers append under, so a message either finds a live writer or
+	// spawns one.
+	running bool
+	// wmu is held by whoever writes the stream: the writer goroutine for
+	// a whole delivery (take, connect, write), its park and its exit, or
+	// a sender writing through. Order: wmu before transport.mu; a holder
+	// of transport.mu only ever TryLocks wmu.
+	wmu         sync.Mutex
 	queue, bulk []envelope
-	running     bool
 	// wake tells a waiting writer its queues went from empty to
 	// non-empty. Capacity 1, never closed: a token sent while the writer
 	// is busy stays until it next waits, so a wake-up is never lost, and
@@ -184,6 +208,9 @@ type peerConn struct {
 	// addr is the peer's latest known address, stored by every enqueue
 	// and read by the writer when it dials. Guarded by transport.mu.
 	addr string
+	// w is the live writer's stream state, nil while no writer runs.
+	// Guarded by wmu.
+	w *peerWriter
 }
 
 // lazyDeadline keeps a connection deadline of window ahead without
@@ -239,23 +266,46 @@ func (t *transport) dialPeer(addr string) (net.Conn, error) {
 	return f(addr)
 }
 
+// send writes a protocol envelope through to the peer's stream on the
+// calling goroutine when the link is idle — stream live, both queues
+// empty, no writer mid-flush — and enqueues it otherwise. It may wait on
+// the peer's socket buffer, for at most writeTimeout: the caller must
+// hold no node lock.
+func (t *transport) send(to model.NodeID, addr string, env envelope) {
+	t.mu.Lock()
+	if p := t.peers[to]; p != nil && !t.closed && len(p.queue)+len(p.bulk) == 0 && p.wmu.TryLock() {
+		if w := p.w; w != nil && w.conn != nil {
+			p.addr = addr
+			t.mu.Unlock()
+			w.writeThrough(env)
+			p.wmu.Unlock()
+			return
+		}
+		p.wmu.Unlock()
+	}
+	t.enqueueLocked(to, addr, env, false)
+}
+
 // enqueue hands a protocol envelope to the peer's writer, spawning one
-// if the peer's writer is parked (or never started). It never blocks: a
-// full queue drops the message (counted) rather than stalling its
-// caller, which holds routeMu or the query table's lock.
+// if the peer's writer is parked (or never started). Unlike send it
+// never blocks: a full queue drops the message (counted) rather than
+// stalling its caller, who may hold routeMu or the query table's lock.
 func (t *transport) enqueue(to model.NodeID, addr string, env envelope) {
-	t.enqueueOn(to, addr, env, false)
+	t.mu.Lock()
+	t.enqueueLocked(to, addr, env, false)
 }
 
 // enqueueBulk queues a chunk-transfer envelope at bulk priority: it
 // rides the same stream but the writer only lets it into a batch when
 // no protocol frame is waiting.
 func (t *transport) enqueueBulk(to model.NodeID, addr string, env envelope) {
-	t.enqueueOn(to, addr, env, true)
+	t.mu.Lock()
+	t.enqueueLocked(to, addr, env, true)
 }
 
-func (t *transport) enqueueOn(to model.NodeID, addr string, env envelope, bulk bool) {
-	t.mu.Lock()
+// enqueueLocked is enqueue and enqueueBulk with t.mu held; it releases
+// t.mu.
+func (t *transport) enqueueLocked(to model.NodeID, addr string, env envelope, bulk bool) {
 	if t.closed {
 		t.mu.Unlock()
 		return
@@ -396,7 +446,8 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 
 // peerWriter is one writer goroutine's connection state: the socket,
 // its byte counter and its write deadline. The buffer a batch is framed
-// into is borrowed per batch (writeBufs), not held here.
+// into is borrowed per batch (writeBufs), not held here. The stream
+// fields are used by whoever holds the peer's wmu.
 type peerWriter struct {
 	t   *transport
 	p   *peerConn
@@ -405,6 +456,9 @@ type peerWriter struct {
 	conn     net.Conn
 	out      countingWriter // conn, counted as wire_bytes_out
 	deadline lazyDeadline   // conn's write deadline, writeTimeout ahead
+	// through is the coarse clock at the last write-through, so the
+	// writer's idle clock counts frames it never saw; 0 = none yet.
+	through time.Duration
 
 	connectFails int  // consecutive failed connects (drives backoff + eviction)
 	notified     bool // onPeerDown fired for the current outage
@@ -412,16 +466,23 @@ type peerWriter struct {
 
 // run is the writer goroutine for one peer: it drains the queue in
 // batches, dialing lazily and reusing the stream across messages. A
-// writer whose queue stays empty for writerIdle parks — closes its
-// stream and exits — and the next enqueue respawns it; the respawned
-// writer re-resolves the peer's current address and opens a fresh
-// stream, so a peer that moved while the link was parked is picked up
-// cleanly.
+// link that carries no frame — no batch, no write-through — for
+// writerIdle parks its writer: it closes its stream and exits, and the
+// next enqueue respawns it; the respawned writer re-resolves the peer's
+// current address and opens a fresh stream, so a peer that moved while
+// the link was parked is picked up cleanly.
 func (t *transport) run(p *peerConn) {
 	defer t.wg.Done()
 	defer t.writersActive.Add(-1)
 	w := &peerWriter{t: t, p: p}
-	defer w.drop()
+	p.wmu.Lock()
+	p.w = w
+	p.wmu.Unlock()
+	defer func() {
+		p.wmu.Lock()
+		w.retire()
+		p.wmu.Unlock()
+	}()
 	var idle *time.Timer
 	var idleC <-chan time.Time
 	if t.writerIdle > 0 {
@@ -447,15 +508,31 @@ func (t *transport) run(p *peerConn) {
 	var batch []envelope
 	for {
 		// Whatever is queued goes out now — a lone envelope flushes
-		// immediately. The select is entered only to wait, and only after
-		// a take found both queues empty: any enqueue since then left a
-		// token in wake.
+		// immediately. The batch is taken and written under wmu, so no
+		// write-through slips between a frame's take and its flush. The
+		// select is entered only to wait, and only after a take found both
+		// queues empty: any enqueue since then left a token in wake.
+		p.wmu.Lock()
 		if batch = t.take(p, batch[:0]); len(batch) == 0 {
+			p.wmu.Unlock()
 			select {
 			case <-t.done:
 				return
 			case <-idleC:
-				if t.park(p) {
+				// A write-through since the timer was set is activity too:
+				// wait out the rest of the window from it.
+				p.wmu.Lock()
+				if since := timerwheel.Default().Coarse() - w.through; w.through != 0 && since < t.writerIdle {
+					p.wmu.Unlock()
+					idle.Reset(t.writerIdle - since)
+					continue
+				}
+				parked := t.park(p)
+				if parked {
+					w.retire()
+				}
+				p.wmu.Unlock()
+				if parked {
 					t.stats.TransportWriterParks.Add(1)
 					return
 				}
@@ -466,7 +543,9 @@ func (t *transport) run(p *peerConn) {
 			}
 			continue
 		}
-		if !w.deliver(batch) {
+		alive := w.deliver(batch)
+		p.wmu.Unlock()
+		if !alive {
 			return // transport closed mid-backoff
 		}
 		clear(batch) // the slice is the queue's next: it pins no message
@@ -474,6 +553,53 @@ func (t *transport) run(p *peerConn) {
 			batch = nil
 		}
 		resetIdle()
+	}
+}
+
+// retire closes the writer's stream and unhooks it from its peer, so no
+// write-through finds it; a second call is a no-op, even once a
+// respawned writer has hooked itself in. Caller holds the peer's wmu.
+func (w *peerWriter) retire() {
+	w.drop()
+	if w.p.w == w {
+		w.p.w = nil
+	}
+}
+
+// writeThrough frames and flushes one envelope on the live stream, on
+// the sending goroutine: a batch of one, counted as one send and one
+// reuse. A failed write drops the stream and puts the envelope back at
+// the head of the queue, ahead of anything queued while it was being
+// written, for the writer to redial and retry under its budget. Caller
+// holds the peer's wmu, and found the stream live and the queues empty.
+func (w *peerWriter) writeThrough(env envelope) {
+	t, p := w.t, w.p
+	w.deadline.touch()
+	one := [1]envelope{env}
+	if _, err := w.write(one[:]); err == nil {
+		w.through = timerwheel.Default().Coarse()
+		t.stats.TransportWriteThrough.Add(1)
+		t.stats.TransportSends.Add(1)
+		t.stats.TransportReuses.Add(1)
+		t.batches.Observe(1)
+		return
+	}
+	w.drop()
+	t.stats.TransportReconnects.Add(1)
+	t.stats.TransportRetries.Add(1)
+	t.mu.Lock()
+	if t.closed || len(p.queue) >= sendQueueCap {
+		t.mu.Unlock()
+		t.stats.TransportSendFailures.Add(1)
+		return
+	}
+	p.queue = append(p.queue, envelope{})
+	copy(p.queue[1:], p.queue)
+	p.queue[0] = env
+	t.mu.Unlock()
+	select {
+	case p.wake <- struct{}{}:
+	default: // a token is already waiting
 	}
 }
 

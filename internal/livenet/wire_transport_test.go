@@ -379,12 +379,20 @@ func TestSilentStreamReapedWithinWindow(t *testing.T) {
 	}
 }
 
-// TestBlockedWriteFailsWithinTimeout pins the lazily armed write
-// deadline: a peer that stops reading while the stream's deadline is
-// already part-used (armed less than a quarter of writeTimeout ago, so
-// not re-armed) blocks the writer for at least ¾ of writeTimeout and at
-// most all of it before the stream is dropped and redialed.
+// TestBlockedWriteFailsWithinTimeout pins the write deadline on both
+// write paths: the writer goroutine's batches, and a frame its sender
+// writes through (testBlockedWriteThrough, writethrough_test.go).
 func TestBlockedWriteFailsWithinTimeout(t *testing.T) {
+	t.Run("writer", testBlockedWriter)
+	t.Run("write-through", testBlockedWriteThrough)
+}
+
+// testBlockedWriter pins the lazily armed write deadline: a peer that
+// stops reading while the stream's deadline is already part-used (armed
+// less than a quarter of writeTimeout ago, so not re-armed) blocks the
+// writer for at least ¾ of writeTimeout and at most all of it before the
+// stream is dropped and redialed.
+func testBlockedWriter(t *testing.T) {
 	nw := memnet.NewSized(4 << 10) // a "socket buffer" one burst overfills
 	ln, err := nw.Listen("mem:0")
 	if err != nil {

@@ -174,7 +174,9 @@ func TestWriterProtocolBeforeBulk(t *testing.T) {
 // from many producers at once: bursts timed around a 1 ms writerIdle,
 // so writers park and respawn while envelopes arrive, and the same load
 // with parking off, where a wake-up lost between a writer's empty take
-// and its wait would leave an envelope queued forever. Every envelope
+// and its wait would leave an envelope queued forever. Half the
+// producers send (writing through whenever a link is idle), so
+// write-throughs race takes, parks and respawns too. Every envelope
 // must end sent, failed or dropped — sends + send_failures + drops ==
 // enqueued — and every queue empty. Run it with -race.
 func TestWriterParkRace(t *testing.T) {
@@ -207,7 +209,12 @@ func TestWriterParkRace(t *testing.T) {
 				for b := 0; b < bursts; b++ {
 					k := rng.Intn(peers)
 					for i := rng.Intn(4); i >= 0; i-- {
-						tr.enqueue(model.NodeID(2+k), addrs[k], queryEnv(uint64(g)<<32|uint64(sent)))
+						env := queryEnv(uint64(g)<<32 | uint64(sent))
+						if g%2 == 0 {
+							tr.enqueue(model.NodeID(2+k), addrs[k], env)
+						} else {
+							tr.send(model.NodeID(2+k), addrs[k], env)
+						}
 						sent++
 					}
 					// 0.5–1.5 ms: some bursts land on a live writer, some

@@ -1,0 +1,76 @@
+#!/usr/bin/env bash
+# Fails when DESIGN.md or README.md name, in backticks, a Test…, Fuzz… or
+# Benchmark… function that no _test.go declares, or a repo path that does
+# not exist. A path is a backticked token with a slash whose first
+# segment is a top-level directory of the repo (checked from the root) or
+# a package directory under internal/ (checked there); other slashed
+# tokens (math/rand, testing/quick) are not paths of this repo. A path may
+# be a glob (bench/BENCH_scale-*.baseline.json), which must match a file,
+# or a numbered range (results/pr38…pr42_plan_rounds.jsonl), whose two
+# ends must exist; a Go package pattern (./internal/chaos/...) names its
+# root directory. A test name may carry a subtest (TestX/case); the
+# function TestX is what is checked.
+#
+# Usage: scripts/check-doc-refs.sh [repo root]   (default: the script's repo)
+set -uo pipefail
+
+root="${1:-$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)}"
+cd "$root" || exit 2
+docs=(DESIGN.md README.md)
+fail=0
+
+missing() {
+	echo "$1: $2 names $3, $4" >&2
+	fail=1
+}
+
+# exists PATH: the file or directory exists, the glob matches, or both
+# ends of a numbered range exist.
+exists() {
+	local p="$1"
+	if [[ "$p" == *…* ]]; then
+		local head="${p%%…*}" tail="${p#*…}"
+		local lo="${head##*[!0-9]}"
+		local stem="${head%"$lo"}"
+		tail="${tail#"${stem##*/}"}" # the far end repeats the stem's last segment
+		local hi="${tail%%[!0-9]*}"
+		local rest="${tail#"$hi"}"
+		[[ -n "$lo" && -n "$hi" && -e "$stem$lo$rest" && -e "$stem$hi$rest" ]]
+		return
+	fi
+	if [[ "$p" == *[*?]* ]]; then
+		compgen -G "$p" > /dev/null
+		return
+	fi
+	[[ -e "$p" ]]
+}
+
+tests=$(find . -name '*_test.go' -not -path './.git/*' -print0 |
+	xargs -0 grep -ohE '^func (Test|Fuzz|Benchmark)[A-Za-z0-9_]*\(' |
+	sed -E 's/^func //; s/\($//' | sort -u)
+
+for doc in "${docs[@]}"; do
+	while IFS=: read -r line tok; do
+		tok="${tok#\`}"
+		tok="${tok%\`}"
+		case "$tok" in
+		Test[A-Z0-9_]* | Fuzz[A-Z0-9_]* | Benchmark[A-Z0-9_]*)
+			fn="${tok%%/*}"
+			[[ "$fn" =~ ^[A-Za-z0-9_]+$ ]] || continue
+			grep -qxF "$fn" <<< "$tests" || missing "$doc:$line" "a test function" "$fn" "which no _test.go declares"
+			;;
+		*/*)
+			[[ "$tok" =~ ^[A-Za-z0-9_.*…/-]+$ ]] || continue
+			tok="${tok#./}"
+			tok="${tok%/...}" # a Go package pattern names its root
+			first="${tok%%/*}"
+			if [[ -d "$first" ]]; then
+				exists "$tok" || missing "$doc:$line" "a path" "$tok" "which does not exist"
+			elif [[ -d "internal/$first" ]]; then
+				exists "internal/$tok" || missing "$doc:$line" "a path" "$tok" "which internal/ does not hold"
+			fi
+			;;
+		esac
+	done < <(grep -noE '`[^`[:space:]]+`' "$doc")
+done
+exit $fail
