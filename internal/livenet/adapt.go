@@ -195,7 +195,7 @@ func (n *Node) adaptReport(e uint64) {
 		if len(hits) == 0 && len(units) == 0 {
 			continue
 		}
-		n.send(leader, wire.LeaderLoad{Epoch: e, Cluster: cl, Hits: hits, Units: units})
+		n.io.send(n.route(leader, wire.LeaderLoad{Epoch: e, Cluster: cl, Hits: hits, Units: units}), laneQueue)
 	}
 }
 
@@ -246,7 +246,7 @@ func (n *Node) adaptAggregate(e uint64) {
 				continue
 			}
 			if l, ok := n.leaderOf(target); ok && l != n.id {
-				n.send(l, msg)
+				n.io.send(n.route(l, msg), laneQueue)
 			}
 		}
 	}
@@ -338,7 +338,7 @@ func (n *Node) applyMoveEntry(cat catalog.CategoryID, e protocol.DCRTEntry) prot
 		// shipping, short enough that repeated reassignments cannot grow
 		// the map without bound — and every landing move prunes the
 		// stale remainder.
-		now := time.Now()
+		now := n.io.now()
 		ttl := n.prevClusterTTLOverride
 		if ttl <= 0 {
 			ttl = prevClusterTTL

@@ -11,8 +11,8 @@ import (
 )
 
 // allocTestNode builds a minimal node whose query hot path can run
-// without any network: the transport is pre-closed, so send() resolves
-// the address and enqueue() no-ops deterministically — what's measured
+// without any network: the transport is pre-closed, so a send resolves
+// the address and the transport no-ops deterministically — what's measured
 // is exactly the in-process handler work (decode-side handling, query
 // table state, reply/forward construction).
 func allocTestNode() *Node {
@@ -28,6 +28,7 @@ func allocTestNode() *Node {
 	}
 	// Node 0 (n.id) holds all four documents of category 3.
 	n.tr = newTransport(1, 1, &n.stats)
+	n.io = wireIO{n.tr}
 	n.holders.base = []protocol.View{3: {Holders: []protocol.Holder{{Node: 0, Docs: n.byCat[3]}}, Placed: 4}}
 	n.tr.close()
 	for _, id := range []model.NodeID{2, 3, 4, 9} {

@@ -67,7 +67,7 @@ const (
 // ErrTimeout (with the partial outcome); a cancellation returns
 // ctx.Err() and frees the slot immediately.
 func (n *Node) QueryContext(ctx context.Context, cat catalog.CategoryID, m int) (query.Result, error) {
-	start := time.Now()
+	start := n.io.now()
 	n.stats.QueriesTotal.Add(1)
 	if err := ctx.Err(); err != nil {
 		reason, qerr := ctxReason(err, &n.stats.QueryTimeouts, &n.stats.QueryCancelled)
@@ -113,7 +113,7 @@ func (n *Node) QueryContext(ctx context.Context, cat catalog.CategoryID, m int) 
 	}
 
 	// Route check under the read lock: the serving cluster must have an
-	// NRT member for the entry send (sendQuery) to choose from.
+	// NRT member for the entry send (routeQuery) to choose from.
 	n.routeMu.RLock()
 	need := n.holders.of(cat).Target(m)
 	entry, routed := n.dcrt[cat]
@@ -139,18 +139,18 @@ func (n *Node) QueryContext(ctx context.Context, cat catalog.CategoryID, m int) 
 	id, first, routed := n.register(cat, m, need, docs, ch, deadline, hasDeadline)
 	n.queries.mu.Unlock()
 	if routed {
-		n.post(first) // outside the table's lock: a write-through may wait
+		n.io.send(first, lanePost) // outside the table's lock: a write-through may wait
 	}
 
 	select {
 	case out := <-ch:
-		out.ResponseTime = time.Since(start)
+		out.ResponseTime = n.io.now().Sub(start)
 		n.stats.QueriesOK.Add(1)
 		return out, nil
 	case <-ctx.Done():
 		reason, qerr := ctxReason(ctx.Err(), &n.stats.QueryTimeouts, &n.stats.QueryCancelled)
 		out, completed := n.abandonQuery(id, ch)
-		out.ResponseTime = time.Since(start)
+		out.ResponseTime = n.io.now().Sub(start)
 		if completed {
 			// The query finished in the race window between ctx firing
 			// and the slot being released; report the success.
@@ -164,7 +164,7 @@ func (n *Node) QueryContext(ctx context.Context, cat catalog.CategoryID, m int) 
 		// close still counts as a success.
 		select {
 		case out := <-ch:
-			out.ResponseTime = time.Since(start)
+			out.ResponseTime = n.io.now().Sub(start)
 			n.stats.QueriesOK.Add(1)
 			return out, nil
 		default:
@@ -180,7 +180,7 @@ func (n *Node) answered(start time.Time, docs map[catalog.DocID]bool) query.Resu
 	for d := range docs {
 		out.Docs = append(out.Docs, d)
 	}
-	out.ResponseTime = time.Since(start)
+	out.ResponseTime = n.io.now().Sub(start)
 	n.stats.QueriesOK.Add(1)
 	return out
 }
@@ -189,7 +189,7 @@ func (n *Node) answered(start time.Time, docs map[catalog.DocID]bool) query.Resu
 // or the timeout expires (in which case the partial outcome and
 // ErrTimeout are returned): it is QueryContext under a timeout context.
 func (n *Node) Query(cat catalog.CategoryID, m int, timeout time.Duration) (QueryOutcome, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	ctx, cancel := n.io.withTimeout(context.Background(), timeout)
 	defer cancel()
 	return n.QueryContext(ctx, cat, m)
 }

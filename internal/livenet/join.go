@@ -1,11 +1,9 @@
 package livenet
 
 import (
-	"bufio"
 	"cmp"
 	"fmt"
 	"math/rand/v2"
-	"net"
 	"time"
 
 	"p2pshare/internal/model"
@@ -134,33 +132,14 @@ func (n *Node) Close() {
 // through. A re-send that fails is one more retry, not the end of a
 // join that already reached the bootstrap.
 func (n *Node) announce(bootstrapAddr string) error {
-	hello := func() error {
-		conn, err := net.DialTimeout("tcp", bootstrapAddr, 3*time.Second)
-		if err != nil {
-			return fmt.Errorf("livenet: bootstrap %s: %w", bootstrapAddr, err)
-		}
-		defer conn.Close()
-		if err := wire.OpenStream(conn, handshakeTimeout); err != nil {
-			return fmt.Errorf("livenet: announce: %w", err)
-		}
-		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-		bw := bufio.NewWriter(conn)
-		err = wire.WriteEnvelope(bw, envelope{From: n.id, Msg: helloMsg{ID: n.id, Addr: n.Addr()}})
-		if err == nil {
-			err = bw.Flush()
-		}
-		if err != nil {
-			return fmt.Errorf("livenet: announce: %w", err)
-		}
-		return nil
-	}
+	hello := envelope{From: n.id, Msg: helloMsg{ID: n.id, Addr: n.Addr()}}
 	// A local rng: n.rng is control state, and this wait must not hold
 	// routeMu.
 	rng := rand.New(rand.NewPCG(uint64(n.id)*2654435761+17, 0))
 	const dialAttempts = 6
 	var err error
 	for attempt := 1; ; attempt++ {
-		if err = hello(); err == nil {
+		if err = sendOnce(bootstrapAddr, hello); err == nil {
 			break
 		}
 		if attempt >= dialAttempts {
@@ -174,14 +153,15 @@ func (n *Node) announce(bootstrapAddr string) error {
 	// The book arrives asynchronously; poll briefly so the caller can
 	// query immediately after joining, re-announcing between polls.
 	for attempt := 0; attempt < 5; attempt++ {
-		deadline := time.Now().Add(600 * time.Millisecond)
-		for time.Now().Before(deadline) {
+		deadline := n.io.now().Add(600 * time.Millisecond)
+		for n.io.now().Before(deadline) {
 			if n.KnownPeers() > 1 {
 				return nil
 			}
-			time.Sleep(20 * time.Millisecond)
+			poll, _ := n.io.after(20 * time.Millisecond)
+			<-poll
 		}
-		if attempt < 4 && hello() != nil {
+		if attempt < 4 && sendOnce(bootstrapAddr, hello) != nil {
 			n.stats.AnnounceRetries.Add(1)
 		}
 	}
@@ -217,19 +197,19 @@ func (n *Node) handleHello(m helloMsg) {
 		// A hello is firsthand liveness evidence: it resurrects even a
 		// tombstoned peer (the node really is back), with an incarnation
 		// past the tombstone so the comeback out-gossips the death.
-		n.det.Rejoin(m.ID, m.Addr, time.Now())
+		n.det.Rejoin(m.ID, m.Addr, n.io.now())
 		n.drainMembership()
 	}
 	reply := bookMsg{Book: n.book.snapshot()}
 	if n.det != nil {
 		reply.Dead = n.det.Tombstones()
 	}
-	n.send(m.ID, reply)
+	n.io.send(n.route(m.ID, reply), laneQueue)
 	if duplicate {
 		return
 	}
 	for _, id := range prior {
-		n.send(id, m)
+		n.io.send(n.route(id, m), laneQueue)
 	}
 }
 
@@ -239,7 +219,7 @@ func (n *Node) handleHello(m helloMsg) {
 // confirmed dead are dropped rather than resurrected — only firsthand
 // contact (a hello, a ping) brings a tombstoned peer back.
 func (n *Node) handleBook(m bookMsg) {
-	now := time.Now()
+	now := n.io.now()
 	if n.det != nil {
 		for id, inc := range m.Dead {
 			// A tombstone about this node itself is refuted inside the

@@ -219,7 +219,7 @@ func TestJoinSurvivesBootstrapBlip(t *testing.T) {
 	defer tr.close()
 	select {
 	case h := <-hellos:
-		tr.enqueue(h.ID, h.Addr, envelope{From: 0, Msg: bookMsg{Book: map[model.NodeID]string{0: addr, h.ID: h.Addr}}})
+		tr.send(h.ID, h.Addr, envelope{From: 0, Msg: bookMsg{Book: map[model.NodeID]string{0: addr, h.ID: h.Addr}}}, laneQueue)
 	case j := <-joined:
 		t.Fatalf("join ended while the bootstrap was down: %v", j.err)
 	case <-time.After(10 * time.Second):

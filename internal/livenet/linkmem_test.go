@@ -57,8 +57,8 @@ func TestLinkMemoryPerIdleStream(t *testing.T) {
 	tr.setDial(nw.Dial)
 	defer tr.close()
 	for i := 0; i < streams; i++ {
-		tr.enqueue(model.NodeID(2+i), ln.Addr().String(),
-			envelope{From: 1, Msg: protocol.QueryMsg{ID: uint64(i), Category: 3, Want: 1, Origin: 1}})
+		tr.send(model.NodeID(2+i), ln.Addr().String(),
+			envelope{From: 1, Msg: protocol.QueryMsg{ID: uint64(i), Category: 3, Want: 1, Origin: 1}}, laneQueue)
 	}
 	waitFor(t, 10*time.Second, "every frame sent and read", func() bool {
 		return read.Load() == streams && stats.TransportSends.Load() == streams
@@ -118,7 +118,7 @@ func TestLinkMemoryBulkQueueOnlyWithContent(t *testing.T) {
 		tr.bulkLane = lane
 		tr.setDial(nw.Dial)
 		t.Cleanup(tr.close)
-		tr.enqueueBulk(2, ln.Addr().String(), envelope{From: 1, Msg: protocol.QueryMsg{ID: 1, Category: 3, Want: 1, Origin: 1}})
+		tr.send(2, ln.Addr().String(), envelope{From: 1, Msg: protocol.QueryMsg{ID: 1, Category: 3, Want: 1, Origin: 1}}, laneBulk)
 		if lane {
 			waitFor(t, 5*time.Second, "the bulk envelope read", func() bool { return read.Load() == 1 })
 		} else if got := stats.TransportDropsBulkFull.Load(); got != 1 || tr.queueDepth() != 0 {
@@ -270,7 +270,7 @@ func TestWriteBufPoolConcurrentReconnects(t *testing.T) {
 				for k, addr := range addrs {
 					to := model.NodeID(2 + k)
 					id := uint64(to)<<32 | uint64(g*frames+i)
-					tr.enqueue(to, addr, envelope{From: 1, Msg: protocol.QueryMsg{ID: id, Category: 3, Want: 1, Origin: 1}})
+					tr.send(to, addr, envelope{From: 1, Msg: protocol.QueryMsg{ID: id, Category: 3, Want: 1, Origin: 1}}, laneQueue)
 				}
 			}
 		}(g)

@@ -12,10 +12,10 @@
 // kinds of lock. The queries a node issued wait in one query table
 // behind one mutex (querytable.go); a reader runs a decoded ResultMsg
 // itself under that mutex and a decoded QueryMsg under routeMu.RLock
-// alone. On an idle link the goroutine that sends a query or result
-// frame also writes it to the stream, so such a message crosses one
-// goroutine hand-off per hop (to the receiver's reader); under backlog
-// it also waits for the sender's writer. Inside the serving cluster a query
+// alone. Every frame, clock read and timer goes through the node's one
+// seam (nodeio.go), whose lanes say which goroutine may wait on a peer:
+// a query or result frame posted on an idle link crosses one goroutine
+// hand-off per hop (to the receiver's reader). Inside the serving cluster a query
 // goes where the deterministic placement says (protocol.Forward over
 // the holder view, holders.go), never to every neighbour. Everything low-rate and topological — membership,
 // adaptation, the address book, the DCRT/NRT routing tables and the
@@ -57,7 +57,6 @@ import (
 	"p2pshare/internal/protocol"
 	"p2pshare/internal/query"
 	"p2pshare/internal/replica"
-	"p2pshare/internal/timerwheel"
 	"p2pshare/internal/wire"
 )
 
@@ -136,8 +135,10 @@ type Node struct {
 	// queries holds the queries this node issued (querytable.go).
 	queries queryTable
 
-	// tr is the outbound persistent-connection pool; it counts into
-	// stats too.
+	// io is the node's one seam to the outside world (nodeio.go); tr is
+	// the outbound persistent-connection pool behind the production
+	// seam, and counts into stats too.
+	io    nodeIO
 	tr    *transport
 	stats counters
 
@@ -241,25 +242,27 @@ type Node struct {
 	// with this full-width node discriminant (see queryID in engine.go).
 	querySalt uint64
 
-	// stopTimers unregisters this node's periodic work from the shared
-	// process-wide timerwheel (query sweep, membership probe clock,
-	// adaptation epoch clock). Those used to be 3+ dedicated ticker
-	// goroutines per node; at paper scale that alone was tens of
-	// thousands of goroutines. Every registration happens at birth,
+	// stopTimers unregisters this node's periodic work from the seam's
+	// timers (query sweep, membership probe clock, adaptation epoch
+	// clock): in production the shared process-wide timerwheel, since 3+
+	// ticker goroutines per node would be tens of thousands of
+	// goroutines at paper scale. Every registration happens at birth,
 	// before the node is returned; timersMu also orders a tick's n.wg
 	// join against shutdown (everyLocked).
 	timersMu   sync.Mutex
 	stopTimers []func()
 }
 
-// addTimer records a timerwheel stop function for shutdown.
-func (n *Node) addTimer(stop func()) {
+// addTimer registers f with the seam to run every period and records
+// its stop function for shutdown.
+func (n *Node) addTimer(period time.Duration, f func(now time.Time)) {
+	stop := n.io.every(period, f)
 	n.timersMu.Lock()
 	n.stopTimers = append(n.stopTimers, stop)
 	n.timersMu.Unlock()
 }
 
-// everyLocked registers f on the shared timerwheel to run every period
+// everyLocked registers f with the seam's timers to run every period
 // under routeMu.Lock. A tick runs on a goroutine of its own, joined to
 // n.wg: the wheel must not wait for the lock (readers hold RLock
 // almost continuously under query load) nor run every node's tick on
@@ -268,7 +271,7 @@ func (n *Node) addTimer(stop func()) {
 // the next tick catches the state machine up.
 func (n *Node) everyLocked(period time.Duration, skips *atomic.Int64, f func(now time.Time)) {
 	var busy atomic.Bool
-	n.addTimer(timerwheel.Default().Every(period, func(now time.Time) {
+	n.addTimer(period, func(now time.Time) {
 		if !busy.CompareAndSwap(false, true) {
 			skips.Add(1)
 			return
@@ -290,7 +293,7 @@ func (n *Node) everyLocked(period time.Duration, skips *atomic.Int64, f func(now
 			n.routeMu.Unlock()
 			busy.Store(false)
 		}()
-	}))
+	})
 }
 
 // newNode builds a Node with empty peer state, its own private address
@@ -328,6 +331,7 @@ func newNode(inst *model.Instance, id model.NodeID, ln net.Listener, seed int64,
 		demand:      make(map[catalog.DocID]int),
 	}
 	n.tr = newTransport(id, seed, &n.stats)
+	n.io = wireIO{n.tr}
 	n.fairnessX1000.Store(-1)
 	if opts.Content != nil {
 		n.store = content.NewStore(opts.Content.chunkSize)
@@ -369,7 +373,7 @@ func (n *Node) closed() bool {
 func (n *Node) startLoops() {
 	n.wg.Add(1)
 	go n.acceptLoop()
-	n.addTimer(timerwheel.Default().Every(sweepInterval, n.trySweep))
+	n.addTimer(sweepInterval, n.trySweep)
 }
 
 // startSubsystems turns on the membership and adaptation the Options ask
@@ -524,6 +528,12 @@ type Options struct {
 // deployment can configure — seed, network hooks, cache, writer
 // parking, membership, adaptation, content plane.
 func Launch(inst *model.Instance, assign []model.ClusterID, place *replica.Placement, opts Options) (*Cluster, error) {
+	return launch(inst, assign, place, opts, nil)
+}
+
+// launch is Launch with each node's seam built by ioFor, when it is not
+// nil, before any node starts a timer or sends a frame.
+func launch(inst *model.Instance, assign []model.ClusterID, place *replica.Placement, opts Options, ioFor func(*Node) nodeIO) (*Cluster, error) {
 	if len(assign) != len(inst.Catalog.Cats) {
 		return nil, fmt.Errorf("livenet: assignment covers %d of %d categories",
 			len(assign), len(inst.Catalog.Cats))
@@ -544,6 +554,9 @@ func Launch(inst *model.Instance, assign []model.ClusterID, place *replica.Place
 		if err != nil {
 			c.Close()
 			return nil, err
+		}
+		if ioFor != nil {
+			n.io = ioFor(n)
 		}
 		book[n.id] = n.Addr()
 		c.Nodes = append(c.Nodes, n)
@@ -765,21 +778,6 @@ func (n *Node) acceptLoop() {
 	}
 }
 
-// countingReader counts bytes drained from the socket into the read
-// buffer (one Add per fill, not per message).
-type countingReader struct {
-	r     io.Reader
-	bytes *atomic.Int64
-}
-
-func (cr *countingReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	if n > 0 {
-		cr.bytes.Add(int64(n))
-	}
-	return n, err
-}
-
 // readLoop is the receive half of the persistent-connection transport:
 // it accepts the stream's opening handshake, then decodes envelopes off
 // the connection until it closes. A connection that opens with anything
@@ -793,7 +791,7 @@ func (n *Node) readLoop(conn net.Conn) {
 		n.connsMu.Unlock()
 		conn.Close()
 	}()
-	br := bufio.NewReaderSize(&countingReader{r: conn, bytes: &n.stats.WireBytesIn}, readBufBytes)
+	br := bufio.NewReaderSize(&countingConn{conn: conn, bytes: &n.stats.WireBytesIn}, readBufBytes)
 
 	idle := lazyDeadline{window: n.readIdle, set: conn.SetReadDeadline}
 	idle.touch()
@@ -860,25 +858,25 @@ func (n *Node) dispatchControl(env envelope) {
 		n.handleBook(m)
 	case membership.Ping:
 		if n.det != nil {
-			n.sendPackets(n.det.OnPing(env.From, m, time.Now()))
+			n.sendPackets(n.det.OnPing(env.From, m, n.io.now()))
 			n.drainMembership()
 		}
 		n.applyMoves(m.Moves)
 	case membership.Ack:
 		if n.det != nil {
-			n.sendPackets(n.det.OnAck(env.From, m, time.Now()))
+			n.sendPackets(n.det.OnAck(env.From, m, n.io.now()))
 			n.drainMembership()
 		}
 		n.applyMoves(m.Moves)
 	case membership.PingReq:
 		if n.det != nil {
-			n.sendPackets(n.det.OnPingReq(env.From, m, time.Now()))
+			n.sendPackets(n.det.OnPingReq(env.From, m, n.io.now()))
 			n.drainMembership()
 		}
 		n.applyMoves(m.Moves)
 	case membership.Leave:
 		if n.det != nil {
-			n.det.OnLeave(m, time.Now())
+			n.det.OnLeave(m, n.io.now())
 			n.drainMembership()
 		}
 	case wire.LeaderLoad:
@@ -886,43 +884,33 @@ func (n *Node) dispatchControl(env envelope) {
 	}
 }
 
-// send queues one envelope on the persistent transport (fire and forget —
-// P2P messages are best-effort, exactly as in the simulator; the
-// transport retries and reconnects under the hood). The caller must
-// hold routeMu in either mode: it reads the address book. Control code
-// holds the write lock; query code takes RLock. Queueing never blocks,
-// so it is safe under either lock; the query path instead resolves a
-// frame under the lock (route) and writes it after releasing it (post).
-func (n *Node) send(to model.NodeID, msg any) {
-	if f, ok := n.route(to, msg); ok {
-		n.tr.enqueue(f.to, f.addr, envelope{From: n.id, Msg: f.msg})
-	}
-}
-
-// outFrame is a frame addressed under a node lock and sent after the
-// lock is released.
+// outFrame is one frame addressed off the address book, handed to the
+// seam (nodeIO.send) on a lane. Messages are fire and forget —
+// best-effort, exactly as in the simulator; the transport retries and
+// reconnects under the hood. A frame is addressed under a node lock
+// and, on the post lane, sent after the lock is released.
 type outFrame struct {
 	to   model.NodeID
-	addr string
+	addr string // empty: no address, and the seam drops the frame
 	msg  any
 }
 
 // route addresses msg to peer to off the address book, counting a peer
 // it has no address for. The caller holds routeMu in either mode.
-func (n *Node) route(to model.NodeID, msg any) (outFrame, bool) {
+func (n *Node) route(to model.NodeID, msg any) outFrame {
 	addr, ok := n.book.get(to)
 	if !ok {
 		n.stats.SendNoAddr.Add(1)
-		return outFrame{}, false
 	}
-	return outFrame{to: to, addr: addr, msg: msg}, true
+	return outFrame{to: to, addr: addr, msg: msg}
 }
 
-// post sends a routed frame, writing it through to an idle stream on
-// this goroutine. It may wait on the peer's socket buffer (for at most
-// the transport's writeTimeout), so the caller holds no node lock.
-func (n *Node) post(f outFrame) {
-	n.tr.send(f.to, f.addr, envelope{From: n.id, Msg: f.msg})
+// routeUnlocked is route for a goroutine that holds no node lock: it
+// takes the routing read lock itself.
+func (n *Node) routeUnlocked(to model.NodeID, msg any) outFrame {
+	n.routeMu.RLock()
+	defer n.routeMu.RUnlock()
+	return n.route(to, msg)
 }
 
 // Sentinel errors shared with the facade — internal/query is the single
@@ -967,7 +955,7 @@ func (n *Node) Publish(d catalog.DocID) error {
 				break
 			}
 			if n.book.has(nb) {
-				n.send(nb, protocol.PublishMsg{Doc: d, Category: cat, Publisher: n.id})
+				n.io.send(n.route(nb, protocol.PublishMsg{Doc: d, Category: cat, Publisher: n.id}), laneQueue)
 				sent++
 			}
 		}
@@ -994,13 +982,13 @@ func (n *Node) handlePublish(from model.NodeID, m protocol.PublishMsg) {
 	if len(sample) > 8 {
 		sample = sample[:8]
 	}
-	n.send(from, protocol.PublishAckMsg{
+	n.io.send(n.route(from, protocol.PublishAckMsg{
 		Doc:      m.Doc,
 		Category: m.Category,
 		Entry:    entry,
 		Accepted: accepted,
 		Members:  append([]model.NodeID(nil), sample...),
-	})
+	}), laneQueue)
 }
 
 // handlePublishAck merges the ack's DCRT row like a probe's (a corrupt

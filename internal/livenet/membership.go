@@ -10,7 +10,7 @@ package livenet
 // verdicts: a peer confirmed Dead or Left is evicted from the address
 // book and every NRT entry, and remembered by tombstone so a stale
 // address-book merge cannot resurrect it. In-flight queries need no
-// chasing: a resend re-reads the current tables (sendQuery). Tombstones
+// chasing: a resend re-reads the current tables (routeQuery). Tombstones
 // travel inside book messages (wire.Book.Dead), closing the loop for
 // nodes that were partitioned while the death was gossiped.
 
@@ -32,7 +32,7 @@ const leaveFlushGrace = 150 * time.Millisecond
 // routeMu.Lock.
 func (n *Node) enableMembership(cfg membership.Config) {
 	n.det = membership.New(n.id, n.Addr(), cfg, n.rng.Int64())
-	now := time.Now()
+	now := n.io.now()
 	n.book.forEach(func(id model.NodeID, addr string) bool {
 		if id != n.id {
 			n.det.Observe(id, addr, now)
@@ -69,7 +69,7 @@ func (n *Node) sendPackets(pkts []membership.Packet) {
 			n.stats.SendNoAddr.Add(1)
 			continue
 		}
-		n.tr.enqueue(p.To, addr, envelope{From: n.id, Msg: p.Msg})
+		n.io.send(outFrame{to: p.To, addr: addr, msg: p.Msg}, laneQueue)
 	}
 }
 
@@ -129,14 +129,15 @@ func (n *Node) Leave() {
 		lv := n.det.MakeLeave()
 		n.book.forEach(func(id model.NodeID, _ string) bool {
 			if id != n.id {
-				n.send(id, lv)
+				n.io.send(n.route(id, lv), laneQueue)
 			}
 			return true
 		})
 	}
 	n.routeMu.Unlock()
 	if sent {
-		time.Sleep(leaveFlushGrace)
+		grace, _ := n.io.after(leaveFlushGrace)
+		<-grace
 	}
 	n.Close()
 }

@@ -32,12 +32,11 @@ package livenet
 // reads the control state under routeMu.RLock, possibly while holding
 // queries.mu; whoever holds routeMu.Lock must never take queries.mu
 // while it does (a reader holding the table may be waiting for RLock).
-// send() and route() assume routeMu is held in either mode. Nothing
-// under either lock blocks: sends under a lock enqueue or drop, results
-// go to a buffered channel, the sweep only TryLocks. The query path's
-// frames — a caller's entry send, a reader's answer and forwards — are
-// routed under the lock and posted after it is released, where a
-// write-through may wait on the peer's socket buffer.
+// route() assumes routeMu is held in either mode. Nothing under either
+// lock blocks: sends under a lock take the queue lane (nodeio.go),
+// results go to a buffered channel, the sweep only TryLocks. The query
+// path's frames — a caller's entry send, a reader's answer and forwards
+// — are routed under the lock and posted after it is released.
 //
 // Shutdown: there is nothing to stop. close(done) ends the accept loop
 // and, with the connections closed, the readers; the table simply stops
@@ -46,6 +45,7 @@ package livenet
 
 import (
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"time"
 
@@ -86,8 +86,7 @@ func newPCG(seed int64, id model.NodeID, stream uint64) *rand.Rand {
 // its resends once the table is released. It is called on the timerwheel
 // goroutine, which must never wait: a table busy with a frame gets the
 // next tick ≤ sweepInterval later, which the sweep's semantics tolerate,
-// and the resends are queued for their writers, never written through
-// (a stalled peer would stall the wheel).
+// and the resends are never posted (a stalled peer would stall the wheel).
 func (n *Node) trySweep(now time.Time) {
 	if !n.queries.mu.TryLock() {
 		n.stats.QuerySweepSkips.Add(1)
@@ -96,7 +95,7 @@ func (n *Node) trySweep(now time.Time) {
 	resends := n.sweep(now)
 	n.queries.mu.Unlock()
 	for _, f := range resends {
-		n.tr.enqueue(f.to, f.addr, envelope{From: n.id, Msg: f.msg})
+		n.io.send(f, laneQueue)
 	}
 }
 
@@ -132,7 +131,7 @@ func (n *Node) nextQueryID() uint64 {
 func (n *Node) register(cat catalog.CategoryID, want, need int, docs map[catalog.DocID]bool,
 	ch chan QueryOutcome, deadline time.Time, hasDeadline bool) (id uint64, entry outFrame, ok bool) {
 	id = n.nextQueryID()
-	now := time.Now()
+	now := n.io.now()
 	pq := &pendingQuery{
 		id:       id,
 		cat:      cat,
@@ -160,7 +159,7 @@ func (n *Node) register(cat catalog.CategoryID, want, need int, docs map[catalog
 // out even when the cache primed a partial answer: the entry member picks
 // who answers by the demand, and a node that answers returns at most that
 // many documents. Caller holds queries.mu.
-func (n *Node) routeQuery(pq *pendingQuery) (outFrame, bool) {
+func (n *Node) routeQuery(pq *pendingQuery) (f outFrame, ok bool) {
 	n.routeMu.RLock()
 	defer n.routeMu.RUnlock()
 	entry, ok := n.dcrt[pq.cat]
@@ -192,9 +191,10 @@ func (n *Node) routeQuery(pq *pendingQuery) (outFrame, bool) {
 	default:
 		return outFrame{}, false
 	}
-	return n.route(target, protocol.QueryMsg{
+	f = n.route(target, protocol.QueryMsg{
 		ID: pq.id, Category: pq.cat, Want: pq.want, Origin: n.id, Hops: 1, Entry: true,
 	})
+	return f, f.addr != ""
 }
 
 // sweep advances the pending queries: expired entries deliver their
@@ -205,9 +205,17 @@ func (n *Node) routeQuery(pq *pendingQuery) (outFrame, bool) {
 // frame lost may be the one to a holder the entry member asked. A query
 // with no route left is not re-sent and waits out its deadline. It
 // returns the resends, routed, for the caller to send once it has
-// released queries.mu, which it holds.
+// released queries.mu, which it holds. Queries are visited in id order,
+// not map order: each resend draws the entry-member generator, so a
+// seed replays which member each resend goes to.
 func (n *Node) sweep(now time.Time) (resends []outFrame) {
-	for _, pq := range n.queries.pending {
+	ids := make([]uint64, 0, len(n.queries.pending))
+	for id := range n.queries.pending {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		pq := n.queries.pending[id]
 		if now.After(pq.deadline) {
 			n.finishPending(pq, false)
 			n.stats.PendingExpired.Add(1)
@@ -236,7 +244,7 @@ func (n *Node) sweep(now time.Time) (resends []outFrame) {
 func (n *Node) handleQuery(m protocol.QueryMsg) {
 	var buf [4]outFrame // a directed ask and an answer, or a small cover
 	for _, f := range n.runQuery(m, buf[:0]) {
-		n.post(f)
+		n.io.send(f, lanePost)
 	}
 }
 
@@ -265,19 +273,15 @@ func (n *Node) runQuery(m protocol.QueryMsg, out []outFrame) []outFrame {
 		if fwd == nil {
 			fwd = protocol.QueryMsg{ID: m.ID, Category: m.Category, Want: m.Want, Origin: m.Origin, Hops: m.Hops + 1}
 		}
-		if f, ok := n.route(to, fwd); ok {
-			out = append(out, f)
-		}
+		out = append(out, n.route(to, fwd))
 	})
 	if take := min(m.Want, len(docs)); answers && take > 0 {
 		// Exact-capacity allocation: the hot path pays one slice alloc,
 		// never an append-grow chain (pinned by TestHandleQueryAllocs).
 		n.served.Add(1)
-		if f, ok := n.route(m.Origin, protocol.ResultMsg{
+		out = append(out, n.route(m.Origin, protocol.ResultMsg{
 			ID: m.ID, Docs: append(make([]catalog.DocID, 0, take), docs[:take]...), Hops: m.Hops, From: n.id,
-		}); ok {
-			out = append(out, f)
-		}
+		}))
 	}
 	return out
 }
@@ -326,7 +330,7 @@ func (n *Node) finishPending(pq *pendingQuery, done bool) {
 func (n *Node) tables(slack time.Duration) (pending, overdue int) {
 	n.queries.mu.Lock()
 	defer n.queries.mu.Unlock()
-	now := time.Now()
+	now := n.io.now()
 	for _, pq := range n.queries.pending {
 		if now.After(pq.deadline.Add(slack)) {
 			overdue++

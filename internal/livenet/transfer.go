@@ -216,17 +216,18 @@ type creditWindow struct {
 }
 
 // grant sends coalesced ChunkReqs for the given ascending indexes and
-// records them as outstanding.
+// records them as outstanding, posted: the fetching goroutine holds no
+// node lock.
 func (w *creditWindow) grant(idxs []int) {
 	for i := 0; i < len(idxs); {
 		j := i + 1
 		for j < len(idxs) && idxs[j] == idxs[j-1]+1 {
 			j++
 		}
-		w.n.sendDirect(w.src, wire.ChunkReq{
+		w.n.io.send(w.n.routeUnlocked(w.src, wire.ChunkReq{
 			Doc: w.doc, Xfer: w.xfer,
 			First: int64(idxs[i]), Count: int64(j - i),
-		}, false)
+		}), lanePost)
 		i = j
 	}
 	for _, idx := range idxs {
@@ -262,27 +263,6 @@ func (w *creditWindow) landed(idx int) {
 	w.grant(fresh[:k])
 }
 
-// sendDirect queues one envelope to a peer from code that does not hold
-// routeMu (reader goroutines serving transfers, fetch callers): unlike
-// send it takes the routing read lock itself. bulk selects the
-// transport's low-priority lane, so document chunks ride behind any
-// pending protocol frames instead of ahead of them.
-func (n *Node) sendDirect(to model.NodeID, msg any, bulk bool) {
-	n.routeMu.RLock()
-	addr, ok := n.book.get(to)
-	n.routeMu.RUnlock()
-	if !ok {
-		n.stats.SendNoAddr.Add(1)
-		return
-	}
-	env := envelope{From: n.id, Msg: msg}
-	if bulk {
-		n.tr.enqueueBulk(to, addr, env)
-	} else {
-		n.tr.enqueue(to, addr, env)
-	}
-}
-
 // serveManifestReq answers a manifest request inline on the reader
 // goroutine. The store answers a manifest only for a document it holds
 // at that moment; a synthetic one is hashed once per process, not once
@@ -295,6 +275,10 @@ func (n *Node) sendDirect(to model.NodeID, msg any, bulk bool) {
 // document on a replica subset, and the fetcher's handful of remote
 // contacts need not themselves be in it. At TTL 0 the request dies
 // silently; the fetcher's flood redundancy and re-flood cover the loss.
+//
+// A reader replies to a content frame on the queue lane, never posts:
+// blocked writing through on a link full of flushed chunks, it would
+// stop draining the link its peer may be blocked writing on.
 func (n *Node) serveManifestReq(from model.NodeID, m wire.ManifestReq) {
 	// Every manifest request seen is one observation of demand — the
 	// crowd signal cache admission keys off, whether or not this node
@@ -303,13 +287,13 @@ func (n *Node) serveManifestReq(from model.NodeID, m wire.ManifestReq) {
 	if n.store != nil {
 		if man, ok := n.store.Manifest(m.Doc); ok {
 			n.stats.TransferManifestsServed.Add(1)
-			n.sendDirect(m.Origin, wire.Manifest{
+			n.io.send(n.routeUnlocked(m.Origin, wire.Manifest{
 				Doc:       m.Doc,
 				Xfer:      m.Xfer,
 				Size:      man.Size,
 				ChunkSize: int64(man.ChunkSize),
 				Hashes:    man.Hashes,
-			}, false)
+			}), laneQueue)
 			return
 		}
 	}
@@ -345,7 +329,7 @@ func (n *Node) serveManifestReq(from model.NodeID, m wire.ManifestReq) {
 	n.stats.TransferReqForwards.Add(1)
 	fwd := wire.ManifestReq{Doc: m.Doc, Xfer: m.Xfer, Origin: m.Origin, TTL: m.TTL - 1}
 	for _, peer := range next {
-		n.sendDirect(peer, fwd, false)
+		n.io.send(n.routeUnlocked(peer, fwd), laneQueue)
 	}
 }
 
@@ -355,7 +339,8 @@ func (n *Node) serveManifestReq(from model.NodeID, m wire.ManifestReq) {
 // retry after reconnect; a document dropped meanwhile goes out as a
 // Missing chunk). The grant is the flow control: nothing beyond
 // [First, First+Count) is sent, and Count is clamped so a bad frame
-// cannot demand an unbounded burst.
+// cannot demand an unbounded burst. A Missing reply is queued, for the
+// reason serveManifestReq gives.
 func (n *Node) serveChunkReq(from model.NodeID, m wire.ChunkReq) {
 	count := m.Count
 	if count > serverMaxGrant {
@@ -363,18 +348,18 @@ func (n *Node) serveChunkReq(from model.NodeID, m wire.ChunkReq) {
 		n.stats.TransferGrantsClamped.Add(1)
 	}
 	if n.store == nil || !n.store.Has(m.Doc) {
-		n.sendDirect(from, wire.Chunk{Doc: m.Doc, Xfer: m.Xfer, Index: m.First, Missing: true}, false)
+		n.io.send(n.routeUnlocked(from, wire.Chunk{Doc: m.Doc, Xfer: m.Xfer, Index: m.First, Missing: true}), laneQueue)
 		return
 	}
 	for i := int64(0); i < count; i++ {
 		idx := m.First + i
 		size, ok := n.store.ChunkLen(m.Doc, int(idx))
 		if !ok {
-			n.sendDirect(from, wire.Chunk{Doc: m.Doc, Xfer: m.Xfer, Index: idx, Missing: true}, false)
+			n.io.send(n.routeUnlocked(from, wire.Chunk{Doc: m.Doc, Xfer: m.Xfer, Index: idx, Missing: true}), laneQueue)
 			return
 		}
 		n.stats.TransferBytesOut.Add(int64(size))
-		n.sendDirect(from, wire.ChunkRef{Doc: m.Doc, Xfer: m.Xfer, Index: idx, Len: size, Src: n.store}, true)
+		n.io.send(n.routeUnlocked(from, wire.ChunkRef{Doc: m.Doc, Xfer: m.Xfer, Index: idx, Len: size, Src: n.store}), laneBulk)
 	}
 }
 
@@ -437,12 +422,12 @@ func (n *Node) fetchSources(cat catalog.CategoryID) []model.NodeID {
 	if e, ok := n.dcrt[cat]; ok {
 		add(n.nrt[e.Cluster])
 	}
-	if prev, ok := n.prevCluster[cat]; ok && time.Now().Before(prev.expires) {
+	if prev, ok := n.prevCluster[cat]; ok && n.io.now().Before(prev.expires) {
 		add(n.nrt[prev.cluster])
 	}
 	n.routeMu.RUnlock()
 	if len(out) == 0 {
-		// Same fallback as a query's entry send (sendQuery): with no
+		// Same fallback as a query's entry send (routeQuery): with no
 		// addressable member, try the statically primed ones — the book
 		// may simply not have synced yet.
 		out = unbooked
@@ -562,17 +547,13 @@ func (n *Node) download(ctx context.Context, d catalog.DocID, contacts []model.N
 		floods    int
 		lastFlood time.Time
 	)
-	// One reusable timer across both phases.
-	timer := time.NewTimer(manifestWait)
-	defer timer.Stop()
+	// The stall timer, re-armed on a fresh channel each time, so a stale
+	// fire never needs draining.
+	timeout, stopTimer := n.io.after(manifestWait)
+	defer func() { stopTimer() }()
 	resetTimer := func(d time.Duration) {
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(d)
+		stopTimer()
+		timeout, stopTimer = n.io.after(d)
 	}
 	finish := func() (*content.Manifest, []byte, error) {
 		data, err := asm.Bytes()
@@ -602,20 +583,20 @@ func (n *Node) download(ctx context.Context, d catalog.DocID, contacts []model.N
 			asm = content.NewAssembly(cm)
 		}
 		if observe {
-			n.observeRTT(env.From, time.Since(lastFlood))
+			n.observeRTT(env.From, n.io.now().Sub(lastFlood))
 		}
 		if !pending[env.From] && tries[env.From] < maxTriesPerHolder {
 			pending[env.From] = true
 			holders = append(holders, env.From)
 		}
 	}
-	// flood sends one TTL-bounded discovery round at every contact.
+	// flood posts one TTL-bounded discovery round at every contact.
 	flood := func() {
 		floods++
-		lastFlood = time.Now()
+		lastFlood = n.io.now()
 		req := wire.ManifestReq{Doc: d, Xfer: id, Origin: n.id, TTL: discoverTTL}
 		for _, s := range contacts {
-			n.sendDirect(s, req, false)
+			n.io.send(n.routeUnlocked(s, req), lanePost)
 		}
 	}
 
@@ -636,7 +617,7 @@ func (n *Node) download(ctx context.Context, d catalog.DocID, contacts []model.N
 					return nil, nil, ctx.Err()
 				case <-n.done:
 					return nil, nil, ErrClosed
-				case <-timer.C:
+				case <-timeout:
 					n.stats.TransferStalls.Add(1)
 					break discover
 				case env := <-ch:
@@ -672,7 +653,7 @@ func (n *Node) download(ctx context.Context, d catalog.DocID, contacts []model.N
 				return nil, nil, ctx.Err()
 			case <-n.done:
 				return nil, nil, ErrClosed
-			case <-timer.C:
+			case <-timeout:
 				n.stats.TransferStalls.Add(1)
 				if stalled {
 					break chunkLoop
@@ -769,7 +750,7 @@ func (n *Node) pullWorker() {
 		doc := n.pullQueue[0]
 		n.pullQueue = n.pullQueue[1:]
 		n.pullMu.Unlock()
-		ctx, cancel := context.WithTimeout(context.Background(), pullTimeout)
+		ctx, cancel := n.io.withTimeout(context.Background(), pullTimeout)
 		n.runMove(ctx, doc)
 		cancel()
 	}

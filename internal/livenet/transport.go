@@ -2,7 +2,7 @@ package livenet
 
 import (
 	"bufio"
-	"io"
+	"fmt"
 	"math/rand/v2"
 	"net"
 	"sync"
@@ -24,15 +24,16 @@ import (
 //
 // Five things make the wire path fast and cheap:
 //
-//   - Write-through on idle links. A protocol frame sent by a goroutine
-//     that holds no node lock (send) is framed and flushed to the stream
+//   - Write-through on idle links. A protocol frame posted by a goroutine
+//     that holds no node lock (lanePost) is framed and flushed to the stream
 //     by that goroutine itself when the link is idle: the stream is
 //     live, both queues are empty and no writer is mid-flush (the
 //     stream's write mutex, wmu, is free to TryLock). The common query
-//     path — a caller's entry send, a reader's answer or forward — thus
-//     skips the hand-off to the writer goroutine. Everything else goes
+//     path — a caller's entry send, a reader's answer or forward — and a
+//     fetch caller's requests thus skip the hand-off to the writer
+//     goroutine. Everything else goes
 //     through the writer: the first dial, reconnect backoff, bulk
-//     chunks, backlogs, frames sent under a node lock (enqueue), and a
+//     chunks, backlogs, frames on the queue lane, and a
 //     write-through that failed, whose frame goes back to the head of the
 //     queue. The writer takes each batch under wmu, so frames leave a
 //     stream in the order they were handed over.
@@ -68,7 +69,7 @@ import (
 //
 // A write-through can wait on the peer's socket buffer, for at most
 // writeTimeout (the stream's lazily armed deadline), which is why only a
-// goroutine holding no node lock may call send.
+// goroutine holding no node lock may post (nodeio.go).
 //
 // Messages carry a small retry budget; a batch that exhausts it is
 // dropped (the protocols are best-effort, exactly as in the simulator)
@@ -134,7 +135,7 @@ var writeBufs = sync.Pool{
 }
 
 // transport is one node's connection pool. All methods are safe for
-// concurrent use: send and enqueue are called from the node's
+// concurrent use: send is called from the node's
 // connection readers, API callers and ticks while the writers run.
 type transport struct {
 	from    model.NodeID
@@ -155,7 +156,7 @@ type transport struct {
 	// writersActive gauges how many writer goroutines exist right now
 	// (spawned minus parked/exited) — exported as transport_writers_active.
 	writersActive atomic.Int64
-	// bulkLane lets enqueueBulk fill a peer's bulk queue. Only a node
+	// bulkLane lets laneBulk sends fill a peer's bulk queue. Only a node
 	// with a content store sends chunks; without the lane a bulk envelope
 	// is dropped as if the queue were full. Set before the node's loops
 	// start, read-only after.
@@ -266,46 +267,14 @@ func (t *transport) dialPeer(addr string) (net.Conn, error) {
 	return f(addr)
 }
 
-// send writes a protocol envelope through to the peer's stream on the
-// calling goroutine when the link is idle — stream live, both queues
-// empty, no writer mid-flush — and enqueues it otherwise. It may wait on
-// the peer's socket buffer, for at most writeTimeout: the caller must
-// hold no node lock.
-func (t *transport) send(to model.NodeID, addr string, env envelope) {
+// send hands env to the peer on lane l (nodeio.go). A post on an idle
+// link — stream live, both queues empty, no writer mid-flush — is
+// written through on the calling goroutine. Anything else goes to the
+// peer's writer, spawned if parked (or never started), and never
+// blocks: a full queue drops the message (counted) rather than stall a
+// caller who may hold routeMu or the query table's lock.
+func (t *transport) send(to model.NodeID, addr string, env envelope, l lane) {
 	t.mu.Lock()
-	if p := t.peers[to]; p != nil && !t.closed && len(p.queue)+len(p.bulk) == 0 && p.wmu.TryLock() {
-		if w := p.w; w != nil && w.conn != nil {
-			p.addr = addr
-			t.mu.Unlock()
-			w.writeThrough(env)
-			p.wmu.Unlock()
-			return
-		}
-		p.wmu.Unlock()
-	}
-	t.enqueueLocked(to, addr, env, false)
-}
-
-// enqueue hands a protocol envelope to the peer's writer, spawning one
-// if the peer's writer is parked (or never started). Unlike send it
-// never blocks: a full queue drops the message (counted) rather than
-// stalling its caller, who may hold routeMu or the query table's lock.
-func (t *transport) enqueue(to model.NodeID, addr string, env envelope) {
-	t.mu.Lock()
-	t.enqueueLocked(to, addr, env, false)
-}
-
-// enqueueBulk queues a chunk-transfer envelope at bulk priority: it
-// rides the same stream but the writer only lets it into a batch when
-// no protocol frame is waiting.
-func (t *transport) enqueueBulk(to model.NodeID, addr string, env envelope) {
-	t.mu.Lock()
-	t.enqueueLocked(to, addr, env, true)
-}
-
-// enqueueLocked is enqueue and enqueueBulk with t.mu held; it releases
-// t.mu.
-func (t *transport) enqueueLocked(to model.NodeID, addr string, env envelope, bulk bool) {
 	if t.closed {
 		t.mu.Unlock()
 		return
@@ -317,6 +286,16 @@ func (t *transport) enqueueLocked(to model.NodeID, addr string, env envelope, bu
 	}
 	p.addr = addr
 	wasEmpty := len(p.queue)+len(p.bulk) == 0
+	if l == lanePost && wasEmpty && p.wmu.TryLock() {
+		if w := p.w; w != nil && w.conn != nil {
+			t.mu.Unlock()
+			w.writeThrough(env)
+			p.wmu.Unlock()
+			return
+		}
+		p.wmu.Unlock()
+	}
+	bulk := l == laneBulk
 	dropped := false
 	switch {
 	case !bulk && len(p.queue) < sendQueueCap:
@@ -429,18 +408,23 @@ func (t *transport) close() {
 	t.wg.Wait()
 }
 
-// countingWriter counts bytes that reach the socket (post-coalescing, so
-// one Add per flush, not per envelope).
-type countingWriter struct {
-	w     io.Writer
+// countingConn counts the bytes one direction of a stream carries: read
+// from the socket into a read buffer, or flushed to it post-coalescing —
+// one Add per fill or flush, not per envelope.
+type countingConn struct {
+	conn  net.Conn
 	bytes *atomic.Int64
 }
 
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	if n > 0 {
-		cw.bytes.Add(int64(n))
-	}
+func (c *countingConn) Read(p []byte) (int, error) {
+	n, err := c.conn.Read(p)
+	c.bytes.Add(int64(n))
+	return n, err
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	n, err := c.conn.Write(p)
+	c.bytes.Add(int64(n))
 	return n, err
 }
 
@@ -454,8 +438,8 @@ type peerWriter struct {
 	rng *rand.Rand // backoff jitter; made on the first failed connect
 
 	conn     net.Conn
-	out      countingWriter // conn, counted as wire_bytes_out
-	deadline lazyDeadline   // conn's write deadline, writeTimeout ahead
+	out      countingConn // conn, counted as wire_bytes_out
+	deadline lazyDeadline // conn's write deadline, writeTimeout ahead
 	// through is the coarse clock at the last write-through, so the
 	// writer's idle clock counts frames it never saw; 0 = none yet.
 	through time.Duration
@@ -714,7 +698,7 @@ func (w *peerWriter) connect() (ok, alive bool) {
 	w.connectFails = 0
 	w.notified = false
 	w.conn = c
-	w.out = countingWriter{w: c, bytes: &t.stats.WireBytesOut}
+	w.out = countingConn{conn: c, bytes: &t.stats.WireBytesOut}
 	w.deadline = lazyDeadline{window: writeTimeout, set: c.SetWriteDeadline}
 	return true, true
 }
@@ -724,7 +708,29 @@ func (w *peerWriter) drop() {
 	if w.conn != nil {
 		w.conn.Close()
 	}
-	w.conn, w.out.w = nil, nil
+	w.conn, w.out.conn = nil, nil
+}
+
+// sendOnce dials addr outside the pool, opens a stream and writes one
+// envelope on it: a joining node's hello to a bootstrap peer it knows
+// only by address.
+func sendOnce(addr string, env envelope) error {
+	conn, err := net.DialTimeout("tcp", addr, 3*time.Second)
+	if err != nil {
+		return fmt.Errorf("livenet: bootstrap %s: %w", addr, err)
+	}
+	defer conn.Close()
+	if err = wire.OpenStream(conn, handshakeTimeout); err == nil {
+		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+		bw := bufio.NewWriter(conn)
+		if err = wire.WriteEnvelope(bw, env); err == nil {
+			err = bw.Flush()
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("livenet: announce: %w", err)
+	}
+	return nil
 }
 
 // backoff sleeps min(base<<(fails-1), cap) plus up to 50% jitter,

@@ -157,7 +157,7 @@ func TestTransportReconnectAfterPeerRestart(t *testing.T) {
 	tr := newTransport(1, 99, stats)
 	defer tr.close()
 
-	tr.enqueue(2, addr, envelope{From: 1, Msg: protocol.QueryMsg{ID: 1}})
+	tr.send(2, addr, envelope{From: 1, Msg: protocol.QueryMsg{ID: 1}}, laneQueue)
 	select {
 	case <-received:
 	case <-time.After(5 * time.Second):
@@ -176,7 +176,7 @@ func TestTransportReconnectAfterPeerRestart(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	next := uint64(100)
 	for {
-		tr.enqueue(2, addr, envelope{From: 1, Msg: protocol.QueryMsg{ID: next}})
+		tr.send(2, addr, envelope{From: 1, Msg: protocol.QueryMsg{ID: next}}, laneQueue)
 		select {
 		case id := <-received:
 			if id >= 100 {
@@ -214,7 +214,7 @@ func TestTransportEvictsDeadPeer(t *testing.T) {
 	// while traffic keeps flowing.)
 	deadline := time.After(15 * time.Second)
 	for i := uint64(0); ; i++ {
-		tr.enqueue(9, "127.0.0.1:1", envelope{From: 1, Msg: protocol.QueryMsg{ID: i}})
+		tr.send(9, "127.0.0.1:1", envelope{From: 1, Msg: protocol.QueryMsg{ID: i}}, laneQueue)
 		select {
 		case id := <-downs:
 			if id != 9 {

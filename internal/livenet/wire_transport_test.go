@@ -62,7 +62,7 @@ func TestTransportBatchingCoalesces(t *testing.T) {
 
 	const burst = 50
 	for i := 0; i < burst; i++ {
-		tr.enqueue(2, s.addr(), envelope{From: 1, Msg: protocol.QueryMsg{ID: uint64(i)}})
+		tr.send(2, s.addr(), envelope{From: 1, Msg: protocol.QueryMsg{ID: uint64(i)}}, laneQueue)
 	}
 	for i := 0; i < burst; i++ {
 		select {
@@ -218,7 +218,7 @@ func TestHandshakeStallIsAFailedConnect(t *testing.T) {
 	tr := newTransport(1, 11, stats)
 	defer tr.close()
 	want := envelope{From: 1, Msg: protocol.QueryMsg{ID: 1}}
-	tr.enqueue(2, s.addr(), want)
+	tr.send(2, s.addr(), want, laneQueue)
 	select {
 	case got := <-received:
 		if !reflect.DeepEqual(got, want) {
@@ -269,7 +269,7 @@ func TestHandshakeFailuresEvictPeer(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("handshake failures never reached eviction: %v", stats.snapshot())
 		}
-		tr.enqueue(9, s.addr(), envelope{From: 1, Msg: protocol.QueryMsg{ID: i}})
+		tr.send(9, s.addr(), envelope{From: 1, Msg: protocol.QueryMsg{ID: i}}, laneQueue)
 		time.Sleep(50 * time.Millisecond)
 	}
 	st := stats.snapshot()
@@ -319,7 +319,7 @@ func BenchmarkTransportThroughput(b *testing.B) {
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
 		<-credits
-		tr.enqueue(2, s.addr(), env)
+		tr.send(2, s.addr(), env, laneQueue)
 	}
 	select {
 	case <-drained:
@@ -428,7 +428,7 @@ func testBlockedWriter(t *testing.T) {
 
 	addr := ln.Addr().String()
 	for i := 0; i < 4; i++ { // small frames the ring absorbs; the first arms the deadline
-		tr.enqueue(2, addr, envelope{From: 1, Msg: protocol.QueryMsg{ID: uint64(i)}})
+		tr.send(2, addr, envelope{From: 1, Msg: protocol.QueryMsg{ID: uint64(i)}}, laneQueue)
 		time.Sleep(writeTimeout / 20)
 	}
 	if got := stats.TransportSends.Load(); got != 4 {
@@ -437,7 +437,7 @@ func testBlockedWriter(t *testing.T) {
 	docs := make([]catalog.DocID, 2000)
 	blocked := time.Now()
 	for i := 0; i < 8; i++ {
-		tr.enqueue(2, addr, envelope{From: 1, Msg: protocol.ResultMsg{ID: uint64(i), Docs: docs}})
+		tr.send(2, addr, envelope{From: 1, Msg: protocol.ResultMsg{ID: uint64(i), Docs: docs}}, laneQueue)
 	}
 	for stats.TransportReconnects.Load() == 0 {
 		if time.Since(blocked) > 3*writeTimeout {

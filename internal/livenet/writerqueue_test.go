@@ -54,7 +54,7 @@ func newStalledWriter(t *testing.T, bulkLane bool) *stalledWriter {
 		}
 	})
 	// The first envelope spawns the writer, which takes it and stalls.
-	s.tr.enqueue(2, s.addr, queryEnv(0))
+	s.tr.send(2, s.addr, queryEnv(0), laneQueue)
 	<-dialing
 	return s
 }
@@ -97,9 +97,9 @@ func TestWriterQueueCap(t *testing.T) {
 			const offered = 300
 			for i := 1; i <= offered; i++ {
 				if tc.bulk {
-					s.tr.enqueueBulk(2, s.addr, queryEnv(uint64(i)))
+					s.tr.send(2, s.addr, queryEnv(uint64(i)), laneBulk)
 				} else {
-					s.tr.enqueue(2, s.addr, queryEnv(uint64(i)))
+					s.tr.send(2, s.addr, queryEnv(uint64(i)), laneQueue)
 				}
 			}
 			if got := s.stats.snapshot()[tc.drops]; got != offered-int64(tc.limit) {
@@ -142,10 +142,10 @@ func TestWriterProtocolBeforeBulk(t *testing.T) {
 	s := newStalledWriter(t, true)
 	const bulk, proto = 10, 5
 	for i := 1; i <= bulk; i++ {
-		s.tr.enqueueBulk(2, s.addr, queryEnv(1000+uint64(i)))
+		s.tr.send(2, s.addr, queryEnv(1000+uint64(i)), laneBulk)
 	}
 	for i := 1; i <= proto; i++ {
-		s.tr.enqueue(2, s.addr, queryEnv(uint64(i)))
+		s.tr.send(2, s.addr, queryEnv(uint64(i)), laneQueue)
 	}
 	close(s.release)
 	var want []uint64
@@ -211,9 +211,9 @@ func TestWriterParkRace(t *testing.T) {
 					for i := rng.Intn(4); i >= 0; i-- {
 						env := queryEnv(uint64(g)<<32 | uint64(sent))
 						if g%2 == 0 {
-							tr.enqueue(model.NodeID(2+k), addrs[k], env)
+							tr.send(model.NodeID(2+k), addrs[k], env, laneQueue)
 						} else {
-							tr.send(model.NodeID(2+k), addrs[k], env)
+							tr.send(model.NodeID(2+k), addrs[k], env, lanePost)
 						}
 						sent++
 					}

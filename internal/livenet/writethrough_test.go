@@ -61,7 +61,7 @@ func TestWriteThroughBooks(t *testing.T) {
 	through, queued := 0, 0
 	for i := 0; i < frames; i++ {
 		before := stats.TransportWriteThrough.Load()
-		tr.send(2, addr, queryEnv(uint64(i)))
+		tr.send(2, addr, queryEnv(uint64(i)), lanePost)
 		if stats.TransportWriteThrough.Load() == before+1 {
 			through++
 		} else {
@@ -120,11 +120,11 @@ func TestWriteThroughBooks(t *testing.T) {
 func TestWriteThroughKeepsLinkAwake(t *testing.T) {
 	const idle = 200 * time.Millisecond
 	tr, stats, addr, got := sinkTransport(t, idle)
-	tr.send(2, addr, queryEnv(0)) // spawns the writer, which dials
+	tr.send(2, addr, queryEnv(0), lanePost) // spawns the writer, which dials
 	recvOne(t, got)
 	for i := 1; i <= 12; i++ { // 1.2 s: six idle windows
 		time.Sleep(idle / 2)
-		tr.send(2, addr, queryEnv(uint64(i)))
+		tr.send(2, addr, queryEnv(uint64(i)), lanePost)
 		recvOne(t, got)
 	}
 	st := stats.snapshot()
@@ -173,13 +173,13 @@ func TestWriteThroughAllocs(t *testing.T) {
 	defer tr.close()
 	addr := ln.Addr().String()
 	env := queryEnv(7)
-	tr.send(2, addr, env)
+	tr.send(2, addr, env, lanePost)
 	waitFor(t, 5*time.Second, "the writer's first flush", func() bool { return stats.TransportSends.Load() == 1 })
 	for i := 0; i < 100; i++ {
-		tr.send(2, addr, env) // warm the pools and the fabric's ring
+		tr.send(2, addr, env, lanePost) // warm the pools and the fabric's ring
 	}
 	before := stats.TransportWriteThrough.Load()
-	if avg := testing.AllocsPerRun(1000, func() { tr.send(2, addr, env) }); avg > 0 {
+	if avg := testing.AllocsPerRun(1000, func() { tr.send(2, addr, env, lanePost) }); avg > 0 {
 		t.Fatalf("a write-through allocates %.1f per frame, budget 0", avg)
 	}
 	if through := stats.TransportWriteThrough.Load() - before; through != 1001 {

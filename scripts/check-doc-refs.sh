@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Fails when DESIGN.md or README.md name, in backticks, a Test…, Fuzz… or
-# Benchmark… function that no _test.go declares, or a repo path that does
-# not exist. A path is a backticked token with a slash whose first
+# Benchmark… function that no _test.go declares, a repo path that does
+# not exist, or a flag a command does not declare. A path is a backticked token with a slash whose first
 # segment is a top-level directory of the repo (checked from the root) or
 # a package directory under internal/ (checked there); other slashed
 # tokens (math/rand, testing/quick) are not paths of this repo. A path may
@@ -9,7 +9,10 @@
 # or a numbered range (results/pr38…pr42_plan_rounds.jsonl), whose two
 # ends must exist; a Go package pattern (./internal/chaos/...) names its
 # root directory. A test name may carry a subtest (TestX/case); the
-# function TestX is what is checked.
+# function TestX is what is checked. A backticked span that opens with a
+# command of cmd/ and a flag (`p2pnode -stats 5s`, `p2pbench -plan
+# scale-1k`) names each of its -flags, which cmd/<command> must declare
+# through the flag package.
 #
 # Usage: scripts/check-doc-refs.sh [repo root]   (default: the script's repo)
 set -uo pipefail
@@ -72,5 +75,17 @@ for doc in "${docs[@]}"; do
 			;;
 		esac
 	done < <(grep -noE '`[^`[:space:]]+`' "$doc")
+
+	# Backticked spans, which may wrap, with the line each opens on.
+	while IFS=: read -r line cmd rest; do
+		declared=$(grep -ohE 'flag\.[A-Za-z0-9]+\((&[^,]+, *)?"[^"]+"' cmd/"$cmd"/*.go |
+			sed -E 's/.*"([^"]+)"$/\1/')
+		for f in $(grep -oE '(^|[[:space:]])--?[A-Za-z][A-Za-z0-9-]*' <<< " $rest" | sed -E 's/^[[:space:]]*-+//'); do
+			grep -qxF "$f" <<< "$declared" || missing "$doc:$line" "a flag" "$cmd -$f" "which cmd/$cmd does not declare"
+		done
+	done < <(awk -v RS='`' '{ nl = gsub(/\n/, "&") }
+		NR % 2 == 0 && match($0, /^(p2pnode|p2pbench|p2psim|experiments|maxfair) -/) {
+			split($0, w, " "); sub(/^[^ ]+ /, ""); gsub(/\n/, " "); print line + 1 ":" w[1] ":" $0
+		} { line += nl }' "$doc")
 done
 exit $fail
