@@ -182,7 +182,8 @@ func TestScalePlanSmall(t *testing.T) {
 	}
 	t.Log(res.Summary())
 	for _, k := range []string{"startup_s", "heap_per_node_kb", "rss_mb", "goroutines_per_node",
-		"errors", "qps", "p50_ms", "p95_ms", "p99_ms", "frames_per_query", "nodes_launched"} {
+		"errors", "qps", "p50_ms", "p95_ms", "p99_ms", "frames_per_query", "nodes_launched",
+		"goroutines_end_per_node", "heap_end_per_node_kb", "stack_inuse_mb"} {
 		if _, ok := res.Totals[k]; !ok {
 			t.Errorf("totals lack %q", k)
 		}

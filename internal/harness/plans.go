@@ -179,7 +179,10 @@ func scalePlans() []Plan {
 			Overview: fmt.Sprintf("Scale rung: %d live nodes in %d clusters in-process "+
 				"over memnet, %d Zipf category queries from a warmed %d-origin pool "+
 				"with the requester cache off; gates errors, idle goroutines per "+
-				"node and frames per query.", s.nodes, s.clusters, scaleQueries, scaleOrigins),
+				"node and frames per query. Goroutines and heap per node are read "+
+				"after boot and again after the timed phase, with the stack in use "+
+				"(the _end readings and stack_inuse_mb, reported only).",
+				s.nodes, s.clusters, scaleQueries, scaleOrigins),
 			Optimized: []Objective{
 				{Metric: "errors", Goal: "min", AbsTol: 0.5},
 				{Metric: "goroutines_per_node", Goal: "min", AbsTol: 0.1},
@@ -192,6 +195,9 @@ func scalePlans() []Plan {
 				{Metric: "startup_s", Goal: "min"},
 				{Metric: "heap_per_node_kb", Goal: "min"},
 				{Metric: "rss_mb", Goal: "min"},
+				{Metric: "goroutines_end_per_node", Goal: "min"},
+				{Metric: "heap_end_per_node_kb", Goal: "min"},
+				{Metric: "stack_inuse_mb", Goal: "min"},
 			},
 			Nodes: s.nodes, Clusters: s.clusters, Docs: s.docs, Cats: s.cats, Seed: 51,
 			run: func(p Plan, cfg RunConfig) (Result, error) {

@@ -45,8 +45,9 @@ const (
 // The values every scale plan runs at: a pool of scaleOrigins requesters,
 // each warmed with one query, then scaleWorkers concurrent workers ask
 // scaleQueries Zipf(scaleZipfS) category queries for one document under
-// a scaleQueryTimeout deadline. Writers park after scaleWriterIdle, so
-// the idle cost reflects steady state rather than the default tail.
+// a scaleQueryTimeout deadline. A link that carries no frame for
+// scaleWriterIdle closes its stream, a shorter tail than the default
+// 45 s.
 const (
 	scaleOrigins      = 256
 	scaleWorkers      = 16

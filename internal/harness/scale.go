@@ -24,9 +24,13 @@ import (
 
 // runScalePlan boots the plan's deployment and runs `queries` timed
 // queries against it. Goroutines per node are read right after boot
-// (the idle cost: writers park, timers ride the shared wheel); heap per
-// node is the Go-heap growth of the launch, both sides collected. The
-// requester cache is off, so throughput is an engine and transport
+// (the idle cost: no stream is open yet, timers ride the shared wheel);
+// heap per node is the Go-heap growth of the launch, both sides
+// collected. After the timed phase the same two are read again
+// (goroutines_end_per_node, heap_end_per_node_kb: what the links the
+// load opened hold at rest), with the goroutine stacks in use
+// (stack_inuse_mb); those three are reported, not gated. The requester
+// cache is off, so throughput is an engine and transport
 // property, and latency is timed around each Query call, so the
 // percentiles are exact over the run.
 func runScalePlan(p Plan, cfg RunConfig, queries int) (Result, error) {
@@ -100,6 +104,10 @@ func runScalePlan(p Plan, cfg RunConfig, queries int) (Result, error) {
 	wg.Wait()
 	elapsed := time.Since(loadStart).Seconds()
 	frames := c.Stats()["transport_sends"] - sendsBefore
+	runtime.GC()
+	var end runtime.MemStats
+	runtime.ReadMemStats(&end)
+	goroutinesEnd := runtime.NumGoroutine()
 
 	var all metrics.Histogram
 	for _, l := range lats {
@@ -113,17 +121,20 @@ func runScalePlan(p Plan, cfg RunConfig, queries int) (Result, error) {
 		Optimized: p.Optimized,
 		Seconds:   time.Since(start).Seconds(),
 		Totals: map[string]float64{
-			"startup_s":           startup.Seconds(),
-			"heap_per_node_kb":    (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n / 1024,
-			"rss_mb":              rssMB(),
-			"goroutines_per_node": float64(goroutines) / n,
-			"errors":              float64(errs.Load()),
-			"qps":                 float64(queries) / elapsed,
-			"p50_ms":              all.Quantile(0.50),
-			"p95_ms":              all.Quantile(0.95),
-			"p99_ms":              all.Quantile(0.99),
-			"frames_per_query":    float64(frames) / float64(queries),
-			"nodes_launched":      n,
+			"startup_s":               startup.Seconds(),
+			"heap_per_node_kb":        (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n / 1024,
+			"rss_mb":                  rssMB(),
+			"goroutines_per_node":     float64(goroutines) / n,
+			"goroutines_end_per_node": float64(goroutinesEnd) / n,
+			"heap_end_per_node_kb":    (float64(end.HeapAlloc) - float64(before.HeapAlloc)) / n / 1024,
+			"stack_inuse_mb":          float64(end.StackInuse) / (1 << 20),
+			"errors":                  float64(errs.Load()),
+			"qps":                     float64(queries) / elapsed,
+			"p50_ms":                  all.Quantile(0.50),
+			"p95_ms":                  all.Quantile(0.95),
+			"p99_ms":                  all.Quantile(0.99),
+			"frames_per_query":        float64(frames) / float64(queries),
+			"nodes_launched":          n,
 		},
 	}, nil
 }

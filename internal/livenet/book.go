@@ -13,7 +13,11 @@ package livenet
 // routeMu.RLock. The base map is frozen before any node starts, so
 // aliasing it across nodes is safe.
 
-import "p2pshare/internal/model"
+import (
+	"slices"
+
+	"p2pshare/internal/model"
+)
 
 type addrBook struct {
 	base map[model.NodeID]string   // shared, immutable after Launch
@@ -112,6 +116,22 @@ func (b *addrBook) forEach(fn func(id model.NodeID, addr string) bool) {
 		if !fn(id, addr) {
 			return
 		}
+	}
+}
+
+// forEachByID visits every live entry in ascending id order: what a
+// node that sends to every peer walks, so the order of its frames
+// follows the seed, not map order.
+func (b *addrBook) forEachByID(fn func(id model.NodeID, addr string)) {
+	ids := make([]model.NodeID, 0, b.n)
+	b.forEach(func(id model.NodeID, _ string) bool {
+		ids = append(ids, id)
+		return true
+	})
+	slices.Sort(ids)
+	for _, id := range ids {
+		addr, _ := b.get(id)
+		fn(id, addr)
 	}
 }
 

@@ -62,33 +62,35 @@ func queryAllCategories(t *testing.T, c *Cluster, origin *Node) int {
 	return ok
 }
 
-// waitParked blocks until every transport writer across the cluster has
-// parked (or the deadline passes).
-func waitParked(t *testing.T, c *Cluster, deadline time.Duration) {
+// waitStreamsClosed blocks until no transport across the cluster runs a
+// writer or holds a stream (or the deadline passes).
+func waitStreamsClosed(t *testing.T, c *Cluster, deadline time.Duration) {
 	t.Helper()
 	end := time.Now().Add(deadline)
 	for {
-		active := int64(0)
+		active, open := int64(0), 0
 		for _, n := range c.Nodes {
 			active += n.tr.writers()
+			open += openStreams(n.tr)
 		}
-		if active == 0 {
+		if active == 0 && open == 0 {
 			return
 		}
 		if time.Now().After(end) {
-			t.Fatalf("%d transport writers still active after %v", active, deadline)
+			t.Fatalf("%d transport writers and %d streams still open after %v", active, open, deadline)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
 }
 
-// TestParkedWriterSurvivesAddressChange is the parking regression pin:
-// traffic flows, every writer parks (dropping its conn), every node then
+// TestParkedWriterSurvivesAddressChange is the idle-close regression
+// pin: traffic flows, the idle tick closes every stream, every node then
 // MOVES to a new listen address (what a membership refresh delivers as
 // an updated address book), and resumed traffic must still deliver —
-// the respawned writers have to pick up the refreshed address, re-dial,
-// and open a fresh stream. Chaos middleware with seeded delay/jitter
-// rides every link to keep the fault layer in the loop.
+// the writers the next frames spawn have to pick up the refreshed
+// address, re-dial, and open a fresh stream. Chaos middleware with
+// seeded delay/jitter rides every link to keep the fault layer in the
+// loop.
 func TestParkedWriterSurvivesAddressChange(t *testing.T) {
 	nw := memnet.New()
 	cn := chaos.New(7)
@@ -101,13 +103,13 @@ func TestParkedWriterSurvivesAddressChange(t *testing.T) {
 	origin := c.Nodes[0]
 
 	if got := queryAllCategories(t, c, origin); got != len(c.inst.Catalog.Cats) {
-		t.Fatalf("pre-park queries: %d/%d delivered", got, len(c.inst.Catalog.Cats))
+		t.Fatalf("pre-close queries: %d/%d delivered", got, len(c.inst.Catalog.Cats))
 	}
-	waitParked(t, c, 10*time.Second)
-	if parks := origin.Stats()["transport_writer_parks"]; parks == 0 {
-		t.Fatal("no writer ever parked despite a 120ms idle bound")
+	waitStreamsClosed(t, c, 10*time.Second)
+	if closes := origin.Stats()["transport_idle_closes"]; closes == 0 {
+		t.Fatal("no stream ever closed despite a 120ms idle bound")
 	}
-	dialsAfterPark := origin.Stats()["transport_dials"]
+	dialsAfterClose := origin.Stats()["transport_dials"]
 
 	// Move every node: new listener on the fabric, old one closed so the
 	// stale address genuinely refuses dials, and every address book
@@ -147,9 +149,9 @@ func TestParkedWriterSurvivesAddressChange(t *testing.T) {
 	if got := queryAllCategories(t, c, origin); got != len(c.inst.Catalog.Cats) {
 		t.Fatalf("post-move queries: %d/%d delivered", got, len(c.inst.Catalog.Cats))
 	}
-	if dials := origin.Stats()["transport_dials"]; dials <= dialsAfterPark {
-		t.Fatalf("no fresh dials after the move (before %d, after %d) — parked writers must re-dial",
-			dialsAfterPark, dials)
+	if dials := origin.Stats()["transport_dials"]; dials <= dialsAfterClose {
+		t.Fatalf("no fresh dials after the move (before %d, after %d) — the next writers must re-dial",
+			dialsAfterClose, dials)
 	}
 	// A peerConn's addr refreshes on the next enqueue to it, so only the
 	// peers phase 2 actually touched move — but at least one must have.
@@ -168,9 +170,10 @@ func TestParkedWriterSurvivesAddressChange(t *testing.T) {
 
 // TestIdleClusterGoroutineBudget pins the idle-resource property the
 // 10k-node benchmark rests on: a booted node costs a FIXED number of
-// goroutines (accept only) regardless of peer count, and
-// after traffic the cluster returns to that budget — writers park,
-// their conns drop, and the remote read loops drain away.
+// goroutines (accept only) regardless of peer count; after traffic, a
+// link at rest costs one goroutine, the reader on its accepting side,
+// and no writer; and once the idle tick closes the streams, the remote
+// read loops drain away and the cluster returns to the boot budget.
 func TestIdleClusterGoroutineBudget(t *testing.T) {
 	nodes := 500
 	if raceEnabled {
@@ -181,19 +184,20 @@ func TestIdleClusterGoroutineBudget(t *testing.T) {
 	g0 := runtime.NumGoroutine()
 	c := launchOverMemnet(t, sh, nil, nw, Options{
 		CacheBytes: -1,
-		WriterIdle: 150 * time.Millisecond,
+		WriterIdle: 2 * time.Second, // no stream closes before the reading at rest
 	})
 
-	// accept = 1 per node; one more per node of slack covers the shared
-	// timer wheel, test runtime goroutines, and GC workers without
-	// masking a per-peer leak (which would scale with peers, not nodes).
-	budget := nodes*2 + 64
+	// accept = 1 per node; the slack covers the shared timer wheel and
+	// runtime goroutines without masking a per-peer leak (which would
+	// scale with peers, not nodes).
+	const slack = 16
+	budget := nodes + slack
 	if g := runtime.NumGoroutine() - g0; g > budget {
 		t.Fatalf("idle %d-node cluster costs %d goroutines, budget %d", nodes, g, budget)
 	}
 
-	// Drive traffic from a handful of origins, then require the cluster
-	// to fall back under the idle budget once writers park.
+	// Drive traffic from a handful of origins. Then, before any stream
+	// closes, the cluster holds one reader per open link and no writer.
 	for i := 0; i < 10; i++ {
 		origin := c.Nodes[(i*97)%len(c.Nodes)]
 		cat := c.inst.Catalog.Cats[(i*13)%len(c.inst.Catalog.Cats)]
@@ -201,8 +205,39 @@ func TestIdleClusterGoroutineBudget(t *testing.T) {
 			t.Fatalf("query %d: %v", i, err)
 		}
 	}
-	waitParked(t, c, 10*time.Second)
-	end := time.Now().Add(10 * time.Second)
+	var g, inbound int
+	var writers int64
+	atRest := func() bool {
+		g, inbound, writers = runtime.NumGoroutine()-g0, 0, 0
+		for _, n := range c.Nodes {
+			writers += n.tr.writers()
+			n.connsMu.Lock()
+			inbound += len(n.conns)
+			n.connsMu.Unlock()
+		}
+		return writers == 0 && g <= nodes+inbound+slack
+	}
+	end := time.Now().Add(5 * time.Second)
+	for !atRest() {
+		if time.Now().After(end) {
+			t.Fatalf("links at rest: %d goroutines over baseline with %d writers, budget %d nodes + %d open links + %d",
+				g, writers, nodes, inbound, slack)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	closes := int64(0)
+	for _, n := range c.Nodes {
+		closes += n.stats.TransportIdleCloses.Load()
+	}
+	if inbound == 0 || closes != 0 {
+		t.Fatalf("the reading at rest saw %d open links after %d idle closes; want links open, none closed", inbound, closes)
+	}
+	t.Logf("links at rest: %d goroutines over baseline for %d nodes and %d open links", g, nodes, inbound)
+
+	// Once the idle tick closes every stream, the cluster falls back
+	// under the boot budget.
+	waitStreamsClosed(t, c, 10*time.Second)
+	end = time.Now().Add(10 * time.Second)
 	for {
 		if g := runtime.NumGoroutine() - g0; g <= budget {
 			return

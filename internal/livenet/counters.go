@@ -93,7 +93,8 @@ type counters struct {
 
 	// Transport: the outbound connection pool. Of transport_sends, the
 	// frames their sender wrote through to an idle stream itself; the
-	// rest went out in a writer's batch.
+	// rest went out in a writer's batch. transport_idle_closes counts
+	// streams the idle tick closed after WriterIdle without a frame.
 	TransportSends             atomic.Int64 `stat:"transport_sends"`
 	TransportWriteThrough      atomic.Int64 `stat:"transport_write_through"`
 	TransportReuses            atomic.Int64 `stat:"transport_reuses"`
@@ -106,7 +107,7 @@ type counters struct {
 	TransportSendFailures      atomic.Int64 `stat:"transport_send_failures"`
 	TransportDropsQueueFull    atomic.Int64 `stat:"transport_drops_queue_full"`
 	TransportDropsBulkFull     atomic.Int64 `stat:"transport_drops_bulk_full"`
-	TransportWriterParks       atomic.Int64 `stat:"transport_writer_parks"`
+	TransportIdleCloses        atomic.Int64 `stat:"transport_idle_closes"`
 
 	// Wire: bytes on the socket both ways, and inbound streams refused.
 	WireBytesOut         atomic.Int64 `stat:"wire_bytes_out"`

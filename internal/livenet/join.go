@@ -177,20 +177,19 @@ func (n *Node) KnownPeers() int {
 }
 
 // handleHello merges the newcomer into the book, replies with the full
-// book, and forwards the hello once to every peer this node knew before
-// (so the whole deployment learns the address without a broadcast storm).
-// A duplicate announcement — a peer restarting on its old address —
-// still gets the book reply (the restarted process lost its copy); only
-// the forwarding is suppressed.
+// book, and forwards the hello once to every peer this node knew before,
+// in id order (so the whole deployment learns the address without a
+// broadcast storm). A duplicate announcement — a peer restarting on its
+// old address — still gets the book reply (the restarted process lost
+// its copy); only the forwarding is suppressed.
 func (n *Node) handleHello(m helloMsg) {
 	known, _ := n.book.get(m.ID)
 	duplicate := known == m.Addr
 	prior := make([]model.NodeID, 0, n.book.len())
-	n.book.forEach(func(id model.NodeID, _ string) bool {
+	n.book.forEachByID(func(id model.NodeID, _ string) {
 		if id != n.id && id != m.ID {
 			prior = append(prior, id)
 		}
-		return true
 	})
 	n.book.set(m.ID, m.Addr)
 	if n.det != nil {

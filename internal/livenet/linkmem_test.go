@@ -18,23 +18,22 @@ import (
 )
 
 // linkBudget bounds the live heap one open, idle stream costs its
-// process, both ends counted: ≈ 2× the ≈ 4–5 KB measured. What an idle
-// link holds: the reader's 1 KB buffer; a 512-byte fabric ring each way
-// (the server→client one only ever carried the handshake ack); the
-// peerConn with its wake channel and two queue slices sized by the
-// bursts seen (one envelope each here); and the conn, ring, deadline and
-// reader structs. What it no longer holds: a 64 KB write buffer per
-// stream, a bulk queue on a node that sends no chunks and a jitter
-// source per writer (≈ 95 KB together, before the write buffers were
-// pooled), then a 256-slot protocol queue allocated at its cap (6 KB),
-// 4 KB rings from the first byte and a 4 KB read buffer (≈ 21 KB).
-const linkBudget = 8 << 10
+// process, both ends counted: the 4.7 KB measured on a process's first
+// run (4.0 KB on later ones, which reuse the goroutine descriptors the
+// runtime keeps from exited writers), plus a quarter. What an idle link
+// holds: the reader's 1 KB buffer; a 512-byte fabric ring each way (the
+// server→client one only ever carried the handshake ack); the peerConn,
+// which holds the stream, its deadline and the connect state; and the
+// conn, ring, deadline and reader structs. No writer goroutine, no
+// queue storage, no write buffer and no jitter source.
+const linkBudget = 6 << 10
 
 // TestLinkMemoryPerIdleStream opens 256 streams from one transport over
 // memnet — one per peer, all read by one sink the way a node reads them —
-// sends one protocol frame on each, and once every frame is read and the
-// writers sit idle requires the live heap to have grown by less than
-// linkBudget per stream.
+// sends one protocol frame on each, and once every frame is read
+// requires what each idle stream costs: no goroutine on the dialing side
+// (every writer has exited), one on the accepting side (its reader), and
+// less than linkBudget of live heap, both ends counted.
 func TestLinkMemoryPerIdleStream(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow state inflates the live heap")
@@ -51,24 +50,34 @@ func TestLinkMemoryPerIdleStream(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
+	g0 := runtime.NumGoroutine()
 	stats := new(counters)
 	tr := newTransport(1, 1, stats)
-	tr.writerIdle = -1 // as in the benchmark: no writer parks, no stream closes
+	tr.writerIdle = -1 // as in the benchmark: no stream closes
 	tr.setDial(nw.Dial)
 	defer tr.close()
 	for i := 0; i < streams; i++ {
 		tr.send(model.NodeID(2+i), ln.Addr().String(),
 			envelope{From: 1, Msg: protocol.QueryMsg{ID: uint64(i), Category: 3, Want: 1, Origin: 1}}, laneQueue)
 	}
-	waitFor(t, 10*time.Second, "every frame sent and read", func() bool {
-		return read.Load() == streams && stats.TransportSends.Load() == streams
+	waitFor(t, 10*time.Second, "every frame sent and read, every writer gone", func() bool {
+		return read.Load() == streams && stats.TransportSends.Load() == streams && tr.writers() == 0
 	})
 	runtime.GC()
 	runtime.ReadMemStats(&after)
+	if open := openStreams(tr); open != streams {
+		t.Fatalf("%d of %d streams open", open, streams)
+	}
+	// The sink's readers are the accepting side's goroutines; a few of
+	// slack either way for goroutines of earlier tests still exiting and
+	// the runtime's own.
+	if g := runtime.NumGoroutine() - g0; g < streams-4 || g > streams+4 {
+		t.Fatalf("%d idle streams hold %d goroutines, want one each: its reader", streams, g)
+	}
 	perStream := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / streams
-	t.Logf("live heap per idle stream: %.1f KB (budget %d KB)", float64(perStream)/1024, linkBudget>>10)
+	t.Logf("live heap per idle stream: %.1f KB (budget %.1f KB)", float64(perStream)/1024, float64(linkBudget)/1024)
 	if perStream > linkBudget {
-		t.Fatalf("an idle stream holds %.1f KB of live heap, budget %d KB", float64(perStream)/1024, linkBudget>>10)
+		t.Fatalf("an idle stream holds %.1f KB of live heap, budget %.1f KB", float64(perStream)/1024, float64(linkBudget)/1024)
 	}
 }
 
@@ -180,11 +189,9 @@ func TestWriteBufPoolFailedFlushLeavesNothing(t *testing.T) {
 		return &cutConn{Conn: c, budget: 5 + 40}, err // preamble, then two frames and a bit
 	})
 	deliverTo := func(to model.NodeID, addr string, batch []envelope) {
-		p := tr.newPeerConn(to)
-		p.addr = addr
-		w := &peerWriter{t: tr, p: p}
-		w.deliver(batch)
-		w.drop()
+		p := &peerConn{to: to, addr: addr}
+		tr.deliver(p, batch)
+		p.drop()
 	}
 	batchFor := func(to model.NodeID, round int) []envelope {
 		batch := make([]envelope, 20)

@@ -501,10 +501,9 @@ type Options struct {
 	Adaptation *AdaptConfig
 
 	// WriterIdle is how long a peer link may carry no frame — no batch
-	// of its writer goroutine, no write-through — before the writer parks
-	// (exiting until the next send respawns it). 0 means
-	// the default (45s); negative disables parking so writers persist for
-	// the node's lifetime, the pre-parking behavior.
+	// of a writer goroutine, no write-through — before its stream is
+	// closed; the next send to the peer dials a new one. 0 means the
+	// default (45s); negative means never.
 	WriterIdle time.Duration
 
 	// Content enables the content data plane (transfer.go /
@@ -525,8 +524,8 @@ type Options struct {
 // metadata exactly like the simulated overlay's bootstrap (full DCRT,
 // ring-plus-chords NRT per cluster, remote contacts), and returns the
 // running cluster. Close it when done. Options carries everything a
-// deployment can configure — seed, network hooks, cache, writer
-// parking, membership, adaptation, content plane.
+// deployment can configure — seed, network hooks, cache, idle stream
+// closing, membership, adaptation, content plane.
 func Launch(inst *model.Instance, assign []model.ClusterID, place *replica.Placement, opts Options) (*Cluster, error) {
 	return launch(inst, assign, place, opts, nil)
 }

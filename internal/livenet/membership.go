@@ -27,17 +27,16 @@ import (
 const leaveFlushGrace = 150 * time.Millisecond
 
 // enableMembership builds the detector and starts its clock. Every
-// peer already in the address book is observed immediately; later peers
-// join the view as hellos and book merges arrive. Caller holds
-// routeMu.Lock.
+// peer already in the address book is observed immediately, in id
+// order; later peers join the view as hellos and book merges arrive.
+// Caller holds routeMu.Lock.
 func (n *Node) enableMembership(cfg membership.Config) {
 	n.det = membership.New(n.id, n.Addr(), cfg, n.rng.Int64())
 	now := n.io.now()
-	n.book.forEach(func(id model.NodeID, addr string) bool {
+	n.book.forEachByID(func(id model.NodeID, addr string) {
 		if id != n.id {
 			n.det.Observe(id, addr, now)
 		}
-		return true
 	})
 	n.drainMembership()
 
@@ -118,20 +117,19 @@ func (n *Node) MembershipCounts() (alive, suspect int) {
 	return int(n.memberAlive.Load()), int(n.memberSuspect.Load())
 }
 
-// Leave announces a graceful departure to every addressable peer (so
-// receivers skip the suspicion phase and evict immediately), waits a
-// moment for the transport to flush, and shuts the node down. Without a
-// running detector it is just Close.
+// Leave announces a graceful departure to every addressable peer, in id
+// order (so receivers skip the suspicion phase and evict immediately),
+// waits a moment for the transport to flush, and shuts the node down.
+// Without a running detector it is just Close.
 func (n *Node) Leave() {
 	n.routeMu.Lock()
 	sent := !n.closed() && n.det != nil
 	if sent {
 		lv := n.det.MakeLeave()
-		n.book.forEach(func(id model.NodeID, _ string) bool {
+		n.book.forEachByID(func(id model.NodeID, _ string) {
 			if id != n.id {
 				n.io.send(n.route(id, lv), laneQueue)
 			}
-			return true
 		})
 	}
 	n.routeMu.Unlock()

@@ -11,7 +11,7 @@ import (
 // every frame it sends, clock it reads and timer it sets. Launch and
 // StartNode give a node a wireIO; a test may drive it on a virtual clock
 // and an in-memory network instead. The transport's own stream
-// deadlines, idle timer and backoff stay below the seam.
+// deadlines, idle tick and backoff stay below the seam.
 type nodeIO interface {
 	// now reads the clock.
 	now() time.Time

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
+	"maps"
 	"net"
 	"slices"
 	"sync"
@@ -249,24 +250,21 @@ type simAddr string
 func (a simAddr) Network() string { return "sim" }
 func (a simAddr) String() string  { return string(a) }
 
-// replay runs a 3-node deployment from seed over a simNet, with
-// membership and adaptation on, through a query whose first result is
-// lost (so the sweep resends it), a publish and one adaptation epoch.
-// It returns the trace and the frames sent by message type.
-func replay(t *testing.T, seed int64) ([]string, map[string]int) {
+// launchSim launches sh's deployment over a fresh simNet, membership on
+// and the requester cache off, and runs it to one virtual second. The
+// caller closes the cluster.
+func launchSim(t *testing.T, sh Shape, adapt *AdaptConfig) (*simNet, *Cluster) {
 	t.Helper()
-	sh := Shape{Documents: 30, Categories: 4, Nodes: 3, Clusters: 2, Seed: seed}
 	inst, assign, place, err := sh.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := newSimNet()
-	const epoch = 2 * time.Second
 	opts := Options{
-		Seed:       seed,
+		Seed:       sh.Seed,
 		CacheBytes: -1,
 		Membership: true,
-		Adaptation: &AdaptConfig{Interval: epoch},
+		Adaptation: adapt,
 		Hooks: NetHooks{Listen: func(id model.NodeID, _ string) (net.Listener, error) {
 			return simListener(fmt.Sprintf("sim:%d", id)), nil
 		}},
@@ -278,12 +276,25 @@ func replay(t *testing.T, seed int64) ([]string, map[string]int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
 	// The accept loops exit on the listeners' first Accept.
 	for _, n := range c.Nodes {
 		n.wg.Wait()
 	}
 	s.runUntil(s.start.Add(time.Second), nil)
+	return s, c
+}
+
+// replay runs a 3-node deployment from seed over a simNet, with
+// membership and adaptation on, through a query whose first result is
+// lost (so the sweep resends it), a publish and one adaptation epoch.
+// It returns the trace and the frames sent by message type.
+func replay(t *testing.T, seed int64) ([]string, map[string]int) {
+	t.Helper()
+	const epoch = 2 * time.Second
+	s, c := launchSim(t, Shape{Documents: 30, Categories: 4, Nodes: 3, Clusters: 2, Seed: seed},
+		&AdaptConfig{Interval: epoch})
+	defer c.Close()
+	inst := c.inst
 
 	// Queries from node 0 into the largest category, issued one after
 	// another, all pending at once; their first results are lost in
@@ -394,4 +405,79 @@ func at(tr []string, i int) string {
 		return tr[i]
 	}
 	return "(end of trace)"
+}
+
+// replayChurn runs a 16-node deployment from seed over a simNet, with
+// membership on, through one hello — node 9 announcing a new address,
+// as a restarted peer does, which node 0 forwards to every peer it knew
+// — and then node 1's graceful leave, which announces the departure to
+// every peer. It returns the trace and the frames sent by message type.
+func replayChurn(t *testing.T, seed int64) ([]string, map[string]int) {
+	t.Helper()
+	s, c := launchSim(t, Shape{Documents: 64, Categories: 8, Nodes: 16, Clusters: 4, Seed: seed}, nil)
+	defer c.Close()
+
+	hello, err := wire.AppendEnvelope(nil, envelope{From: 9, Msg: helloMsg{ID: 9, Addr: "sim:9-restarted"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	s.trace = append(s.trace, fmt.Sprintf("%v hello 9->0", s.clock.Sub(s.start)))
+	s.frames = append(s.frames, simFrame{to: 0, buf: hello})
+	s.mu.Unlock()
+	s.runUntil(s.clock.Add(time.Second), nil)
+
+	// Leave sends its departures, then waits leaveFlushGrace on a
+	// virtual timer: step the simNet only once that timer is set, and
+	// only until it fires, so node 1's shutdown races no event.
+	s.mu.Lock()
+	seq0 := s.seq
+	s.mu.Unlock()
+	left := make(chan struct{})
+	go func() {
+		c.Nodes[1].Leave()
+		close(left)
+	}()
+	var grace *simTimer
+	waitFor(t, 5*time.Second, "Leave's flush grace set", func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for _, tm := range s.timers {
+			if tm.node == 1 && tm.seq > seq0 && tm.period == 0 {
+				grace = tm
+			}
+		}
+		return grace != nil
+	})
+	s.runUntil(s.clock.Add(time.Second), func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return grace.done
+	})
+	<-left
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.err != nil {
+		t.Fatal(s.err)
+	}
+	return slices.Clone(s.trace), maps.Clone(s.kinds)
+}
+
+// TestSeededReplayHelloAndLeave: a hello forwarded to every prior peer
+// and a leave announced to every peer go out in id order, not address
+// book map order, so one seed replays the same frame sequence on two
+// fresh deployments.
+func TestSeededReplayHelloAndLeave(t *testing.T) {
+	const seed = 11
+	a, kinds := replayChurn(t, seed)
+	for k, want := range map[string]int{"wire.Hello": 14, "membership.Leave": 15} {
+		if kinds[k] < want {
+			t.Errorf("the trace holds %d %s frames, want ≥ %d (frames by type: %v)", kinds[k], k, want, kinds)
+		}
+	}
+	t.Logf("%d events, frames by type %v", len(a), kinds)
+	b, _ := replayChurn(t, seed)
+	if i := firstDiff(a, b); i >= 0 {
+		t.Fatalf("seed %d replayed differently at event %d of %d/%d:\n  %s\n  %s", seed, i, len(a), len(b), at(a, i), at(b, i))
+	}
 }

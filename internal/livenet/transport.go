@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,26 +18,27 @@ import (
 
 // The live transport keeps ONE persistent framed stream per
 // (sender, receiver) pair instead of dialing a fresh TCP connection for
-// every message. Each destination peer gets a bounded outbound queue
-// drained by a dedicated writer goroutine that dials lazily, reuses the
-// established stream, and reconnects on failure with capped exponential
-// backoff plus jitter.
+// every message. The stream belongs to the peer's link, with a bounded
+// outbound queue. A writer goroutine runs on a link only while frames
+// wait in its queue: it dials lazily, reconnects on failure with capped
+// exponential backoff plus jitter, drains the queue and exits, leaving
+// the stream open for the next frame. A link at rest costs no
+// goroutine on its sending side.
 //
 // Five things make the wire path fast and cheap:
 //
 //   - Write-through on idle links. A protocol frame posted by a goroutine
 //     that holds no node lock (lanePost) is framed and flushed to the stream
 //     by that goroutine itself when the link is idle: the stream is
-//     live, both queues are empty and no writer is mid-flush (the
+//     live, both queues are empty and nobody is mid-flush (the
 //     stream's write mutex, wmu, is free to TryLock). The common query
 //     path — a caller's entry send, a reader's answer or forward — and a
-//     fetch caller's requests thus skip the hand-off to the writer
-//     goroutine. Everything else goes
-//     through the writer: the first dial, reconnect backoff, bulk
-//     chunks, backlogs, frames on the queue lane, and a
-//     write-through that failed, whose frame goes back to the head of the
-//     queue. The writer takes each batch under wmu, so frames leave a
-//     stream in the order they were handed over.
+//     fetch caller's requests thus start no goroutine. Everything else
+//     queues and, if no writer is running, spawns one: the first dial,
+//     reconnect backoff, bulk chunks, backlogs, frames on the queue lane,
+//     and a write-through that failed, whose frame goes back to the head
+//     of the queue. The writer takes each batch under wmu, so frames
+//     leave a stream in the order they were handed over.
 //   - Codec. Every stream speaks internal/wire (compact varint frames,
 //     no reflection, pooled encode buffers), opened by that package's
 //     handshake. A handshake that fails — refused, mismatched, timed
@@ -54,18 +56,17 @@ import (
 //     after the flush, so between batches a stream holds no buffer: live
 //     write buffers track the writers flushing right now, not the
 //     streams open (a 1000-node cluster keeps ~12 000). The queues are
-//     slices grown by demand up to their caps, not channels allocated
-//     at their caps, so a link that carries one query at a time holds
-//     room for about one; only a node with a content store ever fills a
-//     bulk queue, and the backoff jitter source is made on a first
-//     failed connect.
+//     slices grown by demand up to their caps while frames wait, and let
+//     go when the writer exits; only a node with a content store ever
+//     fills a bulk queue, and the backoff jitter source is made on a
+//     first failed connect.
 //   - No fixed tax per frame. The per-message counters are atomic cells
 //     held by the goroutine that bumps them, the writer takes a whole
-//     batch under one lock acquisition and enters a select only to wait,
-//     and stream deadlines are re-armed only when a quarter of their
-//     window has gone by (lazyDeadline) — so a timeout T takes effect
-//     after between ¾·T and T of trouble, and a busy stream touches its
-//     timer every T/4 instead of every frame.
+//     batch under one lock acquisition, and stream deadlines are
+//     re-armed only when a quarter of their window has gone by
+//     (lazyDeadline) — so a timeout T takes effect after between ¾·T
+//     and T of trouble, and a busy stream touches its timer every T/4
+//     instead of every frame.
 //
 // A write-through can wait on the peer's socket buffer, for at most
 // writeTimeout (the stream's lazily armed deadline), which is why only a
@@ -93,22 +94,21 @@ const (
 	backoffBase = 25 * time.Millisecond
 	backoffCap  = 1 * time.Second
 	// evictAfterFails is how many consecutive connect failures (dial or
-	// handshake) mark a peer down (the writer keeps retrying afterwards —
-	// a restarted peer is picked up again — but the node stops routing
+	// handshake) mark a peer down (later writers keep retrying — a
+	// restarted peer is picked up again — but the node stops routing
 	// queries through it).
 	evictAfterFails = 5
 	// sendQueueCap bounds each peer's outbound queue (a bound, not an
-	// allocation: the queue grows to what is waiting); enqueue never
+	// allocation: the queue grows to what is waiting); send never
 	// blocks its caller — overflow is dropped and counted.
 	sendQueueCap = 256
-	// defaultWriterIdle is how long a peer's link goes without a frame —
-	// neither a batch of its writer nor a write-through — before the
-	// writer parks: it closes its stream, exits, and is respawned lazily
-	// by the next enqueue. Writer goroutines therefore
+	// defaultWriterIdle is how long a link may carry no frame — neither
+	// a writer's batch nor a write-through — before the transport's idle
+	// tick closes its stream; the next send to the peer dials afresh.
+	// Open streams, and the far side's reader goroutines, therefore
 	// scale with ACTIVE links, not address-book size — the property that
-	// lets a 10k-node in-process cluster idle at a handful of goroutines
-	// per node. Options.WriterIdle overrides it (negative disables
-	// parking).
+	// lets a 10k-node in-process cluster idle at one goroutine per node.
+	// Options.WriterIdle overrides it (negative: streams never close).
 	defaultWriterIdle = 45 * time.Second
 	// maxBatchMsgs caps how many queued envelopes one flush coalesces.
 	maxBatchMsgs = 64
@@ -128,7 +128,7 @@ const (
 )
 
 // writeBufs holds the batch write buffers: a writer borrows one to frame
-// and flush one batch (peerWriter.write) and returns it empty and
+// and flush one batch (transport.write) and returns it empty and
 // detached from the stream.
 var writeBufs = sync.Pool{
 	New: func() any { return bufio.NewWriterSize(nil, writeBufBytes) },
@@ -146,15 +146,19 @@ type transport struct {
 	mu     sync.Mutex
 	peers  map[model.NodeID]*peerConn
 	closed bool
+	// stopIdle stops the idle tick (closeIdle), registered with the
+	// first link when writerIdle > 0; nil until then.
+	stopIdle func()
 
 	done chan struct{}
 	wg   sync.WaitGroup
 
-	// writerIdle is the parking timeout (see defaultWriterIdle); negative
-	// disables parking. Set before the node's loops start, read-only after.
+	// writerIdle is how long a stream may carry no frame before the idle
+	// tick closes it (see defaultWriterIdle); negative: never. Set before
+	// the node's loops start, read-only after.
 	writerIdle time.Duration
 	// writersActive gauges how many writer goroutines exist right now
-	// (spawned minus parked/exited) — exported as transport_writers_active.
+	// (spawned minus exited) — exported as transport_writers_active.
 	writersActive atomic.Int64
 	// bulkLane lets laneBulk sends fill a peer's bulk queue. Only a node
 	// with a content store sends chunks; without the lane a bulk envelope
@@ -172,9 +176,10 @@ type transport struct {
 	onPeerDown func(model.NodeID)
 }
 
-// peerConn is the queue and address of one destination peer. The
-// connection itself lives in its writer goroutine's peerWriter, which a
-// write-through borrows under wmu.
+// peerConn is one destination peer's link: its queues and address,
+// guarded by transport.mu, and its stream, guarded by wmu. The stream
+// outlives the writer goroutines: a writer runs only while frames wait,
+// and a write-through borrows the stream under wmu with none running.
 //
 // Two outbound queues implement the data/control priority split: queue
 // carries protocol frames (queries, probes, adaptation — everything
@@ -183,35 +188,39 @@ type transport struct {
 // envelopes per flush, so a saturating transfer cannot starve the
 // protocol path — it only uses the bandwidth protocol traffic leaves
 // idle. Both queues are slices grown by demand and capped at
-// sendQueueCap/bulkQueueCap, so a link holds room for the burst it has
-// seen, not for the worst one it might; bulk is only ever filled on a
-// transport with a bulk lane.
+// sendQueueCap/bulkQueueCap, so a link holds room for the burst
+// waiting now, not for the worst one it might see; bulk is only ever
+// filled on a transport with a bulk lane.
 type peerConn struct {
 	to model.NodeID
 	// running reports whether a writer goroutine currently owns the
-	// queues. It is guarded by transport.mu, like queue and bulk: one lock
-	// for all three is what makes the park/enqueue handoff airtight: a
-	// parking writer re-checks the queues under the same lock the
-	// producers append under, so a message either finds a live writer or
-	// spawns one.
-	running bool
-	// wmu is held by whoever writes the stream: the writer goroutine for
-	// a whole delivery (take, connect, write), its park and its exit, or
-	// a sender writing through. Order: wmu before transport.mu; a holder
-	// of transport.mu only ever TryLocks wmu.
-	wmu         sync.Mutex
+	// queues. Guarded by transport.mu, like queue and bulk: a writer that
+	// finds both queues empty clears it under the same lock every
+	// producer appends under, so a frame either finds a running writer
+	// or spawns one.
+	running     bool
 	queue, bulk []envelope
-	// wake tells a waiting writer its queues went from empty to
-	// non-empty. Capacity 1, never closed: a token sent while the writer
-	// is busy stays until it next waits, so a wake-up is never lost, and
-	// at worst it costs one look at empty queues.
-	wake chan struct{}
-	// addr is the peer's latest known address, stored by every enqueue
-	// and read by the writer when it dials. Guarded by transport.mu.
+	// addr is the peer's latest known address, stored by every send and
+	// read by a writer when it dials. Guarded by transport.mu.
 	addr string
-	// w is the live writer's stream state, nil while no writer runs.
-	// Guarded by wmu.
-	w *peerWriter
+
+	// wmu is held by whoever uses the stream: a writer for a whole
+	// delivery (take, connect, write), a sender writing through, the idle
+	// tick closing it. Order: wmu before transport.mu; a holder of
+	// transport.mu only ever TryLocks wmu.
+	wmu      sync.Mutex
+	conn     net.Conn
+	out      countingConn // conn, counted as wire_bytes_out
+	deadline lazyDeadline // conn's write deadline, writeTimeout ahead
+	// last is the coarse clock when the stream last carried a frame; the
+	// idle tick closes it writerIdle later.
+	last time.Duration
+	// The connect-failure state outlives a writer that exits between
+	// failures, so eviction fires after evictAfterFails however the
+	// failures fell across writers.
+	connectFails int        // consecutive failed connects (drives backoff + eviction)
+	notified     bool       // onPeerDown fired for the current outage
+	rng          *rand.Rand // backoff jitter; made on the first failed connect
 }
 
 // lazyDeadline keeps a connection deadline of window ahead without
@@ -268,11 +277,11 @@ func (t *transport) dialPeer(addr string) (net.Conn, error) {
 }
 
 // send hands env to the peer on lane l (nodeio.go). A post on an idle
-// link — stream live, both queues empty, no writer mid-flush — is
-// written through on the calling goroutine. Anything else goes to the
-// peer's writer, spawned if parked (or never started), and never
-// blocks: a full queue drops the message (counted) rather than stall a
-// caller who may hold routeMu or the query table's lock.
+// link — stream live, both queues empty, nobody mid-flush — is
+// written through on the calling goroutine. Anything else is queued for
+// the peer's writer, spawned if none is running, and never blocks: a
+// full queue drops the message (counted) rather than stall a caller who
+// may hold routeMu or the query table's lock.
 func (t *transport) send(to model.NodeID, addr string, env envelope, l lane) {
 	t.mu.Lock()
 	if t.closed {
@@ -281,56 +290,50 @@ func (t *transport) send(to model.NodeID, addr string, env envelope, l lane) {
 	}
 	p, ok := t.peers[to]
 	if !ok {
-		p = t.newPeerConn(to)
+		p = &peerConn{to: to}
 		t.peers[to] = p
+		if t.stopIdle == nil && t.writerIdle > 0 {
+			t.stopIdle = timerwheel.Default().Every(t.writerIdle/2, t.closeIdle)
+		}
 	}
 	p.addr = addr
-	wasEmpty := len(p.queue)+len(p.bulk) == 0
-	if l == lanePost && wasEmpty && p.wmu.TryLock() {
-		if w := p.w; w != nil && w.conn != nil {
+	if l == lanePost && len(p.queue)+len(p.bulk) == 0 && p.wmu.TryLock() {
+		if p.conn != nil {
 			t.mu.Unlock()
-			w.writeThrough(env)
+			t.writeThrough(p, env)
 			p.wmu.Unlock()
 			return
 		}
 		p.wmu.Unlock()
 	}
-	bulk := l == laneBulk
-	dropped := false
 	switch {
-	case !bulk && len(p.queue) < sendQueueCap:
+	case l != laneBulk && len(p.queue) < sendQueueCap:
 		p.queue = append(p.queue, env)
-	case bulk && t.bulkLane && len(p.bulk) < bulkQueueCap:
+	case l == laneBulk && t.bulkLane && len(p.bulk) < bulkQueueCap:
 		p.bulk = append(p.bulk, env)
 	default:
-		dropped = true
-	}
-	spawn := !dropped && !p.running
-	if spawn {
-		p.running = true
-		t.wg.Add(1)
-		t.writersActive.Add(1)
-	} else if !dropped && wasEmpty {
-		select {
-		case p.wake <- struct{}{}:
-		default: // a token is already waiting
-		}
-	}
-	t.mu.Unlock()
-	if spawn {
-		go t.run(p)
-	}
-	if dropped {
-		if bulk {
+		t.mu.Unlock()
+		if l == laneBulk {
 			t.stats.TransportDropsBulkFull.Add(1)
 		} else {
 			t.stats.TransportDropsQueueFull.Add(1)
 		}
+		return
 	}
+	t.spawnLocked(p)
+	t.mu.Unlock()
 }
 
-func (t *transport) newPeerConn(to model.NodeID) *peerConn {
-	return &peerConn{to: to, wake: make(chan struct{}, 1)}
+// spawnLocked starts a writer on p unless one is running. Caller holds
+// t.mu and has just queued a frame on p.
+func (t *transport) spawnLocked(p *peerConn) {
+	if p.running {
+		return
+	}
+	p.running = true
+	t.wg.Add(1)
+	t.writersActive.Add(1)
+	go t.run(p)
 }
 
 // take moves the next flush's envelopes out of p's queues into batch,
@@ -338,11 +341,17 @@ func (t *transport) newPeerConn(to model.NodeID) *peerConn {
 // maxBatchMsgs), then at most maxBulkPerBatch chunks into the slots
 // protocol traffic left free. When the whole protocol queue fits, the
 // slices are swapped instead of copied — batch, which the writer hands
-// in empty, becomes the queue. Returns an empty batch when both queues
-// are.
+// in empty, becomes the queue. When both queues are empty it clears
+// running and lets go of their storage, and returns the empty batch:
+// the writer exits, and the next frame queued spawns another.
 func (t *transport) take(p *peerConn, batch []envelope) []envelope {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if len(p.queue)+len(p.bulk) == 0 {
+		p.queue, p.bulk = nil, nil
+		p.running = false
+		return batch
+	}
 	if len(p.queue) <= maxBatchMsgs {
 		batch, p.queue = p.queue, batch[:0]
 	} else {
@@ -364,22 +373,6 @@ func shift(q []envelope, n int) []envelope {
 	return q[:k]
 }
 
-// park retires an idle writer: under t.mu — the same lock every enqueue
-// appends under — it re-checks the queues and, if still empty, clears
-// running so the next enqueue respawns and lets go of their storage.
-// Returns false when an envelope raced in, in which case the caller
-// keeps draining.
-func (t *transport) park(p *peerConn) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(p.queue) > 0 || len(p.bulk) > 0 {
-		return false
-	}
-	p.queue, p.bulk = nil, nil
-	p.running = false
-	return true
-}
-
 // writers reports how many writer goroutines are currently live.
 func (t *transport) writers() int64 { return t.writersActive.Load() }
 
@@ -395,7 +388,32 @@ func (t *transport) queueDepth() int {
 	return depth
 }
 
-// close stops every writer and waits for them. Safe to call twice.
+// closeIdle is the idle tick, every writerIdle/2 on the timer wheel: it
+// closes each stream that has carried no frame for writerIdle, so a
+// silent link's stream closes between writerIdle and 1.5·writerIdle
+// after its last frame. The far reader sees EOF and exits; the next
+// send to the peer dials afresh, at the address the book holds then. A
+// stream a writer runs on, or whose wmu is taken, is busy, not idle.
+func (t *transport) closeIdle(time.Time) {
+	now := timerwheel.Default().Coarse()
+	closes := 0
+	t.mu.Lock()
+	for _, p := range t.peers {
+		if p.running || !p.wmu.TryLock() {
+			continue
+		}
+		if p.conn != nil && now-p.last >= t.writerIdle {
+			p.drop()
+			closes++
+		}
+		p.wmu.Unlock()
+	}
+	t.mu.Unlock()
+	t.stats.TransportIdleCloses.Add(int64(closes))
+}
+
+// close stops the idle tick, waits for every writer and closes every
+// stream. Safe to call twice.
 func (t *transport) close() {
 	t.mu.Lock()
 	if t.closed {
@@ -404,8 +422,21 @@ func (t *transport) close() {
 	}
 	t.closed = true
 	close(t.done)
+	stopIdle := t.stopIdle
+	links := make([]*peerConn, 0, len(t.peers))
+	for _, p := range t.peers {
+		links = append(links, p)
+	}
 	t.mu.Unlock()
+	if stopIdle != nil {
+		stopIdle()
+	}
 	t.wg.Wait()
+	for _, p := range links {
+		p.wmu.Lock()
+		p.drop()
+		p.wmu.Unlock()
+	}
 }
 
 // countingConn counts the bytes one direction of a stream carries: read
@@ -428,106 +459,29 @@ func (c *countingConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// peerWriter is one writer goroutine's connection state: the socket,
-// its byte counter and its write deadline. The buffer a batch is framed
-// into is borrowed per batch (writeBufs), not held here. The stream
-// fields are used by whoever holds the peer's wmu.
-type peerWriter struct {
-	t   *transport
-	p   *peerConn
-	rng *rand.Rand // backoff jitter; made on the first failed connect
-
-	conn     net.Conn
-	out      countingConn // conn, counted as wire_bytes_out
-	deadline lazyDeadline // conn's write deadline, writeTimeout ahead
-	// through is the coarse clock at the last write-through, so the
-	// writer's idle clock counts frames it never saw; 0 = none yet.
-	through time.Duration
-
-	connectFails int  // consecutive failed connects (drives backoff + eviction)
-	notified     bool // onPeerDown fired for the current outage
-}
-
-// run is the writer goroutine for one peer: it drains the queue in
-// batches, dialing lazily and reusing the stream across messages. A
-// link that carries no frame — no batch, no write-through — for
-// writerIdle parks its writer: it closes its stream and exits, and the
-// next enqueue respawns it; the respawned writer re-resolves the peer's
-// current address and opens a fresh stream, so a peer that moved while
-// the link was parked is picked up cleanly.
+// run is a writer goroutine, spawned by a send that queued a frame on a
+// link with no writer running. It drains both queues in batches,
+// dialing first when the link has no stream, and exits when take finds
+// them empty. The stream stays with the link, for write-throughs and
+// the next writer; the respawned writer that dials reads the peer's
+// current address, so a peer that moved while its link was closed is
+// picked up cleanly.
 func (t *transport) run(p *peerConn) {
 	defer t.wg.Done()
 	defer t.writersActive.Add(-1)
-	w := &peerWriter{t: t, p: p}
-	p.wmu.Lock()
-	p.w = w
-	p.wmu.Unlock()
-	defer func() {
-		p.wmu.Lock()
-		w.retire()
-		p.wmu.Unlock()
-	}()
-	var idle *time.Timer
-	var idleC <-chan time.Time
-	if t.writerIdle > 0 {
-		idle = time.NewTimer(t.writerIdle)
-		defer idle.Stop()
-		idleC = idle.C
-	}
-	resetIdle := func() {
-		if idle == nil {
-			return
-		}
-		if !idle.Stop() {
-			select {
-			case <-idle.C:
-			default:
-			}
-		}
-		idle.Reset(t.writerIdle)
-	}
-	// batch and the protocol queue trade slices (take), so a running
-	// writer and its queue hold two slices sized by the bursts seen; one
-	// larger than a flush is let go rather than kept circulating.
+	// batch and the protocol queue trade slices (take), so a writer and
+	// its queue hold two slices sized by the bursts seen; one larger than
+	// a flush is let go rather than kept circulating.
 	var batch []envelope
 	for {
-		// Whatever is queued goes out now — a lone envelope flushes
-		// immediately. The batch is taken and written under wmu, so no
-		// write-through slips between a frame's take and its flush. The
-		// select is entered only to wait, and only after a take found both
-		// queues empty: any enqueue since then left a token in wake.
+		// The batch is taken and written under wmu, so no write-through
+		// slips between a frame's take and its flush.
 		p.wmu.Lock()
 		if batch = t.take(p, batch[:0]); len(batch) == 0 {
 			p.wmu.Unlock()
-			select {
-			case <-t.done:
-				return
-			case <-idleC:
-				// A write-through since the timer was set is activity too:
-				// wait out the rest of the window from it.
-				p.wmu.Lock()
-				if since := timerwheel.Default().Coarse() - w.through; w.through != 0 && since < t.writerIdle {
-					p.wmu.Unlock()
-					idle.Reset(t.writerIdle - since)
-					continue
-				}
-				parked := t.park(p)
-				if parked {
-					w.retire()
-				}
-				p.wmu.Unlock()
-				if parked {
-					t.stats.TransportWriterParks.Add(1)
-					return
-				}
-				// An envelope raced the timer: keep running, drain it on
-				// the next loop iteration with a fresh idle window.
-				idle.Reset(t.writerIdle)
-			case <-p.wake:
-			}
-			continue
+			return
 		}
-		alive := w.deliver(batch)
+		alive := t.deliver(p, batch)
 		p.wmu.Unlock()
 		if !alive {
 			return // transport closed mid-backoff
@@ -536,17 +490,6 @@ func (t *transport) run(p *peerConn) {
 		if cap(batch) > maxBatchMsgs {
 			batch = nil
 		}
-		resetIdle()
-	}
-}
-
-// retire closes the writer's stream and unhooks it from its peer, so no
-// write-through finds it; a second call is a no-op, even once a
-// respawned writer has hooked itself in. Caller holds the peer's wmu.
-func (w *peerWriter) retire() {
-	w.drop()
-	if w.p.w == w {
-		w.p.w = nil
 	}
 }
 
@@ -554,21 +497,19 @@ func (w *peerWriter) retire() {
 // the sending goroutine: a batch of one, counted as one send and one
 // reuse. A failed write drops the stream and puts the envelope back at
 // the head of the queue, ahead of anything queued while it was being
-// written, for the writer to redial and retry under its budget. Caller
-// holds the peer's wmu, and found the stream live and the queues empty.
-func (w *peerWriter) writeThrough(env envelope) {
-	t, p := w.t, w.p
-	w.deadline.touch()
+// written, for a writer to redial and retry under its budget. Caller
+// holds p.wmu, and found the stream live and the queues empty.
+func (t *transport) writeThrough(p *peerConn, env envelope) {
+	p.deadline.touch()
 	one := [1]envelope{env}
-	if _, err := w.write(one[:]); err == nil {
-		w.through = timerwheel.Default().Coarse()
+	if _, err := t.write(p, one[:]); err == nil {
 		t.stats.TransportWriteThrough.Add(1)
 		t.stats.TransportSends.Add(1)
 		t.stats.TransportReuses.Add(1)
 		t.batches.Observe(1)
 		return
 	}
-	w.drop()
+	p.drop()
 	t.stats.TransportReconnects.Add(1)
 	t.stats.TransportRetries.Add(1)
 	t.mu.Lock()
@@ -577,14 +518,9 @@ func (w *peerWriter) writeThrough(env envelope) {
 		t.stats.TransportSendFailures.Add(1)
 		return
 	}
-	p.queue = append(p.queue, envelope{})
-	copy(p.queue[1:], p.queue)
-	p.queue[0] = env
+	p.queue = slices.Insert(p.queue, 0, env)
+	t.spawnLocked(p)
 	t.mu.Unlock()
-	select {
-	case p.wake <- struct{}{}:
-	default: // a token is already waiting
-	}
 }
 
 // deliver writes one batch through the persistent stream — usually one
@@ -595,9 +531,8 @@ func (w *peerWriter) writeThrough(env envelope) {
 // reconnected stream. Only envelopes confirmed on the socket by a
 // successful Flush count as transport_sends (and in the batch
 // histogram); framed-but-unflushed envelopes are send failures. Returns
-// false when the transport closed.
-func (w *peerWriter) deliver(batch []envelope) bool {
-	t := w.t
+// false when the transport closed. Caller holds p.wmu.
+func (t *transport) deliver(p *peerConn, batch []envelope) bool {
 	sent := 0  // next envelope to frame (the resume point after a reconnect)
 	acked := 0 // confirmed on the socket by a successful Flush
 	lost := 0  // framed into a stream that died before their flush
@@ -605,8 +540,8 @@ func (w *peerWriter) deliver(batch []envelope) bool {
 		if attempt > 0 {
 			t.stats.TransportRetries.Add(1)
 		}
-		if w.conn == nil {
-			ok, alive := w.connect()
+		if p.conn == nil {
+			ok, alive := t.connect(p)
 			if !alive {
 				return false
 			}
@@ -616,8 +551,8 @@ func (w *peerWriter) deliver(batch []envelope) bool {
 		} else if attempt == 0 {
 			t.stats.TransportReuses.Add(1)
 		}
-		w.deadline.touch()
-		framed, err := w.write(batch[sent:])
+		p.deadline.touch()
+		framed, err := t.write(p, batch[sent:])
 		sent += framed
 		if err == nil {
 			acked = sent - lost
@@ -627,7 +562,7 @@ func (w *peerWriter) deliver(batch []envelope) bool {
 		// not yet flushed died with the buffer. Reconnect on the next
 		// attempt and resume from the failed envelope.
 		lost = sent - acked
-		w.drop()
+		p.drop()
 		t.stats.TransportReconnects.Add(1)
 	}
 	if acked > 0 {
@@ -640,14 +575,15 @@ func (w *peerWriter) deliver(batch []envelope) bool {
 	return true
 }
 
-// write frames envs onto the current stream and flushes them, through a
-// write buffer borrowed for this call alone: it is returned empty and
+// write frames envs onto p's stream and flushes them, through a write
+// buffer borrowed for this call alone: it is returned empty and
 // detached from the stream, so a stream between batches holds no buffer
-// and bytes a failed flush left behind die here, with their stream.
-// framed counts the envelopes framed before the first error.
-func (w *peerWriter) write(envs []envelope) (framed int, err error) {
+// and bytes a failed flush left behind die here, with their stream. A
+// flush stamps the stream's last use for the idle tick. framed counts
+// the envelopes framed before the first error. Caller holds p.wmu.
+func (t *transport) write(p *peerConn, envs []envelope) (framed int, err error) {
 	bw := writeBufs.Get().(*bufio.Writer)
-	bw.Reset(&w.out)
+	bw.Reset(&p.out)
 	for _, env := range envs {
 		if err = wire.WriteEnvelope(bw, env); err != nil {
 			break
@@ -659,15 +595,17 @@ func (w *peerWriter) write(envs []envelope) (framed int, err error) {
 	}
 	bw.Reset(nil)
 	writeBufs.Put(bw)
+	if err == nil {
+		p.last = timerwheel.Default().Coarse()
+	}
 	return framed, err
 }
 
 // connect dials the peer and opens the stream. A failed dial and a
 // failed handshake are one failure: it is counted, feeds eviction, and
 // the backoff is served before returning ok=false; alive reports whether
-// the transport is still open.
-func (w *peerWriter) connect() (ok, alive bool) {
-	t, p := w.t, w.p
+// the transport is still open. Caller holds p.wmu.
+func (t *transport) connect(p *peerConn) (ok, alive bool) {
 	failure := &t.stats.TransportDialFailures
 	t.mu.Lock()
 	addr := p.addr
@@ -680,35 +618,35 @@ func (w *peerWriter) connect() (ok, alive bool) {
 		}
 	}
 	if err != nil {
-		w.connectFails++
+		p.connectFails++
 		failure.Add(1)
-		if w.connectFails >= evictAfterFails && !w.notified {
-			w.notified = true
+		if p.connectFails >= evictAfterFails && !p.notified {
+			p.notified = true
 			t.stats.TransportPeerEvictions.Add(1)
 			if t.onPeerDown != nil {
 				t.onPeerDown(p.to)
 			}
 		}
-		if w.rng == nil {
-			w.rng = rand.New(rand.NewPCG(uint64(t.seed), uint64(t.from)<<32|uint64(uint32(p.to))))
+		if p.rng == nil {
+			p.rng = rand.New(rand.NewPCG(uint64(t.seed), uint64(t.from)<<32|uint64(uint32(p.to))))
 		}
-		return false, t.backoff(w.rng, w.connectFails)
+		return false, t.backoff(p.rng, p.connectFails)
 	}
 	t.stats.TransportDials.Add(1)
-	w.connectFails = 0
-	w.notified = false
-	w.conn = c
-	w.out = countingConn{conn: c, bytes: &t.stats.WireBytesOut}
-	w.deadline = lazyDeadline{window: writeTimeout, set: c.SetWriteDeadline}
+	p.connectFails = 0
+	p.notified = false
+	p.conn = c
+	p.out = countingConn{conn: c, bytes: &t.stats.WireBytesOut}
+	p.deadline = lazyDeadline{window: writeTimeout, set: c.SetWriteDeadline}
 	return true, true
 }
 
-// drop closes and forgets the current stream.
-func (w *peerWriter) drop() {
-	if w.conn != nil {
-		w.conn.Close()
+// drop closes and forgets the link's stream. Caller holds p.wmu.
+func (p *peerConn) drop() {
+	if p.conn != nil {
+		p.conn.Close()
 	}
-	w.conn, w.out.conn = nil, nil
+	p.conn, p.out.conn = nil, nil
 }
 
 // sendOnce dials addr outside the pool, opens a stream and writes one

@@ -170,15 +170,17 @@ func TestWriterProtocolBeforeBulk(t *testing.T) {
 	}
 }
 
-// TestWriterParkRace drives the park/enqueue and wait/wake hand-offs
-// from many producers at once: bursts timed around a 1 ms writerIdle,
-// so writers park and respawn while envelopes arrive, and the same load
-// with parking off, where a wake-up lost between a writer's empty take
-// and its wait would leave an envelope queued forever. Half the
-// producers send (writing through whenever a link is idle), so
-// write-throughs race takes, parks and respawns too. Every envelope
-// must end sent, failed or dropped — sends + send_failures + drops ==
-// enqueued — and every queue empty. Run it with -race.
+// TestWriterParkRace drives the exit/spawn hand-off from many producers
+// at once: a writer exits when it finds its queues empty, and a frame
+// queued as it does must spawn the next one, or it stays queued forever.
+// Bursts are timed around a 1 ms writerIdle, so the idle tick also
+// closes streams between bursts and writers redial, and the same load
+// runs with streams that never close. Half the producers post (writing
+// through whenever a link is idle), so write-throughs race takes, exits,
+// spawns and idle closes too. Every envelope must end sent, failed or
+// dropped — sends + send_failures + drops == enqueued — every queue
+// empty and every writer gone; with the tick on, every stream ends
+// closed. Run it with -race.
 func TestWriterParkRace(t *testing.T) {
 	for _, idle := range []time.Duration{time.Millisecond, -1} {
 		nw := memnet.New()
@@ -217,8 +219,8 @@ func TestWriterParkRace(t *testing.T) {
 						}
 						sent++
 					}
-					// 0.5–1.5 ms: some bursts land on a live writer, some
-					// just as it parks, some after.
+					// 0.5–1.5 ms: some bursts land on a running writer,
+					// some just as it exits, some on a closed stream.
 					time.Sleep(500*time.Microsecond + time.Duration(rng.Intn(1000))*time.Microsecond)
 				}
 				mu.Lock()
@@ -234,10 +236,11 @@ func TestWriterParkRace(t *testing.T) {
 		if d := tr.queueDepth(); d != 0 {
 			t.Errorf("idle %v: %d envelopes still queued", idle, d)
 		}
+		waitFor(t, 5*time.Second, "every writer gone", func() bool { return tr.writers() == 0 })
 		if idle > 0 {
-			waitFor(t, 5*time.Second, "every writer parked", func() bool { return tr.writers() == 0 })
-			if stats.TransportWriterParks.Load() == 0 {
-				t.Errorf("idle %v: no writer ever parked; the race was not exercised", idle)
+			waitFor(t, 5*time.Second, "every stream closed by the idle tick", func() bool { return openStreams(tr) == 0 })
+			if stats.TransportIdleCloses.Load() < peers {
+				t.Errorf("idle %v: %d idle closes over %d links", idle, stats.TransportIdleCloses.Load(), peers)
 			}
 		}
 		t.Logf("idle %v: %d enqueued, %v", idle, enqueued, stats.snapshot())

@@ -113,14 +113,15 @@ func TestWriteThroughBooks(t *testing.T) {
 	t.Logf("closed query loop: %.0f of %.0f sends written through", wt, sends)
 }
 
-// TestWriteThroughKeepsLinkAwake: the writer's idle clock counts
-// write-throughs it never saw. A link written through every
-// writerIdle/2 keeps its one stream and its writer across several idle
-// windows; once it goes silent the writer parks.
+// TestWriteThroughKeepsLinkAwake: the idle tick counts write-throughs,
+// which no writer sees. A link written through every writerIdle/2 keeps
+// its one stream across several idle windows, with no writer running
+// once the first frame, which dials, is out; once the link goes silent
+// the tick closes its stream, and the next frame dials a fresh one.
 func TestWriteThroughKeepsLinkAwake(t *testing.T) {
 	const idle = 200 * time.Millisecond
 	tr, stats, addr, got := sinkTransport(t, idle)
-	tr.send(2, addr, queryEnv(0), lanePost) // spawns the writer, which dials
+	tr.send(2, addr, queryEnv(0), lanePost) // spawns a writer, which dials
 	recvOne(t, got)
 	for i := 1; i <= 12; i++ { // 1.2 s: six idle windows
 		time.Sleep(idle / 2)
@@ -128,16 +129,40 @@ func TestWriteThroughKeepsLinkAwake(t *testing.T) {
 		recvOne(t, got)
 	}
 	st := stats.snapshot()
-	if st["transport_dials"] != 1 || st["transport_writer_parks"] != 0 || tr.writers() != 1 {
-		t.Fatalf("busy link: dials %d, parks %d, writers %d; want 1, 0, 1 (%v)",
-			st["transport_dials"], st["transport_writer_parks"], tr.writers(), st)
+	if st["transport_dials"] != 1 || st["transport_idle_closes"] != 0 || tr.writers() != 0 {
+		t.Fatalf("busy link: dials %d, idle closes %d, writers %d; want 1, 0, 0 (%v)",
+			st["transport_dials"], st["transport_idle_closes"], tr.writers(), st)
 	}
 	if st["transport_write_through"] != 12 {
 		t.Fatalf("transport_write_through = %d, want 12", st["transport_write_through"])
 	}
-	waitFor(t, 5*idle, "the silent link's writer parked", func() bool {
-		return stats.TransportWriterParks.Load() == 1 && tr.writers() == 0
+	waitFor(t, 5*idle, "the silent link's stream closed", func() bool {
+		return stats.TransportIdleCloses.Load() == 1 && openStreams(tr) == 0
 	})
+	tr.send(2, addr, queryEnv(13), lanePost)
+	recvOne(t, got)
+	if dials := stats.TransportDials.Load(); dials != 2 {
+		t.Fatalf("after the idle close: %d dials, want 2", dials)
+	}
+}
+
+// openStreams counts tr's links that hold a stream.
+func openStreams(tr *transport) int {
+	tr.mu.Lock()
+	links := make([]*peerConn, 0, len(tr.peers))
+	for _, p := range tr.peers {
+		links = append(links, p)
+	}
+	tr.mu.Unlock()
+	open := 0
+	for _, p := range links {
+		p.wmu.Lock()
+		if p.conn != nil {
+			open++
+		}
+		p.wmu.Unlock()
+	}
+	return open
 }
 
 // TestWriteThroughAllocs pins the fast path's allocations: writing one

@@ -12,7 +12,12 @@
 # function TestX is what is checked. A backticked span that opens with a
 # command of cmd/ and a flag (`p2pnode -stats 5s`, `p2pbench -plan
 # scale-1k`) names each of its -flags, which cmd/<command> must declare
-# through the flag package.
+# through the flag package. A backticked snake_case token in one of the
+# counter families of internal/livenet/counters.go (transport_…,
+# transfer_…, query_…, fetch_…: the first word of any stat: tag) must be
+# a key Node.Stats shows — a stat: tag or a gauge Stats() sets — unless
+# it is a BENCHMARK.json workload name or a harness total
+# (internal/harness), whose names share those prefixes.
 #
 # Usage: scripts/check-doc-refs.sh [repo root]   (default: the script's repo)
 set -uo pipefail
@@ -52,6 +57,16 @@ tests=$(find . -name '*_test.go' -not -path './.git/*' -print0 |
 	xargs -0 grep -ohE '^func (Test|Fuzz|Benchmark)[A-Za-z0-9_]*\(' |
 	sed -E 's/^func //; s/\($//' | sort -u)
 
+stats=$(grep -ohE 'stat:"[a-z0-9_]+"' internal/livenet/counters.go | sed -E 's/^stat:"//; s/"$//')
+families=$(sed -E 's/_.*//' <<< "$stats" | sort -u | paste -sd'|')
+stats+=$'\n'$(grep -ohE '\bs\["[a-z0-9_]+"\] =' internal/livenet/*.go | sed -E 's/^s\["//; s/"\] =$//')
+workloads=$(awk '/"workloads":/ { on = 1 } on && /^  \]/ { on = 0 }
+	on && match($0, /"name": "[^"]+"/) { s = substr($0, RSTART, RLENGTH); sub(/^"name": "/, "", s); sub(/"$/, "", s); print s }' BENCHMARK.json)
+totals=$(find internal/harness -maxdepth 1 -name '*.go' -not -name '*_test.go' -print0 |
+	xargs -0 grep -ohE '(Metric: *"[a-z0-9_]+"|Totals\["[a-z0-9_]+"\]|"[a-z0-9_]+": )' |
+	grep -oE '"[a-z0-9_]+"' | tr -d '"')
+known=$(printf '%s\n' "$stats" "$workloads" "$totals" | sort -u)
+
 for doc in "${docs[@]}"; do
 	while IFS=: read -r line tok; do
 		tok="${tok#\`}"
@@ -72,6 +87,10 @@ for doc in "${docs[@]}"; do
 			elif [[ -d "internal/$first" ]]; then
 				exists "internal/$tok" || missing "$doc:$line" "a path" "$tok" "which internal/ does not hold"
 			fi
+			;;
+		*_*)
+			[[ "$tok" =~ ^($families)_[a-z0-9_]+$ ]] || continue
+			grep -qxF "$tok" <<< "$known" || missing "$doc:$line" "a counter" "$tok" "which no stat: tag or Stats() gauge declares"
 			;;
 		esac
 	done < <(grep -noE '`[^`[:space:]]+`' "$doc")
