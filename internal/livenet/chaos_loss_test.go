@@ -188,8 +188,8 @@ func TestUnroutableQueryExpiresNotLeaks(t *testing.T) {
 	}()
 	waitFor(t, 2*time.Second, "query pending", func() bool { return origin.InFlight() == 1 })
 
-	// Evict every peer: the death cascade empties the NRT AND the
-	// address book, so a resend has nothing to choose from.
+	// Evict every peer: the address book empties, so the NRT has no
+	// routable member left and a resend has nothing to choose from.
 	locked(origin, func(n *Node) {
 		var ids []model.NodeID
 		n.book.forEach(func(id model.NodeID, _ string) bool {

@@ -19,9 +19,10 @@ func churnShape() Shape {
 // TestChurnHardKillDetectedAndQueriesSurvive boots a 5-node
 // StartNode-style deployment, hard-kills one member (no Leave — a
 // crash), and checks the tentpole behaviors: survivors detect the death
-// and evict the peer from book and NRT, in-flight queries that may have
-// targeted the victim still complete via resend-on-silence, and a
-// graceful Leave is folded in without the suspicion delay.
+// and evict the peer from the book, which takes it out of routing,
+// in-flight queries that may have targeted the victim still complete
+// via resend-on-silence, and a graceful Leave is folded in without the
+// suspicion delay.
 func TestChurnHardKillDetectedAndQueriesSurvive(t *testing.T) {
 	sh := churnShape()
 	inst, _, place, err := sh.Build()

@@ -85,7 +85,6 @@ type counters struct {
 	PublishNoRoute      atomic.Int64 `stat:"publish_no_route"`
 	DropNoRoute         atomic.Int64 `stat:"drop_no_route"`
 	SendNoAddr          atomic.Int64 `stat:"send_no_addr"`
-	NRTEvictions        atomic.Int64 `stat:"nrt_evictions"`
 	BookEvictions       atomic.Int64 `stat:"book_evictions"`
 	MembershipEvictions atomic.Int64 `stat:"membership_evictions"`
 	MembershipTickSkips atomic.Int64 `stat:"membership_tick_skips"`
@@ -101,7 +100,6 @@ type counters struct {
 	TransportDials             atomic.Int64 `stat:"transport_dials"`
 	TransportDialFailures      atomic.Int64 `stat:"transport_dial_failures"`
 	TransportHandshakeFailures atomic.Int64 `stat:"transport_handshake_failures"`
-	TransportPeerEvictions     atomic.Int64 `stat:"transport_peer_evictions"`
 	TransportReconnects        atomic.Int64 `stat:"transport_reconnects"`
 	TransportRetries           atomic.Int64 `stat:"transport_retries"`
 	TransportSendFailures      atomic.Int64 `stat:"transport_send_failures"`

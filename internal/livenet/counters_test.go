@@ -26,7 +26,7 @@ func TestStatsKeysReadOutsideLivenet(t *testing.T) {
 		"examples/":   {"transfer_bytes_in", "transfer_bytes_out", "transfer_resumes"},
 		"the verify skill": {"adapt_evaluations", "adapt_moves", "book_evictions", "content_cache_bytes",
 			"content_cache_docs", "content_cache_installs", "content_docs_held", "dcrt_moves",
-			"membership_evictions", "nrt_evictions", "served",
+			"membership_evictions", "served",
 			"transport_dial_failures", "transport_dials", "transport_handshake_failures",
 			"transport_reconnects", "transport_reuses", "transport_sends", "wire_handshake_rejects"},
 	}

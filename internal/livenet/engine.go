@@ -17,9 +17,9 @@ import (
 // lock by the readers that receive its results, while the issuing
 // goroutine only waits on its private result channel. The caller
 // goroutine does the requester-cache lookup, admission (an atomic CAS
-// reservation against inflightMax) and the route check with no table
-// lock held, then locks the table to register the query — and, if it
-// gives up, to take the query back out (abandonQuery). Admission
+// reservation against inflightMax) and the DCRT check with no table
+// lock held, then locks the table to route and register the query —
+// and, if it gives up, to take the query back out (abandonQuery). Admission
 // control bounds the pending table: a node under overload rejects new
 // queries with ErrOverloaded instead of piling up goroutines, and the
 // requester-side document cache (internal/cache, the paper's §7 viii
@@ -112,12 +112,11 @@ func (n *Node) QueryContext(ctx context.Context, cat catalog.CategoryID, m int) 
 		}
 	}
 
-	// Route check under the read lock: the serving cluster must have an
-	// NRT member for the entry send (routeQuery) to choose from.
+	// DCRT check under the read lock; whether the serving cluster has a
+	// routable member is the entry send's own choice (routeQuery).
 	n.routeMu.RLock()
 	need := n.holders.of(cat).Target(m)
-	entry, routed := n.dcrt[cat]
-	routed = routed && len(n.nrt[entry.Cluster]) > 0
+	_, routed := n.dcrt[cat]
 	n.routeMu.RUnlock()
 	if routed && len(docs) >= need {
 		// Nothing left to ask for: an empty category, or a cache holding
@@ -125,22 +124,26 @@ func (n *Node) QueryContext(ctx context.Context, cat catalog.CategoryID, m int) 
 		n.inflight.Add(-1)
 		return n.answered(start, docs), nil
 	}
+
+	// Register. From here on the pending entry owns the in-flight slot;
+	// whoever removes the entry releases it.
+	ch := make(chan query.Result, 1)
+	var (
+		id    uint64
+		first outFrame
+	)
+	if routed {
+		deadline, hasDeadline := ctx.Deadline()
+		n.queries.mu.Lock()
+		id, first, routed = n.register(cat, m, need, docs, ch, deadline, hasDeadline)
+		n.queries.mu.Unlock()
+	}
 	if !routed {
 		n.inflight.Add(-1)
 		n.stats.QueryNoRoute.Add(1)
 		return query.Result{}, ErrNoRoute
 	}
-
-	// Register. From here on the pending entry owns the in-flight slot;
-	// whoever removes the entry releases it.
-	ch := make(chan query.Result, 1)
-	deadline, hasDeadline := ctx.Deadline()
-	n.queries.mu.Lock()
-	id, first, routed := n.register(cat, m, need, docs, ch, deadline, hasDeadline)
-	n.queries.mu.Unlock()
-	if routed {
-		n.io.send(first, lanePost) // outside the table's lock: a write-through may wait
-	}
+	n.io.send(first, lanePost) // outside the table's lock: a write-through may wait
 
 	select {
 	case out := <-ch:

@@ -3,11 +3,13 @@ package livenet
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"p2pshare/internal/catalog"
+	"p2pshare/internal/model"
 	"p2pshare/internal/query"
 )
 
@@ -297,5 +299,74 @@ func TestQueryNoRouteUnknownCategory(t *testing.T) {
 	bogus := catalog.CategoryID(len(inst.Catalog.Cats) + 50)
 	if _, err := n.QueryContext(context.Background(), bogus, 1); !errors.Is(err, ErrNoRoute) {
 		t.Errorf("unroutable category returned %v, want ErrNoRoute", err)
+	}
+}
+
+// TestDarkClusterNoRoute: once every member of a category's serving
+// cluster has left the origin's address book, QueryContext and Fetch
+// fail with ErrNoRoute at once, sending nothing, though the NRT still
+// names those members; once their addresses are back, the query is
+// answered.
+func TestDarkClusterNoRoute(t *testing.T) {
+	c, inst := launchSmall(t, 29)
+	// A node outside the serving cluster of a category with documents.
+	var (
+		origin  *Node
+		cat     catalog.CategoryID
+		members []model.NodeID
+	)
+	for _, n := range c.Nodes {
+		locked(n, func(n *Node) {
+			for _, ct := range inst.Catalog.Cats {
+				e, ok := n.dcrt[ct.ID]
+				if ok && len(ct.Docs) > 0 && !slices.Contains(n.members[e.Cluster], n.id) {
+					origin, cat, members = n, ct.ID, n.members[e.Cluster]
+					return
+				}
+			}
+		})
+		if origin != nil {
+			break
+		}
+	}
+	if origin == nil {
+		t.Fatal("every node serves every category")
+	}
+	doc := inst.Catalog.Cats[cat].Docs[0]
+	addrs := make(map[model.NodeID]string)
+	locked(origin, func(n *Node) {
+		for _, m := range members {
+			addrs[m], _ = n.book.get(m)
+			n.evictDeadPeer(m)
+		}
+	})
+	sends := origin.Stats()["transport_sends"]
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	start := time.Now()
+	if _, err := origin.QueryContext(ctx, cat, 1); !errors.Is(err, ErrNoRoute) {
+		t.Errorf("query into a dark cluster returned %v, want ErrNoRoute", err)
+	}
+	if _, err := origin.Fetch(ctx, doc); !errors.Is(err, ErrNoRoute) {
+		t.Errorf("fetch from a dark cluster returned %v, want ErrNoRoute", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("the dark cluster took %v to refuse, want at once", d)
+	}
+	st := origin.Stats()
+	if st["query_no_route"] != 1 || st["fetch_no_route"] != 1 || st["transport_sends"] != sends || origin.InFlight() != 0 {
+		t.Errorf("no-route outcomes miscounted or a frame sent: %v", st)
+	}
+	locked(origin, func(n *Node) {
+		if cl := n.dcrt[cat].Cluster; !slices.ContainsFunc(n.nrt[cl], func(m model.NodeID) bool { return slices.Contains(members, m) }) {
+			t.Errorf("the NRT entry for cluster %d lost its members: %v", cl, n.nrt[cl])
+		}
+		for m, addr := range addrs {
+			n.book.set(m, addr)
+		}
+	})
+	if out, err := origin.QueryContext(ctx, cat, 1); err != nil || !out.Done {
+		t.Errorf("query once the cluster's addresses are back: %+v, %v", out, err)
 	}
 }

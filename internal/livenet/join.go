@@ -176,21 +176,27 @@ func (n *Node) KnownPeers() int {
 	return n.book.len()
 }
 
-// handleHello merges the newcomer into the book, replies with the full
-// book, and forwards the hello once to every peer this node knew before,
-// in id order (so the whole deployment learns the address without a
-// broadcast storm). A duplicate announcement — a peer restarting on its
-// old address — still gets the book reply (the restarted process lost
-// its copy); only the forwarding is suppressed.
-func (n *Node) handleHello(m helloMsg) {
+// handleHello merges a (re)joining node into the book. The node the
+// newcomer contacted itself (from is the newcomer) replies with the full
+// book and forwards the hello, in id order, to every peer it knew
+// before, so the whole deployment learns the address without a
+// broadcast storm. A forwarded hello is merged and nothing more: it is
+// neither answered nor forwarded again. A duplicate announcement — a
+// peer restarting on its old address — still gets the book reply (the
+// restarted process lost its copy); only the forwarding is suppressed.
+func (n *Node) handleHello(from model.NodeID, m helloMsg) {
 	known, _ := n.book.get(m.ID)
 	duplicate := known == m.Addr
-	prior := make([]model.NodeID, 0, n.book.len())
-	n.book.forEachByID(func(id model.NodeID, _ string) {
-		if id != n.id && id != m.ID {
-			prior = append(prior, id)
-		}
-	})
+	contacted := from == m.ID
+	var prior []model.NodeID
+	if contacted && !duplicate {
+		prior = make([]model.NodeID, 0, n.book.len())
+		n.book.forEachByID(func(id model.NodeID, _ string) {
+			if id != n.id && id != m.ID {
+				prior = append(prior, id)
+			}
+		})
+	}
 	n.book.set(m.ID, m.Addr)
 	if n.det != nil {
 		// A hello is firsthand liveness evidence: it resurrects even a
@@ -199,14 +205,14 @@ func (n *Node) handleHello(m helloMsg) {
 		n.det.Rejoin(m.ID, m.Addr, n.io.now())
 		n.drainMembership()
 	}
+	if !contacted {
+		return
+	}
 	reply := bookMsg{Book: n.book.snapshot()}
 	if n.det != nil {
 		reply.Dead = n.det.Tombstones()
 	}
 	n.io.send(n.route(m.ID, reply), laneQueue)
-	if duplicate {
-		return
-	}
 	for _, id := range prior {
 		n.io.send(n.route(id, m), laneQueue)
 	}

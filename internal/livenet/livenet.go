@@ -348,11 +348,6 @@ func newNode(inst *model.Instance, id model.NodeID, ln net.Listener, seed int64,
 	if cacheBytes := cmp.Or(opts.CacheBytes, DefaultCacheBytes); cacheBytes > 0 {
 		n.cacheSt, _ = newCacheState(cacheBytes) // a positive capacity cannot fail
 	}
-	n.tr.onPeerDown = func(peer model.NodeID) {
-		n.routeMu.Lock()
-		n.evictPeer(peer)
-		n.routeMu.Unlock()
-	}
 	return n
 }
 
@@ -491,7 +486,9 @@ type Options struct {
 	CacheBytes int64
 
 	// Membership turns on the SWIM failure detector, timed by
-	// membership.DefaultConfig.
+	// membership.DefaultConfig. The detector is the only thing that
+	// takes a peer out of routing: without it no peer ever leaves, and a
+	// dead entry member costs a query one resend.
 	Membership bool
 
 	// Adaptation turns on the §6.1 online rebalancing loop with the
@@ -727,6 +724,9 @@ func (n *Node) storeDoc(d catalog.DocID) {
 	n.byCat[cat] = append(n.byCat[cat], d)
 }
 
+// addNeighbor adds nb to cluster cl's NRT entry. Priming and publishes
+// grow the NRT and nothing shrinks it: it is the cluster's routing
+// membership, and routable says which of its members are live.
 func (n *Node) addNeighbor(cl model.ClusterID, nb model.NodeID) {
 	if nb == n.id {
 		return
@@ -739,24 +739,18 @@ func (n *Node) addNeighbor(cl model.ClusterID, nb model.NodeID) {
 	n.nrt[cl] = append(n.nrt[cl], nb)
 }
 
-// evictPeer removes a dead peer from every NRT entry (the transport
-// reports it after repeated dial failures). Queries stop routing through
-// the peer; if it comes back, hello/publish traffic re-adds it.
-func (n *Node) evictPeer(peer model.NodeID) {
-	evicted := false
-	for cl, members := range n.nrt {
-		kept := members[:0]
-		for _, m := range members {
-			if m == peer {
-				evicted = true
-				continue
-			}
-			kept = append(kept, m)
+// routable calls fn, in NRT order, with each member of cluster cl's NRT
+// entry that the address book holds, until fn returns false: the one
+// test of whom a frame into the cluster may go to. The failure
+// detector's Dead or Left verdict deletes a peer from the book, and a
+// hello or an Alive rumour puts a returning peer back, so it routes
+// again the moment its address does. Caller holds routeMu in either
+// mode.
+func (n *Node) routable(cl model.ClusterID, fn func(model.NodeID) bool) {
+	for _, m := range n.nrt[cl] {
+		if n.book.has(m) && !fn(m) {
+			return
 		}
-		n.nrt[cl] = kept
-	}
-	if evicted {
-		n.stats.NRTEvictions.Add(1)
 	}
 }
 
@@ -852,7 +846,7 @@ func (n *Node) dispatchControl(env envelope) {
 	case protocol.PublishAckMsg:
 		n.handlePublishAck(m)
 	case helloMsg:
-		n.handleHello(m)
+		n.handleHello(env.From, m)
 	case bookMsg:
 		n.handleBook(m)
 	case membership.Ping:
@@ -931,9 +925,8 @@ var (
 
 // Publish announces a (locally stored) document to the cluster serving
 // its category — the §6.2 protocol over TCP — through the first
-// protocol.PublishFanout members of its NRT entry that are in the
-// address book, the preference a query's entry send applies. Publishing
-// a category with no DCRT entry, or into a cluster with no addressable
+// protocol.PublishFanout routable members of its NRT entry. Publishing a
+// category with no DCRT entry, or into a cluster with no routable
 // member, fails with ErrNoRoute. The document must be in the catalog
 // the deployment launched with: peers refuse frames naming any other.
 func (n *Node) Publish(d catalog.DocID) error {
@@ -949,15 +942,11 @@ func (n *Node) Publish(d catalog.DocID) error {
 	cat := n.inst.Catalog.Doc(d).Categories[0]
 	sent := 0
 	if entry, ok := n.dcrt[cat]; ok {
-		for _, nb := range n.nrt[entry.Cluster] {
-			if sent == protocol.PublishFanout {
-				break
-			}
-			if n.book.has(nb) {
-				n.io.send(n.route(nb, protocol.PublishMsg{Doc: d, Category: cat, Publisher: n.id}), laneQueue)
-				sent++
-			}
-		}
+		n.routable(entry.Cluster, func(nb model.NodeID) bool {
+			n.io.send(n.route(nb, protocol.PublishMsg{Doc: d, Category: cat, Publisher: n.id}), laneQueue)
+			sent++
+			return sent < protocol.PublishFanout
+		})
 	}
 	if sent == 0 {
 		n.stats.PublishNoRoute.Add(1)

@@ -7,12 +7,16 @@ package livenet
 // timerwheel tick that runs on a goroutine of its own (everyLocked). This
 // file owns that clock, its network (packets ride the persistent
 // transport like every other envelope), and the consequences of its
-// verdicts: a peer confirmed Dead or Left is evicted from the address
-// book and every NRT entry, and remembered by tombstone so a stale
-// address-book merge cannot resurrect it. In-flight queries need no
-// chasing: a resend re-reads the current tables (routeQuery). Tombstones
-// travel inside book messages (wire.Book.Dead), closing the loop for
-// nodes that were partitioned while the death was gossiped.
+// verdicts. The detector is the only thing that takes a peer out of
+// routing: a peer confirmed Dead or Left is evicted from the address
+// book, which is what makes an NRT member routable (Node.routable), and
+// remembered by tombstone so a stale address-book merge cannot
+// resurrect it. The NRT keeps the peer, so when it comes back (a hello,
+// an Alive rumour) it routes again the moment its address is back in
+// the book. In-flight queries need no chasing: a resend re-reads the
+// current tables (routeQuery). Tombstones travel inside book messages
+// (wire.Book.Dead), closing the loop for nodes that were partitioned
+// while the death was gossiped.
 
 import (
 	"time"
@@ -92,17 +96,16 @@ func (n *Node) drainMembership() {
 	n.memberSuspect.Store(int64(suspect))
 }
 
-// evictDeadPeer removes a confirmed-dead (or gracefully departed) peer
-// from the routing structures: address book and NRTs. In-flight queries
-// stop choosing it at their next resend, which re-reads these tables,
-// so the query table needs no notice. The tombstone stays behind in the
-// detector so book merges cannot resurrect the entry. Caller holds
-// routeMu.Lock.
+// evictDeadPeer takes a confirmed-dead (or gracefully departed) peer out
+// of routing by deleting its address-book entry; its NRT entries stay,
+// unroutable until its address returns. In-flight queries stop choosing
+// it at their next resend, which re-reads the book, so the query table
+// needs no notice. The tombstone stays behind in the detector so book
+// merges cannot resurrect the entry. Caller holds routeMu.Lock.
 func (n *Node) evictDeadPeer(peer model.NodeID) {
 	if n.book.del(peer) {
 		n.stats.BookEvictions.Add(1)
 	}
-	n.evictPeer(peer)
 	n.stats.MembershipEvictions.Add(1)
 }
 

@@ -17,7 +17,8 @@ package livenet
 //	                  the work arrived on (a reader's control frame, an
 //	                  API caller, a tick); see livenet.go.
 //	caller goroutine  admission (atomic CAS), requester-cache lookup, the
-//	                  route check, and registering its own query.
+//	                  DCRT check, and routing and registering its own
+//	                  query.
 //
 // Frame dispatch: a connection reader runs a decoded ResultMsg itself
 // under queries.mu, a QueryMsg itself under routeMu.RLock alone, and
@@ -123,11 +124,13 @@ func (n *Node) nextQueryID() uint64 {
 	return queryID(n.querySalt, n.queries.seq)
 }
 
-// register installs a new pending query and routes its entry message,
-// which the caller posts once it has released queries.mu (ok false: no
-// route, nothing to send). The query asks for want documents and is done
+// register routes a new query's entry message, which the caller posts
+// once it has released queries.mu, and installs the query as pending. A
+// query with no route (ok false) is not installed: the serving cluster
+// has no routable member. The query asks for want documents and is done
 // at need, min(want, documents placed). Caller holds queries.mu, has
-// passed admission and holds the in-flight slot.
+// passed admission and holds the in-flight slot, which a registered
+// query owns from here on.
 func (n *Node) register(cat catalog.CategoryID, want, need int, docs map[catalog.DocID]bool,
 	ch chan QueryOutcome, deadline time.Time, hasDeadline bool) (id uint64, entry outFrame, ok bool) {
 	id = n.nextQueryID()
@@ -145,20 +148,18 @@ func (n *Node) register(cat catalog.CategoryID, want, need int, docs map[catalog
 	if hasDeadline {
 		pq.deadline = deadline.Add(pendingGrace)
 	}
-	n.queries.pending[id] = pq
-	entry, ok = n.routeQuery(pq)
+	if entry, ok = n.routeQuery(pq); ok {
+		n.queries.pending[id] = pq
+	}
 	return id, entry, ok
 }
 
-// routeQuery addresses the query's (re)issue to a random member of the
-// serving cluster, read off the current tables: a member this node can address
-// (the static NRT priming lists peers that may never have joined this
-// deployment, and a query sent to one of those is a guaranteed
-// timeout), or any NRT member when none is addressable. It reports false
-// when the category has no route, or the member chosen no address. The full demand goes
-// out even when the cache primed a partial answer: the entry member picks
-// who answers by the demand, and a node that answers returns at most that
-// many documents. Caller holds queries.mu.
+// routeQuery addresses the query's (re)issue to a random routable member
+// of the serving cluster, read off the current tables. It reports false
+// when the category has no DCRT entry or its cluster no routable member.
+// The full demand goes out even when the cache primed a partial answer:
+// the entry member picks who answers by the demand, and a node that
+// answers returns at most that many documents. Caller holds queries.mu.
 func (n *Node) routeQuery(pq *pendingQuery) (f outFrame, ok bool) {
 	n.routeMu.RLock()
 	defer n.routeMu.RUnlock()
@@ -166,31 +167,21 @@ func (n *Node) routeQuery(pq *pendingQuery) (f outFrame, ok bool) {
 	if !ok {
 		return outFrame{}, false
 	}
-	members := n.nrt[entry.Cluster]
 	count := 0
-	for _, mb := range members {
-		if n.book.has(mb) {
-			count++
-		}
-	}
-	var target model.NodeID
-	switch {
-	case count > 0:
-		k := n.queries.rng.IntN(count)
-		for _, mb := range members {
-			if n.book.has(mb) {
-				if k == 0 {
-					target = mb
-					break
-				}
-				k--
-			}
-		}
-	case len(members) > 0:
-		target = members[n.queries.rng.IntN(len(members))]
-	default:
+	n.routable(entry.Cluster, func(model.NodeID) bool {
+		count++
+		return true
+	})
+	if count == 0 {
 		return outFrame{}, false
 	}
+	var target model.NodeID
+	k := n.queries.rng.IntN(count)
+	n.routable(entry.Cluster, func(mb model.NodeID) bool {
+		target = mb
+		k--
+		return k >= 0
+	})
 	f = n.route(target, protocol.QueryMsg{
 		ID: pq.id, Category: pq.cat, Want: pq.want, Origin: n.id, Hops: 1, Entry: true,
 	})

@@ -407,35 +407,39 @@ func at(tr []string, i int) string {
 	return "(end of trace)"
 }
 
-// replayChurn runs a 16-node deployment from seed over a simNet, with
-// membership on, through one hello — node 9 announcing a new address,
-// as a restarted peer does, which node 0 forwards to every peer it knew
-// — and then node 1's graceful leave, which announces the departure to
-// every peer. It returns the trace and the frames sent by message type.
-func replayChurn(t *testing.T, seed int64) ([]string, map[string]int) {
-	t.Helper()
-	s, c := launchSim(t, Shape{Documents: 64, Categories: 8, Nodes: 16, Clusters: 4, Seed: seed}, nil)
-	defer c.Close()
+// replayShape is the 16-node deployment the churn replays run.
+func replayShape(seed int64) Shape {
+	return Shape{Documents: 64, Categories: 8, Nodes: 16, Clusters: 4, Seed: seed}
+}
 
-	hello, err := wire.AppendEnvelope(nil, envelope{From: 9, Msg: helloMsg{ID: 9, Addr: "sim:9-restarted"}})
+// simHello delivers a hello from node id, announcing addr, to node to,
+// as a (re)started peer's announce does, and runs the simNet one
+// virtual second on.
+func simHello(t *testing.T, s *simNet, id, to model.NodeID, addr string) {
+	t.Helper()
+	hello, err := wire.AppendEnvelope(nil, envelope{From: id, Msg: helloMsg{ID: id, Addr: addr}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
-	s.trace = append(s.trace, fmt.Sprintf("%v hello 9->0", s.clock.Sub(s.start)))
-	s.frames = append(s.frames, simFrame{to: 0, buf: hello})
+	s.trace = append(s.trace, fmt.Sprintf("%v hello %d->%d", s.clock.Sub(s.start), id, to))
+	s.frames = append(s.frames, simFrame{to: to, buf: hello})
 	s.mu.Unlock()
 	s.runUntil(s.clock.Add(time.Second), nil)
+}
 
-	// Leave sends its departures, then waits leaveFlushGrace on a
-	// virtual timer: step the simNet only once that timer is set, and
-	// only until it fires, so node 1's shutdown races no event.
+// simLeave runs n's graceful Leave over the simNet. Leave sends its
+// departures, then waits leaveFlushGrace on a virtual timer: the simNet
+// is stepped only once that timer is set, and only until it fires, so
+// n's shutdown races no event.
+func simLeave(t *testing.T, s *simNet, n *Node) {
+	t.Helper()
 	s.mu.Lock()
 	seq0 := s.seq
 	s.mu.Unlock()
 	left := make(chan struct{})
 	go func() {
-		c.Nodes[1].Leave()
+		n.Leave()
 		close(left)
 	}()
 	var grace *simTimer
@@ -443,7 +447,7 @@ func replayChurn(t *testing.T, seed int64) ([]string, map[string]int) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		for _, tm := range s.timers {
-			if tm.node == 1 && tm.seq > seq0 && tm.period == 0 {
+			if tm.node == n.id && tm.seq > seq0 && tm.period == 0 {
 				grace = tm
 			}
 		}
@@ -455,6 +459,19 @@ func replayChurn(t *testing.T, seed int64) ([]string, map[string]int) {
 		return grace.done
 	})
 	<-left
+}
+
+// replayChurn runs a 16-node deployment from seed over a simNet, with
+// membership on, through one hello — node 9 announcing a new address,
+// as a restarted peer does, which node 0 forwards to every peer it knew
+// — and then node 1's graceful leave, which announces the departure to
+// every peer. It returns the trace and the frames sent by message type.
+func replayChurn(t *testing.T, seed int64) ([]string, map[string]int) {
+	t.Helper()
+	s, c := launchSim(t, replayShape(seed), nil)
+	defer c.Close()
+	simHello(t, s, 9, 0, "sim:9-restarted")
+	simLeave(t, s, c.Nodes[1])
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.err != nil {
@@ -466,18 +483,105 @@ func replayChurn(t *testing.T, seed int64) ([]string, map[string]int) {
 // TestSeededReplayHelloAndLeave: a hello forwarded to every prior peer
 // and a leave announced to every peer go out in id order, not address
 // book map order, so one seed replays the same frame sequence on two
-// fresh deployments.
+// fresh deployments. The hello costs one forward per prior peer and one
+// book reply: a forwarded hello is neither forwarded again nor
+// answered.
 func TestSeededReplayHelloAndLeave(t *testing.T) {
 	const seed = 11
 	a, kinds := replayChurn(t, seed)
-	for k, want := range map[string]int{"wire.Hello": 14, "membership.Leave": 15} {
-		if kinds[k] < want {
-			t.Errorf("the trace holds %d %s frames, want ≥ %d (frames by type: %v)", kinds[k], k, want, kinds)
+	for k, want := range map[string]int{"wire.Hello": 14, "wire.Book": 1} {
+		if kinds[k] != want {
+			t.Errorf("the trace holds %d %s frames, want %d (frames by type: %v)", kinds[k], k, want, kinds)
 		}
+	}
+	if got := kinds["membership.Leave"]; got < 15 {
+		t.Errorf("the trace holds %d membership.Leave frames, want ≥ 15 (frames by type: %v)", got, kinds)
 	}
 	t.Logf("%d events, frames by type %v", len(a), kinds)
 	b, _ := replayChurn(t, seed)
 	if i := firstDiff(a, b); i >= 0 {
 		t.Fatalf("seed %d replayed differently at event %d of %d/%d:\n  %s\n  %s", seed, i, len(a), len(b), at(a, i), at(b, i))
+	}
+}
+
+// TestReturningPeerRoutesAgain: node 1 leaves, and every peer takes it
+// out of routing; then a hello arrives from node 1 at a new address, as
+// a restarted peer's does. Every node whose launch NRT named node 1
+// still names it, and a query's entry send into that cluster can go to
+// node 1 at its new address: the failure detector took node 1 out of
+// routing through the address book alone, and the hello put it back.
+func TestReturningPeerRoutesAgain(t *testing.T) {
+	const returning, addr = model.NodeID(1), "sim:1-restarted"
+	s, c := launchSim(t, replayShape(11), nil)
+	defer c.Close()
+	named := make(map[*Node][]model.ClusterID)
+	for _, n := range c.Nodes {
+		if n.id == returning {
+			continue
+		}
+		locked(n, func(n *Node) {
+			for cl, members := range n.nrt {
+				if slices.Contains(members, returning) {
+					named[n] = append(named[n], cl)
+				}
+			}
+		})
+	}
+	if len(named) == 0 {
+		t.Fatal("no launch NRT names node 1")
+	}
+
+	simLeave(t, s, c.Nodes[returning])
+	for n := range named {
+		locked(n, func(n *Node) {
+			if n.book.has(returning) {
+				t.Fatalf("node %d still holds node 1 in its book after the leave", n.id)
+			}
+		})
+	}
+
+	simHello(t, s, returning, 0, addr)
+	entries := 0
+	for n, cls := range named {
+		for _, cl := range cls {
+			var cat catalog.CategoryID = -1
+			locked(n, func(n *Node) {
+				if !slices.Contains(n.nrt[cl], returning) {
+					t.Errorf("node %d's NRT entry for cluster %d lost node 1", n.id, cl)
+				}
+				for c, e := range n.dcrt {
+					if e.Cluster == cl && (cat < 0 || c < cat) {
+						cat = c
+					}
+				}
+			})
+			if cat < 0 {
+				continue // the cluster serves no category: no entry send goes there
+			}
+			// The entry member is drawn at random among the cluster's
+			// routable members; enough draws reach each of them.
+			sent := false
+			withTable(n, func(n *Node) {
+				for range 200 {
+					f, ok := n.routeQuery(&pendingQuery{id: 1, cat: cat, want: 1})
+					if ok && f.to == returning {
+						sent = f.addr == addr && f.msg.(protocol.QueryMsg).Entry
+						return
+					}
+				}
+			})
+			if !sent {
+				t.Errorf("node %d cannot send a category %d entry frame to node 1 at %s", n.id, cat, addr)
+			}
+			entries++
+		}
+	}
+	if entries == 0 {
+		t.Fatal("no node routes a served category through node 1")
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.err != nil {
+		t.Fatal(s.err)
 	}
 }

@@ -396,42 +396,30 @@ func (n *Node) prunePrevClusters(now time.Time) {
 }
 
 // fetchSources snapshots the replica holders a fetch should try, in
-// preference order: members of the category's serving cluster, then —
-// if adaptation recently moved the category here — members of the
+// preference order: routable members of the category's serving cluster,
+// then — if adaptation recently moved the category here — of the
 // shedding cluster, which keeps the only copies until the new holders
 // finish pulling bytes (lazy rebalancing). Within each tier, measured
 // peers sort by RTT ascending; unmeasured peers follow in id order, so
 // source selection is deterministic before any latency is known.
 func (n *Node) fetchSources(cat catalog.CategoryID) []model.NodeID {
 	n.routeMu.RLock()
-	var out, unbooked []model.NodeID
+	var out []model.NodeID
 	seen := map[model.NodeID]struct{}{n.id: {}}
-	add := func(ms []model.NodeID) {
-		for _, m := range ms {
-			if _, dup := seen[m]; dup {
-				continue
-			}
+	add := func(m model.NodeID) bool {
+		if _, dup := seen[m]; !dup {
 			seen[m] = struct{}{}
-			if n.book.has(m) {
-				out = append(out, m)
-			} else {
-				unbooked = append(unbooked, m)
-			}
+			out = append(out, m)
 		}
+		return true
 	}
 	if e, ok := n.dcrt[cat]; ok {
-		add(n.nrt[e.Cluster])
+		n.routable(e.Cluster, add)
 	}
 	if prev, ok := n.prevCluster[cat]; ok && n.io.now().Before(prev.expires) {
-		add(n.nrt[prev.cluster])
+		n.routable(prev.cluster, add)
 	}
 	n.routeMu.RUnlock()
-	if len(out) == 0 {
-		// Same fallback as a query's entry send (routeQuery): with no
-		// addressable member, try the statically primed ones — the book
-		// may simply not have synced yet.
-		out = unbooked
-	}
 	n.rttMu.Lock()
 	rtt := make(map[model.NodeID]float64, len(out))
 	for _, m := range out {

@@ -74,9 +74,9 @@ import (
 //
 // Messages carry a small retry budget; a batch that exhausts it is
 // dropped (the protocols are best-effort, exactly as in the simulator)
-// and counted. After enough consecutive connect failures the transport
-// reports the peer as down so the node can evict it from its NRT —
-// graceful degradation instead of silently routing into a black hole.
+// and counted. The transport passes no verdict on a peer: consecutive
+// connect failures only lengthen its backoff. Taking a dead peer out of
+// routing is the failure detector's job alone (membership.go).
 const (
 	// dialTimeout bounds one connection attempt.
 	dialTimeout = 2 * time.Second
@@ -93,11 +93,6 @@ const (
 	// capped, plus up to 50% jitter.
 	backoffBase = 25 * time.Millisecond
 	backoffCap  = 1 * time.Second
-	// evictAfterFails is how many consecutive connect failures (dial or
-	// handshake) mark a peer down (later writers keep retrying — a
-	// restarted peer is picked up again — but the node stops routing
-	// queries through it).
-	evictAfterFails = 5
 	// sendQueueCap bounds each peer's outbound queue (a bound, not an
 	// allocation: the queue grows to what is waiting); send never
 	// blocks its caller — overflow is dropped and counted.
@@ -169,11 +164,6 @@ type transport struct {
 	// dial is swappable so tests can inject dial failures.
 	dialMu sync.Mutex
 	dial   func(addr string) (net.Conn, error)
-
-	// onPeerDown fires on the peer's writer goroutine, which holds that
-	// peer's wmu but not t.mu, after evictAfterFails consecutive connect
-	// failures to one peer.
-	onPeerDown func(model.NodeID)
 }
 
 // peerConn is one destination peer's link: its queues and address,
@@ -216,10 +206,9 @@ type peerConn struct {
 	// idle tick closes it writerIdle later.
 	last time.Duration
 	// The connect-failure state outlives a writer that exits between
-	// failures, so eviction fires after evictAfterFails however the
-	// failures fell across writers.
-	connectFails int        // consecutive failed connects (drives backoff + eviction)
-	notified     bool       // onPeerDown fired for the current outage
+	// failures, so the backoff grows however the failures fell across
+	// writers.
+	connectFails int        // consecutive failed connects (drives backoff)
 	rng          *rand.Rand // backoff jitter; made on the first failed connect
 }
 
@@ -602,8 +591,8 @@ func (t *transport) write(p *peerConn, envs []envelope) (framed int, err error) 
 }
 
 // connect dials the peer and opens the stream. A failed dial and a
-// failed handshake are one failure: it is counted, feeds eviction, and
-// the backoff is served before returning ok=false; alive reports whether
+// failed handshake are one failure: it is counted, and the backoff it
+// lengthens is served before returning ok=false; alive reports whether
 // the transport is still open. Caller holds p.wmu.
 func (t *transport) connect(p *peerConn) (ok, alive bool) {
 	failure := &t.stats.TransportDialFailures
@@ -620,13 +609,6 @@ func (t *transport) connect(p *peerConn) (ok, alive bool) {
 	if err != nil {
 		p.connectFails++
 		failure.Add(1)
-		if p.connectFails >= evictAfterFails && !p.notified {
-			p.notified = true
-			t.stats.TransportPeerEvictions.Add(1)
-			if t.onPeerDown != nil {
-				t.onPeerDown(p.to)
-			}
-		}
 		if p.rng == nil {
 			p.rng = rand.New(rand.NewPCG(uint64(t.seed), uint64(t.from)<<32|uint64(uint32(p.to))))
 		}
@@ -634,7 +616,6 @@ func (t *transport) connect(p *peerConn) (ok, alive bool) {
 	}
 	t.stats.TransportDials.Add(1)
 	p.connectFails = 0
-	p.notified = false
 	p.conn = c
 	p.out = countingConn{conn: c, bytes: &t.stats.WireBytesOut}
 	p.deadline = lazyDeadline{window: writeTimeout, set: c.SetWriteDeadline}

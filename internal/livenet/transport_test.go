@@ -194,68 +194,6 @@ func TestTransportReconnectAfterPeerRestart(t *testing.T) {
 	}
 }
 
-// TestTransportEvictsDeadPeer checks that repeated dial failures trigger
-// the onPeerDown callback and that the node removes the peer from every
-// NRT entry.
-func TestTransportEvictsDeadPeer(t *testing.T) {
-	stats := new(counters)
-	tr := newTransport(1, 7, stats)
-	defer tr.close()
-	tr.setDial(func(addr string) (net.Conn, error) {
-		return nil, errors.New("always down")
-	})
-	downs := make(chan model.NodeID, 4)
-	tr.onPeerDown = func(id model.NodeID) { downs <- id }
-
-	// Each batch burns up to maxSendAttempts dial attempts; steady
-	// traffic pushes the consecutive-failure count past evictAfterFails.
-	// (Queued messages coalesce into one batch, so a single burst is not
-	// enough — which is correct: eviction is for peers that stay down
-	// while traffic keeps flowing.)
-	deadline := time.After(15 * time.Second)
-	for i := uint64(0); ; i++ {
-		tr.send(9, "127.0.0.1:1", envelope{From: 1, Msg: protocol.QueryMsg{ID: i}}, laneQueue)
-		select {
-		case id := <-downs:
-			if id != 9 {
-				t.Errorf("evicted peer %d, want 9", id)
-			}
-		case <-time.After(100 * time.Millisecond):
-			continue
-		case <-deadline:
-			t.Fatalf("onPeerDown never fired: %v", stats.snapshot())
-		}
-		break
-	}
-	if stats.TransportPeerEvictions.Load() == 0 {
-		t.Error("eviction not counted")
-	}
-}
-
-func TestEvictPeerRemovesNRTEntries(t *testing.T) {
-	c, _ := launchSmall(t, 14)
-	n := c.Nodes[0]
-	var victim model.NodeID
-	locked(n, func(n *Node) {
-		for _, members := range n.nrt {
-			if len(members) > 0 {
-				victim = members[0]
-				return
-			}
-		}
-	})
-	locked(n, func(n *Node) { n.evictPeer(victim) })
-	locked(n, func(n *Node) {
-		for cl, members := range n.nrt {
-			for _, m := range members {
-				if m == victim {
-					t.Errorf("peer %d still in NRT cluster %d after eviction", victim, cl)
-				}
-			}
-		}
-	})
-}
-
 // TestPendingExpirySweep checks an orphaned pending query is reaped once
 // its deadline passes, delivering the partial outcome.
 func TestPendingExpirySweep(t *testing.T) {

@@ -14,7 +14,6 @@ import (
 
 	"p2pshare/internal/catalog"
 	"p2pshare/internal/memnet"
-	"p2pshare/internal/model"
 	"p2pshare/internal/protocol"
 	"p2pshare/internal/wire"
 )
@@ -247,36 +246,25 @@ func TestHandshakeStallIsAFailedConnect(t *testing.T) {
 	}
 }
 
-// TestHandshakeFailuresEvictPeer: a peer that accepts connections but
-// refuses every handshake is down — evictAfterFails consecutive
-// failures fire onPeerDown, once.
-func TestHandshakeFailuresEvictPeer(t *testing.T) {
+// TestHandshakeFailuresCounted: a peer that accepts connections but
+// refuses every handshake costs handshake failures, retried like failed
+// dials under the backoff, and never counts as a dial.
+func TestHandshakeFailuresCounted(t *testing.T) {
 	s := startSink(t, "127.0.0.1:0", func(int, net.Conn) bool { return true }, nil)
 	stats := new(counters)
 	tr := newTransport(1, 7, stats)
 	defer tr.close()
-	var downs atomic.Int64
-	tr.onPeerDown = func(id model.NodeID) {
-		if id != 9 {
-			t.Errorf("evicted peer %d, want 9", id)
-		}
-		downs.Add(1)
-	}
-	// Steady traffic: each batch burns maxSendAttempts connects. Run one
-	// failure past the eviction to see that it does not fire again.
+	// Steady traffic: each batch burns maxSendAttempts connects.
+	const failures = 5
 	deadline := time.Now().Add(20 * time.Second)
-	for i := uint64(0); stats.TransportHandshakeFailures.Load() <= evictAfterFails; i++ {
+	for i := uint64(0); stats.TransportHandshakeFailures.Load() < failures; i++ {
 		if time.Now().After(deadline) {
-			t.Fatalf("handshake failures never reached eviction: %v", stats.snapshot())
+			t.Fatalf("handshake failures never reached %d: %v", failures, stats.snapshot())
 		}
 		tr.send(9, s.addr(), envelope{From: 1, Msg: protocol.QueryMsg{ID: i}}, laneQueue)
 		time.Sleep(50 * time.Millisecond)
 	}
-	st := stats.snapshot()
-	if downs.Load() != 1 || st["transport_peer_evictions"] != 1 {
-		t.Errorf("onPeerDown fired %d times (%d counted), want once: %v", downs.Load(), st["transport_peer_evictions"], st)
-	}
-	if st["transport_dials"] != 0 || st["transport_dial_failures"] != 0 {
+	if st := stats.snapshot(); st["transport_dials"] != 0 || st["transport_dial_failures"] != 0 {
 		t.Errorf("refused handshakes miscounted: %v", st)
 	}
 }

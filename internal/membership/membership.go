@@ -229,6 +229,16 @@ type Member struct {
 	stateSince time.Time
 }
 
+// tomb is an evicted member's tombstone: its last incarnation, whether
+// it crashed (Dead) or departed gracefully (Left), and when it was laid,
+// so Tick can age it out after TombstoneTTL, keeping the map (and Book
+// frames) bounded under sustained churn.
+type tomb struct {
+	inc   uint64
+	state State
+	since time.Time
+}
+
 // probe is one outstanding direct-or-indirect probe cycle.
 type probe struct {
 	target   model.NodeID
@@ -271,17 +281,9 @@ type Detector struct {
 	rng  *rand.Rand
 
 	members map[model.NodeID]*Member
-	// tombs remembers dead/left members' incarnations after eviction so
-	// stale address books cannot resurrect them (satellite: book merges
-	// carry tombstones).
-	tombs map[model.NodeID]uint64
-	// tombStates distinguishes a crash (Dead) from a graceful departure
-	// (Left) when reporting evicted members; absent means Dead.
-	tombStates map[model.NodeID]State
-	// tombSince timestamps each tombstone so Tick can age it out after
-	// TombstoneTTL, keeping the map (and Book frames) bounded under
-	// sustained churn.
-	tombSince map[model.NodeID]time.Time
+	// tombs remembers dead/left members after eviction so stale address
+	// books cannot resurrect them (book merges carry tombstones).
+	tombs map[model.NodeID]tomb
 
 	// rotation is the SWIM probe order: a shuffled pass over the
 	// members, reshuffled when exhausted, so every member is probed once
@@ -302,17 +304,15 @@ type Detector struct {
 // (refuting its own suspicion by incarnation bump).
 func New(self model.NodeID, addr string, cfg Config, seed int64) *Detector {
 	return &Detector{
-		self:       self,
-		addr:       addr,
-		cfg:        cfg.withDefaults(),
-		rng:        rand.New(rand.NewSource(seed + int64(self)*31337 + 7)),
-		members:    make(map[model.NodeID]*Member),
-		tombs:      make(map[model.NodeID]uint64),
-		tombStates: make(map[model.NodeID]State),
-		tombSince:  make(map[model.NodeID]time.Time),
-		probes:     make(map[uint64]*probe),
-		relays:     make(map[uint64]*relay),
-		rumors:     make(map[rumorKey]*queued),
+		self:    self,
+		addr:    addr,
+		cfg:     cfg.withDefaults(),
+		rng:     rand.New(rand.NewSource(seed + int64(self)*31337 + 7)),
+		members: make(map[model.NodeID]*Member),
+		tombs:   make(map[model.NodeID]tomb),
+		probes:  make(map[uint64]*probe),
+		relays:  make(map[uint64]*relay),
+		rumors:  make(map[rumorKey]*queued),
 	}
 }
 
@@ -350,11 +350,9 @@ func (d *Detector) Rejoin(id model.NodeID, addr string, now time.Time) {
 		return
 	}
 	inc := uint64(0)
-	if ti, ok := d.tombs[id]; ok {
-		inc = ti + 1
+	if t, ok := d.tombs[id]; ok {
+		inc = t.inc + 1
 		delete(d.tombs, id)
-		delete(d.tombStates, id)
-		delete(d.tombSince, id)
 	}
 	m, ok := d.members[id]
 	switch {
@@ -389,12 +387,8 @@ func (d *Detector) Member(id model.NodeID) (Member, bool) {
 	if m, ok := d.members[id]; ok {
 		return *m, true
 	}
-	if inc, ok := d.tombs[id]; ok {
-		st := Dead
-		if s, hasState := d.tombStates[id]; hasState {
-			st = s
-		}
-		return Member{ID: id, State: st, Inc: inc}, true
+	if t, ok := d.tombs[id]; ok {
+		return Member{ID: id, State: t.state, Inc: t.inc}, true
 	}
 	return Member{}, false
 }
@@ -443,8 +437,8 @@ func (d *Detector) Tombstones() map[model.NodeID]uint64 {
 		return nil
 	}
 	out := make(map[model.NodeID]uint64, len(d.tombs))
-	for id, inc := range d.tombs {
-		out[id] = inc
+	for id, t := range d.tombs {
+		out[id] = t.inc
 	}
 	return out
 }
@@ -512,11 +506,9 @@ func (d *Detector) Tick(now time.Time) []Packet {
 	// rumor's propagation and the replay window of stale address books;
 	// past the TTL the departed peer is forgotten entirely, so the map
 	// (and every Book frame carrying it) stays bounded under churn.
-	for id, at := range d.tombSince {
-		if now.Sub(at) >= d.cfg.TombstoneTTL {
+	for id, t := range d.tombs {
+		if now.Sub(t.since) >= d.cfg.TombstoneTTL {
 			delete(d.tombs, id)
-			delete(d.tombStates, id)
-			delete(d.tombSince, id)
 		}
 	}
 
@@ -619,12 +611,10 @@ func (d *Detector) apply(u Update, now time.Time) {
 	}
 	m, known := d.members[u.ID]
 	if !known {
-		if ti, dead := d.tombs[u.ID]; dead {
-			if u.State == Alive && u.Inc > ti {
+		if t, dead := d.tombs[u.ID]; dead {
+			if u.State == Alive && u.Inc > t.inc {
 				// Resurrection rumor newer than the tombstone.
 				delete(d.tombs, u.ID)
-				delete(d.tombStates, u.ID)
-				delete(d.tombSince, u.ID)
 				m = &Member{ID: u.ID, Addr: u.Addr, State: Alive, Inc: u.Inc, stateSince: now}
 				d.members[u.ID] = m
 				d.events = append(d.events, Event{ID: u.ID, Addr: u.Addr, State: Alive, Inc: u.Inc})
@@ -634,9 +624,7 @@ func (d *Detector) apply(u Update, now time.Time) {
 		}
 		if u.State == Dead || u.State == Left {
 			// Never met it; remember only the tombstone.
-			d.tombs[u.ID] = u.Inc
-			d.tombStates[u.ID] = u.State
-			d.tombSince[u.ID] = now
+			d.tombs[u.ID] = tomb{inc: u.Inc, state: u.State, since: now}
 			d.queueUpdate(u)
 			return
 		}
@@ -685,9 +673,7 @@ func (d *Detector) setState(m *Member, s State, inc uint64, now time.Time) {
 	d.events = append(d.events, Event{ID: m.ID, Addr: m.Addr, State: s, Inc: inc})
 	d.queueUpdate(Update{ID: m.ID, Addr: m.Addr, State: s, Inc: inc})
 	if s == Dead || s == Left {
-		d.tombs[m.ID] = inc
-		d.tombStates[m.ID] = s
-		d.tombSince[m.ID] = now
+		d.tombs[m.ID] = tomb{inc: inc, state: s, since: now}
 		delete(d.members, m.ID)
 	}
 }

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Fails when DESIGN.md or README.md name, in backticks, a Test…, Fuzz… or
+# Fails when DESIGN.md, README.md or the verify skill
+# (.claude/skills/verify/SKILL.md) name, in backticks, a Test…, Fuzz… or
 # Benchmark… function that no _test.go declares, a repo path that does
 # not exist, or a flag a command does not declare. A path is a backticked token with a slash whose first
 # segment is a top-level directory of the repo (checked from the root) or
@@ -24,7 +25,7 @@ set -uo pipefail
 
 root="${1:-$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)}"
 cd "$root" || exit 2
-docs=(DESIGN.md README.md)
+docs=(DESIGN.md README.md .claude/skills/verify/SKILL.md)
 fail=0
 
 missing() {
