@@ -164,7 +164,7 @@ func TestPublishAckMoveTakesEffect(t *testing.T) {
 		t.Fatal("the moved placement gives no member of the gaining cluster a share")
 	}
 	from := viaAck.Nodes[0].members[cur.Cluster][0]
-	ack := protocol.PublishAckMsg{Doc: viaAck.inst.Catalog.Cats[cat].Docs[0], Category: cat, Entry: entry, Accepted: true}
+	ack := protocol.PublishAckMsg{Doc: viaAck.inst.Catalog.Cats[cat].Docs[0], Category: cat, Entry: entry}
 	viaAck.Nodes[k].routeInbound(envelope{From: from, Msg: ack})
 	viaAck.Nodes[k].routeInbound(envelope{From: from, Msg: moveProbe(cat, entry)})
 	viaProbe.Nodes[k].routeInbound(envelope{From: from, Msg: moveProbe(cat, entry)})

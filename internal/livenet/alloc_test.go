@@ -16,7 +16,12 @@ import (
 // is exactly the in-process handler work (decode-side handling, query
 // table state, reply/forward construction).
 func allocTestNode() *Node {
+	cat := &catalog.Catalog{Docs: make([]catalog.Document, 18)}
+	for d := range cat.Docs {
+		cat.Docs[d] = catalog.Document{ID: catalog.DocID(d), Categories: []catalog.CategoryID{3}}
+	}
 	n := &Node{
+		inst:  &model.Instance{Catalog: cat},
 		book:  newAddrBook(),
 		dcrt:  map[catalog.CategoryID]protocol.DCRTEntry{3: {Cluster: 1}},
 		byCat: map[catalog.CategoryID][]catalog.DocID{3: {10, 11, 12, 13}},
@@ -26,7 +31,8 @@ func allocTestNode() *Node {
 			hits:    make(map[catalog.CategoryID]int64),
 		},
 	}
-	// Node 0 (n.id) holds all four documents of category 3.
+	// Every document of the catalog is in category 3; node 0 (n.id)
+	// holds four of them.
 	n.tr = newTransport(1, 1, &n.stats)
 	n.io = wireIO{n.tr}
 	n.holders.base = []protocol.View{3: {Holders: []protocol.Holder{{Node: 0, Docs: n.byCat[3]}}, Placed: 4}}
@@ -118,11 +124,11 @@ func TestHandleResultAllocs(t *testing.T) {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	n := allocTestNode()
-	pq := &pendingQuery{id: 42, want: 1 << 30, need: 1 << 30, docs: make(map[catalog.DocID]bool, 8)}
+	pq := &pendingQuery{id: 42, cat: 3, want: 1 << 30, need: 1 << 30, docs: make(map[catalog.DocID]bool, 8)}
 	n.queries.pending[42] = pq
 	docs := []catalog.DocID{10, 11, 12}
 	avg := testing.AllocsPerRun(2000, func() {
-		n.handleResult(protocol.ResultMsg{ID: 42, Docs: docs, Hops: 2, From: 2})
+		n.handleResult(protocol.ResultMsg{ID: 42, Docs: docs, Hops: 2})
 	})
 	if avg > 0 {
 		t.Fatalf("handleResult allocates %.1f per run, budget 0", avg)

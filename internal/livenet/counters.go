@@ -31,6 +31,9 @@ type counters struct {
 	QueryResends    atomic.Int64 `stat:"query_resends"`
 	PendingExpired  atomic.Int64 `stat:"pending_expired"`
 	QuerySweepSkips atomic.Int64 `stat:"query_sweep_skips"`
+	// Result documents outside their pending query's category: counted,
+	// never folded.
+	QueryForeignDocs atomic.Int64 `stat:"query_foreign_docs"`
 
 	// Fetches. Every Fetch call counts fetches_total exactly once at
 	// entry and exactly one outcome on exit:
@@ -88,6 +91,9 @@ type counters struct {
 	BookEvictions       atomic.Int64 `stat:"book_evictions"`
 	MembershipEvictions atomic.Int64 `stat:"membership_evictions"`
 	MembershipTickSkips atomic.Int64 `stat:"membership_tick_skips"`
+	// Liveness rumors the detector refused for an implausible
+	// incarnation (membership.Detector.Rejected, mirrored).
+	MembershipBadRumors atomic.Int64 `stat:"membership_bad_rumors"`
 	AnnounceRetries     atomic.Int64 `stat:"announce_retries"`
 
 	// Transport: the outbound connection pool. Of transport_sends, the

@@ -208,24 +208,6 @@ func ctxReason(err error, timeouts, cancelled *atomic.Int64) (*atomic.Int64, err
 	return cancelled, err
 }
 
-// queryID builds a globally unique query id from the node's 64-bit salt
-// and its query sequence number. The pre-fix scheme kept only the low
-// 16 bits of the node id (`nextQuery<<16 | id&0xffff`), so two nodes
-// whose ids agree mod 65536 minted IDENTICAL ids at the same sequence
-// point, and the loop-detection set of the time suppressed one node's
-// query as a duplicate of the other's. Mixing the full node id through a
-// bijective 64-bit finalizer makes same-node ids distinct by
-// construction (mixQ is a bijection over the sequence) and cross-node
-// collisions need a full-width match instead of a low-16-bit one.
-func queryID(salt, seq uint64) uint64 {
-	return mixQ(salt ^ mixQ(seq))
-}
-
-// querySaltFor derives a node's id-mixing salt from its full node id.
-func querySaltFor(id model.NodeID) uint64 {
-	return mixQ(uint64(id)*0x9e3779b97f4a7c15 + 0x6a09e667f3bcc909)
-}
-
 // mixQ is the splitmix64 finalizer (bijective over uint64).
 func mixQ(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15

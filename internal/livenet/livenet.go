@@ -238,10 +238,6 @@ type Node struct {
 	// in tests; 0 means the package default (prevClusterTTL).
 	prevClusterTTLOverride time.Duration
 
-	// querySalt mints query ids: the query table's sequence is mixed
-	// with this full-width node discriminant (see queryID in engine.go).
-	querySalt uint64
-
 	// stopTimers unregisters this node's periodic work from the seam's
 	// timers (query sweep, membership probe clock, adaptation epoch
 	// clock): in production the shared process-wide timerwheel, since 3+
@@ -320,8 +316,7 @@ func newNode(inst *model.Instance, id model.NodeID, ln net.Listener, seed int64,
 		},
 		inflightMax: int64(cmp.Or(opts.maxInFlight, DefaultMaxInFlight)),
 
-		querySalt: querySaltFor(id),
-		readIdle:  readIdleTimeout,
+		readIdle: readIdleTimeout,
 		bounds: wire.Bounds{Nodes: len(inst.Nodes), Clusters: inst.NumClusters,
 			Categories: len(inst.Catalog.Cats), Docs: len(inst.Catalog.Docs)},
 
@@ -943,7 +938,7 @@ func (n *Node) Publish(d catalog.DocID) error {
 	sent := 0
 	if entry, ok := n.dcrt[cat]; ok {
 		n.routable(entry.Cluster, func(nb model.NodeID) bool {
-			n.io.send(n.route(nb, protocol.PublishMsg{Doc: d, Category: cat, Publisher: n.id}), laneQueue)
+			n.io.send(n.route(nb, protocol.PublishMsg{Doc: d, Category: cat}), laneQueue)
 			sent++
 			return sent < protocol.PublishFanout
 		})
@@ -956,16 +951,16 @@ func (n *Node) Publish(d catalog.DocID) error {
 }
 
 // handlePublish acknowledges a publish into a cluster this node can
-// route; an unroutable category is dropped (and counted) rather than
-// fabricating a cluster-0 entry.
+// route and learns the publisher, the frame's sender, as a member of
+// that cluster; an unroutable category is dropped (and counted) rather
+// than fabricating a cluster-0 entry.
 func (n *Node) handlePublish(from model.NodeID, m protocol.PublishMsg) {
 	entry, known := n.dcrt[m.Category]
 	if !known {
 		n.stats.DropNoRoute.Add(1)
 		return
 	}
-	accepted := len(n.nrt[entry.Cluster]) > 0
-	n.addNeighbor(entry.Cluster, m.Publisher)
+	n.addNeighbor(entry.Cluster, from)
 	sample := n.nrt[entry.Cluster]
 	if len(sample) > 8 {
 		sample = sample[:8]
@@ -974,7 +969,6 @@ func (n *Node) handlePublish(from model.NodeID, m protocol.PublishMsg) {
 		Doc:      m.Doc,
 		Category: m.Category,
 		Entry:    entry,
-		Accepted: accepted,
 		Members:  append([]model.NodeID(nil), sample...),
 	}), laneQueue)
 }

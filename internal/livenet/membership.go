@@ -77,7 +77,8 @@ func (n *Node) sendPackets(pkts []membership.Packet) {
 }
 
 // drainMembership folds the detector's state transitions into the
-// node's routing state and refreshes the membership counts. Runs under
+// node's routing state and refreshes the membership counts and the
+// count of rumors it refused. Runs under
 // routeMu.Lock after every detector interaction.
 func (n *Node) drainMembership() {
 	for _, ev := range n.det.Events() {
@@ -94,6 +95,7 @@ func (n *Node) drainMembership() {
 	alive, suspect := n.det.Counts()
 	n.memberAlive.Store(int64(alive))
 	n.memberSuspect.Store(int64(suspect))
+	n.stats.MembershipBadRumors.Store(int64(n.det.Rejected()))
 }
 
 // evictDeadPeer takes a confirmed-dead (or gracefully departed) peer out

@@ -25,9 +25,10 @@ package livenet
 // every other control frame itself under routeMu.Lock (routeInbound).
 // Running a query takes no table lock: a node keeps no per-query state
 // for queries it did not issue, since the placement rule
-// (protocol.Forward) cannot loop. A query id is queryID(salt, seq), a
-// bijection of the node's sequence, so one node never mints an id twice;
-// peers echo it back as an opaque uint64.
+// (protocol.Forward) cannot loop. A query id is the table's own
+// sequence number: it names the query only in its origin's table, and
+// peers echo it back as an opaque uint64 in a result addressed to that
+// origin, so ids from different nodes may coincide harmlessly.
 //
 // Locking: the order is queries.mu → routeMu → leaf mutexes. Table code
 // reads the control state under routeMu.RLock, possibly while holding
@@ -118,10 +119,11 @@ func (n *Node) drainHits() map[catalog.CategoryID]int64 {
 	return out
 }
 
-// nextQueryID mints the node's next query id. Caller holds queries.mu.
+// nextQueryID mints the node's next query id, its table's next
+// sequence number. Caller holds queries.mu.
 func (n *Node) nextQueryID() uint64 {
 	n.queries.seq++
-	return queryID(n.querySalt, n.queries.seq)
+	return n.queries.seq
 }
 
 // register routes a new query's entry message, which the caller posts
@@ -271,7 +273,7 @@ func (n *Node) runQuery(m protocol.QueryMsg, out []outFrame) []outFrame {
 		// never an append-grow chain (pinned by TestHandleQueryAllocs).
 		n.served.Add(1)
 		out = append(out, n.route(m.Origin, protocol.ResultMsg{
-			ID: m.ID, Docs: append(make([]catalog.DocID, 0, take), docs[:take]...), Hops: m.Hops, From: n.id,
+			ID: m.ID, Docs: append(make([]catalog.DocID, 0, take), docs[:take]...), Hops: m.Hops,
 		}))
 	}
 	return out
@@ -279,7 +281,11 @@ func (n *Node) runQuery(m protocol.QueryMsg, out []outFrame) []outFrame {
 
 // handleResult folds an inbound result into its pending query, up to the
 // m documents it asks for (holders asked together may answer more
-// between them), and completes it at the documents it needs.
+// between them), and completes it at the documents it needs. A query id
+// names a query only in its origin's table, so a document outside the
+// query's category — a result that reached the wrong node, or a stale
+// one — is counted and not folded; a result with no document of the
+// category leaves the query as it was.
 func (n *Node) handleResult(m protocol.ResultMsg) {
 	n.queries.mu.Lock()
 	defer n.queries.mu.Unlock()
@@ -287,11 +293,19 @@ func (n *Node) handleResult(m protocol.ResultMsg) {
 	if !ok {
 		return
 	}
+	ours := false
 	for _, d := range m.Docs {
-		if len(pq.docs) >= pq.want {
-			break
+		if !slices.Contains(n.inst.Catalog.Doc(d).Categories, pq.cat) {
+			n.stats.QueryForeignDocs.Add(1)
+			continue
 		}
-		pq.docs[d] = true
+		ours = true
+		if len(pq.docs) < pq.want {
+			pq.docs[d] = true
+		}
+	}
+	if !ours {
+		return
 	}
 	if m.Hops > pq.hops {
 		pq.hops = m.Hops

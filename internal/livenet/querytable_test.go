@@ -121,7 +121,7 @@ func TestShardLockOrder(t *testing.T) {
 			id := uint64(r+1)<<40 | uint64(i)
 			n.routeInbound(envelope{From: 1, Msg: protocol.QueryMsg{
 				ID: id, Category: cat, Want: 2, Origin: 1, Hops: 1, Entry: true}})
-			n.routeInbound(envelope{From: 1, Msg: protocol.ResultMsg{ID: id, From: 1}})
+			n.routeInbound(envelope{From: 1, Msg: protocol.ResultMsg{ID: id}})
 		})
 	}
 	spin(func(int) {
@@ -140,7 +140,7 @@ func TestShardLockOrder(t *testing.T) {
 		for _, msg := range []any{
 			moveProbe(cat, entry),
 			protocol.QueryMsg{ID: 1<<50 | uint64(i), Category: cat, Want: 1, Origin: 1, Hops: 1},
-			protocol.ResultMsg{ID: uint64(i), From: 1},
+			protocol.ResultMsg{ID: uint64(i)},
 		} {
 			n.routeInbound(envelope{From: 1, Msg: msg})
 		}
@@ -197,7 +197,7 @@ func TestResendRecoversPartialAnswer(t *testing.T) {
 	}
 	withTable(n, func(n *Node) { n.queries.pending[pq.id] = pq })
 	// The entry member's half of the answer; the holder's half is lost.
-	n.handleResult(protocol.ResultMsg{ID: pq.id, Docs: []catalog.DocID{10}, Hops: 1, From: 2})
+	n.handleResult(protocol.ResultMsg{ID: pq.id, Docs: []catalog.DocID{10}, Hops: 1})
 
 	sweep := func(at time.Time) {
 		withTable(n, func(n *Node) { n.sweep(at) })
@@ -216,6 +216,46 @@ func TestResendRecoversPartialAnswer(t *testing.T) {
 	}
 	if len(pq.docs) != 1 {
 		t.Fatalf("pending query holds %d documents, want the 1 answered", len(pq.docs))
+	}
+}
+
+// TestResultOutsideCategoryNotFolded: a query id names a query only in
+// its origin's table, and ids are small sequence numbers, so a result
+// meant for another node — or another query — can carry an id this node
+// has pending. A document outside the pending query's category is
+// counted under query_foreign_docs and not folded, and the query stays
+// pending until documents of its category arrive.
+func TestResultOutsideCategoryNotFolded(t *testing.T) {
+	n := allocTestNode()
+	n.inst.Catalog.Docs[17].Categories = []catalog.CategoryID{4}
+	ch := make(chan QueryOutcome, 1)
+	pq := &pendingQuery{
+		id: n.nextQueryID(), cat: 3, want: 2, need: 2,
+		docs: make(map[catalog.DocID]bool), ch: ch, deadline: time.Now().Add(time.Minute),
+	}
+	withTable(n, func(n *Node) { n.queries.pending[pq.id] = pq })
+
+	n.routeInbound(envelope{From: 2, Msg: protocol.ResultMsg{ID: pq.id, Docs: []catalog.DocID{17}, Hops: 4}})
+	withTable(n, func(n *Node) {
+		if len(pq.docs) != 0 || pq.hops != 0 || n.queries.pending[pq.id] != pq {
+			t.Fatalf("foreign document folded: docs %v, hops %d, pending %v", pq.docs, pq.hops, n.queries.pending[pq.id] == pq)
+		}
+	})
+	if got := n.Stats()["query_foreign_docs"]; got != 1 {
+		t.Fatalf("query_foreign_docs = %d, want 1", got)
+	}
+
+	n.routeInbound(envelope{From: 2, Msg: protocol.ResultMsg{ID: pq.id, Docs: []catalog.DocID{10, 17, 11}, Hops: 1}})
+	select {
+	case out := <-ch:
+		if !out.Done || out.Results != 2 || out.Hops != 1 {
+			t.Fatalf("outcome %+v, want done with documents 10 and 11 at 1 hop", out)
+		}
+	default:
+		t.Fatal("the query's own documents did not complete it")
+	}
+	if got := n.Stats()["query_foreign_docs"]; got != 2 {
+		t.Fatalf("query_foreign_docs = %d, want 2", got)
 	}
 }
 

@@ -23,10 +23,11 @@ package livenet
 // progress is never thrown away.
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"p2pshare/internal/catalog"
@@ -416,6 +417,7 @@ func (n *Node) fetchSources(cat catalog.CategoryID) []model.NodeID {
 	if e, ok := n.dcrt[cat]; ok {
 		n.routable(e.Cluster, add)
 	}
+	serving := len(out)
 	if prev, ok := n.prevCluster[cat]; ok && n.io.now().Before(prev.expires) {
 		n.routable(prev.cluster, add)
 	}
@@ -428,17 +430,19 @@ func (n *Node) fetchSources(cat catalog.CategoryID) []model.NodeID {
 		}
 	}
 	n.rttMu.Unlock()
-	sort.SliceStable(out, func(i, j int) bool {
-		ri, iok := rtt[out[i]]
-		rj, jok := rtt[out[j]]
-		if iok != jok {
-			return iok
+	byRTT := func(a, b model.NodeID) int {
+		ra, aok := rtt[a]
+		rb, bok := rtt[b]
+		if aok != bok {
+			if aok {
+				return -1
+			}
+			return 1
 		}
-		if iok && ri != rj {
-			return ri < rj
-		}
-		return out[i] < out[j]
-	})
+		return cmp.Or(cmp.Compare(ra, rb), cmp.Compare(a, b))
+	}
+	slices.SortFunc(out[:serving], byRTT)
+	slices.SortFunc(out[serving:], byRTT)
 	return out
 }
 

@@ -3,6 +3,7 @@ package livenet
 import (
 	"bytes"
 	"context"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -632,5 +633,55 @@ func TestFetchBothWaysOverShallowRing(t *testing.T) {
 			t.Errorf("node %d: transport_reconnects = %d, want 0 (a stream timed out)", n.id, st["transport_reconnects"])
 		}
 		t.Logf("node %d: %d of %d sends written through", n.id, st["transport_write_through"], st["transport_sends"])
+	}
+}
+
+// TestFetchSourcesKeepTiers: the serving cluster's members come first
+// and the shedding cluster's (prevCluster) after them, each tier ordered
+// by RTT, then id. A fetcher whose only RTT sample is for a shedding
+// member still lists every serving member ahead of it.
+func TestFetchSourcesKeepTiers(t *testing.T) {
+	c, inst := launchSmall(t, 31)
+	n := c.Nodes[0]
+	var serving, shedding []model.NodeID
+	var cat catalog.CategoryID
+	locked(n, func(n *Node) {
+		for k := range inst.Catalog.Cats {
+			e, ok := n.dcrt[catalog.CategoryID(k)]
+			if !ok {
+				continue
+			}
+			prev := (e.Cluster + 1) % model.ClusterID(inst.NumClusters)
+			serving, shedding = nil, nil
+			n.routable(e.Cluster, func(m model.NodeID) bool {
+				if m != n.id {
+					serving = append(serving, m)
+				}
+				return true
+			})
+			n.routable(prev, func(m model.NodeID) bool {
+				if m != n.id && !slices.Contains(serving, m) {
+					shedding = append(shedding, m)
+				}
+				return true
+			})
+			if len(serving) > 0 && len(shedding) > 0 {
+				cat = catalog.CategoryID(k)
+				n.prevCluster[cat] = prevClusterRecord{cluster: prev, expires: time.Now().Add(time.Hour)}
+				return
+			}
+		}
+		t.Fatal("no category with members in both its serving and another cluster")
+	})
+	slices.Sort(serving)
+	measured := shedding[len(shedding)-1]
+	n.rttMu.Lock()
+	n.rtt[measured] = 0.5
+	n.rttMu.Unlock()
+
+	got := n.fetchSources(cat)
+	if len(got) != len(serving)+len(shedding) || !slices.Equal(got[:len(serving)], serving) || got[len(serving)] != measured {
+		t.Fatalf("fetchSources = %v; want serving members %v first, then %d (the one measured) ahead of the rest of %v",
+			got, serving, measured, shedding)
 	}
 }

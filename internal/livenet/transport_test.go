@@ -272,11 +272,14 @@ func TestQueryNoRouteExplicit(t *testing.T) {
 func TestHandleResultMaxHops(t *testing.T) {
 	c, _ := launchSmall(t, 18)
 	n := c.Nodes[0]
+	cat := n.inst.Catalog.Doc(0).Categories[0]
+	docs := n.inst.Catalog.Cats[cat].Docs
 	ch := make(chan QueryOutcome, 1)
 	withTable(n, func(n *Node) {
 		n.inflight.Add(1)
 		n.queries.pending[77] = &pendingQuery{
 			id:       77,
+			cat:      cat,
 			want:     2,
 			need:     2,
 			docs:     make(map[catalog.DocID]bool),
@@ -284,8 +287,8 @@ func TestHandleResultMaxHops(t *testing.T) {
 			deadline: time.Now().Add(time.Minute),
 		}
 	})
-	n.handleResult(protocol.ResultMsg{ID: 77, Docs: []catalog.DocID{1}, Hops: 5, From: 2})
-	n.handleResult(protocol.ResultMsg{ID: 77, Docs: []catalog.DocID{2}, Hops: 2, From: 3})
+	n.handleResult(protocol.ResultMsg{ID: 77, Docs: docs[:1], Hops: 5})
+	n.handleResult(protocol.ResultMsg{ID: 77, Docs: docs[1:2], Hops: 2})
 	select {
 	case out := <-ch:
 		if !out.Done {

@@ -80,13 +80,13 @@ func TestOutOfShapeIDsNeverReachTables(t *testing.T) {
 		}
 	})
 
-	for _, msg := range []any{
-		protocol.PublishMsg{Doc: 0, Category: cat, Publisher: outside + 5},
-		protocol.PublishAckMsg{Doc: 0, Category: cat, Entry: entry, Accepted: true, Members: []model.NodeID{outside + 6, -9}},
-		wire.LeaderLoad{Epoch: 1, Cluster: model.ClusterID(c.inst.NumClusters + 1)},
-		protocol.ResultMsg{ID: qid, Docs: []catalog.DocID{catalog.DocID(docs + 3)}, Hops: 1, From: peer},
+	for _, env := range []envelope{
+		{From: outside + 5, Msg: protocol.PublishMsg{Doc: 0, Category: cat}}, // the publisher is the sender
+		{From: peer, Msg: protocol.PublishAckMsg{Doc: 0, Category: cat, Entry: entry, Members: []model.NodeID{outside + 6, -9}}},
+		{From: peer, Msg: wire.LeaderLoad{Epoch: 1, Cluster: model.ClusterID(c.inst.NumClusters + 1)}},
+		{From: peer, Msg: protocol.ResultMsg{ID: qid, Docs: []catalog.DocID{catalog.DocID(docs + 3)}, Hops: 1}},
 	} {
-		rejectFrame(t, nw.Dial, n.Addr(), envelope{From: peer, Msg: msg})
+		rejectFrame(t, nw.Dial, n.Addr(), env)
 	}
 	if got := n.Stats()["wire_bad_frames"]; got != 4 {
 		t.Errorf("wire_bad_frames = %d, want 4 (one per frame)", got)
@@ -108,13 +108,14 @@ func TestOutOfShapeIDsNeverReachTables(t *testing.T) {
 
 	// A legitimate result on a fresh stream still completes the query,
 	// and only with what it carried.
+	want := c.inst.Catalog.Cats[cat].Docs[0]
 	sendFrame(t, nw.Dial, n.Addr(), envelope{From: peer, Msg: protocol.ResultMsg{
-		ID: qid, Docs: []catalog.DocID{5}, Hops: 1, From: peer,
+		ID: qid, Docs: []catalog.DocID{want}, Hops: 1,
 	}}).Close()
 	select {
 	case out := <-ch:
-		if len(out.Docs) != 1 || out.Docs[0] != 5 {
-			t.Errorf("query outcome docs = %v, want [5]", out.Docs)
+		if len(out.Docs) != 1 || out.Docs[0] != want {
+			t.Errorf("query outcome docs = %v, want [%d]", out.Docs, want)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("the legitimate result never completed the query")

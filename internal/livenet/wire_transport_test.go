@@ -274,7 +274,7 @@ func TestHandshakeFailuresCounted(t *testing.T) {
 // live TCP sink.
 func BenchmarkTransportThroughput(b *testing.B) {
 	env := envelope{From: 1, Msg: protocol.ResultMsg{
-		ID: 7, Docs: []catalog.DocID{3, 17, 256, 4095, 70000, 9, 12, 31}, Hops: 3, From: 2,
+		ID: 7, Docs: []catalog.DocID{3, 17, 256, 4095, 70000, 9, 12, 31}, Hops: 3,
 	}}
 	received := make(chan struct{}, 4096)
 	s := startSink(b, "127.0.0.1:0", nil, func(envelope) { received <- struct{}{} })

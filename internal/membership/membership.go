@@ -144,78 +144,48 @@ type Event struct {
 	Inc   uint64
 }
 
-// Config tunes the detector's timing. The defaults suit a LAN-ish
-// deployment; tests shrink them for fast churn.
+// Config is the detector's timing: one probe period, from which every
+// timeout derives at fixed ratios. DefaultConfig's 400 ms period gives
+// ~0.9 s to suspicion and ~2.5 s more to death for an unresponsive peer,
+// scaled by its position in the probe rotation; tests shrink the period
+// for fast churn.
 type Config struct {
 	// ProbeInterval is the period between probe rounds (one member
-	// probed per round, SWIM round-robin over a shuffled rotation).
+	// probed per round, SWIM round-robin over a shuffled rotation). It
+	// must be positive.
 	ProbeInterval time.Duration
-	// PingTimeout is how long a direct ping waits before the indirect
-	// phase (ping-req through IndirectProbes proxies) starts.
-	PingTimeout time.Duration
-	// ProbeTimeout is the total wait (direct + indirect) before the
-	// target is declared Suspect.
-	ProbeTimeout time.Duration
-	// SuspectTimeout is how long a Suspect member has to refute the
-	// rumor before it is declared Dead.
-	SuspectTimeout time.Duration
-	// IndirectProbes is k, the number of proxies asked to ping an
+}
+
+// DefaultConfig returns the detector's default timing.
+func DefaultConfig() Config { return Config{ProbeInterval: 400 * time.Millisecond} }
+
+// pingTimeout is how long a direct ping waits before the indirect phase
+// (ping-req through indirectProbes proxies) starts.
+func (c Config) pingTimeout() time.Duration { return c.ProbeInterval * 5 / 8 }
+
+// probeTimeout is the total wait (direct + indirect) before the target
+// is declared Suspect.
+func (c Config) probeTimeout() time.Duration { return c.ProbeInterval * 9 / 4 }
+
+// suspectTimeout is how long a Suspect member has to refute the rumor
+// before it is declared Dead.
+func (c Config) suspectTimeout() time.Duration { return c.ProbeInterval * 25 / 4 }
+
+// tombstoneTTL is how long a dead/left member's tombstone is kept before
+// it is forgotten entirely. It only needs to outlive the death rumor's
+// propagation and stale address-book replays; without a TTL a
+// long-running node accumulates one tombstone per departed peer forever
+// and ships them all in every book reply.
+func (c Config) tombstoneTTL() time.Duration { return c.ProbeInterval * 150 }
+
+const (
+	// indirectProbes is k, the number of proxies asked to ping an
 	// unresponsive target.
-	IndirectProbes int
-	// MaxPiggyback caps the updates and moves attached to one protocol
+	indirectProbes = 2
+	// maxPiggyback caps the updates and moves attached to one protocol
 	// message.
-	MaxPiggyback int
-	// TombstoneTTL is how long a dead/left member's tombstone is kept
-	// before it is forgotten entirely. It only needs to outlive the
-	// death rumor's propagation and stale address-book replays; without
-	// a TTL a long-running node accumulates one tombstone per departed
-	// peer forever and ships them all in every book reply.
-	TombstoneTTL time.Duration
-}
-
-// DefaultConfig returns the detector's default timing: ~0.9s to
-// suspicion and ~2.5s more to death for an unresponsive peer, scaled by
-// its position in the probe rotation.
-func DefaultConfig() Config {
-	return Config{
-		ProbeInterval:  400 * time.Millisecond,
-		PingTimeout:    250 * time.Millisecond,
-		ProbeTimeout:   900 * time.Millisecond,
-		SuspectTimeout: 2500 * time.Millisecond,
-		IndirectProbes: 2,
-		MaxPiggyback:   8,
-		TombstoneTTL:   60 * time.Second,
-	}
-}
-
-// withDefaults fills zero fields from DefaultConfig.
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = d.ProbeInterval
-	}
-	if c.PingTimeout <= 0 {
-		c.PingTimeout = d.PingTimeout
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = d.ProbeTimeout
-	}
-	if c.SuspectTimeout <= 0 {
-		c.SuspectTimeout = d.SuspectTimeout
-	}
-	if c.IndirectProbes <= 0 {
-		c.IndirectProbes = d.IndirectProbes
-	}
-	if c.MaxPiggyback <= 0 {
-		c.MaxPiggyback = d.MaxPiggyback
-	}
-	if c.TombstoneTTL <= 0 {
-		// Scale with the (possibly test-shrunk) suspect timeout, but
-		// never below a comfortable multiple of rumor-propagation time.
-		c.TombstoneTTL = 24 * c.SuspectTimeout
-	}
-	return c
-}
+	maxPiggyback = 8
+)
 
 // Member is one peer's liveness record.
 type Member struct {
@@ -231,7 +201,7 @@ type Member struct {
 
 // tomb is an evicted member's tombstone: its last incarnation, whether
 // it crashed (Dead) or departed gracefully (Left), and when it was laid,
-// so Tick can age it out after TombstoneTTL, keeping the map (and Book
+// so Tick can age it out after tombstoneTTL, keeping the map (and Book
 // frames) bounded under sustained churn.
 type tomb struct {
 	inc   uint64
@@ -298,6 +268,8 @@ type Detector struct {
 
 	rumors map[rumorKey]*queued
 	events []Event
+	// rejected counts rumors refused for an implausible incarnation.
+	rejected uint64
 }
 
 // New builds a detector for self, which is always considered alive
@@ -306,7 +278,7 @@ func New(self model.NodeID, addr string, cfg Config, seed int64) *Detector {
 	return &Detector{
 		self:    self,
 		addr:    addr,
-		cfg:     cfg.withDefaults(),
+		cfg:     cfg,
 		rng:     rand.New(rand.NewSource(seed + int64(self)*31337 + 7)),
 		members: make(map[model.NodeID]*Member),
 		tombs:   make(map[model.NodeID]tomb),
@@ -316,11 +288,15 @@ func New(self model.NodeID, addr string, cfg Config, seed int64) *Detector {
 	}
 }
 
-// Config returns the detector's timing, defaults filled in.
+// Config returns the detector's timing.
 func (d *Detector) Config() Config { return d.cfg }
 
 // Incarnation returns this node's current incarnation number.
 func (d *Detector) Incarnation() uint64 { return d.inc }
+
+// Rejected returns how many rumors, tombstones and leaves were refused
+// for an implausible incarnation.
+func (d *Detector) Rejected() uint64 { return d.rejected }
 
 // Observe learns a peer's address (typically from an address-book
 // merge). A peer already known keeps its state; a tombstoned peer is
@@ -419,16 +395,6 @@ func (d *Detector) Counts() (alive, suspect int) {
 	return alive, suspect
 }
 
-// Snapshot returns all member records (self excluded), sorted by id.
-func (d *Detector) Snapshot() []Member {
-	out := make([]Member, 0, len(d.members))
-	for _, m := range d.members {
-		out = append(out, *m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
 // Tombstones returns a copy of the dead/left incarnation map — the
 // payload address-book replies carry so a rejoining node does not
 // resurrect confirmed-dead peers.
@@ -472,12 +438,12 @@ func (d *Detector) Tick(now time.Time) []Packet {
 		}
 		age := now.Sub(p.sentAt)
 		switch {
-		case age >= d.cfg.ProbeTimeout:
+		case age >= d.cfg.probeTimeout():
 			delete(d.probes, seq)
 			if m.State == Alive {
 				d.setState(m, Suspect, m.Inc, now)
 			}
-		case age >= d.cfg.PingTimeout && !p.indirect:
+		case age >= d.cfg.pingTimeout() && !p.indirect:
 			p.indirect = true
 			for _, proxy := range d.pickProxies(p.target) {
 				pr := PingReq{Seq: seq, Target: p.target, Addr: m.Addr}
@@ -490,14 +456,14 @@ func (d *Detector) Tick(now time.Time) []Packet {
 	// Forget stale relays (the ack never came; the origin's own timeout
 	// handles the rest).
 	for seq, r := range d.relays {
-		if now.Sub(r.at) >= d.cfg.ProbeTimeout {
+		if now.Sub(r.at) >= d.cfg.probeTimeout() {
 			delete(d.relays, seq)
 		}
 	}
 
 	// Confirm overdue suspects dead.
 	for _, m := range d.members {
-		if m.State == Suspect && now.Sub(m.stateSince) >= d.cfg.SuspectTimeout {
+		if m.State == Suspect && now.Sub(m.stateSince) >= d.cfg.suspectTimeout() {
 			d.setState(m, Dead, m.Inc, now)
 		}
 	}
@@ -507,7 +473,7 @@ func (d *Detector) Tick(now time.Time) []Packet {
 	// past the TTL the departed peer is forgotten entirely, so the map
 	// (and every Book frame carrying it) stays bounded under churn.
 	for id, t := range d.tombs {
-		if now.Sub(t.since) >= d.cfg.TombstoneTTL {
+		if now.Sub(t.since) >= d.cfg.tombstoneTTL() {
 			delete(d.tombs, id)
 		}
 	}
@@ -601,7 +567,15 @@ func (d *Detector) applyAll(us []Update, now time.Time) {
 // incarnations win; at equal incarnation Suspect overrides Alive and
 // Dead/Left override everything. Rumors about self that claim Suspect
 // or Dead are refuted by bumping our incarnation and spreading Alive.
+// A rumor whose incarnation is implausibly far past this view's (the
+// bound DCRT rows obey, protocol.PlausibleVersion) is counted and
+// dropped: from a corrupt or hostile frame it would stop the node
+// refuting it, or lay a tombstone no rejoin could beat.
 func (d *Detector) apply(u Update, now time.Time) {
+	if have, _ := d.Member(u.ID); !protocol.PlausibleVersion(have.Inc, u.Inc) {
+		d.rejected++
+		return
+	}
 	if u.ID == d.self {
 		if (u.State == Suspect || u.State == Dead) && u.Inc >= d.inc {
 			d.inc = u.Inc + 1
@@ -713,7 +687,7 @@ func (d *Detector) retransmitBudget() int {
 	return 3 * (int(math.Log2(float64(n))) + 1)
 }
 
-// piggyback selects up to MaxPiggyback queued rumors of either kind,
+// piggyback selects up to maxPiggyback queued rumors of either kind,
 // preferring the least-disseminated, and charges their budgets.
 func (d *Detector) piggyback() ([]Update, []Move) {
 	if len(d.rumors) == 0 {
@@ -730,7 +704,7 @@ func (d *Detector) piggyback() ([]Update, []Move) {
 	budget := d.retransmitBudget()
 	var us []Update
 	var mvs []Move
-	for _, k := range keys[:min(len(keys), d.cfg.MaxPiggyback)] {
+	for _, k := range keys[:min(len(keys), maxPiggyback)] {
 		q := d.rumors[k]
 		if k.kind == dcrtRow {
 			mvs = append(mvs, q.mv)
@@ -772,7 +746,7 @@ func (d *Detector) nextTarget() (model.NodeID, bool) {
 	return 0, false
 }
 
-// pickProxies samples up to IndirectProbes live members other than the
+// pickProxies samples up to indirectProbes live members other than the
 // target (and self) to carry indirect probes.
 func (d *Detector) pickProxies(target model.NodeID) []model.NodeID {
 	var pool []model.NodeID
@@ -783,8 +757,8 @@ func (d *Detector) pickProxies(target model.NodeID) []model.NodeID {
 	}
 	sort.Slice(pool, func(i, j int) bool { return pool[i] < pool[j] })
 	d.rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
-	if len(pool) > d.cfg.IndirectProbes {
-		pool = pool[:d.cfg.IndirectProbes]
+	if len(pool) > indirectProbes {
+		pool = pool[:indirectProbes]
 	}
 	return pool
 }

@@ -2,6 +2,7 @@ package membership
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -21,15 +22,7 @@ type net struct {
 }
 
 func newNet(t *testing.T, n int) *net {
-	cfg := Config{
-		ProbeInterval:  10 * time.Millisecond,
-		PingTimeout:    5 * time.Millisecond,
-		ProbeTimeout:   20 * time.Millisecond,
-		SuspectTimeout: 50 * time.Millisecond,
-		IndirectProbes: 2,
-		MaxPiggyback:   8,
-		TombstoneTTL:   400 * time.Millisecond,
-	}
+	cfg := Config{ProbeInterval: 10 * time.Millisecond}
 	w := &net{
 		t: t, cfg: cfg,
 		ds:   make(map[model.NodeID]*Detector),
@@ -119,7 +112,7 @@ func TestDeadMemberDetectedAndDisseminated(t *testing.T) {
 
 	// Worst-case detection: full rotation before the victim is probed,
 	// plus probe and suspect timeouts, plus dissemination slack.
-	rounds := 4 + int((w.cfg.ProbeTimeout+w.cfg.SuspectTimeout)/w.cfg.ProbeInterval) + 12
+	rounds := 4 + int((w.cfg.probeTimeout()+w.cfg.suspectTimeout())/w.cfg.ProbeInterval) + 12
 	for i := 0; i < rounds; i++ {
 		w.step()
 	}
@@ -230,7 +223,7 @@ func TestTombstonesAgeOut(t *testing.T) {
 	}
 	victim := model.NodeID(3)
 	w.down[victim] = true
-	rounds := 4 + int((w.cfg.ProbeTimeout+w.cfg.SuspectTimeout)/w.cfg.ProbeInterval) + 12
+	rounds := 4 + int((w.cfg.probeTimeout()+w.cfg.suspectTimeout())/w.cfg.ProbeInterval) + 12
 	for i := 0; i < rounds; i++ {
 		w.step()
 	}
@@ -245,7 +238,7 @@ func TestTombstonesAgeOut(t *testing.T) {
 	// Step past the TTL: the tombstone (and the member record it backs)
 	// must be forgotten, so a long-running node does not grow one entry
 	// per departed peer forever.
-	ttlRounds := int(w.cfg.TombstoneTTL/w.cfg.ProbeInterval) + 10
+	ttlRounds := int(w.cfg.tombstoneTTL()/w.cfg.ProbeInterval) + 10
 	for i := 0; i < ttlRounds; i++ {
 		w.step()
 	}
@@ -269,13 +262,7 @@ func TestTombstonesAgeOut(t *testing.T) {
 func TestIndirectProbeSavesOneWayPartition(t *testing.T) {
 	// Node 0 cannot reach node 1 directly, but proxies can. The
 	// harness models this by dropping only 0→1 pings.
-	cfg := Config{
-		ProbeInterval:  10 * time.Millisecond,
-		PingTimeout:    5 * time.Millisecond,
-		ProbeTimeout:   30 * time.Millisecond,
-		SuspectTimeout: 50 * time.Millisecond,
-		IndirectProbes: 2,
-	}
+	cfg := Config{ProbeInterval: 10 * time.Millisecond}
 	now := time.Unix(1000, 0)
 	ds := map[model.NodeID]*Detector{}
 	for i := 0; i < 4; i++ {
@@ -321,7 +308,7 @@ func TestIndirectProbeSavesOneWayPartition(t *testing.T) {
 }
 
 func TestPiggybackBudgetBoundsQueue(t *testing.T) {
-	d := New(0, "a:1", Config{}, 1)
+	d := New(0, "a:1", DefaultConfig(), 1)
 	now := time.Unix(1000, 0)
 	for i := 1; i <= 20; i++ {
 		d.Observe(model.NodeID(i), "x:1", now)
@@ -341,27 +328,31 @@ func TestPiggybackBudgetBoundsQueue(t *testing.T) {
 }
 
 // TestPiggybackOneQueueForBothKinds: liveness rumors and DCRT rows share
-// the MaxPiggyback cap and one least-sent-first order, and a fresher row
+// the maxPiggyback cap and one least-sent-first order, and a fresher row
 // for a category replaces the queued one with a fresh budget.
 func TestPiggybackOneQueueForBothKinds(t *testing.T) {
-	d := New(0, "a:1", Config{MaxPiggyback: 4}, 1)
+	const each = 5 // of each kind: 2·each rumors overflow the cap of 8
+	if maxPiggyback != 8 {
+		t.Fatalf("maxPiggyback = %d; the expectations below assume 8", maxPiggyback)
+	}
+	d := New(0, "a:1", DefaultConfig(), 1)
 	now := time.Unix(1000, 0)
 	for i := 1; i <= 20; i++ {
 		d.Observe(model.NodeID(i), "x:1", now)
 	}
-	for i := 1; i <= 3; i++ {
+	for i := 1; i <= each; i++ {
 		d.queueUpdate(Update{ID: model.NodeID(i), State: Suspect, Inc: 1})
 		d.QueueMove(Move{Category: catalog.CategoryID(i), Entry: protocol.DCRTEntry{Cluster: 1, MoveCounter: 1}})
 	}
-	// Six rumors, cap four: liveness first at equal sends, then the
+	// Ten rumors, cap eight: liveness first at equal sends, then the
 	// least-sent rows ride the next message ahead of anything sent once.
 	us, mvs := d.piggyback()
-	if len(us) != 3 || len(mvs) != 1 || mvs[0].Category != 1 {
-		t.Fatalf("first piggyback = %v, %v; want 3 updates and category 1's row", us, mvs)
+	if len(us) != each || len(mvs) != 3 || mvs[0].Category != 1 || mvs[2].Category != 3 {
+		t.Fatalf("first piggyback = %v, %v; want %d updates and the rows of categories 1–3", us, mvs, each)
 	}
 	us, mvs = d.piggyback()
-	if len(mvs) != 2 || mvs[0].Category != 2 || mvs[1].Category != 3 || len(us) != 2 {
-		t.Fatalf("second piggyback = %v, %v; want categories 2 and 3 first, then two updates", us, mvs)
+	if len(mvs) != 3 || mvs[0].Category != 4 || mvs[1].Category != 5 || mvs[2].Category != 1 || len(us) != each {
+		t.Fatalf("second piggyback = %v, %v; want categories 4 and 5 first, then %d updates and category 1's row", us, mvs, each)
 	}
 
 	fresh := Move{Category: 1, Entry: protocol.DCRTEntry{Cluster: 0, MoveCounter: 2}}
@@ -392,4 +383,54 @@ func TestSupersedesRules(t *testing.T) {
 			t.Errorf("case %d: supersedes(%+v) = %v, want %v", i, c.u, got, c.want)
 		}
 	}
+}
+
+// TestImplausibleIncarnationRejected: a rumor whose incarnation lies
+// past protocol.MaxVersionJump of the view's — what one corrupt frame
+// can carry — is counted and dropped, whoever it names. About a peer, it
+// would otherwise be gossiped until the healthy peer, unable to outbid
+// it, was declared dead behind a tombstone no rejoin could beat; about
+// the node itself, it would wrap the incarnation back to 0.
+func TestImplausibleIncarnationRejected(t *testing.T) {
+	t.Run("peer", func(t *testing.T) {
+		w := newNet(t, 4)
+		for i := 0; i < 8; i++ {
+			w.step()
+		}
+		d0 := w.ds[0]
+		d0.apply(Update{ID: 2, State: Suspect, Inc: math.MaxUint64}, w.now)
+		d0.ApplyTombstone(3, math.MaxUint64, w.now)
+		d0.OnLeave(Leave{ID: 1, Inc: protocol.MaxVersionJump + 1}, w.now)
+		if got := d0.Rejected(); got != 3 {
+			t.Fatalf("Rejected() = %d, want 3", got)
+		}
+		rounds := 4 + int((w.cfg.probeTimeout()+w.cfg.suspectTimeout())/w.cfg.ProbeInterval) + 12
+		for i := 0; i < rounds; i++ {
+			w.step()
+		}
+		for id, d := range w.ds {
+			if alive, suspect := d.Counts(); alive != 4 || suspect != 0 {
+				t.Errorf("node %d: alive=%d suspect=%d, want 4/0", id, alive, suspect)
+			}
+		}
+		// A plausible jump still wins.
+		d0.apply(Update{ID: 2, State: Suspect, Inc: protocol.MaxVersionJump}, w.now)
+		if m, _ := d0.Member(2); m.State != Suspect || m.Inc != protocol.MaxVersionJump {
+			t.Fatalf("plausible rumor not applied: %+v", m)
+		}
+	})
+	t.Run("self", func(t *testing.T) {
+		w := newNet(t, 3)
+		d := w.ds[1]
+		for inc := uint64(0); inc < 3; inc++ {
+			d.apply(Update{ID: 1, State: Suspect, Inc: inc}, w.now) // refuted: inc+1
+		}
+		d.apply(Update{ID: 1, State: Dead, Inc: math.MaxUint64}, w.now)
+		if got := d.Incarnation(); got != 3 {
+			t.Fatalf("incarnation = %d after a hostile rumor, want 3", got)
+		}
+		if got := d.Rejected(); got != 1 {
+			t.Fatalf("Rejected() = %d, want 1", got)
+		}
+	})
 }

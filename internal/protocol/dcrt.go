@@ -4,12 +4,22 @@ import (
 	"p2pshare/internal/catalog"
 )
 
-// maxMoveCounterJump bounds how far ahead of the local view a received
-// move counter may be. Counters advance by one per executed move, so a
-// legitimate gap is at most the moves this node missed; a counter near
-// max-uint64 from a corrupt or hostile frame would otherwise wedge the
-// category forever (no legitimate move could ever exceed it again).
-const maxMoveCounterJump = 1 << 20
+// MaxVersionJump bounds how far ahead of the local view a received
+// version counter may be: a DCRT row's move counter here, a member's
+// incarnation in package membership. Both advance by one per event (a
+// move, a refutation or a rejoin), so a legitimate gap is at most the
+// events this node missed; a counter near max-uint64 from a corrupt or
+// hostile frame would otherwise wedge the fact forever (no legitimate
+// event could ever exceed it again).
+const MaxVersionJump = 1 << 20
+
+// PlausibleVersion reports whether a received version counter got lies
+// within MaxVersionJump of have, the local view's (zero for a fact never
+// seen, so first contact is bounded by the same window). A counter at or
+// below have is plausible: merely stale.
+func PlausibleVersion(have, got uint64) bool {
+	return got <= have || got-have <= MaxVersionJump
+}
 
 // Merge reports what MergeEntry did with one received DCRT entry.
 type Merge struct {
@@ -27,17 +37,17 @@ type Merge struct {
 
 // MergeEntry folds one received DCRT entry into a routing table under the
 // §6.1.2 conflict-resolution rule: the higher move counter wins, an equal
-// or lower one leaves the table alone. A counter more than
-// maxMoveCounterJump ahead of the local row (the zero row for a category
-// never seen, so first contact is bounded by the same window) is
-// rejected. The category and cluster are the caller's to trust: the live
-// decoder admits only ids of the deployment (package wire's Bounds).
+// or lower one leaves the table alone. An implausible counter (not
+// PlausibleVersion against the local row, the zero row for a category
+// never seen) is rejected. The category and cluster are the caller's to
+// trust: the live decoder admits only ids of the deployment (package
+// wire's Bounds).
 func MergeEntry(dcrt map[catalog.CategoryID]DCRTEntry, cat catalog.CategoryID, e DCRTEntry) Merge {
 	old, known := dcrt[cat]
 	m := Merge{Prev: old, Known: known}
 	switch {
 	case known && e.MoveCounter <= old.MoveCounter:
-	case e.MoveCounter > old.MoveCounter+maxMoveCounterJump:
+	case !PlausibleVersion(old.MoveCounter, e.MoveCounter):
 		m.Rejected = true
 	default:
 		dcrt[cat] = e

@@ -87,7 +87,8 @@ type ResultMsg struct {
 	Docs []catalog.DocID
 	// Hops is the forwarding distance of the answering node.
 	Hops int
-	// From is the answering node (for load accounting at the origin).
+	// From is the answering node (for load accounting at the origin). The
+	// live wire does not carry it: a decoded result's From is its sender.
 	From model.NodeID
 }
 
@@ -100,11 +101,14 @@ func (m ResultMsg) Size() int64 { return HeaderBytes + int64(len(m.Docs))*PerIDB
 // PublishMsg announces a new document to the cluster believed to host its
 // category (§6.2 publish protocol).
 type PublishMsg struct {
-	Doc       catalog.DocID
-	Category  catalog.CategoryID
+	Doc      catalog.DocID
+	Category catalog.CategoryID
+	// Publisher is the publishing node. The live wire does not carry it:
+	// a decoded publish's Publisher is its sender.
 	Publisher model.NodeID
 	// Dummy marks a free rider's no-content publish (§6.3 join protocol),
-	// which only subscribes the node to metadata updates.
+	// which only subscribes the node to metadata updates. Simulator only:
+	// the live wire does not carry it.
 	Dummy bool
 }
 
@@ -122,6 +126,7 @@ type PublishAckMsg struct {
 	// Entry is the receiver's current DCRT entry for Category.
 	Entry DCRTEntry
 	// Accepted is true when the receiver serves the category's cluster.
+	// Simulator only: the live wire does not carry it.
 	Accepted bool
 	// Members samples the receiver's NRT for the category's cluster.
 	Members []model.NodeID

@@ -224,10 +224,10 @@ func TestMergeEntry(t *testing.T) {
 		{"equal counter loses", &DCRTEntry{1, 5}, 3, DCRTEntry{2, 5}, false, false, true},
 		{"lower counter loses", &DCRTEntry{1, 5}, 3, DCRTEntry{2, 4}, false, false, true},
 		{"first contact at zero", nil, 3, DCRTEntry{2, 0}, true, false, false},
-		{"jump at the window", &DCRTEntry{1, 5}, 3, DCRTEntry{2, 5 + maxMoveCounterJump}, true, false, true},
-		{"jump past the window", &DCRTEntry{1, 5}, 3, DCRTEntry{2, 5 + maxMoveCounterJump + 1}, false, true, true},
-		{"first contact at the window", nil, 3, DCRTEntry{2, maxMoveCounterJump}, true, false, false},
-		{"first contact past the window", nil, 3, DCRTEntry{2, maxMoveCounterJump + 1}, false, true, false},
+		{"jump at the window", &DCRTEntry{1, 5}, 3, DCRTEntry{2, 5 + MaxVersionJump}, true, false, true},
+		{"jump past the window", &DCRTEntry{1, 5}, 3, DCRTEntry{2, 5 + MaxVersionJump + 1}, false, true, true},
+		{"first contact at the window", nil, 3, DCRTEntry{2, MaxVersionJump}, true, false, false},
+		{"first contact past the window", nil, 3, DCRTEntry{2, MaxVersionJump + 1}, false, true, false},
 		{"hostile counter", &DCRTEntry{1, 5}, 3, DCRTEntry{2, math.MaxUint64}, false, true, true},
 	}
 	for _, tc := range cases {

@@ -26,6 +26,8 @@ import (
 //     to the same value: decode(encode(decode(b))) == decode(b). The
 //     byte strings may differ (varints accept non-minimal forms) but the
 //     value must be stable.
+//  4. A decoded result's answering node and a decoded publish's
+//     publisher are the envelope's sender: neither is on the wire.
 func FuzzEnvelopeRoundTrip(f *testing.F) {
 	for _, env := range sampleEnvelopes() {
 		b, err := AppendEnvelope(nil, env)
@@ -35,7 +37,16 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		f.Add(b)
 	}
 	f.Add([]byte{})
-	f.Add([]byte{tagResult, 0, 1, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
+	f.Add([]byte{tagResult, 0, 1, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
+	// The generation-8 result and publish layouts, byte by byte: sender 2,
+	// query id 7, hops 2, docs 1 and 3; sender 2, doc 5, category 3.
+	f.Add([]byte{tagResult, 4, 7, 4, 2, 2, 6})
+	f.Add([]byte{tagPublish, 4, 10, 6})
+	// The same messages in the generation-7 layouts, which also carried
+	// the answering node, the publisher and the dummy flag: hostile input
+	// now that the handshake refuses generation 7.
+	f.Add([]byte{tagResult, 4, 7, 4, 4, 2, 2, 6})
+	f.Add([]byte{tagPublish, 4, 10, 6, 4, 1})
 	f.Add(preamble[:])
 	// One id of each kind just outside smallBounds.
 	for _, env := range []Envelope{
@@ -86,6 +97,16 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		}
 		if env.From != env2.From || !equivalentMsg(env.Msg, env2.Msg) {
 			t.Fatalf("round trip unstable:\n first = %+v\nsecond = %+v", env, env2)
+		}
+		switch m := env.Msg.(type) {
+		case protocol.ResultMsg:
+			if m.From != env.From {
+				t.Fatalf("result answered by %d in an envelope from %d", m.From, env.From)
+			}
+		case protocol.PublishMsg:
+			if m.Publisher != env.From {
+				t.Fatalf("publish by %d in an envelope from %d", m.Publisher, env.From)
+			}
 		}
 	})
 }

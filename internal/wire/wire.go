@@ -59,7 +59,11 @@ import (
 //   - 7: one epidemic channel — ping, ack and ping-req carry a second
 //     piggyback list of DCRT rows, and the move (12) and meta-update (13)
 //     tags are retired, never reused.
-const Version = 7
+//   - 8: no field the envelope already carries or no receiver reads —
+//     result and publish drop the answering node and the publisher (the
+//     decoder sets both from the sender), publish its dummy flag and
+//     publish-ack its accepted flag.
+const Version = 8
 
 // MaxFrameBytes bounds one frame's payload. The largest legitimate
 // message is an address book; at ~30 bytes per peer this admits over a
@@ -370,33 +374,29 @@ func AppendEnvelope(b []byte, env Envelope) ([]byte, error) {
 		b = appendInt(b, int64(m.Hops))
 		b = appendBool(b, m.Entry)
 	case protocol.ResultMsg:
-		// result := ID hops from count doc*
+		// result := ID hops count doc*   (the answering node is the sender)
 		b = append(b, tagResult)
 		b = appendInt(b, int64(env.From))
 		b = appendUint(b, m.ID)
 		b = appendInt(b, int64(m.Hops))
-		b = appendInt(b, int64(m.From))
 		b = appendUint(b, uint64(len(m.Docs)))
 		for _, d := range m.Docs {
 			b = appendInt(b, int64(d))
 		}
 	case protocol.PublishMsg:
-		// publish := doc category publisher dummy
+		// publish := doc category   (the publisher is the sender)
 		b = append(b, tagPublish)
 		b = appendInt(b, int64(env.From))
 		b = appendInt(b, int64(m.Doc))
 		b = appendInt(b, int64(m.Category))
-		b = appendInt(b, int64(m.Publisher))
-		b = appendBool(b, m.Dummy)
 	case protocol.PublishAckMsg:
-		// publish-ack := doc category cluster moveCounter accepted count member*
+		// publish-ack := doc category cluster moveCounter count member*
 		b = append(b, tagPublishAck)
 		b = appendInt(b, int64(env.From))
 		b = appendInt(b, int64(m.Doc))
 		b = appendInt(b, int64(m.Category))
 		b = appendInt(b, int64(m.Entry.Cluster))
 		b = appendUint(b, m.Entry.MoveCounter)
-		b = appendBool(b, m.Accepted)
 		b = appendUint(b, uint64(len(m.Members)))
 		for _, nb := range m.Members {
 			b = appendInt(b, int64(nb))
@@ -739,7 +739,7 @@ func decodeEnvelope(b []byte, frame *[]byte, bounds Bounds) (Envelope, error) {
 		var m protocol.ResultMsg
 		m.ID = d.uint("result id")
 		m.Hops = int(d.int("hops"))
-		m.From = model.NodeID(d.id("answering node", d.Nodes))
+		m.From = env.From
 		if n := d.count("doc count"); n > 0 {
 			m.Docs = make([]catalog.DocID, n)
 			for i := range m.Docs {
@@ -751,8 +751,7 @@ func decodeEnvelope(b []byte, frame *[]byte, bounds Bounds) (Envelope, error) {
 		var m protocol.PublishMsg
 		m.Doc = catalog.DocID(d.id("doc id", d.Docs))
 		m.Category = catalog.CategoryID(d.id("category", d.Categories))
-		m.Publisher = model.NodeID(d.id("publisher", d.Nodes))
-		m.Dummy = d.bool("dummy flag")
+		m.Publisher = env.From
 		env.Msg = m
 	case tagPublishAck:
 		var m protocol.PublishAckMsg
@@ -760,7 +759,6 @@ func decodeEnvelope(b []byte, frame *[]byte, bounds Bounds) (Envelope, error) {
 		m.Category = catalog.CategoryID(d.id("category", d.Categories))
 		m.Entry.Cluster = model.ClusterID(d.id("cluster", d.Clusters))
 		m.Entry.MoveCounter = d.uint("move counter")
-		m.Accepted = d.bool("accepted flag")
 		if n := d.count("member count"); n > 0 {
 			m.Members = make([]model.NodeID, n)
 			for i := range m.Members {

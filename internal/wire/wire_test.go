@@ -24,12 +24,11 @@ func sampleEnvelopes() []Envelope {
 		{From: 0, Msg: protocol.QueryMsg{}},
 		{From: 9, Msg: protocol.ResultMsg{ID: 42, Docs: []catalog.DocID{1, 5, 999999}, Hops: 4, From: 9}},
 		{From: 9, Msg: protocol.ResultMsg{ID: 43, Hops: 1, From: 9}},
-		{From: 2, Msg: protocol.PublishMsg{Doc: 77, Category: 3, Publisher: 2, Dummy: true}},
+		{From: 2, Msg: protocol.PublishMsg{Doc: 77, Category: 3, Publisher: 2}},
 		{From: 5, Msg: protocol.PublishAckMsg{
 			Doc: 77, Category: 3,
-			Entry:    protocol.DCRTEntry{Cluster: 2, MoveCounter: 12},
-			Accepted: true,
-			Members:  []model.NodeID{1, 2, 3, 4, 5, 6, 7, 8},
+			Entry:   protocol.DCRTEntry{Cluster: 2, MoveCounter: 12},
+			Members: []model.NodeID{1, 2, 3, 4, 5, 6, 7, 8},
 		}},
 		{From: 5, Msg: protocol.PublishAckMsg{Doc: 1, Category: 0, Entry: protocol.DCRTEntry{Cluster: 4}}},
 		{From: 11, Msg: Hello{ID: 11, Addr: "127.0.0.1:49321"}},
@@ -247,7 +246,7 @@ func TestDecodeRejectsCorruptFrames(t *testing.T) {
 		t.Errorf("unknown tag: err = %v", err)
 	}
 	// A list count far beyond the payload must fail before allocating.
-	huge := []byte{tagResult, 0 /*from*/, 1 /*id*/, 0 /*hops*/, 0 /*from*/, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}
+	huge := []byte{tagResult, 0 /*sender*/, 1 /*id*/, 0 /*hops*/, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}
 	if _, err := DecodeEnvelope(huge); !errors.Is(err, ErrMalformed) {
 		t.Error("oversized doc count decoded without error")
 	}
@@ -406,14 +405,12 @@ func idFields(env Envelope, b Bounds) []idField {
 		cat("category", m.Category)
 		node("origin", m.Origin)
 	case protocol.ResultMsg:
-		node("answering node", m.From)
 		for _, d := range m.Docs {
 			doc("doc", d)
 		}
 	case protocol.PublishMsg:
 		doc("doc", m.Doc)
 		cat("category", m.Category)
-		node("publisher", m.Publisher)
 	case protocol.PublishAckMsg:
 		doc("doc", m.Doc)
 		cat("category", m.Category)
@@ -481,16 +478,12 @@ func TestDecodeRejectsOutOfRangeIDs(t *testing.T) {
 			return Envelope{Msg: protocol.QueryMsg{Category: catalog.CategoryID(v)}}
 		}},
 		{"query/origin", b.Nodes, func(v int32) Envelope { return Envelope{Msg: protocol.QueryMsg{Origin: model.NodeID(v)}} }},
-		{"result/from", b.Nodes, func(v int32) Envelope { return Envelope{Msg: protocol.ResultMsg{From: model.NodeID(v)}} }},
 		{"result/doc", b.Docs, func(v int32) Envelope {
 			return Envelope{Msg: protocol.ResultMsg{Docs: []catalog.DocID{1, catalog.DocID(v)}}}
 		}},
 		{"publish/doc", b.Docs, func(v int32) Envelope { return Envelope{Msg: protocol.PublishMsg{Doc: catalog.DocID(v)}} }},
 		{"publish/category", b.Categories, func(v int32) Envelope {
 			return Envelope{Msg: protocol.PublishMsg{Category: catalog.CategoryID(v)}}
-		}},
-		{"publish/publisher", b.Nodes, func(v int32) Envelope {
-			return Envelope{Msg: protocol.PublishMsg{Publisher: model.NodeID(v)}}
 		}},
 		{"publish-ack/doc", b.Docs, func(v int32) Envelope {
 			return Envelope{Msg: protocol.PublishAckMsg{Doc: catalog.DocID(v)}}
@@ -712,7 +705,7 @@ func BenchmarkWireStream(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	env := Envelope{From: 1, Msg: protocol.ResultMsg{ID: 9, Docs: []catalog.DocID{1, 2, 3, 4, 5, 6, 7, 8}, Hops: 3, From: 2}}
+	env := Envelope{From: 1, Msg: protocol.ResultMsg{ID: 9, Docs: []catalog.DocID{1, 2, 3, 4, 5, 6, 7, 8}, Hops: 3, From: 1}}
 	frame, err := AppendEnvelope(nil, env)
 	if err != nil {
 		b.Fatal(err)
