@@ -179,11 +179,11 @@ func (n *Node) adaptReport(e uint64) {
 	for _, cl := range ad.mine {
 		hits := make(map[catalog.CategoryID]int64)
 		for c, h := range measured {
-			if h > 0 && n.dcrt[c].Cluster == cl {
+			if e, _ := n.dcrt.Get(c); h > 0 && e.Cluster == cl {
 				hits[c] = h
 			}
 		}
-		units := protocol.UnitMass(n.inst.Catalog, n.inst.Nodes[n.id].Units, n.byCat, n.dcrt, cl)
+		units := protocol.UnitMass(n.inst.Catalog, n.inst.Nodes[n.id].Units, n.byCat, &n.dcrt, cl)
 		leader, ok := n.leaderOf(cl)
 		if !ok {
 			continue
@@ -298,7 +298,8 @@ func (n *Node) adaptEvaluate(e uint64) {
 		return
 	}
 	for _, mv := range d.Moves {
-		entry := protocol.DCRTEntry{Cluster: mv.To, MoveCounter: n.dcrt[mv.Category].MoveCounter + 1}
+		old, _ := n.dcrt.Get(mv.Category)
+		entry := protocol.DCRTEntry{Cluster: mv.To, MoveCounter: old.MoveCounter + 1}
 		n.stats.AdaptMoves.Add(1)
 		n.applyMoveEntry(mv.Category, entry)
 	}
@@ -321,7 +322,7 @@ func (n *Node) applyMoves(mvs []membership.Move) {
 // the detector's piggyback — forwarding only on change keeps the
 // epidemic bounded.
 func (n *Node) applyMoveEntry(cat catalog.CategoryID, e protocol.DCRTEntry) protocol.Merge {
-	m := protocol.MergeEntry(n.dcrt, cat, e)
+	m := protocol.MergeEntry(&n.dcrt, cat, e)
 	if m.Rejected {
 		n.stats.AdaptBadMoves.Add(1)
 	}

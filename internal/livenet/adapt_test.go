@@ -39,11 +39,12 @@ func TestCorruptAdaptationFramesFailSafe(t *testing.T) {
 	n, from := c.Nodes[0], c.Nodes[1].id
 	victim := catalog.CategoryID(-1)
 	locked(n, func(n *Node) {
-		for cat, e := range n.dcrt {
+		n.dcrt.Range(func(cat catalog.CategoryID, e protocol.DCRTEntry) bool {
 			if e.Cluster == 0 && (victim == -1 || cat < victim) {
 				victim = cat
 			}
-		}
+			return true
+		})
 	})
 	if victim == -1 {
 		t.Fatal("no category assigned to cluster 0 in this shape")
@@ -73,7 +74,7 @@ func TestCorruptAdaptationFramesFailSafe(t *testing.T) {
 
 	// The node still takes frames and the DCRT is untouched.
 	readEntry := func() (e protocol.DCRTEntry) {
-		locked(n, func(n *Node) { e = n.dcrt[victim] })
+		locked(n, func(n *Node) { e = n.dcrtRow(victim) })
 		return e
 	}
 	if e := readEntry(); e.Cluster != 0 || e.MoveCounter != 0 {
@@ -177,7 +178,7 @@ func TestPublishAckMoveTakesEffect(t *testing.T) {
 	}
 	read := func(n *Node) (s state) {
 		locked(n, func(n *Node) {
-			s = state{n.dcrt[cat], n.holders.of(cat), slices.Clone(n.byCat[cat]), n.stats.DCRTMoves.Load()}
+			s = state{n.dcrtRow(cat), n.holders.of(cat), slices.Clone(n.byCat[cat]), n.stats.DCRTMoves.Load()}
 		})
 		return s
 	}
@@ -243,7 +244,7 @@ func TestMoveSpreadsOnProbes(t *testing.T) {
 					same := false
 					locked(c.Nodes[id], func(n *Node) {
 						v := n.holders.of(cat)
-						same = n.dcrt[cat] == entry && v.Placed == view.Placed && slices.EqualFunc(v.Holders, view.Holders, sameHolder)
+						same = n.dcrtRow(cat) == entry && v.Placed == view.Placed && slices.EqualFunc(v.Holders, view.Holders, sameHolder)
 					})
 					if !same {
 						return false

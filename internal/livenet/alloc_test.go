@@ -23,7 +23,7 @@ func allocTestNode() *Node {
 	n := &Node{
 		inst:  &model.Instance{Catalog: cat},
 		book:  newAddrBook(),
-		dcrt:  map[catalog.CategoryID]protocol.DCRTEntry{3: {Cluster: 1}},
+		dcrt:  protocol.NewDCRT(protocol.NewDCRTBase([]model.ClusterID{model.NoCluster, model.NoCluster, model.NoCluster, 1})),
 		byCat: map[catalog.CategoryID][]catalog.DocID{3: {10, 11, 12, 13}},
 		queries: queryTable{
 			pending: make(map[uint64]*pendingQuery),

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"p2pshare/internal/catalog"
+	"p2pshare/internal/memnet"
 	"p2pshare/internal/model"
 )
 
@@ -197,6 +198,40 @@ func TestChurnHardKillDetectedAndQueriesSurvive(t *testing.T) {
 	if d := time.Since(left); d > 4*time.Second {
 		t.Errorf("leave took %v to propagate; should not need a suspicion timeout", d)
 	}
+}
+
+// TestLeaverStaysLeft pins a graceful departure as final: the leaver's
+// detector stops before its Leave goes out, so no probe it would have
+// sent during the flush grace reaches a peer that already tombstoned it
+// (a ping from a tombstoned member reads as a rejoin). Every peer counts
+// the five others alive and none suspect the moment Leave returns, and
+// still does three probe periods later.
+func TestLeaverStaysLeft(t *testing.T) {
+	const probe = 20 * time.Millisecond
+	sh := Shape{Documents: 200, Categories: 8, Nodes: 6, Clusters: 2, Seed: 91}
+	c := launchOverMemnet(t, sh, nil, memnet.New(), Options{Membership: true, probeInterval: probe})
+	peers, leaver := c.Nodes[:5], c.Nodes[5]
+	waitFor(t, 5*time.Second, "every node sees all six alive", func() bool {
+		for _, n := range c.Nodes {
+			if alive, suspect := n.MembershipCounts(); alive != sh.Nodes || suspect != 0 {
+				return false
+			}
+		}
+		return true
+	})
+	leaver.Leave()
+	check := func(when string) {
+		t.Helper()
+		for _, n := range peers {
+			if alive, suspect := n.MembershipCounts(); alive != sh.Nodes-1 || suspect != 0 {
+				t.Errorf("%s: node %d counts %d alive and %d suspect, want %d and 0",
+					when, n.ID(), alive, suspect, sh.Nodes-1)
+			}
+		}
+	}
+	check("right after Leave returns")
+	time.Sleep(3 * probe)
+	check("three probe periods later")
 }
 
 // TestAdaptationRebalancesSkewedLoad drives a heavily skewed workload —

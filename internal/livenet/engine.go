@@ -116,7 +116,7 @@ func (n *Node) QueryContext(ctx context.Context, cat catalog.CategoryID, m int) 
 	// routable member is the entry send's own choice (routeQuery).
 	n.routeMu.RLock()
 	need := n.holders.of(cat).Target(m)
-	_, routed := n.dcrt[cat]
+	_, routed := n.dcrt.Get(cat)
 	n.routeMu.RUnlock()
 	if routed && len(docs) >= need {
 		// Nothing left to ask for: an empty category, or a cache holding

@@ -318,7 +318,7 @@ func TestDarkClusterNoRoute(t *testing.T) {
 	for _, n := range c.Nodes {
 		locked(n, func(n *Node) {
 			for _, ct := range inst.Catalog.Cats {
-				e, ok := n.dcrt[ct.ID]
+				e, ok := n.dcrt.Get(ct.ID)
 				if ok && len(ct.Docs) > 0 && !slices.Contains(n.members[e.Cluster], n.id) {
 					origin, cat, members = n, ct.ID, n.members[e.Cluster]
 					return
@@ -359,7 +359,7 @@ func TestDarkClusterNoRoute(t *testing.T) {
 		t.Errorf("no-route outcomes miscounted or a frame sent: %v", st)
 	}
 	locked(origin, func(n *Node) {
-		if cl := n.dcrt[cat].Cluster; !slices.ContainsFunc(n.nrt[cl], func(m model.NodeID) bool { return slices.Contains(members, m) }) {
+		if cl := n.dcrtRow(cat).Cluster; !slices.ContainsFunc(n.nrt[cl], func(m model.NodeID) bool { return slices.Contains(members, m) }) {
 			t.Errorf("the NRT entry for cluster %d lost its members: %v", cl, n.nrt[cl])
 		}
 		for m, addr := range addrs {

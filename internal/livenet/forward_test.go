@@ -101,7 +101,7 @@ func setView(t *testing.T, n *Node, cat catalog.CategoryID, placed int, hs ...pr
 // cluster, so every query origin issues for cat enters there.
 func routeVia(t *testing.T, origin *Node, cat catalog.CategoryID, entry model.NodeID) {
 	t.Helper()
-	locked(origin, func(n *Node) { n.nrt[n.dcrt[cat].Cluster] = []model.NodeID{entry} })
+	locked(origin, func(n *Node) { n.nrt[n.dcrtRow(cat).Cluster] = []model.NodeID{entry} })
 }
 
 // handBuiltCluster boots a 16-node memnet cluster whose tables the test

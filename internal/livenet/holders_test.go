@@ -107,7 +107,7 @@ func TestHolderViewFollowsMoves(t *testing.T) {
 			var got, launched protocol.View
 			var share map[model.NodeID][]catalog.DocID
 			locked(n, func(n *Node) {
-				to = 1 - n.dcrt[cat].Cluster
+				to = 1 - n.dcrtRow(cat).Cluster
 				n.applyMoveEntry(cat, protocol.DCRTEntry{Cluster: to, MoveCounter: 1})
 				got, launched = n.holders.of(cat), n.holders.base[cat]
 				share = replica.PlaceCategory(n.inst, cat, n.members[to], replica.DefaultConfig())

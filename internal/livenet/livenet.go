@@ -19,8 +19,10 @@
 // goes where the deterministic placement says (protocol.Forward over
 // the holder view, holders.go), never to every neighbour. Everything low-rate and topological — membership,
 // adaptation, the address book, the DCRT/NRT routing tables and the
-// holder view — is control state, serialized by routeMu.Lock: a control
-// frame runs under it on its reader, in stream order; an API call on its
+// holder view — is control state, serialized by routeMu.Lock (the
+// shared launch bases under the book, the DCRT and the holder view are
+// never written, so they take no lock): a control frame runs under it
+// on its reader, in stream order; an API call on its
 // caller; a probe or epoch tick on a goroutine of its own. Query code
 // reads that state under routeMu.RLock. An idle node therefore runs one
 // goroutine, accept. Queries are fully concurrent: each QueryContext
@@ -160,12 +162,15 @@ type Node struct {
 	// querytable.go). book maps node ids to listen addresses (handleHello
 	// and handleBook mutate it) — copy-on-write over a cluster-shared
 	// base, see book.go. byCat lists the documents this node holds, per
-	// category.
+	// category. dcrt is the deployment's shared launch assignment plus
+	// the rows this node has seen move (protocol.DCRT); only those rows
+	// are the node's own. nrt lists each cluster's known members, indexed
+	// by cluster.
 	routeMu sync.RWMutex
 	book    *addrBook
 	byCat   map[catalog.CategoryID][]catalog.DocID
-	dcrt    map[catalog.CategoryID]protocol.DCRTEntry
-	nrt     map[model.ClusterID][]model.NodeID
+	dcrt    protocol.DCRT
+	nrt     [][]model.NodeID
 	holders holderView // who holds each category (holders.go)
 	// members lists each cluster's launch members by ascending id: what
 	// a moved category is placed over and adaptation elects leaders
@@ -194,6 +199,7 @@ type Node struct {
 	// memberSuspect are its last counts, kept for lock-free readers
 	// (Stats, MembershipCounts).
 	det           *membership.Detector
+	leaving       bool // Leave announced: the detector is stopped (probing)
 	memberAlive   atomic.Int64
 	memberSuspect atomic.Int64
 	// fairnessX1000 is the last fairness this node measured as an epoch
@@ -307,8 +313,7 @@ func newNode(inst *model.Instance, id model.NodeID, ln net.Listener, seed int64,
 		done:  make(chan struct{}),
 		conns: make(map[net.Conn]struct{}),
 		byCat: make(map[catalog.CategoryID][]catalog.DocID),
-		dcrt:  make(map[catalog.CategoryID]protocol.DCRTEntry),
-		nrt:   make(map[model.ClusterID][]model.NodeID),
+		nrt:   make([][]model.NodeID, inst.NumClusters),
 		queries: queryTable{
 			pending: make(map[uint64]*pendingQuery),
 			rng:     newPCG(seed, id, streamQueries),
@@ -514,10 +519,11 @@ type Options struct {
 
 // Launch starts one TCP peer per instance node on loopback ports, primes
 // metadata exactly like the simulated overlay's bootstrap (full DCRT,
-// ring-plus-chords NRT per cluster, remote contacts), and returns the
-// running cluster. Close it when done. Options carries everything a
-// deployment can configure — seed, network hooks, cache, idle stream
-// closing, membership, adaptation, content plane.
+// read from one base the deployment shares; ring-plus-chords NRT per
+// cluster, remote contacts), and returns the running cluster. Close it
+// when done. Options carries everything a deployment can configure —
+// seed, network hooks, cache, idle stream closing, membership,
+// adaptation, content plane.
 func Launch(inst *model.Instance, assign []model.ClusterID, place *replica.Placement, opts Options) (*Cluster, error) {
 	return launch(inst, assign, place, opts, nil)
 }
@@ -570,7 +576,7 @@ func launch(inst *model.Instance, assign []model.ClusterID, place *replica.Place
 	}
 	for _, n := range c.Nodes {
 		for cl := 0; cl < inst.NumClusters; cl++ {
-			if len(n.nrt[model.ClusterID(cl)]) > 0 {
+			if len(n.nrt[cl]) > 0 {
 				continue
 			}
 			members := mem.NodesOf(model.ClusterID(cl))
@@ -615,7 +621,7 @@ func clusterMembers(mem *model.Membership) [][]model.NodeID {
 // primer holds what every node of one deployment is primed from.
 type primer struct {
 	inst    *model.Instance
-	assign  []model.ClusterID
+	dcrt    protocol.DCRTBase
 	stored  func(k int) []catalog.DocID
 	holders []protocol.View
 	members [][]model.NodeID
@@ -630,16 +636,17 @@ func newPrimer(inst *model.Instance, assign []model.ClusterID, mem *model.Member
 		}
 		return inst.Nodes[k].Contributed
 	}
-	return &primer{inst: inst, assign: assign, stored: stored,
+	return &primer{inst: inst, dcrt: protocol.NewDCRTBase(assign), stored: stored,
 		holders: buildHolders(inst, stored), members: clusterMembers(mem)}
 }
 
 // node opens node id's listener on addr (Options.Hooks.Listen, plain TCP
 // by default), builds the node with the dial hook wired, and primes what
 // both launch paths agree on: the documents it holds, the holder-view
-// base, the DCRT and the cluster members. The NRT and the address book
-// are each path's own. Adaptation without membership is refused: its
-// moves ride the failure detector's probes.
+// base, the DCRT (over the deployment's one base) and the cluster
+// members. The NRT and the address book are each path's own. Adaptation
+// without membership is refused: its moves ride the failure detector's
+// probes.
 func (p *primer) node(id model.NodeID, addr string, seed int64, opts Options) (*Node, error) {
 	if opts.Adaptation != nil && !opts.Membership {
 		return nil, errors.New("livenet: Options.Adaptation requires Options.Membership")
@@ -663,11 +670,7 @@ func (p *primer) node(id model.NodeID, addr string, seed int64, opts Options) (*
 	}
 	n.holders.base = p.holders
 	n.members = p.members
-	for cat, cl := range p.assign {
-		if cl != model.NoCluster {
-			n.dcrt[catalog.CategoryID(cat)] = protocol.DCRTEntry{Cluster: cl}
-		}
-	}
+	n.dcrt = protocol.NewDCRT(p.dcrt)
 	return n, nil
 }
 
@@ -845,19 +848,19 @@ func (n *Node) dispatchControl(env envelope) {
 	case bookMsg:
 		n.handleBook(m)
 	case membership.Ping:
-		if n.det != nil {
+		if n.probing() {
 			n.sendPackets(n.det.OnPing(env.From, m, n.io.now()))
 			n.drainMembership()
 		}
 		n.applyMoves(m.Moves)
 	case membership.Ack:
-		if n.det != nil {
+		if n.probing() {
 			n.sendPackets(n.det.OnAck(env.From, m, n.io.now()))
 			n.drainMembership()
 		}
 		n.applyMoves(m.Moves)
 	case membership.PingReq:
-		if n.det != nil {
+		if n.probing() {
 			n.sendPackets(n.det.OnPingReq(env.From, m, n.io.now()))
 			n.drainMembership()
 		}
@@ -936,7 +939,7 @@ func (n *Node) Publish(d catalog.DocID) error {
 	n.holdDoc(d)
 	cat := n.inst.Catalog.Doc(d).Categories[0]
 	sent := 0
-	if entry, ok := n.dcrt[cat]; ok {
+	if entry, ok := n.dcrt.Get(cat); ok {
 		n.routable(entry.Cluster, func(nb model.NodeID) bool {
 			n.io.send(n.route(nb, protocol.PublishMsg{Doc: d, Category: cat}), laneQueue)
 			sent++
@@ -955,7 +958,7 @@ func (n *Node) Publish(d catalog.DocID) error {
 // that cluster; an unroutable category is dropped (and counted) rather
 // than fabricating a cluster-0 entry.
 func (n *Node) handlePublish(from model.NodeID, m protocol.PublishMsg) {
-	entry, known := n.dcrt[m.Category]
+	entry, known := n.dcrt.Get(m.Category)
 	if !known {
 		n.stats.DropNoRoute.Add(1)
 		return

@@ -52,12 +52,23 @@ func (n *Node) enableMembership(cfg membership.Config) {
 	n.everyLocked(interval, &n.stats.MembershipTickSkips, n.membershipTick)
 }
 
-// membershipTick advances the detector's timers. Caller holds
-// routeMu.Lock.
+// membershipTick advances the detector's timers; once the node is
+// leaving it does nothing. Caller holds routeMu.Lock.
 func (n *Node) membershipTick(now time.Time) {
+	if !n.probing() {
+		return
+	}
 	n.sendPackets(n.det.Tick(now))
 	n.drainMembership()
 }
+
+// probing reports whether the detector runs: it is on and the node has
+// not announced its Leave. A leaver neither probes nor answers probes:
+// its peers tombstoned it on the Leave, and a ping from a tombstoned
+// member is proof it came back (membership.Detector.OnPing), so one
+// late probe would bring it back to life at its peers. Caller holds
+// routeMu.
+func (n *Node) probing() bool { return n.det != nil && !n.leaving }
 
 // sendPackets transmits detector protocol messages. The packet's own
 // address hint covers targets the book does not (an indirect-probe
@@ -125,11 +136,13 @@ func (n *Node) MembershipCounts() (alive, suspect int) {
 // Leave announces a graceful departure to every addressable peer, in id
 // order (so receivers skip the suspicion phase and evict immediately),
 // waits a moment for the transport to flush, and shuts the node down.
-// Without a running detector it is just Close.
+// The detector stops before the Leave goes out (probing). Without a
+// running detector it is just Close.
 func (n *Node) Leave() {
 	n.routeMu.Lock()
-	sent := !n.closed() && n.det != nil
+	sent := !n.closed() && n.probing()
 	if sent {
+		n.leaving = true
 		lv := n.det.MakeLeave()
 		n.book.forEachByID(func(id model.NodeID, _ string) {
 			if id != n.id {

@@ -12,10 +12,13 @@ package livenet
 //	                  leaf): per-category hit counters, drained by the
 //	                  adaptation report under routeMu.Lock.
 //	routeMu.Lock      control state: membership, adaptation, address
-//	                  book, byCat, DCRT, NRT, holder view, the node rng —
-//	                  everything low-rate, written by whichever goroutine
-//	                  the work arrived on (a reader's control frame, an
-//	                  API caller, a tick); see livenet.go.
+//	                  book, byCat, the DCRT's own rows, NRT, holder view,
+//	                  the node rng — everything low-rate, written by
+//	                  whichever goroutine the work arrived on (a reader's
+//	                  control frame, an API caller, a tick); see
+//	                  livenet.go. The bases the book, DCRT and holder
+//	                  view read are the deployment's, shared by every
+//	                  node and written by none, so they need no lock.
 //	caller goroutine  admission (atomic CAS), requester-cache lookup, the
 //	                  DCRT check, and routing and registering its own
 //	                  query.
@@ -165,7 +168,7 @@ func (n *Node) register(cat catalog.CategoryID, want, need int, docs map[catalog
 func (n *Node) routeQuery(pq *pendingQuery) (f outFrame, ok bool) {
 	n.routeMu.RLock()
 	defer n.routeMu.RUnlock()
-	entry, ok := n.dcrt[pq.cat]
+	entry, ok := n.dcrt.Get(pq.cat)
 	if !ok {
 		return outFrame{}, false
 	}
@@ -246,7 +249,7 @@ func (n *Node) handleQuery(m protocol.QueryMsg) {
 func (n *Node) runQuery(m protocol.QueryMsg, out []outFrame) []outFrame {
 	n.routeMu.RLock()
 	defer n.routeMu.RUnlock()
-	if _, ok := n.dcrt[m.Category]; !ok {
+	if _, ok := n.dcrt.Get(m.Category); !ok {
 		n.stats.DropNoRoute.Add(1)
 		return out
 	}

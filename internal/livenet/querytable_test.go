@@ -186,7 +186,7 @@ func TestShardLockOrder(t *testing.T) {
 // its deadline with a partial result.
 func TestResendRecoversPartialAnswer(t *testing.T) {
 	n := allocTestNode()
-	n.nrt = map[model.ClusterID][]model.NodeID{1: {2, 3}}
+	n.nrt = [][]model.NodeID{1: {2, 3}}
 	now := time.Now()
 	pq := &pendingQuery{
 		id: 42, cat: 3, want: 2, need: 2,

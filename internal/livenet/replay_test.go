@@ -522,7 +522,7 @@ func TestReturningPeerRoutesAgain(t *testing.T) {
 		locked(n, func(n *Node) {
 			for cl, members := range n.nrt {
 				if slices.Contains(members, returning) {
-					named[n] = append(named[n], cl)
+					named[n] = append(named[n], model.ClusterID(cl))
 				}
 			}
 		})
@@ -549,11 +549,12 @@ func TestReturningPeerRoutesAgain(t *testing.T) {
 				if !slices.Contains(n.nrt[cl], returning) {
 					t.Errorf("node %d's NRT entry for cluster %d lost node 1", n.id, cl)
 				}
-				for c, e := range n.dcrt {
+				n.dcrt.Range(func(c catalog.CategoryID, e protocol.DCRTEntry) bool {
 					if e.Cluster == cl && (cat < 0 || c < cat) {
 						cat = c
 					}
-				}
+					return true
+				})
 			})
 			if cat < 0 {
 				continue // the cluster serves no category: no entry send goes there

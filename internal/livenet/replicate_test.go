@@ -262,7 +262,7 @@ func TestFetchAccountingConservation(t *testing.T) {
 	// No route: forget the category's cluster; with no fallback record
 	// the source snapshot is empty.
 	n.routeMu.Lock()
-	delete(n.dcrt, catOK)
+	n.forgetDCRTRow(catOK)
 	n.routeMu.Unlock()
 	if _, err := n.Fetch(ctx, docOK); !errors.Is(err, ErrNoRoute) {
 		t.Fatalf("routeless fetch returned %v, want ErrNoRoute", err)

@@ -309,7 +309,7 @@ func (n *Node) serveManifestReq(from model.NodeID, m wire.ManifestReq) {
 	// simply not contain a holder.
 	var next []model.NodeID
 	n.routeMu.RLock()
-	if e, ok := n.dcrt[n.inst.Catalog.Doc(m.Doc).Categories[0]]; ok {
+	if e, ok := n.dcrt.Get(n.inst.Catalog.Doc(m.Doc).Categories[0]); ok {
 		members := n.nrt[e.Cluster]
 		if len(members) > 0 {
 			start := int((n.fwdSeq.Add(1) + uint64(n.id)) % uint64(len(members)))
@@ -414,7 +414,7 @@ func (n *Node) fetchSources(cat catalog.CategoryID) []model.NodeID {
 		}
 		return true
 	}
-	if e, ok := n.dcrt[cat]; ok {
+	if e, ok := n.dcrt.Get(cat); ok {
 		n.routable(e.Cluster, add)
 	}
 	serving := len(out)

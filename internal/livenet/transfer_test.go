@@ -572,7 +572,27 @@ func TestBulkFetchUnderQueryLoad(t *testing.T) {
 func (n *Node) dcrtEntryForTest(cat catalog.CategoryID) protocol.DCRTEntry {
 	n.routeMu.RLock()
 	defer n.routeMu.RUnlock()
-	return n.dcrt[cat]
+	return n.dcrtRow(cat)
+}
+
+// dcrtRow is a node's DCRT row for cat, the zero row when it has none.
+// Caller holds routeMu.
+func (n *Node) dcrtRow(cat catalog.CategoryID) protocol.DCRTEntry {
+	e, _ := n.dcrt.Get(cat)
+	return e
+}
+
+// forgetDCRTRow rebuilds n's DCRT without cat's row: a category no
+// route knows. Caller holds routeMu.Lock.
+func (n *Node) forgetDCRTRow(cat catalog.CategoryID) {
+	var dcrt protocol.DCRT
+	n.dcrt.Range(func(c catalog.CategoryID, e protocol.DCRTEntry) bool {
+		if c != cat {
+			dcrt.Set(c, e)
+		}
+		return true
+	})
+	n.dcrt = dcrt
 }
 
 // Small constructors keeping the stray-frame table readable.
@@ -647,7 +667,7 @@ func TestFetchSourcesKeepTiers(t *testing.T) {
 	var cat catalog.CategoryID
 	locked(n, func(n *Node) {
 		for k := range inst.Catalog.Cats {
-			e, ok := n.dcrt[catalog.CategoryID(k)]
+			e, ok := n.dcrt.Get(catalog.CategoryID(k))
 			if !ok {
 				continue
 			}

@@ -235,7 +235,7 @@ func TestQueryNoRouteExplicit(t *testing.T) {
 	c, inst := launchSmall(t, 17)
 	n := c.Nodes[0]
 	cat := bigCategory(inst)
-	locked(n, func(n *Node) { delete(n.dcrt, cat) })
+	locked(n, func(n *Node) { n.forgetDCRTRow(cat) })
 
 	if _, err := n.Query(cat, 1, time.Second); !errors.Is(err, ErrNoRoute) {
 		t.Errorf("Query without DCRT entry: err = %v, want ErrNoRoute", err)

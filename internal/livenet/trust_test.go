@@ -66,7 +66,7 @@ func TestOutOfShapeIDsNeverReachTables(t *testing.T) {
 	docs := len(c.inst.Catalog.Docs)
 	cat := c.inst.Catalog.Doc(0).Categories[0]
 	var entry protocol.DCRTEntry
-	locked(n, func(n *Node) { entry = n.dcrt[cat] })
+	locked(n, func(n *Node) { entry = n.dcrtRow(cat) })
 
 	// A pending query the bad result names. Its resends are spent, so
 	// only the frames below can answer it.

@@ -288,7 +288,7 @@ func (p *Peer) ownHits(cl model.ClusterID) map[catalog.CategoryID]int64 {
 // ownUnits is this node's per-category unit mass (§4.3.3) restricted to
 // the aggregating cluster's categories.
 func (p *Peer) ownUnits(cl model.ClusterID) map[catalog.CategoryID]float64 {
-	return protocol.UnitMass(p.sys.inst.Catalog, p.units, p.byCat, p.dcrt, cl)
+	return protocol.UnitMass(p.sys.inst.Catalog, p.units, p.byCat, &p.dcrt, cl)
 }
 
 // handleHitRequest joins the aggregation tree (phase 1): the first request
@@ -452,7 +452,7 @@ func (p *Peer) evaluateAndRebalance() error {
 func (p *Peer) announceMove(cat catalog.CategoryID, from, to model.ClusterID) {
 	old := p.routeCategory(cat)
 	entry := DCRTEntry{Cluster: to, MoveCounter: old.MoveCounter + 1}
-	p.dcrt[cat] = entry
+	p.dcrt.Set(cat, entry)
 	p.markMetaDirty(cat, entry)
 
 	// System truth bookkeeping (routing still flows through DCRTs).
@@ -506,7 +506,7 @@ func (p *Peer) gossipMetadata() {
 func (p *Peer) handleMetadataUpdate(m MetadataUpdateMsg) {
 	for _, cat := range m.Categories() {
 		e := m.Entries[cat]
-		if !protocol.MergeEntry(p.dcrt, cat, e).Changed {
+		if !protocol.MergeEntry(&p.dcrt, cat, e).Changed {
 			continue
 		}
 		p.markMetaDirty(cat, e)

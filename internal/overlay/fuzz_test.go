@@ -101,11 +101,12 @@ func checkInvariants(t *testing.T, sys *System, inst *model.Instance, dead map[m
 			}
 		}
 		// 2. DCRT entries reference valid clusters.
-		for cat, e := range p.dcrt {
+		p.dcrt.Range(func(cat catalog.CategoryID, e DCRTEntry) bool {
 			if int(e.Cluster) < 0 || int(e.Cluster) >= inst.NumClusters {
 				t.Fatalf("step %d: node %d DCRT[%d] -> invalid cluster %d", step, p.id, cat, e.Cluster)
 			}
-		}
+			return true
+		})
 		// 3. The on-demand stored popularity matches a recomputation from
 		// the DT (guards against the helper and the DT diverging).
 		var want float64

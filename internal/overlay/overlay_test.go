@@ -251,7 +251,7 @@ func TestPublishFollowsRedirect(t *testing.T) {
 		t.Skip("all nodes in target cluster")
 	}
 	wrong := model.ClusterID((int(trueCluster) + 1) % inst.NumClusters)
-	sys.peers[publisher].dcrt[cat] = DCRTEntry{Cluster: wrong}
+	sys.peers[publisher].dcrt.Set(cat, DCRTEntry{Cluster: wrong})
 
 	ids, err := inst.Catalog.AddDocuments(1, 0.01, 0.8, sys.rng)
 	if err != nil {
@@ -299,7 +299,7 @@ func TestJoinWithContent(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := sys.peers[n]
-	if len(p.dcrt) == 0 {
+	if len(p.dcrt.Snapshot()) == 0 {
 		t.Fatal("joiner has empty DCRT after join")
 	}
 	for _, d := range ids {
@@ -322,7 +322,7 @@ func TestJoinFreeRider(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := sys.peers[n]
-	if len(p.dcrt) == 0 {
+	if len(p.dcrt.Snapshot()) == 0 {
 		t.Error("free rider has empty DCRT")
 	}
 	if len(p.clusters) == 0 {
@@ -520,7 +520,7 @@ func TestAdaptationRebalancesSkewedLoad(t *testing.T) {
 	for cat, to := range final {
 		holders, withCounter := 0, 0
 		for _, p := range sys.peers {
-			if e, ok := p.dcrt[cat]; ok && e.Cluster == to {
+			if e, ok := p.dcrt.Get(cat); ok && e.Cluster == to {
 				holders++
 				if e.MoveCounter > 0 {
 					withCounter++
@@ -557,7 +557,7 @@ func TestMetadataConflictResolution(t *testing.T) {
 	p.handleMetadataUpdate(MetadataUpdateMsg{Entries: map[catalog.CategoryID]DCRTEntry{
 		cat: {Cluster: 3, MoveCounter: 2},
 	}})
-	if got := p.dcrt[cat]; got.Cluster != 3 || got.MoveCounter != 2 {
+	if got, _ := p.dcrt.Get(cat); got.Cluster != 3 || got.MoveCounter != 2 {
 		t.Fatalf("update not applied: %+v", got)
 	}
 	// A stale update (lower counter) must be ignored (§6.1.2: "the
@@ -565,14 +565,14 @@ func TestMetadataConflictResolution(t *testing.T) {
 	p.handleMetadataUpdate(MetadataUpdateMsg{Entries: map[catalog.CategoryID]DCRTEntry{
 		cat: {Cluster: 5, MoveCounter: 1},
 	}})
-	if got := p.dcrt[cat]; got.Cluster != 3 || got.MoveCounter != 2 {
+	if got, _ := p.dcrt.Get(cat); got.Cluster != 3 || got.MoveCounter != 2 {
 		t.Errorf("stale update overwrote newer entry: %+v", got)
 	}
 	// An equal counter is also not newer.
 	p.handleMetadataUpdate(MetadataUpdateMsg{Entries: map[catalog.CategoryID]DCRTEntry{
 		cat: {Cluster: 6, MoveCounter: 2},
 	}})
-	if got := p.dcrt[cat]; got.Cluster != 3 {
+	if got, _ := p.dcrt.Get(cat); got.Cluster != 3 {
 		t.Errorf("equal-counter update overwrote entry: %+v", got)
 	}
 }

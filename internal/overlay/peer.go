@@ -46,8 +46,9 @@ type Peer struct {
 	// Protocol handlers iterate it instead of the dt map so behaviour is
 	// deterministic for a fixed seed.
 	byCat map[catalog.CategoryID][]catalog.DocID
-	// dcrt maps categories to serving clusters.
-	dcrt map[catalog.CategoryID]DCRTEntry
+	// dcrt maps categories to serving clusters: the system's shared
+	// launch assignment plus the rows this peer has seen move.
+	dcrt protocol.DCRT
 	// nrt lists known nodes per cluster. For the peer's own clusters the
 	// entries double as the in-cluster forwarding/gossip neighbors.
 	nrt map[model.ClusterID][]model.NodeID
@@ -159,10 +160,6 @@ func (p *Peer) Served() int64 { return p.served }
 // mutate).
 func (p *Peer) Hits() map[catalog.CategoryID]int64 { return p.hits }
 
-// DCRT returns the peer's current category→cluster view (live map;
-// callers must not mutate).
-func (p *Peer) DCRT() map[catalog.CategoryID]DCRTEntry { return p.dcrt }
-
 // Stores reports whether the peer currently stores the document.
 func (p *Peer) Stores(d catalog.DocID) bool {
 	_, ok := p.dt[d]
@@ -185,7 +182,7 @@ func (p *Peer) Leader(cl model.ClusterID) (model.NodeID, bool) {
 // with no published documents default to cluster 0, mirroring the publish
 // protocol's bootstrap rule (§6.2 step 3).
 func (p *Peer) routeCategory(c catalog.CategoryID) DCRTEntry {
-	if e, ok := p.dcrt[c]; ok {
+	if e, ok := p.dcrt.Get(c); ok {
 		return e
 	}
 	return DCRTEntry{Cluster: 0}

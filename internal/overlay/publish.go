@@ -112,13 +112,13 @@ func (p *Peer) anyContact() (model.NodeID, bool) {
 
 // handlePublish is the receiver side of §6.2 step 5.
 func (p *Peer) handlePublish(from int, m PublishMsg) {
-	entry, known := p.dcrt[m.Category]
+	entry, known := p.dcrt.Get(m.Category)
 	if !known {
 		// A brand-new category is born on the default cluster, which is
 		// exactly where the publisher sent us (or we redirect it there).
 		entry = DCRTEntry{Cluster: 0}
 		if !m.Dummy {
-			p.dcrt[m.Category] = entry
+			p.dcrt.Set(m.Category, entry)
 		}
 	}
 	accepted := p.inCluster(entry.Cluster)
@@ -150,10 +150,10 @@ func (p *Peer) handlePublishAck(m PublishAckMsg) {
 	// the publisher follows the receivers' metadata.
 	var merged protocol.Merge
 	if m.Category != dummyCategory {
-		merged = protocol.MergeEntry(p.dcrt, m.Category, m.Entry)
+		merged = protocol.MergeEntry(&p.dcrt, m.Category, m.Entry)
 	}
 	if !m.Accepted && merged.Known && m.Entry.MoveCounter == merged.Prev.MoveCounter {
-		p.dcrt[m.Category] = m.Entry
+		p.dcrt.Set(m.Category, m.Entry)
 	}
 	for _, n := range m.Members {
 		p.rememberNode(m.Entry.Cluster, n)
@@ -197,7 +197,6 @@ func (s *System) AddNode(units float64, storageCap int64) model.NodeID {
 		units:        units,
 		dt:           make(map[catalog.DocID]catalog.CategoryID),
 		byCat:        make(map[catalog.CategoryID][]catalog.DocID),
-		dcrt:         make(map[catalog.CategoryID]DCRTEntry),
 		nrt:          make(map[model.ClusterID][]model.NodeID),
 		hits:         make(map[catalog.CategoryID]int64),
 		seen:         make(map[uint64]bool),
@@ -220,10 +219,7 @@ func (s *System) AddNode(units float64, storageCap int64) model.NodeID {
 
 // handleJoinRequest serves a joiner with this peer's metadata tables.
 func (p *Peer) handleJoinRequest(from int, m JoinRequestMsg) {
-	dcrt := make(map[catalog.CategoryID]DCRTEntry, len(p.dcrt))
-	for c, e := range p.dcrt {
-		dcrt[c] = e
-	}
+	dcrt := p.dcrt.Snapshot()
 	nrt := make(map[model.ClusterID][]model.NodeID, len(p.nrt))
 	for cl, nodes := range p.nrt {
 		nrt[cl] = append([]model.NodeID(nil), nodes...)
@@ -236,7 +232,7 @@ func (p *Peer) handleJoinRequest(from int, m JoinRequestMsg) {
 // joiner's contributions (step 2 of §6.3).
 func (p *Peer) handleJoinReply(m JoinReplyMsg) {
 	for c, e := range m.DCRT {
-		protocol.MergeEntry(p.dcrt, c, e)
+		protocol.MergeEntry(&p.dcrt, c, e)
 	}
 	for cl, nodes := range m.NRT {
 		for _, n := range nodes {

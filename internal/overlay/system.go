@@ -116,7 +116,10 @@ func NewSystem(inst *model.Instance, assign []model.ClusterID, place *replica.Pl
 	}
 	s.rng = s.net.Rng()
 
-	// Create peers; process address == node id by construction.
+	// Create peers; process address == node id by construction. Every
+	// peer's DCRT starts from one copy of the assignment: the full
+	// category→cluster map, shared read-only (protocol.DCRT).
+	base := protocol.NewDCRTBase(assign)
 	for k := range inst.Nodes {
 		p := &Peer{
 			sys:          s,
@@ -124,7 +127,7 @@ func NewSystem(inst *model.Instance, assign []model.ClusterID, place *replica.Pl
 			units:        inst.Nodes[k].Units,
 			dt:           make(map[catalog.DocID]catalog.CategoryID),
 			byCat:        make(map[catalog.CategoryID][]catalog.DocID),
-			dcrt:         make(map[catalog.CategoryID]DCRTEntry),
+			dcrt:         protocol.NewDCRT(base),
 			nrt:          make(map[model.ClusterID][]model.NodeID),
 			hits:         make(map[catalog.CategoryID]int64),
 			seen:         make(map[uint64]bool),
@@ -161,16 +164,6 @@ func NewSystem(inst *model.Instance, assign []model.ClusterID, place *replica.Pl
 			for _, di := range inst.Nodes[k].Contributed {
 				s.peers[k].store(di)
 			}
-		}
-	}
-
-	// Prime DCRTs: every peer knows the full category→cluster map.
-	for c, cl := range assign {
-		if cl == model.NoCluster {
-			continue
-		}
-		for _, p := range s.peers {
-			p.dcrt[catalog.CategoryID(c)] = DCRTEntry{Cluster: cl}
 		}
 	}
 

@@ -72,7 +72,7 @@ func (l *ClusterLoad) NormPop() float64 {
 // read from the catalog at call time because catalog perturbations
 // re-scale them underneath every node.
 func UnitMass(cat *catalog.Catalog, units float64, stored map[catalog.CategoryID][]catalog.DocID,
-	dcrt map[catalog.CategoryID]DCRTEntry, cl model.ClusterID) map[catalog.CategoryID]float64 {
+	dcrt *DCRT, cl model.ClusterID) map[catalog.CategoryID]float64 {
 	cats := sortedKeys(stored)
 	pop := make([]float64, len(cats))
 	var total float64
@@ -87,7 +87,7 @@ func UnitMass(cat *catalog.Catalog, units float64, stored map[catalog.CategoryID
 		return out
 	}
 	for i, c := range cats {
-		if len(stored[c]) > 0 && dcrt[c].Cluster == cl {
+		if e, _ := dcrt.Get(c); len(stored[c]) > 0 && e.Cluster == cl {
 			out[c] = units * pop[i] / total
 		}
 	}

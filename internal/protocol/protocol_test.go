@@ -232,12 +232,12 @@ func TestMergeEntry(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dcrt := make(map[catalog.CategoryID]DCRTEntry)
+			dcrt := NewDCRT(NewDCRTBase(nil))
 			if tc.have != nil {
-				dcrt[3] = *tc.have
+				dcrt.Set(3, *tc.have)
 			}
-			before := dcrt[tc.cat]
-			m := MergeEntry(dcrt, tc.cat, tc.e)
+			before, _ := dcrt.Get(tc.cat)
+			m := MergeEntry(&dcrt, tc.cat, tc.e)
 			if m.Changed != tc.wantChanged || m.Rejected != tc.wantRejected || m.Known != tc.wantPrevKnown {
 				t.Fatalf("got %+v, want changed=%v rejected=%v known=%v", m, tc.wantChanged, tc.wantRejected, tc.wantPrevKnown)
 			}
@@ -248,10 +248,10 @@ func TestMergeEntry(t *testing.T) {
 			if tc.wantChanged {
 				want = tc.e
 			}
-			if got := dcrt[tc.cat]; got != want {
+			if got, _ := dcrt.Get(tc.cat); got != want {
 				t.Errorf("table row = %+v, want %+v", got, want)
 			}
-			if _, planted := dcrt[tc.cat]; planted && !tc.wantChanged && tc.have == nil {
+			if _, planted := dcrt.Get(tc.cat); planted && !tc.wantChanged && tc.have == nil {
 				t.Errorf("rejected entry planted a row for category %d", tc.cat)
 			}
 		})
@@ -280,8 +280,8 @@ func TestUnitMass(t *testing.T) {
 		},
 	}
 	stored := map[catalog.CategoryID][]catalog.DocID{0: {0, 1}, 1: {2}, 2: {3}, 3: nil}
-	dcrt := map[catalog.CategoryID]DCRTEntry{0: {Cluster: 1}, 1: {Cluster: 2}, 2: {Cluster: 1}}
-	got := UnitMass(cat, 10, stored, dcrt, 1)
+	dcrt := NewDCRT(NewDCRTBase([]model.ClusterID{1, 2, 1}))
+	got := UnitMass(cat, 10, stored, &dcrt, 1)
 	want := map[catalog.CategoryID]float64{0: 4, 2: 2} // 10·0.4/1.0 and 10·0.2/1.0
 	if len(got) != len(want) {
 		t.Fatalf("UnitMass = %v, want %v", got, want)
@@ -291,7 +291,7 @@ func TestUnitMass(t *testing.T) {
 			t.Errorf("category %d: %v, want %v", c, got[c], w)
 		}
 	}
-	if m := UnitMass(cat, 10, map[catalog.CategoryID][]catalog.DocID{}, dcrt, 1); len(m) != 0 {
+	if m := UnitMass(cat, 10, map[catalog.CategoryID][]catalog.DocID{}, &dcrt, 1); len(m) != 0 {
 		t.Errorf("node storing nothing has unit mass %v", m)
 	}
 }
